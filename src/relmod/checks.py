@@ -29,7 +29,6 @@ cross-check inside check_relative_modularity is the arbiter for it.
 from __future__ import annotations
 
 from .datum import Degree, ModularDatum, modified_S, validate_datum
-from .matrices import ExactMatrix, SingularReport
 from .scalars import CycScalar
 from .verdicts import DATA_ABSENT, FAILS, HOLDS, HYPOTHESIS_NOT_MET, Verdict, Witness
 
@@ -120,14 +119,14 @@ def check_nondegeneracy(datum: ModularDatum, g: Degree) -> Verdict:
         v.notes.append(_msg(exc))
         return v
     n = len(datum.index_sets[g])
-    res = sg.invert() if sg.rows == sg.cols else None
-    if isinstance(res, SingularReport) or sg.rows != sg.cols or sg.rank() < n:
+    rep = sg._singular_report() if sg.rows == sg.cols else None
+    if rep is not None or sg.rows != sg.cols or sg.rows < n:
         v.status = FAILS
-        if isinstance(res, SingularReport):
+        if rep is not None:
             v.witnesses.append(Witness(
                 "kernel vector of S_g", (str(g),),
-                "(" + ", ".join(str(x) for x in res.kernel) + ")"))
-            v.derived_scalars["rank(S_g)"] = str(res.rank)
+                "(" + ", ".join(str(x) for x in rep.kernel) + ")"))
+            v.derived_scalars["rank(S_g)"] = str(rep.rank)
         else:
             v.witnesses.append(Witness("S_g not square", (sg.rows, sg.cols)))
         return v
@@ -143,15 +142,18 @@ def check_nondegeneracy(datum: ModularDatum, g: Degree) -> Verdict:
         v.status = DATA_ABSENT
         v.notes.append(_msg(exc))
         return v
-    r = s_mixed.rank()
+    if s_mixed.rows == s_mixed.cols:
+        rep = s_mixed._singular_report()
+        r = s_mixed.rows if rep is None else rep.rank
+    else:
+        rep, r = None, s_mixed.rank()
     v.derived_scalars["rank(S_-g,g)"] = str(r)
     if s_mixed.rows != s_mixed.cols or r < s_mixed.rows:
         v.status = FAILS
-        res = s_mixed.invert() if s_mixed.rows == s_mixed.cols else None
-        if isinstance(res, SingularReport):
+        if rep is not None:
             v.witnesses.append(Witness(
                 "kernel vector of S_-g,g", (str(neg), str(g)),
-                "(" + ", ".join(str(x) for x in res.kernel) + ")"))
+                "(" + ", ".join(str(x) for x in rep.kernel) + ")"))
         else:
             v.witnesses.append(Witness("S_-g,g not square", (s_mixed.rows, s_mixed.cols)))
         return v
@@ -240,9 +242,10 @@ def check_dmug(datum: ModularDatum, g: Degree) -> Verdict:
         v.status = DATA_ABSENT
         v.notes.append(_msg(exc))
         return v
-    if sg.rank() < n:
+    r = sg.rank()
+    if r < n:
         v.status = FAILS
-        v.witnesses.append(Witness("condition (1): S_g is singular", (str(g),), str(sg.rank())))
+        v.witnesses.append(Witness("condition (1): S_g is singular", (str(g),), str(r)))
         return v
     for name, mat in (("S_g", sg), ("S_-g,g", s_mixed)):
         row = next((i for i in range(mat.rows)

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import checks as checks_mod
 from . import closure as closure_mod
@@ -43,13 +41,6 @@ class _CliError(Exception):
     def __init__(self, message: str, code: int = USAGE_ERROR):
         super().__init__(message)
         self.code = code
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("RELMOD_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(doc: dict, fmt: str, text_lines: list[str]) -> None:
@@ -100,17 +91,24 @@ def _report(args, verdicts: list[Verdict], extra: dict | None = None) -> int:
 # check subcommands
 # ---------------------------------------------------------------------------
 
+def _degree_arg(args, flag: str):
+    text = getattr(args, flag)
+    if text is None:
+        raise _CliError(f"check {args.what} requires --{flag}")
+    return parse_degree(text)
+
+
 def _cmd_check(args) -> int:
     datum = _load(args)
     which = args.what
     verdicts: list[Verdict] = []
     if which == "nondeg":
-        verdicts.append(checks_mod.check_nondegeneracy(datum, parse_degree(args.g)))
+        verdicts.append(checks_mod.check_nondegeneracy(datum, _degree_arg(args, "g")))
     elif which == "dmug":
-        verdicts.append(checks_mod.check_dmug(datum, parse_degree(args.g)))
+        verdicts.append(checks_mod.check_dmug(datum, _degree_arg(args, "g")))
     elif which == "modularity":
         verdicts.append(checks_mod.check_relative_modularity(
-            datum, parse_degree(args.g), parse_degree(args.h)))
+            datum, _degree_arg(args, "g"), _degree_arg(args, "h")))
     elif which == "rank-constancy":
         verdicts.append(checks_mod.check_rank_constancy(datum))
     elif which == "premodular":
@@ -137,8 +135,7 @@ def _run_all(datum: ModularDatum) -> list[Verdict]:
                 pairs.append((g, h))
                 jobs.append((f"modularity {g},{h}",
                              lambda g=g, h=h: checks_mod.check_relative_modularity(datum, g, h)))
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = list(pool.map(lambda job: job[1](), jobs))
+    results = [run() for _, run in jobs]
     # cross-implication: relative modularity at (g, .) forces non-degeneracy at g
     by_name = {name: v for (name, _), v in zip(jobs, results)}
     for g, h in pairs:

@@ -17,7 +17,7 @@ up to a bound, or a closed-form family asserting all exponents at once).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .datum import (
     DatumSchemaError,

@@ -1,17 +1,69 @@
 """Dense exact matrices over CycScalar with fraction-free rank and inverse.
 
-Rank and determinant use Bareiss elimination: every division along the way is
-by the previous pivot and is exact in the ring (a Sylvester identity), so no
-fractions ever appear.  The inverse is assembled from cofactors divided by the
-determinant; a singular matrix instead yields a report carrying an exact
-kernel vector.
+Full rank is first tested modulo a prime p = 1 (mod m): zeta_m goes to a
+fixed root of Phi_m mod p and each formal variable to a nonzero residue
+hashed from its name.  That map is a ring homomorphism, so a minor that is
+nonzero mod p is nonzero, and an F_p rank of min(rows, cols) proves full
+rank.  Every other answer -- every rank deficit and every kernel vector --
+comes from Bareiss elimination, where each division is by the previous pivot
+and is exact in the ring (a Sylvester identity), so no fractions ever appear.
+The inverse is fraction-free Gauss-Jordan on [A | I] followed by one exact
+division by the determinant.  Nothing is random, so every answer is
+deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from functools import lru_cache
 
-from .scalars import CycScalar, InexactDivision
+from .scalars import CycScalar
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; these bases are exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _modulus(m: int) -> tuple[int, int]:
+    """(p, r): the largest prime p < 2^61 with p = 1 (mod m), and r in F_p of
+    multiplicative order exactly m, hence a root of Phi_m mod p."""
+    p = ((1 << 61) - 2) // m * m + 1
+    while not _is_prime(p):
+        p -= m
+    factors = {q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)}
+    g = 2
+    while True:
+        r = pow(g, (p - 1) // m, p)
+        if all(pow(r, m // q, p) != 1 for q in factors):
+            return p, r
+        g += 1
+
+
+def _variable_residue(name: str, p: int) -> int:
+    """The fixed nonzero residue mod p that a formal variable is sent to."""
+    digest = hashlib.sha256(name.encode()).digest()
+    return int.from_bytes(digest[:8], "big") % (p - 1) + 1
 
 
 class SingularReport:
@@ -170,10 +222,69 @@ class ExactMatrix:
             r += 1
         return m, piv_cols, sign
 
+    def _rank_mod_p(self) -> int | None:
+        """Rank of the image in F_p (see the module docstring), a lower bound on
+        the exact rank; None when a coefficient's denominator vanishes mod p."""
+        m = self.conductor
+        p, r = _modulus(m)
+        zpow = [pow(r, k, p) for k in range(m)]
+        var: dict[str, int] = {}
+        rows = []
+        for i in range(self.rows):
+            row = []
+            for e in self.row(i):
+                acc = 0
+                for (zp, vk), c in e.coeffs.items():
+                    den = c.denominator % p
+                    if not den:
+                        return None
+                    t = c.numerator * zpow[zp] * pow(den, -1, p)
+                    for name, k in vk:
+                        if name not in var:
+                            var[name] = _variable_residue(name, p)
+                        t = t * pow(var[name], k, p)
+                    acc += t
+                row.append(acc % p)
+            rows.append(row)
+        rank = 0
+        for c in range(self.cols):
+            piv = next((i for i in range(rank, self.rows) if rows[i][c]), None)
+            if piv is None:
+                continue
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            prow = rows[rank]
+            inv = pow(prow[c], -1, p)
+            for i in range(rank + 1, self.rows):
+                f = rows[i][c] * inv % p
+                if f:
+                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
+            rank += 1
+            if rank == self.rows:
+                break
+        return rank
+
     def rank(self) -> int:
-        """Exact rank over the fraction field (fraction-free elimination)."""
+        """Exact rank over the fraction field.
+
+        Full rank is proved modulo a prime; any smaller rank is computed by
+        fraction-free elimination.
+        """
+        full = min(self.rows, self.cols)
+        if self._rank_mod_p() == full:
+            return full
         _, piv_cols, _ = self._bareiss()
         return len(piv_cols)
+
+    def _singular_report(self) -> SingularReport | None:
+        """None when this square matrix has full rank, else its exact rank and a
+        kernel vector.  A matrix is eliminated exactly at most once, and only
+        when the mod-p test does not already prove full rank."""
+        if self._rank_mod_p() == self.rows:
+            return None
+        ech, piv_cols, _ = self._bareiss()
+        if len(piv_cols) == self.rows:
+            return None
+        return SingularReport(self._kernel_vector(ech, piv_cols), len(piv_cols))
 
     def det(self) -> CycScalar:
         if self.rows != self.cols:
@@ -185,12 +296,6 @@ class ExactMatrix:
             return CycScalar.zero(self.conductor)
         d = ech[self.rows - 1][piv_cols[-1]]
         return d if sign == 1 else -d
-
-    def _minor(self, drop_row: int, drop_col: int) -> "ExactMatrix":
-        rows = [[self[i, j] for j in range(self.cols) if j != drop_col]
-                for i in range(self.rows) if i != drop_row]
-        return ExactMatrix.from_rows(rows, self.conductor) if rows else \
-            ExactMatrix(0, 0, self.conductor, [])
 
     def _kernel_vector(self, ech, piv_cols) -> list[CycScalar]:
         """A nonzero kernel vector from the echelon form, denominators cleared."""
@@ -239,18 +344,33 @@ class ExactMatrix:
         """
         if self.rows != self.cols:
             raise ValueError("cannot invert a non-square matrix")
+        report = self._singular_report()
+        if report is not None:
+            return report
         n = self.rows
-        ech, piv_cols, sign = self._bareiss()
-        if len(piv_cols) < n:
-            return SingularReport(self._kernel_vector(ech, piv_cols), len(piv_cols))
-        det = ech[n - 1][piv_cols[-1]]
-        if sign == -1:
-            det = -det
-        out = []
-        for i in range(n):
-            for j in range(n):
-                cof = self._minor(j, i).det()
-                if (i + j) % 2:
-                    cof = -cof
-                out.append(cof.exact_div(det))
-        return ExactMatrix(n, n, self.conductor, out)
+        # Fraction-free Gauss-Jordan on [A | I]: after step k every entry is a
+        # (k+1)-minor of [A | I], so dividing by the previous pivot is exact.
+        # It ends with [d I | d A^-1], d = +-det(A).
+        one = CycScalar.one(self.conductor)
+        zero = CycScalar.zero(self.conductor)
+        m = [list(self.row(i)) + [one if j == i else zero for j in range(n)]
+             for i in range(n)]
+        prev = one
+        for k in range(n):
+            p = next(i for i in range(k, n) if not m[i][k].is_zero)
+            m[k], m[p] = m[p], m[k]
+            pivot, prow = m[k][k], m[k]
+            for i in range(n):
+                if i == k:
+                    continue
+                row = m[i]
+                f = row[k]
+                for j in range(2 * n):
+                    if j == k:
+                        continue
+                    num = pivot * row[j] - f * prow[j]
+                    row[j] = num if prev.is_one else num.exact_div(prev)
+                row[k] = zero
+            prev = pivot
+        return ExactMatrix(n, n, self.conductor,
+                           [m[i][n + j].exact_div(prev) for i in range(n) for j in range(n)])

@@ -141,7 +141,6 @@ def emit_datum(ell: int) -> ModularDatum:
             sym = CycScalar.variable(f"s{lo}_{hi}", ell)
             # modified S entry, divided by the column dimension to give S'
             entries.append(cr * cc * sym * dims[pos[c]].inverse())
-        del pr
     sprime = ExactMatrix(n, n, ell, entries)
 
     abar = Degree(alpha=1)

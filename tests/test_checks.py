@@ -159,6 +159,39 @@ class TestNondegeneracy:
         assert v.status == DATA_ABSENT
 
 
+class TestEliminationCount:
+    """Full rank is settled modulo a prime; a rank deficit costs one exact
+    elimination, which also yields the kernel witness."""
+
+    @pytest.fixture
+    def bareiss_calls(self, monkeypatch):
+        calls = []
+        original = ExactMatrix._bareiss
+
+        def counting(m):
+            calls.append((m.rows, m.cols))
+            return original(m)
+
+        monkeypatch.setattr(ExactMatrix, "_bareiss", counting)
+        return calls
+
+    def test_full_rank_needs_no_exact_elimination(self, bareiss_calls):
+        datum = pointed_datum(5, random.Random(3))
+        assert check_nondegeneracy(datum, G).status == HOLDS
+        assert check_dmug(datum, G).status == HOLDS
+        assert bareiss_calls == []
+
+    def test_rank_deficit_is_eliminated_once(self, bareiss_calls):
+        v = check_nondegeneracy(emit_datum(3), G)
+        assert v.status == FAILS
+        assert bareiss_calls == [(6, 6)]
+        bareiss_calls.clear()
+        d = tiny_datum([[1, 1], [1, 1]], mixed_rows=[[1, 0], [0, 1]], orbit_count=2)
+        v = check_dmug(d, G)
+        assert v.status == FAILS and v.witnesses[0].value == "1"
+        assert bareiss_calls == [(2, 2)]
+
+
 class TestRankConstancy:
     def test_two_identity_blocks_hold(self):
         # identity contains zeros, so use all-nonzero full-rank blocks instead

@@ -1,8 +1,15 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from relmod.cli import main
+from relmod.datum import SBlock, save_datum
+from relmod.matrices import ExactMatrix
+from relmod.sl21 import emit_datum
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -131,6 +138,52 @@ class TestCheckCommand:
 
     def test_usage_error_exit_2(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["nondeg"], "--g"),
+        (["dmug"], "--g"),
+        (["modularity", "--h", "a"], "--g"),
+        (["modularity", "--g", "a"], "--h"),
+    ])
+    def test_missing_degree_is_usage_error(self, capsys, tmp_path, argv, missing):
+        path = str(tmp_path / "d.json")
+        run(capsys, "sl21", "emit", "--ell", "3", "--out", path)
+        code, _, err = run(capsys, "check", *argv, "--datum", path)
+        assert code == 2
+        assert f"requires {missing}" in err
+
+    def test_sl21_ell3_nondeg_report_is_pinned(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "sl21", "emit", "--ell", "3", "--out", "sl21-ell3.json")
+        code, out, _ = run(capsys, "check", "nondeg", "--g", "a",
+                           "--datum", "sl21-ell3.json", "--format", "json")
+        assert code == 1
+        assert out == (DATA / "sl21_ell3_nondeg.json").read_text()
+
+    def test_nondeg_on_full_rank_symbolic_block(self, capsys, tmp_path):
+        # A principal block on four orbit representatives of the ell = 5 datum
+        # holds distinct symmetric unknowns, so it has full rank; its inverse
+        # is not a Laurent polynomial, and none is needed for the verdict.
+        datum = emit_datum(5)
+        (g,) = datum.degrees
+        names = datum.index_sets[g]
+        reps = sorted(names.index("{}_{}".format(*min(map(tuple, pair))))
+                      for pair in datum.extra["x-sl21"]["row_pairs"])[:4]
+        s = datum.sprime[0].matrix
+        labels = tuple(names[i] for i in reps)
+        block = ExactMatrix.from_rows([[s[i, j] for j in reps] for i in reps], datum.conductor)
+        path = str(tmp_path / "lead4.json")
+        save_datum(dataclasses.replace(
+            datum, index_sets={g: labels},
+            dims={g: tuple(datum.dims[g][i] for i in reps)},
+            twists={g: tuple(datum.twists[g][i] for i in reps)},
+            sprime=(SBlock(g, g, block, labels, labels),), extra={}), path)
+        code, out, _ = run(capsys, "check", "nondeg", "--g", "a", "--datum", path,
+                           "--format", "json")
+        assert code == 1
+        (report,) = json.loads(out)["reports"]
+        assert report["status"] == "data-absent"
+        assert report["derived_scalars"] == {"rank(S_g)": "4"}
 
     def test_thread_cap_does_not_change_output(self, capsys, tmp_path, monkeypatch):
         path = str(tmp_path / "d.json")

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import field_gauss_rank, random_matrix
-from relmod.matrices import ExactMatrix, SingularReport
-from relmod.scalars import CycScalar
+from relmod.matrices import ExactMatrix, SingularReport, _modulus, _variable_residue
+from relmod.scalars import CycScalar, InexactDivision
 
 
 def one(m=5):
@@ -20,6 +20,26 @@ def rat(q, m=5):
 small_matrices = st.builds(
     lambda seed, r, c: random_matrix(random.Random(seed), r, c, 5, height=4),
     st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 4))
+
+
+def random_rank_matrix(rng: random.Random, rows: int, cols: int, inner: int,
+                       variables: bool) -> ExactMatrix:
+    """A product of rows x inner and inner x cols factors, so its rank is at
+    most inner.  With variables, rows and columns are scaled by Laurent
+    monomials in u, x, y, w: the rank is unchanged and every entry stays a
+    field element times a monomial, which field_gauss_rank can invert."""
+    m = random_matrix(rng, rows, inner, 5, height=3) @ random_matrix(rng, inner, cols, 5, height=3)
+    if not variables:
+        return m
+
+    def monomial():
+        out = CycScalar.one(5)
+        for name in "uxyw":
+            out = out * CycScalar.variable(name, 5, rng.randint(-2, 2))
+        return out
+
+    row_scale = ExactMatrix.diagonal([monomial() for _ in range(rows)], 5)
+    return row_scale @ m.scale_columns([monomial() for _ in range(cols)])
 
 
 class TestRank:
@@ -43,6 +63,46 @@ class TestRank:
     def test_rank_equals_transpose_rank(self, m):
         assert m.rank() == m.transpose().rank()
 
+    @given(seed=st.integers(0, 10 ** 6), rows=st.integers(1, 5), cols=st.integers(1, 5),
+           inner=st.integers(0, 5), variables=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_equals_oracle_including_deficient(self, seed, rows, cols, inner, variables):
+        m = random_rank_matrix(random.Random(seed), rows, cols, inner, variables)
+        assert m.rank() == field_gauss_rank(m)
+
+
+def variable_residue_mod_p(name: str, conductor: int) -> CycScalar:
+    p, _ = _modulus(conductor)
+    return CycScalar.rational(_variable_residue(name, p), conductor)
+
+
+class TestRankModPFallback:
+    """Inputs on which the F_p image loses rank, so rank() must fall back to
+    exact elimination."""
+
+    def test_entry_vanishing_mod_p(self):
+        x = CycScalar.variable("x", 5)
+        vanishing = x - variable_residue_mod_p("x", 5)  # nonzero, but 0 in F_p
+        m = ExactMatrix.diagonal([vanishing, one()], 5)
+        assert m._rank_mod_p() == 1
+        assert m.rank() == 2
+        assert m._singular_report() is None
+        with pytest.raises(InexactDivision):  # 1/(x - r) is not a Laurent polynomial
+            m.invert()
+
+    def test_denominator_divisible_by_p(self):
+        p, _ = _modulus(5)
+        tiny = rat(Fraction(1, p))
+        full = ExactMatrix.from_rows([[tiny, one()], [one(), one()]], 5)
+        deficient = ExactMatrix.from_rows([[tiny, tiny], [one(), one()]], 5)
+        assert full._rank_mod_p() is None and deficient._rank_mod_p() is None
+        assert full.rank() == 2
+        assert deficient.rank() == 1
+        rep = deficient.invert()
+        assert isinstance(rep, SingularReport)
+        assert rep.rank == 1
+        assert not rep.kernel[0].is_zero and rep.kernel[1] == -rep.kernel[0]
+
 
 class TestInvert:
     def test_identity(self):
@@ -65,6 +125,18 @@ class TestInvert:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             ExactMatrix.zeros(2, 3, 5).invert()
+
+    def test_inverse_outside_the_laurent_ring_is_inexact(self):
+        x = CycScalar.variable("x", 5)
+        with pytest.raises(InexactDivision):
+            ExactMatrix.from_rows([[x, one()], [one(), x]], 5).invert()
+
+    def test_symbolic_inverse_with_pivot_swap(self):
+        x, y = CycScalar.variable("x", 5), CycScalar.variable("y", 5)
+        z = CycScalar.zero(5)
+        m = ExactMatrix.from_rows([[z, x, z], [y, z, z], [z, one(), x * y]], 5)
+        inv = m.invert()
+        assert m @ inv == ExactMatrix.identity(3, 5)
 
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
