@@ -24,8 +24,11 @@ from .datum import (
     Degree,
     GradingSpec,
     SmallSubset,
+    _need,
     degree_from_json,
     degree_to_json,
+    grading_from_json,
+    grading_to_json,
 )
 from .verdicts import DATA_ABSENT, FAILS, HOLDS, Verdict, Witness
 
@@ -635,24 +638,18 @@ def loads_closure(doc: dict) -> ClosureDatum:
         raise DatumSchemaError("schema", f"expected {CLOSURE_SCHEMA_ID!r}, got {doc.get('schema')!r}")
     atoms = []
     for i, a in enumerate(doc.get("atoms", [])):
+        if not isinstance(a, dict):
+            raise DatumSchemaError(f"atoms[{i}]", "expected an atom object")
         deg = a.get("degree")
         atoms.append(AtomSpec(
-            name=str(a["name"]),
+            name=str(_need(a, "name", f"atoms[{i}]")),
             strong_decomposition=bool(a.get("strong_decomposition", False)),
             negligible=a.get("negligible"),
             dual=a.get("dual"),
             degree=degree_from_json(deg, f"atoms[{i}].degree") if deg is not None else None))
     grading = None
-    if "grading" in doc and doc["grading"] is not None:
-        gobj = doc["grading"]
-        small = gobj.get("small_symmetric", {"kind": "torsion"})
-        grading = GradingSpec(
-            cyclic_factors=tuple(gobj.get("cyclic_factors", [])),
-            has_generic_torus=bool(gobj.get("has_generic_torus", True)),
-            small=SmallSubset(
-                small.get("kind", "torsion"),
-                tuple(degree_from_json(e, f"grading.small_symmetric.elements[{i}]")
-                      for i, e in enumerate(small.get("elements", [])))))
+    if doc.get("grading") is not None:
+        grading = grading_from_json(doc["grading"], "grading")
     v_rules = tuple(
         VRule(atom=str(r["atom"]), n=r.get("n"),
               sd_asserted=bool(r.get("sd_asserted", True)),
@@ -698,13 +695,7 @@ def dumps_closure(datum: ClosureDatum) -> dict:
     if datum.distinguished is not None:
         doc["distinguished"] = datum.distinguished
     if datum.grading is not None:
-        doc["grading"] = {
-            "cyclic_factors": list(datum.grading.cyclic_factors),
-            "has_generic_torus": datum.grading.has_generic_torus,
-            "small_symmetric": {
-                "kind": datum.grading.small.kind,
-                "elements": [degree_to_json(d) for d in datum.grading.small.elements]},
-        }
+        doc["grading"] = grading_to_json(datum.grading)
     return doc
 
 

@@ -179,6 +179,41 @@ class GradingSpec:
         return out
 
 
+def grading_to_json(grading: GradingSpec) -> dict:
+    return {
+        "cyclic_factors": list(grading.cyclic_factors),
+        "has_generic_torus": grading.has_generic_torus,
+        "small_symmetric": {
+            "kind": grading.small.kind,
+            "elements": [degree_to_json(d) for d in grading.small.elements],
+        },
+    }
+
+
+def grading_from_json(obj, path: str) -> GradingSpec:
+    """The grading object shared by the datum and closure formats."""
+    if not isinstance(obj, dict):
+        raise DatumSchemaError(path, "expected a grading object")
+    small = obj.get("small_symmetric", {"kind": "torsion"})
+    if not isinstance(small, dict):
+        raise DatumSchemaError(path + ".small_symmetric", "expected an object")
+    kind = small.get("kind")
+    if kind not in ("list", "torsion"):
+        raise DatumSchemaError(path + ".small_symmetric.kind", "expected 'list' or 'torsion'")
+    elements = small.get("elements", [])
+    if not isinstance(elements, list):
+        raise DatumSchemaError(path + ".small_symmetric.elements", "expected a list of degrees")
+    factors = obj.get("cyclic_factors", [])
+    if not (isinstance(factors, list) and all(isinstance(o, int) for o in factors)):
+        raise DatumSchemaError(path + ".cyclic_factors", "expected a list of integers")
+    return GradingSpec(
+        cyclic_factors=tuple(factors),
+        has_generic_torus=bool(obj.get("has_generic_torus", True)),
+        small=SmallSubset(kind, tuple(
+            degree_from_json(e, f"{path}.small_symmetric.elements[{i}]")
+            for i, e in enumerate(elements))))
+
+
 # ---------------------------------------------------------------------------
 # translation group
 # ---------------------------------------------------------------------------
@@ -403,18 +438,7 @@ def loads_datum(doc: dict) -> ModularDatum:
     if not isinstance(conductor, int) or conductor < 1:
         raise DatumSchemaError("conductor", "expected a positive integer")
 
-    gobj = _need(doc, "grading", "$")
-    small_obj = gobj.get("small_symmetric", {"kind": "torsion"})
-    kind = small_obj.get("kind")
-    if kind not in ("list", "torsion"):
-        raise DatumSchemaError("grading.small_symmetric.kind", "expected 'list' or 'torsion'")
-    elements = tuple(
-        degree_from_json(e, f"grading.small_symmetric.elements[{i}]")
-        for i, e in enumerate(small_obj.get("elements", [])))
-    grading = GradingSpec(
-        cyclic_factors=tuple(gobj.get("cyclic_factors", [])),
-        has_generic_torus=bool(gobj.get("has_generic_torus", True)),
-        small=SmallSubset(kind, elements))
+    grading = grading_from_json(_need(doc, "grading", "$"), "grading")
 
     tobj = _need(doc, "translation", "$")
     factors = tuple(tobj.get("cyclic_factors", []))
@@ -472,6 +496,12 @@ def loads_datum(doc: dict) -> ModularDatum:
         ent = _need(bobj, "entries", f"sprime[{i}]")
         if not ent or not isinstance(ent, list):
             raise DatumSchemaError(f"sprime[{i}].entries", "expected a non-empty row list")
+        for r, row in enumerate(ent):
+            if not isinstance(row, list) or not row:
+                raise DatumSchemaError(f"sprime[{i}].entries[{r}]", "expected a non-empty row")
+            if len(row) != len(ent[0]):
+                raise DatumSchemaError(f"sprime[{i}].entries[{r}]",
+                                       f"ragged rows: {len(row)} entries, row 0 has {len(ent[0])}")
         rows = [[_scalar(v, conductor, f"sprime[{i}].entries[{r}][{c}]")
                  for c, v in enumerate(row)] for r, row in enumerate(ent)]
         blocks.append(SBlock(rd, cd, ExactMatrix.from_rows(rows, conductor),
@@ -514,14 +544,7 @@ def dumps_datum(datum: ModularDatum) -> dict:
     doc: dict = {
         "schema": SCHEMA_ID,
         "conductor": datum.conductor,
-        "grading": {
-            "cyclic_factors": list(datum.grading.cyclic_factors),
-            "has_generic_torus": datum.grading.has_generic_torus,
-            "small_symmetric": {
-                "kind": datum.grading.small.kind,
-                "elements": [degree_to_json(d) for d in datum.grading.small.elements],
-            },
-        },
+        "grading": grading_to_json(datum.grading),
         "translation": {
             "cyclic_factors": list(datum.translation.cyclic_factors),
             "quantum_dimension": {},

@@ -5,7 +5,18 @@ V is an open-ended set of formal variable names (the standard ones are ``u``,
 ``x``, ``y``, ``w``; ad-hoc unknowns such as ``s0_1`` are allowed too).  The
 representation is canonical: powers of zeta_m are reduced modulo the m-th
 cyclotomic polynomial and zero coefficients are dropped, so ``==`` decides
-mathematical equality.
+mathematical equality.  One routine, ``_canon``, produces that form.
+
+Division goes by the units of the ring, which are exactly the scalars a*X^e
+with a a nonzero element of Q(zeta_m) and X^e one monomial in the variables.
+A one-term divisor c*zeta^k*X^e is inverted as (1/c)*zeta^-k*X^-e, with no
+field arithmetic.  Any other unit is inverted in the field by the extended
+Euclidean algorithm modulo Phi_m, and the last inverses are kept in a cache of
+fixed size (Bareiss elimination divides many entries by one pivot).  Only a
+divisor with two or more variable monomials, which is not a unit, reaches
+multivariate Laurent long division; it raises InexactDivision when the
+quotient is not in the ring.  Powers of a one-term scalar scale its exponents,
+for either sign.
 
 All operations are pure; instances are immutable once constructed.
 """
@@ -104,38 +115,49 @@ def _degree(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# field arithmetic on zeta-coefficient dicts {zpow: Fraction}
+# canonical form and field arithmetic
 # ---------------------------------------------------------------------------
 
-def _zcanon(m: int, d: dict[int, Fraction]) -> dict[int, Fraction]:
+# A term's key: (zeta power, variable key); a variable key is the sorted
+# tuple of (name, nonzero exponent) pairs.
+VarKey = tuple[tuple[str, int], ...]
+Key = tuple[int, VarKey]
+
+
+def _canon(m: int, terms) -> dict[Key, Fraction]:
+    """Sum terms ((zeta power, variable key), Fraction) into canonical form.
+
+    Zeta powers are reduced modulo Phi_m and zero coefficients dropped.  The
+    variable keys must already be canonical (sorted, no zero exponent).
+    """
     deg = _degree(m)
-    rows = _zeta_reduction_rows(m) if deg < m else ()
-    out: dict[int, Fraction] = {}
-    for zp, c in d.items():
-        if not c:
-            continue
+    rows = _zeta_reduction_rows(m)
+    out: dict[Key, Fraction] = {}
+    for (zp, vk), c in terms:
         zp %= m
         if zp < deg:
-            out[zp] = out.get(zp, Fraction(0)) + c
+            k = (zp, vk)
+            out[k] = out[k] + c if k in out else c
         else:
-            row = rows[zp - deg]
-            for i, r in enumerate(row):
+            for i, r in enumerate(rows[zp - deg]):
                 if r:
-                    out[i] = out.get(i, Fraction(0)) + c * r
+                    k = (i, vk)
+                    out[k] = out[k] + c * r if k in out else c * r
     return {k: v for k, v in out.items() if v}
 
 
-def _zmul(m: int, a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    raw: dict[int, Fraction] = {}
-    for za, ca in a.items():
-        for zb, cb in b.items():
-            k = za + zb
-            raw[k] = raw.get(k, Fraction(0)) + ca * cb
-    return _zcanon(m, raw)
+def _zmul(m: int, a: dict[Key, Fraction], b: dict[Key, Fraction]) -> dict[Key, Fraction]:
+    """Product of two variable-free coefficient dicts."""
+    return _canon(m, (((za + zb, ()), ca * cb)
+                      for (za, _), ca in a.items() for (zb, _), cb in b.items()))
 
 
 def _zinv(m: int, a: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Inverse in Q(zeta_m) via the extended Euclidean algorithm mod Phi_m."""
+    """Inverse in Q(zeta_m) via the extended Euclidean algorithm mod Phi_m.
+
+    Takes and returns {zeta power: coefficient} with every power below
+    deg Phi_m; the Bezout cofactor never reaches that degree.
+    """
     if not a:
         raise ZeroDivisionError("inverse of zero cyclotomic element")
     deg = _degree(m)
@@ -156,8 +178,21 @@ def _zinv(m: int, a: dict[int, Fraction]) -> dict[int, Fraction]:
     if len(r0) != 1:
         raise ArithmeticError("cyclotomic gcd not constant; conductor data corrupt")
     c = r0[0]
-    inv = {i: s / c for i, s in enumerate(s0) if s}
-    return _zcanon(m, inv)
+    return {i: s / c for i, s in enumerate(s0) if s}
+
+
+@lru_cache(maxsize=128)
+def _cached_zinv(m: int, items: tuple[tuple[int, Fraction], ...]) -> tuple[tuple[int, Fraction], ...]:
+    # Keyed on the sorted (zeta power, coefficient) items; the result is a
+    # tuple because every caller shares it.
+    return tuple(_zinv(m, dict(items)).items())
+
+
+def _field_inverse(m: int, a: dict[Key, Fraction], vk: VarKey = ()) -> dict[Key, Fraction]:
+    """Inverse of the field element sum c*zeta^zp over a's keys (whose variable
+    keys are all equal and ignored), returned as coefficients of X^vk."""
+    inv = _cached_zinv(m, tuple(sorted((zp, c) for (zp, _), c in a.items())))
+    return {(zp, vk): c for zp, c in inv}
 
 
 def _poly_trim_frac(p: list[Fraction]) -> list[Fraction]:
@@ -205,10 +240,6 @@ def _poly_divmod_frac(a: list[Fraction], b: list[Fraction]):
 # the scalar type
 # ---------------------------------------------------------------------------
 
-VarKey = tuple[tuple[str, int], ...]
-Key = tuple[int, VarKey]
-
-
 def _vk_mul(a: VarKey, b: VarKey) -> VarKey:
     if not a:
         return b
@@ -224,6 +255,10 @@ def _vk_mul(a: VarKey, b: VarKey) -> VarKey:
     return tuple(sorted(d.items()))
 
 
+def _vk_neg(vk: VarKey) -> VarKey:
+    return tuple((name, -e) for name, e in vk)
+
+
 class CycScalar:
     """Element of Q(zeta_m) extended by formal Laurent variables."""
 
@@ -234,24 +269,10 @@ class CycScalar:
         if _canonical:
             self.coeffs = coeffs
             return
-        deg = _degree(conductor)
-        out: dict[Key, Fraction] = {}
-        for (zp, vk), c in coeffs.items():
-            c = Fraction(c)
-            if not c:
-                continue
-            vk = tuple(sorted((n, e) for n, e in vk if e))
-            zp %= conductor
-            if zp < deg:
-                k = (zp, vk)
-                out[k] = out.get(k, Fraction(0)) + c
-            else:
-                row = _zeta_reduction_rows(conductor)[zp - deg]
-                for i, r in enumerate(row):
-                    if r:
-                        k = (i, vk)
-                        out[k] = out.get(k, Fraction(0)) + c * r
-        self.coeffs = {k: v for k, v in out.items() if v}
+        self.coeffs = _canon(conductor, (
+            ((zp, tuple(sorted((n, e) for n, e in vk if e))),
+             c if type(c) is Fraction else Fraction(c))
+            for (zp, vk), c in coeffs.items()))
 
     # -- constructors -------------------------------------------------------
 
@@ -357,26 +378,38 @@ class CycScalar:
         if other is NotImplemented:
             return NotImplemented
         m = self.conductor
-        raw: dict[Key, Fraction] = {}
-        for (z1, v1), c1 in self.coeffs.items():
-            for (z2, v2), c2 in other.coeffs.items():
-                k = (z1 + z2, _vk_mul(v1, v2))
-                raw[k] = raw.get(k, Fraction(0)) + c1 * c2
-        return CycScalar(m, raw)
+        return CycScalar(m, _canon(m, (
+            ((z1 + z2, _vk_mul(v1, v2)), c1 * c2)
+            for (z1, v1), c1 in self.coeffs.items()
+            for (z2, v2), c2 in other.coeffs.items())), _canonical=True)
 
     __rmul__ = __mul__
 
+    def _times_term(self, zp: int, vk: VarKey, c: Fraction) -> "CycScalar":
+        """self * c*zeta^zp*X^vk, where zp need not be reduced."""
+        m = self.conductor
+        return CycScalar(m, _canon(m, (
+            ((z1 + zp, _vk_mul(v1, vk)), c1 * c)
+            for (z1, v1), c1 in self.coeffs.items())), _canonical=True)
+
     def __pow__(self, n: int):
+        if n == 0:
+            return CycScalar.one(self.conductor)
+        if len(self.coeffs) == 1:
+            ((zp, vk), c), = self.coeffs.items()
+            return CycScalar.one(self.conductor)._times_term(
+                zp * n, tuple((name, e * n) for name, e in vk), c ** n)
         if n < 0:
             return self.inverse() ** (-n)
-        out = CycScalar.one(self.conductor)
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -400,58 +433,15 @@ class CycScalar:
             raise ZeroDivisionError("exact division by zero")
         if self.is_zero:
             return CycScalar.zero(self.conductor)
-        m = self.conductor
-        names = sorted(self.variables() | other.variables())
-
-        def collect(s: CycScalar) -> dict[tuple[int, ...], dict[int, Fraction]]:
-            out: dict[tuple[int, ...], dict[int, Fraction]] = {}
-            for (zp, vk), c in s.coeffs.items():
-                d = dict(vk)
-                key = tuple(d.get(n, 0) for n in names)
-                out.setdefault(key, {})
-                out[key][zp] = out[key].get(zp, Fraction(0)) + c
-            return {k: {z: c for z, c in v.items() if c} for k, v in out.items() if any(v.values())}
-
-        f = collect(self)
-        g = collect(other)
-        nv = len(names)
-        valf = tuple(min(k[i] for k in f) for i in range(nv)) if nv else ()
-        valg = tuple(min(k[i] for k in g) for i in range(nv)) if nv else ()
-        f = {tuple(k[i] - valf[i] for i in range(nv)): v for k, v in f.items()}
-        g = {tuple(k[i] - valg[i] for i in range(nv)): v for k, v in g.items()}
-
-        gl = max(g)
-        glc_inv = _zinv(m, g[gl])
-        quot: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        while f:
-            fl = max(f)
-            t = tuple(fl[i] - gl[i] for i in range(nv))
-            if any(e < 0 for e in t):
-                raise InexactDivision(f"{self} is not divisible by {other}")
-            cq = _zmul(m, f[fl], glc_inv)
-            quot[t] = cq
-            # f -= (cq * X^t) * g
-            for gk, gc in g.items():
-                k = tuple(gk[i] + t[i] for i in range(nv))
-                prod = _zmul(m, cq, gc)
-                cell = f.get(k, {})
-                for zp, c in prod.items():
-                    nc = cell.get(zp, Fraction(0)) - c
-                    if nc:
-                        cell[zp] = nc
-                    elif zp in cell:
-                        del cell[zp]
-                if cell:
-                    f[k] = cell
-                elif k in f:
-                    del f[k]
-        shift = tuple(valf[i] - valg[i] for i in range(nv))
-        out: dict[Key, Fraction] = {}
-        for k, zd in quot.items():
-            vk = tuple(sorted((names[i], k[i] + shift[i]) for i in range(nv) if k[i] + shift[i]))
-            for zp, c in zd.items():
-                out[(zp, vk)] = c
-        return CycScalar(m, out, _canonical=True)
+        terms = other.coeffs
+        if len(terms) == 1:
+            ((zp, vk), c), = terms.items()
+            return self._times_term(-zp, _vk_neg(vk), 1 / c)
+        (_, vk), *rest = terms
+        if all(v == vk for _, v in rest):
+            inv = _field_inverse(self.conductor, terms, _vk_neg(vk))
+            return self * CycScalar(self.conductor, inv, _canonical=True)
+        return _laurent_div(self, other)
 
     def inverse(self) -> "CycScalar":
         return CycScalar.one(self.conductor).exact_div(self)
@@ -503,6 +493,62 @@ class CycScalar:
 
     def __repr__(self):
         return f"CycScalar({self.conductor}, {self})"
+
+
+def _laurent_div(a: CycScalar, b: CycScalar) -> CycScalar:
+    """Multivariate Laurent long division of a by b, both nonzero; raises
+    InexactDivision unless b divides a.  Correct for every divisor, but only
+    non-units need it."""
+    m = a.conductor
+    names = sorted(a.variables() | b.variables())
+
+    def collect(s: CycScalar) -> dict[tuple[int, ...], dict[Key, Fraction]]:
+        out: dict[tuple[int, ...], dict[Key, Fraction]] = {}
+        for (zp, vk), c in s.coeffs.items():
+            d = dict(vk)
+            out.setdefault(tuple(d.get(n, 0) for n in names), {})[(zp, ())] = c
+        return out
+
+    f = collect(a)
+    g = collect(b)
+    nv = len(names)
+    valf = tuple(min(k[i] for k in f) for i in range(nv)) if nv else ()
+    valg = tuple(min(k[i] for k in g) for i in range(nv)) if nv else ()
+    f = {tuple(k[i] - valf[i] for i in range(nv)): v for k, v in f.items()}
+    g = {tuple(k[i] - valg[i] for i in range(nv)): v for k, v in g.items()}
+
+    gl = max(g)
+    glc_inv = _field_inverse(m, g[gl])
+    quot: dict[tuple[int, ...], dict[Key, Fraction]] = {}
+    while f:
+        fl = max(f)
+        t = tuple(fl[i] - gl[i] for i in range(nv))
+        if any(e < 0 for e in t):
+            raise InexactDivision(f"{a} is not divisible by {b}")
+        cq = _zmul(m, f[fl], glc_inv)
+        quot[t] = cq
+        # f -= (cq * X^t) * g
+        for gk, gc in g.items():
+            k = tuple(gk[i] + t[i] for i in range(nv))
+            prod = _zmul(m, cq, gc)
+            cell = f.get(k, {})
+            for zk, c in prod.items():
+                nc = cell.get(zk, Fraction(0)) - c
+                if nc:
+                    cell[zk] = nc
+                elif zk in cell:
+                    del cell[zk]
+            if cell:
+                f[k] = cell
+            elif k in f:
+                del f[k]
+    shift = tuple(valf[i] - valg[i] for i in range(nv))
+    out: dict[Key, Fraction] = {}
+    for k, zd in quot.items():
+        vk = tuple(sorted((names[i], k[i] + shift[i]) for i in range(nv) if k[i] + shift[i]))
+        for (zp, _), c in zd.items():
+            out[(zp, vk)] = c
+    return CycScalar(m, out, _canonical=True)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,22 @@ class TestCheckCommand:
         assert code == 2
         assert "dims.0[0]" in err
 
+    @pytest.mark.parametrize("field, value, path", [
+        ("grading", [], "grading: expected a grading object"),
+        ("grading", {"small_symmetric": []}, "grading.small_symmetric"),
+        ("sprime", [{"row_degree": {}, "col_degree": {}, "entries": [["1", "0"], ["1"]]}],
+         "sprime[0].entries[1]"),
+    ], ids=["grading-list", "small-subset-list", "ragged-rows"])
+    def test_malformed_field_is_usage_error_with_path(self, capsys, tmp_path, field, value,
+                                                       path):
+        doc = identity_datum_doc()
+        doc[field] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", "premodular", "--datum", str(p))
+        assert code == 2
+        assert path in err
+
     def test_check_all_json_deterministic(self, capsys, tmp_path):
         path = str(tmp_path / "d.json")
         run(capsys, "sl21", "emit", "--ell", "3", "--out", path)
@@ -220,6 +236,22 @@ class TestClosureCommands:
                            "--closure", str(p))
         assert code == 1
         assert "stuck" in out
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda doc: doc["atoms"][0].pop("name"), "atoms[0].name: missing required field"),
+        (lambda doc: doc.update(grading=[]), "grading: expected a grading object"),
+        (lambda doc: doc["grading"]["small_symmetric"].pop("kind"),
+         "grading.small_symmetric.kind"),
+    ], ids=["nameless-atom", "grading-list", "small-subset-without-kind"])
+    def test_malformed_closure_is_usage_error_with_path(self, capsys, tmp_path, edit, path):
+        import relmod.closure as closure_mod
+        doc = closure_mod.dumps_closure(closure_mod.toy_closure_datum())
+        edit(doc)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "closure", "certify", "--expr", "a*b", "--closure", str(p))
+        assert code == 2
+        assert path in err
 
     def test_emit_toy_round_trip(self, capsys, tmp_path):
         p = str(tmp_path / "toy.json")

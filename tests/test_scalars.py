@@ -1,17 +1,24 @@
 import cmath
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_matrix
+import relmod.scalars as scalars_mod
+from relmod.datum import dumps_datum, loads_datum
+from relmod.matrices import ExactMatrix
 from relmod.scalars import (
     CycScalar,
     InexactDivision,
     ScalarParseError,
+    _laurent_div,
     cyclotomic_coeffs,
     parse_scalar,
     quantum_integer,
 )
+from relmod.sl21 import emit_datum
 
 
 def scalars(conductor=5, names=("u", "x")):
@@ -35,6 +42,38 @@ def scalars(conductor=5, names=("u", "x")):
             out = out + mono
         return out
     return st.lists(term, max_size=4).map(build)
+
+
+VARIABLES = ("u", "x", "y", "w")
+
+
+def monomial_keys(names):
+    """Hypothesis strategy for canonical variable keys over names."""
+    if not names:
+        return st.just(())
+    return st.dictionaries(st.sampled_from(names), st.integers(-3, 3).filter(bool),
+                           max_size=3).map(lambda d: tuple(sorted(d.items())))
+
+
+@st.composite
+def units(draw, conductor, names):
+    """A*X^e: A a nonzero field element (one term or several), X^e a monomial."""
+    deg = len(cyclotomic_coeffs(conductor)) - 1
+    vk = draw(monomial_keys(names))
+    nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    if draw(st.booleans()):
+        coeffs = {(draw(st.integers(0, deg - 1)), vk): draw(nonzero)}
+    else:
+        coeffs = {(zp, vk): c for zp, c in draw(st.dictionaries(
+            st.integers(0, deg - 1), nonzero, min_size=2, max_size=deg)).items()}
+    return CycScalar(conductor, coeffs)
+
+
+@st.composite
+def dividend_and_unit(draw):
+    conductor = draw(st.sampled_from([3, 5, 7]))
+    names = draw(st.sampled_from([(), VARIABLES]))
+    return draw(scalars(conductor, names)), draw(units(conductor, names))
 
 
 class TestCyclotomic:
@@ -144,6 +183,84 @@ class TestDivision:
         if b.is_zero:
             return
         assert (a * b).exact_div(b) == a
+
+
+class TestUnitDivision:
+    """Units are divided directly; the Laurent long division stays the reference."""
+
+    @given(pair=dividend_and_unit())
+    @settings(max_examples=150)
+    def test_quotient_by_a_unit(self, pair):
+        a, b = pair
+        q = a.exact_div(b)
+        assert q * b == a
+        if not a.is_zero:
+            expected = _laurent_div(a, b)
+            assert q == expected
+            assert str(q) == str(expected)
+
+    @given(b=st.sampled_from([3, 5, 7]).flatmap(lambda m: units(m, VARIABLES))
+           .filter(lambda b: len(b.coeffs) == 1),
+           n=st.integers(-6, 6))
+    def test_monomial_powers(self, b, n):
+        one = CycScalar.one(b.conductor)
+        factor = b if n >= 0 else _laurent_div(one, b)
+        expected = one
+        for _ in range(abs(n)):
+            expected = expected * factor
+        assert b ** n == expected
+
+    @pytest.mark.parametrize("conductor", [3, 5, 7])
+    def test_non_units_still_fail(self, conductor):
+        one = CycScalar.one(conductor)
+        u = CycScalar.variable("u", conductor)
+        x = CycScalar.variable("x", conductor)
+        assert (one + u).try_inverse() is None
+        with pytest.raises(InexactDivision, match=r"x is not divisible by 1 \+ u"):
+            x.exact_div(one + u)
+
+
+class TestFieldInverseCount:
+    """Monomials never reach the field inverse; other units reach it once per
+    distinct divisor, because the inverse is cached."""
+
+    @pytest.fixture
+    def zinv_calls(self, monkeypatch):
+        calls = []
+        original = scalars_mod._zinv
+
+        def counting(m, a):
+            calls.append(m)
+            return original(m, a)
+
+        scalars_mod._cached_zinv.cache_clear()
+        monkeypatch.setattr(scalars_mod, "_zinv", counting)
+        yield calls
+        scalars_mod._cached_zinv.cache_clear()
+
+    def test_loading_emitted_data_inverts_no_field_element(self, zinv_calls):
+        doc = dumps_datum(emit_datum(5))
+        assert zinv_calls == []
+        loads_datum(doc)
+        assert zinv_calls == []
+
+    def test_one_field_inverse_per_distinct_pivot(self, zinv_calls, monkeypatch):
+        rng = random.Random(5)
+        a = random_matrix(rng, 6, 4, 5) @ random_matrix(rng, 4, 6, 5)
+        divisors = []
+        original = CycScalar.exact_div
+
+        def recording(self, other):
+            if not self.is_zero:  # zero divided by anything needs no inverse
+                divisors.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(CycScalar, "exact_div", recording)
+        assert a.det().is_zero
+        field_divisors = {d for d in divisors if len(d.coeffs) > 1}
+        assert len(field_divisors) >= 2
+        assert len(zinv_calls) == len(field_divisors)
+        assert len(divisors) > 3 * len(field_divisors)
 
 
 class TestParsing:

@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from relmod.checks import check_nondegeneracy, check_premodular_inputs
+from relmod.cli import main
 from relmod.datum import Degree, dumps_datum, loads_datum, modified_S
 from relmod.scalars import CycScalar
 from relmod.sl21 import emit_datum, rank_bound_analysis
@@ -35,7 +38,18 @@ class TestRankBound:
             rank_bound_analysis(4)
 
 
+# SHA-256 of the file `relmod sl21 emit --ell 5` writes.  A change to the
+# scalar arithmetic must leave the emitted bytes as they are.
+EMIT_ELL5_SHA256 = "96eef8b7edf691d74c00c4418b1e68e02ade4f580dce03dc1b350f8d7c965ba7"
+
+
 class TestEmittedDatum:
+    def test_emitted_ell5_bytes_are_pinned(self, capsys, tmp_path):
+        path = tmp_path / "sl21-ell5.json"
+        assert main(["sl21", "emit", "--ell", "5", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == EMIT_ELL5_SHA256
+
     def test_loads_and_validates(self):
         d = emit_datum(3)
         rt = loads_datum(dumps_datum(d))
