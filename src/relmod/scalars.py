@@ -7,15 +7,13 @@ representation is canonical: powers of zeta_m are reduced modulo the m-th
 cyclotomic polynomial and zero coefficients are dropped, so ``==`` decides
 mathematical equality.  One routine, ``_canon``, produces that form.
 
-Division goes by the units of the ring, which are exactly the scalars a*X^e
-with a a nonzero element of Q(zeta_m) and X^e one monomial in the variables.
-A one-term divisor c*zeta^k*X^e is inverted as (1/c)*zeta^-k*X^-e, with no
-field arithmetic.  Any other unit is inverted in the field by the extended
-Euclidean algorithm modulo Phi_m, and the last inverses are kept in a cache of
-fixed size (Bareiss elimination divides many entries by one pivot).  Only a
-divisor with two or more variable monomials, which is not a unit, reaches
-multivariate Laurent long division; it raises InexactDivision when the
-quotient is not in the ring.  Powers of a one-term scalar scale its exponents,
+A one-term divisor c*zeta^k*X^e is a unit of the ring and is inverted as
+(1/c)*zeta^-k*X^-e, with no field arithmetic.  Every other divisor goes
+through multivariate Laurent long division, which raises InexactDivision when
+the quotient is not in the ring.  That division inverts the divisor's leading
+field coefficient by the extended Euclidean algorithm modulo Phi_m, and the
+last inverses are kept in a cache of fixed size (Bareiss elimination divides
+many entries by one pivot).  Powers of a one-term scalar scale its exponents,
 for either sign.
 
 All operations are pure; instances are immutable once constructed.
@@ -188,11 +186,10 @@ def _cached_zinv(m: int, items: tuple[tuple[int, Fraction], ...]) -> tuple[tuple
     return tuple(_zinv(m, dict(items)).items())
 
 
-def _field_inverse(m: int, a: dict[Key, Fraction], vk: VarKey = ()) -> dict[Key, Fraction]:
-    """Inverse of the field element sum c*zeta^zp over a's keys (whose variable
-    keys are all equal and ignored), returned as coefficients of X^vk."""
+def _field_inverse(m: int, a: dict[Key, Fraction]) -> dict[Key, Fraction]:
+    """Inverse of the variable-free coefficient dict a."""
     inv = _cached_zinv(m, tuple(sorted((zp, c) for (zp, _), c in a.items())))
-    return {(zp, vk): c for zp, c in inv}
+    return {(zp, ()): c for zp, c in inv}
 
 
 def _poly_trim_frac(p: list[Fraction]) -> list[Fraction]:
@@ -437,10 +434,6 @@ class CycScalar:
         if len(terms) == 1:
             ((zp, vk), c), = terms.items()
             return self._times_term(-zp, _vk_neg(vk), 1 / c)
-        (_, vk), *rest = terms
-        if all(v == vk for _, v in rest):
-            inv = _field_inverse(self.conductor, terms, _vk_neg(vk))
-            return self * CycScalar(self.conductor, inv, _canonical=True)
         return _laurent_div(self, other)
 
     def inverse(self) -> "CycScalar":
@@ -497,8 +490,8 @@ class CycScalar:
 
 def _laurent_div(a: CycScalar, b: CycScalar) -> CycScalar:
     """Multivariate Laurent long division of a by b, both nonzero; raises
-    InexactDivision unless b divides a.  Correct for every divisor, but only
-    non-units need it."""
+    InexactDivision unless b divides a.  Correct for every divisor; exact_div
+    sends it every divisor with more than one term."""
     m = a.conductor
     names = sorted(a.variables() | b.variables())
 

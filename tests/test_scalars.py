@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_matrix
 import relmod.scalars as scalars_mod
 from relmod.datum import dumps_datum, loads_datum
-from relmod.matrices import ExactMatrix
 from relmod.scalars import (
     CycScalar,
     InexactDivision,
@@ -186,7 +185,8 @@ class TestDivision:
 
 
 class TestUnitDivision:
-    """Units are divided directly; the Laurent long division stays the reference."""
+    """One-term divisors are divided directly; the Laurent long division, which
+    serves every other divisor, stays the reference."""
 
     @given(pair=dividend_and_unit())
     @settings(max_examples=150)
@@ -221,8 +221,8 @@ class TestUnitDivision:
 
 
 class TestFieldInverseCount:
-    """Monomials never reach the field inverse; other units reach it once per
-    distinct divisor, because the inverse is cached."""
+    """One-term divisors never reach the field inverse; other divisors reach it
+    once per distinct leading coefficient, because the inverse is cached."""
 
     @pytest.fixture
     def zinv_calls(self, monkeypatch):
