@@ -122,32 +122,26 @@ def _cmd_check(args) -> int:
 
 def _run_all(datum: ModularDatum) -> list[Verdict]:
     generic = [g for g in datum.degrees if datum.grading.is_generic(g)]
-    jobs = [("premodular", lambda: checks_mod.check_premodular_inputs(datum)),
-            ("rank-constancy", lambda: checks_mod.check_rank_constancy(datum))]
+    results = [checks_mod.check_premodular_inputs(datum),
+               checks_mod.check_rank_constancy(datum)]
+    nondeg = {}
     for g in generic:
-        jobs.append((f"nondeg {g}", lambda g=g: checks_mod.check_nondegeneracy(datum, g)))
-        jobs.append((f"dmug {g}", lambda g=g: checks_mod.check_dmug(datum, g)))
-    pairs = []
+        nondeg[g] = checks_mod.check_nondegeneracy(datum, g)
+        results += [nondeg[g], checks_mod.check_dmug(datum, g)]
+    breaches = []
     for g in generic:
         for h in generic:
-            if datum.block(g, h) is not None and \
-                    datum.block(h, datum.negate(g)) is not None:
-                pairs.append((g, h))
-                jobs.append((f"modularity {g},{h}",
-                             lambda g=g, h=h: checks_mod.check_relative_modularity(datum, g, h)))
-    results = [run() for _, run in jobs]
-    # cross-implication: relative modularity at (g, .) forces non-degeneracy at g
-    by_name = {name: v for (name, _), v in zip(jobs, results)}
-    for g, h in pairs:
-        mod_v = by_name.get(f"modularity {g},{h}")
-        nd_v = by_name.get(f"nondeg {g}")
-        if mod_v and nd_v and mod_v.status == HOLDS and nd_v.status == FAILS:
-            breach = Verdict("cross-check", FAILS,
-                             params={"g": str(g), "h": str(h)})
-            breach.notes.append("internal consistency: relative modularity holds "
-                                "but non-degeneracy fails at the same degree")
-            results.append(breach)
-    return results
+            if datum.block(g, h) is None or datum.block(h, datum.negate(g)) is None:
+                continue
+            mod_v = checks_mod.check_relative_modularity(datum, g, h)
+            results.append(mod_v)
+            # relative modularity at (g, .) forces non-degeneracy at g
+            if mod_v.status == HOLDS and nondeg[g].status == FAILS:
+                breach = Verdict("cross-check", FAILS, params={"g": str(g), "h": str(h)})
+                breach.notes.append("internal consistency: relative modularity holds "
+                                    "but non-degeneracy fails at the same degree")
+                breaches.append(breach)
+    return results + breaches
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .datum import (
     Degree,
     GradingSpec,
     SmallSubset,
+    _expect,
     _need,
     degree_from_json,
     degree_to_json,
@@ -426,12 +427,12 @@ class CertifyFailure:
 RETRACT_LEMMA = "direct sums and retracts of strongly decomposable objects are strongly decomposable"
 
 
-def _rewrite_product(datum: ClosureDatum, word: list[str], vpow: int,
-                     rule: ProductRule) -> Expr:
-    """Apply rule to the first two atoms of word, keeping the rest and v-powers."""
-    rest = word[2:]
+def _rewrite(datum: ClosureDatum, rhs: tuple[Term, ...],
+             rest: tuple[str, ...] | list[str] = (), vpow: int = 0) -> Expr:
+    """A rule's right-hand side in place of the product it covers: the direct
+    sum of retracts of t.atom (x) v^t.v_power (x) rest (x) v^vpow."""
     summands = []
-    for t in rule.rhs:
+    for t in rhs:
         factors = [Atom(t.atom)]
         factors += [Atom(datum.distinguished)] * t.v_power
         factors += [Atom(x) for x in rest]
@@ -528,11 +529,7 @@ def certify(datum: ClosureDatum, expr: Expr | str, depth: int):
                 + ("for all n (family rule)" if rule.n is None else f"at n = {rule.n}"))
         if depth <= 0:
             return CertifyFailure("depth-exhausted", text, "rewrite depth exhausted")
-        rewritten = Sum(tuple(
-            Retract(Tensor((Atom(t.atom),) + (Atom(vname),) * t.v_power))
-            for t in rule.rhs)) if len(rule.rhs) != 1 else Retract(
-                Tensor((Atom(rule.rhs[0].atom),) + (Atom(vname),) * rule.rhs[0].v_power))
-        sub = certify(datum, rewritten, depth - 1)
+        sub = certify(datum, _rewrite(datum, rule.rhs), depth - 1)
         if isinstance(sub, CertifyFailure):
             return sub
         return Certificate("tensor-rewrite", text,
@@ -545,8 +542,7 @@ def certify(datum: ClosureDatum, expr: Expr | str, depth: int):
     if rule is None:
         return CertifyFailure("stuck", text,
                               f"no decomposition rule for the pair ({word[0]}, {word[1]})")
-    rewritten = _rewrite_product(datum, word, vpow, rule)
-    sub = certify(datum, rewritten, depth - 1)
+    sub = certify(datum, _rewrite(datum, rule.rhs, word[2:], vpow), depth - 1)
     if isinstance(sub, CertifyFailure):
         return sub
     return Certificate("tensor-rewrite", text,
@@ -633,11 +629,32 @@ def negligible_closure(datum: ClosureDatum, expr: Expr | str) -> str:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
+def _field(obj: dict, key: str, default, kind: type, path: str):
+    """obj[key], which must be a kind or default; default when absent."""
+    value = obj.get(key, default)
+    return value if value is default else _expect(value, kind, f"{path}.{key}")
+
+
+def _rules(doc: dict, key: str):
+    """(rule object, path, its right-hand side) for each rule listed under key."""
+    for i, r in enumerate(_expect(doc.get(key, []), list, key)):
+        path = f"{key}[{i}]"
+        r = _expect(r, dict, path)
+        rhs = []
+        for j, t in enumerate(_expect(r.get("rhs", []), list, f"{path}.rhs")):
+            tpath = f"{path}.rhs[{j}]"
+            t = _expect(t, dict, tpath)
+            rhs.append(Term(str(_need(t, "atom", tpath)), _field(t, "v_power", 0, int, tpath)))
+        yield r, path, tuple(rhs)
+
+
 def loads_closure(doc: dict) -> ClosureDatum:
+    if not isinstance(doc, dict):
+        raise DatumSchemaError("$", "document must be a JSON object")
     if doc.get("schema") != CLOSURE_SCHEMA_ID:
         raise DatumSchemaError("schema", f"expected {CLOSURE_SCHEMA_ID!r}, got {doc.get('schema')!r}")
     atoms = []
-    for i, a in enumerate(doc.get("atoms", [])):
+    for i, a in enumerate(_expect(doc.get("atoms", []), list, "atoms")):
         if not isinstance(a, dict):
             raise DatumSchemaError(f"atoms[{i}]", "expected an atom object")
         deg = a.get("degree")
@@ -645,25 +662,22 @@ def loads_closure(doc: dict) -> ClosureDatum:
             name=str(_need(a, "name", f"atoms[{i}]")),
             strong_decomposition=bool(a.get("strong_decomposition", False)),
             negligible=a.get("negligible"),
-            dual=a.get("dual"),
+            dual=_field(a, "dual", None, str, f"atoms[{i}]"),
             degree=degree_from_json(deg, f"atoms[{i}].degree") if deg is not None else None))
     grading = None
     if doc.get("grading") is not None:
         grading = grading_from_json(doc["grading"], "grading")
     v_rules = tuple(
-        VRule(atom=str(r["atom"]), n=r.get("n"),
-              sd_asserted=bool(r.get("sd_asserted", True)),
-              rhs=tuple(Term(str(t["atom"]), int(t.get("v_power", 0)))
-                        for t in r.get("rhs", [])))
-        for r in doc.get("v_rules", []))
+        VRule(atom=str(_need(r, "atom", path)), n=_field(r, "n", None, int, path),
+              sd_asserted=bool(r.get("sd_asserted", True)), rhs=rhs)
+        for r, path, rhs in _rules(doc, "v_rules"))
     product_rules = tuple(
-        ProductRule(left=str(r["left"]), right=str(r["right"]),
-                    rhs=tuple(Term(str(t["atom"]), int(t.get("v_power", 0)))
-                              for t in r.get("rhs", [])))
-        for r in doc.get("product_rules", []))
+        ProductRule(left=str(_need(r, "left", path)), right=str(_need(r, "right", path)),
+                    rhs=rhs)
+        for r, path, rhs in _rules(doc, "product_rules"))
     datum = ClosureDatum(
-        atoms=tuple(atoms), distinguished=doc.get("distinguished"),
-        grading=grading, bound=int(doc.get("bound", 0)),
+        atoms=tuple(atoms), distinguished=_field(doc, "distinguished", None, str, "$"),
+        grading=grading, bound=_field(doc, "bound", 0, int, "$"),
         v_rules=v_rules, product_rules=product_rules)
     problems = datum.validate()
     if problems:

@@ -83,6 +83,28 @@ class Degree:
 _DEGREE_KEYS = {"finite", "alpha", "shift"}
 
 
+def _need(obj: dict, key: str, path: str):
+    if key not in obj:
+        raise DatumSchemaError(f"{path}.{key}", "missing required field")
+    return obj[key]
+
+
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+
+
+def _expect(value, kind: type, path: str):
+    """value, if it has the JSON type kind (dict, list, int or str)."""
+    if not isinstance(value, kind):
+        raise DatumSchemaError(path, f"expected {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _int_list(value, path: str) -> tuple[int, ...]:
+    if not (isinstance(value, list) and all(isinstance(c, int) for c in value)):
+        raise DatumSchemaError(path, "expected a list of integers")
+    return tuple(value)
+
+
 def degree_to_json(d: Degree) -> dict:
     out: dict = {}
     if d.finite:
@@ -97,17 +119,15 @@ def degree_to_json(d: Degree) -> dict:
 def degree_from_json(obj, path: str) -> Degree:
     if not isinstance(obj, dict) or not set(obj) <= _DEGREE_KEYS:
         raise DatumSchemaError(path, f"expected a degree object with keys {sorted(_DEGREE_KEYS)}")
-    finite = obj.get("finite", [])
-    if not (isinstance(finite, list) and all(isinstance(c, int) for c in finite)):
-        raise DatumSchemaError(path + ".finite", "expected a list of integers")
+    finite = _int_list(obj.get("finite", []), path + ".finite")
     alpha = obj.get("alpha", 0)
     if not isinstance(alpha, int):
         raise DatumSchemaError(path + ".alpha", "expected an integer")
     try:
         shift = Fraction(obj.get("shift", 0))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise DatumSchemaError(path + ".shift", f"bad rational: {exc}") from None
-    return Degree(tuple(finite), alpha, shift)
+    return Degree(finite, alpha, shift)
 
 
 def parse_degree(text: str) -> Degree:
@@ -203,11 +223,9 @@ def grading_from_json(obj, path: str) -> GradingSpec:
     elements = small.get("elements", [])
     if not isinstance(elements, list):
         raise DatumSchemaError(path + ".small_symmetric.elements", "expected a list of degrees")
-    factors = obj.get("cyclic_factors", [])
-    if not (isinstance(factors, list) and all(isinstance(o, int) for o in factors)):
-        raise DatumSchemaError(path + ".cyclic_factors", "expected a list of integers")
+    factors = _int_list(obj.get("cyclic_factors", []), path + ".cyclic_factors")
     return GradingSpec(
-        cyclic_factors=tuple(factors),
+        cyclic_factors=factors,
         has_generic_torus=bool(obj.get("has_generic_torus", True)),
         small=SmallSubset(kind, tuple(
             degree_from_json(e, f"{path}.small_symmetric.elements[{i}]")
@@ -414,12 +432,6 @@ def validate_datum(datum: ModularDatum) -> list[Violation]:
 SCHEMA_ID = "relmod-datum/1"
 
 
-def _need(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise DatumSchemaError(f"{path}.{key}", "missing required field")
-    return obj[key]
-
-
 def _scalar(text, conductor: int, path: str) -> CycScalar:
     if not isinstance(text, str):
         raise DatumSchemaError(path, f"expected a scalar string, got {type(text).__name__}")
@@ -427,6 +439,17 @@ def _scalar(text, conductor: int, path: str) -> CycScalar:
         return parse_scalar(text, conductor)
     except ScalarParseError as exc:
         raise DatumSchemaError(path, str(exc)) from None
+
+
+def _by_degree(obj, degrees: tuple[Degree, ...], path: str):
+    """(degree, list, path) for each entry of an object keyed by an index
+    into 'degrees' whose values are lists."""
+    for key, val in _expect(obj, dict, path).items():
+        try:
+            g = degrees[int(key)]
+        except (ValueError, IndexError):
+            raise DatumSchemaError(f"{path}.{key}", "key must index into 'degrees'") from None
+        yield g, _expect(val, list, f"{path}.{key}"), f"{path}.{key}"
 
 
 def loads_datum(doc: dict) -> ModularDatum:
@@ -440,57 +463,48 @@ def loads_datum(doc: dict) -> ModularDatum:
 
     grading = grading_from_json(_need(doc, "grading", "$"), "grading")
 
-    tobj = _need(doc, "translation", "$")
-    factors = tuple(tobj.get("cyclic_factors", []))
-    qobj = tobj.get("quantum_dimension", {})
+    tobj = _expect(_need(doc, "translation", "$"), dict, "translation")
+    factors = _int_list(tobj.get("cyclic_factors", []), "translation.cyclic_factors")
+    qpath = "translation.quantum_dimension"
+    qobj = _expect(tobj.get("quantum_dimension", {}), dict, qpath)
     gens = qobj.get("generator_values")
     if gens is not None:
-        if len(gens) != len(factors):
-            raise DatumSchemaError("translation.quantum_dimension.generator_values",
+        if len(_expect(gens, list, f"{qpath}.generator_values")) != len(factors):
+            raise DatumSchemaError(f"{qpath}.generator_values",
                                    "one value per cyclic factor required")
-        gens = tuple(_scalar(v, conductor, f"translation.quantum_dimension.generator_values[{i}]")
+        gens = tuple(_scalar(v, conductor, f"{qpath}.generator_values[{i}]")
                      for i, v in enumerate(gens))
     table = []
-    for i, row in enumerate(qobj.get("table", [])):
-        elem = tuple(_need(row, "element", f"translation.quantum_dimension.table[{i}]"))
-        val = _scalar(_need(row, "value", f"translation.quantum_dimension.table[{i}]"),
-                      conductor, f"translation.quantum_dimension.table[{i}].value")
-        table.append((elem, val))
+    for i, row in enumerate(_expect(qobj.get("table", []), list, f"{qpath}.table")):
+        rpath = f"{qpath}.table[{i}]"
+        row = _expect(row, dict, rpath)
+        elem = _int_list(_need(row, "element", rpath), f"{rpath}.element")
+        table.append((elem, _scalar(_need(row, "value", rpath), conductor, f"{rpath}.value")))
     psi = []
-    for i, row in enumerate(tobj.get("psi", [])):
-        deg = degree_from_json(_need(row, "degree", f"translation.psi[{i}]"),
-                               f"translation.psi[{i}].degree")
-        elem = tuple(_need(row, "element", f"translation.psi[{i}]"))
-        val = _scalar(_need(row, "value", f"translation.psi[{i}]"),
-                      conductor, f"translation.psi[{i}].value")
-        psi.append((deg, elem, val))
+    for i, row in enumerate(_expect(tobj.get("psi", []), list, "translation.psi")):
+        rpath = f"translation.psi[{i}]"
+        row = _expect(row, dict, rpath)
+        deg = degree_from_json(_need(row, "degree", rpath), f"{rpath}.degree")
+        elem = _int_list(_need(row, "element", rpath), f"{rpath}.element")
+        psi.append((deg, elem, _scalar(_need(row, "value", rpath), conductor, f"{rpath}.value")))
     translation = TranslationSpec(
         cyclic_factors=factors, qdim_generators=gens, qdim_table=tuple(table),
         psi=tuple(psi), no_self_extension=tobj.get("no_self_extension"))
 
-    degrees = tuple(degree_from_json(d, f"degrees[{i}]")
-                    for i, d in enumerate(_need(doc, "degrees", "$")))
+    degrees = tuple(degree_from_json(d, f"degrees[{i}]") for i, d in
+                    enumerate(_expect(_need(doc, "degrees", "$"), list, "degrees")))
 
-    index_sets: dict[Degree, tuple[str, ...]] = {}
+    index_sets = {g: tuple(str(x) for x in labels) for g, labels, _ in
+                  _by_degree(_need(doc, "index_sets", "$"), degrees, "index_sets")}
     dims: dict[Degree, tuple[CycScalar, ...]] = {}
     twists: dict[Degree, tuple[CycScalar, ...]] = {}
-    for key, labels in _need(doc, "index_sets", "$").items():
-        try:
-            g = degrees[int(key)]
-        except (ValueError, IndexError):
-            raise DatumSchemaError(f"index_sets.{key}", "key must index into 'degrees'") from None
-        index_sets[g] = tuple(str(x) for x in labels)
     for name, store in (("dims", dims), ("twists", twists)):
-        for key, vals in doc.get(name, {}).items():
-            try:
-                g = degrees[int(key)]
-            except (ValueError, IndexError):
-                raise DatumSchemaError(f"{name}.{key}", "key must index into 'degrees'") from None
-            store[g] = tuple(_scalar(v, conductor, f"{name}.{key}[{i}]")
-                             for i, v in enumerate(vals))
+        for g, vals, vpath in _by_degree(doc.get(name, {}), degrees, name):
+            store[g] = tuple(_scalar(v, conductor, f"{vpath}[{i}]") for i, v in enumerate(vals))
 
     blocks = []
-    for i, bobj in enumerate(doc.get("sprime", [])):
+    for i, bobj in enumerate(_expect(doc.get("sprime", []), list, "sprime")):
+        bobj = _expect(bobj, dict, f"sprime[{i}]")
         rd = degree_from_json(_need(bobj, "row_degree", f"sprime[{i}]"), f"sprime[{i}].row_degree")
         cd = degree_from_json(_need(bobj, "col_degree", f"sprime[{i}]"), f"sprime[{i}].col_degree")
         ent = _need(bobj, "entries", f"sprime[{i}]")
@@ -504,16 +518,12 @@ def loads_datum(doc: dict) -> ModularDatum:
                                        f"ragged rows: {len(row)} entries, row 0 has {len(ent[0])}")
         rows = [[_scalar(v, conductor, f"sprime[{i}].entries[{r}][{c}]")
                  for c, v in enumerate(row)] for r, row in enumerate(ent)]
-        blocks.append(SBlock(rd, cd, ExactMatrix.from_rows(rows, conductor),
-                             tuple(bobj.get("row_labels", [])), tuple(bobj.get("col_labels", []))))
+        labels = [tuple(_expect(bobj.get(key, []), list, f"sprime[{i}].{key}"))
+                  for key in ("row_labels", "col_labels")]
+        blocks.append(SBlock(rd, cd, ExactMatrix.from_rows(rows, conductor), *labels))
 
-    dual = {}
-    for key, perm in doc.get("dual_involution", {}).items():
-        try:
-            g = degrees[int(key)]
-        except (ValueError, IndexError):
-            raise DatumSchemaError(f"dual_involution.{key}", "key must index into 'degrees'") from None
-        dual[g] = tuple(int(p) for p in perm)
+    dual = {g: _int_list(perm, ppath) for g, perm, ppath in
+            _by_degree(doc.get("dual_involution", {}), degrees, "dual_involution")}
 
     orbit_count = doc.get("orbit_count")
     if orbit_count is not None and (not isinstance(orbit_count, int) or orbit_count < 0):
@@ -523,7 +533,7 @@ def loads_datum(doc: dict) -> ModularDatum:
         conductor=conductor, grading=grading, translation=translation,
         degrees=degrees, index_sets=index_sets, dims=dims, twists=twists,
         sprime=tuple(blocks), orbit_count=orbit_count, dual_involution=dual,
-        fusion=tuple(doc.get("fusion", [])), extra=doc.get("extra", {}))
+        fusion=tuple(_expect(doc.get("fusion", []), list, "fusion")), extra=doc.get("extra", {}))
     violations = validate_datum(datum)
     if violations:
         raise DatumInvariantError(violations)

@@ -7,9 +7,9 @@ nonzero mod p is nonzero, and an F_p rank of min(rows, cols) proves full
 rank.  Every other answer -- every rank deficit and every kernel vector --
 comes from Bareiss elimination, where each division is by the previous pivot
 and is exact in the ring (a Sylvester identity), so no fractions ever appear.
-The inverse is fraction-free Gauss-Jordan on [A | I] followed by one exact
-division by the determinant.  Nothing is random, so every answer is
-deterministic.
+The inverse runs the same elimination on [A | I], with the rows above each
+pivot cleared too (Gauss-Jordan), followed by one exact division by the last
+pivot, +-det(A).  Nothing is random, so every answer is deterministic.
 """
 
 from __future__ import annotations
@@ -192,8 +192,13 @@ class ExactMatrix:
 
     # -- elimination -----------------------------------------------------------
 
-    def _bareiss(self):
-        """Fraction-free row echelon.  Returns (echelon rows, pivot cols, swap sign)."""
+    def _bareiss(self, reduce: bool = False):
+        """Fraction-free row echelon.  Returns (echelon rows, pivot cols, swap sign).
+
+        With reduce, each pivot also clears the rows above it (fraction-free
+        Gauss-Jordan); the entries right of the pivot are still minors, so
+        every division by the previous pivot stays exact.
+        """
         m = [list(self.row(i)) for i in range(self.rows)]
         one = CycScalar.one(self.conductor)
         zero = CycScalar.zero(self.conductor)
@@ -211,7 +216,9 @@ class ExactMatrix:
                 m[p], m[r] = m[r], m[p]
                 sign = -sign
             pivot = m[r][c]
-            for i in range(r + 1, self.rows):
+            for i in range(self.rows) if reduce else range(r + 1, self.rows):
+                if i == r:
+                    continue
                 mic = m[i][c]
                 for j in range(c + 1, self.cols):
                     num = pivot * m[i][j] - mic * m[r][j]
@@ -348,29 +355,11 @@ class ExactMatrix:
         if report is not None:
             return report
         n = self.rows
-        # Fraction-free Gauss-Jordan on [A | I]: after step k every entry is a
-        # (k+1)-minor of [A | I], so dividing by the previous pivot is exact.
-        # It ends with [d I | d A^-1], d = +-det(A).
-        one = CycScalar.one(self.conductor)
-        zero = CycScalar.zero(self.conductor)
-        m = [list(self.row(i)) + [one if j == i else zero for j in range(n)]
-             for i in range(n)]
-        prev = one
-        for k in range(n):
-            p = next(i for i in range(k, n) if not m[i][k].is_zero)
-            m[k], m[p] = m[p], m[k]
-            pivot, prow = m[k][k], m[k]
-            for i in range(n):
-                if i == k:
-                    continue
-                row = m[i]
-                f = row[k]
-                for j in range(2 * n):
-                    if j == k:
-                        continue
-                    num = pivot * row[j] - f * prow[j]
-                    row[j] = num if prev.is_one else num.exact_div(prev)
-                row[k] = zero
-            prev = pivot
+        # Gauss-Jordan on [A | I] leaves d A^-1 in the right half, where
+        # d = +-det(A) is the last pivot.
+        ident = ExactMatrix.identity(n, self.conductor)
+        aug = ExactMatrix.from_rows([self.row(i) + ident.row(i) for i in range(n)], self.conductor)
+        m, _, _ = aug._bareiss(reduce=True)
         return ExactMatrix(n, n, self.conductor,
-                           [m[i][n + j].exact_div(prev) for i in range(n) for j in range(n)])
+                           [m[i][n + j].exact_div(m[n - 1][n - 1])
+                            for i in range(n) for j in range(n)])

@@ -11,10 +11,11 @@ A one-term divisor c*zeta^k*X^e is a unit of the ring and is inverted as
 (1/c)*zeta^-k*X^-e, with no field arithmetic.  Every other divisor goes
 through multivariate Laurent long division, which raises InexactDivision when
 the quotient is not in the ring.  That division inverts the divisor's leading
-field coefficient by the extended Euclidean algorithm modulo Phi_m, and the
-last inverses are kept in a cache of fixed size (Bareiss elimination divides
-many entries by one pivot).  Powers of a one-term scalar scale its exponents,
-for either sign.
+field coefficient a by the norm formula a^-1 = prod_{k != 1} sigma_k(a) / N(a),
+the product of a's other Galois conjugates (zeta -> zeta^k) over its rational
+norm, and the last inverses are kept in a cache of fixed size (Bareiss
+elimination divides many entries by one pivot).  Powers of a one-term scalar
+scale its exponents, for either sign.
 
 All operations are pure; instances are immutable once constructed.
 """
@@ -25,6 +26,7 @@ import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 
 class InexactDivision(ArithmeticError):
@@ -43,16 +45,6 @@ def _poly_trim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
 
 
 def _poly_div_exact_int(num: list[int], den: list[int]) -> list[int]:
@@ -151,32 +143,25 @@ def _zmul(m: int, a: dict[Key, Fraction], b: dict[Key, Fraction]) -> dict[Key, F
 
 
 def _zinv(m: int, a: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Inverse in Q(zeta_m) via the extended Euclidean algorithm mod Phi_m.
+    """Inverse in Q(zeta_m) by the norm: a^-1 = prod_{k != 1} sigma_k(a) / N(a).
 
-    Takes and returns {zeta power: coefficient} with every power below
-    deg Phi_m; the Bezout cofactor never reaches that degree.
+    sigma_k sends zeta_m to zeta_m^k for k prime to m, and the product of all
+    the conjugates, a itself included, is the rational norm N(a).  Takes and
+    returns {zeta power: coefficient} with every power below deg Phi_m.
     """
     if not a:
         raise ZeroDivisionError("inverse of zero cyclotomic element")
-    deg = _degree(m)
-    apoly = [Fraction(0)] * deg
-    for zp, c in a.items():
-        apoly[zp] = c
-    _poly_trim_frac(apoly)
-    phi = [Fraction(c) for c in cyclotomic_coeffs(m)]
-
-    # extended gcd: s*a + t*phi = r, track s only
-    r0, r1 = phi, apoly
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, rem = _poly_divmod_frac(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub_frac(s0, _poly_mul_frac(q, s1))
-    # Phi_m is irreducible over Q, so the gcd r0 is a nonzero constant.
-    if len(r0) != 1:
-        raise ArithmeticError("cyclotomic gcd not constant; conductor data corrupt")
-    c = r0[0]
-    return {i: s / c for i, s in enumerate(s0) if s}
+    elem = {(zp, ()): c for zp, c in a.items()}
+    cofactor = {(0, ()): Fraction(1)}
+    for k in range(2, m):
+        if gcd(k, m) == 1:
+            conj = _canon(m, (((zp * k, ()), c) for (zp, _), c in elem.items()))
+            cofactor = _zmul(m, cofactor, conj)
+    norm = _zmul(m, elem, cofactor)
+    if list(norm) != [(0, ())]:
+        raise ArithmeticError("cyclotomic norm not rational; conductor data corrupt")
+    n = norm[(0, ())]
+    return {zp: c / n for (zp, _), c in sorted(cofactor.items())}
 
 
 @lru_cache(maxsize=128)
@@ -190,47 +175,6 @@ def _field_inverse(m: int, a: dict[Key, Fraction]) -> dict[Key, Fraction]:
     """Inverse of the variable-free coefficient dict a."""
     inv = _cached_zinv(m, tuple(sorted((zp, c) for (zp, _), c in a.items())))
     return {(zp, ()): c for zp, c in inv}
-
-
-def _poly_trim_frac(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_sub_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim_frac(out)
-
-
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim_frac(out)
-
-
-def _poly_divmod_frac(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(q) - 1, -1, -1):
-        c = a[k + len(b) - 1] / lead
-        q[k] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[k + j] -= c * bj
-    return _poly_trim_frac(q), _poly_trim_frac(a)
 
 
 # ---------------------------------------------------------------------------

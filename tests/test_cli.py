@@ -130,7 +130,25 @@ class TestCheckCommand:
         ("grading", {"small_symmetric": []}, "grading.small_symmetric"),
         ("sprime", [{"row_degree": {}, "col_degree": {}, "entries": [["1", "0"], ["1"]]}],
          "sprime[0].entries[1]"),
-    ], ids=["grading-list", "small-subset-list", "ragged-rows"])
+        ("translation", [], "translation: expected an object"),
+        ("translation", {"quantum_dimension": []},
+         "translation.quantum_dimension: expected an object"),
+        ("index_sets", [], "index_sets: expected an object"),
+        ("index_sets", {"0": "0"}, "index_sets.0: expected a list"),
+        ("dims", [], "dims: expected an object"),
+        ("dims", {"3": ["1"]}, "dims.3: key must index into 'degrees'"),
+        ("twists", [], "twists: expected an object"),
+        ("degrees", {}, "degrees: expected a list"),
+        ("dual_involution", [], "dual_involution: expected an object"),
+        ("dual_involution", {"0": ["0"]}, "dual_involution.0: expected a list of integers"),
+        ("degrees", [{"shift": []}], "degrees[0].shift: bad rational"),
+        ("sprime", [{"row_degree": {}, "col_degree": {}, "entries": [["1"]], "row_labels": 5}],
+         "sprime[0].row_labels: expected a list"),
+        ("fusion", 5, "fusion: expected a list"),
+    ], ids=["grading-list", "small-subset-list", "ragged-rows", "translation-list",
+            "quantum-dimension-list", "index-sets-list", "index-set-string", "dims-list",
+            "dims-key-out-of-range", "twists-list", "degrees-object", "dual-involution-list",
+            "dual-involution-strings", "shift-list", "row-labels-int", "fusion-int"])
     def test_malformed_field_is_usage_error_with_path(self, capsys, tmp_path, field, value,
                                                        path):
         doc = identity_datum_doc()
@@ -242,7 +260,24 @@ class TestClosureCommands:
         (lambda doc: doc.update(grading=[]), "grading: expected a grading object"),
         (lambda doc: doc["grading"]["small_symmetric"].pop("kind"),
          "grading.small_symmetric.kind"),
-    ], ids=["nameless-atom", "grading-list", "small-subset-without-kind"])
+        (lambda doc: doc["v_rules"][0].pop("atom"), "v_rules[0].atom: missing required field"),
+        (lambda doc: doc["product_rules"][0].pop("left"),
+         "product_rules[0].left: missing required field"),
+        (lambda doc: doc["product_rules"][0].pop("right"),
+         "product_rules[0].right: missing required field"),
+        (lambda doc: doc["product_rules"][0]["rhs"][0].pop("atom"),
+         "product_rules[0].rhs[0].atom: missing required field"),
+        (lambda doc: doc["v_rules"][0].update(rhs=[{"v_power": 1}]),
+         "v_rules[0].rhs[0].atom: missing required field"),
+        (lambda doc: doc["product_rules"][0]["rhs"][0].update(v_power=[]),
+         "product_rules[0].rhs[0].v_power: expected an integer"),
+        (lambda doc: doc.update(product_rules={}), "product_rules: expected a list"),
+        (lambda doc: doc.update(distinguished=[]), "$.distinguished: expected a string"),
+        (lambda doc: doc["atoms"][0].update(dual=[]), "atoms[0].dual: expected a string"),
+    ], ids=["nameless-atom", "grading-list", "small-subset-without-kind", "v-rule-without-atom",
+            "product-rule-without-left", "product-rule-without-right", "rhs-term-without-atom",
+            "v-rule-rhs-term-without-atom", "v-power-list", "product-rules-object",
+            "distinguished-list", "dual-list"])
     def test_malformed_closure_is_usage_error_with_path(self, capsys, tmp_path, edit, path):
         import relmod.closure as closure_mod
         doc = closure_mod.dumps_closure(closure_mod.toy_closure_datum())
@@ -253,9 +288,51 @@ class TestClosureCommands:
         assert code == 2
         assert path in err
 
+    def test_closure_document_list_is_usage_error(self, capsys, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text("[]")
+        code, _, err = run(capsys, "closure", "certify", "--expr", "a*b", "--closure", str(p))
+        assert code == 2
+        assert "$: document must be a JSON object" in err
+
     def test_emit_toy_round_trip(self, capsys, tmp_path):
         p = str(tmp_path / "toy.json")
         code, _, _ = run(capsys, "closure", "emit-toy", "--out", p)
         assert code == 0
         code, out, _ = run(capsys, "closure", "check", "--cor", "2", "--closure", p)
         assert code == 0
+
+
+# SHA-256 over (argv, exit code, stdout) of every invocation in
+# `_pinned_invocations`, one JSON line each.  A change to the scalar or matrix
+# kernels must leave these reports as they are.
+PINNED_REPORTS_SHA256 = "ef9f416ce39bf0192ac1f0f5502cca65d2663f03a8fe8086b2b0dca983cfb83a"
+
+
+def _pinned_invocations(tmp_path):
+    import random
+    import conftest
+    from relmod.closure import toy_expressions
+    data = {f"pointed-{n}.json": conftest.pointed_datum(n) for n in (3, 5)}
+    for size in (1, 2, 3, 4):
+        data[f"planted-{size}.json"] = conftest.planted_modularity_datum(
+            random.Random(size), size)[0]
+    data["sl21-ell3.json"] = emit_datum(3)
+    for name, datum in data.items():
+        save_datum(datum, str(tmp_path / name))
+    for name in data:
+        for fmt in ("json", "text"):
+            yield ["check", "all", "--datum", name, "--format", fmt]
+    for expr in toy_expressions():
+        yield ["closure", "certify", "--expr", expr, "--format", "json"]
+
+
+class TestPinnedReports:
+    def test_check_all_and_certify_reports_are_pinned(self, capsys, tmp_path, monkeypatch):
+        import hashlib
+        monkeypatch.chdir(tmp_path)
+        digest = hashlib.sha256()
+        for argv in _pinned_invocations(tmp_path):
+            code, out, _ = run(capsys, *argv)
+            digest.update((json.dumps([argv, code, out]) + "\n").encode())
+        assert digest.hexdigest() == PINNED_REPORTS_SHA256

@@ -188,6 +188,20 @@ class TestCertify:
         with pytest.raises(ValueError):
             replay_certificate(c, bad)
 
+    def test_v_rule_without_sd_flag_rewrites_its_rhs(self):
+        doc = dumps_closure(toy_closure_datum())
+        doc["v_rules"][0] = {"atom": "a", "n": 1, "sd_asserted": False,
+                             "rhs": [{"atom": "b", "v_power": 1}, {"atom": "a"}]}
+        datum = loads_closure(doc)
+        assert isinstance(certify(datum, "a*v", depth=0), CertifyFailure)
+        c = certify(datum, "a*v", depth=1)
+        assert isinstance(c, Certificate) and c.kind == "tensor-rewrite"
+        assert c.rule == "a(x)v^1"
+        (rewritten,) = c.children
+        assert rewritten.expr == "retract(b*v) + retract(a)"
+        assert [ch.children[0].kind for ch in rewritten.children] == ["v-power", "atom"]
+        assert replay_certificate(c, datum)
+
     def test_retract_and_v_powers(self):
         c = certify(toy_closure_datum(), "retract(b*v*v)", depth=4)
         assert isinstance(c, Certificate) and c.kind == "retract"

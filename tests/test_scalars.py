@@ -183,6 +183,16 @@ class TestDivision:
             return
         assert (a * b).exact_div(b) == a
 
+    @given(a=st.sampled_from([1, 2, 4, 8, 9, 12, 15])
+           .flatmap(lambda m: scalars(conductor=m, names=()))
+           .filter(lambda a: not a.is_zero))
+    @settings(max_examples=100, deadline=None)
+    def test_field_inverse_over_several_conductors(self, a):
+        m = a.conductor
+        inv = scalars_mod._zinv(m, {zp: c for (zp, _), c in a.coeffs.items()})
+        assert (a * CycScalar(m, {(zp, ()): c for zp, c in inv.items()})).is_one
+        assert (a * a.inverse()).is_one
+
 
 class TestUnitDivision:
     """One-term divisors are divided directly; the Laurent long division, which
