@@ -25,6 +25,7 @@ from .datum import (
     GradingSpec,
     SmallSubset,
     _expect,
+    _field,
     _need,
     degree_from_json,
     degree_to_json,
@@ -629,12 +630,6 @@ def negligible_closure(datum: ClosureDatum, expr: Expr | str) -> str:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def _field(obj: dict, key: str, default, kind: type, path: str):
-    """obj[key], which must be a kind or default; default when absent."""
-    value = obj.get(key, default)
-    return value if value is default else _expect(value, kind, f"{path}.{key}")
-
-
 def _rules(doc: dict, key: str):
     """(rule object, path, its right-hand side) for each rule listed under key."""
     for i, r in enumerate(_expect(doc.get(key, []), list, key)):
@@ -660,8 +655,8 @@ def loads_closure(doc: dict) -> ClosureDatum:
         deg = a.get("degree")
         atoms.append(AtomSpec(
             name=str(_need(a, "name", f"atoms[{i}]")),
-            strong_decomposition=bool(a.get("strong_decomposition", False)),
-            negligible=a.get("negligible"),
+            strong_decomposition=_field(a, "strong_decomposition", False, bool, f"atoms[{i}]"),
+            negligible=_field(a, "negligible", None, bool, f"atoms[{i}]"),
             dual=_field(a, "dual", None, str, f"atoms[{i}]"),
             degree=degree_from_json(deg, f"atoms[{i}].degree") if deg is not None else None))
     grading = None
@@ -669,7 +664,7 @@ def loads_closure(doc: dict) -> ClosureDatum:
         grading = grading_from_json(doc["grading"], "grading")
     v_rules = tuple(
         VRule(atom=str(_need(r, "atom", path)), n=_field(r, "n", None, int, path),
-              sd_asserted=bool(r.get("sd_asserted", True)), rhs=rhs)
+              sd_asserted=_field(r, "sd_asserted", True, bool, path), rhs=rhs)
         for r, path, rhs in _rules(doc, "v_rules"))
     product_rules = tuple(
         ProductRule(left=str(_need(r, "left", path)), right=str(_need(r, "right", path)),

@@ -89,14 +89,21 @@ def _need(obj: dict, key: str, path: str):
     return obj[key]
 
 
-_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string",
+               bool: "a boolean"}
 
 
 def _expect(value, kind: type, path: str):
-    """value, if it has the JSON type kind (dict, list, int or str)."""
+    """value, if it has the JSON type kind (dict, list, int, str or bool)."""
     if not isinstance(value, kind):
         raise DatumSchemaError(path, f"expected {_JSON_KINDS[kind]}, got {type(value).__name__}")
     return value
+
+
+def _field(obj: dict, key: str, default, kind: type, path: str):
+    """obj[key], which must be a kind or default; default when absent."""
+    value = obj.get(key, default)
+    return value if value is default else _expect(value, kind, f"{path}.{key}")
 
 
 def _int_list(value, path: str) -> tuple[int, ...]:
@@ -226,7 +233,7 @@ def grading_from_json(obj, path: str) -> GradingSpec:
     factors = _int_list(obj.get("cyclic_factors", []), path + ".cyclic_factors")
     return GradingSpec(
         cyclic_factors=factors,
-        has_generic_torus=bool(obj.get("has_generic_torus", True)),
+        has_generic_torus=_field(obj, "has_generic_torus", True, bool, path),
         small=SmallSubset(kind, tuple(
             degree_from_json(e, f"{path}.small_symmetric.elements[{i}]")
             for i, e in enumerate(elements))))
@@ -489,7 +496,8 @@ def loads_datum(doc: dict) -> ModularDatum:
         psi.append((deg, elem, _scalar(_need(row, "value", rpath), conductor, f"{rpath}.value")))
     translation = TranslationSpec(
         cyclic_factors=factors, qdim_generators=gens, qdim_table=tuple(table),
-        psi=tuple(psi), no_self_extension=tobj.get("no_self_extension"))
+        psi=tuple(psi),
+        no_self_extension=_field(tobj, "no_self_extension", None, bool, "translation"))
 
     degrees = tuple(degree_from_json(d, f"degrees[{i}]") for i, d in
                     enumerate(_expect(_need(doc, "degrees", "$"), list, "degrees")))

@@ -1,15 +1,23 @@
 """Dense exact matrices over CycScalar with fraction-free rank and inverse.
 
-Full rank is first tested modulo a prime p = 1 (mod m): zeta_m goes to a
-fixed root of Phi_m mod p and each formal variable to a nonzero residue
-hashed from its name.  That map is a ring homomorphism, so a minor that is
-nonzero mod p is nonzero, and an F_p rank of min(rows, cols) proves full
-rank.  Every other answer -- every rank deficit and every kernel vector --
-comes from Bareiss elimination, where each division is by the previous pivot
-and is exact in the ring (a Sylvester identity), so no fractions ever appear.
-The inverse runs the same elimination on [A | I], with the rows above each
-pivot cleared too (Gauss-Jordan), followed by one exact division by the last
-pivot, +-det(A).  Nothing is random, so every answer is deterministic.
+Rank is certified by specialisation.  Modulo a prime p = 1 (mod m), zeta_m
+goes to a fixed root of Phi_m mod p and each formal variable to a nonzero
+residue hashed from its name.  That map is a ring homomorphism, so a minor
+that is nonzero mod p is nonzero: the F_p rank r is a lower bound on the
+exact rank, and r = min(rows, cols) proves full rank.  Below full rank, the
+reduced F_p echelon form names, for each non-pivot column, the few columns
+its kernel vector lives on.  Fraction-free elimination of those columns alone
+gives an exact kernel vector, which is checked by an exact product M v = 0.
+These cols - r independent vectors bound the rank above by r, so it is
+exactly r.  When any step fails -- a denominator vanishes mod p, a sub-solve
+finds a pivot too many, or a product is nonzero -- the whole matrix is
+eliminated instead.
+
+Elimination is Bareiss's: each division is by the previous pivot and is exact
+in the ring (a Sylvester identity), so no fractions ever appear.  The inverse
+runs the same elimination on [A | I], with the rows above each pivot cleared
+too (Gauss-Jordan), followed by one exact division by the last pivot,
++-det(A).  Nothing is random, so every answer is deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 
-from .scalars import CycScalar
+from .scalars import CycScalar, InexactDivision
 
 
 def _is_prime(n: int) -> bool:
@@ -64,6 +72,27 @@ def _variable_residue(name: str, p: int) -> int:
     """The fixed nonzero residue mod p that a formal variable is sent to."""
     digest = hashlib.sha256(name.encode()).digest()
     return int.from_bytes(digest[:8], "big") % (p - 1) + 1
+
+
+def _positive_lead(vec: list[CycScalar]) -> list[CycScalar]:
+    """vec or -vec: the one whose first nonzero entry has a positive leading
+    rational coefficient."""
+    lead = next((v for v in vec if not v.is_zero), None)
+    if lead is not None and lead.coeffs[min(lead.coeffs)] < 0:
+        return [-v for v in vec]
+    return vec
+
+
+def _witness(vec: list[CycScalar]) -> list[CycScalar]:
+    """A certificate kernel vector scaled for reporting: divided by its last
+    nonzero entry (the one at its non-pivot column) when that division is
+    exact for every entry, then sign-normalised like any kernel vector."""
+    last = next(v for v in reversed(vec) if not v.is_zero)
+    try:
+        vec = [v.exact_div(last) for v in vec]
+    except InexactDivision:
+        pass
+    return _positive_lead(vec)
 
 
 class SingularReport:
@@ -229,9 +258,9 @@ class ExactMatrix:
             r += 1
         return m, piv_cols, sign
 
-    def _rank_mod_p(self) -> int | None:
-        """Rank of the image in F_p (see the module docstring), a lower bound on
-        the exact rank; None when a coefficient's denominator vanishes mod p."""
+    def _image_mod_p(self) -> tuple[int, list[list[int]]] | None:
+        """(p, rows of the F_p image) (see the module docstring); None when a
+        coefficient's denominator vanishes mod p."""
         m = self.conductor
         p, r = _modulus(m)
         zpow = [pow(r, k, p) for k in range(m)]
@@ -253,41 +282,90 @@ class ExactMatrix:
                     acc += t
                 row.append(acc % p)
             rows.append(row)
-        rank = 0
+        return p, rows
+
+    def _rank_certificate(self) -> tuple[int, list[list[CycScalar]]] | None:
+        """Exact rank and, when it is below min(rows, cols), one exact kernel
+        vector per non-pivot column; None when the certificate does not close.
+
+        The F_p image (see the module docstring) is reduced once.  Its rank r
+        is a lower bound on the exact rank, and at full rank that settles it.
+        Otherwise each non-pivot column j of the reduced form has an F_p
+        kernel vector whose support is j and the pivot columns q with a
+        nonzero entry in q's row.  Those columns alone are eliminated exactly,
+        and the kernel vector found there is checked by M v = 0.  The vectors
+        are independent (each is nonzero at its own non-pivot column only), so
+        the rank is at most r, hence exactly r.
+        """
+        image = self._image_mod_p()
+        if image is None:
+            return None
+        p, red = image
+        piv_cols: list[int] = []
         for c in range(self.cols):
-            piv = next((i for i in range(rank, self.rows) if rows[i][c]), None)
+            r = len(piv_cols)
+            if r == self.rows:
+                break
+            piv = next((i for i in range(r, self.rows) if red[i][c]), None)
             if piv is None:
                 continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            prow = rows[rank]
+            red[r], red[piv] = red[piv], red[r]
+            prow = red[r]
             inv = pow(prow[c], -1, p)
-            for i in range(rank + 1, self.rows):
-                f = rows[i][c] * inv % p
+            for i in range(r + 1, self.rows):
+                f = red[i][c] * inv % p
                 if f:
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank
+                    red[i] = [(a - f * b) % p for a, b in zip(red[i], prow)]
+            piv_cols.append(c)
+        rank = len(piv_cols)
+        if rank == min(self.rows, self.cols):
+            return rank, []
+        # back-substitute to the reduced echelon form
+        for r in range(rank - 1, -1, -1):
+            c = piv_cols[r]
+            inv = pow(red[r][c], -1, p)
+            red[r] = prow = [a * inv % p for a in red[r]]
+            for i in range(r):
+                f = red[i][c]
+                if f:
+                    red[i] = [(a - f * b) % p for a, b in zip(red[i], prow)]
+        zero = CycScalar.zero(self.conductor)
+        kernel = []
+        for j in range(self.cols):
+            if j in piv_cols:
+                continue
+            cols = [q for r, q in enumerate(piv_cols) if red[r][j]] + [j]
+            sub = ExactMatrix(self.rows, len(cols), self.conductor,
+                              [self[i, c] for i in range(self.rows) for c in cols])
+            ech, sub_piv, _ = sub._bareiss()
+            if len(sub_piv) != len(cols) - 1:
+                return None
+            vec = [zero] * self.cols
+            for c, x in zip(cols, sub._kernel_vector(ech, sub_piv)):
+                vec[c] = x
+            product = self @ ExactMatrix(self.cols, 1, self.conductor, vec)
+            if any(not e.is_zero for e in product.entries):
+                return None
+            kernel.append(vec)
+        return rank, kernel
 
     def rank(self) -> int:
-        """Exact rank over the fraction field.
-
-        Full rank is proved modulo a prime; any smaller rank is computed by
-        fraction-free elimination.
-        """
-        full = min(self.rows, self.cols)
-        if self._rank_mod_p() == full:
-            return full
+        """Exact rank over the fraction field: the certificate above, else
+        fraction-free elimination of the whole matrix."""
+        cert = self._rank_certificate()
+        if cert is not None:
+            return cert[0]
         _, piv_cols, _ = self._bareiss()
         return len(piv_cols)
 
     def _singular_report(self) -> SingularReport | None:
         """None when this square matrix has full rank, else its exact rank and a
-        kernel vector.  A matrix is eliminated exactly at most once, and only
-        when the mod-p test does not already prove full rank."""
-        if self._rank_mod_p() == self.rows:
-            return None
+        kernel vector: the certificate's vector for the first non-pivot column,
+        else the one from eliminating the whole matrix."""
+        cert = self._rank_certificate()
+        if cert is not None:
+            rank, kernel = cert
+            return SingularReport(_witness(kernel[0]), rank) if kernel else None
         ech, piv_cols, _ = self._bareiss()
         if len(piv_cols) == self.rows:
             return None
@@ -334,13 +412,7 @@ class ExactMatrix:
                 if j != i:
                     prod = prod * d
             vec.append(prod)
-        # normalize: leading rational coefficient of the first nonzero entry positive
-        lead = next((v for v in vec if not v.is_zero), None)
-        if lead is not None:
-            c = lead.coeffs[min(lead.coeffs)]
-            if c < 0:
-                vec = [-v for v in vec]
-        return vec
+        return _positive_lead(vec)
 
     def invert(self):
         """Exact inverse, or a SingularReport with a kernel vector.

@@ -24,7 +24,8 @@ from relmod.checks import (
     delta_minus,
 )
 from relmod.cli import main
-from relmod.datum import Degree, GradingSpec, SmallSubset, modified_S
+from relmod.datum import Degree, GradingSpec, SmallSubset, load_datum, modified_S
+from relmod.matrices import ExactMatrix
 from relmod.scalars import CycScalar, parse_scalar
 from relmod.sl21 import (
     WeightLabel,
@@ -72,6 +73,52 @@ def test_criterion_1_rank_bound_reproduction(capsys):
         assert elapsed < 1.0, f"ell={ell} took {elapsed:.3f}s"
     with capsys.disabled():
         _report(1, "rank-bound 3/10/21, fixed-point-free, not relative modular")
+
+
+def test_criterion_8_nondegeneracy_fails_at_the_rank_bound(capsys, tmp_path, monkeypatch):
+    """The checks engine itself finds S_g degenerate at ell = 5 and 7, with the
+    rank of criterion 1 and a kernel witness, without eliminating all of S_g."""
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    original = ExactMatrix._bareiss
+
+    def counting(m, *args, **kwargs):
+        calls.append((m.rows, m.cols))
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(ExactMatrix, "_bareiss", counting)
+    for ell in (5, 7):
+        assert main(["sl21", "rank-bound", "--ell", str(ell), "--format", "json"]) == 0
+        bound = json.loads(capsys.readouterr().out)["bound"]
+        path = f"sl21-ell{ell}.json"
+        assert main(["sl21", "emit", "--ell", str(ell), "--out", path]) == 0
+        capsys.readouterr()
+        calls.clear()
+        t0 = time.perf_counter()
+        code = main(["check", "nondeg", "--g", "a", "--datum", path, "--format", "json"])
+        elapsed = time.perf_counter() - t0
+        out = capsys.readouterr().out
+        assert code == 1
+        (report,) = json.loads(out)["reports"]
+        assert report["status"] == "fails"
+        assert report["derived_scalars"]["rank(S_g)"] == str(bound)
+        (witness,) = [w for w in report["witnesses"] if w["name"] == "kernel vector of S_g"]
+        # S_g v = 0 by products of parsed scalars, no elimination involved
+        s = modified_S(load_datum(path), G)
+        v = [parse_scalar(t, s.conductor) for t in witness["value"].strip("()").split(", ")]
+        assert len(v) == s.cols and any(not x.is_zero for x in v)
+        for i in range(s.rows):
+            acc = CycScalar.zero(s.conductor)
+            for j in range(s.cols):
+                acc = acc + s[i, j] * v[j]
+            assert acc.is_zero, (ell, i)
+        assert calls and all(cols < s.cols for _, cols in calls), calls
+        assert elapsed < 10.0, f"ell={ell} took {elapsed:.3f}s"
+    assert main(["check", "all", "--datum", "sl21-ell5.json", "--format", "json"]) == 1
+    statuses = {r["check"]: r["status"] for r in json.loads(capsys.readouterr().out)["reports"]}
+    assert statuses["nondegeneracy"] == "fails"
+    with capsys.disabled():
+        _report(8, "check nondeg fails at ell = 5, 7 with rank 10/21 and a checked kernel vector")
 
 
 def test_criterion_2_defining_relation_suite():

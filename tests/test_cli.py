@@ -145,10 +145,15 @@ class TestCheckCommand:
         ("sprime", [{"row_degree": {}, "col_degree": {}, "entries": [["1"]], "row_labels": 5}],
          "sprime[0].row_labels: expected a list"),
         ("fusion", 5, "fusion: expected a list"),
+        ("grading", {"has_generic_torus": "false"},
+         "grading.has_generic_torus: expected a boolean"),
+        ("translation", {"cyclic_factors": [], "no_self_extension": "false"},
+         "translation.no_self_extension: expected a boolean"),
     ], ids=["grading-list", "small-subset-list", "ragged-rows", "translation-list",
             "quantum-dimension-list", "index-sets-list", "index-set-string", "dims-list",
             "dims-key-out-of-range", "twists-list", "degrees-object", "dual-involution-list",
-            "dual-involution-strings", "shift-list", "row-labels-int", "fusion-int"])
+            "dual-involution-strings", "shift-list", "row-labels-int", "fusion-int",
+            "generic-torus-string", "no-self-extension-string"])
     def test_malformed_field_is_usage_error_with_path(self, capsys, tmp_path, field, value,
                                                        path):
         doc = identity_datum_doc()
@@ -193,6 +198,26 @@ class TestCheckCommand:
                            "--datum", "sl21-ell3.json", "--format", "json")
         assert code == 1
         assert out == (DATA / "sl21_ell3_nondeg.json").read_text()
+
+    def test_sl21_ell3_witness_is_proportional_to_the_bareiss_one(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        # sl21_ell3_kernel_bareiss.txt is the witness that eliminating the
+        # whole 6x6 S_g gave; the reported one must span the same line.
+        from relmod.scalars import parse_scalar
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "sl21", "emit", "--ell", "3", "--out", "sl21-ell3.json")
+        _, out, _ = run(capsys, "check", "nondeg", "--g", "a",
+                        "--datum", "sl21-ell3.json", "--format", "json")
+        (witness,) = json.loads(out)["reports"][0]["witnesses"]
+
+        def vector(text):
+            return [parse_scalar(t, 3) for t in text.strip().strip("()").split(", ")]
+
+        new = vector(witness["value"])
+        old = vector((DATA / "sl21_ell3_kernel_bareiss.txt").read_text())
+        assert new == vector("(0, 0, u^-2, 1, 0, 0)")
+        assert len(old) == len(new) == 6
+        assert all(new[i] * old[j] == new[j] * old[i] for i in range(6) for j in range(6))
 
     def test_nondeg_on_full_rank_symbolic_block(self, capsys, tmp_path):
         # A principal block on four orbit representatives of the ell = 5 datum
@@ -274,10 +299,19 @@ class TestClosureCommands:
         (lambda doc: doc.update(product_rules={}), "product_rules: expected a list"),
         (lambda doc: doc.update(distinguished=[]), "$.distinguished: expected a string"),
         (lambda doc: doc["atoms"][0].update(dual=[]), "atoms[0].dual: expected a string"),
+        (lambda doc: doc["atoms"][0].update(strong_decomposition="false"),
+         "atoms[0].strong_decomposition: expected a boolean"),
+        (lambda doc: doc["atoms"][0].update(negligible=0),
+         "atoms[0].negligible: expected a boolean"),
+        (lambda doc: doc["v_rules"][0].update(sd_asserted="false"),
+         "v_rules[0].sd_asserted: expected a boolean"),
+        (lambda doc: doc["grading"].update(has_generic_torus=1),
+         "grading.has_generic_torus: expected a boolean"),
     ], ids=["nameless-atom", "grading-list", "small-subset-without-kind", "v-rule-without-atom",
             "product-rule-without-left", "product-rule-without-right", "rhs-term-without-atom",
             "v-rule-rhs-term-without-atom", "v-power-list", "product-rules-object",
-            "distinguished-list", "dual-list"])
+            "distinguished-list", "dual-list", "strong-decomposition-string",
+            "negligible-int", "sd-asserted-string", "generic-torus-int"])
     def test_malformed_closure_is_usage_error_with_path(self, capsys, tmp_path, edit, path):
         import relmod.closure as closure_mod
         doc = closure_mod.dumps_closure(closure_mod.toy_closure_datum())
@@ -306,7 +340,7 @@ class TestClosureCommands:
 # SHA-256 over (argv, exit code, stdout) of every invocation in
 # `_pinned_invocations`, one JSON line each.  A change to the scalar or matrix
 # kernels must leave these reports as they are.
-PINNED_REPORTS_SHA256 = "ef9f416ce39bf0192ac1f0f5502cca65d2663f03a8fe8086b2b0dca983cfb83a"
+PINNED_REPORTS_SHA256 = "4cc689ba0402e908b720c845f63dcef5de9f442e4f08d91c634a0587cbf8e39e"
 
 
 def _pinned_invocations(tmp_path):

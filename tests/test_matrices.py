@@ -84,7 +84,7 @@ class TestRankModPFallback:
         x = CycScalar.variable("x", 5)
         vanishing = x - variable_residue_mod_p("x", 5)  # nonzero, but 0 in F_p
         m = ExactMatrix.diagonal([vanishing, one()], 5)
-        assert m._rank_mod_p() == 1
+        assert m._rank_certificate() is None  # F_p rank 1, but column 0 has a pivot
         assert m.rank() == 2
         assert m._singular_report() is None
         with pytest.raises(InexactDivision):  # 1/(x - r) is not a Laurent polynomial
@@ -95,13 +95,65 @@ class TestRankModPFallback:
         tiny = rat(Fraction(1, p))
         full = ExactMatrix.from_rows([[tiny, one()], [one(), one()]], 5)
         deficient = ExactMatrix.from_rows([[tiny, tiny], [one(), one()]], 5)
-        assert full._rank_mod_p() is None and deficient._rank_mod_p() is None
+        assert full._rank_certificate() is None and deficient._rank_certificate() is None
         assert full.rank() == 2
         assert deficient.rank() == 1
         rep = deficient.invert()
         assert isinstance(rep, SingularReport)
         assert rep.rank == 1
         assert not rep.kernel[0].is_zero and rep.kernel[1] == -rep.kernel[0]
+
+
+def proportional(a: list[CycScalar], b: list[CycScalar]) -> bool:
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(len(a)))
+
+
+def times_vector(m: ExactMatrix, v: list[CycScalar]) -> list[CycScalar]:
+    return (m @ ExactMatrix(len(v), 1, m.conductor, v)).entries
+
+
+class TestRankCertificate:
+    """A rank deficit is certified by kernel vectors found on the columns that
+    the F_p kernel names; the witness spans the same line as the one from
+    eliminating the whole matrix."""
+
+    @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 5), inner=st.integers(0, 5),
+           variables=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_witness_matches_whole_matrix_elimination(self, seed, n, inner, variables):
+        m = random_rank_matrix(random.Random(seed), n, n, inner, variables)
+        rank = field_gauss_rank(m)
+        rep = m._singular_report()
+        if rank == n:
+            assert rep is None
+            return
+        assert rep.rank == rank
+        assert any(not x.is_zero for x in rep.kernel)
+        assert all(x.is_zero for x in times_vector(m, rep.kernel))
+        ech, piv_cols, _ = m._bareiss()
+        assert proportional(rep.kernel, m._kernel_vector(ech, piv_cols))
+
+    def test_wrong_support_mod_p_falls_back(self):
+        # column 1 is t times column 0, and t vanishes mod p: the F_p kernel
+        # vector of column 1 is e_1 alone, which is not an exact kernel vector
+        t = CycScalar.variable("x", 5) - variable_residue_mod_p("x", 5)
+        m = ExactMatrix.from_rows([[one(), t, one()], [one(), t, one()],
+                                   [rat(2), t * 2, rat(2)]], 5)
+        assert m._rank_certificate() is None
+        assert m.rank() == 1
+        rep = m._singular_report()
+        assert rep.rank == 1
+        assert all(x.is_zero for x in times_vector(m, rep.kernel))
+        ech, piv_cols, _ = m._bareiss()
+        assert rep.kernel == m._kernel_vector(ech, piv_cols) == [-t, one(), CycScalar.zero(5)]
+
+    def test_vector_failing_the_product_check_is_rejected(self, monkeypatch):
+        # M v = 0 is checked by a product, whatever the sub-solve returned
+        m = ExactMatrix.from_rows([[one()] * 2] * 2, 5)
+        monkeypatch.setattr(ExactMatrix, "_kernel_vector",
+                            lambda self, ech, piv_cols: [one()] * self.cols)
+        assert m._rank_certificate() is None
+        assert m.rank() == 1
 
 
 class TestInvert:
