@@ -5,7 +5,6 @@ from .matrices import ExactMatrix, SingularReport
 from .datum import (
     Degree,
     ModularDatum,
-    kirby_color,
     load_datum,
     modified_S,
     save_datum,
@@ -36,7 +35,6 @@ __all__ = [
     "check_relative_modularity",
     "delta_minus",
     "delta_plus",
-    "kirby_color",
     "load_datum",
     "modified_S",
     "parse_scalar",

@@ -93,9 +93,14 @@ _JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a str
                bool: "a boolean"}
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool (bool subclasses int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect(value, kind: type, path: str):
     """value, if it has the JSON type kind (dict, list, int, str or bool)."""
-    if not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise DatumSchemaError(path, f"expected {_JSON_KINDS[kind]}, got {type(value).__name__}")
     return value
 
@@ -107,7 +112,7 @@ def _field(obj: dict, key: str, default, kind: type, path: str):
 
 
 def _int_list(value, path: str) -> tuple[int, ...]:
-    if not (isinstance(value, list) and all(isinstance(c, int) for c in value)):
+    if not (isinstance(value, list) and all(_is_int(c) for c in value)):
         raise DatumSchemaError(path, "expected a list of integers")
     return tuple(value)
 
@@ -128,7 +133,7 @@ def degree_from_json(obj, path: str) -> Degree:
         raise DatumSchemaError(path, f"expected a degree object with keys {sorted(_DEGREE_KEYS)}")
     finite = _int_list(obj.get("finite", []), path + ".finite")
     alpha = obj.get("alpha", 0)
-    if not isinstance(alpha, int):
+    if not _is_int(alpha):
         raise DatumSchemaError(path + ".alpha", "expected an integer")
     try:
         shift = Fraction(obj.get("shift", 0))
@@ -367,7 +372,6 @@ class ModularDatum:
     sprime: tuple[SBlock, ...]
     orbit_count: int | None = None
     dual_involution: dict[Degree, tuple[int, ...]] = field(default_factory=dict)
-    fusion: tuple = ()
     extra: dict = field(default_factory=dict)
 
     def block(self, g: Degree, h: Degree) -> SBlock | None:
@@ -465,7 +469,7 @@ def loads_datum(doc: dict) -> ModularDatum:
     if doc.get("schema") != SCHEMA_ID:
         raise DatumSchemaError("schema", f"expected {SCHEMA_ID!r}, got {doc.get('schema')!r}")
     conductor = _need(doc, "conductor", "$")
-    if not isinstance(conductor, int) or conductor < 1:
+    if not _is_int(conductor) or conductor < 1:
         raise DatumSchemaError("conductor", "expected a positive integer")
 
     grading = grading_from_json(_need(doc, "grading", "$"), "grading")
@@ -534,14 +538,14 @@ def loads_datum(doc: dict) -> ModularDatum:
             _by_degree(doc.get("dual_involution", {}), degrees, "dual_involution")}
 
     orbit_count = doc.get("orbit_count")
-    if orbit_count is not None and (not isinstance(orbit_count, int) or orbit_count < 0):
+    if orbit_count is not None and (not _is_int(orbit_count) or orbit_count < 0):
         raise DatumSchemaError("orbit_count", "expected a non-negative integer")
 
     datum = ModularDatum(
         conductor=conductor, grading=grading, translation=translation,
         degrees=degrees, index_sets=index_sets, dims=dims, twists=twists,
         sprime=tuple(blocks), orbit_count=orbit_count, dual_involution=dual,
-        fusion=tuple(_expect(doc.get("fusion", []), list, "fusion")), extra=doc.get("extra", {}))
+        extra=doc.get("extra", {}))
     violations = validate_datum(datum)
     if violations:
         raise DatumInvariantError(violations)
@@ -597,8 +601,6 @@ def dumps_datum(datum: ModularDatum) -> dict:
     if datum.dual_involution:
         doc["dual_involution"] = {str(deg_index[g]): list(p)
                                   for g, p in datum.dual_involution.items()}
-    if datum.fusion:
-        doc["fusion"] = list(datum.fusion)
     if datum.extra:
         doc["extra"] = datum.extra
     return doc
@@ -627,11 +629,3 @@ def modified_S(datum: ModularDatum, g: Degree, h: Degree | None = None) -> Exact
         raise KeyError(f"no modified dimensions recorded for column degree {h}")
     return b.matrix.scale_columns(list(datum.dims[h]))
 
-
-def kirby_color(datum: ModularDatum, g: Degree) -> list[tuple[str, CycScalar]]:
-    """Formal combination sum_i d(V_i) V_i for a generic degree g."""
-    if not datum.grading.is_generic(g):
-        raise ValueError(f"non-generic degree {g}: the Kirby color requires g outside X")
-    if g not in datum.index_sets or g not in datum.dims:
-        raise KeyError(f"degree {g} has no recorded index set / dims")
-    return list(zip(datum.index_sets[g], datum.dims[g]))

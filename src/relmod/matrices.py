@@ -13,11 +13,16 @@ exactly r.  When any step fails -- a denominator vanishes mod p, a sub-solve
 finds a pivot too many, or a product is nonzero -- the whole matrix is
 eliminated instead.
 
-Elimination is Bareiss's: each division is by the previous pivot and is exact
-in the ring (a Sylvester identity), so no fractions ever appear.  The inverse
-runs the same elimination on [A | I], with the rows above each pivot cleared
-too (Gauss-Jordan), followed by one exact division by the last pivot,
-+-det(A).  Nothing is random, so every answer is deterministic.
+Elimination is Bareiss's fraction-free Gauss-Jordan: each pivot clears the
+rows above it as well as the rows below, and each division is by the previous
+pivot and is exact in the ring (a Sylvester identity), so no fractions ever
+appear.  Each pivot row then holds, in a later column, the Cramer numerator of
+that column's coordinate on the pivot columns, over one common denominator d,
+the latest pivot.  A kernel vector is read off directly: the numerators in the
+first non-pivot column at the pivot columns to its left, and -d at the column
+itself.  The inverse runs the same elimination on [A | I], followed by one
+exact division by the last pivot, +-det(A).  Nothing is random, so every
+answer is deterministic.
 """
 
 from __future__ import annotations
@@ -74,25 +79,18 @@ def _variable_residue(name: str, p: int) -> int:
     return int.from_bytes(digest[:8], "big") % (p - 1) + 1
 
 
-def _positive_lead(vec: list[CycScalar]) -> list[CycScalar]:
-    """vec or -vec: the one whose first nonzero entry has a positive leading
-    rational coefficient."""
-    lead = next((v for v in vec if not v.is_zero), None)
-    if lead is not None and lead.coeffs[min(lead.coeffs)] < 0:
-        return [-v for v in vec]
-    return vec
-
-
 def _witness(vec: list[CycScalar]) -> list[CycScalar]:
-    """A certificate kernel vector scaled for reporting: divided by its last
-    nonzero entry (the one at its non-pivot column) when that division is
-    exact for every entry, then sign-normalised like any kernel vector."""
+    """A kernel vector scaled for reporting: divided by its last nonzero entry
+    (the one at its non-pivot column) when that division is exact for every
+    entry, then negated if its first nonzero entry has a negative leading
+    rational coefficient."""
     last = next(v for v in reversed(vec) if not v.is_zero)
     try:
         vec = [v.exact_div(last) for v in vec]
     except InexactDivision:
         pass
-    return _positive_lead(vec)
+    lead = next(v for v in vec if not v.is_zero)
+    return [-v for v in vec] if lead.coeffs[min(lead.coeffs)] < 0 else vec
 
 
 class SingularReport:
@@ -221,21 +219,21 @@ class ExactMatrix:
 
     # -- elimination -----------------------------------------------------------
 
-    def _bareiss(self, reduce: bool = False):
-        """Fraction-free row echelon.  Returns (echelon rows, pivot cols, swap sign).
+    def _bareiss(self):
+        """Fraction-free Gauss-Jordan.  Returns (reduced rows, pivot cols, swap sign).
 
-        With reduce, each pivot also clears the rows above it (fraction-free
-        Gauss-Jordan); the entries right of the pivot are still minors, so
-        every division by the previous pivot stays exact.
+        Each pivot clears the rows above it as well as the rows below.  The
+        entries right of the pivot are still minors, so every division by the
+        previous pivot stays exact, and a pivot row holds Cramer numerators
+        over the latest pivot (see _kernel_vector).
         """
         m = [list(self.row(i)) for i in range(self.rows)]
-        one = CycScalar.one(self.conductor)
         zero = CycScalar.zero(self.conductor)
-        prev = one
+        prev = CycScalar.one(self.conductor)
         piv_cols: list[int] = []
         sign = 1
-        r = 0
         for c in range(self.cols):
+            r = len(piv_cols)
             if r == self.rows:
                 break
             p = next((i for i in range(r, self.rows) if not m[i][c].is_zero), None)
@@ -245,7 +243,7 @@ class ExactMatrix:
                 m[p], m[r] = m[r], m[p]
                 sign = -sign
             pivot = m[r][c]
-            for i in range(self.rows) if reduce else range(r + 1, self.rows):
+            for i in range(self.rows):
                 if i == r:
                     continue
                 mic = m[i][c]
@@ -255,7 +253,6 @@ class ExactMatrix:
                 m[i][c] = zero
             prev = pivot
             piv_cols.append(c)
-            r += 1
         return m, piv_cols, sign
 
     def _image_mod_p(self) -> tuple[int, list[list[int]]] | None:
@@ -365,7 +362,7 @@ class ExactMatrix:
         cert = self._rank_certificate()
         if cert is not None:
             rank, kernel = cert
-            return SingularReport(_witness(kernel[0]), rank) if kernel else None
+            return SingularReport(kernel[0], rank) if kernel else None
         ech, piv_cols, _ = self._bareiss()
         if len(piv_cols) == self.rows:
             return None
@@ -383,36 +380,19 @@ class ExactMatrix:
         return d if sign == 1 else -d
 
     def _kernel_vector(self, ech, piv_cols) -> list[CycScalar]:
-        """A nonzero kernel vector from the echelon form, denominators cleared."""
+        """The kernel vector of the first non-pivot column, read off the
+        reduced form and scaled by _witness.
+
+        Columns 0 .. free-1 are the pivot columns of rows 0 .. free-1, and
+        row r holds at column free the Cramer numerator of that column's
+        coordinate over d, the last of those pivots.  So the numerators there
+        and -d at free give M v = 0.
+        """
         free = next(c for c in range(self.cols) if c not in piv_cols)
-        one = CycScalar.one(self.conductor)
+        d = ech[free - 1][free - 1] if free else CycScalar.one(self.conductor)
         zero = CycScalar.zero(self.conductor)
-        # back-substitute over (numerator, denominator) pairs
-        x: list[tuple[CycScalar, CycScalar]] = [(zero, one)] * self.cols
-        x[free] = (one, one)
-        for r in range(len(piv_cols) - 1, -1, -1):
-            pc = piv_cols[r]
-            if pc > free:
-                continue
-            num, den = zero, one
-            for c in range(pc + 1, self.cols):
-                xc_n, xc_d = x[c]
-                if xc_n.is_zero or ech[r][c].is_zero:
-                    continue
-                # num/den += ech[r][c] * xc_n/xc_d
-                num = num * xc_d + ech[r][c] * xc_n * den
-                den = den * xc_d
-            p = ech[r][pc]
-            x[pc] = (-num, den * p)
-        dens = [d for _, d in x]
-        vec = []
-        for i, (n, _) in enumerate(x):
-            prod = n
-            for j, d in enumerate(dens):
-                if j != i:
-                    prod = prod * d
-            vec.append(prod)
-        return _positive_lead(vec)
+        vec = [ech[r][free] for r in range(free)] + [-d] + [zero] * (self.cols - free - 1)
+        return _witness(vec)
 
     def invert(self):
         """Exact inverse, or a SingularReport with a kernel vector.
@@ -431,7 +411,7 @@ class ExactMatrix:
         # d = +-det(A) is the last pivot.
         ident = ExactMatrix.identity(n, self.conductor)
         aug = ExactMatrix.from_rows([self.row(i) + ident.row(i) for i in range(n)], self.conductor)
-        m, _, _ = aug._bareiss(reduce=True)
+        m, _, _ = aug._bareiss()
         return ExactMatrix(n, n, self.conductor,
                            [m[i][n + j].exact_div(m[n - 1][n - 1])
                             for i in range(n) for j in range(n)])

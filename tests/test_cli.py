@@ -144,16 +144,21 @@ class TestCheckCommand:
         ("degrees", [{"shift": []}], "degrees[0].shift: bad rational"),
         ("sprime", [{"row_degree": {}, "col_degree": {}, "entries": [["1"]], "row_labels": 5}],
          "sprime[0].row_labels: expected a list"),
-        ("fusion", 5, "fusion: expected a list"),
         ("grading", {"has_generic_torus": "false"},
          "grading.has_generic_torus: expected a boolean"),
         ("translation", {"cyclic_factors": [], "no_self_extension": "false"},
          "translation.no_self_extension: expected a boolean"),
+        ("conductor", True, "conductor: expected a positive integer"),
+        ("orbit_count", True, "orbit_count: expected a non-negative integer"),
+        ("degrees", [{"alpha": True}], "degrees[0].alpha: expected an integer"),
+        ("grading", {"cyclic_factors": [True]},
+         "grading.cyclic_factors: expected a list of integers"),
     ], ids=["grading-list", "small-subset-list", "ragged-rows", "translation-list",
             "quantum-dimension-list", "index-sets-list", "index-set-string", "dims-list",
             "dims-key-out-of-range", "twists-list", "degrees-object", "dual-involution-list",
-            "dual-involution-strings", "shift-list", "row-labels-int", "fusion-int",
-            "generic-torus-string", "no-self-extension-string"])
+            "dual-involution-strings", "shift-list", "row-labels-int",
+            "generic-torus-string", "no-self-extension-string", "conductor-bool",
+            "orbit-count-bool", "alpha-bool", "cyclic-factors-bool"])
     def test_malformed_field_is_usage_error_with_path(self, capsys, tmp_path, field, value,
                                                        path):
         doc = identity_datum_doc()
@@ -244,15 +249,13 @@ class TestCheckCommand:
         assert report["status"] == "data-absent"
         assert report["derived_scalars"] == {"rank(S_g)": "4"}
 
-    def test_thread_cap_does_not_change_output(self, capsys, tmp_path, monkeypatch):
+    def test_repeat_runs_are_byte_identical(self, capsys, tmp_path):
         path = str(tmp_path / "d.json")
         run(capsys, "sl21", "emit", "--ell", "3", "--out", path)
-        _, seq_out, _ = run(capsys, "check", "all", "--datum", path,
-                            "--format", "json", "--allow-unmet")
-        monkeypatch.setenv("RELMOD_THREADS", "4")
-        _, par_out, _ = run(capsys, "check", "all", "--datum", path,
-                            "--format", "json", "--allow-unmet")
-        assert seq_out == par_out
+        for fmt in ("json", "text"):
+            first = run(capsys, "check", "all", "--datum", path, "--format", fmt)
+            second = run(capsys, "check", "all", "--datum", path, "--format", fmt)
+            assert first == second
 
 
 class TestClosureCommands:
@@ -307,11 +310,15 @@ class TestClosureCommands:
          "v_rules[0].sd_asserted: expected a boolean"),
         (lambda doc: doc["grading"].update(has_generic_torus=1),
          "grading.has_generic_torus: expected a boolean"),
+        (lambda doc: doc["product_rules"][0]["rhs"][0].update(v_power=True),
+         "product_rules[0].rhs[0].v_power: expected an integer"),
+        (lambda doc: doc.update(bound=True), "$.bound: expected an integer"),
     ], ids=["nameless-atom", "grading-list", "small-subset-without-kind", "v-rule-without-atom",
             "product-rule-without-left", "product-rule-without-right", "rhs-term-without-atom",
             "v-rule-rhs-term-without-atom", "v-power-list", "product-rules-object",
             "distinguished-list", "dual-list", "strong-decomposition-string",
-            "negligible-int", "sd-asserted-string", "generic-torus-int"])
+            "negligible-int", "sd-asserted-string", "generic-torus-int",
+            "v-power-bool", "bound-bool"])
     def test_malformed_closure_is_usage_error_with_path(self, capsys, tmp_path, edit, path):
         import relmod.closure as closure_mod
         doc = closure_mod.dumps_closure(closure_mod.toy_closure_datum())

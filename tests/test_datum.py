@@ -10,7 +10,6 @@ from relmod.datum import (
     DatumSchemaError,
     Degree,
     dumps_datum,
-    kirby_color,
     load_datum,
     loads_datum,
     modified_S,
@@ -151,28 +150,3 @@ class TestModifiedS:
         assert s.rank() == 3
         assert s.is_symmetric()
 
-
-class TestKirbyColor:
-    def test_single_object(self):
-        d = loads_datum(minimal_doc())
-        assert kirby_color(d, Degree(alpha=1)) == [("0", CycScalar.one(5))]
-
-    def test_signs(self):
-        doc = minimal_doc()
-        doc["index_sets"]["0"] = ["0", "1"]
-        doc["dims"]["0"] = ["1", "-1"]
-        doc["twists"]["0"] = ["1", "1"]
-        doc["sprime"][0]["entries"] = [["1", "0"], ["0", "-1"]]
-        d = loads_datum(doc)
-        assert kirby_color(d, Degree(alpha=1)) == [
-            ("0", CycScalar.one(5)), ("1", CycScalar.rational(-1, 5))]
-
-    def test_non_generic_degree_rejected(self):
-        d = loads_datum(minimal_doc())
-        with pytest.raises(ValueError, match="non-generic"):
-            kirby_color(d, Degree())
-
-    def test_coefficients_are_the_dims_row(self):
-        datum = pointed_datum(5, random.Random(11))
-        g = Degree(alpha=1)
-        assert [c for _, c in kirby_color(datum, g)] == list(datum.dims[g])
