@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import checks as checks_mod
@@ -44,11 +45,16 @@ class _CliError(Exception):
 
 
 def _emit(doc: dict, fmt: str, text_lines: list[str]) -> None:
-    if fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    lines = [json.dumps(doc, indent=2, sort_keys=True)] if fmt == "json" else text_lines
+    try:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`): the verdict still
+        # stands, and output left in the buffer goes nowhere at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _verdict_exit(verdicts: list[Verdict], allow_unmet: bool) -> int:
@@ -222,6 +228,8 @@ def _cmd_closure(args) -> int:
         fn = closure_mod.check_cor1 if args.cor == 1 else closure_mod.check_cor2
         return _report(args, [fn(datum)])
     if which == "certify":
+        if args.expr is None:
+            raise _CliError("closure certify requires --expr")
         datum = _closure_datum(args)
         try:
             result = closure_mod.certify(datum, args.expr, args.depth)
@@ -299,11 +307,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _attach_degrees(argv: list[str]) -> list[str]:
+    """Spell `--g -a` as `--g=-a`: argparse takes a value that starts with '-'
+    for an option unless it is attached to its flag."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--g", "--h") and tok[:1] == "-" and tok[:2] != "--":
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_degrees(argv))
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     args._argv = argv

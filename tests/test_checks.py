@@ -153,6 +153,15 @@ class TestNondegeneracy:
         assert not delta_minus(datum, G, 0).is_zero
         assert not delta_plus(datum, G, 0).is_zero
 
+    def test_singular_mixed_block_fails_with_kernel(self):
+        d = tiny_datum([[1, 0], [0, 1]], mixed_rows=[[1, 1], [1, 1]])
+        v = check_nondegeneracy(d, G)
+        assert v.status == FAILS
+        assert v.derived_scalars == {"rank(S_g)": "2", "rank(S_-g,g)": "1"}
+        (w,) = v.witnesses
+        assert w.name == "kernel vector of S_-g,g"
+        assert w.value == "(1, -1)"
+
     def test_missing_mixed_block_is_data_absent(self):
         d = tiny_datum([[1, 0], [0, 1]])
         v = check_nondegeneracy(d, G)

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import conftest
+import relmod
 from relmod.cli import main
 from relmod.datum import SBlock, save_datum
 from relmod.matrices import ExactMatrix
@@ -196,6 +201,25 @@ class TestCheckCommand:
         assert code == 2
         assert f"requires {missing}" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["nondeg", "--g", "-a"],
+        ["dmug", "--g", "-a"],
+        ["modularity", "--g", "-a", "--h", "-a"],
+        ["modularity", "--g", "a", "--h", "-a"],
+    ])
+    def test_negative_degree_as_separate_argument(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "p.json")
+        save_datum(conftest.pointed_datum(3), path)
+        attached = [argv[0]] + [f"{flag}={value}"
+                                for flag, value in zip(argv[1::2], argv[2::2])]
+        tail = ["--datum", path, "--format", "json"]
+        code, out, _ = run(capsys, "check", *argv, *tail)
+        code_attached, out_attached, _ = run(capsys, "check", *attached, *tail)
+        assert code == code_attached == 0
+        doc, doc_attached = json.loads(out), json.loads(out_attached)
+        assert doc["reports"] == doc_attached["reports"]
+        assert doc["invocation"] == ["check", *argv, *tail]
+
     def test_sl21_ell3_nondeg_report_is_pinned(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run(capsys, "sl21", "emit", "--ell", "3", "--out", "sl21-ell3.json")
@@ -329,6 +353,11 @@ class TestClosureCommands:
         assert code == 2
         assert path in err
 
+    def test_certify_without_expr_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "closure", "certify")
+        assert code == 2
+        assert "closure certify requires --expr" in err
+
     def test_closure_document_list_is_usage_error(self, capsys, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("[]")
@@ -348,6 +377,28 @@ class TestClosureCommands:
 # `_pinned_invocations`, one JSON line each.  A change to the scalar or matrix
 # kernels must leave these reports as they are.
 PINNED_REPORTS_SHA256 = "4cc689ba0402e908b720c845f63dcef5de9f442e4f08d91c634a0587cbf8e39e"
+
+
+class TestClosedStdout:
+    def test_closed_stdout_keeps_the_verdict_code(self, capsys, tmp_path):
+        path = str(tmp_path / "d.json")
+        save_datum(emit_datum(3), path)
+        argv = ["check", "all", "--datum", path, "--format", "json"]
+        expected = main(argv)
+        capsys.readouterr()
+        assert expected == 1
+        src = str(Path(relmod.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # a reader that has gone away, as after `| head`
+        try:
+            proc = subprocess.run([sys.executable, "-m", "relmod", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=300)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == expected
+        assert proc.stderr == b""
 
 
 def _pinned_invocations(tmp_path):

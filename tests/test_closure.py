@@ -208,6 +208,53 @@ class TestCertify:
         assert c.children[0].kind == "v-power"
 
 
+def v_rule_without_sd_flag():
+    """The toy datum with a's v-coverage replaced by one explicit rule at n = 1
+    whose strong decomposition is not asserted, so a*v must be rewritten."""
+    doc = dumps_closure(toy_closure_datum())
+    doc["v_rules"][0] = {"atom": "a", "n": 1, "sd_asserted": False,
+                         "rhs": [{"atom": "b", "v_power": 1}, {"atom": "a"}]}
+    return loads_closure(doc)
+
+
+class TestReplay:
+    """Replay re-derives the whole certificate with certify, so it accepts
+    exactly the certificates that certify produces."""
+
+    @pytest.mark.parametrize("expr, kind", [
+        ("(a+b)*v", "distribute"),
+        ("retract(a)*b", "retract-absorb"),
+        ("(a+b)*(a+b)", "distribute"),
+        ("a*(b+retract(a*a))", "distribute"),
+    ])
+    def test_distribute_and_retract_absorb_replay(self, expr, kind):
+        toy = toy_closure_datum()
+        c = certify(toy, expr, depth=8)
+        assert isinstance(c, Certificate) and c.kind == kind
+        assert replay_certificate(c, toy)
+
+    def test_forged_v_power_leaf_rejected(self):
+        datum = v_rule_without_sd_flag()
+        forged = Certificate("v-power", "a*v",
+                             "strong decomposition of a (x) v^n asserted at n = 1")
+        with pytest.raises(ValueError):
+            replay_certificate(forged, datum)
+
+    def test_atom_leaf_with_invented_child_rejected(self):
+        toy = toy_closure_datum()
+        forged = certify(toy, "a", depth=0)
+        forged.children.append(certify(toy, "b", depth=0))
+        with pytest.raises(ValueError):
+            replay_certificate(forged, toy)
+
+    def test_rewritten_justification_rejected(self):
+        toy = toy_closure_datum()
+        forged = certify(toy, "a*a", depth=4)
+        forged.justification = "asserted without a rule"
+        with pytest.raises(ValueError):
+            replay_certificate(forged, toy)
+
+
 class TestNegligible:
     def test_ideal_absorption(self):
         toy = set_negligible(toy_closure_datum(), b=True)

@@ -220,6 +220,33 @@ class TestUnitDivision:
             expected = expected * factor
         assert b ** n == expected
 
+    @given(b=scalars().filter(lambda b: len(b.coeffs) > 1), n=st.integers(0, 6))
+    def test_powers_of_several_terms(self, b, n):
+        expected = CycScalar.one(b.conductor)
+        for _ in range(n):
+            expected = expected * b
+        assert b ** n == expected
+
+    @given(c=st.sampled_from([3, 5, 7]).flatmap(lambda m: units(m, ()))
+           .filter(lambda c: len(c.coeffs) > 1),
+           n=st.integers(1, 4))
+    def test_negative_powers_of_field_elements(self, c, n):
+        inverse = _laurent_div(CycScalar.one(c.conductor), c)
+        expected = CycScalar.one(c.conductor)
+        for _ in range(n):
+            expected = expected * inverse
+        assert c ** -n == expected
+
+    @pytest.mark.parametrize("conductor", [3, 5, 7])
+    def test_powers_of_one_plus_u(self, conductor):
+        one_plus_u = CycScalar.one(conductor) + CycScalar.variable("u", conductor)
+        expected = CycScalar.one(conductor)
+        for n in range(7):
+            assert one_plus_u ** n == expected
+            expected = expected * one_plus_u
+        with pytest.raises(InexactDivision):
+            one_plus_u ** -1
+
     @pytest.mark.parametrize("conductor", [3, 5, 7])
     def test_non_units_still_fail(self, conductor):
         one = CycScalar.one(conductor)
