@@ -112,50 +112,29 @@ def check_nondegeneracy(datum: ModularDatum, g: Degree) -> Verdict:
         v.witnesses.append(Witness("generic degree required", (str(g),)))
         return v
     neg = datum.negate(g)
-    try:
-        sg = modified_S(datum, g)
-    except KeyError as exc:
-        v.status = DATA_ABSENT
-        v.notes.append(_msg(exc))
-        return v
-    n = len(datum.index_sets[g])
-    rep = sg._singular_report() if sg.rows == sg.cols else None
-    if rep is not None or sg.rows != sg.cols or sg.rows < n:
-        v.status = FAILS
-        if rep is not None:
-            v.witnesses.append(Witness(
-                "kernel vector of S_g", (str(g),),
-                "(" + ", ".join(str(x) for x in rep.kernel) + ")"))
-            v.derived_scalars["rank(S_g)"] = str(rep.rank)
+    passes = (("S_g", g, (str(g),), None),
+              ("S_-g,g", neg, (str(neg), str(g)),
+               f"S_g has full rank but the ({neg}, {g}) block is absent"))
+    for name, row, where, absent in passes:
+        try:
+            if absent is not None and datum.block(row, g) is None:
+                raise KeyError(absent)
+            s = modified_S(datum, row, g)
+        except KeyError as exc:
+            v.status = DATA_ABSENT
+            v.notes.append(_msg(exc))
+            return v
+        rank, kernel = s._rank_and_kernel()
+        v.derived_scalars[f"rank({name})"] = str(rank)
+        if s.rows != s.cols:
+            witness = Witness(f"{name} not square", (s.rows, s.cols))
+        elif kernel:
+            witness = Witness(f"kernel vector of {name}", where,
+                              "(" + ", ".join(str(x) for x in kernel[0]) + ")")
         else:
-            v.witnesses.append(Witness("S_g not square", (sg.rows, sg.cols)))
-        return v
-    v.derived_scalars["rank(S_g)"] = str(n)
-    mixed = datum.block(neg, g)
-    if mixed is None:
-        v.status = DATA_ABSENT
-        v.notes.append(f"S_g has full rank but the ({neg}, {g}) block is absent")
-        return v
-    try:
-        s_mixed = modified_S(datum, neg, g)
-    except KeyError as exc:
-        v.status = DATA_ABSENT
-        v.notes.append(_msg(exc))
-        return v
-    if s_mixed.rows == s_mixed.cols:
-        rep = s_mixed._singular_report()
-        r = s_mixed.rows if rep is None else rep.rank
-    else:
-        rep, r = None, s_mixed.rank()
-    v.derived_scalars["rank(S_-g,g)"] = str(r)
-    if s_mixed.rows != s_mixed.cols or r < s_mixed.rows:
+            continue
         v.status = FAILS
-        if rep is not None:
-            v.witnesses.append(Witness(
-                "kernel vector of S_-g,g", (str(neg), str(g)),
-                "(" + ", ".join(str(x) for x in rep.kernel) + ")"))
-        else:
-            v.witnesses.append(Witness("S_-g,g not square", (s_mixed.rows, s_mixed.cols)))
+        v.witnesses.append(witness)
         return v
     dp, dm = _try_deltas(datum, g)
     if dm is not None:
@@ -170,7 +149,8 @@ def check_nondegeneracy(datum: ModularDatum, g: Degree) -> Verdict:
             v.witnesses.append(Witness("internal-consistency: Delta_+Delta_- vanished "
                                        "although both S-matrices are non-degenerate"))
             return v
-    v.witnesses.append(Witness("both S-matrices have full rank", (str(g),), str(n)))
+    v.witnesses.append(Witness("both S-matrices have full rank", (str(g),),
+                               v.derived_scalars["rank(S_g)"]))
     return v
 
 

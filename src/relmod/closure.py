@@ -16,7 +16,6 @@ up to a bound, or a closed-form family asserting all exponents at once).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .datum import (
@@ -27,6 +26,8 @@ from .datum import (
     _expect,
     _field,
     _need,
+    _read_json,
+    _write_json,
     degree_from_json,
     degree_to_json,
     grading_from_json,
@@ -681,18 +682,11 @@ def dumps_closure(datum: ClosureDatum) -> dict:
 
 
 def load_closure(path: str) -> ClosureDatum:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatumSchemaError("$", f"not valid JSON: {exc}") from None
-    return loads_closure(doc)
+    return loads_closure(_read_json(path))
 
 
 def save_closure(datum: ClosureDatum, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dumps_closure(datum), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(dumps_closure(datum), path)
 
 
 # ---------------------------------------------------------------------------

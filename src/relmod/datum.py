@@ -552,13 +552,23 @@ def loads_datum(doc: dict) -> ModularDatum:
     return datum
 
 
-def load_datum(path: str) -> ModularDatum:
+def _read_json(path: str):
+    """The JSON document in a file; invalid JSON is a schema error at "$"."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DatumSchemaError("$", f"not valid JSON: {exc}") from None
-    return loads_datum(doc)
+
+
+def _write_json(doc: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_datum(path: str) -> ModularDatum:
+    return loads_datum(_read_json(path))
 
 
 def dumps_datum(datum: ModularDatum) -> dict:
@@ -607,9 +617,7 @@ def dumps_datum(datum: ModularDatum) -> dict:
 
 
 def save_datum(datum: ModularDatum, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dumps_datum(datum), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(dumps_datum(datum), path)
 
 
 # ---------------------------------------------------------------------------

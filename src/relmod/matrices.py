@@ -346,27 +346,23 @@ class ExactMatrix:
             kernel.append(vec)
         return rank, kernel
 
-    def rank(self) -> int:
-        """Exact rank over the fraction field: the certificate above, else
-        fraction-free elimination of the whole matrix."""
+    def _rank_and_kernel(self) -> tuple[int, list[list[CycScalar]]]:
+        """Exact rank over the fraction field and the kernel vectors that bound
+        it above ([] at full rank): the certificate above when it closes, else
+        fraction-free elimination of the whole matrix and the kernel vector of
+        its first non-pivot column."""
         cert = self._rank_certificate()
         if cert is not None:
-            return cert[0]
-        _, piv_cols, _ = self._bareiss()
-        return len(piv_cols)
-
-    def _singular_report(self) -> SingularReport | None:
-        """None when this square matrix has full rank, else its exact rank and a
-        kernel vector: the certificate's vector for the first non-pivot column,
-        else the one from eliminating the whole matrix."""
-        cert = self._rank_certificate()
-        if cert is not None:
-            rank, kernel = cert
-            return SingularReport(kernel[0], rank) if kernel else None
+            return cert
         ech, piv_cols, _ = self._bareiss()
-        if len(piv_cols) == self.rows:
-            return None
-        return SingularReport(self._kernel_vector(ech, piv_cols), len(piv_cols))
+        rank = len(piv_cols)
+        if rank == min(self.rows, self.cols):
+            return rank, []
+        return rank, [self._kernel_vector(ech, piv_cols)]
+
+    def rank(self) -> int:
+        """Exact rank over the fraction field (see _rank_and_kernel)."""
+        return self._rank_and_kernel()[0]
 
     def det(self) -> CycScalar:
         if self.rows != self.cols:
@@ -403,9 +399,9 @@ class ExactMatrix:
         """
         if self.rows != self.cols:
             raise ValueError("cannot invert a non-square matrix")
-        report = self._singular_report()
-        if report is not None:
-            return report
+        rank, kernel = self._rank_and_kernel()
+        if kernel:
+            return SingularReport(kernel[0], rank)
         n = self.rows
         # Gauss-Jordan on [A | I] leaves d A^-1 in the right half, where
         # d = +-det(A) is the last pivot.

@@ -145,28 +145,21 @@ def x0_factor(sign: int) -> XYLaurent:
 class CharacterExpr:
     """Character / supercharacter pair with a global w = y^(2 alpha) power.
 
-    ``minus`` already includes all parity signs; ``parity_sign`` records an
-    explicit overall odd twist for label-built characters (it flips minus
-    only and multiplies under tensor products).
+    ``minus`` already includes all parity signs.
     """
     plus: XYLaurent
     minus: XYLaurent
     alpha_power: int = 0
-    parity_sign: int = 1
 
     def __mul__(self, other: "CharacterExpr") -> "CharacterExpr":
         return CharacterExpr(self.plus * other.plus, self.minus * other.minus,
-                             self.alpha_power + other.alpha_power,
-                             self.parity_sign * other.parity_sign)
+                             self.alpha_power + other.alpha_power)
 
     def __add__(self, other: "CharacterExpr") -> "CharacterExpr":
         if self.alpha_power != other.alpha_power:
             raise ValueError("cannot add characters of different w-power")
         return CharacterExpr(self.plus + other.plus, self.minus + other.minus,
-                             self.alpha_power, 1)
-
-    def __sub__(self, other: "CharacterExpr") -> "CharacterExpr":
-        return self + CharacterExpr(-other.plus, -other.minus, other.alpha_power, 1)
+                             self.alpha_power)
 
     @property
     def is_zero(self) -> bool:
@@ -174,10 +167,6 @@ class CharacterExpr:
 
     def dimension(self) -> int:
         return self.plus.at_ones()
-
-    def parity_flip(self) -> "CharacterExpr":
-        """Tensoring with the odd one-dimensional module: flips minus only."""
-        return CharacterExpr(self.plus, -self.minus, self.alpha_power, -self.parity_sign)
 
     def __str__(self):
         w = f" * w^{self.alpha_power}" if self.alpha_power else ""
@@ -221,7 +210,7 @@ def typical_character(k: int, shift: int, ell: int, parity: int = 0,
     minus = x0_factor(-1) * t.shift(0, ydeg)
     if parity % 2:
         minus = -minus
-    return CharacterExpr(plus, minus, alpha_power=1, parity_sign=-1 if parity % 2 else 1)
+    return CharacterExpr(plus, minus, alpha_power=1)
 
 
 def character_of_label(label: WeightLabel, ell: int) -> CharacterExpr:
@@ -232,8 +221,7 @@ def character_of_label(label: WeightLabel, ell: int) -> CharacterExpr:
     j = label.k - (ell - 1)
     partner = typical_character(2 * (ell - 1) - label.k, label.shift + j, ell,
                                 label.parity, label.eps)
-    return CharacterExpr(base.plus + partner.plus, base.minus + partner.minus,
-                         1, base.parity_sign)
+    return base + partner
 
 
 def closed_form_Ak(k: int, ell: int) -> CharacterExpr:
@@ -258,12 +246,6 @@ def standard_module_character() -> CharacterExpr:
 
 def character_of_rep(rep) -> CharacterExpr:
     """Character of an explicit weight module from its H-spectrum and parities."""
-    n = rep.dim
-    for name, mat in (("H1", rep.H1), ("H2", rep.H2)):
-        for i in range(n):
-            for j in range(n):
-                if i != j and not mat[i, j].is_zero:
-                    raise ValueError(f"{name} is not diagonal")
     plus = XYLaurent.zero()
     minus = XYLaurent.zero()
     for (a, b), par in zip(rep.h_eigs, rep.parities):

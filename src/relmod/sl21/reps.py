@@ -36,31 +36,30 @@ class WeightModuleRep:
     labels: tuple          # opaque basis labels
     parities: tuple[int, ...]
     h_eigs: tuple[tuple[int, int], ...]   # (H1, H2) eigenvalue per basis vector
-    H1: ExactMatrix
-    H2: ExactMatrix
     E1: ExactMatrix
     F1: ExactMatrix
     E2: ExactMatrix
     F2: ExactMatrix
-    K1: ExactMatrix
-    K2: ExactMatrix
-    K1inv: ExactMatrix
-    K2inv: ExactMatrix
     convention: str | None = None
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
+    def _diag(self, i: int, power: int | None) -> ExactMatrix:
+        """diag(H_i) when power is None, else diag(q^(power H_i)), read off h_eigs."""
+        ell = self.ell
+        eigs = [h[i - 1] for h in self.h_eigs]
+        return ExactMatrix.diagonal(
+            [CycScalar.rational(e, ell) if power is None else CycScalar.zeta(ell, power * e)
+             for e in eigs], ell)
 
-def _diag_from_ints(vals, ell) -> ExactMatrix:
-    return ExactMatrix.diagonal([CycScalar.rational(v, ell) for v in vals], ell)
-
-
-def _k_from_h(vals, ell) -> tuple[ExactMatrix, ExactMatrix]:
-    k = ExactMatrix.diagonal([CycScalar.zeta(ell, v) for v in vals], ell)
-    kinv = ExactMatrix.diagonal([CycScalar.zeta(ell, -v) for v in vals], ell)
-    return k, kinv
+    H1 = property(lambda self: self._diag(1, None))
+    H2 = property(lambda self: self._diag(2, None))
+    K1 = property(lambda self: self._diag(1, 1))
+    K2 = property(lambda self: self._diag(2, 1))
+    K1inv = property(lambda self: self._diag(1, -1))
+    K2inv = property(lambda self: self._diag(2, -1))
 
 
 def build_Ak(k: int, ell: int, convention: str = "corrected") -> WeightModuleRep:
@@ -94,25 +93,18 @@ def build_Ak(k: int, ell: int, convention: str = "corrected") -> WeightModuleRep
             coeff = quantum_integer(i + 1 if convention == "paper" else i, ell)
             F2[index[(1, i - 1)]][src] = coeff
 
-    k1, k1inv = _k_from_h([a for a, _ in h_eigs], ell)
-    k2, k2inv = _k_from_h([b for _, b in h_eigs], ell)
     return WeightModuleRep(
         ell=ell, labels=tuple(labels), parities=parities, h_eigs=h_eigs,
-        H1=_diag_from_ints([a for a, _ in h_eigs], ell),
-        H2=_diag_from_ints([b for _, b in h_eigs], ell),
         E1=ExactMatrix.from_rows(E1, ell), F1=ExactMatrix.from_rows(F1, ell),
         E2=ExactMatrix.from_rows(E2, ell), F2=ExactMatrix.from_rows(F2, ell),
-        K1=k1, K2=k2, K1inv=k1inv, K2inv=k2inv, convention=convention)
+        convention=convention)
 
 
 def trivial_rep(ell: int) -> WeightModuleRep:
     """The 1-dimensional trivial module."""
-    one = ExactMatrix.identity(1, ell)
     zero = ExactMatrix.zeros(1, 1, ell)
-    return WeightModuleRep(
-        ell=ell, labels=("1",), parities=(0,), h_eigs=((0, 0),),
-        H1=zero, H2=zero, E1=zero, F1=zero, E2=zero, F2=zero,
-        K1=one, K2=one, K1inv=one, K2inv=one, convention=None)
+    return WeightModuleRep(ell=ell, labels=("1",), parities=(0,), h_eigs=((0, 0),),
+                           E1=zero, F1=zero, E2=zero, F2=zero, convention=None)
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +160,8 @@ def tensor_rep(a: WeightModuleRep, b: WeightModuleRep) -> WeightModuleRep:
     E2 = cop_e(a.E2, b.E2, a.K2inv, 1)
     F1 = cop_f(a.F1, b.F1, b.K1, 0)
     F2 = cop_f(a.F2, b.F2, b.K2, 1)
-    K1 = _super_kron(a.K1, b.K1, a.parities, 0, ell)
-    K2 = _super_kron(a.K2, b.K2, a.parities, 0, ell)
-    K1inv = _super_kron(a.K1inv, b.K1inv, a.parities, 0, ell)
-    K2inv = _super_kron(a.K2inv, b.K2inv, a.parities, 0, ell)
-    H1 = _diag_from_ints([h[0] for h in h_eigs], ell)
-    H2 = _diag_from_ints([h[1] for h in h_eigs], ell)
-    conv = a.convention or b.convention
     return WeightModuleRep(ell=ell, labels=labels, parities=parities, h_eigs=h_eigs,
-                           H1=H1, H2=H2, E1=E1, F1=F1, E2=E2, F2=F2,
-                           K1=K1, K2=K2, K1inv=K1inv, K2inv=K2inv, convention=conv)
+                           E1=E1, F1=F1, E2=E2, F2=F2, convention=a.convention or b.convention)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ from relmod.datum import (
     SBlock,
     SmallSubset,
     TranslationSpec,
+    modified_S,
 )
-from relmod.matrices import ExactMatrix
-from relmod.scalars import CycScalar
+from relmod.matrices import ExactMatrix, _modulus, _variable_residue
+from relmod.scalars import CycScalar, parse_scalar
 from relmod.sl21 import emit_datum
 from relmod.verdicts import DATA_ABSENT, FAILS, HOLDS, HYPOTHESIS_NOT_MET
 
@@ -166,6 +167,40 @@ class TestNondegeneracy:
         d = tiny_datum([[1, 0], [0, 1]])
         v = check_nondegeneracy(d, G)
         assert v.status == DATA_ABSENT
+
+    @pytest.mark.parametrize("mixed_rows", [[[1, 0], [0, 1], [1, 1]],   # tall, 3 x 2
+                                            [[1, 0, 1], [0, 1, 1]]])    # wide, 2 x 3
+    def test_non_square_mixed_block_fails(self, mixed_rows):
+        cols = len(mixed_rows[0])
+        identity = [[int(i == j) for j in range(cols)] for i in range(cols)]
+        d = tiny_datum(identity, mixed_rows=mixed_rows)
+        v = check_nondegeneracy(d, G)
+        assert v.status == FAILS
+        assert v.derived_scalars == {"rank(S_g)": str(cols), "rank(S_-g,g)": "2"}
+        (w,) = v.witnesses
+        assert w.name == "S_-g,g not square"
+        assert w.indices == (len(mixed_rows), cols)
+
+    def test_kernel_vector_from_whole_matrix_elimination(self):
+        # S' = v v^T with v = (1, t, 1), where t is nonzero but vanishes mod p:
+        # the F_p certificate does not close, so the whole matrix is eliminated
+        x = CycScalar.variable("x", 5)
+        p, _ = _modulus(5)
+        t = x - CycScalar.rational(_variable_residue("x", p), 5)
+        vec = [CycScalar.one(5), t, CycScalar.one(5)]
+        d = tiny_datum([[a * b for b in vec] for a in vec],
+                       mixed_rows=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        s_g = modified_S(d, G)
+        assert s_g._rank_certificate() is None
+        v = check_nondegeneracy(d, G)
+        assert v.status == FAILS
+        assert v.derived_scalars == {"rank(S_g)": "1"}
+        (w,) = v.witnesses
+        assert w.name == "kernel vector of S_g" and w.indices == (str(G),)
+        kernel = [parse_scalar(e, 5) for e in w.value.strip("()").split(", ")]
+        assert any(not e.is_zero for e in kernel)
+        product = s_g @ ExactMatrix(3, 1, 5, kernel)
+        assert all(e.is_zero for e in product.entries)
 
 
 class TestEliminationCount:
