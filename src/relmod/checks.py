@@ -33,10 +33,6 @@ from .scalars import CycScalar
 from .verdicts import DATA_ABSENT, FAILS, HOLDS, HYPOTHESIS_NOT_MET, Verdict, Witness
 
 
-class MissingBlock(KeyError):
-    pass
-
-
 def _msg(exc: BaseException) -> str:
     return exc.args[0] if exc.args else str(exc)
 
@@ -44,7 +40,7 @@ def _msg(exc: BaseException) -> str:
 def _require_block(datum: ModularDatum, g: Degree, h: Degree):
     b = datum.block(g, h)
     if b is None:
-        raise MissingBlock(f"no S' block for degrees ({g}, {h})")
+        raise KeyError(f"no S' block for degrees ({g}, {h})")
     return b
 
 
@@ -78,7 +74,7 @@ def delta_plus(datum: ModularDatum, g: Degree, j: int) -> CycScalar:
     neg = datum.negate(g)
     block = _require_block(datum, neg, g)
     if g not in datum.dual_involution:
-        raise MissingBlock(f"no dual involution recorded for degree {g}")
+        raise KeyError(f"no dual involution recorded for degree {g}")
     inv = datum.dual_involution[g]
     twists = datum.twists[g]
     dims = datum.dims[g]
@@ -92,11 +88,11 @@ def _try_deltas(datum: ModularDatum, g: Degree):
     dm = dp = None
     try:
         dm = delta_minus(datum, g, 0)
-    except (MissingBlock, KeyError):
+    except KeyError:
         pass
     try:
         dp = delta_plus(datum, g, 0)
-    except (MissingBlock, KeyError):
+    except KeyError:
         pass
     return dp, dm
 

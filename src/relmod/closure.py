@@ -308,11 +308,8 @@ def check_cor1(datum: ClosureDatum) -> Verdict:
             return v
     s_names = sorted(a.name for a in datum.s_atoms())
     for name in s_names + [datum.distinguished]:
-        cover = datum.v_coverage(name, 0)
-        family = any(r.atom == name and r.n is None for r in datum.v_rules)
-        explicit = all(datum.v_coverage(name, n) is not None
-                       for n in range(datum.bound + 1))
-        if not (family or (explicit and cover is not None)):
+        # n = 0 is required even under a negative bound
+        if any(datum.v_coverage(name, n) is None for n in range(max(datum.bound, 0) + 1)):
             v.status = FAILS
             v.witnesses.append(Witness(
                 "condition (1): missing v-power coverage", (name,),

@@ -186,9 +186,6 @@ class GradingSpec:
     def _reduce_finite(self, comps: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(c % o if o else c for c, o in zip(comps, self.cyclic_factors))
 
-    def zero(self) -> Degree:
-        return Degree((0,) * len(self.cyclic_factors), 0, Fraction(0))
-
     def add(self, d1: Degree, d2: Degree) -> Degree:
         fin = self._reduce_finite(tuple(a + b for a, b in zip(d1.finite, d2.finite)))
         return Degree(fin, d1.alpha + d2.alpha, d1.shift + d2.shift)

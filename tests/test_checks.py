@@ -350,6 +350,41 @@ class TestRelativeModularity:
         d = tiny_datum([[1]])
         assert check_relative_modularity(d, G, G).status == DATA_ABSENT
 
+    def test_non_square_product_fails(self):
+        d = tiny_datum([[1, 0], [0, 1]], mixed_rows=[[1, 0], [0, 1]])
+        one = CycScalar.one(5)
+        column = ExactMatrix.from_rows([[one], [one]], 5)
+        d = dataclasses.replace(d, dims={**d.dims, NG: (one,)}, sprime=tuple(
+            dataclasses.replace(b, matrix=column, col_labels=("0",))
+            if (b.row_degree, b.col_degree) == (G, NG) else b for b in d.sprime))
+        v = check_relative_modularity(d, G, G)
+        assert v.status == FAILS
+        assert [(w.name, w.indices) for w in v.witnesses] == [
+            ("product S_{g,h} S_{h,-g} is not square", (2, 1))]
+
+    def test_zero_zeta_candidate_fails(self):
+        d = tiny_datum([[0, 1], [1, 0]], mixed_rows=[[1, 0], [0, 1]])
+        v = check_relative_modularity(d, G, G)
+        assert v.status == FAILS
+        assert v.derived_scalars["zeta_Omega"] == "0"
+        assert [(w.name, w.indices, w.value) for w in v.witnesses] == [
+            ("zeta candidate P[0][0] is zero", (0, 0), "0")]
+
+    def test_delta_product_different_from_zeta_fails(self):
+        # P = Id from the (g,g) and (g,-g) blocks, but the (-g,g) block that
+        # Delta_plus reads is 2 Id, so Delta_+Delta_- = 2
+        d = tiny_datum([[1, 0], [0, 1]], mixed_rows=[[1, 0], [0, 1]])
+        two = ExactMatrix.from_rows([[CycScalar.rational(2, 5), CycScalar.zero(5)],
+                                     [CycScalar.zero(5), CycScalar.rational(2, 5)]], 5)
+        d = dataclasses.replace(d, sprime=tuple(
+            dataclasses.replace(b, matrix=two)
+            if (b.row_degree, b.col_degree) == (NG, G) else b for b in d.sprime))
+        v = check_relative_modularity(d, G, G)
+        assert v.status == FAILS
+        assert v.derived_scalars["Delta_plus*Delta_minus"] == "2"
+        assert [(w.name, w.value) for w in v.witnesses] == [
+            ("Delta_+ convention mismatch: zeta_Omega != Delta_+Delta_-", "1 vs 2")]
+
 
 class TestPremodularInputs:
     def test_sl21_datum_holds(self):

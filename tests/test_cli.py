@@ -112,6 +112,39 @@ class TestCheckCommand:
         assert "cross-check" not in by_check
         assert code == 0
 
+    def test_nondeg_at_non_generic_degree_is_hypothesis_not_met(self, capsys, tmp_path):
+        p = tmp_path / "pointed.json"
+        save_datum(conftest.pointed_datum(3), str(p))
+        code, out, _ = run(capsys, "check", "nondeg", "--g", "0", "--datum", str(p),
+                           "--format", "json")
+        assert code == 1
+        (report,) = json.loads(out)["reports"]
+        assert report["status"] == "hypothesis-not-met"
+        assert report["witnesses"][0]["name"] == "generic degree required"
+
+    def test_rank_constancy_command(self, capsys, tmp_path):
+        p = tmp_path / "pointed.json"
+        save_datum(conftest.pointed_datum(3), str(p))
+        code, out, _ = run(capsys, "check", "rank-constancy", "--datum", str(p),
+                           "--format", "json")
+        assert code == 0
+        (report,) = json.loads(out)["reports"]
+        assert report["check"] == "rank-constancy"
+        assert report["status"] == "holds"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "nondeg", "--g", "foo"], "foo"),
+        (["sl21", "emit", "--ell", "4"], "ell must be odd"),
+    ])
+    def test_bad_value_is_usage_error(self, capsys, tmp_path, argv, message):
+        p = tmp_path / "pointed.json"
+        save_datum(conftest.pointed_datum(3), str(p))
+        extra = ["--datum", str(p)] if argv[0] == "check" else ["--out", str(tmp_path / "x.json")]
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_missing_datum_is_usage_error(self, capsys):
         code, _, err = run(capsys, "check", "nondeg", "--g", "a")
         assert code == 2

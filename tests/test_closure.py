@@ -101,6 +101,53 @@ class TestCor1:
         assert v.status == FAILS
         assert ("a",) in [w.indices for w in v.witnesses]
 
+    @staticmethod
+    def explicit_coverage(drop_n=None, bound=None):
+        """The toy datum with a's family rule replaced by explicit rules at
+        n = 0 .. bound, except drop_n."""
+        toy = toy_closure_datum()
+        bound = toy.bound if bound is None else bound
+        rules = tuple(VRule("a", n, True) for n in range(bound + 1) if n != drop_n)
+        return dataclasses.replace(toy, bound=bound, v_rules=rules + tuple(
+            r for r in toy.v_rules if r.atom != "a"))
+
+    def test_explicit_coverage_up_to_bound_holds(self):
+        datum = self.explicit_coverage()
+        assert not any(r.atom == "a" and r.n is None for r in datum.v_rules)
+        assert check_cor1(datum).status == HOLDS
+
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_explicit_coverage_with_one_power_dropped_fails(self, n):
+        v = check_cor1(self.explicit_coverage(drop_n=n))
+        assert v.status == FAILS
+        assert [w.indices for w in v.witnesses] == [("a",)]
+        assert "missing v-power coverage" in v.witnesses[0].name
+
+    def test_negative_bound_without_family_rule_fails(self):
+        v = check_cor1(self.explicit_coverage(bound=-1))
+        assert v.status == FAILS
+        assert [w.indices for w in v.witnesses] == [("a",)]
+
+    def test_unflagged_distinguished_atom_fails(self):
+        toy = toy_closure_datum()
+        bad = dataclasses.replace(toy, atoms=tuple(
+            dataclasses.replace(a, strong_decomposition=a.name != "v")
+            for a in toy.atoms))
+        v = check_cor1(bad)
+        assert v.status == FAILS
+        assert [(w.name, w.indices) for w in v.witnesses] == [
+            ("distinguished atom lacks the strong-decomposition flag", ("v",))]
+
+    def test_rule_output_that_is_not_an_s_atom_fails(self):
+        toy = toy_closure_datum()
+        bad = dataclasses.replace(toy, product_rules=tuple(
+            ProductRule("a", "a", (Term("v", 1),)) if (r.left, r.right) == ("a", "a") else r
+            for r in toy.product_rules))
+        v = check_cor1(bad)
+        assert v.status == FAILS
+        assert [(w.name, w.indices) for w in v.witnesses] == [
+            ("condition (2): rule output not a flagged S-atom", ("a", "a", "v"))]
+
 
 class TestCor2:
     def test_toy_holds(self):
@@ -135,6 +182,37 @@ class TestCor2:
         v = check_cor2(dataclasses.replace(toy_closure_datum(), grading=None))
         assert v.status == DATA_ABSENT
 
+    def test_no_distinguished_atom(self):
+        v = check_cor2(dataclasses.replace(toy_closure_datum(), distinguished=None))
+        assert v.status == DATA_ABSENT
+        assert v.notes == ["no distinguished atom v declared"]
+
+    def test_unflagged_generic_atom_fails(self):
+        toy = toy_closure_datum()
+        bad = dataclasses.replace(toy, atoms=tuple(
+            dataclasses.replace(a, strong_decomposition=a.name != "a")
+            for a in toy.atoms))
+        v = check_cor2(bad)
+        assert v.status == FAILS
+        assert [(w.name, w.indices) for w in v.witnesses] == [
+            ("condition (1): generic atom lacks the strong-decomposition flag", ("a",))]
+
+    def test_unflagged_non_generic_atom_is_exempt(self):
+        # v sits in degree 0, which lies in X
+        toy = toy_closure_datum()
+        bad = dataclasses.replace(toy, atoms=tuple(
+            dataclasses.replace(a, strong_decomposition=a.name != "v")
+            for a in toy.atoms))
+        assert check_cor2(bad).status == HOLDS
+
+    def test_missing_coverage_at_generic_degree_fails(self):
+        toy = toy_closure_datum()
+        v = check_cor2(dataclasses.replace(
+            toy, v_rules=tuple(r for r in toy.v_rules if r.atom != "b")))
+        assert v.status == FAILS
+        assert [(w.name, w.indices) for w in v.witnesses] == [
+            ("condition (2): missing v-power coverage at generic degree", ("b", 0))]
+
 
 class TestCertify:
     def test_single_flagged_atom(self):
@@ -166,6 +244,14 @@ class TestCertify:
         f = certify(drop_rule(toy_closure_datum(), "a", "b"), "a*b", depth=4)
         assert isinstance(f, CertifyFailure) and f.kind == "stuck"
         assert "(a, b)" in f.message
+
+    def test_stuck_without_v_power_coverage(self):
+        toy = toy_closure_datum()
+        datum = dataclasses.replace(
+            toy, v_rules=tuple(r for r in toy.v_rules if r.atom != "a"))
+        f = certify(datum, "a*v*v", depth=4)
+        assert isinstance(f, CertifyFailure) and f.kind == "stuck"
+        assert f.message == "no v-power coverage for a (x) v^2 (bound 3)"
 
     def test_depth_exhaustion_distinct(self):
         f = certify(toy_closure_datum(), "a*a*a", depth=1)

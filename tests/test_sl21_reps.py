@@ -13,6 +13,26 @@ from relmod.sl21 import (
 from relmod.sl21.reps import relation_set
 from relmod.verdicts import FAILS, HOLDS
 
+# The clauses that involve E_i or F_i; the rest hold on any WeightModuleRep.
+EVALUATED_CLAUSES = [
+    "A3 (1,1): [E1,F1] = (K1-K1^-1)/(q-q^-1)",
+    "A3 (1,2): [E1,F2] = 0",
+    "A3 (2,1): [E2,F1] = 0",
+    "A3 (2,2): [E2,F2] = (K2-K2^-1)/(q-q^-1)",
+    "E2^2 = 0",
+    "F2^2 = 0",
+    "A5: E1^2 E2 - (q+q^-1) E1E2E1 + E2 E1^2 = 0",
+    "A5: F1^2 F2 - (q+q^-1) F1F2F1 + F2 F1^2 = 0",
+    "A7: [H1,E1] = a11 E1",
+    "A7: [H1,F1] = -a11 F1",
+    "A7: [H1,E2] = a12 E2",
+    "A7: [H1,F2] = -a12 F2",
+    "A7: [H2,E1] = a21 E1",
+    "A7: [H2,F1] = -a21 F1",
+    "A7: [H2,E2] = a22 E2",
+    "A7: [H2,F2] = -a22 F2",
+]
+
 BOTH_CONVENTION_CLAUSES = ("A1", "A2", "A4", "A5: E", "A6", "A7",
                            "E2^2", "F2^2", "A3 (1,1)", "weight condition")
 # Under the "paper" F2 coefficient the (2,2) clause of A3 always breaks, and
@@ -117,6 +137,29 @@ class TestRelations:
         h2 = label[0] + label[1]
         assert not quantum_integer(h2, 5).is_zero
 
+    def test_off_weight_entry_breaks_a7(self):
+        # E1[0,0] = 1 maps a weight vector to itself, so [H_i,E1] = a_i1 E1
+        # fails for i = 1 and 2 (a_11 = 2, a_21 = -1) on the first basis vector
+        import dataclasses
+        rep = build_Ak(2, 5, "corrected")
+        entries = list(rep.E1.entries)
+        entries[0] = CycScalar.one(5)
+        bad = dataclasses.replace(rep, E1=ExactMatrix(rep.dim, rep.dim, 5, entries))
+        v = check_relations(bad)
+        assert v.status == FAILS
+        a7 = [(w.name, w.indices, w.value) for w in v.witnesses if w.name.startswith("A7")]
+        assert a7 == [("A7: [H1,E1] = a11 E1", ("(0, 0)", 0, 0), "-2"),
+                      ("A7: [H2,E1] = a21 E1", ("(0, 0)", 0, 0), "1")]
+
+    def test_one_note_names_the_unevaluated_clauses(self):
+        v = check_relations(build_Ak(2, 5, "corrected"))
+        assert v.status == HOLDS
+        assert v.notes[1:] == [f"{name}: holds" for name in EVALUATED_CLAUSES]
+        for clause in ("A1", "A2", "A4", "A6", "[H1,H2] = 0", "[Hi,Kj] = 0", "Ki = q^(di Hi)"):
+            assert clause in v.notes[0]
+        assert [(w.name, w.value) for w in v.witnesses] == [
+            ("all relations hold as exact matrix identities", "16")]
+
     def test_selected_convention_is_corrected(self):
         for ell in (3, 5, 7):
             assert select_convention(ell) == "corrected"
@@ -163,7 +206,7 @@ class TestTensor:
 def test_relation_set_is_complete_square_matrices(k, ell):
     rep = build_Ak(k, ell, "corrected")
     rels = relation_set(rep)
-    assert len(rels) >= 25
+    assert [name for name, _, _ in rels] == EVALUATED_CLAUSES
     for name, lhs, rhs in rels:
         assert lhs.rows == lhs.cols == rep.dim
         assert rhs.rows == rhs.cols == rep.dim
