@@ -39,13 +39,14 @@ USAGE_ERROR, CHECK_FAILURE, INTERNAL_ERROR = 2, 1, 3
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+    """A usage error: bad arguments or a bad input file (exit 2)."""
 
 
-def _emit(doc: dict, fmt: str, text_lines: list[str]) -> None:
-    lines = [json.dumps(doc, indent=2, sort_keys=True)] if fmt == "json" else text_lines
+def _emit(args, doc: dict, lines: list[str], code: int = 0) -> int:
+    """Write the report, the JSON doc with `invocation` and `exit_code` added or
+    the text lines, and return its exit code."""
+    doc = {"invocation": args._argv, **doc, "exit_code": code}
+    lines = [json.dumps(doc, indent=2, sort_keys=True)] if args.format == "json" else lines
     try:
         sys.stdout.write("".join(line + "\n" for line in lines))
         sys.stdout.flush()
@@ -55,6 +56,23 @@ def _emit(doc: dict, fmt: str, text_lines: list[str]) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    return code
+
+
+def _file(what: str, path: str, op, *doc):
+    """op(*doc, path): read a --datum or --closure file (no doc) or write an
+    --out file.  A file that cannot be read or written, or a malformed
+    document, is a usage error that names the file."""
+    try:
+        return op(*doc, path)
+    except (DatumSchemaError, DatumInvariantError) as exc:
+        raise _CliError(f"invalid {what}: {exc}") from None
+    except OSError as exc:
+        if doc:
+            raise _CliError(f"cannot write {what} file {path}: {exc.strerror or exc}") from None
+        if isinstance(exc, FileNotFoundError):
+            raise _CliError(f"{what} file not found: {path}") from None
+        raise _CliError(f"cannot read {what} file {path}: {exc.strerror or exc}") from None
 
 
 def _verdict_exit(verdicts: list[Verdict], allow_unmet: bool) -> int:
@@ -70,27 +88,13 @@ def _verdict_exit(verdicts: list[Verdict], allow_unmet: bool) -> int:
 def _load(args) -> ModularDatum:
     if not args.datum:
         raise _CliError("--datum is required for this command")
-    try:
-        return load_datum(args.datum)
-    except FileNotFoundError:
-        raise _CliError(f"datum file not found: {args.datum}") from None
-    except (DatumSchemaError, DatumInvariantError) as exc:
-        raise _CliError(f"invalid datum: {exc}") from None
+    return _file("datum", args.datum, load_datum)
 
 
-def _report(args, verdicts: list[Verdict], extra: dict | None = None) -> int:
+def _report(args, verdicts: list[Verdict]) -> int:
     code = _verdict_exit(verdicts, args.allow_unmet)
-    doc = {
-        "invocation": args._argv,
-        "reports": [v.to_json() for v in verdicts],
-        "exit_code": code,
-    }
-    if extra:
-        doc.update(extra)
-    lines = [v.render_text() for v in verdicts]
-    lines.append(f"exit code: {code}")
-    _emit(doc, args.format, lines)
-    return code
+    return _emit(args, {"reports": [v.to_json() for v in verdicts]},
+                 [v.render_text() for v in verdicts] + [f"exit code: {code}"], code)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +105,10 @@ def _degree_arg(args, flag: str):
     text = getattr(args, flag)
     if text is None:
         raise _CliError(f"check {args.what} requires --{flag}")
-    return parse_degree(text)
+    try:
+        return parse_degree(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _CliError(f"--{flag}: bad degree {text!r}: {exc}") from None
 
 
 def _cmd_check(args) -> int:
@@ -119,10 +126,8 @@ def _cmd_check(args) -> int:
         verdicts.append(checks_mod.check_rank_constancy(datum))
     elif which == "premodular":
         verdicts.append(checks_mod.check_premodular_inputs(datum))
-    elif which == "all":
-        verdicts.extend(_run_all(datum))
     else:
-        raise _CliError(f"unknown check {which!r}")
+        verdicts.extend(_run_all(datum))
     return _report(args, verdicts)
 
 
@@ -154,56 +159,57 @@ def _run_all(datum: ModularDatum) -> list[Verdict]:
 # sl21 subcommands
 # ---------------------------------------------------------------------------
 
+def _sl21_arg(args, fn, *values):
+    """fn(*values): an sl21 constructor, which validates --ell, --k and --i.
+    The ValueError it raises on a value out of range is a usage error that
+    names the values given."""
+    try:
+        return fn(*values)
+    except ValueError as exc:
+        given = " ".join(f"--{flag} {getattr(args, flag)}" for flag in ("ell", "k", "i")
+                         if getattr(args, flag) is not None)
+        raise _CliError(f"{given}: {exc}") from None
+
+
 def _cmd_sl21(args) -> int:
     which = args.what
     if which == "emit":
-        datum = emit_datum(args.ell)
+        datum = _sl21_arg(args, emit_datum, args.ell)
         if args.out:
-            save_datum(datum, args.out)
-        doc = {"invocation": args._argv, "ell": args.ell,
-               "index_set_size": len(next(iter(datum.index_sets.values()))),
-               "out": args.out, "exit_code": 0}
+            _file("datum", args.out, save_datum, datum)
+        doc = {"ell": args.ell, "index_set_size": len(next(iter(datum.index_sets.values()))),
+               "out": args.out}
         if not args.out and args.format == "json":
             doc["datum"] = dumps_datum(datum)
-        _emit(doc, args.format,
-              [f"emitted sl(2|1) datum for ell={args.ell} "
-               f"({doc['index_set_size']} simple labels)"
-               + (f" -> {args.out}" if args.out else "")])
-        return 0
+        return _emit(args, doc, [f"emitted sl(2|1) datum for ell={args.ell} "
+                                 f"({doc['index_set_size']} simple labels)"
+                                 + (f" -> {args.out}" if args.out else "")])
     if which == "relations":
         if args.k is None:
             raise _CliError("sl21 relations requires --k")
-        conv = args.convention or select_convention(args.ell)
-        rep = build_Ak(args.k, args.ell, conv)
-        verdict = check_relations(rep)
+        conv = args.convention or _sl21_arg(args, select_convention, args.ell)
+        verdict = check_relations(_sl21_arg(args, build_Ak, args.k, args.ell, conv))
         verdict.notes.insert(0, f"active convention: {conv}"
                              + ("" if args.convention else " (selected at build time)"))
         return _report(args, [verdict])
     if which == "fuse":
         if args.k is None or args.i is None:
             raise _CliError("sl21 fuse requires --k and --i")
-        lab = fuse_A(WeightLabel(k=args.k, shift=args.i), args.ell)
-        doc = {"invocation": args._argv, "ell": args.ell,
-               "input": {"k": args.k, "i": args.i},
+        lab = _sl21_arg(args, fuse_A, WeightLabel(k=args.k, shift=args.i), args.ell)
+        doc = {"ell": args.ell, "input": {"k": args.k, "i": args.i},
                "output": {"k": lab.k, "i": lab.shift, "parity": lab.parity,
-                          "eps_power": lab.eps},
-               "exit_code": 0}
-        _emit(doc, args.format,
-              [f"A (x) V(k={args.k}, i={args.i})  ->  "
-               f"k={lab.k}, i={lab.shift}, parity={'odd' if lab.parity else 'even'}, "
-               f"eps^{lab.eps}"])
-        return 0
-    if which == "rank-bound":
-        rep = rank_bound_analysis(args.ell)
-        doc = {"invocation": args._argv, "exit_code": 0, **rep.to_json()}
-        lines = [f"ell = {rep.ell}: S-matrix size {rep.matrix_size}, "
-                 f"{rep.bound} proportionality classes "
-                 f"(involution fixed-point-free: {rep.fixed_point_free})",
-                 f"row pairing factor: {rep.proportionality_factor}",
-                 f"verdict: {rep.verdict}"]
-        _emit(doc, args.format, lines)
-        return 0
-    raise _CliError(f"unknown sl21 subcommand {which!r}")
+                          "eps_power": lab.eps}}
+        return _emit(args, doc, [
+            f"A (x) V(k={args.k}, i={args.i})  ->  "
+            f"k={lab.k}, i={lab.shift}, parity={'odd' if lab.parity else 'even'}, "
+            f"eps^{lab.eps}"])
+    rep = _sl21_arg(args, rank_bound_analysis, args.ell)
+    return _emit(args, rep.to_json(), [
+        f"ell = {rep.ell}: S-matrix size {rep.matrix_size}, "
+        f"{rep.bound} proportionality classes "
+        f"(involution fixed-point-free: {rep.fixed_point_free})",
+        f"row pairing factor: {rep.proportionality_factor}",
+        f"verdict: {rep.verdict}"])
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +218,15 @@ def _cmd_sl21(args) -> int:
 
 def _closure_datum(args) -> closure_mod.ClosureDatum:
     if args.closure:
-        try:
-            return closure_mod.load_closure(args.closure)
-        except FileNotFoundError:
-            raise _CliError(f"closure file not found: {args.closure}") from None
-        except DatumSchemaError as exc:
-            raise _CliError(f"invalid closure datum: {exc}") from None
+        return _file("closure datum", args.closure, closure_mod.load_closure)
     return closure_mod.toy_closure_datum()
 
 
 def _cmd_closure(args) -> int:
     which = args.what
     if which == "check":
-        datum = _closure_datum(args)
         fn = closure_mod.check_cor1 if args.cor == 1 else closure_mod.check_cor2
-        return _report(args, [fn(datum)])
+        return _report(args, [fn(_closure_datum(args))])
     if which == "certify":
         if args.expr is None:
             raise _CliError("closure certify requires --expr")
@@ -234,35 +234,25 @@ def _cmd_closure(args) -> int:
         try:
             result = closure_mod.certify(datum, args.expr, args.depth)
         except closure_mod.ExprParseError as exc:
-            raise _CliError(f"bad expression: {exc}") from None
+            raise _CliError(f"--expr: bad expression: {exc}") from None
+        except RecursionError:
+            result = closure_mod.CertifyFailure(
+                "depth-exhausted", args.expr, "derivation deeper than the recursion limit")
         if isinstance(result, closure_mod.CertifyFailure):
-            doc = {"invocation": args._argv, "certified": False,
-                   "failure": {"kind": result.kind, "expr": result.expr,
-                               "message": result.message},
-                   "exit_code": CHECK_FAILURE}
-            _emit(doc, args.format,
-                  [f"certification failed ({result.kind}): {result.message}",
-                   f"stuck expression: {result.expr}"])
-            return CHECK_FAILURE
-        doc = {"invocation": args._argv, "certified": True,
-               "certificate": result.to_json(), "exit_code": 0}
-        _emit(doc, args.format,
-              [f"certified: {result.expr}",
-               f"rewrites used: {result.count_rewrites()}"])
-        return 0
-    if which == "emit-toy":
-        datum = closure_mod.toy_closure_datum()
-        if args.out:
-            closure_mod.save_closure(datum, args.out)
-            _emit({"invocation": args._argv, "out": args.out, "exit_code": 0},
-                  args.format, [f"wrote toy closure datum -> {args.out}"])
-        else:
-            _emit({"invocation": args._argv, "datum": closure_mod.dumps_closure(datum),
-                   "exit_code": 0},
-                  args.format,
-                  [json.dumps(closure_mod.dumps_closure(datum), indent=2, sort_keys=True)])
-        return 0
-    raise _CliError(f"unknown closure subcommand {which!r}")
+            return _emit(args, {"certified": False,
+                                "failure": {"kind": result.kind, "expr": result.expr,
+                                            "message": result.message}},
+                         [f"certification failed ({result.kind}): {result.message}",
+                          f"stuck expression: {result.expr}"], CHECK_FAILURE)
+        return _emit(args, {"certified": True, "certificate": result.to_json()},
+                     [f"certified: {result.expr}",
+                      f"rewrites used: {result.count_rewrites()}"])
+    datum = closure_mod.toy_closure_datum()
+    if args.out:
+        _file("closure datum", args.out, closure_mod.save_closure, datum)
+        return _emit(args, {"out": args.out}, [f"wrote toy closure datum -> {args.out}"])
+    doc = closure_mod.dumps_closure(datum)
+    return _emit(args, {"datum": doc}, [json.dumps(doc, indent=2, sort_keys=True)])
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +320,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # pragma: no cover - internal invariant breach

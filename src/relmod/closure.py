@@ -249,7 +249,10 @@ def parse_expr(text: str) -> Expr:
             raise ExprParseError(f"unexpected token {t!r}")
         return Atom(t)
 
-    out = parse_sum()
+    try:
+        out = parse_sum()
+    except RecursionError:
+        raise ExprParseError("expression nested too deeply") from None
     if peek() is not None:
         raise ExprParseError(f"trailing token {peek()!r}")
     return out
@@ -308,7 +311,8 @@ def check_cor1(datum: ClosureDatum) -> Verdict:
             return v
     s_names = sorted(a.name for a in datum.s_atoms())
     for name in s_names + [datum.distinguished]:
-        # n = 0 is required even under a negative bound
+        # n = 0 is required even under a negative bound, which a datum built in
+        # code can carry (the loader rejects one)
         if any(datum.v_coverage(name, n) is None for n in range(max(datum.bound, 0) + 1)):
             v.status = FAILS
             v.witnesses.append(Witness(
@@ -640,10 +644,12 @@ def loads_closure(doc: dict) -> ClosureDatum:
         ProductRule(left=str(_need(r, "left", path)), right=str(_need(r, "right", path)),
                     rhs=rhs)
         for r, path, rhs in _rules(doc, "product_rules"))
+    bound = _field(doc, "bound", 0, int, "$")
+    if bound < 0:
+        raise DatumSchemaError("$.bound", "expected a non-negative integer")
     datum = ClosureDatum(
         atoms=tuple(atoms), distinguished=_field(doc, "distinguished", None, str, "$"),
-        grading=grading, bound=_field(doc, "bound", 0, int, "$"),
-        v_rules=v_rules, product_rules=product_rules)
+        grading=grading, bound=bound, v_rules=v_rules, product_rules=product_rules)
     problems = datum.validate()
     if problems:
         raise DatumSchemaError("$", "; ".join(problems))

@@ -295,12 +295,15 @@ class TranslationSpec:
                 "free-realisation-quantum-dimension", (zero,),
                 "quantum dimension of sigma(0) must be 1"))
         if self.qdim_generators is not None:
-            for i, val in enumerate(self.qdim_generators):
-                if val != one and val != CycScalar.rational(-1, conductor):
-                    out.append(Violation(
-                        "free-realisation-quantum-dimension", ("generator", i),
-                        f"generator quantum dimension must be +1 or -1, got {val}"))
-            for z, val in self.qdim_table:
+            bad_generators = [(i, val) for i, val in enumerate(self.qdim_generators)
+                              if val != one and val != CycScalar.rational(-1, conductor)]
+            for i, val in bad_generators:
+                out.append(Violation(
+                    "free-realisation-quantum-dimension", ("generator", i),
+                    f"generator quantum dimension must be +1 or -1, got {val}"))
+            # a generator off +-1 may have no inverse, so products are compared
+            # only when every generator is +-1
+            for z, val in self.qdim_table if not bad_generators else ():
                 hom = self.quantum_dimension_from_generators(z, conductor)
                 if hom is not None and hom != val:
                     out.append(Violation(
@@ -419,7 +422,9 @@ def validate_datum(datum: ModularDatum) -> list[Violation]:
         if b.col_degree in datum.index_sets and b.matrix.cols != len(datum.index_sets[b.col_degree]):
             out.append(Violation("block-shape", (bi, str(b.col_degree)),
                                  "block column count does not match the column degree's index set"))
-        if b.row_degree == b.col_degree and b.col_degree in datum.dims:
+        # symmetry is checked only on a square diagonal block that its dims fit
+        if b.row_degree == b.col_degree and \
+                b.matrix.rows == b.matrix.cols == len(datum.dims.get(b.col_degree, ())):
             s = b.matrix.scale_columns(list(datum.dims[b.col_degree]))
             if not s.is_symmetric():
                 bad = next((i, j) for i in range(s.rows) for j in range(s.cols)
@@ -550,12 +555,15 @@ def loads_datum(doc: dict) -> ModularDatum:
 
 
 def _read_json(path: str):
-    """The JSON document in a file; invalid JSON is a schema error at "$"."""
+    """The JSON document in a file; text that is not UTF-8 or not valid JSON,
+    or JSON nested too deeply to decode, is a schema error at "$"."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DatumSchemaError("$", f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise DatumSchemaError("$", "JSON nested too deeply") from None
 
 
 def _write_json(doc: dict, path: str) -> None:

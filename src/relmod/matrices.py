@@ -290,7 +290,8 @@ class ExactMatrix:
         Otherwise each non-pivot column j of the reduced form has an F_p
         kernel vector whose support is j and the pivot columns q with a
         nonzero entry in q's row.  Those columns alone are eliminated exactly,
-        and the kernel vector found there is checked by M v = 0.  The vectors
+        and the kernel vector found there is checked by M v = 0, a product over
+        those columns only, since v vanishes off them.  The vectors
         are independent (each is nonzero at its own non-pivot column only), so
         the rank is at most r, hence exactly r.
         """
@@ -337,12 +338,12 @@ class ExactMatrix:
             ech, sub_piv, _ = sub._bareiss()
             if len(sub_piv) != len(cols) - 1:
                 return None
-            vec = [zero] * self.cols
-            for c, x in zip(cols, sub._kernel_vector(ech, sub_piv)):
-                vec[c] = x
-            product = self @ ExactMatrix(self.cols, 1, self.conductor, vec)
-            if any(not e.is_zero for e in product.entries):
+            kv = ExactMatrix(len(cols), 1, self.conductor, sub._kernel_vector(ech, sub_piv))
+            if any(not e.is_zero for e in (sub @ kv).entries):
                 return None
+            vec = [zero] * self.cols
+            for c, x in zip(cols, kv.entries):
+                vec[c] = x
             kernel.append(vec)
         return rank, kernel
 

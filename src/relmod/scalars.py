@@ -607,5 +607,13 @@ class _Parser:
 
 
 def parse_scalar(text: str, conductor: int) -> CycScalar:
-    """Parse the scalar grammar: rationals, z{m}^k, variables, * + - ( )."""
-    return _Parser(text, conductor).parse()
+    """Parse the scalar grammar: rationals, z{m}^k, variables, * + - ( ).
+
+    A literal that divides by zero, inverts a non-unit or nests too deeply
+    is malformed too: each raises ScalarParseError."""
+    try:
+        return _Parser(text, conductor).parse()
+    except (ZeroDivisionError, InexactDivision) as exc:
+        raise ScalarParseError(f"cannot evaluate {text!r}: {exc}") from None
+    except RecursionError:
+        raise ScalarParseError("literal nested too deeply") from None

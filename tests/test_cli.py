@@ -10,6 +10,7 @@ import pytest
 import conftest
 import relmod
 from relmod.cli import main
+from relmod.closure import dumps_closure, toy_closure_datum
 from relmod.datum import SBlock, save_datum
 from relmod.matrices import ExactMatrix
 from relmod.sl21 import emit_datum
@@ -461,3 +462,155 @@ class TestPinnedReports:
             code, out, _ = run(capsys, *argv)
             digest.update((json.dumps([argv, code, out]) + "\n").encode())
         assert digest.hexdigest() == PINNED_REPORTS_SHA256
+
+
+# SHA-256 over (argv, exit code, stdout) of every invocation in
+# `_pinned_commands`, one JSON line each, followed by the bytes of any file an
+# `--out` invocation wrote.  It pins the reports of the sl21 and closure
+# subcommands that `PINNED_REPORTS_SHA256` does not reach.
+PINNED_COMMANDS_SHA256 = "5a0438d400a32ee7077c94f7487d2907b1ef64b1a026177ca042b22214d1d7c1"
+
+
+def _pinned_commands():
+    for fmt in ("json", "text"):
+        tail = ["--format", fmt]
+        yield ["sl21", "emit", "--ell", "3", *tail]
+        yield ["sl21", "emit", "--ell", "3", "--out", f"emit-{fmt}.json", *tail]
+        yield ["sl21", "relations", "--ell", "5", "--k", "2", *tail]
+        yield ["sl21", "relations", "--ell", "5", "--k", "2", "--convention", "paper", *tail]
+        yield ["sl21", "relations", "--ell", "3", "--k", "1", "--convention", "corrected", *tail]
+        yield ["sl21", "fuse", "--ell", "5", "--k", "3", "--i", "2", *tail]
+        yield ["sl21", "fuse", "--ell", "7", "--k", "0", "--i", "-3", *tail]
+        yield ["sl21", "rank-bound", "--ell", "5", *tail]
+        yield ["closure", "check", "--cor", "1", *tail]
+        yield ["closure", "check", "--cor", "2", *tail]
+        yield ["closure", "emit-toy", *tail]
+        yield ["closure", "emit-toy", "--out", f"toy-{fmt}.json", *tail]
+        yield ["closure", "check", "--cor", "2", "--closure", f"toy-{fmt}.json", *tail]
+        yield ["closure", "certify", "--expr", "a*b*a", "--depth", "0", *tail]
+        yield ["closure", "certify", "--expr", "a*c", *tail]
+
+
+class TestPinnedCommands:
+    def test_sl21_and_closure_reports_are_pinned(self, capsys, tmp_path, monkeypatch):
+        import hashlib
+        monkeypatch.chdir(tmp_path)
+        digest = hashlib.sha256()
+        for argv in _pinned_commands():
+            code, out, _ = run(capsys, *argv)
+            digest.update((json.dumps([argv, code, out]) + "\n").encode())
+            if "--out" in argv:
+                digest.update((tmp_path / argv[argv.index("--out") + 1]).read_bytes())
+        assert digest.hexdigest() == PINNED_COMMANDS_SHA256
+
+
+def _two_label_doc(**edits):
+    """identity_datum_doc on two labels with a 2x2 identity block, then edits."""
+    doc = identity_datum_doc()
+    doc.update(index_sets={"0": ["0", "1"]}, dims={"0": ["1", "1"]},
+               twists={"0": ["1", "1"]}, dual_involution={"0": [0, 1]})
+    doc["sprime"][0]["entries"] = [["1", "0"], ["0", "1"]]
+    doc.update(edits)
+    return doc
+
+
+def _generator_doc(value):
+    """An infinite cyclic translation factor with generator quantum dimension
+    `value`, and a table entry at the generator's inverse."""
+    doc = identity_datum_doc()
+    doc["translation"] = {"cyclic_factors": [0], "quantum_dimension": {
+        "generator_values": [value], "table": [{"element": [-1], "value": "1"}]}}
+    return doc
+
+
+def _dims_doc(literal):
+    doc = identity_datum_doc()
+    doc["dims"] = {"0": [literal]}
+    return doc
+
+
+# Each probe is (argv, file contents by name, expected stderr fragment).  A
+# name in argv that is a key of the contents is replaced by the path of a file
+# holding them (bytes as they are, anything else as JSON); "DIR" is a
+# directory and "MISSING/" a directory that does not exist.
+_BAD_INPUT_PROBES = {
+    "datum-is-a-directory": (["check", "premodular", "--datum", "DIR"], {}, "DIR"),
+    "closure-is-a-directory": (["closure", "check", "--closure", "DIR"], {}, "DIR"),
+    "sl21-emit-unwritable-out": (["sl21", "emit", "--ell", "3", "--out", "MISSING/d.json"],
+                                 {}, "cannot write"),
+    "emit-toy-unwritable-out": (["closure", "emit-toy", "--out", "MISSING/c.json"],
+                                {}, "cannot write"),
+    "degree-division-by-zero": (["check", "nondeg", "--g", "1/0", "--datum", "ok.json"],
+                                {"ok.json": identity_datum_doc()}, "--g"),
+    "literal-division-by-zero": (["check", "premodular", "--datum", "d.json"],
+                                 {"d.json": _dims_doc("1/0")}, "dims.0[0]"),
+    "literal-zero-inverse": (["check", "premodular", "--datum", "d.json"],
+                             {"d.json": _dims_doc("0^-1")}, "dims.0[0]"),
+    "literal-non-unit-inverse": (["check", "premodular", "--datum", "d.json"],
+                                 {"d.json": _dims_doc("(1+u)^-1")}, "dims.0[0]"),
+    "json-nested-too-deep": (["check", "premodular", "--datum", "d.json"],
+                             {"d.json": b"[" * 100_000 + b"]" * 100_000},
+                             "$: JSON nested too deeply"),
+    "literal-nested-too-deep": (["check", "premodular", "--datum", "d.json"],
+                                {"d.json": _dims_doc("(" * 2000 + "1" + ")" * 2000)},
+                                "dims.0[0]"),
+    "expr-nested-too-deep": (["closure", "certify", "--expr", "(" * 3000 + "a" + ")" * 3000],
+                             {}, "--expr"),
+    "block-missing-a-row": (["check", "premodular", "--datum", "d.json"],
+                            {"d.json": _two_label_doc(sprime=[{
+                                "row_degree": {}, "col_degree": {},
+                                "entries": [["1", "0"]]}])},
+                            "[block-shape]"),
+    "block-missing-a-column": (["check", "premodular", "--datum", "d.json"],
+                               {"d.json": _two_label_doc(sprime=[{
+                                   "row_degree": {}, "col_degree": {},
+                                   "entries": [["1"], ["0"]]}])},
+                               "[block-shape]"),
+    "dims-one-label-short": (["check", "premodular", "--datum", "d.json"],
+                             {"d.json": _two_label_doc(dims={"0": ["1"]})}, "[dims-aligned]"),
+    "generator-zero": (["check", "premodular", "--datum", "d.json"],
+                       {"d.json": _generator_doc("0")}, "('generator', 0)"),
+    "generator-non-unit": (["check", "premodular", "--datum", "d.json"],
+                           {"d.json": _generator_doc("1+u")}, "('generator', 0)"),
+    "non-utf8-file": (["check", "premodular", "--datum", "d.json"],
+                      {"d.json": b"\xff\xfe{}"}, "$: not valid JSON"),
+    "negative-closure-bound": (["closure", "check", "--closure", "c.json"],
+                               {"c.json": dict(dumps_closure(toy_closure_datum()), bound=-1)},
+                               "$.bound"),
+}
+
+
+def _probe_argv(tmp_path, argv, files):
+    (tmp_path / "DIR").mkdir()
+    out = []
+    for tok in argv:
+        if tok in files:
+            body = files[tok]
+            p = tmp_path / tok
+            p.write_bytes(body if isinstance(body, bytes) else json.dumps(body).encode())
+            tok = str(p)
+        elif tok == "DIR" or tok.startswith("MISSING/"):
+            tok = str(tmp_path / tok)
+        out.append(tok)
+    return out
+
+
+class TestBadInputIsUsageError:
+    @pytest.mark.parametrize("name", sorted(_BAD_INPUT_PROBES))
+    def test_probe_exits_2_with_a_path(self, capsys, tmp_path, name):
+        argv, files, fragment = _BAD_INPUT_PROBES[name]
+        code, out, err = run(capsys, *_probe_argv(tmp_path, argv, files))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "internal error" not in err
+        assert fragment in err
+        if fragment in ("DIR", "cannot write"):
+            assert str(tmp_path) in err and "not found" not in err
+
+    def test_derivation_deeper_than_the_stack_is_depth_exhausted(self, capsys):
+        word = "*".join(["a"] * 400)
+        code, out, err = run(capsys, "closure", "certify", "--expr", word,
+                             "--depth", "1000", "--format", "json")
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["certified"] is False and doc["exit_code"] == 1
+        assert doc["failure"]["kind"] == "depth-exhausted"

@@ -31,7 +31,7 @@ from relmod.closure import (
     toy_closure_datum,
     toy_expressions,
 )
-from relmod.datum import Degree, GradingSpec, SmallSubset
+from relmod.datum import DatumSchemaError, Degree, GradingSpec, SmallSubset
 from relmod.verdicts import DATA_ABSENT, FAILS, HOLDS
 
 
@@ -57,6 +57,10 @@ class TestParsing:
         for text in ("a *", "retract a", "(a", "a + + b", "a$b"):
             with pytest.raises(ExprParseError):
                 parse_expr(text)
+
+    def test_nesting_past_the_recursion_limit_is_a_parse_error(self):
+        with pytest.raises(ExprParseError, match="nested too deeply"):
+            parse_expr("(" * 3000 + "a" + ")" * 3000)
 
 
 class TestCor1:
@@ -391,3 +395,9 @@ class TestSerialization:
         bad = dataclasses.replace(toy, product_rules=toy.product_rules + (
             ProductRule("a", "a", (Term("ghost", 0),)),))
         assert any("ghost" in p for p in bad.validate())
+
+    def test_negative_bound_is_rejected_on_load(self):
+        doc = dict(dumps_closure(toy_closure_datum()), bound=-1)
+        with pytest.raises(DatumSchemaError) as ei:
+            loads_closure(doc)
+        assert ei.value.path == "$.bound"

@@ -119,6 +119,60 @@ class TestLoader:
             assert p.read_bytes() == q.read_bytes()
 
 
+def _two_labels(doc, **edits):
+    doc["index_sets"]["0"] = ["0", "1"]
+    doc["dims"]["0"] = ["1", "1"]
+    doc["twists"]["0"] = ["1", "1"]
+    doc["sprime"][0]["entries"] = [["1", "0"], ["0", "1"]]
+    for key, value in edits.items():
+        doc[key]["0"] = value
+    return doc
+
+
+def _one_row_block(doc):
+    _two_labels(doc)["sprime"][0]["entries"] = [["1", "0"]]
+
+
+def _one_column_block(doc):
+    _two_labels(doc)["sprime"][0]["entries"] = [["1"], ["0"]]
+
+
+class TestInvariantsOnLoad:
+    @pytest.mark.parametrize("edit, invariant, message", [
+        (lambda doc: doc["degrees"].append({"alpha": 2}), "index-set-present",
+         "listed degree has no index set"),
+        (lambda doc: doc.update(dims={}), "dims-present", "listed degree has no dims"),
+        (lambda doc: doc.update(twists={}), "twists-present", "listed degree has no twists"),
+        (lambda doc: _two_labels(doc, dims=["1"]), "dims-aligned",
+         "dims length 1 != index set size 2"),
+        (lambda doc: doc["dims"].update({"0": ["0"]}), "dims-nonzero",
+         "modified dimension must be nonzero"),
+        (lambda doc: doc["twists"].update({"0": ["1+u"]}), "twists-invertible",
+         "twist 1 + u is not invertible"),
+        (_one_row_block, "block-shape",
+         "block row count does not match the row degree's index set"),
+        (_one_column_block, "block-shape",
+         "block column count does not match the column degree's index set"),
+        (lambda doc: doc.update(dual_involution={"0": [1]}), "dual-involution",
+         "dual involution must be a permutation of the index set"),
+        (lambda doc: doc["translation"]["psi"].append(
+            {"degree": {"alpha": 1}, "element": [], "value": "0"}), "psi-nonzero",
+         "psi values must be nonzero"),
+    ], ids=["index-set-present", "dims-present", "twists-present", "dims-aligned",
+            "dims-nonzero", "twists-invertible", "block-shape-rows", "block-shape-columns",
+            "dual-involution", "psi-nonzero"])
+    def test_violation_is_reported_by_the_file_loader(self, tmp_path, edit, invariant,
+                                                      message):
+        doc = minimal_doc()
+        edit(doc)
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DatumInvariantError) as ei:
+            load_datum(str(p))
+        assert any(v.invariant == invariant and message in v.message
+                   for v in ei.value.violations)
+
+
 class TestModifiedS:
     def test_identity_with_unit_dims(self):
         d = loads_datum(minimal_doc())

@@ -318,6 +318,14 @@ class TestParsing:
         with pytest.raises(ScalarParseError):
             parse_scalar("(1", 5)
 
+    @pytest.mark.parametrize("text", ["1/0", "0^-1", "(1+u)^-1",
+                                      "(" * 2000 + "1" + ")" * 2000],
+                             ids=["division-by-zero", "zero-inverse", "non-unit-inverse",
+                                  "nested-too-deep"])
+    def test_literal_that_cannot_be_evaluated_is_a_parse_error(self, text):
+        with pytest.raises(ScalarParseError):
+            parse_scalar(text, 5)
+
     def test_conductor_mixing_rejected(self):
         with pytest.raises(ValueError):
             CycScalar.one(3) + CycScalar.one(5)
