@@ -29,6 +29,7 @@ from .sl21 import (
     check_relations,
     emit_datum,
     fuse_A,
+    ParameterError,
     rank_bound_analysis,
     select_convention,
     WeightLabel,
@@ -161,11 +162,11 @@ def _run_all(datum: ModularDatum) -> list[Verdict]:
 
 def _sl21_arg(args, fn, *values):
     """fn(*values): an sl21 constructor, which validates --ell, --k and --i.
-    The ValueError it raises on a value out of range is a usage error that
-    names the values given."""
+    The ParameterError it raises on a value out of range is a usage error
+    that names the values given."""
     try:
         return fn(*values)
-    except ValueError as exc:
+    except ParameterError as exc:
         given = " ".join(f"--{flag} {getattr(args, flag)}" for flag in ("ell", "k", "i")
                          if getattr(args, flag) is not None)
         raise _CliError(f"{given}: {exc}") from None
@@ -235,9 +236,6 @@ def _cmd_closure(args) -> int:
             result = closure_mod.certify(datum, args.expr, args.depth)
         except closure_mod.ExprParseError as exc:
             raise _CliError(f"--expr: bad expression: {exc}") from None
-        except RecursionError:
-            result = closure_mod.CertifyFailure(
-                "depth-exhausted", args.expr, "derivation deeper than the recursion limit")
         if isinstance(result, closure_mod.CertifyFailure):
             return _emit(args, {"certified": False,
                                 "failure": {"kind": result.kind, "expr": result.expr,

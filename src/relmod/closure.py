@@ -449,23 +449,33 @@ def certify(datum: ClosureDatum, expr: Expr | str, depth: int):
     """Build a replayable strong-decomposition certificate, or report failure.
 
     Rewrites are bounded by ``depth``; exhaustion is reported distinctly from
-    a genuinely missing rule.
+    a genuinely missing rule.  A derivation deeper than the interpreter's
+    stack exhausts it too: it is a depth-exhausted failure on the whole
+    expression.
     """
     if isinstance(expr, str):
         expr = parse_expr(expr)
+    try:
+        return _derive(datum, expr, depth)
+    except RecursionError:
+        return CertifyFailure("depth-exhausted", expr_to_str(expr),
+                              "derivation deeper than the recursion limit")
+
+
+def _derive(datum: ClosureDatum, expr: Expr, depth: int):
     text = expr_to_str(expr)
 
     if isinstance(expr, Sum):
         node = Certificate("direct-sum", text, RETRACT_LEMMA)
         for t in expr.terms:
-            sub = certify(datum, t, depth)
+            sub = _derive(datum, t, depth)
             if isinstance(sub, CertifyFailure):
                 return sub
             node.children.append(sub)
         return node
 
     if isinstance(expr, Retract):
-        sub = certify(datum, expr.inner, depth)
+        sub = _derive(datum, expr.inner, depth)
         if isinstance(sub, CertifyFailure):
             return sub
         return Certificate("retract", text, RETRACT_LEMMA, children=[sub])
@@ -487,7 +497,7 @@ def certify(datum: ClosureDatum, expr: Expr | str, depth: int):
         if isinstance(f, Sum):
             expanded = Sum(tuple(
                 Tensor(tuple(flat[:i] + [t] + flat[i + 1:])) for t in f.terms))
-            sub = certify(datum, expanded, depth)
+            sub = _derive(datum, expanded, depth)
             if isinstance(sub, CertifyFailure):
                 return sub
             return Certificate("distribute", text,
@@ -495,7 +505,7 @@ def certify(datum: ClosureDatum, expr: Expr | str, depth: int):
                                children=[sub])
     if any(isinstance(f, Retract) for f in flat):
         inner = Tensor(tuple(f.inner if isinstance(f, Retract) else f for f in flat))
-        sub = certify(datum, Retract(inner), depth)
+        sub = _derive(datum, Retract(inner), depth)
         if isinstance(sub, CertifyFailure):
             return sub
         return Certificate("retract-absorb", text,
@@ -519,7 +529,7 @@ def certify(datum: ClosureDatum, expr: Expr | str, depth: int):
                 return Certificate("atom", text, "strong decomposition asserted on the atom")
             return CertifyFailure("stuck", text, "distinguished atom not flagged")
         if n == 0:
-            return certify(datum, Atom(base), depth)
+            return _derive(datum, Atom(base), depth)
         rule = datum.v_coverage(base, n)
         if rule is None:
             return CertifyFailure(
@@ -532,7 +542,7 @@ def certify(datum: ClosureDatum, expr: Expr | str, depth: int):
                 + ("for all n (family rule)" if rule.n is None else f"at n = {rule.n}"))
         if depth <= 0:
             return CertifyFailure("depth-exhausted", text, "rewrite depth exhausted")
-        sub = certify(datum, _rewrite(datum, rule.rhs), depth - 1)
+        sub = _derive(datum, _rewrite(datum, rule.rhs), depth - 1)
         if isinstance(sub, CertifyFailure):
             return sub
         return Certificate("tensor-rewrite", text,
@@ -545,7 +555,7 @@ def certify(datum: ClosureDatum, expr: Expr | str, depth: int):
     if rule is None:
         return CertifyFailure("stuck", text,
                               f"no decomposition rule for the pair ({word[0]}, {word[1]})")
-    sub = certify(datum, _rewrite(datum, rule.rhs, word[2:], vpow), depth - 1)
+    sub = _derive(datum, _rewrite(datum, rule.rhs, word[2:], vpow), depth - 1)
     if isinstance(sub, CertifyFailure):
         return sub
     return Certificate("tensor-rewrite", text,

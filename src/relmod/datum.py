@@ -555,12 +555,13 @@ def loads_datum(doc: dict) -> ModularDatum:
 
 
 def _read_json(path: str):
-    """The JSON document in a file; text that is not UTF-8 or not valid JSON,
-    or JSON nested too deeply to decode, is a schema error at "$"."""
+    """The JSON document in a file; text that is not UTF-8 or not valid JSON
+    (a ValueError, as is an integer too long to convert), or JSON nested too
+    deeply to decode, is a schema error at "$"."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:
             raise DatumSchemaError("$", f"not valid JSON: {exc}") from None
         except RecursionError:
             raise DatumSchemaError("$", "JSON nested too deeply") from None

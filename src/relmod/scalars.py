@@ -541,6 +541,13 @@ class _Parser:
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
+    def number(self, kind, digits: str):
+        """kind(digits); a numeral too long for int() to convert is malformed."""
+        try:
+            return kind(digits)
+        except ValueError:
+            raise ScalarParseError(f"numeral of {len(digits)} characters is too long") from None
+
     def take(self):
         t = self.peek()
         self.i += 1
@@ -582,7 +589,7 @@ class _Parser:
             tok = self.take()
             if tok is None or not tok.isdigit():
                 raise ScalarParseError(f"bad exponent in {self.text!r}")
-            v = v ** (esign * int(tok))
+            v = v ** (esign * self.number(int, tok))
         return -v if neg else v
 
     def atom(self) -> CycScalar:
@@ -595,10 +602,10 @@ class _Parser:
                 raise ScalarParseError(f"unbalanced parentheses in {self.text!r}")
             return v
         if tok[0].isdigit():
-            return CycScalar.rational(Fraction(tok), self.conductor)
+            return CycScalar.rational(self.number(Fraction, tok), self.conductor)
         mo = _ZETA_RE.match(tok)
         if mo:
-            m = int(mo.group(1))
+            m = self.number(int, mo.group(1))
             if m != self.conductor:
                 raise ScalarParseError(
                     f"root of unity z{m} does not match conductor {self.conductor}")
@@ -609,8 +616,9 @@ class _Parser:
 def parse_scalar(text: str, conductor: int) -> CycScalar:
     """Parse the scalar grammar: rationals, z{m}^k, variables, * + - ( ).
 
-    A literal that divides by zero, inverts a non-unit or nests too deeply
-    is malformed too: each raises ScalarParseError."""
+    A literal that divides by zero, inverts a non-unit, nests too deeply or
+    holds a numeral too long to convert is malformed too: each raises
+    ScalarParseError."""
     try:
         return _Parser(text, conductor).parse()
     except (ZeroDivisionError, InexactDivision) as exc:

@@ -17,6 +17,7 @@ from .characters import (
     closed_form_Ak,
     decompose_typical,
     DecompositionError,
+    ParameterError,
     fuse_A,
     standard_module_character,
     typical_character,
@@ -26,6 +27,7 @@ from .datum_gen import emit_datum, rank_bound_analysis
 __all__ = [
     "CharacterExpr",
     "DecompositionError",
+    "ParameterError",
     "WeightLabel",
     "WeightModuleRep",
     "XYLaurent",

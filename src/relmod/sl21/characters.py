@@ -25,6 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+class ParameterError(ValueError):
+    """ell, a height k or a convention outside the range a construction is
+    defined on.  The one error the constructors raise for their arguments."""
+
+
+def require_odd_ell(ell: int) -> None:
+    if ell < 3 or ell % 2 == 0:
+        raise ParameterError(f"ell must be odd and >= 3, got {ell}")
+
+
 class DecompositionError(ValueError):
     """Peeling did not terminate at zero; .residual holds what was left."""
 
@@ -266,8 +276,9 @@ def fuse_A(label: WeightLabel, ell: int) -> WeightLabel:
     map twice returns (k, i) with parity restored and epsilon raised by one,
     the translation by the H2-by-ell one-dimensional module.
     """
+    require_odd_ell(ell)
     if not 0 <= label.k <= ell - 2:
-        raise ValueError(f"height {label.k} out of range 0..ell-2 (negligible input?)")
+        raise ParameterError(f"height {label.k} out of range 0..ell-2 (negligible input?)")
     shift = label.shift + label.k + 1
     return WeightLabel(k=ell - 2 - label.k, shift=shift % ell,
                        parity=(label.parity + 1) % 2,

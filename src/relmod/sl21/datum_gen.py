@@ -34,7 +34,7 @@ from ..datum import (
 )
 from ..matrices import ExactMatrix
 from ..scalars import CycScalar
-from .characters import WeightLabel, fuse_A
+from .characters import WeightLabel, fuse_A, require_odd_ell
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,7 @@ def _involution(k: int, i: int, ell: int) -> tuple[int, int]:
 
 def rank_bound_analysis(ell: int) -> RankBoundReport:
     """Orbits of the fusion involution on labels, and the resulting rank bound."""
-    if ell < 3 or ell % 2 == 0:
-        raise ValueError(f"ell must be odd and >= 3, got {ell}")
+    require_odd_ell(ell)
     labels = [(k, i) for k in range(ell - 1) for i in range(ell)]
     fixed_point_free = True
     seen: set[tuple[int, int]] = set()

@@ -28,6 +28,7 @@ from functools import lru_cache
 from ..matrices import ExactMatrix
 from ..scalars import CycScalar, quantum_integer
 from ..verdicts import FAILS, HOLDS, Verdict, Witness
+from .characters import ParameterError, require_odd_ell
 
 CARTAN = ((2, -1), (-1, 0))
 CONVENTIONS = ("paper", "corrected")
@@ -67,12 +68,11 @@ class WeightModuleRep:
 
 def build_Ak(k: int, ell: int, convention: str = "corrected") -> WeightModuleRep:
     """The deformation A_k of the super-symmetric power, as explicit matrices."""
-    if ell < 3 or ell % 2 == 0:
-        raise ValueError(f"ell must be odd and >= 3, got {ell}")
+    require_odd_ell(ell)
     if not 1 <= k <= ell - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= ell-1, got k={k}")
+        raise ParameterError(f"k must satisfy 1 <= k <= ell-1, got k={k}")
     if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
+        raise ParameterError(f"unknown convention {convention!r}")
     labels = [(0, i) for i in range(k + 1)] + [(1, i) for i in range(k)]
     index = {lab: n for n, lab in enumerate(labels)}
     dim = len(labels)

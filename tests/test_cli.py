@@ -540,6 +540,8 @@ _BAD_INPUT_PROBES = {
                                  {}, "cannot write"),
     "emit-toy-unwritable-out": (["closure", "emit-toy", "--out", "MISSING/c.json"],
                                 {}, "cannot write"),
+    "fuse-at-even-ell": (["sl21", "fuse", "--ell", "4", "--k", "0", "--i", "0"], {},
+                         "--ell 4 --k 0 --i 0: ell must be odd"),
     "degree-division-by-zero": (["check", "nondeg", "--g", "1/0", "--datum", "ok.json"],
                                 {"ok.json": identity_datum_doc()}, "--g"),
     "literal-division-by-zero": (["check", "premodular", "--datum", "d.json"],
@@ -574,6 +576,11 @@ _BAD_INPUT_PROBES = {
                            {"d.json": _generator_doc("1+u")}, "('generator', 0)"),
     "non-utf8-file": (["check", "premodular", "--datum", "d.json"],
                       {"d.json": b"\xff\xfe{}"}, "$: not valid JSON"),
+    "literal-numeral-too-long": (["check", "premodular", "--datum", "d.json"],
+                                 {"d.json": _dims_doc("1" * 5000)}, "dims.0[0]"),
+    "json-integer-too-long": (["closure", "check", "--closure", "c.json"],
+                              {"c.json": b'{"bound": ' + b"1" * 5000 + b"}"},
+                              "$: not valid JSON"),
     "negative-closure-bound": (["closure", "check", "--closure", "c.json"],
                                {"c.json": dict(dumps_closure(toy_closure_datum()), bound=-1)},
                                "$.bound"),
@@ -605,6 +612,14 @@ class TestBadInputIsUsageError:
         assert fragment in err
         if fragment in ("DIR", "cannot write"):
             assert str(tmp_path) in err and "not found" not in err
+
+    def test_other_value_error_in_sl21_code_is_internal(self, capsys, monkeypatch):
+        def broken(ell):
+            raise ValueError("shape mismatch")
+        monkeypatch.setattr(relmod.cli, "emit_datum", broken)
+        code, out, err = run(capsys, "sl21", "emit", "--ell", "5")
+        assert (code, out) == (3, "")
+        assert err == "internal error: ValueError: shape mismatch\n"
 
     def test_derivation_deeper_than_the_stack_is_depth_exhausted(self, capsys):
         word = "*".join(["a"] * 400)

@@ -261,6 +261,13 @@ class TestCertify:
         f = certify(toy_closure_datum(), "a*a*a", depth=1)
         assert isinstance(f, CertifyFailure) and f.kind == "depth-exhausted"
 
+    def test_derivation_deeper_than_the_stack_is_depth_exhausted(self):
+        word = "*".join(["a"] * 400)
+        f = certify(toy_closure_datum(), word, depth=1000)
+        assert isinstance(f, CertifyFailure) and f.kind == "depth-exhausted"
+        assert f.expr == expr_to_str(parse_expr(word))
+        assert f.message == "derivation deeper than the recursion limit"
+
     def test_replay_rejects_tampered_certificate(self):
         toy = toy_closure_datum()
         c = certify(toy, "a*a", depth=4)

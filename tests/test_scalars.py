@@ -319,9 +319,11 @@ class TestParsing:
             parse_scalar("(1", 5)
 
     @pytest.mark.parametrize("text", ["1/0", "0^-1", "(1+u)^-1",
-                                      "(" * 2000 + "1" + ")" * 2000],
+                                      "(" * 2000 + "1" + ")" * 2000,
+                                      "9" * 5000, "u^" + "9" * 5000, "z" + "9" * 5000],
                              ids=["division-by-zero", "zero-inverse", "non-unit-inverse",
-                                  "nested-too-deep"])
+                                  "nested-too-deep", "numeral-too-long",
+                                  "exponent-too-long", "root-order-too-long"])
     def test_literal_that_cannot_be_evaluated_is_a_parse_error(self, text):
         with pytest.raises(ScalarParseError):
             parse_scalar(text, 5)

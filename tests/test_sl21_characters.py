@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from relmod.sl21 import (
     CharacterExpr,
     DecompositionError,
+    ParameterError,
     WeightLabel,
     build_Ak,
     character_of_label,
@@ -172,6 +173,11 @@ class TestFuseA:
     def test_negligible_input_rejected(self):
         with pytest.raises(ValueError):
             fuse_A(WeightLabel(k=4, shift=0), 5)
+
+    @pytest.mark.parametrize("ell", [1, 4])
+    def test_ell_out_of_range_rejected(self, ell):
+        with pytest.raises(ParameterError, match="ell must be odd"):
+            fuse_A(WeightLabel(k=0, shift=0), ell)
 
 
 class TestCharacterAlgebra:
