@@ -168,10 +168,6 @@ class ExactMatrix:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows, self.conductor,
-                           [self[i, j] for j in range(self.cols) for i in range(self.rows)])
-
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")

@@ -17,6 +17,25 @@ norm, and the last inverses are kept in a cache of fixed size (Bareiss
 elimination divides many entries by one pivot).  Powers of a one-term scalar
 scale its exponents, for either sign.
 
+A coefficient is a Python ``int`` while it is integral and a ``Fraction``
+only where a division made it one: the inverse 1/c of a one-term divisor,
+the division by the norm in the field inverse, a one-term power with a
+negative exponent, and numerals such as ``3/2``.  Each of those sites goes
+through ``Fraction`` (an ``int`` there would turn into a float), and a quotient
+that comes out integral is stored as an ``int`` again.  ``2`` and
+``Fraction(2)`` have the same ``==``, ``hash`` and ``str``, so the two are
+interchangeable everywhere; the ``int`` only saves the gcds of ``Fraction``
+arithmetic on the +-1 coefficients that make up the sl(2|1) data.
+
+A product of two one-term scalars is built as its single key
+(zeta power mod m, variable key) directly, and reduced modulo Phi_m only when
+that zeta power is not below deg Phi_m; ``_canon`` serves every product with
+more terms.  The literal grammar collects a product of one-term factors such
+as ``-u^-2*s0_1*d1_2^-1`` into one coefficient, zeta power and exponent map,
+and multiplies out only its factors with several terms.  Before it expands a
+power of a sum, it bounds the result's term count and rejects the literal
+when that bound is over ``MAX_POWER_TERMS``.
+
 All operations are pure; instances are immutable once constructed.
 """
 
@@ -100,6 +119,7 @@ def _zeta_reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
 def _degree(m: int) -> int:
     return len(cyclotomic_coeffs(m)) - 1
 
@@ -112,17 +132,29 @@ def _degree(m: int) -> int:
 # tuple of (name, nonzero exponent) pairs.
 VarKey = tuple[tuple[str, int], ...]
 Key = tuple[int, VarKey]
+# A coefficient: an int while it is integral, else a Fraction.
+Coeff = int | Fraction
 
 
-def _canon(m: int, terms) -> dict[Key, Fraction]:
-    """Sum terms ((zeta power, variable key), Fraction) into canonical form.
+def _quo(a: Coeff, b: Coeff) -> Coeff:
+    """a / b through Fraction, never a float; an int when it is integral."""
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _canon(m: int, terms) -> dict[Key, Coeff]:
+    """Sum terms ((zeta power, variable key), coefficient) into canonical form.
 
     Zeta powers are reduced modulo Phi_m and zero coefficients dropped.  The
     variable keys must already be canonical (sorted, no zero exponent).
     """
     deg = _degree(m)
     rows = _zeta_reduction_rows(m)
-    out: dict[Key, Fraction] = {}
+    out: dict[Key, Coeff] = {}
     for (zp, vk), c in terms:
         zp %= m
         if zp < deg:
@@ -136,13 +168,13 @@ def _canon(m: int, terms) -> dict[Key, Fraction]:
     return {k: v for k, v in out.items() if v}
 
 
-def _zmul(m: int, a: dict[Key, Fraction], b: dict[Key, Fraction]) -> dict[Key, Fraction]:
+def _zmul(m: int, a: dict[Key, Coeff], b: dict[Key, Coeff]) -> dict[Key, Coeff]:
     """Product of two variable-free coefficient dicts."""
     return _canon(m, (((za + zb, ()), ca * cb)
                       for (za, _), ca in a.items() for (zb, _), cb in b.items()))
 
 
-def _zinv(m: int, a: dict[int, Fraction]) -> dict[int, Fraction]:
+def _zinv(m: int, a: dict[int, Coeff]) -> dict[int, Coeff]:
     """Inverse in Q(zeta_m) by the norm: a^-1 = prod_{k != 1} sigma_k(a) / N(a).
 
     sigma_k sends zeta_m to zeta_m^k for k prime to m, and the product of all
@@ -152,7 +184,7 @@ def _zinv(m: int, a: dict[int, Fraction]) -> dict[int, Fraction]:
     if not a:
         raise ZeroDivisionError("inverse of zero cyclotomic element")
     elem = {(zp, ()): c for zp, c in a.items()}
-    cofactor = {(0, ()): Fraction(1)}
+    cofactor = {(0, ()): 1}
     for k in range(2, m):
         if gcd(k, m) == 1:
             conj = _canon(m, (((zp * k, ()), c) for (zp, _), c in elem.items()))
@@ -161,17 +193,17 @@ def _zinv(m: int, a: dict[int, Fraction]) -> dict[int, Fraction]:
     if list(norm) != [(0, ())]:
         raise ArithmeticError("cyclotomic norm not rational; conductor data corrupt")
     n = norm[(0, ())]
-    return {zp: c / n for (zp, _), c in sorted(cofactor.items())}
+    return {zp: _quo(c, n) for (zp, _), c in sorted(cofactor.items())}
 
 
 @lru_cache(maxsize=128)
-def _cached_zinv(m: int, items: tuple[tuple[int, Fraction], ...]) -> tuple[tuple[int, Fraction], ...]:
+def _cached_zinv(m: int, items: tuple[tuple[int, Coeff], ...]) -> tuple[tuple[int, Coeff], ...]:
     # Keyed on the sorted (zeta power, coefficient) items; the result is a
     # tuple because every caller shares it.
     return tuple(_zinv(m, dict(items)).items())
 
 
-def _field_inverse(m: int, a: dict[Key, Fraction]) -> dict[Key, Fraction]:
+def _field_inverse(m: int, a: dict[Key, Coeff]) -> dict[Key, Coeff]:
     """Inverse of the variable-free coefficient dict a."""
     inv = _cached_zinv(m, tuple(sorted((zp, c) for (zp, _), c in a.items())))
     return {(zp, ()): c for zp, c in inv}
@@ -205,14 +237,14 @@ class CycScalar:
 
     __slots__ = ("conductor", "coeffs")
 
-    def __init__(self, conductor: int, coeffs: dict[Key, Fraction], *, _canonical: bool = False):
+    def __init__(self, conductor: int, coeffs: dict[Key, Coeff], *, _canonical: bool = False):
         self.conductor = conductor
         if _canonical:
             self.coeffs = coeffs
             return
         self.coeffs = _canon(conductor, (
             ((zp, tuple(sorted((n, e) for n, e in vk if e))),
-             c if type(c) is Fraction else Fraction(c))
+             c if type(c) is int or type(c) is Fraction else Fraction(c))
             for (zp, vk), c in coeffs.items()))
 
     # -- constructors -------------------------------------------------------
@@ -227,20 +259,23 @@ class CycScalar:
 
     @staticmethod
     def rational(q, conductor: int) -> "CycScalar":
-        q = Fraction(q)
+        if type(q) is not int:
+            q = Fraction(q)
+            if q.denominator == 1:
+                q = q.numerator
         if not q:
             return CycScalar.zero(conductor)
         return CycScalar(conductor, {(0, ()): q}, _canonical=True)
 
     @staticmethod
     def zeta(conductor: int, power: int = 1) -> "CycScalar":
-        return CycScalar(conductor, {(power, ()): Fraction(1)})
+        return _term(conductor, power, (), 1)
 
     @staticmethod
     def variable(name: str, conductor: int, exponent: int = 1) -> "CycScalar":
         if exponent == 0:
             return CycScalar.one(conductor)
-        return CycScalar(conductor, {(0, ((name, exponent),)): Fraction(1)}, _canonical=True)
+        return CycScalar(conductor, {(0, ((name, exponent),)): 1}, _canonical=True)
 
     # -- predicates / conversions -------------------------------------------
 
@@ -250,24 +285,7 @@ class CycScalar:
 
     @property
     def is_one(self) -> bool:
-        return self.coeffs == {(0, ()): Fraction(1)}
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.coeffs or (len(self.coeffs) == 1 and (0, ()) in self.coeffs)
-
-    def as_fraction(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        if not self.is_rational:
-            raise ValueError(f"scalar {self} is not rational")
-        return self.coeffs[(0, ())]
-
-    def as_int(self) -> int:
-        f = self.as_fraction()
-        if f.denominator != 1:
-            raise ValueError(f"scalar {self} is not an integer")
-        return f.numerator
+        return self.coeffs == {(0, ()): 1}
 
     def variables(self) -> set[str]:
         out: set[str] = set()
@@ -293,7 +311,7 @@ class CycScalar:
             return NotImplemented
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            nc = out.get(k, Fraction(0)) + c
+            nc = out.get(k, 0) + c
             if nc:
                 out[k] = nc
             elif k in out:
@@ -318,6 +336,12 @@ class CycScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if len(other.coeffs) == 1:
+            ((zp, vk), c), = other.coeffs.items()
+            return self._times_term(zp, vk, c)
+        if len(self.coeffs) == 1:
+            ((zp, vk), c), = self.coeffs.items()
+            return other._times_term(zp, vk, c)
         m = self.conductor
         return CycScalar(m, _canon(m, (
             ((z1 + z2, _vk_mul(v1, v2)), c1 * c2)
@@ -326,9 +350,12 @@ class CycScalar:
 
     __rmul__ = __mul__
 
-    def _times_term(self, zp: int, vk: VarKey, c: Fraction) -> "CycScalar":
-        """self * c*zeta^zp*X^vk, where zp need not be reduced."""
+    def _times_term(self, zp: int, vk: VarKey, c: Coeff) -> "CycScalar":
+        """self * c*zeta^zp*X^vk for nonzero c, where zp need not be reduced."""
         m = self.conductor
+        if len(self.coeffs) == 1:
+            ((z1, v1), c1), = self.coeffs.items()
+            return _term(m, z1 + zp, _vk_mul(v1, vk), c1 * c)
         return CycScalar(m, _canon(m, (
             ((z1 + zp, _vk_mul(v1, vk)), c1 * c)
             for (z1, v1), c1 in self.coeffs.items())), _canonical=True)
@@ -338,8 +365,8 @@ class CycScalar:
             return CycScalar.one(self.conductor)
         if len(self.coeffs) == 1:
             ((zp, vk), c), = self.coeffs.items()
-            return CycScalar.one(self.conductor)._times_term(
-                zp * n, tuple((name, e * n) for name, e in vk), c ** n)
+            return _term(self.conductor, zp * n, tuple((name, e * n) for name, e in vk),
+                         c ** n if n > 0 else _quo(1, c ** -n))
         if n < 0:
             return self.inverse() ** (-n)
         out = None
@@ -377,7 +404,7 @@ class CycScalar:
         terms = other.coeffs
         if len(terms) == 1:
             ((zp, vk), c), = terms.items()
-            return self._times_term(-zp, _vk_neg(vk), 1 / c)
+            return self._times_term(-zp, _vk_neg(vk), _quo(1, c))
         return _laurent_div(self, other)
 
     def inverse(self) -> "CycScalar":
@@ -388,10 +415,6 @@ class CycScalar:
             return self.inverse()
         except (InexactDivision, ZeroDivisionError):
             return None
-
-    @property
-    def is_unit(self) -> bool:
-        return self.try_inverse() is not None
 
     # -- evaluation and printing --------------------------------------------
 
@@ -432,6 +455,15 @@ class CycScalar:
         return f"CycScalar({self.conductor}, {self})"
 
 
+def _term(m: int, zp: int, vk: VarKey, c: Coeff) -> CycScalar:
+    """The one-term scalar c*zeta^zp*X^vk, for nonzero c and a canonical vk;
+    reduced modulo Phi_m only when zp mod m is not below deg Phi_m."""
+    zp %= m
+    if zp < _degree(m):
+        return CycScalar(m, {(zp, vk): c}, _canonical=True)
+    return CycScalar(m, _canon(m, (((zp, vk), c),)), _canonical=True)
+
+
 def _laurent_div(a: CycScalar, b: CycScalar) -> CycScalar:
     """Multivariate Laurent long division of a by b, both nonzero; raises
     InexactDivision unless b divides a.  Correct for every divisor; exact_div
@@ -439,8 +471,8 @@ def _laurent_div(a: CycScalar, b: CycScalar) -> CycScalar:
     m = a.conductor
     names = sorted(a.variables() | b.variables())
 
-    def collect(s: CycScalar) -> dict[tuple[int, ...], dict[Key, Fraction]]:
-        out: dict[tuple[int, ...], dict[Key, Fraction]] = {}
+    def collect(s: CycScalar) -> dict[tuple[int, ...], dict[Key, Coeff]]:
+        out: dict[tuple[int, ...], dict[Key, Coeff]] = {}
         for (zp, vk), c in s.coeffs.items():
             d = dict(vk)
             out.setdefault(tuple(d.get(n, 0) for n in names), {})[(zp, ())] = c
@@ -456,7 +488,7 @@ def _laurent_div(a: CycScalar, b: CycScalar) -> CycScalar:
 
     gl = max(g)
     glc_inv = _field_inverse(m, g[gl])
-    quot: dict[tuple[int, ...], dict[Key, Fraction]] = {}
+    quot: dict[tuple[int, ...], dict[Key, Coeff]] = {}
     while f:
         fl = max(f)
         t = tuple(fl[i] - gl[i] for i in range(nv))
@@ -470,7 +502,7 @@ def _laurent_div(a: CycScalar, b: CycScalar) -> CycScalar:
             prod = _zmul(m, cq, gc)
             cell = f.get(k, {})
             for zk, c in prod.items():
-                nc = cell.get(zk, Fraction(0)) - c
+                nc = cell.get(zk, 0) - c
                 if nc:
                     cell[zk] = nc
                 elif zk in cell:
@@ -480,7 +512,7 @@ def _laurent_div(a: CycScalar, b: CycScalar) -> CycScalar:
             elif k in f:
                 del f[k]
     shift = tuple(valf[i] - valg[i] for i in range(nv))
-    out: dict[Key, Fraction] = {}
+    out: dict[Key, Coeff] = {}
     for k, zd in quot.items():
         vk = tuple(sorted((names[i], k[i] + shift[i]) for i in range(nv) if k[i] + shift[i]))
         for (zp, _), c in zd.items():
@@ -506,10 +538,10 @@ def quantum_integer(n: int, ell: int) -> CycScalar:
     if n < 0:
         n, sign = -n, -1
     # colliding exponents must accumulate, so go through the canonical ctor
-    raw: dict[Key, Fraction] = {}
+    raw: dict[Key, Coeff] = {}
     for i in range(n):
         k = (n - 1 - 2 * i, ())
-        raw[k] = raw.get(k, Fraction(0)) + sign
+        raw[k] = raw.get(k, 0) + sign
     return CycScalar(ell, raw)
 
 
@@ -517,11 +549,27 @@ def quantum_integer(n: int, ell: int) -> CycScalar:
 # parsing of the scalar literal grammar
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[\^*+\-()]))"
-)
+# One token (a numeral, a name or an operator) after optional whitespace.
+_TOKEN_RE = re.compile(r"\s*(\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|[\^*+\-()])")
 _ZETA_RE = re.compile(r"^z(\d+)$")
+
+# A power of a sum is expanded only when deg Phi_m * C(n+t-1, t-1), a bound on
+# the term count of the t-monomial base to the n-th, is at most this.
+MAX_POWER_TERMS = 10_000
+
+# A one-term factor as the parser builds it: (coefficient, zeta power,
+# (variable, exponent) pairs), the pairs neither sorted nor merged.
+_Mono = tuple[Coeff, int, VarKey]
+
+
+def _power_term_bound(deg: int, n: int, t: int) -> int:
+    """deg * C(n+t-1, t-1), or the first partial product over MAX_POWER_TERMS."""
+    bound = deg
+    for i in range(1, t):
+        bound = bound * (n + i) // i  # deg * C(n+i, i), exact at every step
+        if bound > MAX_POWER_TERMS:
+            break
+    return bound
 
 
 class _Parser:
@@ -529,12 +577,12 @@ class _Parser:
         self.text = text
         self.conductor = conductor
         self.tokens: list[str] = []
-        pos = 0
+        pos, match = 0, _TOKEN_RE.match
         while pos < len(text):
-            mo = _TOKEN_RE.match(text, pos)
-            if not mo or mo.end() == pos:
+            mo = match(text, pos)
+            if not mo:
                 raise ScalarParseError(f"bad character at offset {pos} in {text!r}")
-            self.tokens.append(mo.group("num") or mo.group("name") or mo.group("op"))
+            self.tokens.append(mo[1])
             pos = mo.end()
         self.i = 0
 
@@ -568,13 +616,29 @@ class _Parser:
         return v
 
     def term(self) -> CycScalar:
-        v = self.factor()
-        while self.peek() == "*":
+        """A product of factors.  The one-term factors are collected into one
+        coefficient, zeta power and exponent map; only the parenthesised
+        factors are multiplied out as scalars."""
+        c, zp, exps, rest = 1, 0, {}, None
+        while True:
+            f = self.factor()
+            if isinstance(f, CycScalar):
+                rest = f if rest is None else rest * f
+            else:
+                c *= f[0]
+                zp += f[1]
+                for name, e in f[2]:
+                    exps[name] = exps.get(name, 0) + e
+            if self.peek() != "*":
+                break
             self.take()
-            v = v * self.factor()
-        return v
+        m = self.conductor
+        if not c:
+            return CycScalar.zero(m)
+        vk = tuple(sorted((name, e) for name, e in exps.items() if e))
+        return _term(m, zp, vk, c) if rest is None else rest._times_term(zp, vk, c)
 
-    def factor(self) -> CycScalar:
+    def factor(self) -> _Mono | CycScalar:
         neg = False
         while self.peek() == "-":
             self.take()
@@ -589,10 +653,23 @@ class _Parser:
             tok = self.take()
             if tok is None or not tok.isdigit():
                 raise ScalarParseError(f"bad exponent in {self.text!r}")
-            v = v ** (esign * self.number(int, tok))
-        return -v if neg else v
+            n = esign * self.number(int, tok)
+            if isinstance(v, CycScalar):
+                t = len({vk for _, vk in v.coeffs})
+                if len(v.coeffs) > 1 and abs(n) > 1 and \
+                        _power_term_bound(_degree(self.conductor), abs(n), t) > MAX_POWER_TERMS:
+                    raise ScalarParseError(f"a sum of {t} monomials to the power {n} may have "
+                                           f"more than {MAX_POWER_TERMS} terms")
+                v = v ** n
+            else:
+                c, zp, pairs = v
+                v = (c ** n if n >= 0 else _quo(1, c ** -n), zp * n,
+                     tuple((name, e * n) for name, e in pairs))
+        if not neg:
+            return v
+        return -v if isinstance(v, CycScalar) else (-v[0], v[1], v[2])
 
-    def atom(self) -> CycScalar:
+    def atom(self) -> _Mono | CycScalar:
         tok = self.take()
         if tok is None:
             raise ScalarParseError(f"unexpected end of input in {self.text!r}")
@@ -602,22 +679,26 @@ class _Parser:
                 raise ScalarParseError(f"unbalanced parentheses in {self.text!r}")
             return v
         if tok[0].isdigit():
-            return CycScalar.rational(self.number(Fraction, tok), self.conductor)
+            if "/" not in tok:
+                return self.number(int, tok), 0, ()
+            q = self.number(Fraction, tok)
+            return (q.numerator if q.denominator == 1 else q), 0, ()
         mo = _ZETA_RE.match(tok)
         if mo:
             m = self.number(int, mo.group(1))
             if m != self.conductor:
                 raise ScalarParseError(
                     f"root of unity z{m} does not match conductor {self.conductor}")
-            return CycScalar.zeta(self.conductor)
-        return CycScalar.variable(tok, self.conductor)
+            return 1, 1, ()
+        return 1, 0, ((tok, 1),)
 
 
 def parse_scalar(text: str, conductor: int) -> CycScalar:
     """Parse the scalar grammar: rationals, z{m}^k, variables, * + - ( ).
 
-    A literal that divides by zero, inverts a non-unit, nests too deeply or
-    holds a numeral too long to convert is malformed too: each raises
+    A literal that divides by zero, inverts a non-unit, nests too deeply,
+    holds a numeral too long to convert or raises a sum to a power that may
+    have more than MAX_POWER_TERMS terms is malformed too: each raises
     ScalarParseError."""
     try:
         return _Parser(text, conductor).parse()

@@ -121,6 +121,37 @@ def test_criterion_8_nondegeneracy_fails_at_the_rank_bound(capsys, tmp_path, mon
         _report(8, "check nondeg fails at ell = 5, 7 with rank 10/21 and a checked kernel vector")
 
 
+def test_criterion_8b_nondegeneracy_at_ell_9_and_11(capsys, tmp_path, monkeypatch):
+    """Criterion 8 at the next two odd ell: rank ell(ell-1)/2 = 36 and 55, a
+    kernel witness checked by an exact product S_g v = 0, within the same
+    10 s bound per run."""
+    monkeypatch.chdir(tmp_path)
+    for ell, rank in ((9, 36), (11, 55)):
+        assert rank == ell * (ell - 1) // 2
+        path = f"sl21-ell{ell}.json"
+        assert main(["sl21", "emit", "--ell", str(ell), "--out", path]) == 0
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        code = main(["check", "nondeg", "--g", "a", "--datum", path, "--format", "json"])
+        elapsed = time.perf_counter() - t0
+        assert code == 1
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["status"] == "fails"
+        assert report["derived_scalars"]["rank(S_g)"] == str(rank)
+        (witness,) = [w for w in report["witnesses"] if w["name"] == "kernel vector of S_g"]
+        s = modified_S(load_datum(path), G)
+        v = [parse_scalar(t, s.conductor) for t in witness["value"].strip("()").split(", ")]
+        assert len(v) == s.cols and any(not x.is_zero for x in v)
+        for i in range(s.rows):
+            acc = CycScalar.zero(s.conductor)
+            for j in range(s.cols):
+                acc = acc + s[i, j] * v[j]
+            assert acc.is_zero, (ell, i)
+        assert elapsed < 10.0, f"ell={ell} took {elapsed:.3f}s"
+    with capsys.disabled():
+        _report("8b", "check nondeg fails at ell = 9, 11 with rank 36/55 and a checked kernel vector")
+
+
 def test_criterion_2_defining_relation_suite():
     t0 = time.perf_counter()
     for ell in (3, 5, 7):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -612,6 +613,17 @@ class TestBadInputIsUsageError:
         assert fragment in err
         if fragment in ("DIR", "cannot write"):
             assert str(tmp_path) in err and "not found" not in err
+
+    def test_power_of_a_sum_over_the_term_limit_is_rejected_quickly(self, capsys, tmp_path):
+        # expanding it would take minutes; the term bound rejects it first
+        argv = _probe_argv(tmp_path, ["check", "premodular", "--datum", "d.json"],
+                           {"d.json": _dims_doc("(1+u+x+y)^60")})
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - t0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "dims.0[0]" in err and "terms" in err
+        assert elapsed < 0.1, f"rejected after {elapsed:.3f}s"
 
     def test_other_value_error_in_sl21_code_is_internal(self, capsys, monkeypatch):
         def broken(ell):

@@ -1,5 +1,6 @@
 import cmath
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,12 @@ from conftest import random_matrix
 import relmod.scalars as scalars_mod
 from relmod.datum import dumps_datum, loads_datum
 from relmod.scalars import (
+    MAX_POWER_TERMS,
     CycScalar,
     InexactDivision,
     ScalarParseError,
     _laurent_div,
+    _power_term_bound,
     cyclotomic_coeffs,
     parse_scalar,
     quantum_integer,
@@ -166,8 +169,9 @@ class TestDivision:
     def test_units(self):
         u = CycScalar.variable("u", 5)
         assert (u ** 3).inverse() == u ** -3
-        assert (CycScalar.zeta(5, 2) * CycScalar.rational(Fraction(3, 2), 5)).is_unit
-        assert not (CycScalar.one(5) + u).is_unit
+        unit = CycScalar.zeta(5, 2) * CycScalar.rational(Fraction(3, 2), 5)
+        assert unit.try_inverse() == CycScalar.zeta(5, -2) * CycScalar.rational(Fraction(2, 3), 5)
+        assert (CycScalar.one(5) + u).try_inverse() is None
         assert CycScalar.zero(5).try_inverse() is None
 
     def test_field_inverse_of_cyclotomic(self):
@@ -298,6 +302,122 @@ class TestFieldInverseCount:
         assert len(field_divisors) >= 2
         assert len(zinv_calls) == len(field_divisors)
         assert len(divisors) > 3 * len(field_divisors)
+
+
+CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 12)
+
+
+@st.composite
+def scalar_pairs(draw):
+    """Two scalars over one of CONDUCTORS, in up to two variables."""
+    m = draw(st.sampled_from(CONDUCTORS))
+    return draw(scalars(m, ("u", "x"))), draw(scalars(m, ("u", "x")))
+
+
+@st.composite
+def one_term_factors(draw):
+    """(conductor, factor literals), each a signed numeral, root of unity or
+    variable with an optional exponent of either sign."""
+    m = draw(st.sampled_from(CONDUCTORS))
+    bases = st.one_of(st.integers(0, 6).map(str),
+                      st.tuples(st.integers(0, 6), st.integers(1, 4)).map(lambda t: f"{t[0]}/{t[1]}"),
+                      st.just(f"z{m}"), st.sampled_from(["u", "x", "s0_1", "d1_2"]))
+
+    def factor(parts):
+        sign, base, exponent = parts
+        if exponent is not None and "/" in base:
+            base = f"({base})"
+        return sign + base + ("" if exponent is None else f"^{exponent}")
+
+    factors = st.tuples(st.sampled_from(["", "-"]), bases,
+                        st.one_of(st.none(), st.integers(-3, 3))).map(factor)
+    return m, draw(st.lists(factors, min_size=1, max_size=6))
+
+
+def coefficient_types_ok(x):
+    return all(type(c) in (int, Fraction) and c != 0 for c in x.coeffs.values())
+
+
+class TestRepresentation:
+    """A coefficient is an int or a Fraction, never a float or zero, and the
+    path that built a value does not show in ==, hash or str."""
+
+    @given(pair=scalar_pairs(), n=st.integers(-3, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_no_float_or_zero_coefficient(self, pair, n):
+        a, b = pair
+        results = [a + b, a - b, a * b, parse_scalar(str(a), a.conductor)]
+        for op in (lambda: a.exact_div(b), lambda: b.inverse(), lambda: b ** n,
+                   lambda: b ** -n):
+            try:
+                results.append(op())
+            except (InexactDivision, ZeroDivisionError):
+                pass
+        for x in results:
+            assert coefficient_types_ok(x), x.coeffs
+
+    @given(pair=scalar_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_string_round_trip_over_several_conductors(self, pair):
+        for x in pair:
+            assert parse_scalar(str(x), x.conductor) == x
+
+    @given(case=one_term_factors())
+    @settings(max_examples=200, deadline=None)
+    def test_product_of_one_term_factors(self, case):
+        m, factors = case
+        try:
+            parsed = [parse_scalar(f, m) for f in factors]
+        except ScalarParseError:  # 0 to a negative power
+            with pytest.raises(ScalarParseError):
+                parse_scalar("*".join(factors), m)
+            return
+        expected = parsed[0]
+        for f in parsed[1:]:
+            expected = expected * f
+        got = parse_scalar("*".join(factors), m)
+        assert got == expected and str(got) == str(expected)
+        assert coefficient_types_ok(got)
+
+    @given(pair=scalar_pairs(), r=st.fractions(min_value=-5, max_value=5, max_denominator=6)
+           .filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_int_and_fraction_paths_agree(self, pair, r):
+        x = pair[0]
+        m = x.conductor
+        as_fractions = CycScalar(m, {k: Fraction(c) for k, c in x.coeffs.items()})
+        round_trip = x * CycScalar.rational(r, m) * CycScalar.rational(1 / r, m)
+        for y in (as_fractions, round_trip):
+            assert y == x and hash(y) == hash(x) and str(y) == str(x)
+        one = CycScalar.rational(Fraction(2, 3), m) * CycScalar.rational(Fraction(3, 2), m)
+        assert one == CycScalar.one(m) == 1 and hash(one) == hash(CycScalar.one(m))
+        assert str(one) == "1"
+
+
+class TestPowerTermBound:
+    """A power of a sum is expanded only under MAX_POWER_TERMS bounded terms."""
+
+    @given(b=st.sampled_from([1, 3, 4, 5]).flatmap(lambda m: scalars(m, ("u", "x", "y")))
+           .filter(lambda b: len(b.coeffs) > 1),
+           n=st.integers(2, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_is_an_upper_bound(self, b, n):
+        t = len({vk for _, vk in b.coeffs})
+        deg = len(cyclotomic_coeffs(b.conductor)) - 1
+        assert len((b ** n).coeffs) <= _power_term_bound(deg, n, t)
+
+    def test_huge_exponent_is_rejected_before_expanding(self):
+        for text in ["(1+u)^" + "9" * 4000, "(1+u+x+y)^60", "(1+u)^-99999999999"]:
+            t0 = time.perf_counter()
+            with pytest.raises(ScalarParseError, match=f"more than {MAX_POWER_TERMS} terms"):
+                parse_scalar(text, 5)
+            assert time.perf_counter() - t0 < 0.1, text
+
+    def test_powers_under_the_limit_are_expanded(self):
+        assert len(parse_scalar("(1+u)^50", 5).coeffs) == 51
+        assert parse_scalar("(1+z5)^-3", 5) == (CycScalar.one(5) + CycScalar.zeta(5)) ** -3
+        assert parse_scalar("(u*x)^-400", 5) == CycScalar.variable("u", 5, -400) \
+            * CycScalar.variable("x", 5, -400)
 
 
 class TestParsing:
