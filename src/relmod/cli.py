@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import checks as checks_mod
 from . import closure as closure_mod
@@ -257,7 +258,10 @@ def _cmd_closure(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing reads it and
+    never changes it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--datum", help="path to a relmod-datum/1 JSON file")
     common.add_argument("--format", choices=("text", "json"), default="text")

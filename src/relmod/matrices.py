@@ -23,6 +23,19 @@ first non-pivot column at the pivot columns to its left, and -d at the column
 itself.  The inverse runs the same elimination on [A | I], followed by one
 exact division by the last pivot, +-det(A).  Nothing is random, so every
 answer is deterministic.
+
+A product A @ B whose operands are both free of formal variables and have at
+least half of their entries nonzero goes through the packed kernel of
+scalars.py: each row of A and each column of B is put over one common
+denominator, each entry's integer vector over 1, zeta, .., zeta^(deg-1) is
+packed into one int, a dot product is a sum of plain int products, and each
+output entry is reduced modulo Phi_m and divided once.  Every other product
+multiplies and adds CycScalars, skipping zero entries.  The rule follows the
+inputs: the S' blocks whose products decide relative modularity are dense,
+since condition (2) asks for an everywhere-nonzero row, so one reduction per
+entry replaces one per term; the E/F/K matrices of the sl(2|1) modules hold
+about one nonzero per row, where the skipped zeros make the plain loop cheaper
+than packing.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 
-from .scalars import CycScalar, InexactDivision
+from .scalars import CycScalar, InexactDivision, _packed_product
 
 
 def _is_prime(n: int) -> bool:
@@ -91,6 +104,14 @@ def _witness(vec: list[CycScalar]) -> list[CycScalar]:
         pass
     lead = next(v for v in vec if not v.is_zero)
     return [-v for v in vec] if lead.coeffs[min(lead.coeffs)] < 0 else vec
+
+
+def _packs(entries: list[CycScalar]) -> bool:
+    """Whether a product operand takes the packed kernel: at least half of its
+    entries nonzero and no formal variable in any of them."""
+    nonzero = [e for e in entries if e.coeffs]
+    return 2 * len(nonzero) >= len(entries) and not any(
+        vk for e in nonzero for _, vk in e.coeffs)
 
 
 class SingularReport:
@@ -186,6 +207,9 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if _packs(self.entries) and _packs(other.entries):
+            return ExactMatrix(self.rows, other.cols, self.conductor, _packed_product(
+                self.conductor, self.entries, other.entries, self.rows, self.cols, other.cols))
         zero = CycScalar.zero(self.conductor)
         out = [zero] * (self.rows * other.cols)
         oc = other.cols

@@ -34,7 +34,16 @@ more terms.  The literal grammar collects a product of one-term factors such
 as ``-u^-2*s0_1*d1_2^-1`` into one coefficient, zeta power and exponent map,
 and multiplies out only its factors with several terms.  Before it expands a
 power of a sum, it bounds the result's term count and rejects the literal
-when that bound is over ``MAX_POWER_TERMS``.
+when that bound is over ``MAX_POWER_TERMS``; before it raises a one-term factor
+to a power, it bounds the coefficient's bit length the same way against
+``MAX_POWER_BITS``, so every coefficient it builds can be printed.
+
+A matrix product over Q(zeta_m) may go through ``_packed_product``, which
+holds each entry as an integer vector over 1, zeta, .., zeta^(deg-1) with one
+common denominator per row or column, packs that vector into one int at a
+base 2^w wide enough for every coefficient of a dot product (Kronecker
+substitution), sums each dot product as plain int products and reduces it
+modulo Phi_m once.  It returns the canonical form that ``_canon`` would.
 
 All operations are pure; instances are immutable once constructed.
 """
@@ -45,7 +54,7 @@ import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 class InexactDivision(ArithmeticError):
@@ -207,6 +216,77 @@ def _field_inverse(m: int, a: dict[Key, Coeff]) -> dict[Key, Coeff]:
     """Inverse of the variable-free coefficient dict a."""
     inv = _cached_zinv(m, tuple(sorted((zp, c) for (zp, _), c in a.items())))
     return {(zp, ()): c for zp, c in inv}
+
+
+def _common_denominator(entries) -> int:
+    """The lcm of the denominators of every coefficient of the entries."""
+    return lcm(*(c.denominator for e in entries for c in e.coeffs.values()))
+
+
+def _numerators(e: "CycScalar", d: int) -> dict[int, int]:
+    """{zeta power: coefficient} of the variable-free d*e, for a d that
+    clears every denominator of e."""
+    return {zp: c.numerator * (d // c.denominator) for (zp, _), c in e.coeffs.items()}
+
+
+def _packed_product(m: int, a: list["CycScalar"], b: list["CycScalar"],
+                    rows: int, inner: int, cols: int) -> list["CycScalar"]:
+    """Entries of the product of the variable-free rows x inner matrix a and
+    inner x cols matrix b (row-major lists), by packed integer dot products.
+
+    Row i of a is scaled to integers by one common denominator da[i], column j
+    of b by db[j].  An integer vector (v_0, .., v_(deg-1)) over 1, zeta, ..,
+    zeta^(deg-1) is packed into the one int sum v_t 2^(w t) (Kronecker
+    substitution).  Every coefficient of a sum of inner products of such
+    polynomials is below inner*deg*max|a|*max|b| in size, so w is that bound's
+    bit length plus a sign bit, and a packed dot product unpacks into its
+    2 deg - 1 signed coefficients.  Those are folded mod m, reduced modulo
+    Phi_m and divided by da[i]*db[j] once per output entry.
+    """
+    deg = _degree(m)
+    da = [_common_denominator(a[i * inner:(i + 1) * inner]) for i in range(rows)]
+    db = [_common_denominator(b[j::cols]) for j in range(cols)]
+    ia = [_numerators(a[i * inner + k], da[i]) for i in range(rows) for k in range(inner)]
+    ib = [_numerators(b[k * cols + j], db[j]) for k in range(inner) for j in range(cols)]
+    top_a = max((abs(v) for e in ia for v in e.values()), default=0)
+    top_b = max((abs(v) for e in ib for v in e.values()), default=0)
+    w = (inner * deg * top_a * top_b).bit_length() + 1
+    pa = [sum(v << (w * zp) for zp, v in e.items()) for e in ia]
+    pb = [sum(v << (w * zp) for zp, v in e.items()) for e in ib]
+
+    ndig = 2 * deg - 1
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    # adding half to every digit makes each one a plain w-bit field
+    offset = sum(half << (w * t) for t in range(ndig))
+    red = _zeta_reduction_rows(m)
+    zero = CycScalar.zero(m)
+    out = []
+    for i in range(rows):
+        acc = [0] * cols
+        for k, x in enumerate(pa[i * inner:(i + 1) * inner]):
+            if not x:
+                continue
+            for j, y in enumerate(pb[k * cols:(k + 1) * cols]):
+                if y:
+                    acc[j] += x * y
+        for j, s in enumerate(acc):
+            if not s:
+                out.append(zero)
+                continue
+            s += offset
+            poly = [0] * m
+            for t in range(ndig):
+                poly[t % m] += ((s >> (w * t)) & mask) - half
+            for e in range(deg, m):
+                c = poly[e]
+                if c:
+                    for t, r in enumerate(red[e - deg]):
+                        poly[t] += c * r
+            d = da[i] * db[j]
+            out.append(CycScalar(m, {(t, ()): _quo(poly[t], d) for t in range(deg) if poly[t]},
+                                 _canonical=True))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +637,12 @@ _ZETA_RE = re.compile(r"^z(\d+)$")
 # the term count of the t-monomial base to the n-th, is at most this.
 MAX_POWER_TERMS = 10_000
 
+# A one-term power c^n with |n| > 1 is computed only when |n| * ceil(log2 x) is
+# at most this, for x the larger of |numerator| and denominator of c.  Then
+# both parts of c^n are at most 2^MAX_POWER_BITS < 10^4300, so str() can print
+# them: 4300 digits is Python's default limit on converting an int to a string.
+MAX_POWER_BITS = 14_284
+
 # A one-term factor as the parser builds it: (coefficient, zeta power,
 # (variable, exponent) pairs), the pairs neither sorted nor merged.
 _Mono = tuple[Coeff, int, VarKey]
@@ -570,6 +656,12 @@ def _power_term_bound(deg: int, n: int, t: int) -> int:
         if bound > MAX_POWER_TERMS:
             break
     return bound
+
+
+def _power_bits(c: Coeff, n: int) -> int:
+    """|n| * ceil(log2 x) for x the larger of |numerator| and denominator of
+    c: a bound on the bit length of either part of c^n."""
+    return abs(n) * (max(abs(c.numerator), c.denominator) - 1).bit_length()
 
 
 class _Parser:
@@ -654,6 +746,10 @@ class _Parser:
             if tok is None or not tok.isdigit():
                 raise ScalarParseError(f"bad exponent in {self.text!r}")
             n = esign * self.number(int, tok)
+            coeffs = list(v.coeffs.values()) if isinstance(v, CycScalar) else [v[0]]
+            if len(coeffs) == 1 and abs(n) > 1 and _power_bits(coeffs[0], n) > MAX_POWER_BITS:
+                raise ScalarParseError(f"{abs(coeffs[0])} to the power {n} may have "
+                                       f"more than 4300 digits")
             if isinstance(v, CycScalar):
                 t = len({vk for _, vk in v.coeffs})
                 if len(v.coeffs) > 1 and abs(n) > 1 and \
@@ -697,9 +793,10 @@ def parse_scalar(text: str, conductor: int) -> CycScalar:
     """Parse the scalar grammar: rationals, z{m}^k, variables, * + - ( ).
 
     A literal that divides by zero, inverts a non-unit, nests too deeply,
-    holds a numeral too long to convert or raises a sum to a power that may
-    have more than MAX_POWER_TERMS terms is malformed too: each raises
-    ScalarParseError."""
+    holds a numeral too long to convert, raises a sum to a power that may
+    have more than MAX_POWER_TERMS terms or raises a one-term factor to a power
+    whose coefficient may be over MAX_POWER_BITS bits is malformed too: each
+    raises ScalarParseError."""
     try:
         return _Parser(text, conductor).parse()
     except (ZeroDivisionError, InexactDivision) as exc:

@@ -24,7 +24,7 @@ from relmod.checks import (
     delta_minus,
 )
 from relmod.cli import main
-from relmod.datum import Degree, GradingSpec, SmallSubset, load_datum, modified_S
+from relmod.datum import Degree, GradingSpec, SmallSubset, load_datum, modified_S, save_datum
 from relmod.matrices import ExactMatrix
 from relmod.scalars import CycScalar, parse_scalar
 from relmod.sl21 import (
@@ -150,6 +150,29 @@ def test_criterion_8b_nondegeneracy_at_ell_9_and_11(capsys, tmp_path, monkeypatc
         assert elapsed < 10.0, f"ell={ell} took {elapsed:.3f}s"
     with capsys.disabled():
         _report("8b", "check nondeg fails at ell = 9, 11 with rank 36/55 and a checked kernel vector")
+
+
+def test_criterion_10_check_all_on_large_pointed_data(capsys, tmp_path):
+    """check all on the pointed data at n = 15 and 21: all ten verdicts hold,
+    every relative-modularity verdict finds the planted zeta, and each run
+    takes under 1 s in process."""
+    for n in (15, 21):
+        datum = pointed_datum(n)
+        path = str(tmp_path / f"pointed-{n}.json")
+        save_datum(datum, path)
+        t0 = time.perf_counter()
+        code = main(["check", "all", "--datum", path, "--format", "json"])
+        elapsed = time.perf_counter() - t0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert code == 0
+        assert len(reports) == 10 and all(r["status"] == "holds" for r in reports), reports
+        zetas = [r["derived_scalars"]["zeta_Omega"] for r in reports
+                 if r["check"] == "relative-modularity"]
+        assert len(zetas) == 4
+        assert all(parse_scalar(z, n) == pointed_zeta(datum) for z in zetas), zetas
+        assert elapsed < 1.0, f"n={n} took {elapsed:.3f}s"
+    with capsys.disabled():
+        _report(10, "check all holds on pointed n = 15, 21 with the planted zeta, < 1 s each")
 
 
 def test_criterion_2_defining_relation_suite():

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import field_gauss_rank, random_matrix
+import relmod.matrices
 from relmod.matrices import ExactMatrix, SingularReport, _modulus, _variable_residue
 from relmod.scalars import CycScalar, InexactDivision
 
@@ -226,3 +227,97 @@ class TestArithmetic:
         z = CycScalar.zero(5)
         p = ExactMatrix.from_rows([[z, one()], [one(), z]], 5)
         assert p.det() == rat(-1)
+
+
+def reference_product(a: ExactMatrix, b: ExactMatrix) -> list[CycScalar]:
+    """A @ B by a plain loop of CycScalar + and *, over every index."""
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = CycScalar.zero(a.conductor)
+            for k in range(a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            out.append(acc)
+    return out
+
+
+PRODUCT_CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 21)
+# numerators and denominators up to 2^200, both signs
+big_fractions = st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200))
+
+
+def field_elements(m: int):
+    return st.lists(st.tuples(st.integers(0, m - 1), big_fractions), min_size=1, max_size=3).map(
+        lambda terms: sum((CycScalar.zeta(m, zp) * c for zp, c in terms), CycScalar.zero(m)))
+
+
+@st.composite
+def operands(draw, m: int, rows: int, cols: int) -> ExactMatrix:
+    """A rows x cols matrix over Q(zeta_m) in which each entry is drawn as zero
+    with one probability out of 0, 1/4, .., 1 (0 twice as often), so the share
+    of nonzero entries falls on either side of one half."""
+    zeros = draw(st.sampled_from((0, 0, 1, 2, 3, 4)))
+    entries = [draw(field_elements(m)) if draw(st.integers(0, 3)) >= zeros
+               else CycScalar.zero(m) for _ in range(rows * cols)]
+    return ExactMatrix(rows, cols, m, entries)
+
+
+@st.composite
+def products(draw):
+    m = draw(st.sampled_from(PRODUCT_CONDUCTORS))
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    a, b = draw(operands(m, rows, inner)), draw(operands(m, inner, cols))
+    if draw(st.integers(0, 3)) == 0 and (a.entries or b.entries):
+        # one entry of one operand times a formal variable
+        target = a if a.entries else b
+        if b.entries and draw(st.booleans()):
+            target = b
+        k = draw(st.integers(0, len(target.entries) - 1))
+        target.entries[k] = target.entries[k] * CycScalar.variable("u", m, draw(st.sampled_from([-1, 1])))
+    return a, b
+
+
+def _matrix(m, rows, cols, entries):
+    return ExactMatrix(rows, cols, m, [CycScalar.rational(c, m) if isinstance(c, (int, Fraction))
+                                       else c for c in entries])
+
+
+class TestProduct:
+    """A @ B, by the packed kernel or the CycScalar loop, equals the plain
+    reference loop entry by entry, in == and in str()."""
+
+    @given(pair=products())
+    @example(pair=(_matrix(2, 1, 1, [3]), _matrix(2, 1, 1, [-5])))  # the w bound is tight
+    @example(pair=(_matrix(5, 1, 2, [CycScalar.zeta(5, 3)] * 2),  # powers past m - 1
+                   _matrix(5, 2, 1, [CycScalar.zeta(5, 3) * 7] * 2)))
+    @example(pair=(_matrix(7, 2, 2, [Fraction(1, 3), Fraction(-2, 5), 1, Fraction(7, 4)]),
+                   _matrix(7, 2, 2, [Fraction(5, 9), 2, Fraction(-1, 6), Fraction(3, 11)])))
+    @settings(max_examples=500, deadline=None)
+    def test_product_matches_the_reference_loop(self, pair):
+        a, b = pair
+        got = (a @ b).entries
+        want = reference_product(a, b)
+        assert len(got) == len(want) == a.rows * b.cols
+        for x, y in zip(got, want):
+            assert x == y and str(x) == str(y), (str(x), str(y))
+
+    def test_selection_rule(self, monkeypatch):
+        calls = []
+        packed = relmod.matrices._packed_product
+
+        def recording(*args):
+            calls.append(args[3:])
+            return packed(*args)
+
+        monkeypatch.setattr(relmod.matrices, "_packed_product", recording)
+        two, z = rat(2), CycScalar.zero(5)
+        dense = ExactMatrix.from_rows([[two, z], [two, two]], 5)
+        sparse = ExactMatrix.from_rows([[two, z], [z, z]], 5)
+        half = ExactMatrix.from_rows([[two, z], [two, z]], 5)
+        symbolic = ExactMatrix.from_rows([[two, CycScalar.variable("u", 5)], [two, two]], 5)
+        for a, b, taken in ((dense, dense, True), (half, dense, True), (dense, half, True),
+                            (sparse, dense, False), (dense, sparse, False),
+                            (symbolic, dense, False), (dense, symbolic, False)):
+            calls.clear()
+            assert (a @ b).entries == reference_product(a, b)
+            assert calls == ([(2, 2, 2)] if taken else [])

@@ -10,6 +10,7 @@ from conftest import random_matrix
 import relmod.scalars as scalars_mod
 from relmod.datum import dumps_datum, loads_datum
 from relmod.scalars import (
+    MAX_POWER_BITS,
     MAX_POWER_TERMS,
     CycScalar,
     InexactDivision,
@@ -420,6 +421,31 @@ class TestPowerTermBound:
             * CycScalar.variable("x", 5, -400)
 
 
+class TestPowerBitBound:
+    """A one-term power is computed only when both parts of its coefficient
+    stay within MAX_POWER_BITS, so that str() can print them."""
+
+    def test_huge_power_is_rejected_before_computing_it(self):
+        for text in ["3^100000000", "(2/3)^-2000000*u", "-(2*z5*u)^100000000"]:
+            t0 = time.perf_counter()
+            with pytest.raises(ScalarParseError, match="more than 4300 digits"):
+                parse_scalar(text, 5)
+            assert time.perf_counter() - t0 < 0.1, text
+
+    def test_powers_within_the_bound_parse(self):
+        assert parse_scalar("2^64", 5) == CycScalar.rational(2 ** 64, 5)
+        assert parse_scalar("(2/3)^-50", 5) == CycScalar.rational(Fraction(3, 2) ** 50, 5)
+        # 14284 bits: the largest power of two let through prints in 4300 digits
+        assert MAX_POWER_BITS == 14_284
+        assert str(parse_scalar("2^14284", 5)) == str(2 ** 14284)
+        with pytest.raises(ScalarParseError):
+            parse_scalar("2^14285", 5)
+        # a unit coefficient never grows, and a first power keeps its numeral
+        assert parse_scalar("u^100000*(-1)^99999", 5) == -CycScalar.variable("u", 5, 100000)
+        big = "9" * 4300
+        assert str(parse_scalar(f"({big})^-1", 5)) == f"1/{big}"
+
+
 class TestParsing:
     def test_grammar_examples(self):
         assert parse_scalar("3/4", 5) == CycScalar.rational(Fraction(3, 4), 5)
@@ -440,10 +466,13 @@ class TestParsing:
 
     @pytest.mark.parametrize("text", ["1/0", "0^-1", "(1+u)^-1",
                                       "(" * 2000 + "1" + ")" * 2000,
-                                      "9" * 5000, "u^" + "9" * 5000, "z" + "9" * 5000],
+                                      "9" * 5000, "u^" + "9" * 5000, "z" + "9" * 5000,
+                                      "3^100000000", "(2/3)^-2000000*u", "3^10000"],
                              ids=["division-by-zero", "zero-inverse", "non-unit-inverse",
                                   "nested-too-deep", "numeral-too-long",
-                                  "exponent-too-long", "root-order-too-long"])
+                                  "exponent-too-long", "root-order-too-long",
+                                  "numeral-power-too-large", "fraction-power-too-large",
+                                  "numeral-power-unprintable"])
     def test_literal_that_cannot_be_evaluated_is_a_parse_error(self, text):
         with pytest.raises(ScalarParseError):
             parse_scalar(text, 5)
