@@ -37,10 +37,6 @@ from .verdicts import DATA_ABSENT, FAILS, HOLDS, Verdict, Witness
 
 CLOSURE_SCHEMA_ID = "relmod-closure/1"
 
-NEGLIGIBLE = "negligible"
-NON_NEGLIGIBLE = "non-negligible"
-UNKNOWN = "unknown"
-
 
 # ---------------------------------------------------------------------------
 # datum
@@ -576,38 +572,6 @@ def replay_certificate(cert: Certificate, datum: ClosureDatum) -> bool:
     if regenerated != cert:
         raise ValueError(f"replay of {cert.expr!r} produced a different derivation")
     return True
-
-
-# ---------------------------------------------------------------------------
-# negligibility propagation
-# ---------------------------------------------------------------------------
-
-def negligible_closure(datum: ClosureDatum, expr: Expr | str) -> str:
-    """Propagate negligible flags: ideal absorption under tensor, all-summands
-    rule under direct sums, stability under retracts; unknown when flags are
-    insufficient."""
-    if isinstance(expr, str):
-        expr = parse_expr(expr)
-    if isinstance(expr, Atom):
-        spec = datum.atom(expr.name)
-        if spec is None or spec.negligible is None:
-            return UNKNOWN
-        return NEGLIGIBLE if spec.negligible else NON_NEGLIGIBLE
-    if isinstance(expr, Retract):
-        return NEGLIGIBLE if negligible_closure(datum, expr.inner) == NEGLIGIBLE else UNKNOWN
-    if isinstance(expr, Sum):
-        sub = [negligible_closure(datum, t) for t in expr.terms]
-        if any(s == NON_NEGLIGIBLE for s in sub):
-            return NON_NEGLIGIBLE
-        if all(s == NEGLIGIBLE for s in sub):
-            return NEGLIGIBLE
-        return UNKNOWN
-    if isinstance(expr, Tensor):
-        sub = [negligible_closure(datum, f) for f in _flatten_tensor(expr)]
-        if any(s == NEGLIGIBLE for s in sub):
-            return NEGLIGIBLE
-        return UNKNOWN
-    raise TypeError(f"not an expression: {expr!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,16 @@ scalars.py: each row of A and each column of B is put over one common
 denominator, each entry's integer vector over 1, zeta, .., zeta^(deg-1) is
 packed into one int, a dot product is a sum of plain int products, and each
 output entry is reduced modulo Phi_m and divided once.  Every other product
-multiplies and adds CycScalars, skipping zero entries.  The rule follows the
-inputs: the S' blocks whose products decide relative modularity are dense,
-since condition (2) asks for an everywhere-nonzero row, so one reduction per
-entry replaces one per term; the E/F/K matrices of the sl(2|1) modules hold
-about one nonzero per row, where the skipped zeros make the plain loop cheaper
-than packing.
+multiplies and adds CycScalars row by row (Gustavson's row-wise sparse
+product): each row of B is listed once as its nonzero (column, entry) pairs,
+and row i of the product accumulates a * b over the nonzero a = A[i, k] and
+the pairs of row k, so the inner loop visits no zero of B.  The rule follows
+the inputs: the S' blocks whose products decide relative modularity are
+dense, since condition (2) asks for an everywhere-nonzero row, so one
+reduction per entry replaces one per term; the E/F/K matrices of the sl(2|1)
+modules hold about one nonzero per row, where the skipped zeros make the
+plain loop cheaper than packing.  Entrywise sums, differences and scaling
+likewise keep an entry as it is where the other operand is zero.
 """
 
 from __future__ import annotations
@@ -189,20 +193,23 @@ class ExactMatrix:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
+    def _entrywise(self, other: "ExactMatrix", op) -> "ExactMatrix":
+        """op(a, b) on each pair of entries where b is nonzero; a where b is zero."""
+        if (self.rows, self.cols, self.conductor) != (other.rows, other.cols, other.conductor):
+            raise ValueError("shape or conductor mismatch")
         return ExactMatrix(self.rows, self.cols, self.conductor,
-                           [a + b for a, b in zip(self.entries, other.entries)])
+                           [op(a, b) if b.coeffs else a
+                            for a, b in zip(self.entries, other.entries)])
+
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._entrywise(other, CycScalar.__add__)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(self.rows, self.cols, self.conductor,
-                           [a - b for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(other, CycScalar.__sub__)
 
     def scale(self, c: CycScalar) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, self.conductor, [c * e for e in self.entries])
+        return ExactMatrix(self.rows, self.cols, self.conductor,
+                           [c * e if e.coeffs else e for e in self.entries])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -210,22 +217,20 @@ class ExactMatrix:
         if _packs(self.entries) and _packs(other.entries):
             return ExactMatrix(self.rows, other.cols, self.conductor, _packed_product(
                 self.conductor, self.entries, other.entries, self.rows, self.cols, other.cols))
+        n, oc = self.cols, other.cols
+        # row k of B as its nonzero (column, entry) pairs, built once
+        b_rows = [[(j, b) for j, b in enumerate(other.entries[k * oc:(k + 1) * oc]) if b.coeffs]
+                  for k in range(n)]
         zero = CycScalar.zero(self.conductor)
-        out = [zero] * (self.rows * other.cols)
-        oc = other.cols
+        out = []
         for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a.is_zero:
-                    continue
-                obase = k * oc
-                for j in range(oc):
-                    b = other.entries[obase + j]
-                    if b.is_zero:
-                        continue
-                    out[i * oc + j] = out[i * oc + j] + a * b
-        return ExactMatrix(self.rows, other.cols, self.conductor, out)
+            acc = [zero] * oc
+            for a, b_row in zip(self.entries[i * n:(i + 1) * n], b_rows):
+                if a.coeffs:
+                    for j, b in b_row:
+                        acc[j] = acc[j] + a * b
+            out.extend(acc)
+        return ExactMatrix(self.rows, oc, self.conductor, out)
 
     def scale_columns(self, diag: list[CycScalar]) -> "ExactMatrix":
         if len(diag) != self.cols:

@@ -27,6 +27,11 @@ that comes out integral is stored as an ``int`` again.  ``2`` and
 interchangeable everywhere; the ``int`` only saves the gcds of ``Fraction``
 arithmetic on the +-1 coefficients that make up the sl(2|1) data.
 
+A zero operand of ``+``, ``-`` or ``*`` returns the other operand, its
+negation or the zero as soon as the operands are coerced to one conductor.
+The sparse sl(2|1) matrices are mostly zeros, so this is where most of their
+scalar operations end.
+
 A product of two one-term scalars is built as its single key
 (zeta power mod m, variable key) directly, and reduced modulo Phi_m only when
 that zeta power is not below deg Phi_m; ``_canon`` serves every product with
@@ -35,8 +40,10 @@ as ``-u^-2*s0_1*d1_2^-1`` into one coefficient, zeta power and exponent map,
 and multiplies out only its factors with several terms.  Before it expands a
 power of a sum, it bounds the result's term count and rejects the literal
 when that bound is over ``MAX_POWER_TERMS``; before it raises a one-term factor
-to a power, it bounds the coefficient's bit length the same way against
-``MAX_POWER_BITS``, so every coefficient it builds can be printed.
+to a power, or a sum to a positive power, it bounds the coefficients' bit
+length against ``MAX_POWER_BITS``.  Every product, sum and power the grammar
+builds is checked to have no numerator or denominator of 4300 or more digits,
+so every coefficient of a parsed literal can be printed.
 
 A matrix product over Q(zeta_m) may go through ``_packed_product``, which
 holds each entry as an integer vector over 1, zeta, .., zeta^(deg-1) with one
@@ -389,6 +396,10 @@ class CycScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             nc = out.get(k, 0) + c
@@ -407,6 +418,8 @@ class CycScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.coeffs:
+            return self
         return self + (-other)
 
     def __rsub__(self, other):
@@ -416,6 +429,10 @@ class CycScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.coeffs:
+            return other
+        if not self.coeffs:
+            return self
         if len(other.coeffs) == 1:
             ((zp, vk), c), = other.coeffs.items()
             return self._times_term(zp, vk, c)
@@ -460,6 +477,8 @@ class CycScalar:
             base = base * base
 
     def __eq__(self, other):
+        if type(other) is CycScalar:
+            return self.conductor == other.conductor and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             other = CycScalar.rational(other, self.conductor)
         if not isinstance(other, CycScalar):
@@ -641,7 +660,11 @@ MAX_POWER_TERMS = 10_000
 # at most this, for x the larger of |numerator| and denominator of c.  Then
 # both parts of c^n are at most 2^MAX_POWER_BITS < 10^4300, so str() can print
 # them: 4300 digits is Python's default limit on converting an int to a string.
+# A positive power of a sum is bounded the same way by _sum_power_bits.
 MAX_POWER_BITS = 14_284
+
+# The least int that str() cannot print under that limit.
+_UNPRINTABLE = 10 ** 4300
 
 # A one-term factor as the parser builds it: (coefficient, zeta power,
 # (variable, exponent) pairs), the pairs neither sorted nor merged.
@@ -662,6 +685,34 @@ def _power_bits(c: Coeff, n: int) -> int:
     """|n| * ceil(log2 x) for x the larger of |numerator| and denominator of
     c: a bound on the bit length of either part of c^n."""
     return abs(n) * (max(abs(c.numerator), c.denominator) - 1).bit_length()
+
+
+def _sum_power_bits(v: CycScalar, n: int) -> int:
+    """A bound on the bit length of either part of every coefficient of v^n,
+    n > 0.  Over v's common denominator d, v = w/d with integer coefficients
+    of absolute sum s.  Each coefficient of w^n before reduction modulo Phi_m
+    is at most s^n, and the reduction adds at most m - deg multiples of it,
+    each by a reduction-row entry of size at most r.  The denominator divides
+    d^n."""
+    m = v.conductor
+    d = _common_denominator([v])
+    s = sum(abs(c.numerator) * (d // c.denominator) for c in v.coeffs.values())
+    r = max((abs(x) for row in _zeta_reduction_rows(m) for x in row), default=0)
+    return max(n * (s - 1).bit_length() + (1 + r * m).bit_length(), n * (d - 1).bit_length())
+
+
+def _printable(c: Coeff) -> Coeff:
+    """c, or ScalarParseError when str() cannot print its numerator or
+    denominator."""
+    if abs(c.numerator) >= _UNPRINTABLE or c.denominator >= _UNPRINTABLE:
+        raise ScalarParseError("a coefficient has more than 4300 digits")
+    return c
+
+
+def _printable_scalar(v: CycScalar) -> CycScalar:
+    for c in v.coeffs.values():
+        _printable(c)
+    return v
 
 
 class _Parser:
@@ -704,20 +755,21 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             t = self.term()
-            v = v + t if op == "+" else v - t
+            v = _printable_scalar(v + t if op == "+" else v - t)
         return v
 
     def term(self) -> CycScalar:
         """A product of factors.  The one-term factors are collected into one
         coefficient, zeta power and exponent map; only the parenthesised
-        factors are multiplied out as scalars."""
+        factors are multiplied out as scalars.  Each partial product is
+        checked to be printable, so none grows past twice that size."""
         c, zp, exps, rest = 1, 0, {}, None
         while True:
             f = self.factor()
             if isinstance(f, CycScalar):
-                rest = f if rest is None else rest * f
+                rest = f if rest is None else _printable_scalar(rest * f)
             else:
-                c *= f[0]
+                c = _printable(c * f[0])
                 zp += f[1]
                 for name, e in f[2]:
                     exps[name] = exps.get(name, 0) + e
@@ -728,7 +780,8 @@ class _Parser:
         if not c:
             return CycScalar.zero(m)
         vk = tuple(sorted((name, e) for name, e in exps.items() if e))
-        return _term(m, zp, vk, c) if rest is None else rest._times_term(zp, vk, c)
+        return _printable_scalar(_term(m, zp, vk, c) if rest is None
+                                 else rest._times_term(zp, vk, c))
 
     def factor(self) -> _Mono | CycScalar:
         neg = False
@@ -751,12 +804,17 @@ class _Parser:
                 raise ScalarParseError(f"{abs(coeffs[0])} to the power {n} may have "
                                        f"more than 4300 digits")
             if isinstance(v, CycScalar):
-                t = len({vk for _, vk in v.coeffs})
-                if len(v.coeffs) > 1 and abs(n) > 1 and \
-                        _power_term_bound(_degree(self.conductor), abs(n), t) > MAX_POWER_TERMS:
-                    raise ScalarParseError(f"a sum of {t} monomials to the power {n} may have "
-                                           f"more than {MAX_POWER_TERMS} terms")
-                v = v ** n
+                if len(v.coeffs) > 1 and abs(n) > 1:
+                    t = len({vk for _, vk in v.coeffs})
+                    if _power_term_bound(_degree(self.conductor), abs(n), t) > MAX_POWER_TERMS:
+                        raise ScalarParseError(f"a sum of {t} monomials to the power {n} may "
+                                               f"have more than {MAX_POWER_TERMS} terms")
+                    if n < 0:
+                        v, n = v.inverse(), -n
+                    if _sum_power_bits(v, n) > MAX_POWER_BITS:
+                        raise ScalarParseError(f"a sum to the power {n} may have a coefficient "
+                                               f"of more than 4300 digits")
+                v = _printable_scalar(v ** n)
             else:
                 c, zp, pairs = v
                 v = (c ** n if n >= 0 else _quo(1, c ** -n), zp * n,
@@ -794,9 +852,10 @@ def parse_scalar(text: str, conductor: int) -> CycScalar:
 
     A literal that divides by zero, inverts a non-unit, nests too deeply,
     holds a numeral too long to convert, raises a sum to a power that may
-    have more than MAX_POWER_TERMS terms or raises a one-term factor to a power
-    whose coefficient may be over MAX_POWER_BITS bits is malformed too: each
-    raises ScalarParseError."""
+    have more than MAX_POWER_TERMS terms, raises a one-term factor or a sum to
+    a power whose coefficients may be over MAX_POWER_BITS bits, or builds a
+    coefficient that str() cannot print is malformed too: each raises
+    ScalarParseError."""
     try:
         return _Parser(text, conductor).parse()
     except (ZeroDivisionError, InexactDivision) as exc:

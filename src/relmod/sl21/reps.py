@@ -241,8 +241,11 @@ def check_relations(rep: WeightModuleRep) -> Verdict:
                 notes=[UNEVALUATED])
     rels = relation_set(rep)
     for name, lhs, rhs in rels:
-        bad = next(((row, col) for col in range(rep.dim) for row in range(rep.dim)
-                    if lhs[row, col] != rhs[row, col]), None)
+        # one pass decides a holding relation; a failing one is scanned column
+        # by column so that its witness is the first mismatch in that order
+        bad = None if lhs.entries == rhs.entries else next(
+            (row, col) for col in range(rep.dim) for row in range(rep.dim)
+            if lhs[row, col] != rhs[row, col])
         if bad is None:
             v.notes.append(f"{name}: holds")
         else:

@@ -38,6 +38,7 @@ from relmod.sl21 import (
     fuse_A,
     select_convention,
     standard_module_character,
+    tensor_rep,
     typical_character,
 )
 from relmod.closure import (
@@ -173,6 +174,21 @@ def test_criterion_10_check_all_on_large_pointed_data(capsys, tmp_path):
         assert elapsed < 1.0, f"n={n} took {elapsed:.3f}s"
     with capsys.disabled():
         _report(10, "check all holds on pointed n = 15, 21 with the planted zeta, < 1 s each")
+
+
+def test_criterion_11_relations_on_a_tensor_product_at_ell_15(capsys):
+    """check_relations on A5 (x) A6 at ell = 15 (dimension 11 * 13 = 143, the
+    selected convention) holds, in under 2 s in process."""
+    conv = select_convention(15)
+    rep = tensor_rep(build_Ak(5, 15, conv), build_Ak(6, 15, conv))
+    assert rep.dim == 143
+    t0 = time.perf_counter()
+    verdict = check_relations(rep)
+    elapsed = time.perf_counter() - t0
+    assert verdict.status == HOLDS, [w.name for w in verdict.witnesses]
+    assert elapsed < 2.0, f"relations on A5 (x) A6 took {elapsed:.3f}s"
+    with capsys.disabled():
+        _report(11, f"relations hold on A5 (x) A6 at ell = 15 (dim 143) in {elapsed:.2f}s")
 
 
 def test_criterion_2_defining_relation_suite():

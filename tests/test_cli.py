@@ -583,6 +583,10 @@ _BAD_INPUT_PROBES = {
                                 {"d.json": _dims_doc("3^100000000")}, "dims.0[0]"),
     "literal-power-unprintable": (["check", "all", "--datum", "d.json"],
                                   {"d.json": _dims_doc("3^10000")}, "dims.0[0]"),
+    "literal-product-unprintable": (["check", "all", "--datum", "d.json"],
+                                    {"d.json": _dims_doc("2^14284*2^14284")}, "dims.0[0]"),
+    "literal-sum-unprintable": (["check", "all", "--datum", "d.json"],
+                                {"d.json": _dims_doc("2^14284+2^14284")}, "dims.0[0]"),
     "json-integer-too-long": (["closure", "check", "--closure", "c.json"],
                               {"c.json": b'{"bound": ' + b"1" * 5000 + b"}"},
                               "$: not valid JSON"),

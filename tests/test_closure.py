@@ -2,7 +2,6 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from relmod.closure import (
     Atom,
@@ -10,9 +9,6 @@ from relmod.closure import (
     CertifyFailure,
     ClosureDatum,
     ExprParseError,
-    NEGLIGIBLE,
-    NON_NEGLIGIBLE,
-    UNKNOWN,
     ProductRule,
     Retract,
     Sum,
@@ -25,7 +21,6 @@ from relmod.closure import (
     dumps_closure,
     expr_to_str,
     loads_closure,
-    negligible_closure,
     parse_expr,
     replay_certificate,
     toy_closure_datum,
@@ -38,12 +33,6 @@ from relmod.verdicts import DATA_ABSENT, FAILS, HOLDS
 def drop_rule(datum, left, right):
     return dataclasses.replace(datum, product_rules=tuple(
         r for r in datum.product_rules if (r.left, r.right) != (left, right)))
-
-
-def set_negligible(datum, **flags):
-    return dataclasses.replace(datum, atoms=tuple(
-        dataclasses.replace(a, negligible=flags.get(a.name, a.negligible))
-        for a in datum.atoms))
 
 
 class TestParsing:
@@ -350,38 +339,6 @@ class TestReplay:
         forged.justification = "asserted without a rule"
         with pytest.raises(ValueError):
             replay_certificate(forged, toy)
-
-
-class TestNegligible:
-    def test_ideal_absorption(self):
-        toy = set_negligible(toy_closure_datum(), b=True)
-        assert negligible_closure(toy, "b*a*v") == NEGLIGIBLE
-        assert negligible_closure(toy, "retract(b)") == NEGLIGIBLE
-
-    def test_sum_of_non_negligibles(self):
-        assert negligible_closure(toy_closure_datum(), "a + a") == NON_NEGLIGIBLE
-
-    def test_retract_of_unflagged_is_unknown(self):
-        toy = set_negligible(toy_closure_datum(), a=None)
-        assert negligible_closure(toy, "retract(a)") == UNKNOWN
-
-    def test_tensor_of_non_negligibles_is_unknown(self):
-        assert negligible_closure(toy_closure_datum(), "a*a") == UNKNOWN
-
-    @given(flags=st.tuples(st.booleans(), st.booleans(), st.booleans()))
-    @settings(max_examples=20)
-    def test_monotone_in_flags(self, flags):
-        # adding negligible flags never changes an answer from negligible
-        base = set_negligible(toy_closure_datum(),
-                              a=flags[0] or None, b=flags[1] or None,
-                              v=flags[2] or None)
-        more = set_negligible(toy_closure_datum(),
-                              a=flags[0], b=flags[1], v=flags[2])
-        for expr in ("a", "a*b", "a+b", "retract(a*v)", "b*v*v"):
-            before = negligible_closure(base, expr)
-            after = negligible_closure(more, expr)
-            if before == NEGLIGIBLE:
-                assert after == NEGLIGIBLE
 
 
 class TestSerialization:

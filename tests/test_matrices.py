@@ -282,6 +282,45 @@ def _matrix(m, rows, cols, entries):
                                        else c for c in entries])
 
 
+@st.composite
+def sparse_operands(draw, m: int, rows: int, cols: int) -> ExactMatrix:
+    """A rows x cols matrix shaped like the E/F/K matrices of the sl(2|1)
+    modules: a diagonal, a shifted diagonal or one nonzero at a drawn column
+    per row, with some rows left zero.  Entries are +-1, quantum-integer-like
+    sums of zeta powers, or either of these times u^+-1."""
+    shape = draw(st.sampled_from(["diagonal", "shift", "one-per-row"]))
+    shift = draw(st.integers(-2, 2))
+    u = CycScalar.variable("u", m)
+    entries = [CycScalar.zero(m)] * (rows * cols)
+    for i in range(rows):
+        if shape == "one-per-row":
+            j = draw(st.integers(0, cols - 1)) if cols else None
+        else:
+            j = i + (shift if shape == "shift" else 0)
+        if j is None or not 0 <= j < cols or draw(st.integers(0, 4)) == 0:
+            continue
+        e = draw(st.sampled_from([CycScalar.one(m), -CycScalar.one(m),
+                                  CycScalar.zeta(m) + CycScalar.zeta(m, -1),
+                                  CycScalar.zeta(m, 2) + 1 + CycScalar.zeta(m, -2)]))
+        entries[i * cols + j] = e * draw(st.sampled_from([1, u, u ** -1]))
+    return ExactMatrix(rows, cols, m, entries)
+
+
+@st.composite
+def sparse_products(draw):
+    """Pairs with at least one E/F-shaped operand; the other is E/F-shaped
+    too, or drawn as in products()."""
+    m = draw(st.sampled_from((3, 5, 7, 15)))
+    rows, inner, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    a, b = draw(sparse_operands(m, rows, inner)), draw(sparse_operands(m, inner, cols))
+    other = draw(st.sampled_from(["none", "left", "right"]))
+    if other == "left":
+        a = draw(operands(m, rows, inner))
+    elif other == "right":
+        b = draw(operands(m, inner, cols))
+    return a, b
+
+
 class TestProduct:
     """A @ B, by the packed kernel or the CycScalar loop, equals the plain
     reference loop entry by entry, in == and in str()."""
@@ -300,6 +339,26 @@ class TestProduct:
         assert len(got) == len(want) == a.rows * b.cols
         for x, y in zip(got, want):
             assert x == y and str(x) == str(y), (str(x), str(y))
+
+    @given(pair=sparse_products())
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_product_matches_the_reference_loop(self, pair):
+        a, b = pair
+        got = (a @ b).entries
+        want = reference_product(a, b)
+        assert len(got) == len(want) == a.rows * b.cols
+        for x, y in zip(got, want):
+            assert x == y and str(x) == str(y), (str(x), str(y))
+
+    def test_zero_rows_and_columns(self):
+        # B's middle row and A's middle column are zero, so no term reaches
+        # the middle column of the product
+        z, two, u = CycScalar.zero(5), rat(2), CycScalar.variable("u", 5)
+        a = ExactMatrix.from_rows([[u, z, z], [z, z, two], [z, z, z]], 5)
+        b = ExactMatrix.from_rows([[z, z, u ** -1], [z, z, z], [two, z, z]], 5)
+        assert (a @ b).entries == reference_product(a, b)
+        assert (a @ b) == ExactMatrix.from_rows([[z, z, one()], [rat(4), z, z], [z, z, z]], 5)
+        assert (b @ a).entries == reference_product(b, a)
 
     def test_selection_rule(self, monkeypatch):
         calls = []

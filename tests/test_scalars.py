@@ -395,6 +395,62 @@ class TestRepresentation:
         assert str(one) == "1"
 
 
+@st.composite
+def scalars_and_zeros(draw):
+    """(x, z): x a field element or one with formal variables, z a zero of
+    x's conductor built one of three ways, shared or not."""
+    m = draw(st.sampled_from(CONDUCTORS))
+    x = draw(scalars(m, draw(st.sampled_from([(), ("u", "x")]))))
+    y = draw(scalars(m, ("u",)))
+    z = draw(st.sampled_from([CycScalar.zero(m), CycScalar(m, {}), y - y]))
+    return x, z
+
+
+class TestZeroShortCircuit:
+    """A zero operand of + - * returns the other operand, its negation or the
+    zero at once, after coercion: the results equal the canonical ones in ==
+    and str(), ints and Fractions still coerce, and a zero of another
+    conductor still raises."""
+
+    @given(pair=scalars_and_zeros())
+    @settings(max_examples=150, deadline=None)
+    def test_results_are_canonical(self, pair):
+        x, z = pair
+        m = x.conductor
+        # the canonical constructor sums the terms afresh
+        same = CycScalar(m, dict(x.coeffs))
+        neg = CycScalar(m, {k: -c for k, c in x.coeffs.items()})
+        zero = CycScalar(m, {})
+        for got, want in ((x + z, same), (z + x, same), (x - z, same), (z - x, neg),
+                          (x * z, zero), (z * x, zero)):
+            assert got == want and str(got) == str(want)
+            assert hash(got) == hash(want) and coefficient_types_ok(got)
+            assert got.conductor == m
+
+    @given(x=st.sampled_from([3, 5, 12]).flatmap(lambda m: scalars(m, ("u",))),
+           r=st.sampled_from([0, 2, -1, Fraction(0), Fraction(3, 4)]))
+    @settings(max_examples=80, deadline=None)
+    def test_ints_and_fractions_still_coerce(self, x, r):
+        m = x.conductor
+        c = CycScalar.rational(r, m)
+        for got, want in ((x + r, x + c), (r + x, c + x), (x - r, x - c), (r - x, c - x),
+                          (x * r, x * c), (r * x, c * x)):
+            assert got == want and str(got) == str(want) and coefficient_types_ok(got)
+        zero = CycScalar.zero(m)
+        assert zero + r == c == r + zero and str(zero * r) == "0"
+
+    @given(x=scalars(5, ("u",)))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_of_another_conductor_raises(self, x):
+        other = CycScalar.zero(7)
+        for op in (lambda: x + other, lambda: other + x, lambda: x - other,
+                   lambda: other - x, lambda: x * other, lambda: other * x,
+                   lambda: CycScalar.zero(5) * other):
+            with pytest.raises(ValueError, match="conductor mismatch"):
+                op()
+        assert x != other  # == compares conductors first, even between zeros
+
+
 class TestPowerTermBound:
     """A power of a sum is expanded only under MAX_POWER_TERMS bounded terms."""
 
@@ -444,6 +500,29 @@ class TestPowerBitBound:
         assert parse_scalar("u^100000*(-1)^99999", 5) == -CycScalar.variable("u", 5, 100000)
         big = "9" * 4300
         assert str(parse_scalar(f"({big})^-1", 5)) == f"1/{big}"
+        # sums and products stop at the same limit
+        assert str(parse_scalar("2^14283+2^14283", 5)) == str(2 ** 14284)
+        assert str(parse_scalar("2^7142*2^7142", 5)) == str(2 ** 14284)
+
+    def test_long_product_stops_at_the_first_unprintable_partial_product(self):
+        # unchecked, the second would take about a second to build
+        for text in ["*".join(["2^14284"] * 3000), "*".join(["(2^14284+u)"] * 100)]:
+            t0 = time.perf_counter()
+            with pytest.raises(ScalarParseError, match="more than 4300 digits"):
+                parse_scalar(text, 5)
+            assert time.perf_counter() - t0 < 0.1, text[:20]
+
+    def test_power_of_a_sum_is_bounded_before_computing_it(self):
+        # the term bound lets these through; their coefficients would not print
+        for text in ["(2^100+u)^2000", "(1+z5)^99999", "(1+z5)^-99999"]:
+            t0 = time.perf_counter()
+            with pytest.raises(ScalarParseError, match="more than 4300 digits"):
+                parse_scalar(text, 5)
+            assert time.perf_counter() - t0 < 0.1, text
+        # (1+z5)^n has coefficients of about 0.7 n bits; the bound is n + 3
+        big = parse_scalar("(1+z5)^14000", 5)
+        assert parse_scalar(str(big), 5) == big
+        assert parse_scalar("(1+z5)^-2", 5) == (CycScalar.one(5) + CycScalar.zeta(5)) ** -2
 
 
 class TestParsing:
@@ -467,12 +546,17 @@ class TestParsing:
     @pytest.mark.parametrize("text", ["1/0", "0^-1", "(1+u)^-1",
                                       "(" * 2000 + "1" + ")" * 2000,
                                       "9" * 5000, "u^" + "9" * 5000, "z" + "9" * 5000,
-                                      "3^100000000", "(2/3)^-2000000*u", "3^10000"],
+                                      "3^100000000", "(2/3)^-2000000*u", "3^10000",
+                                      "2^14284*2^14284", "2^14284+2^14284",
+                                      "(2^14284+u)*(2^14284+x)", "(2^14284+u)^2",
+                                      "(2^14284+z5)^-1"],
                              ids=["division-by-zero", "zero-inverse", "non-unit-inverse",
                                   "nested-too-deep", "numeral-too-long",
                                   "exponent-too-long", "root-order-too-long",
                                   "numeral-power-too-large", "fraction-power-too-large",
-                                  "numeral-power-unprintable"])
+                                  "numeral-power-unprintable", "product-unprintable",
+                                  "sum-unprintable", "product-of-sums-unprintable",
+                                  "power-of-a-sum-unprintable", "inverse-unprintable"])
     def test_literal_that_cannot_be_evaluated_is_a_parse_error(self, text):
         with pytest.raises(ScalarParseError):
             parse_scalar(text, 5)

@@ -151,6 +151,28 @@ class TestRelations:
         assert a7 == [("A7: [H1,E1] = a11 E1", ("(0, 0)", 0, 0), "-2"),
                       ("A7: [H2,E1] = a21 E1", ("(0, 0)", 0, 0), "1")]
 
+    def test_witness_is_the_first_mismatch_in_column_major_order(self):
+        # two off-weight entries of E1 break [H1,E1] = 2 E1 at (3,1) and (0,4):
+        # column-major order meets (3,1) first, row-major order (0,4)
+        import dataclasses
+        rep = build_Ak(3, 7, "corrected")
+        entries = list(rep.E1.entries)
+        for row, col in ((3, 1), (0, 4)):
+            entries[row * rep.dim + col] = CycScalar.one(7)
+        bad = dataclasses.replace(rep, E1=ExactMatrix(rep.dim, rep.dim, 7, entries))
+        v = check_relations(bad)
+        assert v.status == FAILS
+        w = next(w for w in v.witnesses if w.name == "A7: [H1,E1] = a11 E1")
+        assert w.indices == (str(rep.labels[1]), 3, 1) and w.value == "-6"
+        # every witness is its relation's first mismatch, column by column
+        rels = {name: (lhs, rhs) for name, lhs, rhs in relation_set(bad)}
+        for w in v.witnesses:
+            lhs, rhs = rels[w.name]
+            first = next((r, c) for c in range(bad.dim) for r in range(bad.dim)
+                         if lhs[r, c] != rhs[r, c])
+            assert w.indices[1:] == first
+            assert w.value == str(lhs[first] - rhs[first])
+
     def test_one_note_names_the_unevaluated_clauses(self):
         v = check_relations(build_Ak(2, 5, "corrected"))
         assert v.status == HOLDS
