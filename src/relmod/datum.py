@@ -272,13 +272,6 @@ class TranslationSpec:
                 return val
         return self.quantum_dimension_from_generators(z, conductor)
 
-    def psi_value(self, g: Degree, z: ZElem) -> CycScalar | None:
-        z = self.reduce(z)
-        for deg, elem, val in self.psi:
-            if deg == g and elem == z:
-                return val
-        return None
-
     def validate(self, conductor: int, grading: GradingSpec) -> list[Violation]:
         out = []
         one = CycScalar.one(conductor)
@@ -425,7 +418,7 @@ def validate_datum(datum: ModularDatum) -> list[Violation]:
         # symmetry is checked only on a square diagonal block that its dims fit
         if b.row_degree == b.col_degree and \
                 b.matrix.rows == b.matrix.cols == len(datum.dims.get(b.col_degree, ())):
-            s = b.matrix.scale_columns(list(datum.dims[b.col_degree]))
+            s = _scaled_block(datum, b)
             if not s.is_symmetric():
                 bad = next((i, j) for i in range(s.rows) for j in range(s.cols)
                            if s[i, j] != s[j, i])
@@ -630,8 +623,32 @@ def save_datum(datum: ModularDatum, path: str) -> None:
 # derived data
 # ---------------------------------------------------------------------------
 
+def _scaled_block(datum: ModularDatum, b: SBlock) -> ExactMatrix:
+    """b's matrix right-scaled by diag(d(V_j)) of its column degree, computed
+    once per datum and pair of degrees.
+
+    The result is kept in the datum's __dict__, outside its fields, so ==,
+    repr and dataclasses.replace do not see it, and a replaced datum starts
+    empty.  An entry is served only while the block's matrix and the dims
+    tuple it was scaled by are the same objects as when it was made."""
+    dims = datum.dims[b.col_degree]
+    memo = datum.__dict__.setdefault("_modified_S", {})
+    key = (b.row_degree, b.col_degree)
+    hit = memo.get(key)
+    if hit is not None and hit[0] is b.matrix and hit[1] is dims:
+        return hit[2]
+    s = b.matrix.scale_columns(list(dims))
+    memo[key] = (b.matrix, dims, s)
+    return s
+
+
 def modified_S(datum: ModularDatum, g: Degree, h: Degree | None = None) -> ExactMatrix:
-    """The modified S-matrix S_{g,h}: the S' block right-scaled by diag(d(V_j))."""
+    """The modified S-matrix S_{g,h}: the S' block right-scaled by diag(d(V_j)).
+
+    It is scaled once per datum and (g, h), and validate_datum's symmetry
+    check scales through the same memo, so a repeated call, or a check after
+    loading, returns the same object (see _scaled_block).  Callers must not
+    change it in place."""
     if h is None:
         h = g
     if g not in datum.degrees and h not in datum.degrees:
@@ -641,5 +658,5 @@ def modified_S(datum: ModularDatum, g: Degree, h: Degree | None = None) -> Exact
         raise KeyError(f"no S' block for degrees ({g}, {h})")
     if h not in datum.dims:
         raise KeyError(f"no modified dimensions recorded for column degree {h}")
-    return b.matrix.scale_columns(list(datum.dims[h]))
+    return _scaled_block(datum, b)
 

@@ -35,15 +35,22 @@ scalar operations end.
 A product of two one-term scalars is built as its single key
 (zeta power mod m, variable key) directly, and reduced modulo Phi_m only when
 that zeta power is not below deg Phi_m; ``_canon`` serves every product with
-more terms.  The literal grammar collects a product of one-term factors such
-as ``-u^-2*s0_1*d1_2^-1`` into one coefficient, zeta power and exponent map,
-and multiplies out only its factors with several terms.  Before it expands a
-power of a sum, it bounds the result's term count and rejects the literal
-when that bound is over ``MAX_POWER_TERMS``; before it raises a one-term factor
-to a power, or a sum to a positive power, it bounds the coefficients' bit
-length against ``MAX_POWER_BITS``.  Every product, sum and power the grammar
-builds is checked to have no numerator or denominator of 4300 or more digits,
-so every coefficient of a parsed literal can be printed.
+more terms.
+
+Literals are read in one pass by ``parse_scalar``.  One compiled regex match
+reads a whole numeral or name factor: its unary minuses, the numeral, ``z{m}``
+or variable name, its optional power and the operator after it; a
+parenthesised factor reads its sum recursively.  A product of one-term factors
+such as ``-u^-2*s0_1*d1_2^-1`` is collected into one coefficient, zeta power
+and exponent map, and only its factors with several terms are multiplied out.
+A sum adds its terms into one dict.  Before it expands a power of a sum, the
+reader bounds the result's term count and rejects the literal when that bound
+is over ``MAX_POWER_TERMS``; before it raises a one-term factor to a power, or
+a sum to a positive power, it bounds the coefficients' bit length against
+``MAX_POWER_BITS``.  Every product, sum and power a literal builds is checked
+to have no numerator or denominator of 4300 or more digits (a sum checks the
+coefficients each term touches), so every coefficient of a parsed literal can
+be printed.
 
 A matrix product over Q(zeta_m) may go through ``_packed_product``, which
 holds each entry as an integer vector over 1, zeta, .., zeta^(deg-1) with one
@@ -648,10 +655,6 @@ def quantum_integer(n: int, ell: int) -> CycScalar:
 # parsing of the scalar literal grammar
 # ---------------------------------------------------------------------------
 
-# One token (a numeral, a name or an operator) after optional whitespace.
-_TOKEN_RE = re.compile(r"\s*(\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|[\^*+\-()])")
-_ZETA_RE = re.compile(r"^z(\d+)$")
-
 # A power of a sum is expanded only when deg Phi_m * C(n+t-1, t-1), a bound on
 # the term count of the t-monomial base to the n-th, is at most this.
 MAX_POWER_TERMS = 10_000
@@ -665,11 +668,6 @@ MAX_POWER_BITS = 14_284
 
 # The least int that str() cannot print under that limit.
 _UNPRINTABLE = 10 ** 4300
-
-# A one-term factor as the parser builds it: (coefficient, zeta power,
-# (variable, exponent) pairs), the pairs neither sorted nor merged.
-_Mono = tuple[Coeff, int, VarKey]
-
 
 def _power_term_bound(deg: int, n: int, t: int) -> int:
     """deg * C(n+t-1, t-1), or the first partial product over MAX_POWER_TERMS."""
@@ -715,140 +713,184 @@ def _printable_scalar(v: CycScalar) -> CycScalar:
     return v
 
 
-class _Parser:
-    def __init__(self, text: str, conductor: int):
-        self.text = text
-        self.conductor = conductor
-        self.tokens: list[str] = []
-        pos, match = 0, _TOKEN_RE.match
-        while pos < len(text):
-            mo = match(text, pos)
-            if not mo:
-                raise ScalarParseError(f"bad character at offset {pos} in {text!r}")
-            self.tokens.append(mo[1])
+# The literal grammar:
+#
+#   expr   := term (('+' | '-') term)*
+#   term   := factor ('*' factor)*
+#   factor := '-'* (numeral | name | '(' expr ')') ('^' '-'? digits)?
+#
+# with optional whitespace around every token.  A numeral is digits or
+# digits/digits; a name is a variable, or z{m} for the root of unity.
+
+# An optional power: '^', an optional '-' and digits.  Group 1 is set whenever
+# the '^' is there, so that a '^' without a valid exponent is an error; digits
+# followed by '/digit' are a fraction, which is no exponent.  The last group
+# is the operator after the factor: '*' goes on with the term, '+' and '-'
+# with the sum.
+_POWER_AND_OPERATOR = r"(\s*\^(?:\s*(-?)\s*(\d+)(?!\d|/\d))?)?\s*([*+\-])?"
+
+# A factor that is read in one match: its unary minuses, then an opening
+# parenthesis, or a numeral or name with its power and the operator after it.
+_FACTOR_RE = re.compile(r"\s*((?:-\s*)*)(?:(\()|(?:(\d+)(?:/(\d+))?|([A-Za-z_][A-Za-z_0-9]*))"
+                        + _POWER_AND_OPERATOR + ")")
+# The closing parenthesis of a parenthesised factor, its power and the
+# operator after it.
+_CLOSE_RE = re.compile(r"\s*\)" + _POWER_AND_OPERATOR)
+_MINUSES_RE = re.compile(r"(?:\s*-)*")
+_END_RE = re.compile(r"\s*\Z")
+# One token (a numeral, a name or an operator) after optional whitespace:
+# error messages name the token where reading stopped, and a text that cannot
+# be split into tokens has a bad character.
+_TOKEN_RE = re.compile(r"\s*(\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|[\^*+\-()])")
+
+
+def _number(digits: str, length: int) -> int:
+    """int(digits); a numeral too long for int() to convert is malformed."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ScalarParseError(f"numeral of {length} characters is too long") from None
+
+
+def _exponent(text: str, esign: str | None, edigits: str | None) -> int:
+    """The exponent of a power whose '^' has been read."""
+    if edigits is None:
+        raise ScalarParseError(f"bad exponent in {text!r}")
+    n = _number(edigits, len(edigits))
+    return -n if esign else n
+
+
+def _power(v: CycScalar, n: int) -> CycScalar:
+    """v^n for a parenthesised factor v, once its size is bounded."""
+    coeffs = list(v.coeffs.values())
+    if len(coeffs) == 1 and abs(n) > 1 and _power_bits(coeffs[0], n) > MAX_POWER_BITS:
+        raise ScalarParseError(f"{abs(coeffs[0])} to the power {n} may have "
+                               f"more than 4300 digits")
+    if len(coeffs) > 1 and abs(n) > 1:
+        t = len({vk for _, vk in v.coeffs})
+        if _power_term_bound(_degree(v.conductor), abs(n), t) > MAX_POWER_TERMS:
+            raise ScalarParseError(f"a sum of {t} monomials to the power {n} may "
+                                   f"have more than {MAX_POWER_TERMS} terms")
+        if n < 0:
+            v, n = v.inverse(), -n
+        if _sum_power_bits(v, n) > MAX_POWER_BITS:
+            raise ScalarParseError(f"a sum to the power {n} may have a coefficient "
+                                   f"of more than 4300 digits")
+    return _printable_scalar(v ** n)
+
+
+def _no_factor(text: str, pos: int):
+    """Raise the error for a text with no factor at pos.  Where no token
+    follows and more than whitespace is left, parse_scalar reports the bad
+    character instead."""
+    mo = _TOKEN_RE.match(text, _MINUSES_RE.match(text, pos).end())
+    if mo is None:
+        raise ScalarParseError(f"unexpected end of input in {text!r}")
+    raise ScalarParseError(f"unexpected {mo[1]!r} at offset {mo.start(1)} in {text!r}")
+
+
+def _scan_term(text: str, pos: int, m: int) -> tuple[CycScalar, int, str | None]:
+    """The product of factors at pos, the position after it and the '+' or '-'
+    that follows it (None when nothing does).
+
+    The one-term factors are collected into one coefficient, zeta power and
+    exponent map; only the parenthesised factors are multiplied out as
+    scalars.  Each partial product is checked to be printable, so none grows
+    past twice that size."""
+    c, zp, exps, rest = 1, 0, {}, None
+    while True:
+        mo = _FACTOR_RE.match(text, pos)
+        if mo is None:
+            _no_factor(text, pos)
+        minuses, paren, num, den, name, caret, esign, edigits, op = mo.groups()
+        if paren is None:
             pos = mo.end()
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def number(self, kind, digits: str):
-        """kind(digits); a numeral too long for int() to convert is malformed."""
-        try:
-            return kind(digits)
-        except ValueError:
-            raise ScalarParseError(f"numeral of {len(digits)} characters is too long") from None
-
-    def take(self):
-        t = self.peek()
-        self.i += 1
-        return t
-
-    def parse(self) -> CycScalar:
-        v = self.expr()
-        if self.peek() is not None:
-            raise ScalarParseError(f"trailing input {self.peek()!r} in {self.text!r}")
-        return v
-
-    def expr(self) -> CycScalar:
-        v = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            t = self.term()
-            v = _printable_scalar(v + t if op == "+" else v - t)
-        return v
-
-    def term(self) -> CycScalar:
-        """A product of factors.  The one-term factors are collected into one
-        coefficient, zeta power and exponent map; only the parenthesised
-        factors are multiplied out as scalars.  Each partial product is
-        checked to be printable, so none grows past twice that size."""
-        c, zp, exps, rest = 1, 0, {}, None
-        while True:
-            f = self.factor()
-            if isinstance(f, CycScalar):
-                rest = f if rest is None else _printable_scalar(rest * f)
+            if name is None:
+                size = len(num) if den is None else mo.end(4) - mo.start(3)
+                f = _number(num, size)
+                if den is not None:
+                    f = _quo(f, _number(den, size))
+                if caret is not None:
+                    n = _exponent(text, esign, edigits)
+                    if abs(n) > 1 and _power_bits(f, n) > MAX_POWER_BITS:
+                        raise ScalarParseError(f"{abs(f)} to the power {n} may have "
+                                               f"more than 4300 digits")
+                    f = f ** n if n >= 0 else _quo(1, f ** -n)
+                c = _printable(c * f)
+            elif name[0] == "z" and name[1:].isdigit():
+                order = _number(name[1:], len(name) - 1)
+                if order != m:
+                    raise ScalarParseError(f"root of unity z{order} does not match conductor {m}")
+                zp += 1 if caret is None else _exponent(text, esign, edigits)
             else:
-                c = _printable(c * f[0])
-                zp += f[1]
-                for name, e in f[2]:
-                    exps[name] = exps.get(name, 0) + e
-            if self.peek() != "*":
-                break
-            self.take()
-        m = self.conductor
-        if not c:
-            return CycScalar.zero(m)
-        vk = tuple(sorted((name, e) for name, e in exps.items() if e))
-        return _printable_scalar(_term(m, zp, vk, c) if rest is None
-                                 else rest._times_term(zp, vk, c))
+                exps[name] = exps.get(name, 0) + (
+                    1 if caret is None else _exponent(text, esign, edigits))
+            if minuses and minuses.count("-") & 1:
+                c = -c
+        else:
+            v, pos = _scan_expr(text, mo.end(), m)
+            mo = _CLOSE_RE.match(text, pos)
+            if mo is None:
+                raise ScalarParseError(f"unbalanced parentheses in {text!r}")
+            pos = mo.end()
+            caret, esign, edigits, op = mo.groups()
+            if caret is not None:
+                v = _power(v, _exponent(text, esign, edigits))
+            if minuses and minuses.count("-") & 1:
+                v = -v
+            rest = v if rest is None else _printable_scalar(rest * v)
+        if op != "*":
+            break
+    if not c:
+        return CycScalar.zero(m), pos, op
+    vk = tuple(sorted(exps.items()))
+    if 0 in exps.values():
+        vk = tuple(p for p in vk if p[1])
+    if rest is None and zp % m < _degree(m):
+        # c is the one coefficient, and it is printable
+        return _term(m, zp, vk, c), pos, op
+    return _printable_scalar(_term(m, zp, vk, c) if rest is None
+                             else rest._times_term(zp, vk, c)), pos, op
 
-    def factor(self) -> _Mono | CycScalar:
-        neg = False
-        while self.peek() == "-":
-            self.take()
-            neg = not neg
-        v = self.atom()
-        if self.peek() == "^":
-            self.take()
-            esign = 1
-            if self.peek() == "-":
-                self.take()
-                esign = -1
-            tok = self.take()
-            if tok is None or not tok.isdigit():
-                raise ScalarParseError(f"bad exponent in {self.text!r}")
-            n = esign * self.number(int, tok)
-            coeffs = list(v.coeffs.values()) if isinstance(v, CycScalar) else [v[0]]
-            if len(coeffs) == 1 and abs(n) > 1 and _power_bits(coeffs[0], n) > MAX_POWER_BITS:
-                raise ScalarParseError(f"{abs(coeffs[0])} to the power {n} may have "
-                                       f"more than 4300 digits")
-            if isinstance(v, CycScalar):
-                if len(v.coeffs) > 1 and abs(n) > 1:
-                    t = len({vk for _, vk in v.coeffs})
-                    if _power_term_bound(_degree(self.conductor), abs(n), t) > MAX_POWER_TERMS:
-                        raise ScalarParseError(f"a sum of {t} monomials to the power {n} may "
-                                               f"have more than {MAX_POWER_TERMS} terms")
-                    if n < 0:
-                        v, n = v.inverse(), -n
-                    if _sum_power_bits(v, n) > MAX_POWER_BITS:
-                        raise ScalarParseError(f"a sum to the power {n} may have a coefficient "
-                                               f"of more than 4300 digits")
-                v = _printable_scalar(v ** n)
-            else:
-                c, zp, pairs = v
-                v = (c ** n if n >= 0 else _quo(1, c ** -n), zp * n,
-                     tuple((name, e * n) for name, e in pairs))
-        if not neg:
-            return v
-        return -v if isinstance(v, CycScalar) else (-v[0], v[1], v[2])
 
-    def atom(self) -> _Mono | CycScalar:
-        tok = self.take()
-        if tok is None:
-            raise ScalarParseError(f"unexpected end of input in {self.text!r}")
-        if tok == "(":
-            v = self.expr()
-            if self.take() != ")":
-                raise ScalarParseError(f"unbalanced parentheses in {self.text!r}")
-            return v
-        if tok[0].isdigit():
-            if "/" not in tok:
-                return self.number(int, tok), 0, ()
-            q = self.number(Fraction, tok)
-            return (q.numerator if q.denominator == 1 else q), 0, ()
-        mo = _ZETA_RE.match(tok)
-        if mo:
-            m = self.number(int, mo.group(1))
-            if m != self.conductor:
-                raise ScalarParseError(
-                    f"root of unity z{m} does not match conductor {self.conductor}")
-            return 1, 1, ()
-        return 1, 0, ((tok, 1),)
+def _scan_expr(text: str, pos: int, m: int) -> tuple[CycScalar, int]:
+    """The sum at pos and the position after it.  The terms are summed into
+    one dict, and only the coefficients a term touches are checked to be
+    printable: the others were checked with an earlier term."""
+    v, pos, op = _scan_term(text, pos, m)
+    if op is None:
+        return v, pos
+    out = dict(v.coeffs)
+    while op is not None:
+        minus = op == "-"
+        t, pos, op = _scan_term(text, pos, m)
+        for k, c in t.coeffs.items():
+            nc = out.get(k, 0) - c if minus else out.get(k, 0) + c
+            if nc:
+                out[k] = _printable(nc)
+            elif k in out:
+                del out[k]
+    return CycScalar(m, out, _canonical=True), pos
+
+
+def _bad_character(text: str) -> int | None:
+    """The offset where text stops splitting into tokens, unless only
+    whitespace is left there."""
+    pos, match = 0, _TOKEN_RE.match
+    while mo := match(text, pos):
+        pos = mo.end()
+    return None if _END_RE.match(text, pos) else pos
 
 
 def parse_scalar(text: str, conductor: int) -> CycScalar:
     """Parse the scalar grammar: rationals, z{m}^k, variables, * + - ( ).
+
+    One regex match reads a whole numeral or name factor with its unary
+    minuses, its power and the operator after it; a parenthesised factor
+    reads its sum recursively.  An operator where a factor should start is
+    an error that names it and its offset, and whitespace may follow the
+    last token.  Of several errors the first bad character, one that no
+    token starts with, is reported; the others in reading order.
 
     A literal that divides by zero, inverts a non-unit, nests too deeply,
     holds a numeral too long to convert, raises a sum to a power that may
@@ -857,8 +899,18 @@ def parse_scalar(text: str, conductor: int) -> CycScalar:
     coefficient that str() cannot print is malformed too: each raises
     ScalarParseError."""
     try:
-        return _Parser(text, conductor).parse()
-    except (ZeroDivisionError, InexactDivision) as exc:
-        raise ScalarParseError(f"cannot evaluate {text!r}: {exc}") from None
-    except RecursionError:
-        raise ScalarParseError("literal nested too deeply") from None
+        v, pos = _scan_expr(text, 0, conductor)
+        if _END_RE.match(text, pos) is None:
+            tok = _TOKEN_RE.match(text, pos)
+            raise ScalarParseError(f"trailing input {tok[1] if tok else text[pos:]!r} in {text!r}")
+        return v
+    except (ScalarParseError, ZeroDivisionError, InexactDivision, RecursionError) as exc:
+        error = exc
+    bad = _bad_character(text)
+    if bad is not None:
+        raise ScalarParseError(f"bad character at offset {bad} in {text!r}")
+    if isinstance(error, ScalarParseError):
+        raise error
+    if isinstance(error, RecursionError):
+        raise ScalarParseError("literal nested too deeply")
+    raise ScalarParseError(f"cannot evaluate {text!r}: {error}")

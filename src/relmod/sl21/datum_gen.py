@@ -109,7 +109,6 @@ def emit_datum(ell: int) -> ModularDatum:
     """
     report = rank_bound_analysis(ell)
     labels = [(k, i) for k in range(ell - 1) for i in range(ell)]
-    pos = {lab: n for n, lab in enumerate(labels)}
 
     rep_of: dict[tuple[int, int], tuple[int, int]] = {}
     for a, b in report.classes:
@@ -128,18 +127,24 @@ def emit_datum(ell: int) -> ModularDatum:
     dims = [CycScalar.variable(f"d{_label_name(*lab)}", ell) for lab in labels]
     twists = [CycScalar.variable(f"t{_label_name(*lab)}", ell) for lab in labels]
 
+    # S' entry (r, c) = row_coeff(r) * row_coeff(c) * s{lo}_{hi} / d(c): the
+    # column factor row_coeff(c) / d(c) is built once, and once more times
+    # the partner factor for the partner rows, so an entry is one product.
     n = len(labels)
+    rep_cols = [row_coeff(c) * d.inverse() for c, d in zip(labels, dims)]
+    partner_cols = [factor * f for f in rep_cols]
+    col_reps = [rep_index[rep_of[c]] for c in labels]
+    sym: dict[tuple[int, int], CycScalar] = {}
     entries: list[CycScalar] = []
     for r in labels:
-        cr = row_coeff(r)
+        cols = rep_cols if rep_of[r] == r else partner_cols
         pr = rep_index[rep_of[r]]
-        for c in labels:
-            cc = row_coeff(c)
-            pc = rep_index[rep_of[c]]
-            lo, hi = min(pr, pc), max(pr, pc)
-            sym = CycScalar.variable(f"s{lo}_{hi}", ell)
-            # modified S entry, divided by the column dimension to give S'
-            entries.append(cr * cc * sym * dims[pos[c]].inverse())
+        for pc, f in zip(col_reps, cols):
+            key = (min(pr, pc), max(pr, pc))
+            s = sym.get(key)
+            if s is None:
+                s = sym[key] = CycScalar.variable(f"s{key[0]}_{key[1]}", ell)
+            entries.append(s * f)
     sprime = ExactMatrix(n, n, ell, entries)
 
     abar = Degree(alpha=1)

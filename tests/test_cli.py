@@ -12,7 +12,7 @@ import conftest
 import relmod
 from relmod.cli import main
 from relmod.closure import dumps_closure, toy_closure_datum
-from relmod.datum import SBlock, save_datum
+from relmod.datum import SBlock, dumps_datum, save_datum
 from relmod.matrices import ExactMatrix
 from relmod.sl21 import emit_datum
 
@@ -530,6 +530,13 @@ def _dims_doc(literal):
     return doc
 
 
+def _emitted_twist_doc(literal):
+    """The emitted ell = 3 datum with its second twist replaced by literal."""
+    doc = dumps_datum(emit_datum(3))
+    doc["twists"]["0"][1] = literal
+    return doc
+
+
 # Each probe is (argv, file contents by name, expected stderr fragment).  A
 # name in argv that is a key of the contents is replaced by the path of a file
 # holding them (bytes as they are, anything else as JSON); "DIR" is a
@@ -587,6 +594,12 @@ _BAD_INPUT_PROBES = {
                                     {"d.json": _dims_doc("2^14284*2^14284")}, "dims.0[0]"),
     "literal-sum-unprintable": (["check", "all", "--datum", "d.json"],
                                 {"d.json": _dims_doc("2^14284+2^14284")}, "dims.0[0]"),
+    "literal-operator-as-factor": (["check", "premodular", "--datum", "d.json"],
+                                   {"d.json": _emitted_twist_doc("*")},
+                                   "twists.0[1]: unexpected '*' at offset 0 in '*'"),
+    "literal-operator-after-star": (["check", "premodular", "--datum", "d.json"],
+                                    {"d.json": _emitted_twist_doc("u*)")},
+                                    "twists.0[1]: unexpected ')' at offset 2 in 'u*)'"),
     "json-integer-too-long": (["closure", "check", "--closure", "c.json"],
                               {"c.json": b'{"bound": ' + b"1" * 5000 + b"}"},
                               "$: not valid JSON"),

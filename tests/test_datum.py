@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import pointed_datum
+from conftest import perturb_block, pointed_datum
+from relmod.checks import check_premodular_inputs
 from relmod.datum import (
     DatumInvariantError,
     DatumSchemaError,
@@ -15,10 +17,12 @@ from relmod.datum import (
     modified_S,
     parse_degree,
     save_datum,
+    validate_datum,
 )
 from relmod.matrices import ExactMatrix
 from relmod.scalars import CycScalar
 from relmod.sl21 import emit_datum
+from relmod.verdicts import FAILS, HOLDS
 
 
 def minimal_doc():
@@ -203,4 +207,56 @@ class TestModifiedS:
         assert (s.rows, s.cols) == (6, 6)
         assert s.rank() == 3
         assert s.is_symmetric()
+
+
+class TestModifiedSMemo:
+    """modified_S scales a block once per datum and (g, h), and never serves
+    a matrix scaled from another block or other dims."""
+
+    def test_repeated_call_and_validation_share_one_matrix(self):
+        d = loads_datum(dumps_datum(emit_datum(3)))
+        g = Degree(alpha=1)
+        s = modified_S(d, g)
+        assert modified_S(d, g, g) is s
+        assert validate_datum(d) == []
+        assert modified_S(d, g) is s
+        assert check_premodular_inputs(d).status == HOLDS
+        assert modified_S(d, g) is s
+
+    def test_replaced_dims_give_a_freshly_scaled_matrix(self):
+        d = pointed_datum(5, random.Random(3))
+        g = Degree(alpha=1)
+        s = modified_S(d, g)
+        dims = tuple(x * 2 for x in d.dims[g])
+        replaced = dataclasses.replace(d, dims={**d.dims, g: dims})
+        fresh = modified_S(replaced, g)
+        assert fresh is not s
+        assert fresh == d.block(g, g).matrix.scale_columns(list(dims)) != s
+        assert modified_S(d, g) is s
+
+    def test_dims_changed_in_place_are_not_served_stale(self):
+        d = pointed_datum(5, random.Random(3))
+        g = Degree(alpha=1)
+        s = modified_S(d, g)
+        d.dims[g] = tuple(x * 3 for x in d.dims[g])
+        assert modified_S(d, g) == d.block(g, g).matrix.scale_columns(list(d.dims[g])) != s
+
+    def test_asymmetric_block_after_a_symmetric_one_is_reported(self):
+        d = pointed_datum(5, random.Random(3))
+        g = Degree(alpha=1)
+        modified_S(d, g)
+        bad = perturb_block(d, 0, 0, 1, CycScalar.one(d.conductor))
+        verdict = check_premodular_inputs(bad)
+        assert verdict.status == FAILS
+        assert any(w.name == "modified-S-symmetric" for w in verdict.witnesses)
+        assert modified_S(bad, g) != modified_S(d, g)
+
+    def test_memo_is_not_part_of_the_datum(self):
+        d = emit_datum(3)
+        before = repr(d)
+        modified_S(d, Degree(alpha=1))
+        assert repr(d) == before
+        assert d == dataclasses.replace(d) == emit_datum(3)
+        assert "_modified_S" not in {f.name for f in dataclasses.fields(d)}
+        assert "_modified_S" not in dataclasses.replace(d).__dict__
 

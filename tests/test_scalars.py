@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_matrix
+from conftest import planted_modularity_datum, pointed_datum, random_matrix
 import relmod.scalars as scalars_mod
 from relmod.datum import dumps_datum, loads_datum
 from relmod.scalars import (
@@ -564,3 +564,204 @@ class TestParsing:
     def test_conductor_mixing_rejected(self):
         with pytest.raises(ValueError):
             CycScalar.one(3) + CycScalar.one(5)
+
+
+# Literal trees: ("num", text, value), ("zeta",), ("var", name), ("pow", base,
+# n), ("neg", child), ("prod", children) and ("sum", [(sign, child), ..]).
+def literal_trees(conductor):
+    leaves = st.one_of(
+        st.integers(0, 9).map(lambda n: ("num", str(n), Fraction(n))),
+        st.tuples(st.integers(0, 9), st.integers(1, 4)).map(
+            lambda t: ("num", f"{t[0]}/{t[1]}", Fraction(*t))),
+        st.just(("zeta",)),
+        st.sampled_from(["u", "x", "s0_1", "d1_2", "z"]).map(lambda n: ("var", n)))
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.just("pow"), children, st.integers(-2, 3)),
+            st.tuples(st.just("neg"), children),
+            st.tuples(st.just("prod"), st.lists(children, min_size=2, max_size=3)),
+            st.tuples(st.just("sum"), st.lists(
+                st.tuples(st.sampled_from("+-"), children), min_size=2, max_size=3)))
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+def tree_value(tree, m):
+    kind = tree[0]
+    if kind == "num":
+        return CycScalar.rational(tree[2], m)
+    if kind == "zeta":
+        return CycScalar.zeta(m)
+    if kind == "var":
+        return CycScalar.variable(tree[1], m)
+    if kind == "pow":
+        return tree_value(tree[1], m) ** tree[2]
+    if kind == "neg":
+        return -tree_value(tree[1], m)
+    if kind == "prod":
+        out = CycScalar.one(m)
+        for child in tree[1]:
+            out = out * tree_value(child, m)
+        return out
+    out = CycScalar.zero(m)
+    for sign, child in tree[1]:
+        out = out + tree_value(child, m) if sign == "+" else out - tree_value(child, m)
+    return out
+
+
+WHITESPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+
+
+@st.composite
+def rendered_literals(draw):
+    """(conductor, literal, tree): a literal tree rendered in the grammar,
+    with random whitespace around every token."""
+    m = draw(st.sampled_from(CONDUCTORS))
+    tree = draw(literal_trees(m))
+
+    def ws():
+        return draw(WHITESPACE)
+
+    def atom(t):
+        if t[0] == "num":
+            return ws() + t[1]
+        if t[0] == "zeta":
+            return ws() + f"z{m}"
+        if t[0] == "var":
+            return ws() + t[1]
+        return ws() + "(" + expr(t) + ws() + ")"
+
+    def factor(t):
+        if t[0] == "neg":
+            return ws() + "-" + factor(t[1])
+        if t[0] == "pow":
+            n = t[2]
+            return atom(t[1]) + ws() + "^" + ws() + ("-" + ws() if n < 0 else "") + str(abs(n))
+        return atom(t)
+
+    def term(t):
+        if t[0] == "prod":
+            return (ws() + "*").join(factor(c) for c in t[1])
+        return factor(t)
+
+    def expr(t):
+        if t[0] != "sum":
+            return term(t)
+        (sign, first), *rest = t[1]
+        # a leading '-' reads as the unary minus of the first factor, which
+        # negates the whole term all the same
+        out = (ws() + "-" if sign == "-" else "") + term(first)
+        return out + "".join(ws() + sign + term(c) for sign, c in rest)
+
+    return m, expr(tree) + ws(), tree
+
+
+# Each malformed literal with its exact message, at conductor 5.
+MALFORMED_LITERALS = [
+    ("*", "unexpected '*' at offset 0 in '*'"),
+    (")", "unexpected ')' at offset 0 in ')'"),
+    ("+", "unexpected '+' at offset 0 in '+'"),
+    ("^", "unexpected '^' at offset 0 in '^'"),
+    ("u*)", "unexpected ')' at offset 2 in 'u*)'"),
+    ("2*+", "unexpected '+' at offset 2 in '2*+'"),
+    ("1 - * 2", "unexpected '*' at offset 4 in '1 - * 2'"),
+    ("-^0", "unexpected '^' at offset 1 in '-^0'"),
+    ("", "unexpected end of input in ''"),
+    ("  ", "unexpected end of input in '  '"),
+    ("1 +", "unexpected end of input in '1 +'"),
+    ("--", "unexpected end of input in '--'"),
+    ("(1", "unbalanced parentheses in '(1'"),
+    ("(1 2)", "unbalanced parentheses in '(1 2)'"),
+    ("2 3", "trailing input '3' in '2 3'"),
+    ("1)", "trailing input ')' in '1)'"),
+    ("2u", "trailing input 'u' in '2u'"),
+    ("u^2^3", "trailing input '^' in 'u^2^3'"),
+    ("u^x", "bad exponent in 'u^x'"),
+    ("u^3/4", "bad exponent in 'u^3/4'"),
+    ("u^--2", "bad exponent in 'u^--2'"),
+    ("(1+u)^", "bad exponent in '(1+u)^'"),
+    ("1 $", "bad character at offset 1 in '1 $'"),
+    ("u % 2", "bad character at offset 1 in 'u % 2'"),
+    ("1/0 $", "bad character at offset 3 in '1/0 $'"),
+    ("* 2/", "bad character at offset 3 in '* 2/'"),
+    ("z3", "root of unity z3 does not match conductor 5"),
+    ("z05^2*z07", "root of unity z7 does not match conductor 5"),
+    ("1/0", "cannot evaluate '1/0': Fraction(1, 0)"),
+    ("0^-1", "cannot evaluate '0^-1': Fraction(1, 0)"),
+    ("(1+u)^-1", "cannot evaluate '(1+u)^-1': 1 is not divisible by 1 + u"),
+    ("(" * 2000 + "1" + ")" * 2000, "literal nested too deeply"),
+    ("9" * 5000, "numeral of 5000 characters is too long"),
+    ("1/" + "9" * 5000, "numeral of 5002 characters is too long"),
+    ("u^" + "9" * 5000, "numeral of 5000 characters is too long"),
+    ("3^100000000", "3 to the power 100000000 may have more than 4300 digits"),
+    ("(2*u)^-100000000", "2 to the power -100000000 may have more than 4300 digits"),
+    ("(1+u+x+y)^60", "a sum of 4 monomials to the power 60 may have more than 10000 terms"),
+    ("(2^100+u)^2000", "a sum to the power 2000 may have a coefficient of more than 4300 digits"),
+    ("2^14284*2^14284", "a coefficient has more than 4300 digits"),
+    ("2^14284+2^14284", "a coefficient has more than 4300 digits"),
+]
+
+
+def literals_of(datum) -> list[str]:
+    """Every scalar literal of a datum's document."""
+    doc = dumps_datum(datum)
+    out = [row["value"] for row in doc["translation"]["psi"]]
+    qdim = doc["translation"]["quantum_dimension"]
+    out += qdim.get("generator_values", []) + [row["value"] for row in qdim.get("table", [])]
+    for table in ("dims", "twists"):
+        out += [x for vals in doc[table].values() for x in vals]
+    out += [x for b in doc["sprime"] for row in b["entries"] for x in row]
+    return out
+
+
+class TestScanner:
+    """The one-pass scanner: values, whitespace, round trips and messages."""
+
+    @given(case=rendered_literals())
+    @settings(max_examples=300, deadline=None)
+    def test_parses_to_the_value_arithmetic_builds(self, case):
+        m, text, tree = case
+        try:
+            expected = tree_value(tree, m)
+        except (ZeroDivisionError, InexactDivision):
+            with pytest.raises(ScalarParseError, match="cannot evaluate"):
+                parse_scalar(text, m)
+            return
+        got = parse_scalar(text, m)
+        assert got == expected and str(got) == str(expected), text
+        assert coefficient_types_ok(got)
+
+    def test_every_literal_of_the_paper_data_round_trips(self):
+        data = [emit_datum(ell) for ell in (3, 5, 7)]
+        data += [pointed_datum(n, random.Random(n)) for n in (3, 5, 7)]
+        data += [planted_modularity_datum(random.Random(size), size)[0]
+                 for size in (1, 2, 3, 4)]
+        count = 0
+        for datum in data:
+            for text in literals_of(datum):
+                assert str(parse_scalar(text, datum.conductor)) == text
+                count += 1
+        assert count > 2500
+
+    @pytest.mark.parametrize("text,message", MALFORMED_LITERALS,
+                             ids=[t[:12] or "empty" for t, _ in MALFORMED_LITERALS])
+    def test_malformed_literal_message(self, text, message):
+        with pytest.raises(ScalarParseError) as exc:
+            parse_scalar(text, 5)
+        assert str(exc.value) == message
+
+    def test_whitespace_may_follow_the_last_token(self):
+        for text in ["1 ", " 1\t", "u^-2 ", "(1 + z5)^2\n", "-u * x  "]:
+            assert parse_scalar(text, 5) == parse_scalar(text.strip(), 5)
+
+    def test_powers_and_minuses_bind_as_before(self):
+        u = CycScalar.variable("u", 5)
+        assert parse_scalar("-2^2", 5) == -4
+        assert parse_scalar("--u", 5) == u
+        assert parse_scalar("- -(1+u)", 5) == 1 + u
+        assert parse_scalar("---(1+u)^2", 5) == -(1 + u) ** 2
+        assert parse_scalar("1--u", 5) == 1 + u
+        assert parse_scalar("3/4^2", 5) == CycScalar.rational(Fraction(9, 16), 5)
+        assert parse_scalar("-(1+u)^2*u ^ - 1", 5) == -(1 + u) ** 2 * u ** -1
+        assert parse_scalar("z05^7", 5) == CycScalar.zeta(5, 2)
+        assert parse_scalar("u^0*0^0", 5) == 1

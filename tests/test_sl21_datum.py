@@ -79,10 +79,11 @@ class TestEmittedDatum:
         d = emit_datum(3)
         abar = Degree(alpha=1)
         u = CycScalar.variable("u", 3)
-        assert d.translation.psi_value(abar, (0, 1)) == u ** -4
-        assert d.translation.psi_value(abar, (0, 2)) == u ** -8
-        assert d.translation.psi_value(abar, (1, 0)) == CycScalar.one(3)
-        assert d.translation.psi_value(Degree(alpha=2), (0, 1)) == u ** -8
+        psi = {(deg, z): val for deg, z, val in d.translation.psi}
+        assert psi[abar, (0, 1)] == u ** -4
+        assert psi[abar, (0, 2)] == u ** -8
+        assert psi[abar, (1, 0)] == CycScalar.one(3)
+        assert psi[Degree(alpha=2), (0, 1)] == u ** -8
 
     def test_modified_S_is_symmetric_with_rank_bound(self):
         d = emit_datum(3)
