@@ -20,6 +20,7 @@ from .datum import (
     DatumInvariantError,
     DatumSchemaError,
     ModularDatum,
+    check_cyclic,
     dumps_datum,
     load_datum,
     parse_degree,
@@ -103,12 +104,15 @@ def _report(args, verdicts: list[Verdict]) -> int:
 # check subcommands
 # ---------------------------------------------------------------------------
 
-def _degree_arg(args, flag: str):
+def _degree_arg(args, flag: str, datum: ModularDatum):
+    """The degree given to --flag, whose finite part must fit datum's grading."""
     text = getattr(args, flag)
     if text is None:
         raise _CliError(f"check {args.what} requires --{flag}")
     try:
-        return parse_degree(text)
+        g = parse_degree(text)
+        check_cyclic(g.finite, datum.grading.cyclic_factors)
+        return g
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliError(f"--{flag}: bad degree {text!r}: {exc}") from None
 
@@ -118,12 +122,12 @@ def _cmd_check(args) -> int:
     which = args.what
     verdicts: list[Verdict] = []
     if which == "nondeg":
-        verdicts.append(checks_mod.check_nondegeneracy(datum, _degree_arg(args, "g")))
+        verdicts.append(checks_mod.check_nondegeneracy(datum, _degree_arg(args, "g", datum)))
     elif which == "dmug":
-        verdicts.append(checks_mod.check_dmug(datum, _degree_arg(args, "g")))
+        verdicts.append(checks_mod.check_dmug(datum, _degree_arg(args, "g", datum)))
     elif which == "modularity":
         verdicts.append(checks_mod.check_relative_modularity(
-            datum, _degree_arg(args, "g"), _degree_arg(args, "h")))
+            datum, _degree_arg(args, "g", datum), _degree_arg(args, "h", datum)))
     elif which == "rank-constancy":
         verdicts.append(checks_mod.check_rank_constancy(datum))
     elif which == "premodular":

@@ -46,7 +46,6 @@ CLOSURE_SCHEMA_ID = "relmod-closure/1"
 class AtomSpec:
     name: str
     strong_decomposition: bool = False
-    negligible: bool | None = None
     dual: str | None = None
     degree: Degree | None = None
 
@@ -596,6 +595,10 @@ def loads_closure(doc: dict) -> ClosureDatum:
         raise DatumSchemaError("$", "document must be a JSON object")
     if doc.get("schema") != CLOSURE_SCHEMA_ID:
         raise DatumSchemaError("schema", f"expected {CLOSURE_SCHEMA_ID!r}, got {doc.get('schema')!r}")
+    grading = None
+    if doc.get("grading") is not None:
+        grading = grading_from_json(doc["grading"], "grading")
+    cyclic = grading.cyclic_factors if grading is not None else ()
     atoms = []
     for i, a in enumerate(_expect(doc.get("atoms", []), list, "atoms")):
         if not isinstance(a, dict):
@@ -604,12 +607,9 @@ def loads_closure(doc: dict) -> ClosureDatum:
         atoms.append(AtomSpec(
             name=str(_need(a, "name", f"atoms[{i}]")),
             strong_decomposition=_field(a, "strong_decomposition", False, bool, f"atoms[{i}]"),
-            negligible=_field(a, "negligible", None, bool, f"atoms[{i}]"),
             dual=_field(a, "dual", None, str, f"atoms[{i}]"),
-            degree=degree_from_json(deg, f"atoms[{i}].degree") if deg is not None else None))
-    grading = None
-    if doc.get("grading") is not None:
-        grading = grading_from_json(doc["grading"], "grading")
+            degree=degree_from_json(deg, f"atoms[{i}].degree", cyclic)
+            if deg is not None else None))
     v_rules = tuple(
         VRule(atom=str(_need(r, "atom", path)), n=_field(r, "n", None, int, path),
               sd_asserted=_field(r, "sd_asserted", True, bool, path), rhs=rhs)
@@ -635,7 +635,6 @@ def dumps_closure(datum: ClosureDatum) -> dict:
         "schema": CLOSURE_SCHEMA_ID,
         "atoms": [
             {"name": a.name, "strong_decomposition": a.strong_decomposition,
-             **({"negligible": a.negligible} if a.negligible is not None else {}),
              **({"dual": a.dual} if a.dual is not None else {}),
              **({"degree": degree_to_json(a.degree)} if a.degree is not None else {})}
             for a in datum.atoms],
@@ -683,10 +682,9 @@ def toy_closure_datum() -> ClosureDatum:
                           small=SmallSubset("list", (Degree(),)))
     return ClosureDatum(
         atoms=(
-            AtomSpec("a", strong_decomposition=True, negligible=False, dual="b", degree=abar),
-            AtomSpec("b", strong_decomposition=True, negligible=False, dual="a",
-                     degree=Degree(alpha=-1)),
-            AtomSpec("v", strong_decomposition=True, negligible=False, dual="v", degree=Degree()),
+            AtomSpec("a", strong_decomposition=True, dual="b", degree=abar),
+            AtomSpec("b", strong_decomposition=True, dual="a", degree=Degree(alpha=-1)),
+            AtomSpec("v", strong_decomposition=True, dual="v", degree=Degree()),
         ),
         distinguished="v",
         grading=grading,

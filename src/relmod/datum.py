@@ -7,9 +7,11 @@ and per generic degree the index set, modified dimensions, twists and S'
 blocks.
 
 Degrees of the grading group are triples (finite part, alpha, shift): the
-optional "generic torus" factor contributes alpha * abar + shift where abar is
-a formal generic parameter and shift is an exact rational.  Two degrees are
-equal iff all components match.
+finite part has one component per cyclic factor of the grading, reduced
+(0 <= c < o for a factor of order o > 0), and the optional "generic torus"
+factor contributes alpha * abar + shift where abar is a formal generic
+parameter and shift is an exact rational.  Two degrees are equal iff all
+components match.
 """
 
 from __future__ import annotations
@@ -128,10 +130,40 @@ def degree_to_json(d: Degree) -> dict:
     return out
 
 
-def degree_from_json(obj, path: str) -> Degree:
+def _reduce_cyclic(comps: tuple[int, ...], factors: tuple[int, ...]) -> tuple[int, ...]:
+    """comps modulo the cyclic factors, c mod o for each order o > 0 (order 0
+    is infinite cyclic); ValueError unless there is one component per factor."""
+    if len(comps) != len(factors):
+        raise ValueError(f"expected {len(factors)} components, one per cyclic factor "
+                         f"{list(factors)}, got {len(comps)}")
+    return tuple(c % o if o else c for c, o in zip(comps, factors))
+
+
+def check_cyclic(comps: tuple[int, ...], factors: tuple[int, ...],
+                 reduced: bool = True) -> tuple[int, ...]:
+    """comps, if there is one component per cyclic factor and, when reduced is
+    set, each is reduced (0 <= c < o for an order o > 0); ValueError otherwise.
+    The finite part of a degree is reduced; a translation element need not be."""
+    if _reduce_cyclic(comps, factors) != comps and reduced:
+        raise ValueError(f"expected components reduced modulo {list(factors)}, "
+                         f"got {list(comps)}")
+    return comps
+
+
+def _components(value, factors: tuple[int, ...], path: str, reduced: bool) -> tuple[int, ...]:
+    """A list of integers that check_cyclic accepts."""
+    comps = _int_list(value, path)
+    try:
+        return check_cyclic(comps, factors, reduced)
+    except ValueError as exc:
+        raise DatumSchemaError(path, str(exc)) from None
+
+
+def degree_from_json(obj, path: str, factors: tuple[int, ...]) -> Degree:
+    """A degree whose finite part is reduced modulo the grading's cyclic factors."""
     if not isinstance(obj, dict) or not set(obj) <= _DEGREE_KEYS:
         raise DatumSchemaError(path, f"expected a degree object with keys {sorted(_DEGREE_KEYS)}")
-    finite = _int_list(obj.get("finite", []), path + ".finite")
+    finite = _components(obj.get("finite", []), factors, path + ".finite", True)
     alpha = obj.get("alpha", 0)
     if not _is_int(alpha):
         raise DatumSchemaError(path + ".alpha", "expected an integer")
@@ -183,15 +215,13 @@ class GradingSpec:
     has_generic_torus: bool = True
     small: SmallSubset = field(default_factory=SmallSubset)
 
-    def _reduce_finite(self, comps: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(c % o if o else c for c, o in zip(comps, self.cyclic_factors))
-
     def add(self, d1: Degree, d2: Degree) -> Degree:
-        fin = self._reduce_finite(tuple(a + b for a, b in zip(d1.finite, d2.finite)))
+        fin = _reduce_cyclic(tuple(a + b for a, b in zip(d1.finite, d2.finite, strict=True)),
+                             self.cyclic_factors)
         return Degree(fin, d1.alpha + d2.alpha, d1.shift + d2.shift)
 
     def negate(self, d: Degree) -> Degree:
-        fin = self._reduce_finite(tuple(-c for c in d.finite))
+        fin = _reduce_cyclic(tuple(-c for c in d.finite), self.cyclic_factors)
         return Degree(fin, -d.alpha, -d.shift)
 
     def is_generic(self, d: Degree) -> bool:
@@ -237,7 +267,7 @@ def grading_from_json(obj, path: str) -> GradingSpec:
         cyclic_factors=factors,
         has_generic_torus=_field(obj, "has_generic_torus", True, bool, path),
         small=SmallSubset(kind, tuple(
-            degree_from_json(e, f"{path}.small_symmetric.elements[{i}]")
+            degree_from_json(e, f"{path}.small_symmetric.elements[{i}]", factors)
             for i, e in enumerate(elements))))
 
 
@@ -256,28 +286,19 @@ class TranslationSpec:
     psi: tuple[tuple[Degree, ZElem, CycScalar], ...] = ()
     no_self_extension: bool | None = None
 
-    def reduce(self, z: ZElem) -> ZElem:
-        return tuple(c % o if o else c for c, o in zip(z, self.cyclic_factors))
-
     def zadd(self, z1: ZElem, z2: ZElem) -> ZElem:
-        return self.reduce(tuple(a + b for a, b in zip(z1, z2)))
+        return _reduce_cyclic(tuple(a + b for a, b in zip(z1, z2, strict=True)),
+                              self.cyclic_factors)
 
     def zero_elem(self) -> ZElem:
         return (0,) * len(self.cyclic_factors)
-
-    def quantum_dimension(self, z: ZElem, conductor: int) -> CycScalar | None:
-        z = self.reduce(z)
-        for elem, val in self.qdim_table:
-            if elem == z:
-                return val
-        return self.quantum_dimension_from_generators(z, conductor)
 
     def validate(self, conductor: int, grading: GradingSpec) -> list[Violation]:
         out = []
         one = CycScalar.one(conductor)
         seen: dict[ZElem, CycScalar] = {}
         for z, val in self.qdim_table:
-            seen[self.reduce(z)] = val
+            seen[_reduce_cyclic(z, self.cyclic_factors)] = val
             if val != one and val != CycScalar.rational(-1, conductor):
                 out.append(Violation(
                     "free-realisation-quantum-dimension", (z,),
@@ -307,7 +328,7 @@ class TranslationSpec:
         for deg, z, val in self.psi:
             if val.is_zero:
                 out.append(Violation("psi-nonzero", (str(deg), z), "psi values must be nonzero"))
-            by_degree.setdefault(deg, {})[self.reduce(z)] = val
+            by_degree.setdefault(deg, {})[_reduce_cyclic(z, self.cyclic_factors)] = val
         for deg, table in by_degree.items():
             elems = sorted(table)
             for z1 in elems:
@@ -335,7 +356,7 @@ class TranslationSpec:
         if self.qdim_generators is None:
             return None
         out = CycScalar.one(conductor)
-        for gen_val, c in zip(self.qdim_generators, self.reduce(z)):
+        for gen_val, c in zip(self.qdim_generators, _reduce_cyclic(z, self.cyclic_factors)):
             out = out * gen_val ** c
         return out
 
@@ -468,6 +489,7 @@ def loads_datum(doc: dict) -> ModularDatum:
         raise DatumSchemaError("conductor", "expected a positive integer")
 
     grading = grading_from_json(_need(doc, "grading", "$"), "grading")
+    cyclic = grading.cyclic_factors
 
     tobj = _expect(_need(doc, "translation", "$"), dict, "translation")
     factors = _int_list(tobj.get("cyclic_factors", []), "translation.cyclic_factors")
@@ -484,21 +506,21 @@ def loads_datum(doc: dict) -> ModularDatum:
     for i, row in enumerate(_expect(qobj.get("table", []), list, f"{qpath}.table")):
         rpath = f"{qpath}.table[{i}]"
         row = _expect(row, dict, rpath)
-        elem = _int_list(_need(row, "element", rpath), f"{rpath}.element")
+        elem = _components(_need(row, "element", rpath), factors, f"{rpath}.element", False)
         table.append((elem, _scalar(_need(row, "value", rpath), conductor, f"{rpath}.value")))
     psi = []
     for i, row in enumerate(_expect(tobj.get("psi", []), list, "translation.psi")):
         rpath = f"translation.psi[{i}]"
         row = _expect(row, dict, rpath)
-        deg = degree_from_json(_need(row, "degree", rpath), f"{rpath}.degree")
-        elem = _int_list(_need(row, "element", rpath), f"{rpath}.element")
+        deg = degree_from_json(_need(row, "degree", rpath), f"{rpath}.degree", cyclic)
+        elem = _components(_need(row, "element", rpath), factors, f"{rpath}.element", False)
         psi.append((deg, elem, _scalar(_need(row, "value", rpath), conductor, f"{rpath}.value")))
     translation = TranslationSpec(
         cyclic_factors=factors, qdim_generators=gens, qdim_table=tuple(table),
         psi=tuple(psi),
         no_self_extension=_field(tobj, "no_self_extension", None, bool, "translation"))
 
-    degrees = tuple(degree_from_json(d, f"degrees[{i}]") for i, d in
+    degrees = tuple(degree_from_json(d, f"degrees[{i}]", cyclic) for i, d in
                     enumerate(_expect(_need(doc, "degrees", "$"), list, "degrees")))
 
     index_sets = {g: tuple(str(x) for x in labels) for g, labels, _ in
@@ -512,8 +534,8 @@ def loads_datum(doc: dict) -> ModularDatum:
     blocks = []
     for i, bobj in enumerate(_expect(doc.get("sprime", []), list, "sprime")):
         bobj = _expect(bobj, dict, f"sprime[{i}]")
-        rd = degree_from_json(_need(bobj, "row_degree", f"sprime[{i}]"), f"sprime[{i}].row_degree")
-        cd = degree_from_json(_need(bobj, "col_degree", f"sprime[{i}]"), f"sprime[{i}].col_degree")
+        rd, cd = (degree_from_json(_need(bobj, key, f"sprime[{i}]"), f"sprime[{i}].{key}", cyclic)
+                  for key in ("row_degree", "col_degree"))
         ent = _need(bobj, "entries", f"sprime[{i}]")
         if not ent or not isinstance(ent, list):
             raise DatumSchemaError(f"sprime[{i}].entries", "expected a non-empty row list")

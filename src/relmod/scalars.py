@@ -679,10 +679,13 @@ def _power_term_bound(deg: int, n: int, t: int) -> int:
     return bound
 
 
-def _power_bits(c: Coeff, n: int) -> int:
-    """|n| * ceil(log2 x) for x the larger of |numerator| and denominator of
-    c: a bound on the bit length of either part of c^n."""
-    return abs(n) * (max(abs(c.numerator), c.denominator) - 1).bit_length()
+def _check_power(c: Coeff, n: int) -> None:
+    """ScalarParseError when |n| > 1 and |n| * ceil(log2 x) is over
+    MAX_POWER_BITS, for x the larger of |numerator| and denominator of c:
+    that product bounds the bit length of either part of c^n."""
+    if abs(n) > 1 and abs(n) * (max(abs(c.numerator), c.denominator) - 1).bit_length() \
+            > MAX_POWER_BITS:
+        raise ScalarParseError(f"{abs(c)} to the power {n} may have more than 4300 digits")
 
 
 def _sum_power_bits(v: CycScalar, n: int) -> int:
@@ -763,10 +766,9 @@ def _exponent(text: str, esign: str | None, edigits: str | None) -> int:
 def _power(v: CycScalar, n: int) -> CycScalar:
     """v^n for a parenthesised factor v, once its size is bounded."""
     coeffs = list(v.coeffs.values())
-    if len(coeffs) == 1 and abs(n) > 1 and _power_bits(coeffs[0], n) > MAX_POWER_BITS:
-        raise ScalarParseError(f"{abs(coeffs[0])} to the power {n} may have "
-                               f"more than 4300 digits")
-    if len(coeffs) > 1 and abs(n) > 1:
+    if len(coeffs) == 1:
+        _check_power(coeffs[0], n)
+    elif len(coeffs) > 1 and abs(n) > 1:
         t = len({vk for _, vk in v.coeffs})
         if _power_term_bound(_degree(v.conductor), abs(n), t) > MAX_POWER_TERMS:
             raise ScalarParseError(f"a sum of {t} monomials to the power {n} may "
@@ -812,11 +814,13 @@ def _scan_term(text: str, pos: int, m: int) -> tuple[CycScalar, int, str | None]
                     f = _quo(f, _number(den, size))
                 if caret is not None:
                     n = _exponent(text, esign, edigits)
-                    if abs(n) > 1 and _power_bits(f, n) > MAX_POWER_BITS:
-                        raise ScalarParseError(f"{abs(f)} to the power {n} may have "
-                                               f"more than 4300 digits")
+                    _check_power(f, n)
                     f = f ** n if n >= 0 else _quo(1, f ** -n)
-                c = _printable(c * f)
+                c = c * f
+                # a product of numerals such as 3/2*2/3 may be integral again
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
+                c = _printable(c)
             elif name[0] == "z" and name[1:].isdigit():
                 order = _number(name[1:], len(name) - 1)
                 if order != m:

@@ -101,9 +101,6 @@ class XYLaurent:
                 out[k] = out.get(k, 0) + c1 * c2
         return XYLaurent(out)
 
-    def scale(self, c: int) -> "XYLaurent":
-        return XYLaurent({k: c * v for k, v in self.terms.items()})
-
     def shift(self, dx: int, dy: int) -> "XYLaurent":
         return XYLaurent({(x + dx, y + dy): v for (x, y), v in self.terms.items()})
 

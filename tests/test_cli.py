@@ -193,12 +193,25 @@ class TestCheckCommand:
         ("degrees", [{"alpha": True}], "degrees[0].alpha: expected an integer"),
         ("grading", {"cyclic_factors": [True]},
          "grading.cyclic_factors: expected a list of integers"),
+        ("degrees", [{"finite": [1]}],
+         "degrees[0].finite: expected 0 components, one per cyclic factor [], got 1"),
+        ("grading", {"cyclic_factors": [2], "small_symmetric": {
+            "kind": "list", "elements": [{"finite": [-1]}]}},
+         "grading.small_symmetric.elements[0].finite: expected components reduced "
+         "modulo [2], got [-1]"),
+        ("translation", {"cyclic_factors": [2, 0], "quantum_dimension": {
+            "table": [{"element": [1, 0, 7], "value": "1"}]}},
+         "translation.quantum_dimension.table[0].element: expected 2 components"),
+        ("translation", {"psi": [{"degree": {}, "element": [1], "value": "1"}]},
+         "translation.psi[0].element: expected 0 components"),
     ], ids=["grading-list", "small-subset-list", "ragged-rows", "translation-list",
             "quantum-dimension-list", "index-sets-list", "index-set-string", "dims-list",
             "dims-key-out-of-range", "twists-list", "degrees-object", "dual-involution-list",
             "dual-involution-strings", "shift-list", "row-labels-int",
             "generic-torus-string", "no-self-extension-string", "conductor-bool",
-            "orbit-count-bool", "alpha-bool", "cyclic-factors-bool"])
+            "orbit-count-bool", "alpha-bool", "cyclic-factors-bool",
+            "finite-part-without-cyclic-factor", "small-element-unreduced",
+            "qdim-element-extra-component", "psi-element-without-cyclic-factor"])
     def test_malformed_field_is_usage_error_with_path(self, capsys, tmp_path, field, value,
                                                        path):
         doc = identity_datum_doc()
@@ -363,8 +376,6 @@ class TestClosureCommands:
         (lambda doc: doc["atoms"][0].update(dual=[]), "atoms[0].dual: expected a string"),
         (lambda doc: doc["atoms"][0].update(strong_decomposition="false"),
          "atoms[0].strong_decomposition: expected a boolean"),
-        (lambda doc: doc["atoms"][0].update(negligible=0),
-         "atoms[0].negligible: expected a boolean"),
         (lambda doc: doc["v_rules"][0].update(sd_asserted="false"),
          "v_rules[0].sd_asserted: expected a boolean"),
         (lambda doc: doc["grading"].update(has_generic_torus=1),
@@ -372,12 +383,19 @@ class TestClosureCommands:
         (lambda doc: doc["product_rules"][0]["rhs"][0].update(v_power=True),
          "product_rules[0].rhs[0].v_power: expected an integer"),
         (lambda doc: doc.update(bound=True), "$.bound: expected an integer"),
+        (lambda doc: doc["grading"].update(cyclic_factors=[2]),
+         "grading.small_symmetric.elements[0].finite: expected 1 components"),
+        (lambda doc: _z2_toy_closure(doc, []),
+         "atoms[0].degree.finite: expected 1 components"),
+        (lambda doc: _z2_toy_closure(doc, [3]),
+         "atoms[0].degree.finite: expected components reduced modulo [2], got [3]"),
     ], ids=["nameless-atom", "grading-list", "small-subset-without-kind", "v-rule-without-atom",
             "product-rule-without-left", "product-rule-without-right", "rhs-term-without-atom",
             "v-rule-rhs-term-without-atom", "v-power-list", "product-rules-object",
             "distinguished-list", "dual-list", "strong-decomposition-string",
-            "negligible-int", "sd-asserted-string", "generic-torus-int",
-            "v-power-bool", "bound-bool"])
+            "sd-asserted-string", "generic-torus-int", "v-power-bool", "bound-bool",
+            "small-element-short-of-a-cyclic-factor", "atom-degree-short-of-a-cyclic-factor",
+            "atom-degree-unreduced"])
     def test_malformed_closure_is_usage_error_with_path(self, capsys, tmp_path, edit, path):
         import relmod.closure as closure_mod
         doc = closure_mod.dumps_closure(closure_mod.toy_closure_datum())
@@ -406,6 +424,47 @@ class TestClosureCommands:
         assert code == 0
         code, out, _ = run(capsys, "closure", "check", "--cor", "2", "--closure", p)
         assert code == 0
+
+    def test_z2_graded_toy_closure_loads(self, capsys, tmp_path):
+        import relmod.closure as closure_mod
+        doc = _z2_toy_closure(closure_mod.dumps_closure(closure_mod.toy_closure_datum()), [0])
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "closure", "check", "--cor", "2", "--closure", str(p))
+        assert (code, "holds" in out) == (0, True)
+
+    def test_negligible_flag_of_older_files_is_ignored(self, capsys, tmp_path):
+        # the toy closure as emit-toy wrote it while atoms carried the flag
+        import relmod.closure as closure_mod
+        doc = closure_mod.dumps_closure(closure_mod.toy_closure_datum())
+        for atom in doc["atoms"]:
+            atom["negligible"] = False
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps(doc))
+        assert closure_mod.load_closure(str(p)) == closure_mod.toy_closure_datum()
+
+        def reports(*argv):
+            code, out, err = run(capsys, *argv, "--format", "json")
+            doc = json.loads(out)
+            doc.pop("invocation")
+            return code, doc, err
+
+        for cor in ("1", "2"):
+            assert reports("closure", "check", "--cor", cor, "--closure", str(p)) == \
+                reports("closure", "check", "--cor", cor)
+        for expr in closure_mod.toy_expressions():
+            old = reports("closure", "certify", "--expr", expr, "--closure", str(p))
+            assert old[0] == 0 and old == reports("closure", "certify", "--expr", expr)
+
+
+def _z2_toy_closure(doc, finite_a):
+    """The toy closure document over Z/2 x the generic torus: finite part [0]
+    on every degree except atom a's, which is finite_a."""
+    doc["grading"]["cyclic_factors"] = [2]
+    for d in doc["grading"]["small_symmetric"]["elements"] + [a["degree"] for a in doc["atoms"]]:
+        d["finite"] = [0]
+    doc["atoms"][0]["degree"]["finite"] = finite_a
+    return doc
 
 
 # SHA-256 over (argv, exit code, stdout) of every invocation in
@@ -469,7 +528,7 @@ class TestPinnedReports:
 # `_pinned_commands`, one JSON line each, followed by the bytes of any file an
 # `--out` invocation wrote.  It pins the reports of the sl21 and closure
 # subcommands that `PINNED_REPORTS_SHA256` does not reach.
-PINNED_COMMANDS_SHA256 = "5a0438d400a32ee7077c94f7487d2907b1ef64b1a026177ca042b22214d1d7c1"
+PINNED_COMMANDS_SHA256 = "27725a5b13ddc1cb4cd97d4c2c2e39f8dffa715ab772557810200bcbef586669"
 
 
 def _pinned_commands():
@@ -524,6 +583,19 @@ def _generator_doc(value):
     return doc
 
 
+def _z2_pointed_doc(minus_a):
+    """conftest's pointed n = 3 datum over Z/2 x the generic torus: finite
+    part [1] on degree a, minus_a on -a and [0] on the small element."""
+    doc = dumps_datum(conftest.pointed_datum(3))
+    doc["grading"]["cyclic_factors"] = [2]
+    doc["grading"]["small_symmetric"]["elements"] = [{"finite": [0]}]
+    degrees = doc["degrees"] + [b[key] for b in doc["sprime"]
+                                for key in ("row_degree", "col_degree")]
+    for d in degrees:
+        d["finite"] = [1] if d["alpha"] == 1 else minus_a
+    return doc
+
+
 def _dims_doc(literal):
     doc = identity_datum_doc()
     doc["dims"] = {"0": [literal]}
@@ -552,6 +624,20 @@ _BAD_INPUT_PROBES = {
                          "--ell 4 --k 0 --i 0: ell must be odd"),
     "degree-division-by-zero": (["check", "nondeg", "--g", "1/0", "--datum", "ok.json"],
                                 {"ok.json": identity_datum_doc()}, "--g"),
+    "degree-finite-part-without-cyclic-factor": (
+        ["check", "nondeg", "--g", "1|a", "--datum", "ok.json"],
+        {"ok.json": identity_datum_doc()},
+        "--g: bad degree '1|a': expected 0 components, one per cyclic factor [], got 1"),
+    "degree-finite-part-unreduced": (
+        ["check", "dmug", "--g", "3|a", "--datum", "z2.json"], {"z2.json": _z2_pointed_doc([1])},
+        "--g: bad degree '3|a': expected components reduced modulo [2], got [3]"),
+    "second-degree-finite-part-unreduced": (
+        ["check", "modularity", "--g", "1|a", "--h", "-1|-a", "--datum", "z2.json"],
+        {"z2.json": _z2_pointed_doc([1])}, "--h: bad degree '-1|-a'"),
+    "datum-finite-part-unreduced": (
+        ["check", "nondeg", "--g", "1|a", "--datum", "z2.json"],
+        {"z2.json": _z2_pointed_doc([-1])},
+        "degrees[1].finite: expected components reduced modulo [2], got [-1]"),
     "literal-division-by-zero": (["check", "premodular", "--datum", "d.json"],
                                  {"d.json": _dims_doc("1/0")}, "dims.0[0]"),
     "literal-zero-inverse": (["check", "premodular", "--datum", "d.json"],
@@ -634,6 +720,14 @@ class TestBadInputIsUsageError:
         assert fragment in err
         if fragment in ("DIR", "cannot write"):
             assert str(tmp_path) in err and "not found" not in err
+
+    def test_reduced_z2_datum_holds(self, capsys, tmp_path):
+        argv = _probe_argv(tmp_path, ["check", "nondeg", "--g", "1|a", "--datum", "z2.json"],
+                           {"z2.json": _z2_pointed_doc([1])})
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        (report,) = json.loads(out)["reports"]
+        assert report["status"] == "holds" and report["params"] == {"g": "1|a"}
 
     def test_power_of_a_sum_over_the_term_limit_is_rejected_quickly(self, capsys, tmp_path):
         # expanding it would take minutes; the term bound rejects it first

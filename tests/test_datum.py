@@ -11,8 +11,15 @@ from relmod.datum import (
     DatumInvariantError,
     DatumSchemaError,
     Degree,
+    GradingSpec,
+    SmallSubset,
+    TranslationSpec,
+    degree_from_json,
+    degree_to_json,
     dumps_datum,
     load_datum,
+    grading_from_json,
+    grading_to_json,
     loads_datum,
     modified_S,
     parse_degree,
@@ -44,9 +51,57 @@ def minimal_doc():
 
 class TestDegrees:
     def test_parse_print_round_trip(self):
-        for text in ("0", "a", "-a", "2a", "a+1/2", "-a+2/3", "1/2", "a-1"):
+        for text in ("0", "a", "-a", "2a", "a+1/2", "-a+2/3", "1/2", "a-1",
+                     "1,0|a", "0,1|-a+1/2", "1|0"):
             d = parse_degree(text)
             assert parse_degree(str(d)) == d
+        assert parse_degree("0,1|-a+1/2") == Degree((0, 1), -1, Fraction(1, 2))
+
+    def test_json_round_trip_with_a_finite_part(self):
+        for text in ("1,0|a", "0,2|-a+1/2", "1,1|0", "0,0|2a-1/3"):
+            d = parse_degree(text)
+            assert degree_from_json(degree_to_json(d), "d", (2, 3)) == d
+        grading = GradingSpec(cyclic_factors=(2, 3), small=SmallSubset("torsion"))
+        assert grading_from_json(grading_to_json(grading), "grading") == grading
+        listed = GradingSpec(cyclic_factors=(2, 0), small=SmallSubset(
+            "list", (parse_degree("0,0|0"), parse_degree("1,-4|0"))))
+        assert grading_from_json(grading_to_json(listed), "grading") == listed
+
+    def test_finite_part_must_fit_the_cyclic_factors(self):
+        for finite, message in (([1, 0, 0], "expected 2 components"),
+                                ([1], "expected 2 components"),
+                                ([2, 0], "reduced modulo [2, 3], got [2, 0]"),
+                                ([0, -1], "reduced modulo [2, 3], got [0, -1]")):
+            with pytest.raises(DatumSchemaError) as ei:
+                degree_from_json({"finite": finite, "alpha": 1}, "d", (2, 3))
+            assert ei.value.path == "d.finite" and message in str(ei.value)
+        # an infinite cyclic factor (order 0) takes any integer
+        assert degree_from_json({"finite": [-7]}, "d", (0,)) == Degree((-7,))
+
+    def test_add_and_negate_modulo_the_cyclic_factors(self):
+        grading = GradingSpec(cyclic_factors=(2, 3))
+        g = Degree((1, 2), 1, Fraction(1, 2))
+        h = Degree((1, 2), -1)
+        assert grading.add(g, h) == Degree((0, 1), 0, Fraction(1, 2))
+        assert grading.negate(g) == Degree((1, 1), -1, Fraction(-1, 2))
+        assert grading.negate(grading.negate(g)) == g
+        assert grading.add(g, grading.negate(g)) == Degree((0, 0))
+        assert grading.negate(Degree((0, 0), 1)) == Degree((0, 0), -1)
+
+    def test_a_degree_with_the_wrong_component_count_is_rejected(self):
+        grading = GradingSpec(cyclic_factors=(2,))
+        with pytest.raises(ValueError, match="expected 1 components"):
+            grading.negate(Degree((1, 1), 1))
+        with pytest.raises(ValueError):
+            grading.add(Degree((1,), 1), Degree((1, 1), 1))
+
+    def test_torsion_rule_makes_degrees_without_alpha_small(self):
+        grading = GradingSpec(cyclic_factors=(2, 3), small=SmallSubset("torsion"))
+        assert not grading.is_generic(Degree((1, 2)))
+        assert not grading.is_generic(Degree((0, 0)))
+        assert grading.is_generic(Degree((1, 2), 1))
+        assert grading.is_generic(Degree((0, 0), -2, Fraction(1, 3)))
+        assert grading_from_json({"cyclic_factors": [2, 3]}, "grading") == grading
 
     def test_negation_via_grading(self):
         datum = pointed_datum(3)
@@ -73,6 +128,16 @@ class TestLoader:
         with pytest.raises(DatumSchemaError) as ei:
             loads_datum(doc)
         assert ei.value.path == "sprime[0].entries[0][0]"
+
+    def test_translation_elements_need_not_be_reduced(self):
+        doc = minimal_doc()
+        doc["translation"] = {"cyclic_factors": [2, 0], "quantum_dimension": {
+            "generator_values": ["-1", "1"],
+            "table": [{"element": [3, -5], "value": "-1"}]}}
+        t = loads_datum(doc).translation
+        assert t.qdim_table[0][0] == (3, -5)
+        assert t.quantum_dimension_from_generators((3, -5), 5) == CycScalar.rational(-1, 5)
+        assert TranslationSpec(cyclic_factors=(2, 0)).zadd((1, 4), (1, -6)) == (0, -2)
 
     def test_psi_bilinearity_violation_names_triple(self):
         doc = minimal_doc()

@@ -380,6 +380,16 @@ class TestRepresentation:
         assert got == expected and str(got) == str(expected)
         assert coefficient_types_ok(got)
 
+    def test_integral_numeral_product_has_an_int_coefficient(self):
+        for text, value in (("3/2*2/3", 1), ("3/2^0", 1), ("(3/2)^0", 1), ("1/2*4", 2),
+                            ("-2*1/2*u", -CycScalar.variable("u", 5)), ("3/2*2/3*z5", None)):
+            x = parse_scalar(text, 5)
+            assert coefficient_types_ok(x), text
+            assert all(type(c) is int for c in x.coeffs.values()), (text, x.coeffs)
+            if value is not None:
+                assert x == value
+        assert parse_scalar("3/2*1/3", 5).coeffs == {(0, ()): Fraction(1, 2)}
+
     @given(pair=scalar_pairs(), r=st.fractions(min_value=-5, max_value=5, max_denominator=6)
            .filter(bool))
     @settings(max_examples=100, deadline=None)

@@ -65,9 +65,11 @@ class TestEmittedDatum:
         t = d.translation
         minus_one = CycScalar.rational(-1, 3)
         one = CycScalar.one(3)
-        assert t.quantum_dimension((1, 0), 3) == minus_one
-        assert t.quantum_dimension((0, 5), 3) == one
-        assert t.quantum_dimension((0, 0), 3) == one
+        assert dict(t.qdim_table) == {(0, 0): one, (1, 0): minus_one}
+        assert t.quantum_dimension_from_generators((1, 0), 3) == minus_one
+        assert t.quantum_dimension_from_generators((3, 0), 3) == minus_one
+        assert t.quantum_dimension_from_generators((0, 5), 3) == one
+        assert t.quantum_dimension_from_generators((0, 0), 3) == one
 
     def test_small_subset_is_zero_bar(self):
         d = emit_datum(5)
