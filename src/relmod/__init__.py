@@ -1,7 +1,7 @@
 """relmod: exact verification toolkit for graded ribbon-category data."""
 
 from .scalars import CycScalar, InexactDivision, parse_scalar, quantum_integer
-from .matrices import ExactMatrix, SingularReport
+from .matrices import ExactMatrix
 from .datum import (
     Degree,
     ModularDatum,
@@ -26,7 +26,6 @@ __all__ = [
     "ExactMatrix",
     "InexactDivision",
     "ModularDatum",
-    "SingularReport",
     "Verdict",
     "check_dmug",
     "check_nondegeneracy",

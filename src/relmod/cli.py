@@ -113,7 +113,7 @@ def _degree_arg(args, flag: str, datum: ModularDatum):
         g = parse_degree(text)
         check_cyclic(g.finite, datum.grading.cyclic_factors)
         return g
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise _CliError(f"--{flag}: bad degree {text!r}: {exc}") from None
 
 

@@ -484,10 +484,9 @@ def _derive(datum: ClosureDatum, expr: Expr, depth: int):
                                   f"atom {expr.name!r} carries no strong-decomposition flag")
         return Certificate("atom", text, "strong decomposition asserted on the atom")
 
-    if not isinstance(expr, Tensor):
-        return CertifyFailure("stuck", text, f"unsupported expression node {type(expr).__name__}")
-
     flat = _flatten_tensor(expr)
+    if len(flat) == 1:
+        return _derive(datum, flat[0], depth)
     for i, f in enumerate(flat):
         if isinstance(f, Sum):
             expanded = Sum(tuple(
@@ -518,13 +517,6 @@ def _derive(datum: ClosureDatum, expr: Expr, depth: int):
     if len(word) <= 1:
         base = word[0] if word else vname
         n = vpow if word else vpow - 1
-        if n <= 0 and not word:
-            spec = datum.atom(vname)
-            if spec and spec.strong_decomposition:
-                return Certificate("atom", text, "strong decomposition asserted on the atom")
-            return CertifyFailure("stuck", text, "distinguished atom not flagged")
-        if n == 0:
-            return _derive(datum, Atom(base), depth)
         rule = datum.v_coverage(base, n)
         if rule is None:
             return CertifyFailure(

@@ -17,6 +17,7 @@ components match.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -83,6 +84,14 @@ class Degree:
 
 
 _DEGREE_KEYS = {"finite", "alpha", "shift"}
+
+# A shift as degree_to_json and Degree.__str__ write it: an integer or n/d, d > 0.
+_RATIONAL = r"\d+(?:/0*[1-9]\d*)?"
+_SHIFT_RE = re.compile(rf"[+-]?{_RATIONAL}", re.ASCII)
+_DEGREE_RE = re.compile(
+    rf"\s*(?:(?P<finite>[+-]?\d+(?:\s*,\s*[+-]?\d+)*)\s*\|\s*)?"
+    rf"(?:(?P<alpha>[+-]?\d*)a(?:\s*(?P<sign>[+-])\s*(?P<tail>{_RATIONAL}))?"
+    rf"|(?P<shift>[+-]?{_RATIONAL}))\s*", re.ASCII)
 
 
 def _need(obj: dict, key: str, path: str):
@@ -167,34 +176,29 @@ def degree_from_json(obj, path: str, factors: tuple[int, ...]) -> Degree:
     alpha = obj.get("alpha", 0)
     if not _is_int(alpha):
         raise DatumSchemaError(path + ".alpha", "expected an integer")
+    shift = obj.get("shift", 0)
     try:
-        shift = Fraction(obj.get("shift", 0))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        if not (_is_int(shift) or isinstance(shift, str) and _SHIFT_RE.fullmatch(shift)):
+            raise ValueError(f"expected an integer or a string n or n/d, got {shift!r}")
+        shift = Fraction(shift)
+    except ValueError as exc:
         raise DatumSchemaError(path + ".shift", f"bad rational: {exc}") from None
     return Degree(finite, alpha, shift)
 
 
 def parse_degree(text: str) -> Degree:
-    """Parse the compact degree syntax: '0', 'a', '-a', '2a+1/2', '1,0|a'."""
-    text = text.strip()
-    finite: tuple[int, ...] = ()
-    if "|" in text:
-        fin, text = text.split("|", 1)
-        finite = tuple(int(c) for c in fin.split(",") if c.strip() != "")
-    alpha = 0
-    shift = Fraction(0)
-    if "a" in text:
-        head, _, tail = text.partition("a")
-        head = head.strip()
-        alpha = {"": 1, "-": -1, "+": 1}.get(head, None)
-        if alpha is None:
-            alpha = int(head)
-        tail = tail.strip()
-        if tail:
-            shift = Fraction(tail.replace(" ", ""))
-    elif text not in ("", "0"):
-        shift = Fraction(text)
-    return Degree(finite, alpha, shift)
+    """Parse a degree as Degree.__str__ prints it: '0', 'a', '-a', '2a+1/2',
+    '1/2', '1,0|a'.  Whitespace may surround tokens; ValueError otherwise."""
+    m = _DEGREE_RE.fullmatch(text)
+    if m is None:
+        raise ValueError("expected [c,...,c|] and then [n]a with an optional signed "
+                         "shift, or a shift alone; a shift is an integer or n/d")
+    finite = tuple(int(c) for c in m["finite"].split(",")) if m["finite"] else ()
+    if m["shift"] is not None:
+        return Degree(finite, 0, Fraction(m["shift"]))
+    coeff = m["alpha"]
+    alpha = int(coeff) if coeff.strip("+-") else int(coeff + "1")
+    return Degree(finite, alpha, Fraction(m["sign"] + m["tail"]) if m["tail"] else Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -118,17 +118,6 @@ def _packs(entries: list[CycScalar]) -> bool:
         vk for e in nonzero for _, vk in e.coeffs)
 
 
-class SingularReport:
-    """Returned by invert() on singular input; carries a nonzero kernel vector."""
-
-    def __init__(self, kernel: list[CycScalar], rank: int):
-        self.kernel = kernel
-        self.rank = rank
-
-    def __repr__(self):
-        return f"SingularReport(rank={self.rank}, kernel=[{', '.join(map(str, self.kernel))}])"
-
-
 class ExactMatrix:
     __slots__ = ("rows", "cols", "conductor", "entries")
 
@@ -417,18 +406,19 @@ class ExactMatrix:
         return _witness(vec)
 
     def invert(self):
-        """Exact inverse, or a SingularReport with a kernel vector.
+        """Exact inverse.
 
-        Raises ValueError on non-square input, and InexactDivision when the
-        matrix is invertible over the fraction field but the inverse does not
-        live in the coefficient ring (possible only with formal variables).
+        Raises ValueError on non-square or singular input, and InexactDivision
+        when the matrix is invertible over the fraction field but the inverse
+        does not live in the coefficient ring (possible only with formal
+        variables).
         """
-        if self.rows != self.cols:
-            raise ValueError("cannot invert a non-square matrix")
-        rank, kernel = self._rank_and_kernel()
-        if kernel:
-            return SingularReport(kernel[0], rank)
         n = self.rows
+        if n != self.cols:
+            raise ValueError("cannot invert a non-square matrix")
+        rank = self.rank()
+        if rank < n:
+            raise ValueError(f"cannot invert a singular matrix: rank {rank} < {n}")
         # Gauss-Jordan on [A | I] leaves d A^-1 in the right half, where
         # d = +-det(A) is the last pivot.
         ident = ExactMatrix.identity(n, self.conductor)

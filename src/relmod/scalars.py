@@ -13,19 +13,21 @@ through multivariate Laurent long division, which raises InexactDivision when
 the quotient is not in the ring.  That division inverts the divisor's leading
 field coefficient a by the norm formula a^-1 = prod_{k != 1} sigma_k(a) / N(a),
 the product of a's other Galois conjugates (zeta -> zeta^k) over its rational
-norm, and the last inverses are kept in a cache of fixed size (Bareiss
-elimination divides many entries by one pivot).  Powers of a one-term scalar
-scale its exponents, for either sign.
+norm, and the last inverses are kept in a cache of fixed size (loading a
+datum, re-validating it and the Delta sums invert the same few twists).
+Powers of a one-term scalar scale its exponents, for either sign.
 
-A coefficient is a Python ``int`` while it is integral and a ``Fraction``
-only where a division made it one: the inverse 1/c of a one-term divisor,
+A coefficient is a Python ``int`` while it is integral.  A ``Fraction`` is
+made only where a division happens: the inverse 1/c of a one-term divisor,
 the division by the norm in the field inverse, a one-term power with a
 negative exponent, and numerals such as ``3/2``.  Each of those sites goes
 through ``Fraction`` (an ``int`` there would turn into a float), and a quotient
-that comes out integral is stored as an ``int`` again.  ``2`` and
-``Fraction(2)`` have the same ``==``, ``hash`` and ``str``, so the two are
-interchangeable everywhere; the ``int`` only saves the gcds of ``Fraction``
-arithmetic on the +-1 coefficients that make up the sl(2|1) data.
+that comes out integral is stored as an ``int`` again; so is an integral sum
+in ``+`` and in ``parse_scalar``.  Products do not convert back: ``1/2*u``
+times 2 holds ``Fraction(1, 1)``.  ``2`` and ``Fraction(2)`` have the same
+``==``, ``hash`` and ``str``, so the two are interchangeable everywhere; the
+``int`` only saves the gcds of ``Fraction`` arithmetic on the +-1
+coefficients that make up the sl(2|1) data.
 
 A zero operand of ``+``, ``-`` or ``*`` returns the other operand, its
 negation or the zero as soon as the operands are coerced to one conductor.
@@ -411,6 +413,8 @@ class CycScalar:
         for k, c in other.coeffs.items():
             nc = out.get(k, 0) + c
             if nc:
+                if type(nc) is Fraction and nc.denominator == 1:
+                    nc = nc.numerator
                 out[k] = nc
             elif k in out:
                 del out[k]
@@ -871,6 +875,8 @@ def _scan_expr(text: str, pos: int, m: int) -> tuple[CycScalar, int]:
         for k, c in t.coeffs.items():
             nc = out.get(k, 0) - c if minus else out.get(k, 0) + c
             if nc:
+                if type(nc) is Fraction and nc.denominator == 1:
+                    nc = nc.numerator
                 out[k] = _printable(nc)
             elif k in out:
                 del out[k]

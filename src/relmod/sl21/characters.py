@@ -313,11 +313,7 @@ def decompose_typical(chi: CharacterExpr, ell: int) -> list[WeightLabel]:
         s = s2 // 2
         mc = minus.coeff(ex, ey)
         parity = 0 if mc > -c else 1
-        if h >= ell:
-            lab = WeightLabel(k=h, shift=s % ell, parity=parity, eps=s // ell,
-                              negligible=True)
-        else:
-            lab = make_label(h, s, parity, ell)
+        lab = make_label(h, s, parity, ell)
         template = character_of_label(lab, ell)
         plus = plus - template.plus
         minus = minus - template.minus

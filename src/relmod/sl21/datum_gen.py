@@ -59,11 +59,6 @@ class RankBoundReport:
         }
 
 
-def _involution(k: int, i: int, ell: int) -> tuple[int, int]:
-    lab = fuse_A(WeightLabel(k=k, shift=i), ell)
-    return lab.k, lab.shift
-
-
 def rank_bound_analysis(ell: int) -> RankBoundReport:
     """Orbits of the fusion involution on labels, and the resulting rank bound."""
     require_odd_ell(ell)
@@ -74,7 +69,8 @@ def rank_bound_analysis(ell: int) -> RankBoundReport:
     for lab in labels:
         if lab in seen:
             continue
-        partner = _involution(*lab, ell)
+        fused = fuse_A(WeightLabel(k=lab[0], shift=lab[1]), ell)
+        partner = (fused.k, fused.shift)
         if partner == lab:
             fixed_point_free = False
         seen.add(lab)

@@ -25,6 +25,12 @@ from relmod.matrices import ExactMatrix
 from relmod.scalars import CycScalar
 
 
+# Degree texts that parse_degree rejects: each is something Degree.__str__
+# never prints (an empty finite component, a shift without its sign, a decimal).
+MALFORMED_DEGREES = ("", " ", "2a3", "a1/2", "1,,0|a", ",|a", "|a", "1,0|", "0.5", "1e3",
+                     "a+", "a a")
+
+
 def random_unit(rng: random.Random, conductor: int) -> CycScalar:
     q = Fraction(rng.choice([1, 2, 3, -1, -2, 5]), rng.choice([1, 2, 3]))
     return CycScalar.rational(q, conductor) * CycScalar.zeta(conductor, rng.randrange(conductor))

@@ -204,6 +204,11 @@ class TestCheckCommand:
          "translation.quantum_dimension.table[0].element: expected 2 components"),
         ("translation", {"psi": [{"degree": {}, "element": [1], "value": "1"}]},
          "translation.psi[0].element: expected 0 components"),
+        ("degrees", [{"shift": 0.1}], "degrees[0].shift: bad rational"),
+        ("degrees", [{"shift": True}], "degrees[0].shift: bad rational"),
+        ("degrees", [{"shift": "0.5"}], "degrees[0].shift: bad rational"),
+        ("degrees", [{"shift": "1e-3"}], "degrees[0].shift: bad rational"),
+        ("degrees", [{"shift": "1/0"}], "degrees[0].shift: bad rational"),
     ], ids=["grading-list", "small-subset-list", "ragged-rows", "translation-list",
             "quantum-dimension-list", "index-sets-list", "index-set-string", "dims-list",
             "dims-key-out-of-range", "twists-list", "degrees-object", "dual-involution-list",
@@ -211,7 +216,9 @@ class TestCheckCommand:
             "generic-torus-string", "no-self-extension-string", "conductor-bool",
             "orbit-count-bool", "alpha-bool", "cyclic-factors-bool",
             "finite-part-without-cyclic-factor", "small-element-unreduced",
-            "qdim-element-extra-component", "psi-element-without-cyclic-factor"])
+            "qdim-element-extra-component", "psi-element-without-cyclic-factor",
+            "shift-float", "shift-bool", "shift-decimal-string", "shift-exponent-string",
+            "shift-zero-denominator"])
     def test_malformed_field_is_usage_error_with_path(self, capsys, tmp_path, field, value,
                                                        path):
         doc = identity_datum_doc()
@@ -624,6 +631,10 @@ _BAD_INPUT_PROBES = {
                          "--ell 4 --k 0 --i 0: ell must be odd"),
     "degree-division-by-zero": (["check", "nondeg", "--g", "1/0", "--datum", "ok.json"],
                                 {"ok.json": identity_datum_doc()}, "--g"),
+    **{f"degree-malformed-{text!r}": (["check", "nondeg", "--g", text, "--datum", "ok.json"],
+                                      {"ok.json": identity_datum_doc()},
+                                      f"--g: bad degree {text!r}: expected")
+       for text in conftest.MALFORMED_DEGREES},
     "degree-finite-part-without-cyclic-factor": (
         ["check", "nondeg", "--g", "1|a", "--datum", "ok.json"],
         {"ok.json": identity_datum_doc()},

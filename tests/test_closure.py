@@ -213,6 +213,12 @@ class TestCertify:
         assert isinstance(c, Certificate) and c.kind == "atom"
         assert not c.children
 
+    @pytest.mark.parametrize("name", ["a", "v"])
+    def test_one_factor_tensor_is_its_factor(self, name):
+        toy = toy_closure_datum()
+        c = certify(toy, Tensor((Atom(name),)), depth=0)
+        assert isinstance(c, Certificate) and c == certify(toy, name, depth=0)
+
     def test_sum_with_rule_application(self):
         c = certify(toy_closure_datum(), "(a*b)+a", depth=4)
         assert isinstance(c, Certificate) and c.kind == "direct-sum"

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import perturb_block, pointed_datum
+from conftest import MALFORMED_DEGREES, perturb_block, pointed_datum
 from relmod.checks import check_premodular_inputs
 from relmod.datum import (
     DatumInvariantError,
@@ -49,13 +50,45 @@ def minimal_doc():
     }
 
 
+@st.composite
+def graded_degrees(draw):
+    """(cyclic factors, a degree whose finite part is reduced modulo them); an
+    infinite cyclic factor (order 0) takes negative components too."""
+    factors = tuple(draw(st.lists(st.sampled_from([0, 2, 3, 5]), max_size=3)))
+    finite = tuple(draw(st.integers(-50, 50) if o == 0 else st.integers(0, o - 1))
+                   for o in factors)
+    shift = draw(st.fractions(min_value=-10, max_value=10, max_denominator=12))
+    return factors, Degree(finite, draw(st.integers(-5, 5)), shift)
+
+
 class TestDegrees:
-    def test_parse_print_round_trip(self):
+    @given(graded=graded_degrees())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_print_round_trip(self, graded):
         for text in ("0", "a", "-a", "2a", "a+1/2", "-a+2/3", "1/2", "a-1",
                      "1,0|a", "0,1|-a+1/2", "1|0"):
             d = parse_degree(text)
             assert parse_degree(str(d)) == d
         assert parse_degree("0,1|-a+1/2") == Degree((0, 1), -1, Fraction(1, 2))
+        factors, d = graded
+        assert parse_degree(str(d)) == d
+        assert degree_from_json(degree_to_json(d), "d", factors) == d
+
+    @pytest.mark.parametrize("text, degree", [
+        ("0", Degree()), ("a", Degree((), 1)), ("-a", Degree((), -1)), ("+a", Degree((), 1)),
+        ("2a", Degree((), 2)), ("a+1/2", Degree((), 1, Fraction(1, 2))),
+        ("-a-2/3", Degree((), -1, Fraction(-2, 3))), ("1/2", Degree((), 0, Fraction(1, 2))),
+        ("-3", Degree((), 0, Fraction(-3))), ("1,0|a", Degree((1, 0), 1)),
+        ("1,-4|0", Degree((1, -4))), ("a + 1", Degree((), 1, Fraction(1))),
+        (" 1 , 0 | -2a - 3/4 ", Degree((1, 0), -2, Fraction(-3, 4))),
+    ])
+    def test_accepted_text(self, text, degree):
+        assert parse_degree(text) == degree
+
+    @pytest.mark.parametrize("text", MALFORMED_DEGREES + ("1/0",))
+    def test_malformed_text_is_rejected(self, text):
+        with pytest.raises(ValueError, match="expected"):
+            parse_degree(text)
 
     def test_json_round_trip_with_a_finite_part(self):
         for text in ("1,0|a", "0,2|-a+1/2", "1,1|0", "0,0|2a-1/3"):

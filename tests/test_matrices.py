@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import field_gauss_rank, random_matrix
 import relmod.matrices
-from relmod.matrices import ExactMatrix, SingularReport, _modulus, _variable_residue
+from relmod.matrices import ExactMatrix, _modulus, _variable_residue
 from relmod.scalars import CycScalar, InexactDivision
 
 
@@ -102,10 +102,11 @@ class TestRankModPFallback:
         assert full._rank_certificate() is None and deficient._rank_certificate() is None
         assert full.rank() == 2
         assert deficient.rank() == 1
-        rep = deficient.invert()
-        assert isinstance(rep, SingularReport)
-        assert rep.rank == 1
-        assert not rep.kernel[0].is_zero and rep.kernel[1] == -rep.kernel[0]
+        with pytest.raises(ValueError, match="rank 1 < 2"):
+            deficient.invert()
+        rank, (kernel,) = deficient._rank_and_kernel()
+        assert rank == 1
+        assert not kernel[0].is_zero and kernel[1] == -kernel[0]
 
 
 def proportional(a: list[CycScalar], b: list[CycScalar]) -> bool:
@@ -174,9 +175,10 @@ class TestInvert:
             [CycScalar.variable("d0", 5, -1), CycScalar.variable("d1", 5, -1)], 5)
 
     def test_singular_all_ones(self):
-        rep = ExactMatrix.from_rows([[one()] * 2] * 2, 5).invert()
-        assert isinstance(rep, SingularReport)
-        assert rep.kernel == [one(), rat(-1)]
+        m = ExactMatrix.from_rows([[one()] * 2] * 2, 5)
+        with pytest.raises(ValueError, match="singular matrix: rank 1 < 2"):
+            m.invert()
+        assert m._rank_and_kernel() == (1, [[one(), rat(-1)]])
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -198,17 +200,19 @@ class TestInvert:
     @settings(max_examples=25, deadline=None)
     def test_invert_or_kernel(self, seed, n):
         m = random_matrix(random.Random(seed), n, n, 5, height=3)
-        res = m.invert()
-        if isinstance(res, SingularReport):
-            assert m.rank() < n
-            assert any(not v.is_zero for v in res.kernel)
-            prod = [sum((m[i, j] * res.kernel[j] for j in range(n)),
+        rank, kernel = m._rank_and_kernel()
+        if rank < n:
+            with pytest.raises(ValueError, match=f"rank {rank} < {n}"):
+                m.invert()
+            assert any(not v.is_zero for v in kernel[0])
+            prod = [sum((m[i, j] * kernel[0][j] for j in range(n)),
                         CycScalar.zero(5)) for i in range(n)]
             assert all(p.is_zero for p in prod)
         else:
-            assert m.rank() == n
-            assert m @ res == ExactMatrix.identity(n, 5)
-            assert res @ m == ExactMatrix.identity(n, 5)
+            assert rank == n and kernel == []
+            inv = m.invert()
+            assert m @ inv == ExactMatrix.identity(n, 5)
+            assert inv @ m == ExactMatrix.identity(n, 5)
 
 
 class TestArithmetic:

@@ -382,12 +382,16 @@ class TestRepresentation:
 
     def test_integral_numeral_product_has_an_int_coefficient(self):
         for text, value in (("3/2*2/3", 1), ("3/2^0", 1), ("(3/2)^0", 1), ("1/2*4", 2),
-                            ("-2*1/2*u", -CycScalar.variable("u", 5)), ("3/2*2/3*z5", None)):
+                            ("-2*1/2*u", -CycScalar.variable("u", 5)), ("3/2*2/3*z5", None),
+                            ("1/2+1/2", 1), ("(1/2+u)+(1/2-u)", 1)):
             x = parse_scalar(text, 5)
             assert coefficient_types_ok(x), text
             assert all(type(c) is int for c in x.coeffs.values()), (text, x.coeffs)
             if value is not None:
                 assert x == value
+        half = CycScalar.rational(Fraction(1, 2), 5)
+        assert (half + half).coeffs == {(0, ()): 1}
+        assert type((half + half).coeffs[(0, ())]) is int
         assert parse_scalar("3/2*1/3", 5).coeffs == {(0, ()): Fraction(1, 2)}
 
     @given(pair=scalar_pairs(), r=st.fractions(min_value=-5, max_value=5, max_denominator=6)
