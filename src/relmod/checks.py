@@ -28,7 +28,7 @@ cross-check inside check_relative_modularity is the arbiter for it.
 
 from __future__ import annotations
 
-from .datum import Degree, ModularDatum, modified_S, validate_datum
+from .datum import Degree, ModularDatum, _memo, modified_S, validate_datum
 from .scalars import CycScalar
 from .verdicts import DATA_ABSENT, FAILS, HOLDS, HYPOTHESIS_NOT_MET, Verdict, Witness
 
@@ -85,16 +85,33 @@ def delta_plus(datum: ModularDatum, g: Degree, j: int) -> CycScalar:
 
 
 def _try_deltas(datum: ModularDatum, g: Degree):
-    dm = dp = None
-    try:
-        dm = delta_minus(datum, g, 0)
-    except KeyError:
-        pass
-    try:
-        dp = delta_plus(datum, g, 0)
-    except KeyError:
-        pass
-    return dp, dm
+    """(Delta_plus, Delta_minus) at j = 0, each None where its data are
+    absent; computed once per datum and degree while the blocks, twists,
+    dims and dual involution they read stay the same objects (see _memo)."""
+    def compute():
+        dm = dp = None
+        try:
+            dm = delta_minus(datum, g, 0)
+        except KeyError:
+            pass
+        try:
+            dp = delta_plus(datum, g, 0)
+        except KeyError:
+            pass
+        return dp, dm
+
+    blocks = (datum.block(g, g), datum.block(datum.negate(g), g))
+    inputs = tuple(None if b is None else b.matrix for b in blocks) + (
+        datum.twists.get(g), datum.dims.get(g), datum.dual_involution.get(g))
+    return _memo(datum, ("Delta", g), inputs, compute)
+
+
+def _rank_and_kernel(datum: ModularDatum, row: Degree, col: Degree):
+    """The rank and kernel vectors of S_{row,col}, found once per datum and
+    pair of degrees while that scaled block is the same object (see _memo):
+    check_nondegeneracy and check_dmug both rank S_g."""
+    s = modified_S(datum, row, col)
+    return _memo(datum, ("rank", row, col), (s,), s._rank_and_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +133,11 @@ def check_nondegeneracy(datum: ModularDatum, g: Degree) -> Verdict:
             if absent is not None and datum.block(row, g) is None:
                 raise KeyError(absent)
             s = modified_S(datum, row, g)
+            rank, kernel = _rank_and_kernel(datum, row, g)
         except KeyError as exc:
             v.status = DATA_ABSENT
             v.notes.append(_msg(exc))
             return v
-        rank, kernel = s._rank_and_kernel()
         v.derived_scalars[f"rank({name})"] = str(rank)
         if s.rows != s.cols:
             witness = Witness(f"{name} not square", (s.rows, s.cols))
@@ -218,7 +235,7 @@ def check_dmug(datum: ModularDatum, g: Degree) -> Verdict:
         v.status = DATA_ABSENT
         v.notes.append(_msg(exc))
         return v
-    r = sg.rank()
+    r = _rank_and_kernel(datum, g, g)[0]
     if r < n:
         v.status = FAILS
         v.witnesses.append(Witness("condition (1): S_g is singular", (str(g),), str(r)))

@@ -161,7 +161,14 @@ class Atom:
 
 @dataclass(frozen=True)
 class Tensor:
+    """A tensor product of two or more factors; one factor is that factor
+    itself, so parse_expr and the rewrites never build a shorter product."""
     factors: tuple
+
+    def __post_init__(self):
+        if len(self.factors) < 2:
+            raise ValueError(f"a tensor product needs two or more factors, "
+                             f"got {len(self.factors)}")
 
 
 @dataclass(frozen=True)
@@ -485,8 +492,6 @@ def _derive(datum: ClosureDatum, expr: Expr, depth: int):
         return Certificate("atom", text, "strong decomposition asserted on the atom")
 
     flat = _flatten_tensor(expr)
-    if len(flat) == 1:
-        return _derive(datum, flat[0], depth)
     for i, f in enumerate(flat):
         if isinstance(f, Sum):
             expanded = Sum(tuple(

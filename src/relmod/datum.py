@@ -463,13 +463,20 @@ def validate_datum(datum: ModularDatum) -> list[Violation]:
 SCHEMA_ID = "relmod-datum/1"
 
 
-def _scalar(text, conductor: int, path: str) -> CycScalar:
+def _scalar(text, conductor: int, path: str, literals: dict[str, CycScalar]) -> CycScalar:
+    """The value of the literal text.  literals maps each text already read
+    from the same document to its value, so that a text repeated there is
+    parsed once; a text that fails to parse is not kept, so each repetition
+    of it fails at its own path."""
     if not isinstance(text, str):
         raise DatumSchemaError(path, f"expected a scalar string, got {type(text).__name__}")
-    try:
-        return parse_scalar(text, conductor)
-    except ScalarParseError as exc:
-        raise DatumSchemaError(path, str(exc)) from None
+    value = literals.get(text)
+    if value is None:
+        try:
+            value = literals[text] = parse_scalar(text, conductor)
+        except ScalarParseError as exc:
+            raise DatumSchemaError(path, str(exc)) from None
+    return value
 
 
 def _by_degree(obj, degrees: tuple[Degree, ...], path: str):
@@ -494,6 +501,11 @@ def loads_datum(doc: dict) -> ModularDatum:
 
     grading = grading_from_json(_need(doc, "grading", "$"), "grading")
     cyclic = grading.cyclic_factors
+    # each distinct literal text is parsed once per document (see _scalar)
+    literals: dict[str, CycScalar] = {}
+
+    def scalar(text, path: str) -> CycScalar:
+        return _scalar(text, conductor, path, literals)
 
     tobj = _expect(_need(doc, "translation", "$"), dict, "translation")
     factors = _int_list(tobj.get("cyclic_factors", []), "translation.cyclic_factors")
@@ -504,21 +516,21 @@ def loads_datum(doc: dict) -> ModularDatum:
         if len(_expect(gens, list, f"{qpath}.generator_values")) != len(factors):
             raise DatumSchemaError(f"{qpath}.generator_values",
                                    "one value per cyclic factor required")
-        gens = tuple(_scalar(v, conductor, f"{qpath}.generator_values[{i}]")
+        gens = tuple(scalar(v, f"{qpath}.generator_values[{i}]")
                      for i, v in enumerate(gens))
     table = []
     for i, row in enumerate(_expect(qobj.get("table", []), list, f"{qpath}.table")):
         rpath = f"{qpath}.table[{i}]"
         row = _expect(row, dict, rpath)
         elem = _components(_need(row, "element", rpath), factors, f"{rpath}.element", False)
-        table.append((elem, _scalar(_need(row, "value", rpath), conductor, f"{rpath}.value")))
+        table.append((elem, scalar(_need(row, "value", rpath), f"{rpath}.value")))
     psi = []
     for i, row in enumerate(_expect(tobj.get("psi", []), list, "translation.psi")):
         rpath = f"translation.psi[{i}]"
         row = _expect(row, dict, rpath)
         deg = degree_from_json(_need(row, "degree", rpath), f"{rpath}.degree", cyclic)
         elem = _components(_need(row, "element", rpath), factors, f"{rpath}.element", False)
-        psi.append((deg, elem, _scalar(_need(row, "value", rpath), conductor, f"{rpath}.value")))
+        psi.append((deg, elem, scalar(_need(row, "value", rpath), f"{rpath}.value")))
     translation = TranslationSpec(
         cyclic_factors=factors, qdim_generators=gens, qdim_table=tuple(table),
         psi=tuple(psi),
@@ -533,7 +545,7 @@ def loads_datum(doc: dict) -> ModularDatum:
     twists: dict[Degree, tuple[CycScalar, ...]] = {}
     for name, store in (("dims", dims), ("twists", twists)):
         for g, vals, vpath in _by_degree(doc.get(name, {}), degrees, name):
-            store[g] = tuple(_scalar(v, conductor, f"{vpath}[{i}]") for i, v in enumerate(vals))
+            store[g] = tuple(scalar(v, f"{vpath}[{i}]") for i, v in enumerate(vals))
 
     blocks = []
     for i, bobj in enumerate(_expect(doc.get("sprime", []), list, "sprime")):
@@ -549,7 +561,7 @@ def loads_datum(doc: dict) -> ModularDatum:
             if len(row) != len(ent[0]):
                 raise DatumSchemaError(f"sprime[{i}].entries[{r}]",
                                        f"ragged rows: {len(row)} entries, row 0 has {len(ent[0])}")
-        rows = [[_scalar(v, conductor, f"sprime[{i}].entries[{r}][{c}]")
+        rows = [[scalar(v, f"sprime[{i}].entries[{r}][{c}]")
                  for c, v in enumerate(row)] for r, row in enumerate(ent)]
         labels = [tuple(_expect(bobj.get(key, []), list, f"sprime[{i}].{key}"))
                   for key in ("row_labels", "col_labels")]
@@ -649,23 +661,33 @@ def save_datum(datum: ModularDatum, path: str) -> None:
 # derived data
 # ---------------------------------------------------------------------------
 
+def _memo(datum: ModularDatum, key, inputs: tuple, compute):
+    """compute(), made once per datum and key while its inputs stay the same.
+
+    The value is kept in the datum's __dict__, outside its fields, so ==,
+    repr and dataclasses.replace do not see it, and a replaced datum starts
+    empty.  It is served only while each of inputs -- the matrices, tuples
+    and permutations it was computed from, or None for an absent one -- is
+    the same object as when it was made.  So a field replaced in place, such
+    as d.dims[g] = ..., gives a fresh value, while a mutable object changed
+    inside (an entry list edited in place) is not noticed.  An exception is
+    not kept."""
+    memo = datum.__dict__.setdefault("_memo", {})
+    hit = memo.get(key)
+    if hit is not None and all(a is b for a, b in zip(hit[0], inputs)):
+        return hit[1]
+    value = compute()
+    memo[key] = (inputs, value)
+    return value
+
+
 def _scaled_block(datum: ModularDatum, b: SBlock) -> ExactMatrix:
     """b's matrix right-scaled by diag(d(V_j)) of its column degree, computed
-    once per datum and pair of degrees.
-
-    The result is kept in the datum's __dict__, outside its fields, so ==,
-    repr and dataclasses.replace do not see it, and a replaced datum starts
-    empty.  An entry is served only while the block's matrix and the dims
-    tuple it was scaled by are the same objects as when it was made."""
+    once per datum and pair of degrees while the matrix and the dims tuple
+    stay the same objects (see _memo)."""
     dims = datum.dims[b.col_degree]
-    memo = datum.__dict__.setdefault("_modified_S", {})
-    key = (b.row_degree, b.col_degree)
-    hit = memo.get(key)
-    if hit is not None and hit[0] is b.matrix and hit[1] is dims:
-        return hit[2]
-    s = b.matrix.scale_columns(list(dims))
-    memo[key] = (b.matrix, dims, s)
-    return s
+    return _memo(datum, ("S", b.row_degree, b.col_degree), (b.matrix, dims),
+                 lambda: b.matrix.scale_columns(list(dims)))
 
 
 def modified_S(datum: ModularDatum, g: Degree, h: Degree | None = None) -> ExactMatrix:
@@ -673,8 +695,8 @@ def modified_S(datum: ModularDatum, g: Degree, h: Degree | None = None) -> Exact
 
     It is scaled once per datum and (g, h), and validate_datum's symmetry
     check scales through the same memo, so a repeated call, or a check after
-    loading, returns the same object (see _scaled_block).  Callers must not
-    change it in place."""
+    loading, returns the same object (see _memo).  Callers must not change it
+    in place."""
     if h is None:
         h = g
     if g not in datum.degrees and h not in datum.degrees:

@@ -40,6 +40,13 @@ reduction per entry replaces one per term; the E/F/K matrices of the sl(2|1)
 modules hold about one nonzero per row, where the skipped zeros make the
 plain loop cheaper than packing.  Entrywise sums, differences and scaling
 likewise keep an entry as it is where the other operand is zero.
+
+Scaling columns, A @ diag(d), follows the same rule column by column.  When A
+takes the packed kernel and d_j has several terms and no formal variable,
+column j is the rows x 1 by 1 x 1 packed product, reduced once per entry.
+Every other column multiplies its entries by d_j: a one-term factor costs one
+monomial product per entry, and the factor 1 (every modified dimension of
+pointed data) returns each entry itself.
 """
 
 from __future__ import annotations
@@ -222,10 +229,19 @@ class ExactMatrix:
         return ExactMatrix(self.rows, oc, self.conductor, out)
 
     def scale_columns(self, diag: list[CycScalar]) -> "ExactMatrix":
+        """self @ diag(diag), column by column (see the module docstring)."""
         if len(diag) != self.cols:
             raise ValueError("diagonal length mismatch")
-        out = [self[i, j] * diag[j] for i in range(self.rows) for j in range(self.cols)]
-        return ExactMatrix(self.rows, self.cols, self.conductor, out)
+        rows, cols, m = self.rows, self.cols, self.conductor
+        packs = _packs(self.entries)
+        out = list(self.entries)
+        for j, d in enumerate(diag):
+            column = self.entries[j::cols]
+            if packs and len(d.coeffs) > 1 and not any(vk for _, vk in d.coeffs):
+                out[j::cols] = _packed_product(m, column, [d], rows, 1, 1)
+            else:
+                out[j::cols] = [e * d for e in column]
+        return ExactMatrix(rows, cols, m, out)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -275,21 +291,30 @@ class ExactMatrix:
         m = self.conductor
         p, r = _modulus(m)
         zpow = [pow(r, k, p) for k in range(m)]
+        # a variable's residue, its k-th power and den^-1 are each computed once
         var: dict[str, int] = {}
+        vpow: dict[tuple[str, int], int] = {}
+        dinv: dict[int, int] = {1: 1}
         rows = []
         for i in range(self.rows):
             row = []
             for e in self.row(i):
                 acc = 0
                 for (zp, vk), c in e.coeffs.items():
-                    den = c.denominator % p
-                    if not den:
-                        return None
-                    t = c.numerator * zpow[zp] * pow(den, -1, p)
-                    for name, k in vk:
-                        if name not in var:
-                            var[name] = _variable_residue(name, p)
-                        t = t * pow(var[name], k, p)
+                    den = c.denominator
+                    if den not in dinv:
+                        if not den % p:
+                            return None
+                        dinv[den] = pow(den, -1, p)
+                    t = c.numerator * zpow[zp] * dinv[den]
+                    for name_k in vk:
+                        x = vpow.get(name_k)
+                        if x is None:
+                            name, k = name_k
+                            if name not in var:
+                                var[name] = _variable_residue(name, p)
+                            x = vpow[name_k] = pow(var[name], k, p)
+                        t = t * x
                     acc += t
                 row.append(acc % p)
             rows.append(row)

@@ -8,14 +8,17 @@ cyclotomic polynomial and zero coefficients are dropped, so ``==`` decides
 mathematical equality.  One routine, ``_canon``, produces that form.
 
 A one-term divisor c*zeta^k*X^e is a unit of the ring and is inverted as
-(1/c)*zeta^-k*X^-e, with no field arithmetic.  Every other divisor goes
-through multivariate Laurent long division, which raises InexactDivision when
-the quotient is not in the ring.  That division inverts the divisor's leading
-field coefficient a by the norm formula a^-1 = prod_{k != 1} sigma_k(a) / N(a),
-the product of a's other Galois conjugates (zeta -> zeta^k) over its rational
-norm, and the last inverses are kept in a cache of fixed size (loading a
-datum, re-validating it and the Delta sums invert the same few twists).
-Powers of a one-term scalar scale its exponents, for either sign.
+(1/c)*zeta^-k*X^-e, with no field arithmetic.  A divisor with several terms
+and no formal variable is a nonzero element of the field Q(zeta_m), hence a
+unit too: the dividend is multiplied by its field inverse, computed by the
+norm formula a^-1 = prod_{k != 1} sigma_k(a) / N(a), the product of a's other
+Galois conjugates (zeta -> zeta^k) over its rational norm.  The last inverses
+are kept in a cache of fixed size (loading a datum, re-validating it and the
+Delta sums invert the same few twists).  Every other divisor goes through
+multivariate Laurent long division, which inverts the divisor's leading field
+coefficient the same way and raises InexactDivision when the quotient is not
+in the ring.  Both routes give the same canonical quotient.  Powers of a
+one-term scalar scale its exponents, for either sign.
 
 A coefficient is a Python ``int`` while it is integral.  A ``Fraction`` is
 made only where a division happens: the inverse 1/c of a one-term divisor,
@@ -23,11 +26,11 @@ the division by the norm in the field inverse, a one-term power with a
 negative exponent, and numerals such as ``3/2``.  Each of those sites goes
 through ``Fraction`` (an ``int`` there would turn into a float), and a quotient
 that comes out integral is stored as an ``int`` again; so is an integral sum
-in ``+`` and in ``parse_scalar``.  Products do not convert back: ``1/2*u``
-times 2 holds ``Fraction(1, 1)``.  ``2`` and ``Fraction(2)`` have the same
-``==``, ``hash`` and ``str``, so the two are interchangeable everywhere; the
-``int`` only saves the gcds of ``Fraction`` arithmetic on the +-1
-coefficients that make up the sl(2|1) data.
+in ``+`` and in ``parse_scalar``, and an integral product in ``_canon`` and in
+the one-term product, so ``1/2*u`` times 2 holds the ``int`` 1.  ``2`` and
+``Fraction(2)`` have the same ``==``, ``hash`` and ``str``, so the two are
+interchangeable everywhere; the ``int`` only saves the gcds of ``Fraction``
+arithmetic on the +-1 coefficients that make up the sl(2|1) data.
 
 A zero operand of ``+``, ``-`` or ``*`` returns the other operand, its
 negation or the zero as soon as the operands are coerced to one conductor.
@@ -37,7 +40,9 @@ scalar operations end.
 A product of two one-term scalars is built as its single key
 (zeta power mod m, variable key) directly, and reduced modulo Phi_m only when
 that zeta power is not below deg Phi_m; ``_canon`` serves every product with
-more terms.
+more terms.  A product by the unit 1 returns the other operand itself: every
+modified dimension of pointed data is 1, so scaling S' by them and the
+``* d(V_i)`` of the Delta sums build nothing.
 
 Literals are read in one pass by ``parse_scalar``.  One compiled regex match
 reads a whole numeral or name factor: its unary minuses, the numeral, ``z{m}``
@@ -54,7 +59,8 @@ to have no numerator or denominator of 4300 or more digits (a sum checks the
 coefficients each term touches), so every coefficient of a parsed literal can
 be printed.
 
-A matrix product over Q(zeta_m) may go through ``_packed_product``, which
+A matrix product over Q(zeta_m), and a column of a dense variable-free matrix
+scaled by a factor of several terms, may go through ``_packed_product``, which
 holds each entry as an integer vector over 1, zeta, .., zeta^(deg-1) with one
 common denominator per row or column, packs that vector into one int at a
 base 2^w wide enough for every coefficient of a dot product (Kronecker
@@ -190,7 +196,8 @@ def _canon(m: int, terms) -> dict[Key, Coeff]:
                 if r:
                     k = (i, vk)
                     out[k] = out[k] + c * r if k in out else c * r
-    return {k: v for k, v in out.items() if v}
+    return {k: v.numerator if type(v) is Fraction and v.denominator == 1 else v
+            for k, v in out.items() if v}
 
 
 def _zmul(m: int, a: dict[Key, Coeff], b: dict[Key, Coeff]) -> dict[Key, Coeff]:
@@ -459,11 +466,17 @@ class CycScalar:
     __rmul__ = __mul__
 
     def _times_term(self, zp: int, vk: VarKey, c: Coeff) -> "CycScalar":
-        """self * c*zeta^zp*X^vk for nonzero c, where zp need not be reduced."""
+        """self * c*zeta^zp*X^vk for nonzero c, where zp need not be reduced;
+        self itself when that multiplier is 1."""
         m = self.conductor
+        if c == 1 and not vk and not zp % m:
+            return self
         if len(self.coeffs) == 1:
             ((z1, v1), c1), = self.coeffs.items()
-            return _term(m, z1 + zp, _vk_mul(v1, vk), c1 * c)
+            c1 *= c
+            if type(c1) is Fraction and c1.denominator == 1:
+                c1 = c1.numerator
+            return _term(m, z1 + zp, _vk_mul(v1, vk), c1)
         return CycScalar(m, _canon(m, (
             ((z1 + zp, _vk_mul(v1, vk)), c1 * c)
             for (z1, v1), c1 in self.coeffs.items())), _canonical=True)
@@ -515,6 +528,9 @@ class CycScalar:
         if len(terms) == 1:
             ((zp, vk), c), = terms.items()
             return self._times_term(-zp, _vk_neg(vk), _quo(1, c))
+        if not any(vk for _, vk in terms):
+            m = self.conductor
+            return self * CycScalar(m, _field_inverse(m, terms), _canonical=True)
         return _laurent_div(self, other)
 
     def inverse(self) -> "CycScalar":
@@ -577,7 +593,7 @@ def _term(m: int, zp: int, vk: VarKey, c: Coeff) -> CycScalar:
 def _laurent_div(a: CycScalar, b: CycScalar) -> CycScalar:
     """Multivariate Laurent long division of a by b, both nonzero; raises
     InexactDivision unless b divides a.  Correct for every divisor; exact_div
-    sends it every divisor with more than one term."""
+    sends it every divisor with more than one term and a formal variable."""
     m = a.conductor
     names = sorted(a.variables() | b.variables())
 

@@ -209,6 +209,8 @@ class TestCheckCommand:
         ("degrees", [{"shift": "0.5"}], "degrees[0].shift: bad rational"),
         ("degrees", [{"shift": "1e-3"}], "degrees[0].shift: bad rational"),
         ("degrees", [{"shift": "1/0"}], "degrees[0].shift: bad rational"),
+        ("sprime", [{"row_degree": {}, "col_degree": {}, "entries": [["1", "2 *"], ["2 *", "1"]]}],
+         "sprime[0].entries[0][1]: "),
     ], ids=["grading-list", "small-subset-list", "ragged-rows", "translation-list",
             "quantum-dimension-list", "index-sets-list", "index-set-string", "dims-list",
             "dims-key-out-of-range", "twists-list", "degrees-object", "dual-involution-list",
@@ -218,7 +220,7 @@ class TestCheckCommand:
             "finite-part-without-cyclic-factor", "small-element-unreduced",
             "qdim-element-extra-component", "psi-element-without-cyclic-factor",
             "shift-float", "shift-bool", "shift-decimal-string", "shift-exponent-string",
-            "shift-zero-denominator"])
+            "shift-zero-denominator", "repeated-malformed-literal"])
     def test_malformed_field_is_usage_error_with_path(self, capsys, tmp_path, field, value,
                                                        path):
         doc = identity_datum_doc()

@@ -214,9 +214,14 @@ class TestCertify:
         assert not c.children
 
     @pytest.mark.parametrize("name", ["a", "v"])
-    def test_one_factor_tensor_is_its_factor(self, name):
+    def test_tensor_needs_two_factors(self, name):
+        # a one-factor product is its factor, and no shorter Tensor can be built
         toy = toy_closure_datum()
-        c = certify(toy, Tensor((Atom(name),)), depth=0)
+        assert parse_expr(f"({name})") == Atom(name)
+        for factors in ((), (Atom(name),)):
+            with pytest.raises(ValueError, match="two or more factors"):
+                Tensor(factors)
+        c = certify(toy, f"({name})", depth=0)
         assert isinstance(c, Certificate) and c == certify(toy, name, depth=0)
 
     def test_sum_with_rule_application(self):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import MALFORMED_DEGREES, perturb_block, pointed_datum
+import relmod.checks as checks_mod
 from relmod.checks import check_premodular_inputs
+from relmod.cli import _run_all
 from relmod.datum import (
     DatumInvariantError,
     DatumSchemaError,
@@ -355,6 +357,106 @@ class TestModifiedSMemo:
         modified_S(d, Degree(alpha=1))
         assert repr(d) == before
         assert d == dataclasses.replace(d) == emit_datum(3)
-        assert "_modified_S" not in {f.name for f in dataclasses.fields(d)}
-        assert "_modified_S" not in dataclasses.replace(d).__dict__
+        assert "_memo" in d.__dict__
+        assert "_memo" not in {f.name for f in dataclasses.fields(d)}
+        assert "_memo" not in dataclasses.replace(d).__dict__
+
+
+def _edit_twists(d, g):
+    d.twists[g] = tuple(t * CycScalar.zeta(d.conductor) for t in d.twists[g])
+
+
+def _edit_dims(d, g):
+    d.dims[g] = tuple(x * 2 for x in d.dims[g])
+
+
+def _edit_block(d, g):
+    object.__setattr__(d, "sprime", perturb_block(d, 0, 1, 0, CycScalar.one(d.conductor)).sprime)
+
+
+def _edit_dual(d, g):
+    # an equal permutation in a new tuple: the pair is computed afresh
+    d.dual_involution[g] = tuple(list(d.dual_involution[g]))
+
+
+class TestLiteralSharing:
+    """loads_datum parses each distinct literal text once per call."""
+
+    def test_each_distinct_text_is_parsed_once_per_call(self, monkeypatch):
+        import relmod.datum as datum_mod
+        texts = []
+        original = datum_mod.parse_scalar
+
+        def recording(text, conductor):
+            texts.append(text)
+            return original(text, conductor)
+
+        monkeypatch.setattr(datum_mod, "parse_scalar", recording)
+        d = pointed_datum(5, random.Random(3))
+        doc = dumps_datum(d)
+        every = [x for b in doc["sprime"] for row in b["entries"] for x in row] + \
+            [x for table in ("dims", "twists") for vals in doc[table].values() for x in vals]
+        assert loads_datum(doc) == d
+        assert sorted(texts) == sorted(set(every)) and len(texts) < len(every) / 4
+        # no cache across calls
+        assert loads_datum(doc) == d and len(texts) == 2 * len(set(texts))
+
+
+class TestDeltaMemo:
+    """check all computes (Delta_+, Delta_-) once per degree and ranks each
+    S_g once, and never serves a pair computed from other twists, dims,
+    blocks or dual involution."""
+
+    @pytest.fixture
+    def delta_calls(self, monkeypatch):
+        calls = []
+        original = checks_mod.delta_minus
+
+        def counting(datum, g, j):
+            calls.append(g)
+            return original(datum, g, j)
+
+        monkeypatch.setattr(checks_mod, "delta_minus", counting)
+        return calls
+
+    def test_check_all_computes_each_degree_once(self, delta_calls, monkeypatch):
+        ranked = []
+        original = ExactMatrix._rank_and_kernel
+
+        def recording(self):
+            ranked.append(self)
+            return original(self)
+
+        monkeypatch.setattr(ExactMatrix, "_rank_and_kernel", recording)
+        d = pointed_datum(5, random.Random(3))
+        verdicts = _run_all(d)
+        assert all(v.status == HOLDS for v in verdicts)
+        assert sorted(map(str, delta_calls)) == ["-a", "a"]
+        for g in d.degrees:
+            assert sum(m is modified_S(d, g) for m in ranked) == 1
+            pair = checks_mod._try_deltas(d, g)
+            assert checks_mod._try_deltas(d, g) is pair
+            assert pair == (checks_mod.delta_plus(d, g, 0), checks_mod.delta_minus(d, g, 0))
+        assert len(delta_calls) == 2 + len(d.degrees)
+
+    @pytest.mark.parametrize("edit", [_edit_twists, _edit_dims, _edit_block, _edit_dual],
+                             ids=["twists", "dims", "block", "dual-involution"])
+    def test_inputs_replaced_in_place_give_fresh_values(self, delta_calls, edit):
+        d = pointed_datum(5, random.Random(3))
+        g = Degree(alpha=1)
+        before = checks_mod._try_deltas(d, g)
+        edit(d, g)
+        after = checks_mod._try_deltas(d, g)
+        assert len(delta_calls) == 2
+        assert after == (checks_mod.delta_plus(d, g, 0), checks_mod.delta_minus(d, g, 0))
+        assert after is not before
+        assert checks_mod._try_deltas(d, g) is after
+
+    def test_absent_dual_involution_is_not_served_stale(self, delta_calls):
+        d = pointed_datum(5, random.Random(3))
+        g = Degree(alpha=1)
+        assert None not in checks_mod._try_deltas(d, g)
+        del d.dual_involution[g]
+        dp, dm = checks_mod._try_deltas(d, g)
+        assert dp is None and dm == checks_mod.delta_minus(d, g, 0)
 

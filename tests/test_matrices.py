@@ -384,3 +384,50 @@ class TestProduct:
             calls.clear()
             assert (a @ b).entries == reference_product(a, b)
             assert calls == ([(2, 2, 2)] if taken else [])
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_scale_columns_matches_the_entrywise_loop(self, data):
+        # unit, field (one term or several) and symbolic factors, on dense
+        # and sparse blocks, with a formal variable in a quarter of them
+        m = data.draw(st.sampled_from(PRODUCT_CONDUCTORS))
+        rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        a = data.draw(operands(m, rows, cols))
+        if a.entries and data.draw(st.integers(0, 3)) == 0:
+            k = data.draw(st.integers(0, len(a.entries) - 1))
+            a.entries[k] = a.entries[k] * CycScalar.variable("u", m)
+        kind = data.draw(st.sampled_from(["ones", "field", "symbolic"]))
+        if kind == "ones":
+            diag = [CycScalar.one(m)] * cols
+        else:
+            diag = [data.draw(field_elements(m).filter(bool)) for _ in range(cols)]
+            if kind == "symbolic" and diag:
+                diag[0] = diag[0] * CycScalar.variable("x", m, -1)
+        got = a.scale_columns(diag).entries
+        want = [a[i, j] * diag[j] for i in range(a.rows) for j in range(a.cols)]
+        for x, y in zip(got, want, strict=True):
+            assert x == y and str(x) == str(y), (str(x), str(y))
+
+    def test_scale_columns_packs_only_factors_of_several_terms(self, monkeypatch):
+        calls = []
+        packed = relmod.matrices._packed_product
+
+        def recording(*args):
+            calls.append(args[3:])
+            return packed(*args)
+
+        monkeypatch.setattr(relmod.matrices, "_packed_product", recording)
+        two, z = rat(2), CycScalar.zero(5)
+        several = CycScalar.zeta(5, 4)  # -1 - z5 - z5^2 - z5^3
+        dense = ExactMatrix.from_rows([[two, z], [two, two]], 5)
+        sparse = ExactMatrix.from_rows([[two, z], [z, z]], 5)
+        wide = _matrix(5, 2, 3, [Fraction(1, 3), 2, CycScalar.zeta(5, 2), -1, 7, 1])
+        for a, diag, taken in ((dense, [several, two], [(2, 1, 1)]),
+                               (dense, [two, one()], []), (sparse, [several, several], []),
+                               (wide, [several, rat(Fraction(-2, 3)) * several, one()],
+                                [(2, 1, 1)] * 2)):
+            calls.clear()
+            assert a.scale_columns(diag).entries == [a[i, j] * diag[j] for i in range(a.rows)
+                                                     for j in range(a.cols)]
+            assert calls == taken
+        assert dense.scale_columns([one(), one()]).entries == dense.entries

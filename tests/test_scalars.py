@@ -74,9 +74,11 @@ def units(draw, conductor, names):
 
 @st.composite
 def dividend_and_unit(draw):
+    """A dividend and a unit, each with or without formal variables: a unit
+    of several terms and no variable is divided by its field inverse."""
     conductor = draw(st.sampled_from([3, 5, 7]))
-    names = draw(st.sampled_from([(), VARIABLES]))
-    return draw(scalars(conductor, names)), draw(units(conductor, names))
+    names = st.sampled_from([(), VARIABLES])
+    return draw(scalars(conductor, draw(names))), draw(units(conductor, draw(names)))
 
 
 class TestCyclotomic:
@@ -200,11 +202,12 @@ class TestDivision:
 
 
 class TestUnitDivision:
-    """One-term divisors are divided directly; the Laurent long division, which
-    serves every other divisor, stays the reference."""
+    """One-term divisors are divided directly and variable-free ones by their
+    field inverse; the Laurent long division, which serves every other
+    divisor, stays the reference."""
 
     @given(pair=dividend_and_unit())
-    @settings(max_examples=150)
+    @settings(max_examples=200)
     def test_quotient_by_a_unit(self, pair):
         a, b = pair
         q = a.exact_div(b)
@@ -213,6 +216,14 @@ class TestUnitDivision:
             expected = _laurent_div(a, b)
             assert q == expected
             assert str(q) == str(expected)
+
+    def test_field_divisor_skips_the_long_division(self, monkeypatch):
+        m = 5
+        b = CycScalar(m, {(0, ()): 1, (1, ()): 2})
+        a = parse_scalar("u^-1 + 3*z5^2*x", m)
+        monkeypatch.setattr(scalars_mod, "_laurent_div", None)
+        assert a.exact_div(b) * b == a
+        assert CycScalar.one(m).exact_div(b) == b.inverse()
 
     @given(b=st.sampled_from([3, 5, 7]).flatmap(lambda m: units(m, VARIABLES))
            .filter(lambda b: len(b.coeffs) == 1),
@@ -393,6 +404,11 @@ class TestRepresentation:
         assert (half + half).coeffs == {(0, ()): 1}
         assert type((half + half).coeffs[(0, ())]) is int
         assert parse_scalar("3/2*1/3", 5).coeffs == {(0, ()): Fraction(1, 2)}
+        # a one-term product (_times_term) and a product of sums (_canon)
+        for x in (parse_scalar("1/2*u", 5) * 2,
+                  parse_scalar("1/2 + 3/2*u", 5) * parse_scalar("2 - 2*x", 5)):
+            assert all(type(c) is int for c in x.coeffs.values()), x.coeffs
+        assert str(parse_scalar("1/2*u", 5) * 2) == "u"
 
     @given(pair=scalar_pairs(), r=st.fractions(min_value=-5, max_value=5, max_denominator=6)
            .filter(bool))
@@ -463,6 +479,22 @@ class TestZeroShortCircuit:
             with pytest.raises(ValueError, match="conductor mismatch"):
                 op()
         assert x != other  # == compares conductors first, even between zeros
+
+
+class TestUnitMultiplier:
+    """A product by the unit 1 returns the other operand itself."""
+
+    @given(pair=scalars_and_zeros())
+    @settings(max_examples=100, deadline=None)
+    def test_product_by_one_is_the_operand(self, pair):
+        x, _ = pair
+        m = x.conductor
+        one = CycScalar.one(m)
+        assert x * 1 is x and 1 * x is x
+        assert x * Fraction(1) is x and x * one is x and x * CycScalar.zeta(m, m) is x
+        assert one * x == x and str(one * x) == str(x)
+        if len(x.coeffs) > 1:
+            assert one * x is x
 
 
 class TestPowerTermBound:
