@@ -109,6 +109,12 @@ class ClosureDatum:
                 return r
         return None
 
+    def exponents(self) -> range:
+        """The v-powers n that coverage is required for: 0 .. bound, and n = 0
+        even under a negative bound, which a datum built in code can carry
+        (the loader rejects one)."""
+        return range(max(self.bound, 0) + 1)
+
     def degree_of(self, name: str) -> Degree | None:
         a = self.atom(name)
         return a.degree if a else None
@@ -147,6 +153,10 @@ class ClosureDatum:
                 if t.atom not in names:
                     problems.append(f"v-rule for {r.atom!r} references undeclared "
                                     f"atom {t.atom!r}")
+        if self.distinguished is None and any(
+                t.v_power for r in self.product_rules + self.v_rules for t in r.rhs):
+            problems.append("a rule's right side holds a power of v, but no "
+                            "distinguished atom v is declared")
         return problems
 
 
@@ -313,9 +323,7 @@ def check_cor1(datum: ClosureDatum) -> Verdict:
             return v
     s_names = sorted(a.name for a in datum.s_atoms())
     for name in s_names + [datum.distinguished]:
-        # n = 0 is required even under a negative bound, which a datum built in
-        # code can carry (the loader rejects one)
-        if any(datum.v_coverage(name, n) is None for n in range(max(datum.bound, 0) + 1)):
+        if any(datum.v_coverage(name, n) is None for n in datum.exponents()):
             v.status = FAILS
             v.witnesses.append(Witness(
                 "condition (1): missing v-power coverage", (name,),
@@ -372,7 +380,7 @@ def check_cor2(datum: ClosureDatum) -> Verdict:
     s_names = sorted(a.name for a in datum.s_atoms())
     for name in s_names:
         adeg = datum.degree_of(name)
-        for n in range(datum.bound + 1):
+        for n in datum.exponents():
             if adeg is None or vdeg is None:
                 composite = None
             else:

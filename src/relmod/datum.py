@@ -302,7 +302,11 @@ class TranslationSpec:
         one = CycScalar.one(conductor)
         seen: dict[ZElem, CycScalar] = {}
         for z, val in self.qdim_table:
-            seen[_reduce_cyclic(z, self.cyclic_factors)] = val
+            rz = _reduce_cyclic(z, self.cyclic_factors)
+            if seen.setdefault(rz, val) != val:
+                out.append(Violation(
+                    "free-realisation-quantum-dimension", (z,),
+                    f"quantum dimension of sigma{rz} given as both {seen[rz]} and {val}"))
             if val != one and val != CycScalar.rational(-1, conductor):
                 out.append(Violation(
                     "free-realisation-quantum-dimension", (z,),
@@ -332,7 +336,11 @@ class TranslationSpec:
         for deg, z, val in self.psi:
             if val.is_zero:
                 out.append(Violation("psi-nonzero", (str(deg), z), "psi values must be nonzero"))
-            by_degree.setdefault(deg, {})[_reduce_cyclic(z, self.cyclic_factors)] = val
+            table = by_degree.setdefault(deg, {})
+            rz = _reduce_cyclic(z, self.cyclic_factors)
+            if table.setdefault(rz, val) != val:
+                out.append(Violation("psi-single-valued", (str(deg), z),
+                                     f"psi({deg},{rz}) given as both {table[rz]} and {val}"))
         for deg, table in by_degree.items():
             elems = sorted(table)
             for z1 in elems:

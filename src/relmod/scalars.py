@@ -12,12 +12,15 @@ A one-term divisor c*zeta^k*X^e is a unit of the ring and is inverted as
 and no formal variable is a nonzero element of the field Q(zeta_m), hence a
 unit too: the dividend is multiplied by its field inverse, computed by the
 norm formula a^-1 = prod_{k != 1} sigma_k(a) / N(a), the product of a's other
-Galois conjugates (zeta -> zeta^k) over its rational norm.  The last inverses
-are kept in a cache of fixed size (loading a datum, re-validating it and the
-Delta sums invert the same few twists).  Every other divisor goes through
-multivariate Laurent long division, which inverts the divisor's leading field
-coefficient the same way and raises InexactDivision when the quotient is not
-in the ring.  Both routes give the same canonical quotient.  Powers of a
+Galois conjugates (zeta -> zeta^k) over its rational norm.  ``_field_inverse``
+forms those conjugates and products as scalars and keeps the last inverses in
+a cache of fixed size, keyed on the (zeta power, coefficient) items; a scalar
+is immutable, so every caller shares the cached one (loading a datum,
+re-validating it and the Delta sums invert the same few twists).  Every other
+divisor goes through multivariate Laurent long division, which holds each
+monomial's coefficient as a variable-free scalar, inverts the leading one by
+one of the two routes above and raises InexactDivision when the quotient is
+not in the ring.  Every route gives the same canonical quotient.  Powers of a
 one-term scalar scale its exponents, for either sign.
 
 A coefficient is a Python ``int`` while it is integral.  A ``Fraction`` is
@@ -200,45 +203,23 @@ def _canon(m: int, terms) -> dict[Key, Coeff]:
             for k, v in out.items() if v}
 
 
-def _zmul(m: int, a: dict[Key, Coeff], b: dict[Key, Coeff]) -> dict[Key, Coeff]:
-    """Product of two variable-free coefficient dicts."""
-    return _canon(m, (((za + zb, ()), ca * cb)
-                      for (za, _), ca in a.items() for (zb, _), cb in b.items()))
-
-
-def _zinv(m: int, a: dict[int, Coeff]) -> dict[int, Coeff]:
-    """Inverse in Q(zeta_m) by the norm: a^-1 = prod_{k != 1} sigma_k(a) / N(a).
+@lru_cache(maxsize=128)
+def _field_inverse(m: int, items: tuple[tuple[int, Coeff], ...]) -> "CycScalar":
+    """Inverse in Q(zeta_m) of the nonzero element with the sorted (zeta power,
+    coefficient) items, by the norm: a^-1 = prod_{k != 1} sigma_k(a) / N(a).
 
     sigma_k sends zeta_m to zeta_m^k for k prime to m, and the product of all
-    the conjugates, a itself included, is the rational norm N(a).  Takes and
-    returns {zeta power: coefficient} with every power below deg Phi_m.
-    """
-    if not a:
-        raise ZeroDivisionError("inverse of zero cyclotomic element")
-    elem = {(zp, ()): c for zp, c in a.items()}
-    cofactor = {(0, ()): 1}
+    the conjugates, a itself included, is the rational norm N(a).  A scalar is
+    immutable, so every caller shares the cached one."""
+    cofactor = CycScalar.one(m)
     for k in range(2, m):
         if gcd(k, m) == 1:
-            conj = _canon(m, (((zp * k, ()), c) for (zp, _), c in elem.items()))
-            cofactor = _zmul(m, cofactor, conj)
-    norm = _zmul(m, elem, cofactor)
-    if list(norm) != [(0, ())]:
+            cofactor = cofactor * CycScalar(m, {(zp * k, ()): c for zp, c in items})
+    norm = CycScalar(m, {(zp, ()): c for zp, c in items}, _canonical=True) * cofactor
+    if list(norm.coeffs) != [(0, ())]:
         raise ArithmeticError("cyclotomic norm not rational; conductor data corrupt")
-    n = norm[(0, ())]
-    return {zp: _quo(c, n) for (zp, _), c in sorted(cofactor.items())}
-
-
-@lru_cache(maxsize=128)
-def _cached_zinv(m: int, items: tuple[tuple[int, Coeff], ...]) -> tuple[tuple[int, Coeff], ...]:
-    # Keyed on the sorted (zeta power, coefficient) items; the result is a
-    # tuple because every caller shares it.
-    return tuple(_zinv(m, dict(items)).items())
-
-
-def _field_inverse(m: int, a: dict[Key, Coeff]) -> dict[Key, Coeff]:
-    """Inverse of the variable-free coefficient dict a."""
-    inv = _cached_zinv(m, tuple(sorted((zp, c) for (zp, _), c in a.items())))
-    return {(zp, ()): c for zp, c in inv}
+    n = norm.coeffs[(0, ())]
+    return CycScalar(m, {k: _quo(c, n) for k, c in cofactor.coeffs.items()}, _canonical=True)
 
 
 def _common_denominator(entries) -> int:
@@ -529,8 +510,8 @@ class CycScalar:
             ((zp, vk), c), = terms.items()
             return self._times_term(-zp, _vk_neg(vk), _quo(1, c))
         if not any(vk for _, vk in terms):
-            m = self.conductor
-            return self * CycScalar(m, _field_inverse(m, terms), _canonical=True)
+            return self * _field_inverse(self.conductor,
+                                         tuple(sorted((zp, c) for (zp, _), c in terms.items())))
         return _laurent_div(self, other)
 
     def inverse(self) -> "CycScalar":
@@ -593,56 +574,46 @@ def _term(m: int, zp: int, vk: VarKey, c: Coeff) -> CycScalar:
 def _laurent_div(a: CycScalar, b: CycScalar) -> CycScalar:
     """Multivariate Laurent long division of a by b, both nonzero; raises
     InexactDivision unless b divides a.  Correct for every divisor; exact_div
-    sends it every divisor with more than one term and a formal variable."""
+    sends it every divisor with more than one term and a formal variable.
+    Each monomial's coefficient is a variable-free scalar."""
     m = a.conductor
     names = sorted(a.variables() | b.variables())
 
-    def collect(s: CycScalar) -> dict[tuple[int, ...], dict[Key, Coeff]]:
+    def collect(s: CycScalar) -> tuple[dict[tuple[int, ...], CycScalar], tuple[int, ...]]:
+        """{exponents - valuation: coefficient} and the valuation."""
         out: dict[tuple[int, ...], dict[Key, Coeff]] = {}
         for (zp, vk), c in s.coeffs.items():
             d = dict(vk)
             out.setdefault(tuple(d.get(n, 0) for n in names), {})[(zp, ())] = c
-        return out
+        val = tuple(min(k[i] for k in out) for i in range(len(names)))
+        return {tuple(e - v for e, v in zip(k, val)): CycScalar(m, c, _canonical=True)
+                for k, c in out.items()}, val
 
-    f = collect(a)
-    g = collect(b)
-    nv = len(names)
-    valf = tuple(min(k[i] for k in f) for i in range(nv)) if nv else ()
-    valg = tuple(min(k[i] for k in g) for i in range(nv)) if nv else ()
-    f = {tuple(k[i] - valf[i] for i in range(nv)): v for k, v in f.items()}
-    g = {tuple(k[i] - valg[i] for i in range(nv)): v for k, v in g.items()}
-
+    f, valf = collect(a)
+    g, valg = collect(b)
     gl = max(g)
-    glc_inv = _field_inverse(m, g[gl])
-    quot: dict[tuple[int, ...], dict[Key, Coeff]] = {}
+    glc_inv = g[gl].inverse()
+    zero = CycScalar.zero(m)
+    quot: dict[tuple[int, ...], CycScalar] = {}
     while f:
         fl = max(f)
-        t = tuple(fl[i] - gl[i] for i in range(nv))
+        t = tuple(e - d for e, d in zip(fl, gl))
         if any(e < 0 for e in t):
             raise InexactDivision(f"{a} is not divisible by {b}")
-        cq = _zmul(m, f[fl], glc_inv)
-        quot[t] = cq
+        cq = quot[t] = f[fl] * glc_inv
         # f -= (cq * X^t) * g
         for gk, gc in g.items():
-            k = tuple(gk[i] + t[i] for i in range(nv))
-            prod = _zmul(m, cq, gc)
-            cell = f.get(k, {})
-            for zk, c in prod.items():
-                nc = cell.get(zk, 0) - c
-                if nc:
-                    cell[zk] = nc
-                elif zk in cell:
-                    del cell[zk]
+            k = tuple(e + d for e, d in zip(gk, t))
+            cell = f.get(k, zero) - cq * gc
             if cell:
                 f[k] = cell
-            elif k in f:
-                del f[k]
-    shift = tuple(valf[i] - valg[i] for i in range(nv))
+            else:
+                f.pop(k, None)
+    shift = [e - d for e, d in zip(valf, valg)]
     out: dict[Key, Coeff] = {}
-    for k, zd in quot.items():
-        vk = tuple(sorted((names[i], k[i] + shift[i]) for i in range(nv) if k[i] + shift[i]))
-        for (zp, _), c in zd.items():
-            out[(zp, vk)] = c
+    for k, cq in quot.items():
+        vk = tuple((n, e + s) for n, e, s in zip(names, k, shift) if e + s)
+        out.update(((zp, vk), c) for (zp, _), c in cq.coeffs.items())
     return CycScalar(m, out, _canonical=True)
 
 
@@ -654,21 +625,12 @@ def quantum_integer(n: int, ell: int) -> CycScalar:
     """[n] = (q^n - q^-n)/(q - q^-1) at q = zeta_ell, for odd ell >= 3.
 
     Uses the telescoped form q^(n-1) + q^(n-3) + ... + q^(1-n), so no division
-    is involved.
+    is involved.  Its exponents are distinct; the constructor reduces them.
     """
     if ell < 3 or ell % 2 == 0:
         raise ValueError(f"ell must be odd and >= 3, got {ell}")
-    if n == 0:
-        return CycScalar.zero(ell)
-    sign = 1
-    if n < 0:
-        n, sign = -n, -1
-    # colliding exponents must accumulate, so go through the canonical ctor
-    raw: dict[Key, Coeff] = {}
-    for i in range(n):
-        k = (n - 1 - 2 * i, ())
-        raw[k] = raw.get(k, 0) + sign
-    return CycScalar(ell, raw)
+    sign = 1 if n > 0 else -1
+    return CycScalar(ell, {(abs(n) - 1 - 2 * i, ()): sign for i in range(abs(n))})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conftest
 import relmod
@@ -618,6 +621,23 @@ def _emitted_twist_doc(literal):
     return doc
 
 
+def _emitted_psi_doc(*values):
+    """The emitted ell = 3 datum whose psi holds the values at degree a and
+    element [1, 0], in order."""
+    doc = dumps_datum(emit_datum(3))
+    doc["translation"]["psi"] = [{"degree": {"alpha": 1}, "element": [1, 0], "value": v}
+                                 for v in values]
+    return doc
+
+
+def _unmarked_closure_doc():
+    """The toy closure document without its distinguished atom, while its
+    rules still hold powers of v."""
+    doc = dumps_closure(toy_closure_datum())
+    del doc["distinguished"]
+    return doc
+
+
 # Each probe is (argv, file contents by name, expected stderr fragment).  A
 # name in argv that is a key of the contents is replaced by the path of a file
 # holding them (bytes as they are, anything else as JSON); "DIR" is a
@@ -702,6 +722,12 @@ _BAD_INPUT_PROBES = {
     "json-integer-too-long": (["closure", "check", "--closure", "c.json"],
                               {"c.json": b'{"bound": ' + b"1" * 5000 + b"}"},
                               "$: not valid JSON"),
+    "psi-two-values-for-one-element": (["check", "premodular", "--datum", "d.json"],
+                                       {"d.json": _emitted_psi_doc("u", "u^2")},
+                                       "[psi-single-valued]"),
+    "closure-v-power-without-distinguished-atom": (
+        ["closure", "certify", "--expr", "a*b*a", "--closure", "c.json"],
+        {"c.json": _unmarked_closure_doc()}, "no distinguished atom v is declared"),
     "negative-closure-bound": (["closure", "check", "--closure", "c.json"],
                                {"c.json": dict(dumps_closure(toy_closure_datum()), bound=-1)},
                                "$.bound"),
@@ -769,3 +795,69 @@ class TestBadInputIsUsageError:
         doc = json.loads(out)
         assert doc["certified"] is False and doc["exit_code"] == 1
         assert doc["failure"]["kind"] == "depth-exhausted"
+
+
+# A value of each JSON type, to swap in for a value of another type.
+_JSON_VALUES = {type(None): None, bool: True, int: -1, float: 0.5, str: "u", list: [], dict: {}}
+
+# The valid documents the fuzzer mutates, each with the commands it is run on.
+_FUZZ_CHECKS = (["check", "all", "--datum"], ["check", "premodular", "--datum"])
+_FUZZ_CLOSURE = (["closure", "check", "--closure"],
+                 ["closure", "certify", "--expr", "a*b*a", "--closure"])
+_FUZZ_DOCUMENTS = {
+    "sl21-ell3": (lambda: dumps_datum(emit_datum(3)), _FUZZ_CHECKS),
+    "pointed-3": (lambda: dumps_datum(conftest.pointed_datum(3)), _FUZZ_CHECKS),
+    "toy-closure": (lambda: dumps_closure(toy_closure_datum()), _FUZZ_CLOSURE),
+}
+
+
+def _mutate(draw, node):
+    """node with one change at a drawn place: a key or list item deleted, a
+    value swapped for one of another JSON type, wrapped in a list or
+    unwrapped from one."""
+    keys = []
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = list(range(len(node)))
+    if keys and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(keys))
+        if draw(st.integers(0, 4)):
+            node[key] = _mutate(draw, node[key])
+        else:
+            del node[key]
+        return node
+    how = draw(st.sampled_from(["retype", "wrap", "unwrap"]))
+    if how == "wrap":
+        return [node]
+    if how == "unwrap" and isinstance(node, list) and node:
+        return node[0]
+    return draw(st.sampled_from([v for t, v in _JSON_VALUES.items() if type(node) is not t]))
+
+
+class TestDocumentFuzzer:
+    """Mutated documents give a verdict or a usage error, never exit 3."""
+
+    @pytest.mark.parametrize("name", sorted(_FUZZ_DOCUMENTS))
+    def test_mutated_document_is_a_verdict_or_a_usage_error(self, name, tmp_path_factory):
+        build, commands = _FUZZ_DOCUMENTS[name]
+        text = json.dumps(build())
+        path = str(tmp_path_factory.mktemp("fuzz") / f"{name}.json")
+
+        @given(data=st.data())
+        @settings(max_examples=120, deadline=None)
+        def check(data):
+            doc = json.loads(text)
+            for _ in range(data.draw(st.integers(1, 3))):
+                doc = _mutate(data.draw, doc)
+            Path(path).write_text(json.dumps(doc))
+            for argv in commands:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([*argv, path])
+                assert code in (0, 1, 2), (argv, doc, err.getvalue())
+                if code == 2:
+                    assert err.getvalue().startswith("error: "), (argv, doc, err.getvalue())
+                    assert "internal error" not in err.getvalue()
+
+        check()

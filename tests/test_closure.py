@@ -117,9 +117,10 @@ class TestCor1:
         assert "missing v-power coverage" in v.witnesses[0].name
 
     def test_negative_bound_without_family_rule_fails(self):
-        v = check_cor1(self.explicit_coverage(bound=-1))
-        assert v.status == FAILS
-        assert [w.indices for w in v.witnesses] == [("a",)]
+        for check, indices in ((check_cor1, ("a",)), (check_cor2, ("a", 0))):
+            v = check(self.explicit_coverage(bound=-1))
+            assert v.status == FAILS
+            assert [w.indices for w in v.witnesses] == [indices]
 
     def test_unflagged_distinguished_atom_fails(self):
         toy = toy_closure_datum()

@@ -187,6 +187,31 @@ class TestLoader:
         v = next(v for v in ei.value.violations if v.invariant == "psi-bilinear")
         assert v.indices == ("a", (1,), (1,))
 
+    @pytest.mark.parametrize("first, second", [([1, 0], [1, 0]), ([3, 0], [1, 0])],
+                             ids=["same-element", "same-after-reduction"])
+    def test_psi_with_two_values_for_one_element_is_rejected(self, first, second):
+        doc = dumps_datum(emit_datum(3))
+        doc["translation"]["psi"] = [
+            {"degree": {"alpha": 1}, "element": first, "value": "u"},
+            {"degree": {"alpha": 1}, "element": second, "value": "u^2"}]
+        with pytest.raises(DatumInvariantError) as ei:
+            loads_datum(doc)
+        v, = ei.value.violations
+        assert (v.invariant, v.indices) == ("psi-single-valued", ("a", tuple(second)))
+        assert v.message == "psi(a,(1, 0)) given as both u and u^2"
+
+    def test_quantum_dimension_with_two_values_for_one_element_is_rejected(self):
+        doc = dumps_datum(emit_datum(3))
+        table = [{"element": [0, 1], "value": "1"}, {"element": [0, 1], "value": "-1"}]
+        doc["translation"]["quantum_dimension"] = {"table": table}
+        with pytest.raises(DatumInvariantError) as ei:
+            loads_datum(doc)
+        v, = ei.value.violations
+        assert (v.invariant, v.indices) == ("free-realisation-quantum-dimension", ((0, 1),))
+        assert v.message == "quantum dimension of sigma(0, 1) given as both 1 and -1"
+        table[1]["value"] = "1"
+        loads_datum(doc)
+
     def test_quantum_dimension_must_be_pm_one(self):
         doc = minimal_doc()
         doc["translation"]["quantum_dimension"]["table"].append(
