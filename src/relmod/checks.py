@@ -14,7 +14,9 @@ Each check returns a Verdict with machine-readable witnesses:
                            parameter and is cross-checked against
                            Delta_plus * Delta_minus when both are computable.
 * check_premodular_inputs -- batch data-level validation of the grading,
-                           translation and S-block invariants.
+                           translation and S-block invariants; on a loaded
+                           datum it reads the load's validation (see
+                           datum._validation).
 
 Scalar quantities:
 
@@ -28,7 +30,7 @@ cross-check inside check_relative_modularity is the arbiter for it.
 
 from __future__ import annotations
 
-from .datum import Degree, ModularDatum, _memo, modified_S, validate_datum
+from .datum import Degree, ModularDatum, _memo, _validation, modified_S
 from .scalars import CycScalar
 from .verdicts import DATA_ABSENT, FAILS, HOLDS, HYPOTHESIS_NOT_MET, Verdict, Witness
 
@@ -312,7 +314,7 @@ def check_relative_modularity(datum: ModularDatum, g: Degree, h: Degree) -> Verd
 
 def check_premodular_inputs(datum: ModularDatum) -> Verdict:
     v = Verdict("premodular-inputs", HOLDS)
-    violations = validate_datum(datum)
+    violations = _validation(datum)
     psi_degrees = {str(d) for d, _, _ in datum.translation.psi}
     if datum.translation.psi:
         v.notes.append("psi is user-supplied data; psi-dependent conclusions are "

@@ -9,7 +9,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import lru_cache
@@ -22,6 +21,7 @@ from .datum import (
     ModularDatum,
     check_cyclic,
     dumps_datum,
+    json_text,
     load_datum,
     parse_degree,
     save_datum,
@@ -49,7 +49,7 @@ def _emit(args, doc: dict, lines: list[str], code: int = 0) -> int:
     """Write the report, the JSON doc with `invocation` and `exit_code` added or
     the text lines, and return its exit code."""
     doc = {"invocation": args._argv, **doc, "exit_code": code}
-    lines = [json.dumps(doc, indent=2, sort_keys=True)] if args.format == "json" else lines
+    lines = [json_text(doc)] if args.format == "json" else lines
     try:
         sys.stdout.write("".join(line + "\n" for line in lines))
         sys.stdout.flush()
@@ -255,7 +255,7 @@ def _cmd_closure(args) -> int:
         _file("closure datum", args.out, closure_mod.save_closure, datum)
         return _emit(args, {"out": args.out}, [f"wrote toy closure datum -> {args.out}"])
     doc = closure_mod.dumps_closure(datum)
-    return _emit(args, {"datum": doc}, [json.dumps(doc, indent=2, sort_keys=True)])
+    return _emit(args, {"datum": doc}, [json_text(doc)])
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,12 @@ from .verdicts import DATA_ABSENT, FAILS, HOLDS, Verdict, Witness
 
 CLOSURE_SCHEMA_ID = "relmod-closure/1"
 
+# ClosureDatum.validate's problem, and certify's failure where it would
+# rewrite by such a product rule.  A v-rule is reached only through a
+# distinguished atom.
+NO_DISTINGUISHED_V = ("a rule's right side holds a power of v, but no "
+                      "distinguished atom v is declared")
+
 
 # ---------------------------------------------------------------------------
 # datum
@@ -155,8 +161,7 @@ class ClosureDatum:
                                     f"atom {t.atom!r}")
         if self.distinguished is None and any(
                 t.v_power for r in self.product_rules + self.v_rules for t in r.rhs):
-            problems.append("a rule's right side holds a power of v, but no "
-                            "distinguished atom v is declared")
+            problems.append(NO_DISTINGUISHED_V)
         return problems
 
 
@@ -555,6 +560,8 @@ def _derive(datum: ClosureDatum, expr: Expr, depth: int):
     if rule is None:
         return CertifyFailure("stuck", text,
                               f"no decomposition rule for the pair ({word[0]}, {word[1]})")
+    if datum.distinguished is None and any(t.v_power for t in rule.rhs):
+        return CertifyFailure("stuck", text, NO_DISTINGUISHED_V)
     sub = _derive(datum, _rewrite(datum, rule.rhs, word[2:], vpow), depth - 1)
     if isinstance(sub, CertifyFailure):
         return sub

@@ -10,8 +10,16 @@ Degrees of the grading group are triples (finite part, alpha, shift): the
 finite part has one component per cyclic factor of the grading, reduced
 (0 <= c < o for a factor of order o > 0), and the optional "generic torus"
 factor contributes alpha * abar + shift where abar is a formal generic
-parameter and shift is an exact rational.  Two degrees are equal iff all
-components match.
+parameter and shift is an exact rational: an ``int`` while it is integral,
+else a ``Fraction``, the rule the scalar coefficients follow.  The two forms
+of an integer have the same ``==``, ``hash`` and ``str``; an int compares and
+hashes without Fraction's Python-level methods, which the degree lookups and
+memo keys of every check call.  Two degrees are equal iff all components
+match.
+
+Every JSON document is written by ``json_text``, which gives exactly the text
+of ``json.dumps(obj, indent=2, sort_keys=True)`` without that call's
+pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ class Violation:
 class Degree:
     finite: tuple[int, ...] = ()
     alpha: int = 0
-    shift: Fraction = Fraction(0)
+    shift: int | Fraction = 0
 
     def __str__(self):
         parts = []
@@ -92,6 +100,11 @@ _DEGREE_RE = re.compile(
     rf"\s*(?:(?P<finite>[+-]?\d+(?:\s*,\s*[+-]?\d+)*)\s*\|\s*)?"
     rf"(?:(?P<alpha>[+-]?\d*)a(?:\s*(?P<sign>[+-])\s*(?P<tail>{_RATIONAL}))?"
     rf"|(?P<shift>[+-]?{_RATIONAL}))\s*", re.ASCII)
+
+
+def _shift(q: Fraction) -> int | Fraction:
+    """q as a degree stores it: an int while it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _need(obj: dict, key: str, path: str):
@@ -180,7 +193,7 @@ def degree_from_json(obj, path: str, factors: tuple[int, ...]) -> Degree:
     try:
         if not (_is_int(shift) or isinstance(shift, str) and _SHIFT_RE.fullmatch(shift)):
             raise ValueError(f"expected an integer or a string n or n/d, got {shift!r}")
-        shift = Fraction(shift)
+        shift = _shift(Fraction(shift))
     except ValueError as exc:
         raise DatumSchemaError(path + ".shift", f"bad rational: {exc}") from None
     return Degree(finite, alpha, shift)
@@ -195,10 +208,10 @@ def parse_degree(text: str) -> Degree:
                          "shift, or a shift alone; a shift is an integer or n/d")
     finite = tuple(int(c) for c in m["finite"].split(",")) if m["finite"] else ()
     if m["shift"] is not None:
-        return Degree(finite, 0, Fraction(m["shift"]))
+        return Degree(finite, 0, _shift(Fraction(m["shift"])))
     coeff = m["alpha"]
     alpha = int(coeff) if coeff.strip("+-") else int(coeff + "1")
-    return Degree(finite, alpha, Fraction(m["sign"] + m["tail"]) if m["tail"] else Fraction(0))
+    return Degree(finite, alpha, _shift(Fraction(m["sign"] + m["tail"])) if m["tail"] else 0)
 
 
 @dataclass(frozen=True)
@@ -222,7 +235,10 @@ class GradingSpec:
     def add(self, d1: Degree, d2: Degree) -> Degree:
         fin = _reduce_cyclic(tuple(a + b for a, b in zip(d1.finite, d2.finite, strict=True)),
                              self.cyclic_factors)
-        return Degree(fin, d1.alpha + d2.alpha, d1.shift + d2.shift)
+        shift = d1.shift + d2.shift
+        if type(shift) is Fraction:
+            shift = _shift(shift)
+        return Degree(fin, d1.alpha + d2.alpha, shift)
 
     def negate(self, d: Degree) -> Degree:
         fin = _reduce_cyclic(tuple(-c for c in d.finite), self.cyclic_factors)
@@ -587,7 +603,7 @@ def loads_datum(doc: dict) -> ModularDatum:
         degrees=degrees, index_sets=index_sets, dims=dims, twists=twists,
         sprime=tuple(blocks), orbit_count=orbit_count, dual_involution=dual,
         extra=doc.get("extra", {}))
-    violations = validate_datum(datum)
+    violations = _validation(datum)
     if violations:
         raise DatumInvariantError(violations)
     return datum
@@ -606,10 +622,65 @@ def _read_json(path: str):
             raise DatumSchemaError("$", "JSON nested too deeply") from None
 
 
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+
+
+def json_text(obj) -> str:
+    """Exactly json.dumps(obj, indent=2, sort_keys=True).
+
+    That call encodes with the pure-Python encoder, since the C one knows no
+    indent; this one writes the same text from one list of parts, and strings
+    go through the C string encoder that json.dumps uses."""
+    out: list[str] = []
+    _json_parts(obj, "\n", out)
+    return "".join(out)
+
+
+def _json_parts(obj, nl: str, out: list[str]) -> None:
+    """Append obj's JSON text to out; nl is a newline and obj's indent."""
+    if isinstance(obj, str):
+        out.append(_ENCODE_STR(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            value = obj[key]
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {type(key).__name__}")
+                key = json.dumps(key)
+            out.append(f"{sep}{_ENCODE_STR(key)}: ")
+            _json_parts(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if all(type(value) is str for value in obj):
+            # a row of literals, the bulk of a datum file: one join
+            out.append("[" + inner + ("," + inner).join(map(_ENCODE_STR, obj)) + nl + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _json_parts(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        # None, a bool or a number, written as json.dumps writes it alone
+        out.append(json.dumps(obj))
+
+
 def _write_json(doc: dict, path: str) -> None:
+    text = json_text(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_datum(path: str) -> ModularDatum:
@@ -676,17 +747,33 @@ def _memo(datum: ModularDatum, key, inputs: tuple, compute):
     repr and dataclasses.replace do not see it, and a replaced datum starts
     empty.  It is served only while each of inputs -- the matrices, tuples
     and permutations it was computed from, or None for an absent one -- is
-    the same object as when it was made.  So a field replaced in place, such
-    as d.dims[g] = ..., gives a fresh value, while a mutable object changed
-    inside (an entry list edited in place) is not noticed.  An exception is
-    not kept."""
+    the same object as when it was made, and there are as many of them.  So
+    a field replaced in place, such as d.dims[g] = ..., gives a fresh value,
+    while a mutable object changed inside (an entry list edited in place) is
+    not noticed.  An exception is not kept."""
     memo = datum.__dict__.setdefault("_memo", {})
     hit = memo.get(key)
-    if hit is not None and all(a is b for a, b in zip(hit[0], inputs)):
+    if hit is not None and len(hit[0]) == len(inputs) and \
+            all(a is b for a, b in zip(hit[0], inputs)):
         return hit[1]
     value = compute()
     memo[key] = (inputs, value)
     return value
+
+
+def _validation(datum: ModularDatum) -> list[Violation]:
+    """validate_datum(datum), computed once per datum while every field it
+    reads is the same object (see _memo).  The inputs are the frozen fields
+    and then each of the four degree-keyed tables followed by its keys and
+    values, so an entry added, removed or replaced gives a fresh value.
+    loads_datum validates through it, so check_premodular_inputs on a loaded
+    datum reads the load's result.  Callers must not change it."""
+    inputs = [datum.conductor, datum.grading, datum.translation, datum.degrees, datum.sprime]
+    for table in (datum.index_sets, datum.dims, datum.twists, datum.dual_involution):
+        inputs.append(table)
+        for item in table.items():
+            inputs.extend(item)
+    return _memo(datum, "validation", tuple(inputs), lambda: validate_datum(datum))
 
 
 def _scaled_block(datum: ModularDatum, b: SBlock) -> ExactMatrix:

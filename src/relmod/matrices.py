@@ -244,8 +244,9 @@ class ExactMatrix:
         return ExactMatrix(rows, cols, m, out)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i + 1, self.cols))
+        n, e = self.cols, self.entries
+        return self.rows == n and all(
+            e[i * n + j] == e[j * n + i] for i in range(n) for j in range(i + 1, n))
 
     # -- elimination -----------------------------------------------------------
 

@@ -40,27 +40,37 @@ negation or the zero as soon as the operands are coerced to one conductor.
 The sparse sl(2|1) matrices are mostly zeros, so this is where most of their
 scalar operations end.
 
-A product of two one-term scalars is built as its single key
-(zeta power mod m, variable key) directly, and reduced modulo Phi_m only when
-that zeta power is not below deg Phi_m; ``_canon`` serves every product with
-more terms.  A product by the unit 1 returns the other operand itself: every
-modified dimension of pointed data is 1, so scaling S' by them and the
-``* d(V_i)`` of the Delta sums build nothing.
+A product of two one-term scalars is built as its single key in one step
+(``_times_term``): the zeta power mod m, and the variable key that
+``_vk_mul`` merges from the two sorted keys, adding the exponents of a shared
+name and dropping a zero sum.  It is reduced modulo Phi_m only when that zeta
+power is not below deg Phi_m; ``_canon`` serves every product with more
+terms.  Emitting the sl(2|1) datum and scaling its S' columns by the
+dimensions are such products.  A product by the unit 1 returns the other
+operand itself: every modified dimension of pointed data is 1, so scaling S'
+by them and the ``* d(V_i)`` of the Delta sums build nothing.  ``str()`` of a
+one-term scalar prints its term without sorting.
 
-Literals are read in one pass by ``parse_scalar``.  One compiled regex match
-reads a whole numeral or name factor: its unary minuses, the numeral, ``z{m}``
-or variable name, its optional power and the operator after it; a
-parenthesised factor reads its sum recursively.  A product of one-term factors
-such as ``-u^-2*s0_1*d1_2^-1`` is collected into one coefficient, zeta power
-and exponent map, and only its factors with several terms are multiplied out.
-A sum adds its terms into one dict.  Before it expands a power of a sum, the
-reader bounds the result's term count and rejects the literal when that bound
-is over ``MAX_POWER_TERMS``; before it raises a one-term factor to a power, or
-a sum to a positive power, it bounds the coefficients' bit length against
-``MAX_POWER_BITS``.  Every product, sum and power a literal builds is checked
+Literals are read by ``parse_scalar``.  A one-term literal -- an optional
+'-', an integer numeral of at most 18 digits and name factors other than
+``z{m}`` with integer powers of at most 18 digits, such as
+``-d0_1^-1*s1_3`` -- is checked by one compiled full match and built as its
+one key, with its exponents summed per name.  Every literal of an emitted
+sl(2|1) datum is one.  Every other literal goes through the scanner in one
+pass.  One compiled regex match reads a whole numeral or name factor: its
+unary minuses, the numeral, ``z{m}`` or variable name, its optional power and
+the operator after it; a parenthesised factor reads its sum recursively.  A
+product of one-term factors such as ``z5*u^-2*1/2`` is collected into one
+coefficient, zeta power and exponent map, and only its factors with several
+terms are multiplied out.  A sum adds its terms into one dict.  Before it
+expands a power of a sum, the reader bounds the result's term count and
+rejects the literal when that bound is over ``MAX_POWER_TERMS``; before it
+raises a one-term factor to a power, or a sum to a positive power, it bounds
+the coefficients' bit length against ``MAX_POWER_BITS``.  Every product, sum and power a literal builds is checked
 to have no numerator or denominator of 4300 or more digits (a sum checks the
 coefficients each term touches), so every coefficient of a parsed literal can
-be printed.
+be printed.  These checks and the limit on converting long numerals stay on
+the scanner: a one-term literal's numerals are far inside them.
 
 A matrix product over Q(zeta_m), and a column of a dense variable-free matrix
 scaled by a factor of several terms, may go through ``_packed_product``, which
@@ -298,18 +308,30 @@ def _packed_product(m: int, a: list["CycScalar"], b: list["CycScalar"],
 # ---------------------------------------------------------------------------
 
 def _vk_mul(a: VarKey, b: VarKey) -> VarKey:
+    """The variable key of X^a * X^b: the two sorted keys merged by name,
+    with the exponents of a shared name added and a zero sum dropped."""
     if not a:
         return b
     if not b:
         return a
-    d = dict(a)
-    for name, e in b:
-        ne = d.get(name, 0) + e
-        if ne:
-            d[name] = ne
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        x, y = a[i], b[j]
+        if x[0] < y[0]:
+            out.append(x)
+            i += 1
+        elif y[0] < x[0]:
+            out.append(y)
+            j += 1
         else:
-            del d[name]
-    return tuple(sorted(d.items()))
+            e = x[1] + y[1]
+            if e:
+                out.append((x[0], e))
+            i += 1
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def _vk_neg(vk: VarKey) -> VarKey:
@@ -425,9 +447,10 @@ class CycScalar:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CycScalar or other.conductor != self.conductor:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other.coeffs:
             return other
         if not self.coeffs:
@@ -448,7 +471,8 @@ class CycScalar:
 
     def _times_term(self, zp: int, vk: VarKey, c: Coeff) -> "CycScalar":
         """self * c*zeta^zp*X^vk for nonzero c, where zp need not be reduced;
-        self itself when that multiplier is 1."""
+        self itself when that multiplier is 1.  A one-term self gives the one
+        key (zeta power, merged variable key) directly."""
         m = self.conductor
         if c == 1 and not vk and not zp % m:
             return self
@@ -457,7 +481,10 @@ class CycScalar:
             c1 *= c
             if type(c1) is Fraction and c1.denominator == 1:
                 c1 = c1.numerator
-            return _term(m, z1 + zp, _vk_mul(v1, vk), c1)
+            zp = (z1 + zp) % m
+            if not zp or zp < _degree(m):
+                return CycScalar(m, {(zp, _vk_mul(v1, vk)): c1}, _canonical=True)
+            return CycScalar(m, _canon(m, (((zp, _vk_mul(v1, vk)), c1),)), _canonical=True)
         return CycScalar(m, _canon(m, (
             ((z1 + zp, _vk_mul(v1, vk)), c1 * c)
             for (z1, v1), c1 in self.coeffs.items())), _canonical=True)
@@ -540,17 +567,19 @@ class CycScalar:
         return total
 
     def __str__(self):
-        if self.is_zero:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for (zp, vk), c in sorted(self.coeffs.items()):
+        # one term needs no sort
+        for (zp, vk), c in coeffs.items() if len(coeffs) == 1 else sorted(coeffs.items()):
             factors = []
             if abs(c) != 1 or (zp == 0 and not vk):
                 factors.append(str(abs(c)))
             if zp:
                 factors.append(f"z{self.conductor}" + (f"^{zp}" if zp != 1 else ""))
             for name, e in vk:
-                factors.append(name + (f"^{e}" if e != 1 else ""))
+                factors.append(name if e == 1 else f"{name}^{e}")
             body = "*".join(factors)
             if not parts:
                 parts.append(("-" if c < 0 else "") + body)
@@ -870,15 +899,51 @@ def _bad_character(text: str) -> int | None:
     return None if _END_RE.match(text, pos) else pos
 
 
+# A one-term literal that parse_scalar reads without the scanner: an optional
+# '-', then an integer numeral of at most 18 digits or a name factor, then
+# more name factors after '*'.  A name factor is a variable name other than
+# z{m}, with an optional integer power of at most 18 digits.  Such numerals
+# and powers are far inside every limit of the general path.
+_NAME_FACTOR = r"(?!z[0-9]+(?![A-Za-z_0-9]))[A-Za-z_][A-Za-z_0-9]*(?:\^-?[0-9]{1,18})?"
+_MONOMIAL_RE = re.compile(rf"-?(?:[0-9]{{1,18}}|{_NAME_FACTOR})(?:\*{_NAME_FACTOR})*")
+
+
+def _monomial(text: str, m: int) -> CycScalar:
+    """The value of a literal that _MONOMIAL_RE matches, built as its one key."""
+    c = 1
+    if text[0] == "-":
+        c, text = -1, text[1:]
+    exps: dict[str, int] = {}
+    for f in text.split("*"):
+        if f[0] <= "9":
+            # a numeral; only the first factor can be one
+            c *= int(f)
+            continue
+        name, caret, e = f.partition("^")
+        exps[name] = exps.get(name, 0) + (int(e) if caret else 1)
+    if not c:
+        return CycScalar.zero(m)
+    vk = tuple(sorted(p for p in exps.items() if p[1]))
+    return CycScalar(m, {(0, vk): c}, _canonical=True)
+
+
 def parse_scalar(text: str, conductor: int) -> CycScalar:
     """Parse the scalar grammar: rationals, z{m}^k, variables, * + - ( ).
 
-    One regex match reads a whole numeral or name factor with its unary
-    minuses, its power and the operator after it; a parenthesised factor
-    reads its sum recursively.  An operator where a factor should start is
-    an error that names it and its offset, and whitespace may follow the
-    last token.  Of several errors the first bad character, one that no
-    token starts with, is reported; the others in reading order.
+    A one-term literal such as ``-d0_1^-1*s1_3`` or ``3*u`` -- an optional
+    '-', an integer numeral of at most 18 digits and name factors other than
+    z{m} with integer powers of at most 18 digits, with no whitespace -- is
+    read by one compiled full match and built as its one key.  Every other
+    literal goes to the general reader _parse_expr, and both give the same
+    value.
+
+    The general reader reads a whole numeral or name factor with its unary
+    minuses, its power and the operator after it in one regex match; a
+    parenthesised factor reads its sum recursively.  An operator where a
+    factor should start is an error that names it and its offset, and
+    whitespace may follow the last token.  Of several errors the first bad
+    character, one that no token starts with, is reported; the others in
+    reading order.
 
     A literal that divides by zero, inverts a non-unit, nests too deeply,
     holds a numeral too long to convert, raises a sum to a power that may
@@ -886,6 +951,13 @@ def parse_scalar(text: str, conductor: int) -> CycScalar:
     a power whose coefficients may be over MAX_POWER_BITS bits, or builds a
     coefficient that str() cannot print is malformed too: each raises
     ScalarParseError."""
+    if _MONOMIAL_RE.fullmatch(text):
+        return _monomial(text, conductor)
+    return _parse_expr(text, conductor)
+
+
+def _parse_expr(text: str, conductor: int) -> CycScalar:
+    """parse_scalar by the scanner alone: every literal, with every check."""
     try:
         v, pos = _scan_expr(text, 0, conductor)
         if _END_RE.match(text, pos) is None:

@@ -377,3 +377,21 @@ class TestSerialization:
         with pytest.raises(DatumSchemaError) as ei:
             loads_closure(doc)
         assert ei.value.path == "$.bound"
+
+
+class TestCertifyWithoutDistinguishedAtom:
+    """A datum built in code without a distinguished atom: a rewrite by a
+    rule whose right side holds a power of v is stuck with the loader's
+    message; other derivations are not affected."""
+
+    def test_rule_with_a_power_of_v_is_stuck(self):
+        datum = dataclasses.replace(toy_closure_datum(), distinguished=None)
+        for expr, stuck in (("a*b*a", "a*b*a"), ("a*a", "a*a"), ("b*b*a", "b*b*a")):
+            result = certify(datum, expr, 8)
+            assert isinstance(result, CertifyFailure)
+            assert (result.kind, result.expr) == ("stuck", stuck)
+            assert result.message in datum.validate()
+
+    def test_derivation_without_such_a_rule_is_certified(self):
+        datum = dataclasses.replace(toy_closure_datum(), distinguished=None)
+        assert isinstance(certify(datum, "a+b", 8), Certificate)

@@ -20,6 +20,7 @@ from relmod.datum import (
     degree_from_json,
     degree_to_json,
     dumps_datum,
+    json_text,
     load_datum,
     grading_from_json,
     grading_to_json,
@@ -28,6 +29,7 @@ from relmod.datum import (
     parse_degree,
     save_datum,
     validate_datum,
+    _memo,
 )
 from relmod.matrices import ExactMatrix
 from relmod.scalars import CycScalar
@@ -75,6 +77,24 @@ class TestDegrees:
         factors, d = graded
         assert parse_degree(str(d)) == d
         assert degree_from_json(degree_to_json(d), "d", factors) == d
+
+    def test_integral_shift_is_an_int(self):
+        grading = GradingSpec()
+        integral = [Degree(), Degree(alpha=1), parse_degree("3"), parse_degree("a-2"),
+                    parse_degree("4/2"), degree_from_json({"shift": 2}, "d", ()),
+                    degree_from_json({"shift": "-6/3", "alpha": 1}, "d", ()),
+                    grading.add(parse_degree("1/2"), parse_degree("a+1/2")),
+                    grading.add(parse_degree("a+1"), parse_degree("2")),
+                    grading.negate(parse_degree("-a+3"))]
+        for d in integral:
+            assert type(d.shift) is int, d
+            as_fraction = dataclasses.replace(d, shift=Fraction(d.shift))
+            assert d == as_fraction and hash(d) == hash(as_fraction)
+            assert str(d) == str(as_fraction)
+            assert degree_to_json(d) == degree_to_json(as_fraction)
+        for d in (parse_degree("a+1/2"), degree_from_json({"shift": "3/4"}, "d", ()),
+                  grading.negate(parse_degree("1/3"))):
+            assert type(d.shift) is Fraction, d
 
     @pytest.mark.parametrize("text, degree", [
         ("0", Degree()), ("a", Degree((), 1)), ("-a", Degree((), -1)), ("+a", Degree((), 1)),
@@ -485,3 +505,120 @@ class TestDeltaMemo:
         dp, dm = checks_mod._try_deltas(d, g)
         assert dp is None and dm == checks_mod.delta_minus(d, g, 0)
 
+
+
+class TestMemoInputs:
+    def test_longer_inputs_with_the_same_prefix_are_computed_afresh(self):
+        d = emit_datum(3)
+        x, y = object(), object()
+        assert _memo(d, "k", (x,), lambda: 1) == 1
+        assert _memo(d, "k", (x, y), lambda: 2) == 2
+        assert _memo(d, "k", (x,), lambda: 3) == 3
+        assert _memo(d, "k", (x,), lambda: 4) == 3
+
+
+class TestValidationOncePerLoad:
+    """check_premodular_inputs reads the validation that loads_datum made,
+    and validates again once a field it reads is replaced."""
+
+    def _counting(self, monkeypatch):
+        import relmod.datum as datum_mod
+        calls = []
+        original = datum_mod.validate_datum
+
+        def counting(datum):
+            calls.append(datum)
+            return original(datum)
+        monkeypatch.setattr(datum_mod, "validate_datum", counting)
+        return calls
+
+    def test_premodular_reuses_the_load_and_revalidates_after_an_edit(self, monkeypatch, tmp_path):
+        path = str(tmp_path / "p.json")
+        save_datum(pointed_datum(5, random.Random(3)), path)
+        calls = self._counting(monkeypatch)
+        d = load_datum(path)
+        assert len(calls) == 1
+        assert check_premodular_inputs(d).status == HOLDS
+        assert check_premodular_inputs(d).status == HOLDS
+        assert len(calls) == 1
+        g = Degree(alpha=1)
+        d.dims[g] = tuple(list(d.dims[g]))   # equal values in a new tuple
+        assert check_premodular_inputs(d).status == HOLDS
+        assert len(calls) == 2
+        d.dims[g] = (CycScalar.zero(d.conductor),) + d.dims[g][1:]
+        verdict = check_premodular_inputs(d)
+        assert len(calls) == 3
+        assert verdict.status == FAILS
+        assert any(w.name == "dims-nonzero" for w in verdict.witnesses)
+
+    def test_cli_check_premodular_validates_once(self, monkeypatch, tmp_path, capsys):
+        from relmod.cli import main
+        path = str(tmp_path / "e3.json")
+        save_datum(emit_datum(3), path)
+        calls = self._counting(monkeypatch)
+        for what in ("premodular", "all"):
+            assert main(["check", what, "--datum", path, "--format", "json"]) in (0, 1)
+            assert '"premodular-inputs"' in capsys.readouterr().out
+        assert len(calls) == 2
+
+    def test_each_table_and_frozen_field_is_an_input(self, monkeypatch):
+        d = loads_datum(dumps_datum(pointed_datum(5, random.Random(3))))
+        g = Degree(alpha=1)
+        calls = self._counting(monkeypatch)
+        check_premodular_inputs(d)
+        assert calls == []
+        edits = [lambda: d.twists.__setitem__(g, tuple(list(d.twists[g]))),
+                 lambda: d.index_sets.__setitem__(g, tuple(list(d.index_sets[g]))),
+                 lambda: _edit_dual(d, g),
+                 lambda: d.dims.pop(g),
+                 lambda: object.__setattr__(d, "sprime", tuple(list(d.sprime)))]
+        for n, edit in enumerate(edits, 1):
+            edit()
+            check_premodular_inputs(d)
+            assert len(calls) == n
+        # the twists tuple moved under the same key object into the emptied
+        # dims table: the same keys and values in the same order, in another table
+        (key,) = [k for k in d.twists if k == g]
+        d.dims[key] = d.twists.pop(key)
+        verdict = check_premodular_inputs(d)
+        assert len(calls) == len(edits) + 1
+        assert "twists-present" in [w.name for w in verdict.witnesses]
+
+
+# JSON values: every kind json.dumps writes, nested, with strings that need
+# escaping (control characters, quotes, backslashes, non-ASCII, a lone
+# surrogate) and ints past 64 bits.
+JSON_STRINGS = st.one_of(st.text(), st.sampled_from(
+    ['"', "\\", "\\u", "\x00\x1f\x7f", "\n\r\t\b\f", "\u00e9", "\u2028", "\ud800",
+     "\U0001f600", ""]))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10 ** 40, 10 ** 40),
+              st.floats(), JSON_STRINGS),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(JSON_STRINGS, children, max_size=4)),
+    max_leaves=20)
+
+
+class TestJsonText:
+    @given(obj=JSON_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_is_json_dumps_with_indent_and_sorted_keys(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_empty_containers_and_non_string_keys(self):
+        for obj in ({}, [], (), {"a": {}, "b": [], "c": [[], {}, ()]},
+                    {1: "x", 10: "y", 2: None}, {None: 1}, {True: 0, False: 1},
+                    {1.5: [1.5, float("nan"), float("inf")]}):
+            assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+        for obj in ({(1,): 2}, {"a": object()}, {"a": 1, 2: 3}):
+            with pytest.raises(TypeError):
+                json.dumps(obj, indent=2, sort_keys=True)
+            with pytest.raises(TypeError):
+                json_text(obj)
+
+    def test_datum_files_are_the_json_dumps_text(self, tmp_path):
+        d = emit_datum(5)
+        path = tmp_path / "e5.json"
+        save_datum(d, str(path))
+        assert path.read_text() == json.dumps(dumps_datum(d), indent=2, sort_keys=True) + "\n"

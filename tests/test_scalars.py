@@ -805,3 +805,107 @@ class TestScanner:
         assert parse_scalar("-(1+u)^2*u ^ - 1", 5) == -(1 + u) ** 2 * u ** -1
         assert parse_scalar("z05^7", 5) == CycScalar.zeta(5, 2)
         assert parse_scalar("u^0*0^0", 5) == 1
+
+
+# Pieces of literals at and around the one-term reader's edges: numerals and
+# exponents of 18 and 19 digits, zero numerals, names that are or look like
+# z{m}, repeated and cancelling names, and edits (whitespace, operators,
+# fractions, parentheses) that send a text to the scanner or make it malformed.
+ONE_TERM_NUMERALS = ["0", "00", "1", "7", "012", "9" * 18, "1" + "0" * 17, "9" * 19,
+                     "1" + "0" * 18]
+ONE_TERM_NAMES = ["u", "x", "s0_1", "d1_2", "z", "zz3", "z5", "z05", "z7", "z5a", "_t"]
+ONE_TERM_EXPONENTS = [None, 0, 1, -1, 2, -3, 10 ** 17, -(10 ** 18 - 1), 10 ** 18, -(10 ** 18)]
+ONE_TERM_EDITS = ["", " ", "\t", "*", "^", "-", "--", "/", "/3", "(", ")", "+", "0", "2/3",
+                  "z5", "^2"]
+
+
+@st.composite
+def near_one_term_literals(draw):
+    """(conductor, text): a one-term literal, edited at one place half of the time."""
+    m = draw(st.sampled_from((1, 3, 5, 7, 12)))
+    parts = [draw(st.sampled_from(ONE_TERM_NUMERALS))] if draw(st.booleans()) else []
+    names = st.sampled_from(ONE_TERM_NAMES)
+    for _ in range(draw(st.integers(0 if parts else 1, 4))):
+        # a name drawn again repeats it, a power of -1 after 1 cancels it
+        name, e = draw(names), draw(st.sampled_from(ONE_TERM_EXPONENTS))
+        parts.append(name if e is None else f"{name}^{e}")
+    text = draw(st.sampled_from(["", "-"])) + "*".join(parts)
+    if draw(st.booleans()):
+        pos = draw(st.integers(0, len(text)))
+        text = text[:pos] + draw(st.sampled_from(ONE_TERM_EDITS)) \
+            + text[pos + draw(st.integers(0, 1)):]
+    return m, text
+
+
+def typed_coeffs(x):
+    return {k: (c, type(c)) for k, c in x.coeffs.items()}
+
+
+class TestOneTermReader:
+    """parse_scalar reads a one-term literal as its one key; the value is the
+    scanner's in ==, str() and coefficient type, and a text that is not one
+    gets the scanner's value or message."""
+
+    @given(case=near_one_term_literals())
+    @settings(max_examples=600, deadline=None)
+    def test_agrees_with_the_scanner(self, case):
+        m, text = case
+        if scalars_mod._MONOMIAL_RE.fullmatch(text):
+            got = scalars_mod._monomial(text, m)
+            expected, pos = scalars_mod._scan_expr(text, 0, m)
+            assert pos == len(text)
+            assert got == expected and str(got) == str(expected), text
+            assert typed_coeffs(got) == typed_coeffs(expected)
+        try:
+            expected = scalars_mod._parse_expr(text, m)
+        except ScalarParseError as exc:
+            with pytest.raises(ScalarParseError) as got_exc:
+                parse_scalar(text, m)
+            assert str(got_exc.value) == str(exc)
+            return
+        got = parse_scalar(text, m)
+        assert got == expected and str(got) == str(expected), text
+        assert typed_coeffs(got) == typed_coeffs(expected)
+
+    def test_takes_the_literals_it_is_for_and_no_others(self):
+        one_term = ["-d0_1^-1*s1_3*u^-2", "d0_1^-1*s1_3", "u^-4", "1", "-1", "0", "00*u",
+                    "9" * 18 + "*u", "u^" + "9" * 18, "z", "z5a*zz", "u*u^-1"]
+        scanner = ["9" * 19, "u^" + "9" * 19, "z5", "z05*u", "u*z5", "1/2*u", "u*2", "2^3",
+                   "--u", "u ", " u", "(u)", "u+x", "u*", "u^", "-"]
+        for text in one_term:
+            assert scalars_mod._MONOMIAL_RE.fullmatch(text), text
+        for text in scanner:
+            assert not scalars_mod._MONOMIAL_RE.fullmatch(text), text
+
+    def test_every_emitted_sl21_literal_is_one_term(self):
+        for ell in (3, 5, 7):
+            d = emit_datum(ell)
+            for text in literals_of(d):
+                assert scalars_mod._MONOMIAL_RE.fullmatch(text), text
+                expected, _ = scalars_mod._scan_expr(text, 0, ell)
+                assert typed_coeffs(parse_scalar(text, ell)) == typed_coeffs(expected)
+
+
+@st.composite
+def one_term_pairs(draw):
+    """(conductor, [(zeta power, exponent map, coefficient)] * 2)."""
+    m = draw(st.sampled_from(CONDUCTORS + (9, 15)))
+    exps = st.dictionaries(st.sampled_from(["u", "x", "s0_1"]), st.integers(-2, 2), max_size=3)
+    coeff = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4)).filter(bool)
+    term = st.tuples(st.integers(0, 2 * m), exps, coeff)
+    return m, draw(term), draw(term)
+
+
+class TestOneTermProduct:
+    @given(case=one_term_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_product_is_the_canonical_one_key(self, case):
+        m, (z1, e1, c1), (z2, e2, c2) = case
+        a = CycScalar(m, {(z1, tuple(e1.items())): c1})
+        b = CycScalar(m, {(z2, tuple(e2.items())): c2})
+        merged = {n: e1.get(n, 0) + e2.get(n, 0) for n in {*e1, *e2}}
+        expected = CycScalar(m, {(z1 + z2, tuple(merged.items())): Fraction(c1) * c2})
+        for got in (a * b, b * a):
+            assert got == expected and hash(got) == hash(expected)
+            assert str(got) == str(expected)
+            assert typed_coeffs(got) == typed_coeffs(expected)
