@@ -7,7 +7,8 @@ objects are strongly decomposable, and tensor products rewrite through a
 declared decomposition table into direct sums of retract-of(atom (x) v^n)
 terms.  The engine never inspects morphisms; it checks that the required
 rules exist (check_cor1 / check_cor2) and replays them into certificates
-(certify).
+(certify).  A derivation stops at its first failing subgoal, which raises
+one private exception that only certify catches.
 
 A datum declares a finite atom set S plus one distinguished atom v, rules for
 each product of S-atoms, and v-power coverage for every atom (explicit rules
@@ -442,6 +443,14 @@ class CertifyFailure:
     message: str
 
 
+class _Failed(Exception):
+    """The failure that ends a derivation; certify returns its .failure."""
+
+    def __init__(self, kind: str, expr: str, message: str):
+        super().__init__(message)
+        self.failure = CertifyFailure(kind, expr, message)
+
+
 RETRACT_LEMMA = "direct sums and retracts of strongly decomposable objects are strongly decomposable"
 
 
@@ -472,36 +481,32 @@ def certify(datum: ClosureDatum, expr: Expr | str, depth: int):
         expr = parse_expr(expr)
     try:
         return _derive(datum, expr, depth)
+    except _Failed as exc:
+        return exc.failure
     except RecursionError:
         return CertifyFailure("depth-exhausted", expr_to_str(expr),
                               "derivation deeper than the recursion limit")
 
 
-def _derive(datum: ClosureDatum, expr: Expr, depth: int):
+def _derive(datum: ClosureDatum, expr: Expr, depth: int) -> Certificate:
+    """expr's certificate, derived depth first; the first failing subgoal raises _Failed."""
     text = expr_to_str(expr)
 
     if isinstance(expr, Sum):
-        node = Certificate("direct-sum", text, RETRACT_LEMMA)
-        for t in expr.terms:
-            sub = _derive(datum, t, depth)
-            if isinstance(sub, CertifyFailure):
-                return sub
-            node.children.append(sub)
-        return node
+        return Certificate("direct-sum", text, RETRACT_LEMMA,
+                           children=[_derive(datum, t, depth) for t in expr.terms])
 
     if isinstance(expr, Retract):
-        sub = _derive(datum, expr.inner, depth)
-        if isinstance(sub, CertifyFailure):
-            return sub
-        return Certificate("retract", text, RETRACT_LEMMA, children=[sub])
+        return Certificate("retract", text, RETRACT_LEMMA,
+                           children=[_derive(datum, expr.inner, depth)])
 
     if isinstance(expr, Atom):
         spec = datum.atom(expr.name)
         if spec is None:
-            return CertifyFailure("stuck", text, f"undeclared atom {expr.name!r}")
+            raise _Failed("stuck", text, f"undeclared atom {expr.name!r}")
         if not spec.strong_decomposition:
-            return CertifyFailure("stuck", text,
-                                  f"atom {expr.name!r} carries no strong-decomposition flag")
+            raise _Failed("stuck", text,
+                          f"atom {expr.name!r} carries no strong-decomposition flag")
         return Certificate("atom", text, "strong decomposition asserted on the atom")
 
     flat = _flatten_tensor(expr)
@@ -509,66 +514,56 @@ def _derive(datum: ClosureDatum, expr: Expr, depth: int):
         if isinstance(f, Sum):
             expanded = Sum(tuple(
                 Tensor(tuple(flat[:i] + [t] + flat[i + 1:])) for t in f.terms))
-            sub = _derive(datum, expanded, depth)
-            if isinstance(sub, CertifyFailure):
-                return sub
             return Certificate("distribute", text,
                                "tensor products distribute over direct sums",
-                               children=[sub])
+                               children=[_derive(datum, expanded, depth)])
     if any(isinstance(f, Retract) for f in flat):
         inner = Tensor(tuple(f.inner if isinstance(f, Retract) else f for f in flat))
-        sub = _derive(datum, Retract(inner), depth)
-        if isinstance(sub, CertifyFailure):
-            return sub
         return Certificate("retract-absorb", text,
                            "a product with a retract factor is a retract of the "
-                           "product of the ambient objects", children=[sub])
+                           "product of the ambient objects",
+                           children=[_derive(datum, Retract(inner), depth)])
 
     names = [f.name for f in flat]
-    if any(datum.atom(n) is None for n in names):
-        bad = next(n for n in names if datum.atom(n) is None)
-        return CertifyFailure("stuck", text, f"undeclared atom {bad!r}")
+    bad = next((n for n in names if datum.atom(n) is None), None)
+    if bad is not None:
+        raise _Failed("stuck", text, f"undeclared atom {bad!r}")
     vname = datum.distinguished
     word = [n for n in names if n != vname]
     vpow = len(names) - len(word)
+
+    def tensor_rewrite(replacement: Expr, justification: str, rule: str) -> Certificate:
+        return Certificate("tensor-rewrite", text, justification, rule=rule,
+                           children=[_derive(datum, replacement, depth - 1)])
 
     if len(word) <= 1:
         base = word[0] if word else vname
         n = vpow if word else vpow - 1
         rule = datum.v_coverage(base, n)
         if rule is None:
-            return CertifyFailure(
-                "stuck", text,
-                f"no v-power coverage for {base} (x) v^{n} (bound {datum.bound})")
+            raise _Failed("stuck", text,
+                          f"no v-power coverage for {base} (x) v^{n} (bound {datum.bound})")
         if rule.sd_asserted:
             return Certificate(
                 "v-power", text,
                 f"strong decomposition of {base} (x) v^n asserted "
                 + ("for all n (family rule)" if rule.n is None else f"at n = {rule.n}"))
         if depth <= 0:
-            return CertifyFailure("depth-exhausted", text, "rewrite depth exhausted")
-        sub = _derive(datum, _rewrite(datum, rule.rhs), depth - 1)
-        if isinstance(sub, CertifyFailure):
-            return sub
-        return Certificate("tensor-rewrite", text,
-                           "v-power rule application", rule=f"{base}(x)v^{n}",
-                           children=[sub])
+            raise _Failed("depth-exhausted", text, "rewrite depth exhausted")
+        return tensor_rewrite(_rewrite(datum, rule.rhs), "v-power rule application",
+                       f"{base}(x)v^{n}")
 
     if depth <= 0:
-        return CertifyFailure("depth-exhausted", text, "rewrite depth exhausted")
+        raise _Failed("depth-exhausted", text, "rewrite depth exhausted")
     rule = datum.product_rule(word[0], word[1])
     if rule is None:
-        return CertifyFailure("stuck", text,
-                              f"no decomposition rule for the pair ({word[0]}, {word[1]})")
+        raise _Failed("stuck", text,
+                      f"no decomposition rule for the pair ({word[0]}, {word[1]})")
     if datum.distinguished is None and any(t.v_power for t in rule.rhs):
-        return CertifyFailure("stuck", text, NO_DISTINGUISHED_V)
-    sub = _derive(datum, _rewrite(datum, rule.rhs, word[2:], vpow), depth - 1)
-    if isinstance(sub, CertifyFailure):
-        return sub
-    return Certificate("tensor-rewrite", text,
-                       "product rule application followed by braided regrouping "
-                       "of v-powers", rule=f"({rule.left},{rule.right})",
-                       children=[sub])
+        raise _Failed("stuck", text, NO_DISTINGUISHED_V)
+    return tensor_rewrite(_rewrite(datum, rule.rhs, word[2:], vpow),
+                   "product rule application followed by braided regrouping "
+                   "of v-powers", f"({rule.left},{rule.right})")
 
 
 def replay_certificate(cert: Certificate, datum: ClosureDatum) -> bool:

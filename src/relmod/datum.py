@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .matrices import ExactMatrix
-from .scalars import CycScalar, ScalarParseError, parse_scalar
+from .scalars import MAX_CONDUCTOR, CycScalar, ScalarParseError, parse_scalar
 
 
 class DatumSchemaError(ValueError):
@@ -434,7 +434,12 @@ def validate_datum(datum: ModularDatum) -> list[Violation]:
     out: list[Violation] = []
     out.extend(datum.grading.validate())
     out.extend(datum.translation.validate(datum.conductor, datum.grading))
+    seen: set[Degree] = set()
     for g in datum.degrees:
+        if g in seen:
+            out.append(Violation("degrees-distinct", (str(g),), "degree listed more than once"))
+            continue
+        seen.add(g)
         labels = datum.index_sets.get(g)
         if labels is None:
             out.append(Violation("index-set-present", (str(g),),
@@ -457,7 +462,14 @@ def validate_datum(datum: ModularDatum) -> list[Violation]:
             if t.try_inverse() is None:
                 out.append(Violation("twists-invertible", (str(g), labels[i] if i < len(labels) else i),
                                      f"twist {t} is not invertible in the scalar ring"))
+    pairs: set[tuple[Degree, Degree]] = set()
     for bi, b in enumerate(datum.sprime):
+        pair = (b.row_degree, b.col_degree)
+        if pair in pairs:
+            out.append(Violation("block-distinct", (bi, str(b.row_degree), str(b.col_degree)),
+                                 "a second S' block for the same pair of degrees"))
+            continue
+        pairs.add(pair)
         if b.row_degree in datum.index_sets and b.matrix.rows != len(datum.index_sets[b.row_degree]):
             out.append(Violation("block-shape", (bi, str(b.row_degree)),
                                  "block row count does not match the row degree's index set"))
@@ -522,6 +534,9 @@ def loads_datum(doc: dict) -> ModularDatum:
     conductor = _need(doc, "conductor", "$")
     if not _is_int(conductor) or conductor < 1:
         raise DatumSchemaError("conductor", "expected a positive integer")
+    if conductor > MAX_CONDUCTOR:
+        raise DatumSchemaError("conductor", f"at most {MAX_CONDUCTOR} is supported, "
+                                            f"got {conductor}")
 
     grading = grading_from_json(_need(doc, "grading", "$"), "grading")
     cyclic = grading.cyclic_factors

@@ -670,6 +670,12 @@ def quantum_integer(n: int, ell: int) -> CycScalar:
 # the term count of the t-monomial base to the n-th, is at most this.
 MAX_POWER_TERMS = 10_000
 
+# The largest conductor m a datum file may declare.  Reducing mod Phi_m keeps
+# (m - phi(m)) * phi(m) ints and a field inverse takes phi(m) - 1 products, so
+# an unbounded m lets a few bytes of input run for minutes.  Every datum the
+# tests and the benchmark build has m <= 21; constructors in code are not bound.
+MAX_CONDUCTOR = 512
+
 # A one-term power c^n with |n| > 1 is computed only when |n| * ceil(log2 x) is
 # at most this, for x the larger of |numerator| and denominator of c.  Then
 # both parts of c^n are at most 2^MAX_POWER_BITS < 10^4300, so str() can print

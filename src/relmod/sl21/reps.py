@@ -15,9 +15,13 @@ adjudicates (the corrected one satisfies every relation, see the [E2,F2]
 super-commutator against the H2 spectrum).
 
 Cartan data: a = [[2,-1],[-1,0]], d = (1,1) (the matrix is already symmetric,
-so the symmetrizers are trivial).  H_i and K_i^(+-1) = q^(+-d_i H_i) are
-diagonals read off h_eigs.  check_relations evaluates only the 16 clauses
-that involve E_i or F_i; relation_set says why the others hold.
+so the symmetrizers are trivial); root 1 is even and root 2 odd.  A module
+holds its generators indexed by simple root from 0: rep.E[0] is E1 and
+rep.F[1] is F2.  rep.H(i) and rep.K(i, power) = q^(power d_i H_i) are
+diagonals read off h_eigs, with the same index.  tensor_rep states the
+coproduct and relation_set the A3 and A7 clauses once over the roots.
+check_relations evaluates only the 16 clauses that involve E_i or F_i;
+relation_set says why the others hold.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from ..verdicts import FAILS, HOLDS, Verdict, Witness
 from .characters import ParameterError, require_odd_ell
 
 CARTAN = ((2, -1), (-1, 0))
+ROOT_PARITY = (0, 1)   # the parity of E_i and F_i, per simple root
 CONVENTIONS = ("paper", "corrected")
 
 
@@ -40,10 +45,8 @@ class WeightModuleRep:
     labels: tuple          # opaque basis labels
     parities: tuple[int, ...]
     h_eigs: tuple[tuple[int, int], ...]   # (H1, H2) eigenvalue per basis vector
-    E1: ExactMatrix
-    F1: ExactMatrix
-    E2: ExactMatrix
-    F2: ExactMatrix
+    E: tuple[ExactMatrix, ...]            # E[i] is E_(i+1), one per simple root
+    F: tuple[ExactMatrix, ...]
     convention: str | None = None
 
     @property
@@ -51,19 +54,21 @@ class WeightModuleRep:
         return len(self.labels)
 
     def _diag(self, i: int, power: int | None) -> ExactMatrix:
-        """diag(H_i) when power is None, else diag(q^(power H_i)), read off h_eigs."""
+        """diag(H_(i+1)) when power is None, else diag(q^(power H_(i+1))), read
+        off h_eigs."""
         ell = self.ell
-        eigs = [h[i - 1] for h in self.h_eigs]
+        eigs = [h[i] for h in self.h_eigs]
         return ExactMatrix.diagonal(
             [CycScalar.rational(e, ell) if power is None else CycScalar.zeta(ell, power * e)
              for e in eigs], ell)
 
-    H1 = property(lambda self: self._diag(1, None))
-    H2 = property(lambda self: self._diag(2, None))
-    K1 = property(lambda self: self._diag(1, 1))
-    K2 = property(lambda self: self._diag(2, 1))
-    K1inv = property(lambda self: self._diag(1, -1))
-    K2inv = property(lambda self: self._diag(2, -1))
+    def H(self, i: int) -> ExactMatrix:
+        """H_(i+1), the Cartan generator of simple root i."""
+        return self._diag(i, None)
+
+    def K(self, i: int, power: int = 1) -> ExactMatrix:
+        """K_(i+1)^power = q^(power H_(i+1))."""
+        return self._diag(i, power)
 
 
 def build_Ak(k: int, ell: int, convention: str = "corrected") -> WeightModuleRep:
@@ -80,34 +85,30 @@ def build_Ak(k: int, ell: int, convention: str = "corrected") -> WeightModuleRep
     h_eigs = tuple((k - j - 2 * i, i + j) for j, i in labels)
 
     zero = CycScalar.zero(ell)
-    E1 = [[zero] * dim for _ in range(dim)]
-    F1 = [[zero] * dim for _ in range(dim)]
-    E2 = [[zero] * dim for _ in range(dim)]
-    F2 = [[zero] * dim for _ in range(dim)]
+    E, F = ([[[zero] * dim for _ in range(dim)] for _ in CARTAN] for _ in "EF")
     for j, i in labels:
         src = index[(j, i)]
         if (j, i + 1) in index:
-            F1[index[(j, i + 1)]][src] = CycScalar.one(ell)
+            F[0][index[(j, i + 1)]][src] = CycScalar.one(ell)
         if j == 1 and (0, i + 1) in index:
-            E2[index[(0, i + 1)]][src] = CycScalar.one(ell)
+            E[1][index[(0, i + 1)]][src] = CycScalar.one(ell)
         if i >= 1:
-            E1[index[(j, i - 1)]][src] = quantum_integer(i, ell) * quantum_integer(k - j + 1 - i, ell)
+            E[0][index[(j, i - 1)]][src] = quantum_integer(i, ell) * quantum_integer(k - j + 1 - i, ell)
         if j == 0 and (1, i - 1) in index:
             coeff = quantum_integer(i + 1 if convention == "paper" else i, ell)
-            F2[index[(1, i - 1)]][src] = coeff
+            F[1][index[(1, i - 1)]][src] = coeff
 
     return WeightModuleRep(
         ell=ell, labels=tuple(labels), parities=parities, h_eigs=h_eigs,
-        E1=ExactMatrix.from_rows(E1, ell), F1=ExactMatrix.from_rows(F1, ell),
-        E2=ExactMatrix.from_rows(E2, ell), F2=ExactMatrix.from_rows(F2, ell),
-        convention=convention)
+        E=tuple(ExactMatrix.from_rows(m, ell) for m in E),
+        F=tuple(ExactMatrix.from_rows(m, ell) for m in F), convention=convention)
 
 
 def trivial_rep(ell: int) -> WeightModuleRep:
     """The 1-dimensional trivial module."""
-    zero = ExactMatrix.zeros(1, 1, ell)
+    zeros = (ExactMatrix.zeros(1, 1, ell),) * len(CARTAN)
     return WeightModuleRep(ell=ell, labels=("1",), parities=(0,), h_eigs=((0, 0),),
-                           E1=zero, F1=zero, E2=zero, F2=zero, convention=None)
+                           E=zeros, F=zeros, convention=None)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,8 @@ def _super_kron(x: ExactMatrix, y: ExactMatrix, par_a: tuple[int, ...],
 
 
 def tensor_rep(a: WeightModuleRep, b: WeightModuleRep) -> WeightModuleRep:
-    """Tensor product module via Delta(E) = E(x)1 + K^-1(x)E, Delta(F) = F(x)K + 1(x)F."""
+    """Tensor product module via Delta(E_i) = E_i(x)1 + K_i^-1(x)E_i and
+    Delta(F_i) = F_i(x)K_i + 1(x)F_i, for each simple root i."""
     if a.ell != b.ell:
         raise ValueError(f"ell mismatch: {a.ell} vs {b.ell}")
     ell = a.ell
@@ -151,32 +153,26 @@ def tensor_rep(a: WeightModuleRep, b: WeightModuleRep) -> WeightModuleRep:
     parities = tuple((pa + pb) % 2 for pa in a.parities for pb in b.parities)
     h_eigs = tuple((ha[0] + hb[0], ha[1] + hb[1]) for ha in a.h_eigs for hb in b.h_eigs)
 
-    def cop_e(ea, eb, kinv_a, parity):
-        return _super_kron(ea, ExactMatrix.identity(b.dim, ell), a.parities, 0, ell) + \
-            _super_kron(kinv_a, eb, a.parities, parity, ell)
+    id_a, id_b = ExactMatrix.identity(a.dim, ell), ExactMatrix.identity(b.dim, ell)
 
-    def cop_f(fa, fb, k_b, parity):
-        return _super_kron(fa, k_b, a.parities, 0, ell) + \
-            _super_kron(ExactMatrix.identity(a.dim, ell), fb, a.parities, parity, ell)
+    def kron(x, y, y_parity):
+        return _super_kron(x, y, a.parities, y_parity, ell)
 
-    E1 = cop_e(a.E1, b.E1, a.K1inv, 0)
-    E2 = cop_e(a.E2, b.E2, a.K2inv, 1)
-    F1 = cop_f(a.F1, b.F1, b.K1, 0)
-    F2 = cop_f(a.F2, b.F2, b.K2, 1)
+    E = tuple(kron(a.E[i], id_b, 0) + kron(a.K(i, -1), b.E[i], p)
+              for i, p in enumerate(ROOT_PARITY))
+    F = tuple(kron(a.F[i], b.K(i), 0) + kron(id_a, b.F[i], p)
+              for i, p in enumerate(ROOT_PARITY))
     return WeightModuleRep(ell=ell, labels=labels, parities=parities, h_eigs=h_eigs,
-                           E1=E1, F1=F1, E2=E2, F2=F2, convention=a.convention or b.convention)
+                           E=E, F=F, convention=a.convention or b.convention)
 
 
 # ---------------------------------------------------------------------------
 # the defining-relation checker
 # ---------------------------------------------------------------------------
 
-def _commutator(x, y):
-    return x @ y - y @ x
-
-
-def _anticommutator(x, y):
-    return x @ y + y @ x
+def _bracket(x, y, anti=False):
+    """The super-commutator: xy + yx when anti, else xy - yx."""
+    return x @ y + y @ x if anti else x @ y - y @ x
 
 
 def relation_set(rep: WeightModuleRep) -> list[tuple[str, ExactMatrix, ExactMatrix]]:
@@ -193,35 +189,34 @@ def relation_set(rep: WeightModuleRep) -> list[tuple[str, ExactMatrix, ExactMatr
     zero = ExactMatrix.zeros(rep.dim, rep.dim, ell)
     q = CycScalar.zeta(ell)
     qq = q + q ** -1
-    E = {1: rep.E1, 2: rep.E2}
-    F = {1: rep.F1, 2: rep.F2}
-    H = {1: rep.H1, 2: rep.H2}
-
-    def qint_diag(component: int) -> ExactMatrix:
-        # (K_i - K_i^-1)/(q - q^-1) evaluated on the H_i spectrum
-        vals = [quantum_integer(h[component - 1], ell) for h in rep.h_eigs]
-        return ExactMatrix.diagonal(vals, ell)
+    E, F = rep.E, rep.F
+    roots = range(len(CARTAN))
 
     rels: list[tuple[str, ExactMatrix, ExactMatrix]] = []
-    rels.append(("A3 (1,1): [E1,F1] = (K1-K1^-1)/(q-q^-1)",
-                 _commutator(rep.E1, rep.F1), qint_diag(1)))
-    rels.append(("A3 (1,2): [E1,F2] = 0", _commutator(rep.E1, rep.F2), zero))
-    rels.append(("A3 (2,1): [E2,F1] = 0", _commutator(rep.E2, rep.F1), zero))
-    rels.append(("A3 (2,2): [E2,F2] = (K2-K2^-1)/(q-q^-1)",
-                 _anticommutator(rep.E2, rep.F2), qint_diag(2)))
-    rels.append(("E2^2 = 0", rep.E2 @ rep.E2, zero))
-    rels.append(("F2^2 = 0", rep.F2 @ rep.F2, zero))
-    for name, x1, x2 in (("E", rep.E1, rep.E2), ("F", rep.F1, rep.F2)):
+    # A3: [E_i,F_j] = delta_ij (K_i-K_i^-1)/(q-q^-1), the right side evaluated
+    # on the H_i spectrum; the bracket anticommutes when both roots are odd
+    for i in roots:
+        for j in roots:
+            says, rhs = "0", zero
+            if i == j:
+                says = f"(K{i + 1}-K{i + 1}^-1)/(q-q^-1)"
+                rhs = ExactMatrix.diagonal([quantum_integer(h[i], ell) for h in rep.h_eigs], ell)
+            rels.append((f"A3 ({i + 1},{j + 1}): [E{i + 1},F{j + 1}] = {says}",
+                         _bracket(E[i], F[j], ROOT_PARITY[i] and ROOT_PARITY[j]), rhs))
+    rels.append(("E2^2 = 0", E[1] @ E[1], zero))
+    rels.append(("F2^2 = 0", F[1] @ F[1], zero))
+    for name, (x1, x2) in (("E", E), ("F", F)):
         lhs = x1 @ x1 @ x2 - (x1 @ x2 @ x1).scale(qq) + x2 @ x1 @ x1
         rels.append((f"A5: {name}1^2 {name}2 - (q+q^-1) {name}1{name}2{name}1 "
                      f"+ {name}2 {name}1^2 = 0", lhs, zero))
-    for i in (1, 2):
-        for j in (1, 2):
-            aij = CARTAN[i - 1][j - 1]
-            rels.append((f"A7: [H{i},E{j}] = a{i}{j} E{j}",
-                         _commutator(H[i], E[j]), E[j].scale(CycScalar.rational(aij, ell))))
-            rels.append((f"A7: [H{i},F{j}] = -a{i}{j} F{j}",
-                         _commutator(H[i], F[j]), F[j].scale(CycScalar.rational(-aij, ell))))
+    for i in roots:
+        h_i = rep.H(i)
+        for j in roots:
+            aij = CARTAN[i][j]
+            rels.append((f"A7: [H{i + 1},E{j + 1}] = a{i + 1}{j + 1} E{j + 1}",
+                         _bracket(h_i, E[j]), E[j].scale(CycScalar.rational(aij, ell))))
+            rels.append((f"A7: [H{i + 1},F{j + 1}] = -a{i + 1}{j + 1} F{j + 1}",
+                         _bracket(h_i, F[j]), F[j].scale(CycScalar.rational(-aij, ell))))
     return rels
 
 

@@ -17,6 +17,7 @@ from relmod.cli import main
 from relmod.closure import dumps_closure, toy_closure_datum
 from relmod.datum import SBlock, dumps_datum, save_datum
 from relmod.matrices import ExactMatrix
+from relmod.scalars import MAX_CONDUCTOR
 from relmod.sl21 import emit_datum
 
 DATA = Path(__file__).parent / "data"
@@ -621,6 +622,13 @@ def _emitted_twist_doc(literal):
     return doc
 
 
+def _emitted_doc(edit):
+    """The emitted ell = 3 datum after edit(doc)."""
+    doc = dumps_datum(emit_datum(3))
+    edit(doc)
+    return doc
+
+
 def _emitted_psi_doc(*values):
     """The emitted ell = 3 datum whose psi holds the values at degree a and
     element [1, 0], in order."""
@@ -725,6 +733,15 @@ _BAD_INPUT_PROBES = {
     "psi-two-values-for-one-element": (["check", "premodular", "--datum", "d.json"],
                                        {"d.json": _emitted_psi_doc("u", "u^2")},
                                        "[psi-single-valued]"),
+    "degree-listed-twice": (["check", "premodular", "--datum", "d.json"],
+                            {"d.json": _emitted_doc(lambda d: d["degrees"].append(
+                                d["degrees"][0]))}, "[degrees-distinct]"),
+    "second-block-for-one-pair": (["check", "premodular", "--datum", "d.json"],
+                                  {"d.json": _emitted_doc(lambda d: d["sprime"].append(
+                                      d["sprime"][0]))}, "[block-distinct]"),
+    "conductor-over-the-bound": (["check", "premodular", "--datum", "d.json"],
+                                 {"d.json": _emitted_doc(lambda d: d.update(
+                                     conductor=MAX_CONDUCTOR + 1))}, "conductor"),
     "closure-v-power-without-distinguished-atom": (
         ["closure", "certify", "--expr", "a*b*a", "--closure", "c.json"],
         {"c.json": _unmarked_closure_doc()}, "no distinguished atom v is declared"),

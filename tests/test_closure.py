@@ -306,6 +306,36 @@ class TestCertify:
         assert c.children[0].kind == "v-power"
 
 
+class TestWhichFailure:
+    """certify reports the first failing subgoal in depth-first order, and
+    within a rule step checks in a fixed order: a v-power looks up coverage,
+    then the sd_asserted flag, then depth; a product checks depth, then looks
+    up its rule, then the distinguished atom."""
+
+    def test_first_failing_summand_is_reported(self):
+        datum = drop_rule(toy_closure_datum(), "a", "b")
+        assert certify(datum, "a*b + a*c", depth=4) == CertifyFailure(
+            "stuck", "a*b", "no decomposition rule for the pair (a, b)")
+        assert certify(datum, "a*c + a*b", depth=4) == CertifyFailure(
+            "stuck", "a*c", "undeclared atom 'c'")
+
+    def test_product_without_rule_at_depth_0_is_depth_exhausted(self):
+        datum = drop_rule(toy_closure_datum(), "a", "b")
+        assert certify(datum, "a*b", depth=0) == CertifyFailure(
+            "depth-exhausted", "a*b", "rewrite depth exhausted")
+
+    def test_v_power_without_coverage_at_depth_0_is_stuck(self):
+        toy = toy_closure_datum()
+        datum = dataclasses.replace(
+            toy, v_rules=tuple(r for r in toy.v_rules if r.atom != "a"))
+        assert certify(datum, "a*v", depth=0) == CertifyFailure(
+            "stuck", "a*v", "no v-power coverage for a (x) v^1 (bound 3)")
+
+    def test_v_rule_without_sd_flag_at_depth_0_is_depth_exhausted(self):
+        assert certify(v_rule_without_sd_flag(), "a*v", depth=0) == CertifyFailure(
+            "depth-exhausted", "a*v", "rewrite depth exhausted")
+
+
 def v_rule_without_sd_flag():
     """The toy datum with a's v-coverage replaced by one explicit rule at n = 1
     whose strong decomposition is not asserted, so a*v must be rewritten."""

@@ -32,7 +32,7 @@ from relmod.datum import (
     _memo,
 )
 from relmod.matrices import ExactMatrix
-from relmod.scalars import CycScalar
+from relmod.scalars import MAX_CONDUCTOR, CycScalar
 from relmod.sl21 import emit_datum
 from relmod.verdicts import FAILS, HOLDS
 
@@ -278,6 +278,19 @@ def _two_labels(doc, **edits):
     return doc
 
 
+def _repeated_degree(doc):
+    """Degree a listed a second time, with its own index set and twist."""
+    doc["degrees"].append({"alpha": 1})
+    doc.update(index_sets={"0": ["0"], "1": ["1"]}, dims={"0": ["1"], "1": ["1"]},
+               twists={"0": ["1"], "1": ["-1"]})
+
+
+def _second_block(doc):
+    """An all-zero S' block for (a, a) after the first."""
+    doc["sprime"].append({"row_degree": {"alpha": 1}, "col_degree": {"alpha": 1},
+                          "entries": [["0"]]})
+
+
 def _one_row_block(doc):
     _two_labels(doc)["sprime"][0]["entries"] = [["1", "0"]]
 
@@ -304,12 +317,14 @@ class TestInvariantsOnLoad:
          "block column count does not match the column degree's index set"),
         (lambda doc: doc.update(dual_involution={"0": [1]}), "dual-involution",
          "dual involution must be a permutation of the index set"),
+        (_repeated_degree, "degrees-distinct", "degree listed more than once"),
+        (_second_block, "block-distinct", "a second S' block for the same pair of degrees"),
         (lambda doc: doc["translation"]["psi"].append(
             {"degree": {"alpha": 1}, "element": [], "value": "0"}), "psi-nonzero",
          "psi values must be nonzero"),
     ], ids=["index-set-present", "dims-present", "twists-present", "dims-aligned",
             "dims-nonzero", "twists-invertible", "block-shape-rows", "block-shape-columns",
-            "dual-involution", "psi-nonzero"])
+            "dual-involution", "psi-nonzero", "degrees-distinct", "block-distinct"])
     def test_violation_is_reported_by_the_file_loader(self, tmp_path, edit, invariant,
                                                       message):
         doc = minimal_doc()
@@ -320,6 +335,37 @@ class TestInvariantsOnLoad:
             load_datum(str(p))
         assert any(v.invariant == invariant and message in v.message
                    for v in ei.value.violations)
+
+
+    def test_repeated_degree_and_second_block_fail_premodular_on_a_built_datum(self):
+        d = emit_datum(3)
+        a = Degree(alpha=1)
+        block = d.block(a, a)
+        zero = ExactMatrix.zeros(block.matrix.rows, block.matrix.cols, 3)
+        for bad, witness in (
+                (dataclasses.replace(d, degrees=d.degrees + (a,)),
+                 ("degrees-distinct", ("a",))),
+                (dataclasses.replace(d, sprime=d.sprime + (
+                    dataclasses.replace(block, matrix=zero),)),
+                 ("block-distinct", (len(d.sprime), "a", "a")))):
+            v = check_premodular_inputs(bad)
+            assert v.status == FAILS
+            assert [(w.name, w.indices) for w in v.witnesses] == [witness]
+
+
+class TestConductorBound:
+    def test_the_bound_itself_loads(self):
+        doc = minimal_doc()
+        doc["conductor"] = MAX_CONDUCTOR
+        assert loads_datum(doc).conductor == MAX_CONDUCTOR
+
+    def test_one_over_the_bound_is_a_schema_error(self):
+        doc = minimal_doc()
+        doc["conductor"] = MAX_CONDUCTOR + 1
+        with pytest.raises(DatumSchemaError) as ei:
+            loads_datum(doc)
+        assert ei.value.path == "conductor"
+        assert str(MAX_CONDUCTOR) in str(ei.value)
 
 
 class TestModifiedS:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,7 +53,7 @@ class TestBuildAk:
 
     def test_e1_on_v01(self):
         rep = build_Ak(1, 3, "paper")
-        col = [rep.E1[i, 1] for i in range(3)]
+        col = [rep.E[0][i, 1] for i in range(3)]
         assert col[0] == CycScalar.one(3)
         assert all(c.is_zero for c in col[1:])
 
@@ -61,7 +64,7 @@ class TestBuildAk:
             for (j, i), src in idx.items():
                 for (j2, i2), dst in idx.items():
                     expect = (j2 == j and i2 == i + 1)
-                    assert rep.F1[dst, src] == (CycScalar.one(5) if expect
+                    assert rep.F[0][dst, src] == (CycScalar.one(5) if expect
                                                 else CycScalar.zero(5))
 
     def test_k_range(self):
@@ -77,8 +80,8 @@ class TestBuildAk:
     def test_k_is_q_to_h(self):
         rep = build_Ak(2, 5, "corrected")
         for i, (a, b) in enumerate(rep.h_eigs):
-            assert rep.K1[i, i] == CycScalar.zeta(5, a)
-            assert rep.K2[i, i] == CycScalar.zeta(5, b)
+            assert rep.K(0)[i, i] == CycScalar.zeta(5, a)
+            assert rep.K(1)[i, i] == CycScalar.zeta(5, b)
 
 
 class TestRelations:
@@ -128,7 +131,7 @@ class TestRelations:
     def test_zeroed_e2_breaks_a3_22_off_kernel(self):
         import dataclasses
         rep = build_Ak(2, 5, "corrected")
-        zeroed = dataclasses.replace(rep, E2=ExactMatrix.zeros(rep.dim, rep.dim, 5))
+        zeroed = dataclasses.replace(rep, E=(rep.E[0], ExactMatrix.zeros(rep.dim, rep.dim, 5)))
         v = check_relations(zeroed)
         assert v.status == FAILS
         w = next(w for w in v.witnesses if w.name.startswith("A3 (2,2)"))
@@ -142,9 +145,9 @@ class TestRelations:
         # fails for i = 1 and 2 (a_11 = 2, a_21 = -1) on the first basis vector
         import dataclasses
         rep = build_Ak(2, 5, "corrected")
-        entries = list(rep.E1.entries)
+        entries = list(rep.E[0].entries)
         entries[0] = CycScalar.one(5)
-        bad = dataclasses.replace(rep, E1=ExactMatrix(rep.dim, rep.dim, 5, entries))
+        bad = dataclasses.replace(rep, E=(ExactMatrix(rep.dim, rep.dim, 5, entries), rep.E[1]))
         v = check_relations(bad)
         assert v.status == FAILS
         a7 = [(w.name, w.indices, w.value) for w in v.witnesses if w.name.startswith("A7")]
@@ -156,10 +159,10 @@ class TestRelations:
         # column-major order meets (3,1) first, row-major order (0,4)
         import dataclasses
         rep = build_Ak(3, 7, "corrected")
-        entries = list(rep.E1.entries)
+        entries = list(rep.E[0].entries)
         for row, col in ((3, 1), (0, 4)):
             entries[row * rep.dim + col] = CycScalar.one(7)
-        bad = dataclasses.replace(rep, E1=ExactMatrix(rep.dim, rep.dim, 7, entries))
+        bad = dataclasses.replace(rep, E=(ExactMatrix(rep.dim, rep.dim, 7, entries), rep.E[1]))
         v = check_relations(bad)
         assert v.status == FAILS
         w = next(w for w in v.witnesses if w.name == "A7: [H1,E1] = a11 E1")
@@ -191,15 +194,17 @@ class TestTensor:
     def test_trivial_module_leaves_matrices_intact(self):
         rep = build_Ak(2, 5, "corrected")
         t = tensor_rep(rep, trivial_rep(5))
-        for name in ("H1", "H2", "E1", "F1", "E2", "F2", "K1", "K2"):
-            assert getattr(t, name).entries == getattr(rep, name).entries, name
+        for i in (0, 1):
+            for got, want in ((t.H(i), rep.H(i)), (t.E[i], rep.E[i]), (t.F[i], rep.F[i]),
+                              (t.K(i), rep.K(i))):
+                assert got.entries == want.entries, i
 
     def test_h_is_additive(self):
         a = build_Ak(1, 5, "corrected")
         b = build_Ak(2, 5, "corrected")
         t = tensor_rep(a, b)
         expect = [(ha[0] + hb[0]) for ha in a.h_eigs for hb in b.h_eigs]
-        assert [t.H1[i, i] for i in range(t.dim)] == [CycScalar.rational(h, 5) for h in expect]
+        assert [t.H(0)[i, i] for i in range(t.dim)] == [CycScalar.rational(h, 5) for h in expect]
 
     def test_tensor_satisfies_relations(self):
         t = tensor_rep(build_Ak(1, 5, "corrected"), build_Ak(1, 5, "corrected"))
@@ -219,8 +224,25 @@ class TestTensor:
         b = build_Ak(2, 5, "corrected")
         t = tensor_rep(a, b)
         for i, (h1, h2) in enumerate(t.h_eigs):
-            assert t.K1[i, i] == CycScalar.zeta(5, h1)
-            assert t.K2[i, i] == CycScalar.zeta(5, h2)
+            assert t.K(0)[i, i] == CycScalar.zeta(5, h1)
+            assert t.K(1)[i, i] == CycScalar.zeta(5, h2)
+
+
+# SHA-256 of the E and F entries of tensor_rep(A_k1, A_k2) at ell = 3, 5, 7,
+# for k1 in (1, 2) and every k2, in the order E1, E2, F1, F2.
+TENSOR_EF_SHA256 = "e1877fecbc37eb8394d8fd604cf5849cb7a33c9cc42651f71db7dcb69076b3dd"
+
+
+def test_tensor_generators_are_pinned():
+    digest = hashlib.sha256()
+    for ell in (3, 5, 7):
+        for k1 in (1, 2):
+            for k2 in range(1, ell):
+                t = tensor_rep(build_Ak(k1, ell), build_Ak(k2, ell))
+                for m in t.E + t.F:
+                    digest.update((json.dumps(
+                        [m.rows, m.cols, [str(x) for x in m.entries]]) + "\n").encode())
+    assert digest.hexdigest() == TENSOR_EF_SHA256
 
 
 @given(k=st.integers(1, 4), ell=st.sampled_from([5, 7]))
