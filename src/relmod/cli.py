@@ -26,6 +26,7 @@ from .datum import (
     parse_degree,
     save_datum,
 )
+from .scalars import MAX_CONDUCTOR
 from .sl21 import (
     build_Ak,
     check_relations,
@@ -178,6 +179,10 @@ def _sl21_arg(args, fn, *values):
 
 
 def _cmd_sl21(args) -> int:
+    if args.ell > MAX_CONDUCTOR:
+        # the emitted datum is over Q(zeta_ell), and the work and output of
+        # relations and rank-bound grow with ell
+        raise _CliError(f"--ell {args.ell}: at most {MAX_CONDUCTOR} is supported")
     which = args.what
     if which == "emit":
         datum = _sl21_arg(args, emit_datum, args.ell)

@@ -670,9 +670,11 @@ def quantum_integer(n: int, ell: int) -> CycScalar:
 # the term count of the t-monomial base to the n-th, is at most this.
 MAX_POWER_TERMS = 10_000
 
-# The largest conductor m a datum file may declare.  Reducing mod Phi_m keeps
-# (m - phi(m)) * phi(m) ints and a field inverse takes phi(m) - 1 products, so
-# an unbounded m lets a few bytes of input run for minutes.  Every datum the
+# The largest conductor m a datum file may declare, and the largest --ell the
+# sl21 subcommands take (an emitted datum has conductor ell).  Reducing mod
+# Phi_m keeps (m - phi(m)) * phi(m) ints and a field inverse takes phi(m) - 1
+# products, so an unbounded m lets a few bytes of input run for minutes; the
+# relations and rank-bound reports grow with ell the same way.  Every datum the
 # tests and the benchmark build has m <= 21; constructors in code are not bound.
 MAX_CONDUCTOR = 512
 

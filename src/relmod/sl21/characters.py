@@ -107,14 +107,6 @@ class XYLaurent:
     def at_ones(self) -> int:
         return sum(self.terms.values())
 
-    def coeff(self, ex: int, ey: int) -> int:
-        return self.terms.get((ex, ey), 0)
-
-    def top(self) -> tuple[tuple[int, int], int]:
-        """Lead term under (y-degree, then x-degree) lexicographic order."""
-        key = max(self.terms, key=lambda k: (k[1], k[0]))
-        return key, self.terms[key]
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -206,29 +198,59 @@ def make_label(k: int, shift: int, parity: int, ell: int) -> WeightLabel:
                        eps=shift // ell, negligible=k >= ell - 1)
 
 
+def _typical_terms(heights: tuple[int, ...], ydeg: int, sign: int):
+    """The terms of X0^+- y^ydeg T_k, for each k in heights in turn.
+
+    For ex = k, k-2, ..., -k, yields (key, m) once for each of the four
+    products of x^ex y^ydeg with X0^+- = 1 +- y/x +- xy + y^2.  The plus
+    coefficient is 1 and the minus coefficient m, times sign (-1 for an odd
+    label).  A key can come more than once, e.g. from ex and ex + 2.
+    """
+    for k in heights:
+        for ex in range(k, -k - 1, -2):
+            yield (ex, ydeg), sign
+            yield (ex - 1, ydeg + 1), -sign
+            yield (ex + 1, ydeg + 1), -sign
+            yield (ex, ydeg + 2), sign
+
+
+def _label_terms(label: WeightLabel, ell: int):
+    """The terms of character_of_label(label, ell), from _typical_terms.  A
+    height k >= ell adds its partner (2ell-2-k, shift+k-ell+1), whose y-degree
+    is the same."""
+    k = label.k
+    return _typical_terms((k, 2 * (ell - 1) - k) if k >= ell else (k,),
+                          2 * label.shift + k + 2 * ell * label.eps,
+                          -1 if label.parity % 2 else 1)
+
+
+def _character(terms) -> CharacterExpr:
+    """The character whose terms are those yielded, summed by key."""
+    plus: dict[tuple[int, int], int] = {}
+    minus: dict[tuple[int, int], int] = {}
+    for key, m in terms:
+        plus[key] = plus.get(key, 0) + 1
+        minus[key] = minus.get(key, 0) + m
+    return CharacterExpr(XYLaurent(plus), XYLaurent(minus), alpha_power=1)
+
+
 def typical_character(k: int, shift: int, ell: int, parity: int = 0,
                       eps: int = 0) -> CharacterExpr:
-    """chi^+-(V(lambda^k_(alpha+shift))) with decorations; requires 0 <= k."""
+    """chi^+-(V(lambda^k_(alpha+shift))) with decorations; requires 0 <= k.
+
+    Equal to x0_factor(+-1) * sl2_character(k).shift(0, ydeg), expanded term
+    by term by _typical_terms."""
     if k < 0:
         raise ValueError("height must be non-negative")
-    t = sl2_character(k)
-    ydeg = 2 * shift + k + 2 * ell * eps
-    plus = x0_factor(1) * t.shift(0, ydeg)
-    minus = x0_factor(-1) * t.shift(0, ydeg)
-    if parity % 2:
-        minus = -minus
-    return CharacterExpr(plus, minus, alpha_power=1)
+    return _character(_typical_terms((k,), 2 * shift + k + 2 * ell * eps,
+                                     -1 if parity % 2 else 1))
 
 
 def character_of_label(label: WeightLabel, ell: int) -> CharacterExpr:
     """Character of a label; heights >= ell mean the reflected negligible sum."""
-    base = typical_character(label.k, label.shift, ell, label.parity, label.eps)
-    if label.k < ell:
-        return base
-    j = label.k - (ell - 1)
-    partner = typical_character(2 * (ell - 1) - label.k, label.shift + j, ell,
-                                label.parity, label.eps)
-    return base + partner
+    if not 0 <= label.k <= 2 * (ell - 1):
+        raise ParameterError(f"height {label.k} out of range 0..2*ell-2")
+    return _character(_label_terms(label, ell))
 
 
 def closed_form_Ak(k: int, ell: int) -> CharacterExpr:
@@ -283,43 +305,53 @@ def fuse_A(label: WeightLabel, ell: int) -> WeightLabel:
 
 
 def decompose_typical(chi: CharacterExpr, ell: int) -> list[WeightLabel]:
-    """Greedy peeling of a character into typical labels (heights unbounded).
+    """Greedy peeling of a character into labels of height 0..2ell-2.
 
     Repeatedly reads the lexicographically highest surviving monomial of the
     plus part (by y-degree then x-degree), infers the label, and subtracts its
-    character; heights >= ell are peeled as their reflected negligible
-    composites.  Raises DecompositionError with the residual if the input is
-    not a non-negative combination of such characters.
+    terms in place from one working copy of chi; heights >= ell are peeled as
+    their reflected negligible composites.  Raises DecompositionError with the
+    residual if the input is not a non-negative combination of such
+    characters, including when a top monomial has height above 2ell-2.
     """
-    plus, minus = chi.plus, chi.minus
-    budget = plus.at_ones()
+    plus, minus = dict(chi.plus.terms), dict(chi.minus.terms)
+
+    def fail(message: str):
+        return DecompositionError(message, CharacterExpr(
+            XYLaurent(plus), XYLaurent(minus), chi.alpha_power))
+
+    budget = sum(plus.values())
     if budget < 0:
-        raise DecompositionError("total dimension is negative",
-                                 CharacterExpr(plus, minus, chi.alpha_power))
+        raise fail("total dimension is negative")
     labels: list[WeightLabel] = []
     steps = 0
-    while not plus.is_zero:
+    while plus:
         steps += 1
         if steps > budget + 1:
-            raise DecompositionError("peeling did not terminate",
-                                     CharacterExpr(plus, minus, chi.alpha_power))
-        (ex, ey), c = plus.top()
+            raise fail("peeling did not terminate")
+        ey, ex = max((y, x) for x, y in plus)
+        c = plus[ex, ey]
         h = ex
         s2 = ey - h - 2
-        if h < 0 or c < 0 or s2 % 2:
-            raise DecompositionError(
-                f"monomial x^{ex} y^{ey} (coefficient {c}) is not the top of a "
-                "typical character", CharacterExpr(plus, minus, chi.alpha_power))
-        s = s2 // 2
-        mc = minus.coeff(ex, ey)
+        if not 0 <= h <= 2 * (ell - 1) or c < 0 or s2 % 2:
+            raise fail(f"monomial x^{ex} y^{ey} (coefficient {c}) is not the top of a "
+                       "typical character")
+        mc = minus.get((ex, ey), 0)
         parity = 0 if mc > -c else 1
-        lab = make_label(h, s, parity, ell)
-        template = character_of_label(lab, ell)
-        plus = plus - template.plus
-        minus = minus - template.minus
+        lab = make_label(h, s2 // 2, parity, ell)
+        for key, m in _label_terms(lab, ell):
+            left = plus.get(key, 0) - 1
+            if left:
+                plus[key] = left
+            else:
+                del plus[key]
+            left = minus.get(key, 0) - m
+            if left:
+                minus[key] = left
+            else:
+                del minus[key]
         labels.append(lab)
-    if not minus.is_zero:
-        raise DecompositionError("supercharacter residue is nonzero",
-                                 CharacterExpr(plus, minus, chi.alpha_power))
+    if minus:
+        raise fail("supercharacter residue is nonzero")
     labels.sort(key=lambda l: (l.k, l.shift, l.parity, l.eps))
     return labels

@@ -179,6 +179,9 @@ def relation_set(rep: WeightModuleRep) -> list[tuple[str, ExactMatrix, ExactMatr
     """The defining relations that involve E_i or F_i, as pairs of matrices that must agree.
 
     These are A3, E2^2 = F2^2 = 0, A5 and the A7 clauses [H_i,X_j] = +-a_ij X_j.
+    H_i is diagonal, so the left side of A7 is read off the weight spectrum:
+    entry (r, c) of [H_i, X] is (h_i(r) - h_i(c)) X[r, c], the same matrix as
+    H(i) @ X - X @ H(i) for every X, without the two products.
     The others cannot fail here.  A1, [H1,H2] = 0, [H_i,K_j] = 0 and
     K_i = q^(d_i H_i) compare diagonals read off the same h_eigs.  A2 follows
     from A7: X[r,c] != 0 forces h_i(r) - h_i(c) = +-a_ij, so conjugating by
@@ -210,14 +213,27 @@ def relation_set(rep: WeightModuleRep) -> list[tuple[str, ExactMatrix, ExactMatr
         rels.append((f"A5: {name}1^2 {name}2 - (q+q^-1) {name}1{name}2{name}1 "
                      f"+ {name}2 {name}1^2 = 0", lhs, zero))
     for i in roots:
-        h_i = rep.H(i)
+        weights = [h[i] for h in rep.h_eigs]
         for j in roots:
             aij = CARTAN[i][j]
             rels.append((f"A7: [H{i + 1},E{j + 1}] = a{i + 1}{j + 1} E{j + 1}",
-                         _bracket(h_i, E[j]), E[j].scale(CycScalar.rational(aij, ell))))
+                         _weight_bracket(weights, E[j]), E[j].scale(CycScalar.rational(aij, ell))))
             rels.append((f"A7: [H{i + 1},F{j + 1}] = -a{i + 1}{j + 1} F{j + 1}",
-                         _bracket(h_i, F[j]), F[j].scale(CycScalar.rational(-aij, ell))))
+                         _weight_bracket(weights, F[j]), F[j].scale(CycScalar.rational(-aij, ell))))
     return rels
+
+
+def _weight_bracket(weights: list[int], x: ExactMatrix) -> ExactMatrix:
+    """[H, X] for H = diag(weights): entry (r, c) is (weights[r] - weights[c]) X[r, c].
+
+    Equal entry by entry to H @ X - X @ H for every X, weight-homogeneous or not."""
+    n, zero = x.cols, CycScalar.zero(x.conductor)
+    out = []
+    for r, w in enumerate(weights):
+        for c, e in enumerate(x.entries[r * n:(r + 1) * n]):
+            d = w - weights[c]
+            out.append(e * d if d and e.coeffs else zero)
+    return ExactMatrix(x.rows, n, x.conductor, out)
 
 
 UNEVALUATED = (

@@ -65,6 +65,13 @@ class TestSl21Commands:
         doc = json.loads(out)
         assert doc["output"] == {"k": 0, "i": 1, "parity": 1, "eps_power": 1}
 
+    def test_fuse_at_the_largest_odd_ell_under_the_bound(self, capsys):
+        ell = MAX_CONDUCTOR - 1 if MAX_CONDUCTOR % 2 == 0 else MAX_CONDUCTOR
+        code, out, _ = run(capsys, "sl21", "fuse", "--ell", str(ell), "--k", "0", "--i", "0",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["output"] == {"k": ell - 2, "i": 1, "parity": 1, "eps_power": 0}
+
     def test_emit_then_check(self, capsys, tmp_path):
         path = str(tmp_path / "d.json")
         code, _, _ = run(capsys, "sl21", "emit", "--ell", "3", "--out", path)
@@ -659,6 +666,11 @@ _BAD_INPUT_PROBES = {
                                 {}, "cannot write"),
     "fuse-at-even-ell": (["sl21", "fuse", "--ell", "4", "--k", "0", "--i", "0"], {},
                          "--ell 4 --k 0 --i 0: ell must be odd"),
+    **{f"sl21-{what}-ell-over-the-bound": (
+        ["sl21", what, "--ell", str(MAX_CONDUCTOR + 1), *extra], {},
+        f"--ell {MAX_CONDUCTOR + 1}: at most {MAX_CONDUCTOR} is supported")
+       for what, extra in (("emit", ()), ("relations", ("--k", "1")),
+                           ("fuse", ("--k", "0", "--i", "0")), ("rank-bound", ()))},
     "degree-division-by-zero": (["check", "nondeg", "--g", "1/0", "--datum", "ok.json"],
                                 {"ok.json": identity_datum_doc()}, "--g"),
     **{f"degree-malformed-{text!r}": (["check", "nondeg", "--g", text, "--datum", "ok.json"],

@@ -64,6 +64,39 @@ class TestClosedForms:
         odd = typical_character(2, 0, 5, parity=1)
         assert odd.plus == t.plus and odd.minus == -t.minus
 
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_typical_character_is_the_defining_product(self, ell):
+        # the oracle is X0^+- * y^ydeg T_k, multiplied out as XYLaurent products
+        for k in range(2 * ell - 1):
+            for shift in (-ell - 1, -1, 0, 1, ell - 1, 2 * ell + 3):
+                for parity in (0, 1, 3):
+                    for eps in (-1, 0, 2):
+                        t = sl2_character(k).shift(0, 2 * shift + k + 2 * ell * eps)
+                        minus = x0_factor(-1) * t
+                        got = typical_character(k, shift, ell, parity, eps)
+                        assert got.plus == x0_factor(1) * t
+                        assert got.minus == (-minus if parity % 2 else minus)
+                        assert got.alpha_power == 1
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_label_character_is_the_reflected_sum(self, ell):
+        from relmod.sl21.characters import make_label
+        for k in range(2 * ell - 1):
+            for s in (0, 1, ell - 1, ell + 2):
+                for parity in (0, 1):
+                    lab = make_label(k, s, parity, ell)
+                    want = typical_character(k, s, ell, parity)
+                    if k >= ell:
+                        want = want + typical_character(2 * ell - 2 - k, s + k - ell + 1,
+                                                        ell, parity)
+                    got = character_of_label(lab, ell)
+                    assert got.plus == want.plus and got.minus == want.minus
+
+    @pytest.mark.parametrize("k", [-1, 9])
+    def test_label_height_out_of_range_is_rejected(self, k):
+        with pytest.raises(ParameterError, match="out of range 0..2\\*ell-2"):
+            character_of_label(WeightLabel(k=k, shift=0), 5)
+
     def test_support_pattern_shared(self):
         for k in range(0, 4):
             t = typical_character(k, 1, 5)
@@ -97,6 +130,17 @@ class TestDecomposition:
         with pytest.raises(DecompositionError) as ei:
             decompose_typical(bad, 5)
         assert ei.value.residual is not None
+
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_top_above_every_label_height_is_a_decomposition_error(self, ell):
+        # heights run to 2ell-2; a top of height 2ell-1 matches no label
+        chi = typical_character(2 * ell - 1, 0, ell)
+        with pytest.raises(DecompositionError, match="is not the top of a typical") as ei:
+            decompose_typical(chi, ell)
+        assert ei.value.residual == chi
+        labs = decompose_typical(typical_character(2 * ell - 2, 0, ell)
+                                 + typical_character(0, ell - 1, ell), ell)
+        assert [(l.k, l.shift, l.negligible) for l in labs] == [(2 * ell - 2, 0, True)]
 
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_fusion_with_A_matches_involution(self, ell):

@@ -254,3 +254,43 @@ def test_relation_set_is_complete_square_matrices(k, ell):
     for name, lhs, rhs in rels:
         assert lhs.rows == lhs.cols == rep.dim
         assert rhs.rows == rhs.cols == rep.dim
+
+
+def _random_sparse(rng, dim, ell, density=0.3):
+    """A dim x dim matrix with about density * dim^2 nonzero entries, each a
+    rational multiple of a zeta power or a two-term sum; the support ignores
+    weights, so most entries are not weight-homogeneous."""
+    def entry():
+        c = CycScalar.rational(rng.choice([1, -1, 2, -3]) * rng.choice([1, 1, 2, 5]), ell)
+        if rng.random() < 0.5:
+            c = c * CycScalar.zeta(ell, rng.randrange(ell))
+        if rng.random() < 0.3:
+            c = c + CycScalar.rational(rng.randint(-2, 2), ell)
+        return c
+    zero = CycScalar.zero(ell)
+    return ExactMatrix(dim, dim, ell, [entry() if rng.random() < density else zero
+                                       for _ in range(dim * dim)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a7_bracket_equals_the_matrix_commutator(seed):
+    # relation_set reads [H_i, X] off the weight spectrum; on any X, weight-
+    # homogeneous or not, it must equal H(i) @ X - X @ H(i) entry by entry
+    import dataclasses
+    import random
+    rng = random.Random(seed)
+    ell = (3, 5, 7)[seed % 3]
+    a = build_Ak(rng.randint(1, ell - 1), ell)
+    rep = a if seed < 3 else tensor_rep(a, build_Ak(1, ell))
+    bad = dataclasses.replace(
+        rep, E=tuple(_random_sparse(rng, rep.dim, ell) for _ in rep.E),
+        F=tuple(_random_sparse(rng, rep.dim, ell) for _ in rep.F))
+    rels = {name: lhs for name, lhs, _ in relation_set(bad)}
+    for i in (0, 1):
+        h = bad.H(i)
+        for j in (0, 1):
+            for name, x in ((f"A7: [H{i + 1},E{j + 1}] = a{i + 1}{j + 1} E{j + 1}", bad.E[j]),
+                            (f"A7: [H{i + 1},F{j + 1}] = -a{i + 1}{j + 1} F{j + 1}", bad.F[j])):
+                want = h @ x - x @ h
+                assert rels[name] == want, name
+                assert [str(e) for e in rels[name].entries] == [str(e) for e in want.entries]
