@@ -36,9 +36,10 @@ and row i of the product accumulates a * b over the nonzero a = A[i, k] and
 the pairs of row k, so the inner loop visits no zero of B.  The rule follows
 the inputs: the S' blocks whose products decide relative modularity are
 dense, since condition (2) asks for an everywhere-nonzero row, so one
-reduction per entry replaces one per term; the E/F/K matrices of the sl(2|1)
-modules hold about one nonzero per row, where the skipped zeros make the
-plain loop cheaper than packing.  Entrywise sums, differences and scaling
+reduction per entry replaces one per term; an operand with about one nonzero
+per row is where the skipped zeros make the plain loop cheaper than packing
+(the sl(2|1) relation check works on such generators' nonzero entries
+without this product, see sl21/reps.py).  Entrywise sums, differences and scaling
 likewise keep an entry as it is where the other operand is zero.
 
 Scaling columns, A @ diag(d), follows the same rule column by column.  When A

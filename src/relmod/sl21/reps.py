@@ -22,6 +22,16 @@ diagonals read off h_eigs, with the same index.  tensor_rep states the
 coproduct and relation_set the A3 and A7 clauses once over the roots.
 check_relations evaluates only the 16 clauses that involve E_i or F_i;
 relation_set says why the others hold.
+
+A module keeps its generators as dense ExactMatrix values, but each E_i and
+F_i has only O(dim) nonzero entries: at most one per column of A_k, and a
+few per column of a tensor product.  So the relation check and the
+coproduct run on the nonzero entries alone.  Each generator is read once
+into a map from (row, col) to its nonzero scalars.  Products, sums and
+scalings of these maps visit no zero and drop any entry that cancels, so
+two sides of a relation agree exactly when their maps are equal.
+relation_set shows the same maps as dense matrices, and tensor_rep writes
+its coproduct terms into dense generators.
 """
 
 from __future__ import annotations
@@ -112,75 +122,171 @@ def trivial_rep(ell: int) -> WeightModuleRep:
 
 
 # ---------------------------------------------------------------------------
+# nonzero-entry maps
+# ---------------------------------------------------------------------------
+
+# A map from (row, col) to a nonzero scalar; every other entry is zero.
+Entries = dict[tuple[int, int], CycScalar]
+
+
+def _nonzero(x: ExactMatrix) -> Entries:
+    """The nonzero entries of x by (row, col)."""
+    n = x.cols
+    return {divmod(p, n): e for p, e in enumerate(x.entries) if e.coeffs}
+
+
+def _dense(x: Entries, n: int, ell: int) -> ExactMatrix:
+    """The n x n matrix with the entries of x and zero elsewhere."""
+    entries = [CycScalar.zero(ell)] * (n * n)
+    for (r, c), e in x.items():
+        entries[r * n + c] = e
+    return ExactMatrix(n, n, ell, entries)
+
+
+def _product(x: Entries, y: Entries) -> Entries:
+    """x @ y: each nonzero x[r, k] meets the nonzero entries of row k of y."""
+    y_rows: dict[int, list[tuple[int, CycScalar]]] = {}
+    for (k, c), b in y.items():
+        y_rows.setdefault(k, []).append((c, b))
+    out: Entries = {}
+    for (r, k), a in x.items():
+        for c, b in y_rows.get(k, ()):
+            ab = a * b
+            out[r, c] = out[r, c] + ab if (r, c) in out else ab
+    return {key: e for key, e in out.items() if e.coeffs}
+
+
+def _combine(x: Entries, y: Entries, sign: int = 1) -> Entries:
+    """x + y, or x - y when sign is -1; an entry that cancels is dropped."""
+    out = dict(x)
+    for key, b in y.items():
+        if key not in out:
+            out[key] = b if sign > 0 else -b
+            continue
+        s = out[key] + b if sign > 0 else out[key] - b
+        if s.coeffs:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
+def _scale(x: Entries, c: CycScalar) -> Entries:
+    """c x; the empty map when c is zero.  A product of nonzero scalars is
+    nonzero (the Laurent ring over Q(zeta_m) has no zero divisors)."""
+    return {key: c * e for key, e in x.items()} if c.coeffs else {}
+
+
+# ---------------------------------------------------------------------------
 # tensor product via the coproduct
 # ---------------------------------------------------------------------------
 
-def _super_kron(x: ExactMatrix, y: ExactMatrix, par_a: tuple[int, ...],
-                y_parity: int, ell: int) -> ExactMatrix:
-    """Matrix of x (x) y on the tensor basis with Koszul signs.
+def _coproduct(x: ExactMatrix, b_diag: list[CycScalar], a_diag: list[CycScalar],
+               y: ExactMatrix, signs: list[int], ell: int) -> ExactMatrix:
+    """x (x) diag(b_diag) + diag(a_diag) (x) y on the tensor basis v_p (x) w_q.
 
-    (x (x) y)(v_p (x) w_q) = (-1)^(|y| |v_p|) x v_p (x) y w_q, so the sign is
-    decided by the parity of the first-factor column vector.
-    """
-    ra, ca = x.rows, x.cols
-    rb, cb = y.rows, y.cols
-    zero = CycScalar.zero(ell)
-    out = [zero] * (ra * rb * ca * cb)
-    cols = ca * cb
-    for p2 in range(ra):
-        for p in range(ca):
-            a = x[p2, p]
-            if a.is_zero:
-                continue
-            sign = -1 if (y_parity and par_a[p] % 2) else 1
-            av = a if sign == 1 else -a
-            for q2 in range(rb):
-                for q in range(cb):
-                    b = y[q2, q]
-                    if b.is_zero:
-                        continue
-                    out[(p2 * rb + q2) * cols + (p * cb + q)] = av * b
-    return ExactMatrix(ra * rb, ca * cb, ell, out)
+    Each term is built from the nonzero entries of x or y alone.  The second
+    term carries the Koszul sign (-1)^(|y| |v_p|), signs[p], decided by the
+    parity of the first-factor column vector; the first term's diagonal is
+    even and carries none."""
+    nb = len(b_diag)
+    dim = len(a_diag) * nb
+    out = [CycScalar.zero(ell)] * (dim * dim)
+    for (p2, p), e in _nonzero(x).items():
+        for q, d in enumerate(b_diag):
+            out[(p2 * nb + q) * dim + p * nb + q] = e * d
+    for (q2, q), e in _nonzero(y).items():
+        for p, d in enumerate(a_diag):
+            at = (p * nb + q2) * dim + p * nb + q
+            out[at] = out[at] + (d * e if signs[p] > 0 else -(d * e))
+    return ExactMatrix(dim, dim, ell, out)
 
 
 def tensor_rep(a: WeightModuleRep, b: WeightModuleRep) -> WeightModuleRep:
     """Tensor product module via Delta(E_i) = E_i(x)1 + K_i^-1(x)E_i and
-    Delta(F_i) = F_i(x)K_i + 1(x)F_i, for each simple root i."""
+    Delta(F_i) = F_i(x)K_i + 1(x)F_i, for each simple root i.
+
+    K_i^+-1 is read off h_eigs, and each coproduct term is built from the
+    nonzero entries of its generator (see _coproduct).  The factors must
+    share ell, and a convention if both have one; the trivial module has
+    none and combines with either."""
     if a.ell != b.ell:
         raise ValueError(f"ell mismatch: {a.ell} vs {b.ell}")
+    if a.convention and b.convention and a.convention != b.convention:
+        raise ValueError(f"convention mismatch: {a.convention} vs {b.convention}")
     ell = a.ell
     labels = tuple((la, lb) for la in a.labels for lb in b.labels)
     parities = tuple((pa + pb) % 2 for pa in a.parities for pb in b.parities)
     h_eigs = tuple((ha[0] + hb[0], ha[1] + hb[1]) for ha in a.h_eigs for hb in b.h_eigs)
 
-    id_a, id_b = ExactMatrix.identity(a.dim, ell), ExactMatrix.identity(b.dim, ell)
-
-    def kron(x, y, y_parity):
-        return _super_kron(x, y, a.parities, y_parity, ell)
-
-    E = tuple(kron(a.E[i], id_b, 0) + kron(a.K(i, -1), b.E[i], p)
-              for i, p in enumerate(ROOT_PARITY))
-    F = tuple(kron(a.F[i], b.K(i), 0) + kron(id_a, b.F[i], p)
-              for i, p in enumerate(ROOT_PARITY))
+    one = CycScalar.one(ell)
+    ones_a, ones_b = [one] * a.dim, [one] * b.dim
+    E, F = [], []
+    for i, root_parity in enumerate(ROOT_PARITY):
+        signs = [-1 if root_parity and pa % 2 else 1 for pa in a.parities]
+        k_inv_a = [CycScalar.zeta(ell, -h[i]) for h in a.h_eigs]
+        k_b = [CycScalar.zeta(ell, h[i]) for h in b.h_eigs]
+        E.append(_coproduct(a.E[i], ones_b, k_inv_a, b.E[i], signs, ell))
+        F.append(_coproduct(a.F[i], k_b, ones_a, b.F[i], signs, ell))
     return WeightModuleRep(ell=ell, labels=labels, parities=parities, h_eigs=h_eigs,
-                           E=E, F=F, convention=a.convention or b.convention)
+                           E=tuple(E), F=tuple(F), convention=a.convention or b.convention)
 
 
 # ---------------------------------------------------------------------------
 # the defining-relation checker
 # ---------------------------------------------------------------------------
 
-def _bracket(x, y, anti=False):
-    """The super-commutator: xy + yx when anti, else xy - yx."""
-    return x @ y + y @ x if anti else x @ y - y @ x
+def _relations(rep: WeightModuleRep) -> list[tuple[str, Entries, Entries]]:
+    """relation_set(rep) with each side as its map of nonzero entries."""
+    ell = rep.ell
+    q = CycScalar.zeta(ell)
+    qq = q + q ** -1
+    E = [_nonzero(x) for x in rep.E]
+    F = [_nonzero(x) for x in rep.F]
+    roots = range(len(CARTAN))
+
+    # A3: [E_i,F_j] = delta_ij (K_i-K_i^-1)/(q-q^-1), the right side evaluated
+    # on the H_i spectrum, [h] once per weight h; the bracket anticommutes
+    # when both roots are odd
+    qint = {w: quantum_integer(w, ell) for h in rep.h_eigs for w in h}
+    rels: list[tuple[str, Entries, Entries]] = []
+    for i in roots:
+        for j in roots:
+            says, rhs = "0", {}
+            if i == j:
+                says = f"(K{i + 1}-K{i + 1}^-1)/(q-q^-1)"
+                rhs = {(p, p): qint[h[i]] for p, h in enumerate(rep.h_eigs) if qint[h[i]].coeffs}
+            sign = 1 if ROOT_PARITY[i] and ROOT_PARITY[j] else -1
+            rels.append((f"A3 ({i + 1},{j + 1}): [E{i + 1},F{j + 1}] = {says}",
+                         _combine(_product(E[i], F[j]), _product(F[j], E[i]), sign), rhs))
+    rels.append(("E2^2 = 0", _product(E[1], E[1]), {}))
+    rels.append(("F2^2 = 0", _product(F[1], F[1]), {}))
+    for name, (x1, x2) in (("E", E), ("F", F)):
+        x11 = _product(x1, x1)
+        lhs = _combine(_combine(_product(x11, x2), _product(x2, x11)),
+                       _scale(_product(_product(x1, x2), x1), qq), -1)
+        rels.append((f"A5: {name}1^2 {name}2 - (q+q^-1) {name}1{name}2{name}1 "
+                     f"+ {name}2 {name}1^2 = 0", lhs, {}))
+    for i in roots:
+        weights = [h[i] for h in rep.h_eigs]
+        for j in roots:
+            aij = CARTAN[i][j]
+            rels.append((f"A7: [H{i + 1},E{j + 1}] = a{i + 1}{j + 1} E{j + 1}",
+                         _weight_bracket(weights, E[j]), _scale(E[j], CycScalar.rational(aij, ell))))
+            rels.append((f"A7: [H{i + 1},F{j + 1}] = -a{i + 1}{j + 1} F{j + 1}",
+                         _weight_bracket(weights, F[j]), _scale(F[j], CycScalar.rational(-aij, ell))))
+    return rels
 
 
 def relation_set(rep: WeightModuleRep) -> list[tuple[str, ExactMatrix, ExactMatrix]]:
     """The defining relations that involve E_i or F_i, as pairs of matrices that must agree.
 
     These are A3, E2^2 = F2^2 = 0, A5 and the A7 clauses [H_i,X_j] = +-a_ij X_j.
-    H_i is diagonal, so the left side of A7 is read off the weight spectrum:
-    entry (r, c) of [H_i, X] is (h_i(r) - h_i(c)) X[r, c], the same matrix as
+    Each side is computed on the generators' nonzero entries (see the module
+    docstring) and shown here as a dense matrix; check_relations compares the
+    same sides without the dense view.  A5 computes X1^2 once.  H_i is
+    diagonal, so the left side of A7 is read off the weight spectrum: entry
+    (r, c) of [H_i, X] is (h_i(r) - h_i(c)) X[r, c], the same matrix as
     H(i) @ X - X @ H(i) for every X, without the two products.
     The others cannot fail here.  A1, [H1,H2] = 0, [H_i,K_j] = 0 and
     K_i = q^(d_i H_i) compare diagonals read off the same h_eigs.  A2 follows
@@ -188,52 +294,14 @@ def relation_set(rep: WeightModuleRep) -> list[tuple[str, ExactMatrix, ExactMatr
     q^(H_i) scales that entry by q^(+-a_ij); A7 also rejects weight gaps that
     differ by a multiple of ell.  A4 and A6 are vacuous for sl(2|1).
     """
-    ell = rep.ell
-    zero = ExactMatrix.zeros(rep.dim, rep.dim, ell)
-    q = CycScalar.zeta(ell)
-    qq = q + q ** -1
-    E, F = rep.E, rep.F
-    roots = range(len(CARTAN))
-
-    rels: list[tuple[str, ExactMatrix, ExactMatrix]] = []
-    # A3: [E_i,F_j] = delta_ij (K_i-K_i^-1)/(q-q^-1), the right side evaluated
-    # on the H_i spectrum; the bracket anticommutes when both roots are odd
-    for i in roots:
-        for j in roots:
-            says, rhs = "0", zero
-            if i == j:
-                says = f"(K{i + 1}-K{i + 1}^-1)/(q-q^-1)"
-                rhs = ExactMatrix.diagonal([quantum_integer(h[i], ell) for h in rep.h_eigs], ell)
-            rels.append((f"A3 ({i + 1},{j + 1}): [E{i + 1},F{j + 1}] = {says}",
-                         _bracket(E[i], F[j], ROOT_PARITY[i] and ROOT_PARITY[j]), rhs))
-    rels.append(("E2^2 = 0", E[1] @ E[1], zero))
-    rels.append(("F2^2 = 0", F[1] @ F[1], zero))
-    for name, (x1, x2) in (("E", E), ("F", F)):
-        lhs = x1 @ x1 @ x2 - (x1 @ x2 @ x1).scale(qq) + x2 @ x1 @ x1
-        rels.append((f"A5: {name}1^2 {name}2 - (q+q^-1) {name}1{name}2{name}1 "
-                     f"+ {name}2 {name}1^2 = 0", lhs, zero))
-    for i in roots:
-        weights = [h[i] for h in rep.h_eigs]
-        for j in roots:
-            aij = CARTAN[i][j]
-            rels.append((f"A7: [H{i + 1},E{j + 1}] = a{i + 1}{j + 1} E{j + 1}",
-                         _weight_bracket(weights, E[j]), E[j].scale(CycScalar.rational(aij, ell))))
-            rels.append((f"A7: [H{i + 1},F{j + 1}] = -a{i + 1}{j + 1} F{j + 1}",
-                         _weight_bracket(weights, F[j]), F[j].scale(CycScalar.rational(-aij, ell))))
-    return rels
+    return [(name, _dense(lhs, rep.dim, rep.ell), _dense(rhs, rep.dim, rep.ell))
+            for name, lhs, rhs in _relations(rep)]
 
 
-def _weight_bracket(weights: list[int], x: ExactMatrix) -> ExactMatrix:
-    """[H, X] for H = diag(weights): entry (r, c) is (weights[r] - weights[c]) X[r, c].
-
-    Equal entry by entry to H @ X - X @ H for every X, weight-homogeneous or not."""
-    n, zero = x.cols, CycScalar.zero(x.conductor)
-    out = []
-    for r, w in enumerate(weights):
-        for c, e in enumerate(x.entries[r * n:(r + 1) * n]):
-            d = w - weights[c]
-            out.append(e * d if d and e.coeffs else zero)
-    return ExactMatrix(x.rows, n, x.conductor, out)
+def _weight_bracket(weights: list[int], x: Entries) -> Entries:
+    """[H, X] for H = diag(weights): entry (r, c) is (weights[r] - weights[c]) X[r, c]."""
+    return {(r, c): e * (weights[r] - weights[c])
+            for (r, c), e in x.items() if weights[r] != weights[c]}
 
 
 UNEVALUATED = (
@@ -242,30 +310,36 @@ UNEVALUATED = (
     "A2 Ki X Ki^-1 = q^(+-aij) X follows from A7; A4 and A6 are vacuous for sl(2|1)")
 
 
+def _first_mismatch(lhs: Entries, rhs: Entries) -> tuple[int, int]:
+    """The (row, col) with the smallest (col, row) at which two unequal maps differ."""
+    col, row = min((c, r) for (r, c) in lhs.keys() | rhs.keys()
+                   if (r, c) not in lhs or (r, c) not in rhs or lhs[r, c] != rhs[r, c])
+    return row, col
+
+
 def check_relations(rep: WeightModuleRep) -> Verdict:
     """Evaluate relation_set(rep) as exact matrix identities on rep.
 
-    The first note, UNEVALUATED, names the clauses that hold without a check."""
+    Each relation compares the nonzero-entry maps of its two sides.  A failing
+    one is witnessed by its first mismatch in column-major order, with the
+    value lhs - rhs there.  The first note, UNEVALUATED, names the clauses
+    that hold without a check."""
     v = Verdict("sl21-relations", HOLDS,
                 params={"ell": str(rep.ell), "dim": str(rep.dim),
                         "convention": str(rep.convention)},
                 notes=[UNEVALUATED])
-    rels = relation_set(rep)
+    rels = _relations(rep)
+    zero = CycScalar.zero(rep.ell)
     for name, lhs, rhs in rels:
-        # one pass decides a holding relation; a failing one is scanned column
-        # by column so that its witness is the first mismatch in that order
-        bad = None if lhs.entries == rhs.entries else next(
-            (row, col) for col in range(rep.dim) for row in range(rep.dim)
-            if lhs[row, col] != rhs[row, col])
-        if bad is None:
+        if lhs == rhs:
             v.notes.append(f"{name}: holds")
-        else:
-            v.status = FAILS
-            row, col = bad
-            disc = lhs[row, col] - rhs[row, col]
-            v.witnesses.append(Witness(
-                name, (str(rep.labels[col]), row, col), str(disc)))
-            v.notes.append(f"{name}: fails on basis vector {rep.labels[col]}")
+            continue
+        v.status = FAILS
+        row, col = _first_mismatch(lhs, rhs)
+        disc = lhs.get((row, col), zero) - rhs.get((row, col), zero)
+        v.witnesses.append(Witness(
+            name, (str(rep.labels[col]), row, col), str(disc)))
+        v.notes.append(f"{name}: fails on basis vector {rep.labels[col]}")
     if v.status == HOLDS:
         v.witnesses.append(Witness("all relations hold as exact matrix identities",
                                    (), str(len(rels))))

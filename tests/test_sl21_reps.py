@@ -13,8 +13,9 @@ from relmod.sl21 import (
     tensor_rep,
     trivial_rep,
 )
-from relmod.sl21.reps import relation_set
-from relmod.verdicts import FAILS, HOLDS
+from relmod.datum import json_text
+from relmod.sl21.reps import CONVENTIONS, UNEVALUATED, relation_set
+from relmod.verdicts import FAILS, HOLDS, Verdict, Witness
 
 # The clauses that involve E_i or F_i; the rest hold on any WeightModuleRep.
 EVALUATED_CLAUSES = [
@@ -167,8 +168,9 @@ class TestRelations:
         assert v.status == FAILS
         w = next(w for w in v.witnesses if w.name == "A7: [H1,E1] = a11 E1")
         assert w.indices == (str(rep.labels[1]), 3, 1) and w.value == "-6"
-        # every witness is its relation's first mismatch, column by column
-        rels = {name: (lhs, rhs) for name, lhs, rhs in relation_set(bad)}
+        # every witness is its relation's first mismatch, column by column, on
+        # the dense reference sides
+        rels = {name: (lhs, rhs) for name, lhs, rhs in _reference_relations(bad)}
         for w in v.witnesses:
             lhs, rhs = rels[w.name]
             first = next((r, c) for c in range(bad.dim) for r in range(bad.dim)
@@ -218,6 +220,19 @@ class TestTensor:
     def test_ell_mismatch(self):
         with pytest.raises(ValueError):
             tensor_rep(build_Ak(1, 3), build_Ak(1, 5))
+
+    def test_convention_mismatch(self):
+        # a product of the two conventions would be reported under one of
+        # them; the trivial module has none and combines with either
+        with pytest.raises(ValueError, match="convention mismatch"):
+            tensor_rep(build_Ak(2, 5, "corrected"), build_Ak(2, 5, "paper"))
+        with pytest.raises(ValueError, match="convention mismatch"):
+            tensor_rep(build_Ak(1, 5, "paper"), build_Ak(2, 5, "corrected"))
+        for conv in CONVENTIONS:
+            a = build_Ak(2, 5, conv)
+            assert tensor_rep(a, trivial_rep(5)).convention == conv
+            assert tensor_rep(trivial_rep(5), a).convention == conv
+            assert tensor_rep(a, a).convention == conv
 
     def test_delta_k_is_kron(self):
         a = build_Ak(1, 5, "corrected")
@@ -294,3 +309,185 @@ def test_a7_bracket_equals_the_matrix_commutator(seed):
                 want = h @ x - x @ h
                 assert rels[name] == want, name
                 assert [str(e) for e in rels[name].entries] == [str(e) for e in want.entries]
+
+
+# ---------------------------------------------------------------------------
+# dense reference: the relation sides, the verdict and the coproduct computed
+# with whole-matrix ExactMatrix products, independently of reps.py's
+# nonzero-entry maps
+# ---------------------------------------------------------------------------
+
+REFERENCE_CARTAN = ((2, -1), (-1, 0))
+
+
+def _reference_relations(rep):
+    """The 16 evaluated clauses of EVALUATED_CLAUSES as dense (name, lhs, rhs):
+    x @ y -+ y @ x for A3, the A5 chain and H(i) @ X - X @ H(i) for A7."""
+    ell, n = rep.ell, rep.dim
+    zero = ExactMatrix.zeros(n, n, ell)
+    q = CycScalar.zeta(ell)
+    qq = q + q ** -1
+    E, F = rep.E, rep.F
+    sides = []
+    for i in (0, 1):
+        for j in (0, 1):
+            xy, yx = E[i] @ F[j], F[j] @ E[i]
+            # E2 and F2 are odd, so their bracket anticommutes
+            lhs = xy + yx if i == j == 1 else xy - yx
+            rhs = ExactMatrix.diagonal([quantum_integer(h[i], ell) for h in rep.h_eigs],
+                                       ell) if i == j else zero
+            sides.append((lhs, rhs))
+    sides.append((E[1] @ E[1], zero))
+    sides.append((F[1] @ F[1], zero))
+    for x1, x2 in (E, F):
+        sides.append((x1 @ x1 @ x2 - (x1 @ x2 @ x1).scale(qq) + x2 @ x1 @ x1, zero))
+    for i in (0, 1):
+        h = rep.H(i)
+        for j in (0, 1):
+            a = REFERENCE_CARTAN[i][j]
+            sides.append((h @ E[j] - E[j] @ h, E[j].scale(CycScalar.rational(a, ell))))
+            sides.append((h @ F[j] - F[j] @ h, F[j].scale(CycScalar.rational(-a, ell))))
+    return [(name, lhs, rhs) for name, (lhs, rhs) in zip(EVALUATED_CLAUSES, sides)]
+
+
+def _reference_verdict(rep):
+    """The sl21-relations verdict from the dense sides, each failing relation
+    witnessed by its first mismatch scanned column by column."""
+    v = Verdict("sl21-relations", HOLDS,
+                params={"ell": str(rep.ell), "dim": str(rep.dim),
+                        "convention": str(rep.convention)},
+                notes=[UNEVALUATED])
+    rels = _reference_relations(rep)
+    for name, lhs, rhs in rels:
+        bad = next(((r, c) for c in range(rep.dim) for r in range(rep.dim)
+                    if lhs[r, c] != rhs[r, c]), None)
+        if bad is None:
+            v.notes.append(f"{name}: holds")
+            continue
+        v.status = FAILS
+        r, c = bad
+        v.witnesses.append(Witness(name, (str(rep.labels[c]), r, c), str(lhs[bad] - rhs[bad])))
+        v.notes.append(f"{name}: fails on basis vector {rep.labels[c]}")
+    if v.status == HOLDS:
+        v.witnesses.append(Witness("all relations hold as exact matrix identities",
+                                   (), str(len(rels))))
+    return v
+
+
+def _reference_kron(x, y, first_parities, y_parity, ell):
+    """x (x) y on the tensor basis, with the Koszul sign (-1)^(|y| |v_p|) of
+    the first-factor column vector v_p."""
+    rb, cb = y.rows, y.cols
+    cols = x.cols * cb
+    out = [CycScalar.zero(ell)] * (x.rows * rb * cols)
+    for p2 in range(x.rows):
+        for p in range(x.cols):
+            sign = -1 if y_parity and first_parities[p] else 1
+            for q2 in range(rb):
+                for q in range(cb):
+                    out[(p2 * rb + q2) * cols + p * cb + q] = x[p2, p] * y[q2, q] * sign
+    return ExactMatrix(x.rows * rb, cols, ell, out)
+
+
+def _reference_tensor_generators(a, b):
+    """E_i (x) 1 + K_i^-1 (x) E_i and F_i (x) K_i + 1 (x) F_i, densely, in the
+    order E1, E2, F1, F2; E2 and F2 are odd."""
+    ell = a.ell
+    id_a, id_b = ExactMatrix.identity(a.dim, ell), ExactMatrix.identity(b.dim, ell)
+
+    def kron(x, y, y_parity):
+        return _reference_kron(x, y, a.parities, y_parity, ell)
+    E = [kron(a.E[i], id_b, 0) + kron(a.K(i, -1), b.E[i], i) for i in (0, 1)]
+    F = [kron(a.F[i], b.K(i), 0) + kron(id_a, b.F[i], i) for i in (0, 1)]
+    return E + F
+
+
+def _oracle_cases():
+    for ell in (3, 5, 7):
+        for k in range(1, ell):
+            for conv in ("paper", "corrected"):
+                yield f"A{k}-ell{ell}-{conv}", build_Ak(k, ell, conv)
+    for ell, k1, k2 in ((3, 1, 2), (5, 1, 3), (5, 2, 2), (7, 2, 1)):
+        yield f"A{k1}xA{k2}-ell{ell}", tensor_rep(build_Ak(k1, ell), build_Ak(k2, ell))
+    for conv in ("paper", "corrected"):
+        a = build_Ak(2, 5, conv)
+        yield f"A2xA2-ell5-{conv}", tensor_rep(a, a)
+    a = build_Ak(1, 3)
+    yield "A1xA1xA1-ell3", tensor_rep(tensor_rep(a, a), a)
+
+
+ORACLE_CASES = dict(_oracle_cases())
+
+
+def _assert_matches_reference(rep):
+    want = _reference_relations(rep)
+    got = relation_set(rep)
+    assert [name for name, _, _ in got] == [name for name, _, _ in want]
+    for (name, lhs, rhs), (_, want_lhs, want_rhs) in zip(got, want):
+        for side, want_side in ((lhs, want_lhs), (rhs, want_rhs)):
+            assert side == want_side, name
+            assert [str(e) for e in side.entries] == [str(e) for e in want_side.entries], name
+    assert check_relations(rep).to_json() == _reference_verdict(rep).to_json()
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_relations_match_the_dense_reference(name):
+    _assert_matches_reference(ORACLE_CASES[name])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_perturbed_relations_match_the_dense_reference(seed):
+    # off-weight entries make relations fail, so the witnesses and their
+    # values are compared with the reference's column-major scan
+    import dataclasses
+    import random
+    rng = random.Random(seed)
+    ell = (3, 5, 7)[seed % 3]
+    a = build_Ak(rng.randint(1, ell - 1), ell, rng.choice(CONVENTIONS))
+    rep = a if seed % 2 else tensor_rep(a, build_Ak(1, ell, a.convention))
+    density = (0.05, 0.3)[seed % 4 // 2]
+    # each generator is replaced by a random one or kept, and at least one is replaced
+    swap = [rng.random() < 0.5 for _ in range(4)]
+    swap[seed % 4] = True
+    gens = [_random_sparse(rng, rep.dim, ell, density) if s else x
+            for s, x in zip(swap, rep.E + rep.F)]
+    bad = dataclasses.replace(rep, E=tuple(gens[:2]), F=tuple(gens[2:]))
+    _assert_matches_reference(bad)
+    assert check_relations(bad).status == FAILS
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_tensor_generators_match_the_dense_koszul_kron(ell):
+    for k1, k2 in ((1, ell - 1), (2, 1), (ell - 1, 2)):
+        for c1, c2 in (("corrected", "corrected"), ("paper", "paper")):
+            a, b = build_Ak(k1, ell, c1), build_Ak(k2, ell, c2)
+            t = tensor_rep(a, b)
+            for got, want in zip(t.E + t.F, _reference_tensor_generators(a, b)):
+                assert got == want
+                assert [str(e) for e in got.entries] == [str(e) for e in want.entries]
+    a = build_Ak(2, ell)
+    ab = tensor_rep(a, build_Ak(1, ell))
+    t = tensor_rep(ab, a)
+    for got, want in zip(t.E + t.F, _reference_tensor_generators(ab, a)):
+        assert got == want
+
+
+# SHA-256 of json_text(check_relations(rep).to_json()), one line each, for
+# every A_k at ell = 3, 5, 7, 9 under the "paper" then the "corrected"
+# convention, then for each tensor product of TENSOR_EF_SHA256's list.
+RELATIONS_SHA256 = "0d85ec035cce4c2e0d342308aa0fe7e3f8ae56d0e7c8d6757e3841c5e9da9279"
+
+
+def test_relation_reports_are_pinned():
+    digest = hashlib.sha256()
+    for ell in (3, 5, 7, 9):
+        for k in range(1, ell):
+            for conv in ("paper", "corrected"):
+                digest.update((json_text(check_relations(build_Ak(k, ell, conv)).to_json())
+                               + "\n").encode())
+    for ell in (3, 5, 7):
+        for k1 in (1, 2):
+            for k2 in range(1, ell):
+                t = tensor_rep(build_Ak(k1, ell), build_Ak(k2, ell))
+                digest.update((json_text(check_relations(t).to_json()) + "\n").encode())
+    assert digest.hexdigest() == RELATIONS_SHA256
