@@ -30,7 +30,7 @@ cross-check inside check_relative_modularity is the arbiter for it.
 
 from __future__ import annotations
 
-from .datum import Degree, ModularDatum, _memo, _validation, modified_S
+from .datum import Degree, ModularDatum, _inverted_twists, _memo, _validation, modified_S
 from .scalars import CycScalar
 from .verdicts import DATA_ABSENT, FAILS, HOLDS, HYPOTHESIS_NOT_MET, Verdict, Witness
 
@@ -47,9 +47,10 @@ def _require_block(datum: ModularDatum, g: Degree, h: Degree):
 
 
 def _twist_inverses(datum: ModularDatum, g: Degree) -> list[CycScalar]:
+    """The twists' inverses at degree g, shared with validation (see
+    datum._inverted_twists); KeyError when g has no twists."""
     out = []
-    for t in datum.twists[g]:
-        inv = t.try_inverse()
+    for t, inv in zip(datum.twists[g], _inverted_twists(datum, g)):
         if inv is None:
             raise ValueError(f"twist {t} at degree {g} is not invertible")
         out.append(inv)
@@ -176,22 +177,41 @@ def check_nondegeneracy(datum: ModularDatum, g: Degree) -> Verdict:
 ZERO_ENTRY_HYPOTHESIS = "all recorded mixed S-matrix blocks have no zero entry"
 
 
+def _block_rank(datum: ModularDatum, b) -> int:
+    """The rank of b's S' matrix.  S_{g,h} = S' diag(d_h) has the same rank
+    when every d_h is nonzero, so it is read through _rank_and_kernel, the
+    memo check_nondegeneracy and check_dmug rank S_g through.  S' is ranked
+    directly when a dim of its column degree is zero or missing, or when
+    modified_S would not scale b: it finds another block of those degrees
+    first, or neither degree is listed."""
+    g, h = b.row_degree, b.col_degree
+    dims = datum.dims.get(h)
+    if dims is not None and len(dims) == b.matrix.cols and all(dims) and \
+            (g in datum.degrees or h in datum.degrees) and datum.block(g, h) is b:
+        return _rank_and_kernel(datum, g, h)[0]
+    return b.matrix.rank()
+
+
 def check_rank_constancy(datum: ModularDatum) -> Verdict:
+    """All recorded S' blocks share one rank, under the hypothesis that no
+    block has a zero entry.  Each block's rank is that of S_{g,h} read
+    through the rank memo when every dim of its column degree is nonzero
+    (see _block_rank), so check all ranks each block once."""
     v = Verdict("rank-constancy", HOLDS)
     if len(datum.sprime) < 2:
         v.status = DATA_ABSENT
         v.notes.append("need at least two recorded blocks to compare ranks")
         return v
     for bi, b in enumerate(datum.sprime):
-        for i in range(b.matrix.rows):
-            for j in range(b.matrix.cols):
-                if b.matrix[i, j].is_zero:
-                    v.status = HYPOTHESIS_NOT_MET
-                    v.witnesses.append(Witness(
-                        ZERO_ENTRY_HYPOTHESIS,
-                        (bi, str(b.row_degree), str(b.col_degree), i, j), "0"))
-                    return v
-    ranks = [(bi, b.matrix.rank()) for bi, b in enumerate(datum.sprime)]
+        for at, e in enumerate(b.matrix.entries):
+            if not e.coeffs:
+                i, j = divmod(at, b.matrix.cols)
+                v.status = HYPOTHESIS_NOT_MET
+                v.witnesses.append(Witness(
+                    ZERO_ENTRY_HYPOTHESIS,
+                    (bi, str(b.row_degree), str(b.col_degree), i, j), "0"))
+                return v
+    ranks = [(bi, _block_rank(datum, b)) for bi, b in enumerate(datum.sprime)]
     for bi, r in ranks:
         v.derived_scalars[f"rank(block {bi})"] = str(r)
     distinct = {r for _, r in ranks}
@@ -278,9 +298,10 @@ def check_relative_modularity(datum: ModularDatum, g: Degree, h: Degree) -> Verd
         v.status = FAILS
         v.witnesses.append(Witness("zeta candidate P[0][0] is zero", (0, 0), "0"))
         return v
+    zero = CycScalar.zero(datum.conductor)
     for i in range(p.rows):
         for j in range(p.cols):
-            expected = zeta if i == j else CycScalar.zero(datum.conductor)
+            expected = zeta if i == j else zero
             if p[i, j] != expected:
                 v.status = FAILS
                 if i == j:

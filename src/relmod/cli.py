@@ -97,8 +97,10 @@ def _load(args) -> ModularDatum:
 
 def _report(args, verdicts: list[Verdict]) -> int:
     code = _verdict_exit(verdicts, args.allow_unmet)
-    return _emit(args, {"reports": [v.to_json() for v in verdicts]},
-                 [v.render_text() for v in verdicts] + [f"exit code: {code}"], code)
+    # each format builds only its own report
+    if args.format == "json":
+        return _emit(args, {"reports": [v.to_json() for v in verdicts]}, [], code)
+    return _emit(args, {}, [v.render_text() for v in verdicts] + [f"exit code: {code}"], code)
 
 
 # ---------------------------------------------------------------------------

@@ -458,8 +458,8 @@ def validate_datum(datum: ModularDatum) -> list[Violation]:
             if d.is_zero:
                 out.append(Violation("dims-nonzero", (str(g), labels[i] if i < len(labels) else i),
                                      "modified dimension must be nonzero"))
-        for i, t in enumerate(datum.twists.get(g, ())):
-            if t.try_inverse() is None:
+        for i, (t, inv) in enumerate(zip(datum.twists.get(g, ()), _inverted_twists(datum, g))):
+            if inv is None:
                 out.append(Violation("twists-invertible", (str(g), labels[i] if i < len(labels) else i),
                                      f"twist {t} is not invertible in the scalar ring"))
     pairs: set[tuple[Degree, Degree]] = set()
@@ -789,6 +789,15 @@ def _validation(datum: ModularDatum) -> list[Violation]:
         for item in table.items():
             inputs.extend(item)
     return _memo(datum, "validation", tuple(inputs), lambda: validate_datum(datum))
+
+
+def _inverted_twists(datum: ModularDatum, g: Degree) -> tuple[CycScalar | None, ...]:
+    """The inverse of each twist at degree g, None for one that has none,
+    computed once per datum and degree while the twists tuple is the same
+    object (see _memo): validation and the Delta sums both invert them."""
+    twists = datum.twists.get(g, ())
+    return _memo(datum, ("twist inverses", g), (twists,),
+                 lambda: tuple(t.try_inverse() for t in twists))
 
 
 def _scaled_block(datum: ModularDatum, b: SBlock) -> ExactMatrix:

@@ -46,8 +46,8 @@ Scaling columns, A @ diag(d), follows the same rule column by column.  When A
 takes the packed kernel and d_j has several terms and no formal variable,
 column j is the rows x 1 by 1 x 1 packed product, reduced once per entry.
 Every other column multiplies its entries by d_j: a one-term factor costs one
-monomial product per entry, and the factor 1 (every modified dimension of
-pointed data) returns each entry itself.
+monomial product per entry, and a column whose factor is 1 (every modified
+dimension of pointed data) is kept as it is, with no product.
 """
 
 from __future__ import annotations
@@ -237,6 +237,8 @@ class ExactMatrix:
         packs = _packs(self.entries)
         out = list(self.entries)
         for j, d in enumerate(diag):
+            if d.is_one:
+                continue
             column = self.entries[j::cols]
             if packs and len(d.coeffs) > 1 and not any(vk for _, vk in d.coeffs):
                 out[j::cols] = _packed_product(m, column, [d], rows, 1, 1)

@@ -44,33 +44,51 @@ A product of two one-term scalars is built as its single key in one step
 (``_times_term``): the zeta power mod m, and the variable key that
 ``_vk_mul`` merges from the two sorted keys, adding the exponents of a shared
 name and dropping a zero sum.  It is reduced modulo Phi_m only when that zeta
-power is not below deg Phi_m; ``_canon`` serves every product with more
-terms.  Emitting the sl(2|1) datum and scaling its S' columns by the
-dimensions are such products.  A product by the unit 1 returns the other
-operand itself: every modified dimension of pointed data is 1, so scaling S'
-by them and the ``* d(V_i)`` of the Delta sums build nothing.  ``str()`` of a
-one-term scalar prints its term without sorting.
+power is not below deg Phi_m.  Emitting the sl(2|1) datum and scaling its S'
+columns by the dimensions are such products.  A product by the unit 1
+returns the other operand itself: every modified dimension of pointed data
+is 1, so scaling S' by them and the ``* d(V_i)`` of the Delta sums build
+nothing.  ``str()`` of a one-term scalar prints its term without sorting.
 
-Literals are read by ``parse_scalar``.  A one-term literal -- an optional
-'-', an integer numeral of at most 18 digits and name factors other than
-``z{m}`` with integer powers of at most 18 digits, such as
-``-d0_1^-1*s1_3`` -- is checked by one compiled full match and built as its
-one key, with its exponents summed per name.  Every literal of an emitted
-sl(2|1) datum is one.  Every other literal goes through the scanner in one
-pass.  One compiled regex match reads a whole numeral or name factor: its
-unary minuses, the numeral, ``z{m}`` or variable name, its optional power and
-the operator after it; a parenthesised factor reads its sum recursively.  A
-product of one-term factors such as ``z5*u^-2*1/2`` is collected into one
-coefficient, zeta power and exponent map, and only its factors with several
-terms are multiplied out.  A sum adds its terms into one dict.  Before it
-expands a power of a sum, the reader bounds the result's term count and
-rejects the literal when that bound is over ``MAX_POWER_TERMS``; before it
-raises a one-term factor to a power, or a sum to a positive power, it bounds
-the coefficients' bit length against ``MAX_POWER_BITS``.  Every product, sum and power a literal builds is checked
-to have no numerator or denominator of 4300 or more digits (a sum checks the
-coefficients each term touches), so every coefficient of a parsed literal can
-be printed.  These checks and the limit on converting long numerals stay on
-the scanner: a one-term literal's numerals are far inside them.
+A product of two variable-free scalars where either has more than one term
+is taken on integer numerators (``_field_product``): each operand is put
+over its common denominator, the two integer vectors over 1, zeta, .. are
+convolved, and ``_from_numerators`` folds the result mod m, reduces it
+modulo Phi_m as integers and divides each output coefficient once -- the
+same tail as ``_packed_product`` below, so no term makes a ``Fraction``.
+Field inverses, the planted data's units and the quantum-integer products of
+the sl(2|1) relations are such products.  One case stays term by term: a sum
+with int coefficients times a one-term int factor, such as a quantum integer
+times +-zeta^k, where ``_canon``'s few int products are cheaper than the
+conversion.  ``_canon`` serves every product with a formal variable.
+
+Literals are read by ``parse_scalar``.  A literal in the form ``str()``
+prints is checked by one compiled full match and built as its coefficient
+dict, with one ``_quo`` per fraction and no other arithmetic
+(``_read_canonical``).  That form is terms joined by ' + ' or ' - ', the
+first with an optional '-'; a term is an integer or fractional numeral with
+parts of at most 18 digits, then ``z{m}^k`` with 0 < k < deg Phi_m, then
+names in strictly ascending order with nonzero powers; and the terms' keys
+are strictly ascending.  Every literal of an emitted sl(2|1) datum, and every
+literal of pointed and planted data whose numerals fit, is one.  Every other
+literal goes through the scanner in one pass.
+
+In the scanner, one compiled regex match reads a whole numeral or name
+factor: its unary minuses, the numeral, ``z{m}`` or variable name, its
+optional power and the operator after it; a parenthesised factor reads its
+sum recursively.  A product of one-term factors such as ``z5*u^-2*1/2`` is
+collected into one coefficient, zeta power and exponent map, and only its
+factors with several terms are multiplied out.  A sum adds its terms into
+one dict.  Before it expands a power of a sum, the reader bounds the
+result's term count and rejects the literal when that bound is over
+``MAX_POWER_TERMS``; before it raises a one-term factor to a power, or a sum
+to a positive power, it bounds the coefficients' bit length against
+``MAX_POWER_BITS``.  Every product, sum and power a literal builds is
+checked to have no numerator or denominator of 4300 or more digits (a sum
+checks the coefficients each term touches), so every coefficient of a
+parsed literal can be printed.  These checks and the limit on converting
+long numerals stay on the scanner: a printed literal's numerals are far
+inside them.
 
 A matrix product over Q(zeta_m), and a column of a dense variable-free matrix
 scaled by a factor of several terms, may go through ``_packed_product``, which
@@ -78,7 +96,8 @@ holds each entry as an integer vector over 1, zeta, .., zeta^(deg-1) with one
 common denominator per row or column, packs that vector into one int at a
 base 2^w wide enough for every coefficient of a dot product (Kronecker
 substitution), sums each dot product as plain int products and reduces it
-modulo Phi_m once.  It returns the canonical form that ``_canon`` would.
+modulo Phi_m once through ``_from_numerators``.  It returns the canonical
+form that ``_canon`` would.
 
 All operations are pure; instances are immutable once constructed.
 """
@@ -90,6 +109,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import itemgetter
 
 
 class InexactDivision(ArithmeticError):
@@ -176,6 +196,7 @@ def _degree(m: int) -> int:
 # tuple of (name, nonzero exponent) pairs.
 VarKey = tuple[tuple[str, int], ...]
 Key = tuple[int, VarKey]
+_var_key = itemgetter(1)
 # A coefficient: an int while it is integral, else a Fraction.
 Coeff = int | Fraction
 
@@ -234,13 +255,53 @@ def _field_inverse(m: int, items: tuple[tuple[int, Coeff], ...]) -> "CycScalar":
 
 def _common_denominator(entries) -> int:
     """The lcm of the denominators of every coefficient of the entries."""
-    return lcm(*(c.denominator for e in entries for c in e.coeffs.values()))
+    return lcm(*[c.denominator for e in entries for c in e.coeffs.values()])
 
 
-def _numerators(e: "CycScalar", d: int) -> dict[int, int]:
-    """{zeta power: coefficient} of the variable-free d*e, for a d that
-    clears every denominator of e."""
-    return {zp: c.numerator * (d // c.denominator) for (zp, _), c in e.coeffs.items()}
+def _numerators(e: "CycScalar", d: int) -> list[tuple[int, int]]:
+    """The (zeta power, coefficient) pairs of the variable-free d*e, for a d
+    that clears every denominator of e."""
+    if d == 1:
+        return [(zp, c.numerator) for (zp, _), c in e.coeffs.items()]
+    return [(zp, c.numerator * (d // c.denominator)) for (zp, _), c in e.coeffs.items()]
+
+
+def _from_numerators(m: int, digits: list[int], d: int) -> "CycScalar":
+    """The canonical form of sum_t digits[t]*zeta^t / d, for integer digits
+    at the powers t = 0, 1, ..: they are folded mod m, reduced modulo Phi_m as
+    integers and divided by d once per output coefficient.  The list digits
+    is used up."""
+    deg = _degree(m)
+    n = len(digits)
+    if n > deg:
+        for t in range(m, n):
+            c = digits[t]
+            if c:
+                digits[t % m] += c
+        rows = _zeta_reduction_rows(m)
+        for e in range(deg, min(m, n)):
+            c = digits[e]
+            if c:
+                for t, x in enumerate(rows[e - deg]):
+                    digits[t] += c * x
+    if d == 1:
+        return CycScalar(m, {(t, ()): c for t, c in enumerate(digits[:deg]) if c}, _canonical=True)
+    return CycScalar(m, {(t, ()): _quo(c, d) for t, c in enumerate(digits[:deg]) if c},
+                     _canonical=True)
+
+
+def _field_product(a: "CycScalar", b: "CycScalar") -> "CycScalar":
+    """a * b for variable-free a and b of one conductor, on integer
+    numerators: each operand over its common denominator, the two integer
+    vectors convolved, and the result made canonical by _from_numerators."""
+    da, db = _common_denominator((a,)), _common_denominator((b,))
+    na, nb = _numerators(a, da), _numerators(b, db)
+    # max of the (zeta power, numerator) pairs has the top zeta power
+    out = [0] * (max(na)[0] + max(nb)[0] + 1)
+    for i, x in na:
+        for j, y in nb:
+            out[i + j] += x * y
+    return _from_numerators(a.conductor, out, da * db)
 
 
 def _packed_product(m: int, a: list["CycScalar"], b: list["CycScalar"],
@@ -254,52 +315,48 @@ def _packed_product(m: int, a: list["CycScalar"], b: list["CycScalar"],
     substitution).  Every coefficient of a sum of inner products of such
     polynomials is below inner*deg*max|a|*max|b| in size, so w is that bound's
     bit length plus a sign bit, and a packed dot product unpacks into its
-    2 deg - 1 signed coefficients.  Those are folded mod m, reduced modulo
-    Phi_m and divided by da[i]*db[j] once per output entry.
+    2 deg - 1 signed coefficients.  Row k of b is packed once more, entry j
+    at 2^(W j) for W = (2 deg - 1) w, so row i of the product is one packed
+    int, the sum over k of a[i, k] times row k of b: its cols blocks of
+    2 deg - 1 digits are the entries' dot products.  _from_numerators folds
+    each block mod m, reduces it modulo Phi_m and divides it by da[i]*db[j].
     """
     deg = _degree(m)
     da = [_common_denominator(a[i * inner:(i + 1) * inner]) for i in range(rows)]
     db = [_common_denominator(b[j::cols]) for j in range(cols)]
-    ia = [_numerators(a[i * inner + k], da[i]) for i in range(rows) for k in range(inner)]
-    ib = [_numerators(b[k * cols + j], db[j]) for k in range(inner) for j in range(cols)]
-    top_a = max((abs(v) for e in ia for v in e.values()), default=0)
-    top_b = max((abs(v) for e in ib for v in e.values()), default=0)
+    ia = [_numerators(e, da[at // inner]) for at, e in enumerate(a)]
+    ib = [_numerators(e, db[at % cols]) for at, e in enumerate(b)]
+    top_a = max([abs(v) for e in ia for _, v in e], default=0)
+    top_b = max([abs(v) for e in ib for _, v in e], default=0)
     w = (inner * deg * top_a * top_b).bit_length() + 1
-    pa = [sum(v << (w * zp) for zp, v in e.items()) for e in ia]
-    pb = [sum(v << (w * zp) for zp, v in e.items()) for e in ib]
+    block = (2 * deg - 1) * w
+    # the shift of zeta^t, and of zeta^t in entry j of a packed row of b
+    wz = [w * t for t in range(deg)]
+    bz = [[w * t + block * j for t in range(deg)] for j in range(cols)]
+    pa = [sum([v << wz[zp] for zp, v in e]) for e in ia]
+    pb = [sum([v << bz[j][zp] for j, e in enumerate(ib[k * cols:(k + 1) * cols]) for zp, v in e])
+          for k in range(inner)]
 
-    ndig = 2 * deg - 1
     half = 1 << (w - 1)
     mask = (1 << w) - 1
-    # adding half to every digit makes each one a plain w-bit field
-    offset = sum(half << (w * t) for t in range(ndig))
-    red = _zeta_reduction_rows(m)
+    block_mask = (1 << block) - 1
+    shifts = range(0, block, w)
+    # adding half to every digit makes each one a plain w-bit field; a block
+    # that holds only those halves is a zero entry
+    offset = sum(half << t for t in range(0, block * cols, w))
+    zero_block = offset & block_mask
     zero = CycScalar.zero(m)
     out = []
     for i in range(rows):
-        acc = [0] * cols
-        for k, x in enumerate(pa[i * inner:(i + 1) * inner]):
-            if not x:
-                continue
-            for j, y in enumerate(pb[k * cols:(k + 1) * cols]):
-                if y:
-                    acc[j] += x * y
-        for j, s in enumerate(acc):
-            if not s:
-                out.append(zero)
-                continue
-            s += offset
-            poly = [0] * m
-            for t in range(ndig):
-                poly[t % m] += ((s >> (w * t)) & mask) - half
-            for e in range(deg, m):
-                c = poly[e]
-                if c:
-                    for t, r in enumerate(red[e - deg]):
-                        poly[t] += c * r
-            d = da[i] * db[j]
-            out.append(CycScalar(m, {(t, ()): _quo(poly[t], d) for t in range(deg) if poly[t]},
-                                 _canonical=True))
+        s = sum([x * y for x, y in zip(pa[i * inner:(i + 1) * inner], pb) if x])
+        if not s:
+            out.extend([zero] * cols)
+            continue
+        s += offset
+        for j in range(cols):
+            x = (s >> (block * j)) & block_mask
+            out.append(zero if x == zero_block else _from_numerators(
+                m, [((x >> t) & mask) - half for t in shifts], da[i] * db[j]))
     return out
 
 
@@ -461,6 +518,8 @@ class CycScalar:
         if len(self.coeffs) == 1:
             ((zp, vk), c), = self.coeffs.items()
             return other._times_term(zp, vk, c)
+        if not any(map(_var_key, self.coeffs)) and not any(map(_var_key, other.coeffs)):
+            return _field_product(self, other)
         m = self.conductor
         return CycScalar(m, _canon(m, (
             ((z1 + z2, _vk_mul(v1, v2)), c1 * c2)
@@ -471,13 +530,22 @@ class CycScalar:
 
     def _times_term(self, zp: int, vk: VarKey, c: Coeff) -> "CycScalar":
         """self * c*zeta^zp*X^vk for nonzero c, where zp need not be reduced;
-        self itself when that multiplier is 1.  A one-term self gives the one
-        key (zeta power, merged variable key) directly."""
+        self itself when that multiplier is 1 or self is zero.
+
+        A one-term self gives the one key (zeta power, merged variable key)
+        directly, and a rational multiplier scales each coefficient in
+        place.  A variable-free self with a Fraction on either side is
+        rotated on integer numerators: over its common denominator d, each
+        numerator times c's lands at its zeta power plus zp, and
+        _from_numerators reduces them and divides by d times c's
+        denominator.  With int coefficients alone, _canon's few int products
+        are the cheaper ones."""
         m = self.conductor
-        if c == 1 and not vk and not zp % m:
+        coeffs = self.coeffs
+        if not coeffs or c == 1 and not vk and not zp % m:
             return self
-        if len(self.coeffs) == 1:
-            ((z1, v1), c1), = self.coeffs.items()
+        if len(coeffs) == 1:
+            ((z1, v1), c1), = coeffs.items()
             c1 *= c
             if type(c1) is Fraction and c1.denominator == 1:
                 c1 = c1.numerator
@@ -485,9 +553,24 @@ class CycScalar:
             if not zp or zp < _degree(m):
                 return CycScalar(m, {(zp, _vk_mul(v1, vk)): c1}, _canonical=True)
             return CycScalar(m, _canon(m, (((zp, _vk_mul(v1, vk)), c1),)), _canonical=True)
+        if not vk:
+            zp %= m
+            if not zp:
+                out = {}
+                for k, x in coeffs.items():
+                    x *= c
+                    out[k] = x.numerator if type(x) is Fraction and x.denominator == 1 else x
+                return CycScalar(m, out, _canonical=True)
+            if (type(c) is Fraction or Fraction in map(type, coeffs.values())) and \
+                    not any(map(_var_key, coeffs)):
+                d = _common_denominator((self,))
+                digits = [0] * (_degree(m) + zp)
+                for z1, x in _numerators(self, d):
+                    digits[z1 + zp] = x * c.numerator
+                return _from_numerators(m, digits, d * c.denominator)
         return CycScalar(m, _canon(m, (
             ((z1 + zp, _vk_mul(v1, vk)), c1 * c)
-            for (z1, v1), c1 in self.coeffs.items())), _canonical=True)
+            for (z1, v1), c1 in coeffs.items())), _canonical=True)
 
     def __pow__(self, n: int):
         if n == 0:
@@ -907,43 +990,82 @@ def _bad_character(text: str) -> int | None:
     return None if _END_RE.match(text, pos) else pos
 
 
-# A one-term literal that parse_scalar reads without the scanner: an optional
-# '-', then an integer numeral of at most 18 digits or a name factor, then
-# more name factors after '*'.  A name factor is a variable name other than
-# z{m}, with an optional integer power of at most 18 digits.  Such numerals
-# and powers are far inside every limit of the general path.
-_NAME_FACTOR = r"(?!z[0-9]+(?![A-Za-z_0-9]))[A-Za-z_][A-Za-z_0-9]*(?:\^-?[0-9]{1,18})?"
-_MONOMIAL_RE = re.compile(rf"-?(?:[0-9]{{1,18}}|{_NAME_FACTOR})(?:\*{_NAME_FACTOR})*")
+# A literal in the form str() prints, which parse_scalar reads without the
+# scanner: terms joined by ' + ' or ' - ', the first with an optional '-'.  A
+# term is a numeral, then z{m} with a power, then variable factors with
+# powers, each part optional but not all.  A numeral is an integer or a
+# fraction, each part nonzero, without leading zeros and of at most 18
+# digits; a power is nonzero, of at most 18 digits, and positive on z{m}; a
+# variable is a name other than z followed by digits.  Such numerals and
+# powers are far inside every limit of the general path.
+_CANONICAL_NUMERAL = r"[1-9][0-9]{0,17}(?:/[1-9][0-9]{0,17})?"
+_CANONICAL_VARIABLE = r"(?!z[0-9]+(?![A-Za-z_0-9]))[A-Za-z_][A-Za-z_0-9]*(?:\^-?[1-9][0-9]{0,17})?"
 
 
-def _monomial(text: str, m: int) -> CycScalar:
-    """The value of a literal that _MONOMIAL_RE matches, built as its one key."""
-    c = 1
+@lru_cache(maxsize=None)
+def _printed_form(m: int) -> re.Pattern:
+    """The compiled full match of a printed literal over Q(zeta_m)."""
+    zeta = rf"z{m}(?:\^[1-9][0-9]{{0,17}})?(?![A-Za-z_0-9])"
+    term = (rf"(?:{_CANONICAL_NUMERAL}(?:\*{zeta})?|{zeta})(?:\*{_CANONICAL_VARIABLE})*"
+            rf"|{_CANONICAL_VARIABLE}(?:\*{_CANONICAL_VARIABLE})*")
+    return re.compile(rf"-?(?:{term})(?: [+-] (?:{term}))*")
+
+
+def _read_canonical(text: str, m: int) -> CycScalar | None:
+    """The value of a printed literal, built as its coefficient dict with one
+    _quo per fraction; None when text does not match _printed_form(m), when
+    a zeta power is not below deg Phi_m, when a term's names are not
+    strictly ascending or when the terms' keys are not.  Within those limits
+    every key is canonical and no two terms share one, so the value is the
+    scanner's."""
+    if _printed_form(m).fullmatch(text) is None:
+        return None
+    deg = _degree(m)
+    zeta = f"z{m}"
+    sign = 1
     if text[0] == "-":
-        c, text = -1, text[1:]
-    exps: dict[str, int] = {}
-    for f in text.split("*"):
-        if f[0] <= "9":
-            # a numeral; only the first factor can be one
-            c *= int(f)
-            continue
-        name, caret, e = f.partition("^")
-        exps[name] = exps.get(name, 0) + (int(e) if caret else 1)
-    if not c:
-        return CycScalar.zero(m)
-    vk = tuple(sorted(p for p in exps.items() if p[1]))
-    return CycScalar(m, {(0, vk): c}, _canonical=True)
+        sign, text = -1, text[1:]
+    # the terms are at the even places, each operator before its term
+    parts = text.split(" ")
+    out: dict[Key, Coeff] = {}
+    last = None
+    for i in range(0, len(parts), 2):
+        if i:
+            sign = -1 if parts[i - 1] == "-" else 1
+        c, zp, vk = sign, 0, []
+        for f in parts[i].split("*"):
+            if f[0] <= "9":
+                # a numeral; only the first factor can be one
+                num, _, den = f.partition("/")
+                c = sign * int(num) if not den else _quo(sign * int(num), int(den))
+                continue
+            name, caret, e = f.partition("^")
+            if name == zeta:
+                zp = int(e) if caret else 1
+                if zp >= deg:
+                    return None
+            elif vk and name <= vk[-1][0]:
+                return None
+            else:
+                vk.append((name, int(e) if caret else 1))
+        key = (zp, tuple(vk))
+        if last is not None and not last < key:
+            return None
+        out[key] = c
+        last = key
+    return CycScalar(m, out, _canonical=True)
 
 
 def parse_scalar(text: str, conductor: int) -> CycScalar:
     """Parse the scalar grammar: rationals, z{m}^k, variables, * + - ( ).
 
-    A one-term literal such as ``-d0_1^-1*s1_3`` or ``3*u`` -- an optional
-    '-', an integer numeral of at most 18 digits and name factors other than
-    z{m} with integer powers of at most 18 digits, with no whitespace -- is
-    read by one compiled full match and built as its one key.  Every other
-    literal goes to the general reader _parse_expr, and both give the same
-    value.
+    A literal in the form str() prints, such as ``-d0_1^-1*s1_3`` or
+    ``1/2 - 3*z5^2*u`` -- numerals of at most 18 digits, zeta powers below
+    deg Phi_m, strictly ascending names with nonzero powers in each term and
+    strictly ascending terms, joined by ' + ' and ' - ' -- is read by one
+    compiled full match and built as its coefficient dict (_read_canonical).
+    Every other literal goes to the general reader _parse_expr, and both
+    give the same value.
 
     The general reader reads a whole numeral or name factor with its unary
     minuses, its power and the operator after it in one regex match; a
@@ -959,9 +1081,8 @@ def parse_scalar(text: str, conductor: int) -> CycScalar:
     a power whose coefficients may be over MAX_POWER_BITS bits, or builds a
     coefficient that str() cannot print is malformed too: each raises
     ScalarParseError."""
-    if _MONOMIAL_RE.fullmatch(text):
-        return _monomial(text, conductor)
-    return _parse_expr(text, conductor)
+    v = _read_canonical(text, conductor)
+    return _parse_expr(text, conductor) if v is None else v
 
 
 def _parse_expr(text: str, conductor: int) -> CycScalar:

@@ -10,6 +10,7 @@ from conftest import (
     pointed_datum,
     pointed_zeta,
 )
+from relmod import cli
 from relmod.checks import (
     ZERO_ENTRY_HYPOTHESIS,
     check_dmug,
@@ -28,6 +29,7 @@ from relmod.datum import (
     SmallSubset,
     TranslationSpec,
     modified_S,
+    save_datum,
 )
 from relmod.matrices import ExactMatrix, _modulus, _variable_residue
 from relmod.scalars import CycScalar, parse_scalar
@@ -276,6 +278,30 @@ class TestRankConstancy:
     def test_single_block_is_data_absent(self):
         d = tiny_datum([[1, 0], [0, 1]])
         assert check_rank_constancy(d).status == DATA_ABSENT
+
+    def test_check_all_ranks_each_pointed_block_once(self, tmp_path, monkeypatch, capsys):
+        path = str(tmp_path / "pointed5.json")
+        save_datum(pointed_datum(5, random.Random(5)), path)
+        calls = []
+        original = ExactMatrix._rank_certificate
+        monkeypatch.setattr(ExactMatrix, "_rank_certificate",
+                            lambda self: calls.append(self) or original(self))
+        assert cli.main(["check", "all", "--datum", path, "--format", "json"]) == 0
+        # one per S' block: nondeg, dmug and rank-constancy share each rank
+        assert len(calls) == 4
+        assert '"status": "holds"' in capsys.readouterr().out
+
+    def test_zero_dim_keeps_the_rank_of_s_prime(self):
+        d = tiny_datum([[2, 1], [1, 2]], mixed_rows=[[1, 2], [2, 1]],
+                       dims=[CycScalar.one(5), CycScalar.zero(5)])
+        assert modified_S(d, G).rank() == 1
+        v = check_rank_constancy(d)
+        assert v.status == HOLDS
+        assert v.derived_scalars == {f"rank(block {i})": "2" for i in range(3)}
+        # with nonzero dims the rank comes from S_{g,h}, with the same value
+        d = tiny_datum([[2, 1], [1, 2]], mixed_rows=[[1, 2], [2, 1]],
+                       dims=[CycScalar.one(5), CycScalar.rational(2, 5)])
+        assert check_rank_constancy(d).derived_scalars == v.derived_scalars
 
 
 class TestDmug:

@@ -125,6 +125,21 @@ class TestCheckCommand:
         assert "cross-check" not in by_check
         assert code == 0
 
+    def test_each_format_renders_only_its_own_report(self, capsys, tmp_path, monkeypatch):
+        from relmod.verdicts import Verdict
+        p = tmp_path / "pointed.json"
+        save_datum(conftest.pointed_datum(3), str(p))
+        argv = ("check", "all", "--datum", str(p))
+        text = run(capsys, *argv)
+        doc = run(capsys, *argv, "--format", "json")
+
+        def unused(self):
+            raise AssertionError("rendered a report the output does not show")
+        for fmt, method in (("json", "render_text"), ("text", "to_json")):
+            with monkeypatch.context() as patch:
+                patch.setattr(Verdict, method, unused)
+                assert run(capsys, *argv, "--format", fmt) == (doc if fmt == "json" else text)
+
     def test_nondeg_at_non_generic_degree_is_hypothesis_not_met(self, capsys, tmp_path):
         p = tmp_path / "pointed.json"
         save_datum(conftest.pointed_datum(3), str(p))

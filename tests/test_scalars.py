@@ -842,16 +842,16 @@ def typed_coeffs(x):
 
 
 class TestOneTermReader:
-    """parse_scalar reads a one-term literal as its one key; the value is the
-    scanner's in ==, str() and coefficient type, and a text that is not one
-    gets the scanner's value or message."""
+    """parse_scalar reads a printed literal through _read_canonical; the value
+    is the scanner's in ==, str() and coefficient type, and a text that the
+    reader does not take gets the scanner's value or message."""
 
     @given(case=near_one_term_literals())
     @settings(max_examples=600, deadline=None)
     def test_agrees_with_the_scanner(self, case):
         m, text = case
-        if scalars_mod._MONOMIAL_RE.fullmatch(text):
-            got = scalars_mod._monomial(text, m)
+        got = scalars_mod._read_canonical(text, m)
+        if got is not None:
             expected, pos = scalars_mod._scan_expr(text, 0, m)
             assert pos == len(text)
             assert got == expected and str(got) == str(expected), text
@@ -868,22 +868,132 @@ class TestOneTermReader:
         assert typed_coeffs(got) == typed_coeffs(expected)
 
     def test_takes_the_literals_it_is_for_and_no_others(self):
-        one_term = ["-d0_1^-1*s1_3*u^-2", "d0_1^-1*s1_3", "u^-4", "1", "-1", "0", "00*u",
-                    "9" * 18 + "*u", "u^" + "9" * 18, "z", "z5a*zz", "u*u^-1"]
-        scanner = ["9" * 19, "u^" + "9" * 19, "z5", "z05*u", "u*z5", "1/2*u", "u*2", "2^3",
-                   "--u", "u ", " u", "(u)", "u+x", "u*", "u^", "-"]
-        for text in one_term:
-            assert scalars_mod._MONOMIAL_RE.fullmatch(text), text
+        printed = ["-d0_1^-1*s1_3*u^-2", "d0_1^-1*s1_3", "u^-4", "1", "-1",
+                   "9" * 18 + "*u", "u^" + "9" * 18, "z", "z5a*zz", "z5", "1/2*u",
+                   "-3/2*z5^3", "1 - z5", "-1/2 + u^2 + 1/2*z5 - 3*z5^2*u"]
+        scanner = ["9" * 19, "u^" + "9" * 19, "z05*u", "u*z5", "u*2", "2^3",
+                   "--u", "u ", " u", "(u)", "u+x", "u*", "u^", "-", "0", "00*u", "u*u^-1",
+                   "u^0", "1/0", "z5^4", "z7", "x*u", "u - 1", "1 + 1", "1  + u", "1 +u"]
+        for text in printed:
+            assert scalars_mod._read_canonical(text, 5) is not None, text
         for text in scanner:
-            assert not scalars_mod._MONOMIAL_RE.fullmatch(text), text
+            assert scalars_mod._read_canonical(text, 5) is None, text
 
     def test_every_emitted_sl21_literal_is_one_term(self):
         for ell in (3, 5, 7):
             d = emit_datum(ell)
             for text in literals_of(d):
-                assert scalars_mod._MONOMIAL_RE.fullmatch(text), text
+                assert scalars_mod._read_canonical(text, ell) is not None, text
                 expected, _ = scalars_mod._scan_expr(text, 0, ell)
                 assert typed_coeffs(parse_scalar(text, ell)) == typed_coeffs(expected)
+
+
+READER_CONDUCTORS = (1, 2, 3, 4, 5, 8, 9, 12, 15, 21)
+
+
+@st.composite
+def printed_scalars(draw):
+    """(conductor, scalar): a random scalar, with or without formal variables,
+    whose numerals str() prints in at most 18 digits."""
+    m = draw(st.sampled_from(READER_CONDUCTORS))
+    names = draw(st.sampled_from([(), ("u", "x"), ("s0_1", "u", "z")]))
+    coeff = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                      st.fractions(-100, 100, max_denominator=10 ** 6)).filter(bool)
+    vk = monomial_keys(names)
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 2 * m), vk), coeff, max_size=5))
+    return m, CycScalar(m, terms)
+
+
+# Edits of a printed literal.  Most take it out of the printed form; each
+# must give the scanner's value or message, and a text the reader still takes
+# must be a printed literal itself (such as "1 + u" from "u").
+def _spaced(text):
+    return text.replace(" + ", "  + ", 1) if " + " in text else " " + text
+
+
+def _unsorted_names(text):
+    head, sep, rest = text.partition("*")
+    return rest + "*" + head if sep and head[0] > "9" and not head.startswith("z") else None
+
+
+def _repeated_name(text):
+    name = text.lstrip("-").split("*")[-1].split("^")[0]
+    return None if name[0] <= "9" or name.startswith("z") else text + "*" + name
+
+
+PRINTED_EDITS = [
+    _spaced,
+    lambda t: t.replace("*", " * ", 1) if "*" in t else None,
+    lambda t: t + "\n",
+    _unsorted_names,
+    _repeated_name,
+    lambda t: t + " + " + t.lstrip("-"),     # a repeated key
+    lambda t: "1 + " + t if not t.startswith("-") else None,  # a key before the first
+    lambda t: t + " + z{m}^{deg}",            # a zeta power of deg Phi_m
+    lambda t: t + " + z{m}^{m}",
+    lambda t: "1" + "0" * 18 + "*" + t.lstrip("-") if t.lstrip("-")[0] > "9" else None,
+    lambda t: t + " + 0",
+    lambda t: "0",
+    lambda t: t + " + z7",                    # no root of unity at these conductors
+]
+
+
+class TestCanonicalReader:
+    """_read_canonical reads what str() prints, agrees with _parse_expr on
+    every text it takes, and leaves every edited text to the scanner."""
+
+    @given(case=printed_scalars())
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip(self, case):
+        m, v = case
+        text = str(v)
+        assert scalars_mod._read_canonical(text, m) is not None or v.is_zero
+        got = parse_scalar(text, m)
+        assert got == v and str(got) == text
+        assert typed_coeffs(got) == typed_coeffs(v)
+
+    @given(case=printed_scalars(), edit=st.sampled_from(PRINTED_EDITS))
+    @settings(max_examples=600, deadline=None)
+    def test_edited_text_reaches_the_scanner(self, case, edit):
+        m, v = case
+        text = edit(str(v))
+        if text is None:
+            return
+        text = text.replace("{m}", str(m)).replace("{deg}", str(len(cyclotomic_coeffs(m)) - 1))
+        fast = scalars_mod._read_canonical(text, m)
+        try:
+            expected = scalars_mod._parse_expr(text, m)
+        except ScalarParseError as exc:
+            assert fast is None, text
+            with pytest.raises(ScalarParseError) as got_exc:
+                parse_scalar(text, m)
+            assert str(got_exc.value) == str(exc)
+            return
+        got = parse_scalar(text, m)
+        assert got == expected and str(got) == str(expected), text
+        assert typed_coeffs(got) == typed_coeffs(expected)
+        if fast is not None:
+            # only a text that is still in the printed form may stay
+            assert str(fast) == text, text
+            assert typed_coeffs(fast) == typed_coeffs(expected)
+
+    @given(case=rendered_literals())
+    @settings(max_examples=300, deadline=None)
+    def test_every_text_it_takes_has_the_scanners_value(self, case):
+        m, text, _ = case
+        for t in (text, text.strip(), " ".join(text.split())):
+            fast = scalars_mod._read_canonical(t, m)
+            if fast is not None:
+                expected = scalars_mod._parse_expr(t, m)
+                assert fast == expected and str(fast) == str(expected), t
+                assert typed_coeffs(fast) == typed_coeffs(expected)
+
+    def test_edits_that_leave_the_printed_form(self):
+        for text, m in [("1  + u", 5), (" u", 5), ("u*u", 5), ("x*u", 5), ("u + u", 5),
+                        ("u + 1", 5), ("z5^4", 5), ("z5^5", 5), ("1" + "0" * 18, 5),
+                        ("1/" + "1" + "0" * 18, 5), ("0", 5), ("z7", 5), ("u^0", 5),
+                        ("z3^2", 3), ("z1", 1), ("z2", 2), ("z4^2", 4)]:
+            assert scalars_mod._read_canonical(text, m) is None, (text, m)
 
 
 @st.composite
@@ -909,3 +1019,100 @@ class TestOneTermProduct:
             assert got == expected and hash(got) == hash(expected)
             assert str(got) == str(expected)
             assert typed_coeffs(got) == typed_coeffs(expected)
+
+
+def canon_product(a, b):
+    """The reference product: every pair of terms multiplied as Fractions or
+    ints and summed into canonical form by _canon."""
+    m = a.conductor
+    return scalars_mod._canon(m, (
+        ((z1 + z2, scalars_mod._vk_mul(v1, v2)), c1 * c2)
+        for (z1, v1), c1 in a.coeffs.items()
+        for (z2, v2), c2 in b.coeffs.items()))
+
+
+PRODUCT_CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 21, 25, 27)
+
+
+@st.composite
+def field_element_pairs(draw):
+    """(a, b): variable-free scalars of one conductor, int or Fraction
+    coefficients, with the number of terms of each drawn from 1 up."""
+    m = draw(st.sampled_from(PRODUCT_CONDUCTORS))
+    coeff = st.one_of(st.integers(-6, 6), st.integers(-10 ** 20, 10 ** 20),
+                      st.fractions(-5, 5, max_denominator=12)).filter(bool)
+
+    def element():
+        terms = draw(st.dictionaries(st.integers(0, 2 * m), coeff, min_size=1, max_size=6))
+        return CycScalar(m, {(zp, ()): c for zp, c in terms.items()})
+    return element(), element()
+
+
+def no_fraction_is_integral(x):
+    return all(type(c) is int or c.denominator != 1 for c in x.coeffs.values())
+
+
+class TestFieldProduct:
+    """A variable-free product with a term count over one on either side goes
+    through integer numerators; its coefficients are the term-by-term
+    product's, and an integral one is an int."""
+
+    @given(pair=field_element_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_the_term_by_term_product(self, pair):
+        a, b = pair
+        expected = canon_product(a, b)
+        for got in (a * b, b * a):
+            assert got.coeffs == expected
+            assert typed_coeffs(got) == {k: (c, type(c)) for k, c in expected.items()}
+            assert no_fraction_is_integral(got)
+
+    def test_shapes_cancellation_and_small_conductors(self):
+        z = CycScalar.zeta
+        cases = []
+        for m in PRODUCT_CONDUCTORS:
+            one = CycScalar.one(m)
+            half = CycScalar.rational(Fraction(1, 2), m)
+            a = one + z(m) + half * z(m, 2)
+            # (1 - x)(1 + x) = 1 - x^2: the middle terms cancel
+            cases += [(a, z(m, 3)), (a, -half), (a, a), (one - z(m), one + z(m)),
+                      (one + z(m, 2), one - z(m, 2)),
+                      (half * z(m, m - 1) + 3, z(m) * Fraction(2, 3) - 1)]
+            if m > 2:
+                cases.append((a, a.inverse()))
+        # (1 + zeta_3) zeta_3 = -1 and the inverse give one-term results
+        cases.append((CycScalar(3, {(0, ()): 1, (1, ()): 1}), z(3)))
+        for a, b in cases:
+            expected = canon_product(a, b)
+            got = a * b
+            assert got.coeffs == expected, (a, b)
+            assert typed_coeffs(got) == {k: (c, type(c)) for k, c in expected.items()}
+            assert no_fraction_is_integral(got), got.coeffs
+        assert CycScalar(3, {(0, ()): 1, (1, ()): 1}) * z(3) == -1
+        for m in (5, 9, 16):
+            a = CycScalar(m, {(0, ()): Fraction(1, 3), (1, ()): 2, (2, ()): -1})
+            product = a * a.inverse()
+            assert product.coeffs == {(0, ()): 1} and type(product.coeffs[(0, ())]) is int
+
+    def test_products_with_variables_keep_the_term_by_term_path(self, monkeypatch):
+        calls = []
+        original = scalars_mod._canon
+        monkeypatch.setattr(scalars_mod, "_canon",
+                            lambda m, terms: calls.append(1) or original(m, terms))
+        u = CycScalar.variable("u", 5)
+        a = parse_scalar("1/2 + z5", 5)
+        for x, y in ((a, a * u), (a * u, a), (a, u * Fraction(1, 3)), (a + u, a)):
+            calls.clear()
+            assert (x * y).coeffs == canon_product(x, y)
+            assert len(calls) == 2  # the product and the reference
+        # an int sum times a one-term int factor stays term by term
+        q = quantum_integer(5, 7)
+        calls.clear()
+        assert (q * CycScalar.zeta(7, 4)).coeffs == canon_product(q, CycScalar.zeta(7, 4))
+        assert len(calls) == 2
+        # a Fraction on either side, or a rational factor, takes no term-by-term product
+        for x, y in ((q, CycScalar.rational(Fraction(1, 2), 7)), (q, CycScalar.rational(-3, 7)),
+                     (a, CycScalar.zeta(5, 3)), (a, CycScalar.zeta(5, 2) * 4), (a, a)):
+            calls.clear()
+            assert (x * y).coeffs == canon_product(x, y)
+            assert len(calls) == 1
