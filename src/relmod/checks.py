@@ -109,6 +109,17 @@ def _try_deltas(datum: ModularDatum, g: Degree):
     return _memo(datum, ("Delta", g), inputs, compute)
 
 
+def _delta_product(datum: ModularDatum, g: Degree):
+    """Delta_plus * Delta_minus at j = 0, None unless both are present;
+    multiplied once per datum and degree while _try_deltas returns the same
+    pair (see _memo): check_nondegeneracy and check_relative_modularity both
+    read it."""
+    dp, dm = _try_deltas(datum, g)
+    if dp is None or dm is None:
+        return None
+    return _memo(datum, ("Delta product", g), (dp, dm), lambda: dp * dm)
+
+
 def _rank_and_kernel(datum: ModularDatum, row: Degree, col: Degree):
     """The rank and kernel vectors of S_{row,col}, found once per datum and
     pair of degrees while that scaled block is the same object (see _memo):
@@ -157,8 +168,8 @@ def check_nondegeneracy(datum: ModularDatum, g: Degree) -> Verdict:
         v.derived_scalars["Delta_minus"] = str(dm)
     if dp is not None:
         v.derived_scalars["Delta_plus"] = str(dp)
-    if dp is not None and dm is not None:
-        prod = dp * dm
+    prod = _delta_product(datum, g)
+    if prod is not None:
         v.derived_scalars["Delta_plus*Delta_minus"] = str(prod)
         if prod.is_zero:
             v.status = FAILS
@@ -312,9 +323,8 @@ def check_relative_modularity(datum: ModularDatum, g: Degree, h: Degree) -> Verd
                     v.witnesses.append(Witness(
                         "off-diagonal entry of P is nonzero", ((i, j),), str(p[i, j])))
                 return v
-    dp, dm = _try_deltas(datum, g)
-    if dp is not None and dm is not None:
-        prod = dp * dm
+    prod = _delta_product(datum, g)
+    if prod is not None:
         v.derived_scalars["Delta_plus*Delta_minus"] = str(prod)
         if prod != zeta:
             v.status = FAILS

@@ -417,10 +417,16 @@ class ModularDatum:
     extra: dict = field(default_factory=dict)
 
     def block(self, g: Degree, h: Degree) -> SBlock | None:
+        """The S' block for (g, h), None when there is none.  The blocks are
+        indexed by their degree pair once per datum while sprime is the same
+        tuple (see _memo); the first block for a pair wins."""
+        return _memo(self, "blocks", (self.sprime,), self._block_index).get((g, h))
+
+    def _block_index(self) -> dict[tuple[Degree, Degree], SBlock]:
+        index: dict[tuple[Degree, Degree], SBlock] = {}
         for b in self.sprime:
-            if b.row_degree == g and b.col_degree == h:
-                return b
-        return None
+            index.setdefault((b.row_degree, b.col_degree), b)
+        return index
 
     def negate(self, g: Degree) -> Degree:
         return self.grading.negate(g)

@@ -57,7 +57,7 @@ convolved, and ``_from_numerators`` folds the result mod m, reduces it
 modulo Phi_m as integers and divides each output coefficient once -- the
 same tail as ``_packed_product`` below, so no term makes a ``Fraction``.
 Field inverses, the planted data's units and the quantum-integer products of
-the sl(2|1) relations are such products.  One case stays term by term: a sum
+``build_Ak`` are such products.  One case stays term by term: a sum
 with int coefficients times a one-term int factor, such as a quantum integer
 times +-zeta^k, where ``_canon``'s few int products are cheaper than the
 conversion.  ``_canon`` serves every product with a formal variable.
@@ -90,14 +90,26 @@ parsed literal can be printed.  These checks and the limit on converting
 long numerals stay on the scanner: a printed literal's numerals are far
 inside them.
 
+Kronecker substitution has one scheme here, used by ``_packed_product`` and
+by the sl(2|1) relation check (sl21/reps.py).  An integer vector
+(v_0, v_1, ..) over 1, zeta, .. is packed into the one int sum v_t 2^(w t)
+(``_pack``) at a digit width w that ``_kronecker_width`` takes from a bound
+on every coefficient the packed ints will hold: the bound's bit length plus
+a sign bit, rounded up to 8, 16, 32 or 64 bits or to whole bytes.  Sums and
+products of packed ints are then those of the polynomials.  One unpack tail reads them back:
+``_unpack`` adds 2^(w-1) to every digit, which makes each signed coefficient
+a plain w-bit field, writes the int out as bytes once and reads each digit
+back as a machine word (w up to 64 bits) or a byte slice; the digits go to
+``_from_numerators``, which folds them mod m, reduces them modulo Phi_m and
+divides each coefficient once.  ``_from_packed`` does both for one packed
+polynomial, whose bit length gives its number of digits.
+
 A matrix product over Q(zeta_m), and a column of a dense variable-free matrix
 scaled by a factor of several terms, may go through ``_packed_product``, which
 holds each entry as an integer vector over 1, zeta, .., zeta^(deg-1) with one
-common denominator per row or column, packs that vector into one int at a
-base 2^w wide enough for every coefficient of a dot product (Kronecker
-substitution), sums each dot product as plain int products and reduces it
-modulo Phi_m once through ``_from_numerators``.  It returns the canonical
-form that ``_canon`` would.
+common denominator per row or column, sums each dot product as plain int
+products of packed ints and unpacks each row of the product once.  It
+returns the canonical form that ``_canon`` would.
 
 All operations are pure; instances are immutable once constructed.
 """
@@ -106,6 +118,8 @@ from __future__ import annotations
 
 import cmath
 import re
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -162,8 +176,9 @@ def cyclotomic_coeffs(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _zeta_reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """Row e-deg expresses zeta_m^e (deg <= e < m) over the basis 1..zeta^(deg-1)."""
+def _zeta_reduction_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row e-deg expresses zeta_m^e (deg <= e < m) over the basis 1..zeta^(deg-1),
+    as its (power, nonzero coefficient) pairs."""
     phi = cyclotomic_coeffs(m)
     deg = len(phi) - 1
     rows = []
@@ -180,7 +195,7 @@ def _zeta_reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
             for i in range(deg):
                 nxt[i] += top * base[i]
         rows.append(tuple(nxt))
-    return tuple(rows)
+    return tuple(tuple((t, x) for t, x in enumerate(row) if x) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -226,10 +241,9 @@ def _canon(m: int, terms) -> dict[Key, Coeff]:
             k = (zp, vk)
             out[k] = out[k] + c if k in out else c
         else:
-            for i, r in enumerate(rows[zp - deg]):
-                if r:
-                    k = (i, vk)
-                    out[k] = out[k] + c * r if k in out else c * r
+            for i, r in rows[zp - deg]:
+                k = (i, vk)
+                out[k] = out[k] + c * r if k in out else c * r
     return {k: v.numerator if type(v) is Fraction and v.denominator == 1 else v
             for k, v in out.items() if v}
 
@@ -282,7 +296,7 @@ def _from_numerators(m: int, digits: list[int], d: int) -> "CycScalar":
         for e in range(deg, min(m, n)):
             c = digits[e]
             if c:
-                for t, x in enumerate(rows[e - deg]):
+                for t, x in rows[e - deg]:
                     digits[t] += c * x
     if d == 1:
         return CycScalar(m, {(t, ()): c for t, c in enumerate(digits[:deg]) if c}, _canonical=True)
@@ -304,6 +318,58 @@ def _field_product(a: "CycScalar", b: "CycScalar") -> "CycScalar":
     return _from_numerators(a.conductor, out, da * db)
 
 
+def _kronecker_width(bound: int) -> int:
+    """The digit width w, in bits, at which integer polynomials whose every
+    coefficient is at most bound in absolute value are packed: bound's bit
+    length plus a sign bit, rounded up to 8, 16, 32 or 64 bits, and above 64
+    to whole bytes, so that _unpack reads each digit back as one machine word
+    or one byte slice."""
+    bits = bound.bit_length() + 1
+    return max(8, 1 << (bits - 1).bit_length()) if bits <= 64 else (bits + 7) // 8 * 8
+
+
+def _pack(numerators, w: int) -> int:
+    """The int sum v*2^(w t) of the (power t, integer v) pairs."""
+    return sum([v << (w * t) for t, v in numerators])
+
+
+@lru_cache(maxsize=256)
+def _bias(w: int, count: int) -> int:
+    """The int with count w-bit digits, each 2^(w-1)."""
+    return int.from_bytes((bytes(w // 8 - 1) + b"\x80") * count, "little")
+
+
+# The array type code of each item size in bytes, 1, 2, 4 and 8 among them.
+_WORD_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _unpack(x: int, w: int, count: int) -> list[int]:
+    """The digits c_0, .., c_(count-1) of x = sum c_t 2^(w t), for
+    |c_t| < 2^(w-1) and c_t = 0 from count on.
+
+    Adding _bias makes each signed digit c_t the plain w-bit field
+    c_t + 2^(w-1), so x is written out as bytes once and each digit is read
+    back as one machine word when w is 8, 16, 32 or 64, else as one byte
+    slice."""
+    wb, half = w // 8, 1 << (w - 1)
+    digits = (x + _bias(w, count)).to_bytes(count * wb, "little")
+    if wb in _WORD_CODES:
+        words = array(_WORD_CODES[wb], digits)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return [c - half for c in words]
+    return [int.from_bytes(digits[i:i + wb], "little") - half for i in range(0, len(digits), wb)]
+
+
+def _from_packed(m: int, x: int, w: int, d: int) -> "CycScalar":
+    """The canonical form of P(zeta)/d for the integer polynomial P with
+    x = P(2^w), each coefficient below 2^(w-1) in absolute value.
+
+    If P's top coefficient is at zeta^t, then 2^(w t - 1) < |x| < 2^(w t + w - 1),
+    so |x| has bit length // w = t and P has that many digits plus one."""
+    return _from_numerators(m, _unpack(x, w, abs(x).bit_length() // w + 1), d)
+
+
 def _packed_product(m: int, a: list["CycScalar"], b: list["CycScalar"],
                     rows: int, inner: int, cols: int) -> list["CycScalar"]:
     """Entries of the product of the variable-free rows x inner matrix a and
@@ -312,14 +378,16 @@ def _packed_product(m: int, a: list["CycScalar"], b: list["CycScalar"],
     Row i of a is scaled to integers by one common denominator da[i], column j
     of b by db[j].  An integer vector (v_0, .., v_(deg-1)) over 1, zeta, ..,
     zeta^(deg-1) is packed into the one int sum v_t 2^(w t) (Kronecker
-    substitution).  Every coefficient of a sum of inner products of such
-    polynomials is below inner*deg*max|a|*max|b| in size, so w is that bound's
-    bit length plus a sign bit, and a packed dot product unpacks into its
-    2 deg - 1 signed coefficients.  Row k of b is packed once more, entry j
+    substitution, _pack).  Every coefficient of a sum of inner products of
+    such polynomials is below inner*deg*max|a|*max|b| in size, so w is
+    _kronecker_width of that bound, and a packed dot product unpacks into
+    its 2 deg - 1 signed coefficients.  Row k of b is packed once more, entry j
     at 2^(W j) for W = (2 deg - 1) w, so row i of the product is one packed
     int, the sum over k of a[i, k] times row k of b: its cols blocks of
-    2 deg - 1 digits are the entries' dot products.  _from_numerators folds
-    each block mod m, reduces it modulo Phi_m and divides it by da[i]*db[j].
+    2 deg - 1 digits are the entries' dot products.  The row is unpacked once
+    (_unpack), a block of zero digits is a zero entry, and _from_numerators
+    folds each other block mod m, reduces it modulo Phi_m and divides it by
+    da[i]*db[j].
     """
     deg = _degree(m)
     da = [_common_denominator(a[i * inner:(i + 1) * inner]) for i in range(rows)]
@@ -328,23 +396,13 @@ def _packed_product(m: int, a: list["CycScalar"], b: list["CycScalar"],
     ib = [_numerators(e, db[at % cols]) for at, e in enumerate(b)]
     top_a = max([abs(v) for e in ia for _, v in e], default=0)
     top_b = max([abs(v) for e in ib for _, v in e], default=0)
-    w = (inner * deg * top_a * top_b).bit_length() + 1
-    block = (2 * deg - 1) * w
-    # the shift of zeta^t, and of zeta^t in entry j of a packed row of b
-    wz = [w * t for t in range(deg)]
-    bz = [[w * t + block * j for t in range(deg)] for j in range(cols)]
-    pa = [sum([v << wz[zp] for zp, v in e]) for e in ia]
-    pb = [sum([v << bz[j][zp] for j, e in enumerate(ib[k * cols:(k + 1) * cols]) for zp, v in e])
+    w = _kronecker_width(inner * deg * top_a * top_b)
+    span = 2 * deg - 1
+    pa = [_pack(e, w) for e in ia]
+    pb = [_pack([(t + span * j, v) for j, e in enumerate(ib[k * cols:(k + 1) * cols])
+                 for t, v in e], w)
           for k in range(inner)]
 
-    half = 1 << (w - 1)
-    mask = (1 << w) - 1
-    block_mask = (1 << block) - 1
-    shifts = range(0, block, w)
-    # adding half to every digit makes each one a plain w-bit field; a block
-    # that holds only those halves is a zero entry
-    offset = sum(half << t for t in range(0, block * cols, w))
-    zero_block = offset & block_mask
     zero = CycScalar.zero(m)
     out = []
     for i in range(rows):
@@ -352,11 +410,10 @@ def _packed_product(m: int, a: list["CycScalar"], b: list["CycScalar"],
         if not s:
             out.extend([zero] * cols)
             continue
-        s += offset
+        digits = _unpack(s, w, span * cols)
         for j in range(cols):
-            x = (s >> (block * j)) & block_mask
-            out.append(zero if x == zero_block else _from_numerators(
-                m, [((x >> t) & mask) - half for t in shifts], da[i] * db[j]))
+            block = digits[j * span:(j + 1) * span]
+            out.append(_from_numerators(m, block, da[i] * db[j]) if any(block) else zero)
     return out
 
 
@@ -737,12 +794,16 @@ def quantum_integer(n: int, ell: int) -> CycScalar:
     """[n] = (q^n - q^-n)/(q - q^-1) at q = zeta_ell, for odd ell >= 3.
 
     Uses the telescoped form q^(n-1) + q^(n-3) + ... + q^(1-n), so no division
-    is involved.  Its exponents are distinct; the constructor reduces them.
+    is involved.  Its exponents are folded mod ell into one integer vector,
+    which _from_numerators reduces modulo Phi_ell.
     """
     if ell < 3 or ell % 2 == 0:
         raise ValueError(f"ell must be odd and >= 3, got {ell}")
     sign = 1 if n > 0 else -1
-    return CycScalar(ell, {(abs(n) - 1 - 2 * i, ()): sign for i in range(abs(n))})
+    digits = [0] * ell
+    for i in range(abs(n)):
+        digits[(abs(n) - 1 - 2 * i) % ell] += sign
+    return _from_numerators(ell, digits, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +861,7 @@ def _sum_power_bits(v: CycScalar, n: int) -> int:
     m = v.conductor
     d = _common_denominator([v])
     s = sum(abs(c.numerator) * (d // c.denominator) for c in v.coeffs.values())
-    r = max((abs(x) for row in _zeta_reduction_rows(m) for x in row), default=0)
+    r = max((abs(x) for row in _zeta_reduction_rows(m) for _, x in row), default=0)
     return max(n * (s - 1).bit_length() + (1 + r * m).bit_length(), n * (d - 1).bit_length())
 
 

@@ -27,11 +27,26 @@ A module keeps its generators as dense ExactMatrix values, but each E_i and
 F_i has only O(dim) nonzero entries: at most one per column of A_k, and a
 few per column of a tensor product.  So the relation check and the
 coproduct run on the nonzero entries alone.  Each generator is read once
-into a map from (row, col) to its nonzero scalars.  Products, sums and
-scalings of these maps visit no zero and drop any entry that cancels, so
-two sides of a relation agree exactly when their maps are equal.
-relation_set shows the same maps as dense matrices, and tensor_rep writes
-its coproduct terms into dense generators.
+into a map from (row, col) to its nonzero values.  Products, sums and
+scalings of these maps visit no zero and drop any entry that cancels.
+tensor_rep writes its coproduct terms into dense generators.
+
+check_relations evaluates the relations on packed integers.  Each
+generator's entries are put over one common denominator, and each entry's
+integer vector over 1, zeta, .., zeta^(deg-1) is packed into one Python int
+at a width of w bits (Kronecker substitution, the scheme of
+scalars._packed_product).  Every relation is homogeneous in the generators
+(A3 in E_i F_j, A5 in X1^2 X2, A7 linear, X2^2), so both sides of one carry
+one product of the denominators, and the products, sums and scalings of
+the maps are plain int multiply-adds with no reduction.  w is taken from a
+stated bound on the coefficients of lhs - rhs (_packed_relations).  At the
+end each nonzero entry of lhs - rhs is unpacked once, folded mod ell,
+reduced modulo Phi_ell and divided by its denominator (scalars._from_packed).
+A relation holds when every entry reduces to zero; a failing one is
+witnessed by the first that does not, in column-major order, with that
+canonical value.  A module whose entries carry a formal variable runs the
+same _relations on its CycScalar entries, where lhs - rhs is canonical as
+it is built; so does relation_set, which shows the sides as dense matrices.
 """
 
 from __future__ import annotations
@@ -40,7 +55,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..matrices import ExactMatrix
-from ..scalars import CycScalar, quantum_integer
+from ..scalars import (CycScalar, _common_denominator, _from_packed, _kronecker_width,
+                       _numerators, _pack, quantum_integer)
 from ..verdicts import FAILS, HOLDS, Verdict, Witness
 from .characters import ParameterError, require_odd_ell
 
@@ -95,6 +111,7 @@ def build_Ak(k: int, ell: int, convention: str = "corrected") -> WeightModuleRep
     h_eigs = tuple((k - j - 2 * i, i + j) for j, i in labels)
 
     zero = CycScalar.zero(ell)
+    qint = [quantum_integer(n, ell) for n in range(k + 2)]  # [0] .. [k+1]
     E, F = ([[[zero] * dim for _ in range(dim)] for _ in CARTAN] for _ in "EF")
     for j, i in labels:
         src = index[(j, i)]
@@ -103,10 +120,9 @@ def build_Ak(k: int, ell: int, convention: str = "corrected") -> WeightModuleRep
         if j == 1 and (0, i + 1) in index:
             E[1][index[(0, i + 1)]][src] = CycScalar.one(ell)
         if i >= 1:
-            E[0][index[(j, i - 1)]][src] = quantum_integer(i, ell) * quantum_integer(k - j + 1 - i, ell)
+            E[0][index[(j, i - 1)]][src] = qint[i] * qint[k - j + 1 - i]
         if j == 0 and (1, i - 1) in index:
-            coeff = quantum_integer(i + 1 if convention == "paper" else i, ell)
-            F[1][index[(1, i - 1)]][src] = coeff
+            F[1][index[(1, i - 1)]][src] = qint[i + 1 if convention == "paper" else i]
 
     return WeightModuleRep(
         ell=ell, labels=tuple(labels), parities=parities, h_eigs=h_eigs,
@@ -125,8 +141,10 @@ def trivial_rep(ell: int) -> WeightModuleRep:
 # nonzero-entry maps
 # ---------------------------------------------------------------------------
 
-# A map from (row, col) to a nonzero scalar; every other entry is zero.
-Entries = dict[tuple[int, int], CycScalar]
+# A map from (row, col) to a nonzero value; every other entry is zero.  A
+# value is a CycScalar, or an int that packs an integer polynomial in zeta
+# (see _packed_relations): the maps take +, - and * from their values.
+Entries = dict[tuple[int, int], CycScalar | int]
 
 
 def _nonzero(x: ExactMatrix) -> Entries:
@@ -145,7 +163,7 @@ def _dense(x: Entries, n: int, ell: int) -> ExactMatrix:
 
 def _product(x: Entries, y: Entries) -> Entries:
     """x @ y: each nonzero x[r, k] meets the nonzero entries of row k of y."""
-    y_rows: dict[int, list[tuple[int, CycScalar]]] = {}
+    y_rows: dict[int, list[tuple[int, CycScalar | int]]] = {}
     for (k, c), b in y.items():
         y_rows.setdefault(k, []).append((c, b))
     out: Entries = {}
@@ -153,7 +171,7 @@ def _product(x: Entries, y: Entries) -> Entries:
         for c, b in y_rows.get(k, ()):
             ab = a * b
             out[r, c] = out[r, c] + ab if (r, c) in out else ab
-    return {key: e for key, e in out.items() if e.coeffs}
+    return {key: e for key, e in out.items() if e}
 
 
 def _combine(x: Entries, y: Entries, sign: int = 1) -> Entries:
@@ -164,17 +182,24 @@ def _combine(x: Entries, y: Entries, sign: int = 1) -> Entries:
             out[key] = b if sign > 0 else -b
             continue
         s = out[key] + b if sign > 0 else out[key] - b
-        if s.coeffs:
+        if s:
             out[key] = s
         else:
             del out[key]
     return out
 
 
-def _scale(x: Entries, c: CycScalar) -> Entries:
-    """c x; the empty map when c is zero.  A product of nonzero scalars is
-    nonzero (the Laurent ring over Q(zeta_m) has no zero divisors)."""
-    return {key: c * e for key, e in x.items()} if c.coeffs else {}
+def _scale(x: Entries, c: CycScalar | int) -> Entries:
+    """c x; the empty map when c is zero.  A product of nonzero values is
+    nonzero (neither the Laurent ring over Q(zeta_m) nor the ints have zero
+    divisors)."""
+    return {key: c * e for key, e in x.items()} if c else {}
+
+
+def _weight_bracket(weights: list[int], x: Entries) -> Entries:
+    """[H, X] for H = diag(weights): entry (r, c) is (weights[r] - weights[c]) X[r, c]."""
+    return {(r, c): e * (weights[r] - weights[c])
+            for (r, c), e in x.items() if weights[r] != weights[c]}
 
 
 # ---------------------------------------------------------------------------
@@ -236,46 +261,105 @@ def tensor_rep(a: WeightModuleRep, b: WeightModuleRep) -> WeightModuleRep:
 # the defining-relation checker
 # ---------------------------------------------------------------------------
 
-def _relations(rep: WeightModuleRep) -> list[tuple[str, Entries, Entries]]:
-    """relation_set(rep) with each side as its map of nonzero entries."""
-    ell = rep.ell
-    q = CycScalar.zeta(ell)
-    qq = q + q ** -1
-    E = [_nonzero(x) for x in rep.E]
-    F = [_nonzero(x) for x in rep.F]
+def _relations(rep: WeightModuleRep, gens: list[Entries], dens: tuple[int, ...],
+               qq: CycScalar | int, qint: dict) -> list[tuple[str, Entries, Entries, int]]:
+    """relation_set(rep) with each side as its map of nonzero entries, and the
+    denominator both sides carry.
+
+    gens holds the maps of E1, E2, F1, F2, each entry times the generator's
+    denominator in dens; qq is q + q^-1 and qint[h] is [h], in the maps'
+    values.  Each relation is homogeneous in the generators, so both of its
+    sides carry one product of those denominators; the right side of A3,
+    which holds no generator, is scaled by it."""
+    E, F = gens[:2], gens[2:]
+    dE, dF = dens[:2], dens[2:]
     roots = range(len(CARTAN))
 
     # A3: [E_i,F_j] = delta_ij (K_i-K_i^-1)/(q-q^-1), the right side evaluated
     # on the H_i spectrum, [h] once per weight h; the bracket anticommutes
     # when both roots are odd
-    qint = {w: quantum_integer(w, ell) for h in rep.h_eigs for w in h}
-    rels: list[tuple[str, Entries, Entries]] = []
+    rels: list[tuple[str, Entries, Entries, int]] = []
     for i in roots:
         for j in roots:
+            d = dE[i] * dF[j]
             says, rhs = "0", {}
             if i == j:
                 says = f"(K{i + 1}-K{i + 1}^-1)/(q-q^-1)"
-                rhs = {(p, p): qint[h[i]] for p, h in enumerate(rep.h_eigs) if qint[h[i]].coeffs}
+                rhs = {(p, p): qint[h[i]] * d for p, h in enumerate(rep.h_eigs) if qint[h[i]]}
             sign = 1 if ROOT_PARITY[i] and ROOT_PARITY[j] else -1
             rels.append((f"A3 ({i + 1},{j + 1}): [E{i + 1},F{j + 1}] = {says}",
-                         _combine(_product(E[i], F[j]), _product(F[j], E[i]), sign), rhs))
-    rels.append(("E2^2 = 0", _product(E[1], E[1]), {}))
-    rels.append(("F2^2 = 0", _product(F[1], F[1]), {}))
-    for name, (x1, x2) in (("E", E), ("F", F)):
+                         _combine(_product(E[i], F[j]), _product(F[j], E[i]), sign), rhs, d))
+    rels.append(("E2^2 = 0", _product(E[1], E[1]), {}, dE[1] * dE[1]))
+    rels.append(("F2^2 = 0", _product(F[1], F[1]), {}, dF[1] * dF[1]))
+    for name, (x1, x2), (d1, d2) in (("E", E, dE), ("F", F, dF)):
         x11 = _product(x1, x1)
         lhs = _combine(_combine(_product(x11, x2), _product(x2, x11)),
                        _scale(_product(_product(x1, x2), x1), qq), -1)
         rels.append((f"A5: {name}1^2 {name}2 - (q+q^-1) {name}1{name}2{name}1 "
-                     f"+ {name}2 {name}1^2 = 0", lhs, {}))
+                     f"+ {name}2 {name}1^2 = 0", lhs, {}, d1 * d1 * d2))
     for i in roots:
         weights = [h[i] for h in rep.h_eigs]
         for j in roots:
             aij = CARTAN[i][j]
             rels.append((f"A7: [H{i + 1},E{j + 1}] = a{i + 1}{j + 1} E{j + 1}",
-                         _weight_bracket(weights, E[j]), _scale(E[j], CycScalar.rational(aij, ell))))
+                         _weight_bracket(weights, E[j]), _scale(E[j], aij), dE[j]))
             rels.append((f"A7: [H{i + 1},F{j + 1}] = -a{i + 1}{j + 1} F{j + 1}",
-                         _weight_bracket(weights, F[j]), _scale(F[j], CycScalar.rational(-aij, ell))))
+                         _weight_bracket(weights, F[j]), _scale(F[j], -aij), dF[j]))
     return rels
+
+
+def _generators(rep: WeightModuleRep) -> list[Entries]:
+    """The maps of E1, E2, F1, F2."""
+    return [_nonzero(x) for x in rep.E + rep.F]
+
+
+def _scalar_relations(rep: WeightModuleRep, gens: list[Entries]):
+    """_relations on the generators' CycScalar entries, every denominator 1."""
+    ell = rep.ell
+    q = CycScalar.zeta(ell)
+    qint = {w: quantum_integer(w, ell) for w in set().union(*rep.h_eigs)}
+    return _relations(rep, gens, (1, 1, 1, 1), q + q ** -1, qint)
+
+
+def _packed_relations(rep: WeightModuleRep, gens: list[Entries]):
+    """_relations on packed integer numerators, and the packing width w.
+
+    Each generator's entries are put over its common denominator, and each
+    entry's integer vector over 1, zeta, .., zeta^(deg-1) is packed into one
+    int at width w (Kronecker substitution, _pack); so are q + q^-1 and the
+    [h].  A product, sum or scaling of maps is then plain int arithmetic,
+    and an entry of a side packs the integer polynomial in zeta, of degree
+    at most 4 (deg - 1) (the A5 term (q + q^-1) X1 X2 X1 multiplies four
+    vectors), that the same operations make of the numerators, unreduced.
+    The difference of the two sides unpacks into its coefficients when each
+    is below 2^(w-1) in size.  With n = dim, L the largest L1 norm of a
+    generator's numerator vector, D the largest denominator, H and Q the
+    largest L1 norm of a [h] and of q + q^-1, and G the largest spread of
+    one weight, no such coefficient is over
+      2 n L^2 + D^2 H     in A3 and X2^2 (two sums of n products of two
+                          entries, and D_E D_F [h]);
+      (2 + Q) n^2 L^3     in A5 (sums of n^2 products of three, one of them
+                          times q + q^-1);
+      (G + 2) L           in A7 ((h(r) - h(c)) X[r, c] and a_ij X[r, c],
+                          |a_ij| <= 2),
+    so w is _kronecker_width of the largest of the three."""
+    ell, n = rep.ell, rep.dim
+    dens = tuple(_common_denominator(g.values()) for g in gens)
+    nums = [{key: _numerators(e, d) for key, e in g.items()} for g, d in zip(gens, dens)]
+    q = CycScalar.zeta(ell)
+    qq = _numerators(q + q ** -1, 1)
+    qint = {w: _numerators(quantum_integer(w, ell), 1) for w in set().union(*rep.h_eigs)}
+
+    def l1(v):
+        return sum(abs(c) for _, c in v)
+    top = max((l1(e) for g in nums for e in g.values()), default=0)
+    spread = max(max(ws) - min(ws) for ws in zip(*rep.h_eigs))
+    bound = max(2 * n * top ** 2 + max(dens) ** 2 * max(map(l1, qint.values())),
+                (2 + l1(qq)) * n ** 2 * top ** 3, (spread + 2) * top)
+    w = _kronecker_width(bound)
+    packed = [{key: _pack(e, w) for key, e in g.items()} for g in nums]
+    return _relations(rep, packed, dens, _pack(qq, w),
+                      {h: _pack(v, w) for h, v in qint.items()}), w
 
 
 def relation_set(rep: WeightModuleRep) -> list[tuple[str, ExactMatrix, ExactMatrix]]:
@@ -295,13 +379,7 @@ def relation_set(rep: WeightModuleRep) -> list[tuple[str, ExactMatrix, ExactMatr
     differ by a multiple of ell.  A4 and A6 are vacuous for sl(2|1).
     """
     return [(name, _dense(lhs, rep.dim, rep.ell), _dense(rhs, rep.dim, rep.ell))
-            for name, lhs, rhs in _relations(rep)]
-
-
-def _weight_bracket(weights: list[int], x: Entries) -> Entries:
-    """[H, X] for H = diag(weights): entry (r, c) is (weights[r] - weights[c]) X[r, c]."""
-    return {(r, c): e * (weights[r] - weights[c])
-            for (r, c), e in x.items() if weights[r] != weights[c]}
+            for name, lhs, rhs, _ in _scalar_relations(rep, _generators(rep))]
 
 
 UNEVALUATED = (
@@ -310,33 +388,48 @@ UNEVALUATED = (
     "A2 Ki X Ki^-1 = q^(+-aij) X follows from A7; A4 and A6 are vacuous for sl(2|1)")
 
 
-def _first_mismatch(lhs: Entries, rhs: Entries) -> tuple[int, int]:
-    """The (row, col) with the smallest (col, row) at which two unequal maps differ."""
-    col, row = min((c, r) for (r, c) in lhs.keys() | rhs.keys()
-                   if (r, c) not in lhs or (r, c) not in rhs or lhs[r, c] != rhs[r, c])
-    return row, col
+def _first_mismatch(diff: Entries, ell: int, w: int | None, d: int):
+    """The (row, col) with the smallest (col, row) at which diff is nonzero,
+    and its value there; None when there is none.  An entry of diff is its
+    value when w is None, else a packed int whose value is _from_packed of
+    it at width w over the denominator d."""
+    for col, row in sorted((c, r) for r, c in diff):
+        x = diff[row, col]
+        if w is not None:
+            x = _from_packed(ell, x, w, d)
+        if x:
+            return row, col, x
+    return None
 
 
 def check_relations(rep: WeightModuleRep) -> Verdict:
     """Evaluate relation_set(rep) as exact matrix identities on rep.
 
-    Each relation compares the nonzero-entry maps of its two sides.  A failing
-    one is witnessed by its first mismatch in column-major order, with the
-    value lhs - rhs there.  The first note, UNEVALUATED, names the clauses
-    that hold without a check."""
+    A module whose entries hold no formal variable is checked on packed
+    integer numerators (_packed_relations): each entry of lhs - rhs is
+    unpacked, folded mod ell, reduced modulo Phi_ell and divided by the
+    relation's denominator once, by _from_packed.  A module with a formal
+    variable is checked on its CycScalar entries, where lhs - rhs is
+    canonical already.  A relation holds when no entry of lhs - rhs is
+    nonzero; a failing one is witnessed by its first nonzero entry in
+    column-major order, with its value.  The first note, UNEVALUATED, names
+    the clauses that hold without a check."""
     v = Verdict("sl21-relations", HOLDS,
                 params={"ell": str(rep.ell), "dim": str(rep.dim),
                         "convention": str(rep.convention)},
                 notes=[UNEVALUATED])
-    rels = _relations(rep)
-    zero = CycScalar.zero(rep.ell)
-    for name, lhs, rhs in rels:
-        if lhs == rhs:
+    gens = _generators(rep)
+    if any(vk for g in gens for e in g.values() for _, vk in e.coeffs):
+        rels, w = _scalar_relations(rep, gens), None
+    else:
+        rels, w = _packed_relations(rep, gens)
+    for name, lhs, rhs, d in rels:
+        bad = _first_mismatch(_combine(lhs, rhs, -1), rep.ell, w, d)
+        if bad is None:
             v.notes.append(f"{name}: holds")
             continue
         v.status = FAILS
-        row, col = _first_mismatch(lhs, rhs)
-        disc = lhs.get((row, col), zero) - rhs.get((row, col), zero)
+        row, col, disc = bad
         v.witnesses.append(Witness(
             name, (str(rep.labels[col]), row, col), str(disc)))
         v.notes.append(f"{name}: fails on basis vector {rep.labels[col]}")

@@ -551,6 +551,45 @@ class TestDeltaMemo:
         dp, dm = checks_mod._try_deltas(d, g)
         assert dp is None and dm == checks_mod.delta_minus(d, g, 0)
 
+    def test_check_all_multiplies_each_delta_pair_once(self, monkeypatch):
+        # check_nondegeneracy and check_relative_modularity read one product
+        products = []
+        original = checks_mod._memo
+
+        def recording(datum, key, inputs, compute):
+            if key[0] == "Delta product":
+                return original(datum, key, inputs, lambda: products.append(key) or compute())
+            return original(datum, key, inputs, compute)
+
+        monkeypatch.setattr(checks_mod, "_memo", recording)
+        d = pointed_datum(5, random.Random(3))
+        assert all(v.status == HOLDS for v in _run_all(d))
+        assert sorted(str(g) for _, g in products) == ["-a", "a"]
+        for g in d.degrees:
+            dp, dm = checks_mod._try_deltas(d, g)
+            assert checks_mod._delta_product(d, g) == dp * dm
+        assert len(products) == 2
+
+
+
+class TestBlockIndex:
+    def test_the_first_block_for_a_pair_wins(self):
+        d = emit_datum(3)
+        a = Degree(alpha=1)
+        block = d.block(a, a)
+        assert block is d.sprime[[(b.row_degree, b.col_degree) for b in d.sprime].index((a, a))]
+        zero = dataclasses.replace(block, matrix=ExactMatrix.zeros(
+            block.matrix.rows, block.matrix.cols, 3))
+        assert dataclasses.replace(d, sprime=d.sprime + (zero,)).block(a, a) is block
+        assert dataclasses.replace(d, sprime=(zero,) + d.sprime).block(a, a) is zero
+        assert d.block(a, Degree(alpha=2)) is None
+
+    def test_a_replaced_sprime_is_indexed_afresh(self):
+        d = pointed_datum(3, random.Random(1))
+        g = Degree(alpha=1)
+        assert d.block(g, g) is not None
+        object.__setattr__(d, "sprime", tuple(b for b in d.sprime if b.row_degree != g))
+        assert d.block(g, g) is None
 
 
 class TestMemoInputs:

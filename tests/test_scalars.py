@@ -947,7 +947,12 @@ class TestCanonicalReader:
     def test_round_trip(self, case):
         m, v = case
         text = str(v)
-        assert scalars_mod._read_canonical(text, m) is not None or v.is_zero
+        # the reader takes every printed literal whose numerals have at most
+        # 18 digits; terms that meet on one key can sum to a longer fraction,
+        # which it leaves to the scanner, as it leaves "0"
+        short = all(len(str(abs(c.numerator))) <= 18 and len(str(c.denominator)) <= 18
+                    for c in v.coeffs.values())
+        assert (scalars_mod._read_canonical(text, m) is None) == (v.is_zero or not short)
         got = parse_scalar(text, m)
         assert got == v and str(got) == text
         assert typed_coeffs(got) == typed_coeffs(v)

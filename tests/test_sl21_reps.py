@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -491,3 +492,122 @@ def test_relation_reports_are_pinned():
                 t = tensor_rep(build_Ak(k1, ell), build_Ak(k2, ell))
                 digest.update((json_text(check_relations(t).to_json()) + "\n").encode())
     assert digest.hexdigest() == RELATIONS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the packed relation check: denominators, large entries and formal variables,
+# each against the dense reference verdict
+# ---------------------------------------------------------------------------
+
+def _scaled_generators(rep, factors):
+    """rep with E1, E2, F1, F2 multiplied by the scalars in factors."""
+    import dataclasses
+    gens = [x.scale(c) for x, c in zip(rep.E + rep.F, factors)]
+    return dataclasses.replace(rep, E=tuple(gens[:2]), F=tuple(gens[2:]))
+
+
+def _assert_verdict_matches_reference(rep, status):
+    v = check_relations(rep)
+    assert v.to_json() == _reference_verdict(rep).to_json()
+    assert v.status == status
+
+
+def _rationals(ell, *qs):
+    return [CycScalar.rational(Fraction(q), ell) for q in qs]
+
+
+@pytest.mark.parametrize("ell,k", [(5, 3), (7, 4), (9, 4)])
+def test_generators_with_denominators(ell, k):
+    # E_i c and F_i / c keep every relation, whatever denominators c carries;
+    # a factor of zeta^k on one side only breaks A3 (i,i)
+    half_zeta = CycScalar.rational(Fraction(1, 2), ell) * CycScalar.zeta(ell, 2)
+    for base in (build_Ak(k, ell), tensor_rep(build_Ak(2, ell), build_Ak(1, ell))):
+        three_fifths, two, five_thirds, half = _rationals(ell, "3/5", 2, "5/3", "1/2")
+        _assert_verdict_matches_reference(
+            _scaled_generators(base, (half_zeta, three_fifths, half_zeta.inverse(), five_thirds)),
+            HOLDS)
+        _assert_verdict_matches_reference(
+            _scaled_generators(base, (half_zeta, three_fifths, two, five_thirds)), FAILS)
+        _assert_verdict_matches_reference(
+            _scaled_generators(base, (half, three_fifths, two, half)), FAILS)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_perturbed_generators_with_denominators(seed):
+    # random entries of 1/2 zeta^k and 3/5, off the weight spaces
+    import dataclasses
+    import random
+    rng = random.Random(100 + seed)
+    ell = (5, 7, 9, 15)[seed]
+    rep = build_Ak(rng.randint(2, ell - 1), ell)
+    zero = CycScalar.zero(ell)
+
+    def entry():
+        if rng.random() < 0.5:
+            return CycScalar.rational(Fraction(1, 2), ell) * CycScalar.zeta(ell, rng.randrange(ell))
+        return CycScalar.rational(Fraction(3, 5), ell)
+    gens = [ExactMatrix(rep.dim, rep.dim, ell, [entry() if rng.random() < 0.2 else zero
+                                               for _ in range(rep.dim ** 2)])
+            if i == seed else x for i, x in enumerate(rep.E + rep.F)]
+    bad = dataclasses.replace(rep, E=tuple(gens[:2]), F=tuple(gens[2:]))
+    _assert_verdict_matches_reference(bad, FAILS)
+
+
+@pytest.mark.parametrize("ell", [5, 7, 21])
+def test_entries_near_the_packing_width(ell):
+    # numerators of 10^12 and more set the packing width; E1 10^12 with
+    # F1 10^-12 holds, and E1 (10^12 + 1) or a zeta-power perturbation fails
+    big = 10 ** 12
+    base = build_Ak(min(4, ell - 1), ell)
+    one, = _rationals(ell, 1)
+    for e1, f1, status in ((big, Fraction(1, big), HOLDS),
+                           (big + 1, Fraction(1, big), FAILS),
+                           (-3 * big, Fraction(-1, 3 * big), HOLDS)):
+        e1, f1 = _rationals(ell, e1, f1)
+        _assert_verdict_matches_reference(_scaled_generators(base, (e1, one, f1, one)), status)
+    # every entry of E2 a multiple of 10^12 and a zeta power: the relations
+    # with E2 fail, each at its first entry
+    e2 = CycScalar.rational(7 * big, ell) * CycScalar.zeta(ell, 3) + CycScalar.rational(big, ell)
+    _assert_verdict_matches_reference(_scaled_generators(base, (one, e2, one, one)), FAILS)
+
+
+def test_unpacking_at_the_digit_bound():
+    # every coefficient +-top, at or just past 2^(w-1) - 1, the largest a
+    # width takes; digits of up to 64 bits are read as machine words, wider
+    # ones as bytes
+    from relmod.scalars import _from_packed, _kronecker_width, _pack
+    ell = 7
+    for top, width in ((1, 8), (2 ** 7 - 1, 8), (2 ** 7, 16), (2 ** 15 - 1, 16), (2 ** 15, 32),
+                       (10 ** 12, 64), (2 ** 63 - 1, 64), (2 ** 63, 72), (2 ** 71 - 1, 72),
+                       (2 ** 71, 80)):
+        w = _kronecker_width(top)
+        assert w == width and top < 2 ** (w - 1)
+        for signs in ((1, -1, 1, 1, -1, -1, 1, -1, 1, -1, -1), (-1,) * 11, (1,) * 11):
+            coeffs = [(t, s * top) for t, s in enumerate(signs)]
+            want = CycScalar(ell, {(t, ()): Fraction(c, 3) for t, c in coeffs})
+            assert _from_packed(ell, _pack(coeffs, w), w, 3) == want
+
+
+def test_formal_variable_controls():
+    # E1 u and F1 u^-1 keep every relation: [E1 u, F1 u^-1] = [E1, F1] and
+    # A5 scales by u^2; E1 u with F1 u breaks A3 (1,1) by a factor of u^2
+    ell = 7
+    u = CycScalar.variable("u", ell)
+    one, = _rationals(ell, 1)
+    for base in (build_Ak(3, ell), tensor_rep(build_Ak(1, ell), build_Ak(2, ell))):
+        good = _scaled_generators(base, (u, one, u ** -1, one))
+        _assert_verdict_matches_reference(good, HOLDS)
+        bad = _scaled_generators(base, (u, one, u, one))
+        _assert_verdict_matches_reference(bad, FAILS)
+        assert [w.name.split(":")[0] for w in check_relations(bad).witnesses] == ["A3 (1,1)"]
+
+
+# SHA-256 of the stdout of `relmod sl21 relations --ell 61 --k 60`.
+RELATIONS_ELL61_SHA256 = "8d8dccf80607197c4c0671c5ffcd386f754fc185b5118fe84909e6c0cfd361d3"
+
+
+def test_relations_report_at_ell_61_is_pinned(capsys):
+    from relmod.cli import main
+    assert main(["sl21", "relations", "--ell", "61", "--k", "60", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == RELATIONS_ELL61_SHA256
