@@ -204,10 +204,6 @@ class ExactMatrix:
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self._entrywise(other, CycScalar.__sub__)
 
-    def scale(self, c: CycScalar) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, self.conductor,
-                           [c * e if e.coeffs else e for e in self.entries])
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")

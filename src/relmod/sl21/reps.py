@@ -17,19 +17,17 @@ super-commutator against the H2 spectrum).
 Cartan data: a = [[2,-1],[-1,0]], d = (1,1) (the matrix is already symmetric,
 so the symmetrizers are trivial); root 1 is even and root 2 odd.  A module
 holds its generators indexed by simple root from 0: rep.E[0] is E1 and
-rep.F[1] is F2.  rep.H(i) and rep.K(i, power) = q^(power d_i H_i) are
-diagonals read off h_eigs, with the same index.  tensor_rep states the
-coproduct and relation_set the A3 and A7 clauses once over the roots.
-check_relations evaluates only the 16 clauses that involve E_i or F_i;
-relation_set says why the others hold.
+rep.F[1] is F2.  H_i and K_i = q^(d_i H_i) are diagonal, so a module keeps
+only their eigenvalues, h_eigs.  tensor_rep states the coproduct and
+_relations the A3 and A7 clauses once over the roots.  check_relations
+evaluates only the 16 clauses that involve E_i or F_i, and says why the
+others hold.
 
-A module keeps its generators as dense ExactMatrix values, but each E_i and
-F_i has only O(dim) nonzero entries: at most one per column of A_k, and a
-few per column of a tensor product.  So the relation check and the
-coproduct run on the nonzero entries alone.  Each generator is read once
-into a map from (row, col) to its nonzero values.  Products, sums and
-scalings of these maps visit no zero and drop any entry that cancels.
-tensor_rep writes its coproduct terms into dense generators.
+Each E_i and F_i has only O(dim) nonzero entries: at most one per column
+of A_k, and a few per column of a tensor product.  So a module keeps each
+as a map from (row, col) to its nonzero values (Entries), and the relation
+check and the coproduct run on the nonzero entries alone.  Products, sums
+and scalings of these maps visit no zero and drop any entry that cancels.
 
 check_relations evaluates the relations on packed integers.  Each
 generator's entries are put over one common denominator, and each entry's
@@ -46,7 +44,7 @@ A relation holds when every entry reduces to zero; a failing one is
 witnessed by the first that does not, in column-major order, with that
 canonical value.  A module whose entries carry a formal variable runs the
 same _relations on its CycScalar entries, where lhs - rhs is canonical as
-it is built; so does relation_set, which shows the sides as dense matrices.
+it is built.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..matrices import ExactMatrix
 from ..scalars import (CycScalar, _common_denominator, _from_packed, _kronecker_width,
                        _numerators, _pack, quantum_integer)
 from ..verdicts import FAILS, HOLDS, Verdict, Witness
@@ -65,40 +62,30 @@ ROOT_PARITY = (0, 1)   # the parity of E_i and F_i, per simple root
 CONVENTIONS = ("paper", "corrected")
 
 
+# A map from (row, col) to a nonzero value; every other entry is zero.  A
+# value is a CycScalar, or an int that packs an integer polynomial in zeta
+# (see _packed_relations): the maps take +, - and * from their values.
+Entries = dict[tuple[int, int], CycScalar | int]
+
+
 @dataclass(frozen=True)
 class WeightModuleRep:
     ell: int
     labels: tuple          # opaque basis labels
     parities: tuple[int, ...]
     h_eigs: tuple[tuple[int, int], ...]   # (H1, H2) eigenvalue per basis vector
-    E: tuple[ExactMatrix, ...]            # E[i] is E_(i+1), one per simple root
-    F: tuple[ExactMatrix, ...]
+    E: tuple[Entries, ...]                # E[i] is E_(i+1), one per simple root
+    F: tuple[Entries, ...]
     convention: str | None = None
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
-    def _diag(self, i: int, power: int | None) -> ExactMatrix:
-        """diag(H_(i+1)) when power is None, else diag(q^(power H_(i+1))), read
-        off h_eigs."""
-        ell = self.ell
-        eigs = [h[i] for h in self.h_eigs]
-        return ExactMatrix.diagonal(
-            [CycScalar.rational(e, ell) if power is None else CycScalar.zeta(ell, power * e)
-             for e in eigs], ell)
-
-    def H(self, i: int) -> ExactMatrix:
-        """H_(i+1), the Cartan generator of simple root i."""
-        return self._diag(i, None)
-
-    def K(self, i: int, power: int = 1) -> ExactMatrix:
-        """K_(i+1)^power = q^(power H_(i+1))."""
-        return self._diag(i, power)
-
 
 def build_Ak(k: int, ell: int, convention: str = "corrected") -> WeightModuleRep:
-    """The deformation A_k of the super-symmetric power, as explicit matrices."""
+    """The deformation A_k of the super-symmetric power, its generators as
+    nonzero-entry maps."""
     require_odd_ell(ell)
     if not 1 <= k <= ell - 1:
         raise ParameterError(f"k must satisfy 1 <= k <= ell-1, got k={k}")
@@ -106,60 +93,40 @@ def build_Ak(k: int, ell: int, convention: str = "corrected") -> WeightModuleRep
         raise ParameterError(f"unknown convention {convention!r}")
     labels = [(0, i) for i in range(k + 1)] + [(1, i) for i in range(k)]
     index = {lab: n for n, lab in enumerate(labels)}
-    dim = len(labels)
     parities = tuple(j for j, _ in labels)
     h_eigs = tuple((k - j - 2 * i, i + j) for j, i in labels)
 
-    zero = CycScalar.zero(ell)
+    one = CycScalar.one(ell)
     qint = [quantum_integer(n, ell) for n in range(k + 2)]  # [0] .. [k+1]
-    E, F = ([[[zero] * dim for _ in range(dim)] for _ in CARTAN] for _ in "EF")
+    E, F = ([{} for _ in CARTAN] for _ in "EF")
     for j, i in labels:
         src = index[(j, i)]
         if (j, i + 1) in index:
-            F[0][index[(j, i + 1)]][src] = CycScalar.one(ell)
+            F[0][index[(j, i + 1)], src] = one
         if j == 1 and (0, i + 1) in index:
-            E[1][index[(0, i + 1)]][src] = CycScalar.one(ell)
+            E[1][index[(0, i + 1)], src] = one
         if i >= 1:
-            E[0][index[(j, i - 1)]][src] = qint[i] * qint[k - j + 1 - i]
-        if j == 0 and (1, i - 1) in index:
-            F[1][index[(1, i - 1)]][src] = qint[i + 1 if convention == "paper" else i]
+            E[0][index[(j, i - 1)], src] = qint[i] * qint[k - j + 1 - i]
+        # [i] and [k-j+1-i] above lie in [1] .. [ell-1] and never vanish; the
+        # paper's [i+1] is [ell] = 0 at i = k = ell - 1, and is skipped
+        f2 = qint[i + 1 if convention == "paper" else i]
+        if j == 0 and (1, i - 1) in index and f2:
+            F[1][index[(1, i - 1)], src] = f2
 
-    return WeightModuleRep(
-        ell=ell, labels=tuple(labels), parities=parities, h_eigs=h_eigs,
-        E=tuple(ExactMatrix.from_rows(m, ell) for m in E),
-        F=tuple(ExactMatrix.from_rows(m, ell) for m in F), convention=convention)
+    return WeightModuleRep(ell=ell, labels=tuple(labels), parities=parities, h_eigs=h_eigs,
+                           E=tuple(E), F=tuple(F), convention=convention)
 
 
 def trivial_rep(ell: int) -> WeightModuleRep:
     """The 1-dimensional trivial module."""
-    zeros = (ExactMatrix.zeros(1, 1, ell),) * len(CARTAN)
+    empty = ({},) * len(CARTAN)
     return WeightModuleRep(ell=ell, labels=("1",), parities=(0,), h_eigs=((0, 0),),
-                           E=zeros, F=zeros, convention=None)
+                           E=empty, F=empty, convention=None)
 
 
 # ---------------------------------------------------------------------------
 # nonzero-entry maps
 # ---------------------------------------------------------------------------
-
-# A map from (row, col) to a nonzero value; every other entry is zero.  A
-# value is a CycScalar, or an int that packs an integer polynomial in zeta
-# (see _packed_relations): the maps take +, - and * from their values.
-Entries = dict[tuple[int, int], CycScalar | int]
-
-
-def _nonzero(x: ExactMatrix) -> Entries:
-    """The nonzero entries of x by (row, col)."""
-    n = x.cols
-    return {divmod(p, n): e for p, e in enumerate(x.entries) if e.coeffs}
-
-
-def _dense(x: Entries, n: int, ell: int) -> ExactMatrix:
-    """The n x n matrix with the entries of x and zero elsewhere."""
-    entries = [CycScalar.zero(ell)] * (n * n)
-    for (r, c), e in x.items():
-        entries[r * n + c] = e
-    return ExactMatrix(n, n, ell, entries)
-
 
 def _product(x: Entries, y: Entries) -> Entries:
     """x @ y: each nonzero x[r, k] meets the nonzero entries of row k of y."""
@@ -206,25 +173,21 @@ def _weight_bracket(weights: list[int], x: Entries) -> Entries:
 # tensor product via the coproduct
 # ---------------------------------------------------------------------------
 
-def _coproduct(x: ExactMatrix, b_diag: list[CycScalar], a_diag: list[CycScalar],
-               y: ExactMatrix, signs: list[int], ell: int) -> ExactMatrix:
+def _coproduct(x: Entries, b_diag: list[CycScalar], a_diag: list[CycScalar],
+               y: Entries, signs: list[int]) -> Entries:
     """x (x) diag(b_diag) + diag(a_diag) (x) y on the tensor basis v_p (x) w_q.
 
-    Each term is built from the nonzero entries of x or y alone.  The second
-    term carries the Koszul sign (-1)^(|y| |v_p|), signs[p], decided by the
-    parity of the first-factor column vector; the first term's diagonal is
-    even and carries none."""
+    Every product in either term is nonzero, since the diagonals hold units.
+    The second term carries the Koszul sign
+    (-1)^(|y| |v_p|), signs[p], decided by the parity of the first-factor
+    column vector; the first term's diagonal is even and carries none.  An
+    entry where the two terms cancel is dropped."""
     nb = len(b_diag)
-    dim = len(a_diag) * nb
-    out = [CycScalar.zero(ell)] * (dim * dim)
-    for (p2, p), e in _nonzero(x).items():
-        for q, d in enumerate(b_diag):
-            out[(p2 * nb + q) * dim + p * nb + q] = e * d
-    for (q2, q), e in _nonzero(y).items():
-        for p, d in enumerate(a_diag):
-            at = (p * nb + q2) * dim + p * nb + q
-            out[at] = out[at] + (d * e if signs[p] > 0 else -(d * e))
-    return ExactMatrix(dim, dim, ell, out)
+    first = {(p2 * nb + q, p * nb + q): e * d
+             for (p2, p), e in x.items() for q, d in enumerate(b_diag)}
+    second = {(p * nb + q2, p * nb + q): d * e if signs[p] > 0 else -(d * e)
+              for (q2, q), e in y.items() for p, d in enumerate(a_diag)}
+    return _combine(first, second)
 
 
 def tensor_rep(a: WeightModuleRep, b: WeightModuleRep) -> WeightModuleRep:
@@ -251,8 +214,8 @@ def tensor_rep(a: WeightModuleRep, b: WeightModuleRep) -> WeightModuleRep:
         signs = [-1 if root_parity and pa % 2 else 1 for pa in a.parities]
         k_inv_a = [CycScalar.zeta(ell, -h[i]) for h in a.h_eigs]
         k_b = [CycScalar.zeta(ell, h[i]) for h in b.h_eigs]
-        E.append(_coproduct(a.E[i], ones_b, k_inv_a, b.E[i], signs, ell))
-        F.append(_coproduct(a.F[i], k_b, ones_a, b.F[i], signs, ell))
+        E.append(_coproduct(a.E[i], ones_b, k_inv_a, b.E[i], signs))
+        F.append(_coproduct(a.F[i], k_b, ones_a, b.F[i], signs))
     return WeightModuleRep(ell=ell, labels=labels, parities=parities, h_eigs=h_eigs,
                            E=tuple(E), F=tuple(F), convention=a.convention or b.convention)
 
@@ -263,8 +226,15 @@ def tensor_rep(a: WeightModuleRep, b: WeightModuleRep) -> WeightModuleRep:
 
 def _relations(rep: WeightModuleRep, gens: list[Entries], dens: tuple[int, ...],
                qq: CycScalar | int, qint: dict) -> list[tuple[str, Entries, Entries, int]]:
-    """relation_set(rep) with each side as its map of nonzero entries, and the
-    denominator both sides carry.
+    """The defining relations that involve E_i or F_i, as (name, lhs, rhs, d):
+    the two sides that must agree, each as its map of nonzero entries, and
+    the denominator both carry.
+
+    These are A3, E2^2 = F2^2 = 0, A5 and the A7 clauses [H_i,X_j] = +-a_ij X_j.
+    A5 computes X1^2 once.  H_i is diagonal, so the left side of A7 is read
+    off the weight spectrum: entry (r, c) of [H_i, X] is
+    (h_i(r) - h_i(c)) X[r, c], the same matrix as H_i X - X H_i for every X,
+    without the two products.
 
     gens holds the maps of E1, E2, F1, F2, each entry times the generator's
     denominator in dens; qq is q + q^-1 and qint[h] is [h], in the maps'
@@ -308,20 +278,15 @@ def _relations(rep: WeightModuleRep, gens: list[Entries], dens: tuple[int, ...],
     return rels
 
 
-def _generators(rep: WeightModuleRep) -> list[Entries]:
-    """The maps of E1, E2, F1, F2."""
-    return [_nonzero(x) for x in rep.E + rep.F]
-
-
-def _scalar_relations(rep: WeightModuleRep, gens: list[Entries]):
+def _scalar_relations(rep: WeightModuleRep):
     """_relations on the generators' CycScalar entries, every denominator 1."""
     ell = rep.ell
     q = CycScalar.zeta(ell)
     qint = {w: quantum_integer(w, ell) for w in set().union(*rep.h_eigs)}
-    return _relations(rep, gens, (1, 1, 1, 1), q + q ** -1, qint)
+    return _relations(rep, list(rep.E + rep.F), (1, 1, 1, 1), q + q ** -1, qint)
 
 
-def _packed_relations(rep: WeightModuleRep, gens: list[Entries]):
+def _packed_relations(rep: WeightModuleRep):
     """_relations on packed integer numerators, and the packing width w.
 
     Each generator's entries are put over its common denominator, and each
@@ -344,6 +309,7 @@ def _packed_relations(rep: WeightModuleRep, gens: list[Entries]):
                           |a_ij| <= 2),
     so w is _kronecker_width of the largest of the three."""
     ell, n = rep.ell, rep.dim
+    gens = rep.E + rep.F
     dens = tuple(_common_denominator(g.values()) for g in gens)
     nums = [{key: _numerators(e, d) for key, e in g.items()} for g, d in zip(gens, dens)]
     q = CycScalar.zeta(ell)
@@ -360,26 +326,6 @@ def _packed_relations(rep: WeightModuleRep, gens: list[Entries]):
     packed = [{key: _pack(e, w) for key, e in g.items()} for g in nums]
     return _relations(rep, packed, dens, _pack(qq, w),
                       {h: _pack(v, w) for h, v in qint.items()}), w
-
-
-def relation_set(rep: WeightModuleRep) -> list[tuple[str, ExactMatrix, ExactMatrix]]:
-    """The defining relations that involve E_i or F_i, as pairs of matrices that must agree.
-
-    These are A3, E2^2 = F2^2 = 0, A5 and the A7 clauses [H_i,X_j] = +-a_ij X_j.
-    Each side is computed on the generators' nonzero entries (see the module
-    docstring) and shown here as a dense matrix; check_relations compares the
-    same sides without the dense view.  A5 computes X1^2 once.  H_i is
-    diagonal, so the left side of A7 is read off the weight spectrum: entry
-    (r, c) of [H_i, X] is (h_i(r) - h_i(c)) X[r, c], the same matrix as
-    H(i) @ X - X @ H(i) for every X, without the two products.
-    The others cannot fail here.  A1, [H1,H2] = 0, [H_i,K_j] = 0 and
-    K_i = q^(d_i H_i) compare diagonals read off the same h_eigs.  A2 follows
-    from A7: X[r,c] != 0 forces h_i(r) - h_i(c) = +-a_ij, so conjugating by
-    q^(H_i) scales that entry by q^(+-a_ij); A7 also rejects weight gaps that
-    differ by a multiple of ell.  A4 and A6 are vacuous for sl(2|1).
-    """
-    return [(name, _dense(lhs, rep.dim, rep.ell), _dense(rhs, rep.dim, rep.ell))
-            for name, lhs, rhs, _ in _scalar_relations(rep, _generators(rep))]
 
 
 UNEVALUATED = (
@@ -403,7 +349,14 @@ def _first_mismatch(diff: Entries, ell: int, w: int | None, d: int):
 
 
 def check_relations(rep: WeightModuleRep) -> Verdict:
-    """Evaluate relation_set(rep) as exact matrix identities on rep.
+    """Evaluate the 16 relations of _relations as exact matrix identities on rep.
+
+    The other defining relations cannot fail here.  A1, [H1,H2] = 0, [H_i,K_j] = 0 and
+    K_i = q^(d_i H_i) compare diagonals read off the same h_eigs.  A2 follows
+    from A7: X[r,c] != 0 forces h_i(r) - h_i(c) = +-a_ij, so conjugating by
+    q^(H_i) scales that entry by q^(+-a_ij); A7 also rejects weight gaps that
+    differ by a multiple of ell.  A4 and A6 are vacuous for sl(2|1).  The
+    first note, UNEVALUATED, names these clauses.
 
     A module whose entries hold no formal variable is checked on packed
     integer numerators (_packed_relations): each entry of lhs - rhs is
@@ -412,17 +365,15 @@ def check_relations(rep: WeightModuleRep) -> Verdict:
     variable is checked on its CycScalar entries, where lhs - rhs is
     canonical already.  A relation holds when no entry of lhs - rhs is
     nonzero; a failing one is witnessed by its first nonzero entry in
-    column-major order, with its value.  The first note, UNEVALUATED, names
-    the clauses that hold without a check."""
+    column-major order, with its value."""
     v = Verdict("sl21-relations", HOLDS,
                 params={"ell": str(rep.ell), "dim": str(rep.dim),
                         "convention": str(rep.convention)},
                 notes=[UNEVALUATED])
-    gens = _generators(rep)
-    if any(vk for g in gens for e in g.values() for _, vk in e.coeffs):
-        rels, w = _scalar_relations(rep, gens), None
+    if any(vk for g in rep.E + rep.F for e in g.values() for _, vk in e.coeffs):
+        rels, w = _scalar_relations(rep), None
     else:
-        rels, w = _packed_relations(rep, gens)
+        rels, w = _packed_relations(rep)
     for name, lhs, rhs, d in rels:
         bad = _first_mismatch(_combine(lhs, rhs, -1), rep.ell, w, d)
         if bad is None:

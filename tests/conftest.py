@@ -153,7 +153,7 @@ def planted_modularity_datum(rng: random.Random, size: int,
     d_ng = [random_unit(rng, conductor) for _ in range(size)]
     d_g = [random_unit(rng, conductor) for _ in range(size)]
     sp_gh = a.scale_columns([x.inverse() for x in d_h])
-    sp_hng = ainv.scale(zeta).scale_columns([x.inverse() for x in d_ng])
+    sp_hng = ainv.scale_columns([zeta * x.inverse() for x in d_ng])
     labels = tuple(str(i) for i in range(size))
     grading = GradingSpec(cyclic_factors=(), has_generic_torus=True,
                           small=SmallSubset("list", (Degree(),)))

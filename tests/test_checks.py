@@ -138,6 +138,23 @@ class TestNondegeneracy:
         assert v.status == HOLDS
         assert v.derived_scalars["Delta_plus*Delta_minus"] == "1"
 
+    def test_vanished_delta_product_fails(self):
+        # S' = [[1, 1], [1, -1]] is non-degenerate in both blocks, but with
+        # twists (1, -1) the Gauss sums over column 0 cancel:
+        # Delta_- = Delta_+ = 1 - 1 = 0
+        one = CycScalar.one(5)
+        rows = [[1, 1], [1, -1]]
+        d = tiny_datum(rows, twists=[one, -one], mixed_rows=rows)
+        v = check_nondegeneracy(d, G)
+        assert v.status == FAILS
+        assert v.derived_scalars == {"rank(S_g)": "2", "rank(S_-g,g)": "2", "Delta_minus": "0",
+                                     "Delta_plus": "0", "Delta_plus*Delta_minus": "0"}
+        (w,) = v.witnesses
+        assert w.name == ("internal-consistency: Delta_+Delta_- vanished although both "
+                          "S-matrices are non-degenerate")
+        # with twists (1, 1) the same blocks hold
+        assert check_nondegeneracy(tiny_datum(rows, mixed_rows=rows), G).status == HOLDS
+
     def test_singular_block_fails_with_kernel(self):
         d = tiny_datum([[1, 1], [1, 1]], mixed_rows=[[1, 0], [0, 1]])
         v = check_nondegeneracy(d, G)

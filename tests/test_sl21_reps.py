@@ -15,7 +15,7 @@ from relmod.sl21 import (
     trivial_rep,
 )
 from relmod.datum import json_text
-from relmod.sl21.reps import CONVENTIONS, UNEVALUATED, relation_set
+from relmod.sl21.reps import CONVENTIONS, UNEVALUATED, _scalar_relations
 from relmod.verdicts import FAILS, HOLDS, Verdict, Witness
 
 # The clauses that involve E_i or F_i; the rest hold on any WeightModuleRep.
@@ -46,6 +46,49 @@ BOTH_CONVENTION_CLAUSES = ("A1", "A2", "A4", "A5: E", "A6", "A7",
 PAPER_ONLY_FAILURES = ("A3 (2,2)", "A3 (1,2)", "A5: F")
 
 
+# ---------------------------------------------------------------------------
+# the dense view: a module keeps each E_i and F_i as a map from (row, col) to
+# its nonzero values; these tests read the maps as ExactMatrix values
+# ---------------------------------------------------------------------------
+
+def dense(entries, n, ell):
+    """The n x n matrix with the entries of a nonzero-entry map and zero elsewhere."""
+    out = [CycScalar.zero(ell)] * (n * n)
+    for (r, c), e in entries.items():
+        out[r * n + c] = e
+    return ExactMatrix(n, n, ell, out)
+
+
+def sparse(m):
+    """The nonzero entries of the matrix m by (row, col)."""
+    return {divmod(p, m.cols): e for p, e in enumerate(m.entries) if e.coeffs}
+
+
+def H(rep, i):
+    """H_(i+1) = diag of its eigenvalues in rep.h_eigs."""
+    return ExactMatrix.diagonal([CycScalar.rational(h[i], rep.ell) for h in rep.h_eigs], rep.ell)
+
+
+def K(rep, i, power=1):
+    """K_(i+1)^power = q^(power H_(i+1)), a diagonal read off rep.h_eigs."""
+    return ExactMatrix.diagonal([CycScalar.zeta(rep.ell, power * h[i]) for h in rep.h_eigs],
+                                rep.ell)
+
+
+def scaled(m, c):
+    """c m."""
+    return m.scale_columns([c] * m.cols)
+
+
+def relation_set(rep):
+    """The 16 evaluated relations as (name, lhs, rhs), each side computed on
+    the generators' nonzero entries by check_relations' CycScalar path and
+    shown as a dense matrix."""
+    n, ell = rep.dim, rep.ell
+    return [(name, dense(lhs, n, ell), dense(rhs, n, ell))
+            for name, lhs, rhs, _ in _scalar_relations(rep)]
+
+
 class TestBuildAk:
     def test_dimension_and_spectra(self):
         rep = build_Ak(1, 3, "paper")
@@ -55,19 +98,19 @@ class TestBuildAk:
 
     def test_e1_on_v01(self):
         rep = build_Ak(1, 3, "paper")
-        col = [rep.E[0][i, 1] for i in range(3)]
+        col = [dense(rep.E[0], rep.dim, 3)[i, 1] for i in range(3)]
         assert col[0] == CycScalar.one(3)
         assert all(c.is_zero for c in col[1:])
 
     def test_f1_is_shift(self):
         for conv in ("paper", "corrected"):
             rep = build_Ak(2, 5, conv)
+            f1 = dense(rep.F[0], rep.dim, 5)
             idx = {lab: i for i, lab in enumerate(rep.labels)}
             for (j, i), src in idx.items():
                 for (j2, i2), dst in idx.items():
                     expect = (j2 == j and i2 == i + 1)
-                    assert rep.F[0][dst, src] == (CycScalar.one(5) if expect
-                                                else CycScalar.zero(5))
+                    assert f1[dst, src] == (CycScalar.one(5) if expect else CycScalar.zero(5))
 
     def test_k_range(self):
         with pytest.raises(ValueError):
@@ -80,10 +123,17 @@ class TestBuildAk:
             build_Ak(1, 4)
 
     def test_k_is_q_to_h(self):
+        # the right side of A3 (i,i), (K_i - K_i^-1)/(q - q^-1), is evaluated
+        # on the H_i spectrum: at basis vector p it is
+        # (zeta^h - zeta^-h)/(zeta - zeta^-1) for h = h_eigs[p][i]
         rep = build_Ak(2, 5, "corrected")
-        for i, (a, b) in enumerate(rep.h_eigs):
-            assert rep.K(0)[i, i] == CycScalar.zeta(5, a)
-            assert rep.K(1)[i, i] == CycScalar.zeta(5, b)
+        rhs = {name[:8]: side for name, _, side in relation_set(rep)}
+        q = CycScalar.zeta(5)
+        denominator = (q - q ** -1).inverse()
+        for p, hs in enumerate(rep.h_eigs):
+            for i, h in enumerate(hs):
+                k = CycScalar.zeta(5, h)
+                assert rhs[f"A3 ({i + 1},{i + 1})"][p, p] == (k - k.inverse()) * denominator
 
 
 class TestRelations:
@@ -133,7 +183,7 @@ class TestRelations:
     def test_zeroed_e2_breaks_a3_22_off_kernel(self):
         import dataclasses
         rep = build_Ak(2, 5, "corrected")
-        zeroed = dataclasses.replace(rep, E=(rep.E[0], ExactMatrix.zeros(rep.dim, rep.dim, 5)))
+        zeroed = dataclasses.replace(rep, E=(rep.E[0], {}))
         v = check_relations(zeroed)
         assert v.status == FAILS
         w = next(w for w in v.witnesses if w.name.startswith("A3 (2,2)"))
@@ -147,9 +197,9 @@ class TestRelations:
         # fails for i = 1 and 2 (a_11 = 2, a_21 = -1) on the first basis vector
         import dataclasses
         rep = build_Ak(2, 5, "corrected")
-        entries = list(rep.E[0].entries)
-        entries[0] = CycScalar.one(5)
-        bad = dataclasses.replace(rep, E=(ExactMatrix(rep.dim, rep.dim, 5, entries), rep.E[1]))
+        e1 = dict(rep.E[0])
+        e1[0, 0] = CycScalar.one(5)
+        bad = dataclasses.replace(rep, E=(e1, rep.E[1]))
         v = check_relations(bad)
         assert v.status == FAILS
         a7 = [(w.name, w.indices, w.value) for w in v.witnesses if w.name.startswith("A7")]
@@ -161,10 +211,10 @@ class TestRelations:
         # column-major order meets (3,1) first, row-major order (0,4)
         import dataclasses
         rep = build_Ak(3, 7, "corrected")
-        entries = list(rep.E[0].entries)
+        e1 = dict(rep.E[0])
         for row, col in ((3, 1), (0, 4)):
-            entries[row * rep.dim + col] = CycScalar.one(7)
-        bad = dataclasses.replace(rep, E=(ExactMatrix(rep.dim, rep.dim, 7, entries), rep.E[1]))
+            e1[row, col] = CycScalar.one(7)
+        bad = dataclasses.replace(rep, E=(e1, rep.E[1]))
         v = check_relations(bad)
         assert v.status == FAILS
         w = next(w for w in v.witnesses if w.name == "A7: [H1,E1] = a11 E1")
@@ -197,17 +247,18 @@ class TestTensor:
     def test_trivial_module_leaves_matrices_intact(self):
         rep = build_Ak(2, 5, "corrected")
         t = tensor_rep(rep, trivial_rep(5))
+        assert t.h_eigs == rep.h_eigs
         for i in (0, 1):
-            for got, want in ((t.H(i), rep.H(i)), (t.E[i], rep.E[i]), (t.F[i], rep.F[i]),
-                              (t.K(i), rep.K(i))):
-                assert got.entries == want.entries, i
+            for got, want in ((H(t, i), H(rep, i)), (t.E[i], rep.E[i]), (t.F[i], rep.F[i]),
+                              (K(t, i), K(rep, i))):
+                assert got == want, i
 
     def test_h_is_additive(self):
         a = build_Ak(1, 5, "corrected")
         b = build_Ak(2, 5, "corrected")
         t = tensor_rep(a, b)
         expect = [(ha[0] + hb[0]) for ha in a.h_eigs for hb in b.h_eigs]
-        assert [t.H(0)[i, i] for i in range(t.dim)] == [CycScalar.rational(h, 5) for h in expect]
+        assert [H(t, 0)[i, i] for i in range(t.dim)] == [CycScalar.rational(h, 5) for h in expect]
 
     def test_tensor_satisfies_relations(self):
         t = tensor_rep(build_Ak(1, 5, "corrected"), build_Ak(1, 5, "corrected"))
@@ -236,12 +287,15 @@ class TestTensor:
             assert tensor_rep(a, a).convention == conv
 
     def test_delta_k_is_kron(self):
+        # Delta(K_i) = K_i (x) K_i: the product's weights are the factors' sums
         a = build_Ak(1, 5, "corrected")
         b = build_Ak(2, 5, "corrected")
         t = tensor_rep(a, b)
-        for i, (h1, h2) in enumerate(t.h_eigs):
-            assert t.K(0)[i, i] == CycScalar.zeta(5, h1)
-            assert t.K(1)[i, i] == CycScalar.zeta(5, h2)
+        for i in (0, 1):
+            assert K(t, i) == _reference_kron(K(a, i), K(b, i), a.parities, 0, 5)
+        for p, (h1, h2) in enumerate(t.h_eigs):
+            assert K(t, 0)[p, p] == CycScalar.zeta(5, h1)
+            assert K(t, 1)[p, p] == CycScalar.zeta(5, h2)
 
 
 # SHA-256 of the E and F entries of tensor_rep(A_k1, A_k2) at ell = 3, 5, 7,
@@ -255,7 +309,7 @@ def test_tensor_generators_are_pinned():
         for k1 in (1, 2):
             for k2 in range(1, ell):
                 t = tensor_rep(build_Ak(k1, ell), build_Ak(k2, ell))
-                for m in t.E + t.F:
+                for m in (dense(x, t.dim, ell) for x in t.E + t.F):
                     digest.update((json.dumps(
                         [m.rows, m.cols, [str(x) for x in m.entries]]) + "\n").encode())
     assert digest.hexdigest() == TENSOR_EF_SHA256
@@ -273,7 +327,7 @@ def test_relation_set_is_complete_square_matrices(k, ell):
 
 
 def _random_sparse(rng, dim, ell, density=0.3):
-    """A dim x dim matrix with about density * dim^2 nonzero entries, each a
+    """The map of a dim x dim matrix with about density * dim^2 nonzero entries, each a
     rational multiple of a zeta power or a two-term sum; the support ignores
     weights, so most entries are not weight-homogeneous."""
     def entry():
@@ -284,8 +338,8 @@ def _random_sparse(rng, dim, ell, density=0.3):
             c = c + CycScalar.rational(rng.randint(-2, 2), ell)
         return c
     zero = CycScalar.zero(ell)
-    return ExactMatrix(dim, dim, ell, [entry() if rng.random() < density else zero
-                                       for _ in range(dim * dim)])
+    return sparse(ExactMatrix(dim, dim, ell, [entry() if rng.random() < density else zero
+                                              for _ in range(dim * dim)]))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -302,11 +356,12 @@ def test_a7_bracket_equals_the_matrix_commutator(seed):
         rep, E=tuple(_random_sparse(rng, rep.dim, ell) for _ in rep.E),
         F=tuple(_random_sparse(rng, rep.dim, ell) for _ in rep.F))
     rels = {name: lhs for name, lhs, _ in relation_set(bad)}
+    E, F = ([dense(x, bad.dim, ell) for x in xs] for xs in (bad.E, bad.F))
     for i in (0, 1):
-        h = bad.H(i)
+        h = H(bad, i)
         for j in (0, 1):
-            for name, x in ((f"A7: [H{i + 1},E{j + 1}] = a{i + 1}{j + 1} E{j + 1}", bad.E[j]),
-                            (f"A7: [H{i + 1},F{j + 1}] = -a{i + 1}{j + 1} F{j + 1}", bad.F[j])):
+            for name, x in ((f"A7: [H{i + 1},E{j + 1}] = a{i + 1}{j + 1} E{j + 1}", E[j]),
+                            (f"A7: [H{i + 1},F{j + 1}] = -a{i + 1}{j + 1} F{j + 1}", F[j])):
                 want = h @ x - x @ h
                 assert rels[name] == want, name
                 assert [str(e) for e in rels[name].entries] == [str(e) for e in want.entries]
@@ -323,12 +378,12 @@ REFERENCE_CARTAN = ((2, -1), (-1, 0))
 
 def _reference_relations(rep):
     """The 16 evaluated clauses of EVALUATED_CLAUSES as dense (name, lhs, rhs):
-    x @ y -+ y @ x for A3, the A5 chain and H(i) @ X - X @ H(i) for A7."""
+    x @ y -+ y @ x for A3, the A5 chain and H_i @ X - X @ H_i for A7."""
     ell, n = rep.ell, rep.dim
     zero = ExactMatrix.zeros(n, n, ell)
     q = CycScalar.zeta(ell)
     qq = q + q ** -1
-    E, F = rep.E, rep.F
+    E, F = ([dense(x, n, ell) for x in xs] for xs in (rep.E, rep.F))
     sides = []
     for i in (0, 1):
         for j in (0, 1):
@@ -341,13 +396,13 @@ def _reference_relations(rep):
     sides.append((E[1] @ E[1], zero))
     sides.append((F[1] @ F[1], zero))
     for x1, x2 in (E, F):
-        sides.append((x1 @ x1 @ x2 - (x1 @ x2 @ x1).scale(qq) + x2 @ x1 @ x1, zero))
+        sides.append((x1 @ x1 @ x2 - scaled(x1 @ x2 @ x1, qq) + x2 @ x1 @ x1, zero))
     for i in (0, 1):
-        h = rep.H(i)
+        h = H(rep, i)
         for j in (0, 1):
             a = REFERENCE_CARTAN[i][j]
-            sides.append((h @ E[j] - E[j] @ h, E[j].scale(CycScalar.rational(a, ell))))
-            sides.append((h @ F[j] - F[j] @ h, F[j].scale(CycScalar.rational(-a, ell))))
+            sides.append((h @ E[j] - E[j] @ h, scaled(E[j], CycScalar.rational(a, ell))))
+            sides.append((h @ F[j] - F[j] @ h, scaled(F[j], CycScalar.rational(-a, ell))))
     return [(name, lhs, rhs) for name, (lhs, rhs) in zip(EVALUATED_CLAUSES, sides)]
 
 
@@ -395,12 +450,71 @@ def _reference_tensor_generators(a, b):
     order E1, E2, F1, F2; E2 and F2 are odd."""
     ell = a.ell
     id_a, id_b = ExactMatrix.identity(a.dim, ell), ExactMatrix.identity(b.dim, ell)
+    aE, aF, bE, bF = ([dense(x, m.dim, ell) for x in xs]
+                      for m, xs in ((a, a.E), (a, a.F), (b, b.E), (b, b.F)))
 
     def kron(x, y, y_parity):
         return _reference_kron(x, y, a.parities, y_parity, ell)
-    E = [kron(a.E[i], id_b, 0) + kron(a.K(i, -1), b.E[i], i) for i in (0, 1)]
-    F = [kron(a.F[i], b.K(i), 0) + kron(id_a, b.F[i], i) for i in (0, 1)]
+    E = [kron(aE[i], id_b, 0) + kron(K(a, i, -1), bE[i], i) for i in (0, 1)]
+    F = [kron(aF[i], K(b, i), 0) + kron(id_a, bF[i], i) for i in (0, 1)]
     return E + F
+
+
+def _reference_Ak(k, ell, convention):
+    """E1, E2, F1, F2 of A_k as dense matrices, entry by entry from the
+    generator actions in the reps module docstring."""
+    labels = [(0, i) for i in range(k + 1)] + [(1, i) for i in range(k)]
+    one, zero = CycScalar.one(ell), CycScalar.zero(ell)
+
+    def qi(n):
+        return quantum_integer(n, ell)
+
+    def action(gen, dst, src):
+        (j2, i2), (j, i) = dst, src
+        if gen == "E1" and (j2, i2) == (j, i - 1):
+            return qi(i) * qi(k - j + 1 - i)
+        if gen == "E2" and j == 1 and (j2, i2) == (0, i + 1):
+            return one
+        if gen == "F1" and (j2, i2) == (j, i + 1):
+            return one
+        if gen == "F2" and j == 0 and (j2, i2) == (1, i - 1):
+            return qi(i + 1 if convention == "paper" else i)
+        return zero
+    return [ExactMatrix.from_rows([[action(gen, dst, src) for src in labels] for dst in labels],
+                                  ell)
+            for gen in ("E1", "E2", "F1", "F2")]
+
+
+def _map_cases():
+    """(module, its E1, E2, F1, F2 as dense reference matrices)."""
+    import dataclasses
+    for ell in (3, 5, 7):
+        for conv in CONVENTIONS:
+            for k in range(1, ell):
+                yield f"A{k}-ell{ell}-{conv}", (build_Ak(k, ell, conv), _reference_Ak(k, ell, conv))
+    for name, a, b in (("A6xA1-ell7-paper", build_Ak(6, 7, "paper"), build_Ak(1, 7, "paper")),
+                       ("A2xA3-ell5", build_Ak(2, 5), build_Ak(3, 5)),
+                       ("1xA4-ell5-paper", trivial_rep(5), build_Ak(4, 5, "paper"))):
+        yield name, (tensor_rep(a, b), _reference_tensor_generators(a, b))
+    # E1 (x) 1 + K1^-1 (x) E1 on two one-dimensional modules of weight 0 whose
+    # E1 are 1 and -1: the two coproduct terms cancel
+    one = CycScalar.one(5)
+    a, b = (dataclasses.replace(trivial_rep(5), E=({(0, 0): c}, {})) for c in (one, -one))
+    yield "cancelling", (tensor_rep(a, b), _reference_tensor_generators(a, b))
+
+
+MAP_CASES = dict(_map_cases())
+
+
+@pytest.mark.parametrize("name", MAP_CASES)
+def test_generator_maps_hold_exactly_the_nonzero_entries(name):
+    # the relation check's products and scalings assume that a map holds no
+    # zero value; every nonzero sits where the dense reference has it
+    rep, reference = MAP_CASES[name]
+    for x, want in zip(rep.E + rep.F, reference, strict=True):
+        assert not any(e.is_zero for e in x.values())
+        assert x == sparse(want)
+        assert dense(x, rep.dim, rep.ell) == want
 
 
 def _oracle_cases():
@@ -464,13 +578,14 @@ def test_tensor_generators_match_the_dense_koszul_kron(ell):
             a, b = build_Ak(k1, ell, c1), build_Ak(k2, ell, c2)
             t = tensor_rep(a, b)
             for got, want in zip(t.E + t.F, _reference_tensor_generators(a, b)):
+                got = dense(got, t.dim, ell)
                 assert got == want
                 assert [str(e) for e in got.entries] == [str(e) for e in want.entries]
     a = build_Ak(2, ell)
     ab = tensor_rep(a, build_Ak(1, ell))
     t = tensor_rep(ab, a)
     for got, want in zip(t.E + t.F, _reference_tensor_generators(ab, a)):
-        assert got == want
+        assert dense(got, t.dim, ell) == want
 
 
 # SHA-256 of json_text(check_relations(rep).to_json()), one line each, for
@@ -502,7 +617,7 @@ def test_relation_reports_are_pinned():
 def _scaled_generators(rep, factors):
     """rep with E1, E2, F1, F2 multiplied by the scalars in factors."""
     import dataclasses
-    gens = [x.scale(c) for x, c in zip(rep.E + rep.F, factors)]
+    gens = [{key: c * e for key, e in x.items()} for x, c in zip(rep.E + rep.F, factors)]
     return dataclasses.replace(rep, E=tuple(gens[:2]), F=tuple(gens[2:]))
 
 
@@ -546,8 +661,8 @@ def test_perturbed_generators_with_denominators(seed):
         if rng.random() < 0.5:
             return CycScalar.rational(Fraction(1, 2), ell) * CycScalar.zeta(ell, rng.randrange(ell))
         return CycScalar.rational(Fraction(3, 5), ell)
-    gens = [ExactMatrix(rep.dim, rep.dim, ell, [entry() if rng.random() < 0.2 else zero
-                                               for _ in range(rep.dim ** 2)])
+    gens = [sparse(ExactMatrix(rep.dim, rep.dim, ell, [entry() if rng.random() < 0.2 else zero
+                                                      for _ in range(rep.dim ** 2)]))
             if i == seed else x for i, x in enumerate(rep.E + rep.F)]
     bad = dataclasses.replace(rep, E=tuple(gens[:2]), F=tuple(gens[2:]))
     _assert_verdict_matches_reference(bad, FAILS)
