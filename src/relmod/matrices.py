@@ -13,16 +13,20 @@ exactly r.  When any step fails -- a denominator vanishes mod p, a sub-solve
 finds a pivot too many, or a product is nonzero -- the whole matrix is
 eliminated instead.
 
-Elimination is Bareiss's fraction-free Gauss-Jordan: each pivot clears the
-rows above it as well as the rows below, and each division is by the previous
-pivot and is exact in the ring (a Sylvester identity), so no fractions ever
-appear.  Each pivot row then holds, in a later column, the Cramer numerator of
-that column's coordinate on the pivot columns, over one common denominator d,
-the latest pivot.  A kernel vector is read off directly: the numerators in the
-first non-pivot column at the pivot columns to its left, and -d at the column
-itself.  The inverse runs the same elimination on [A | I], followed by one
-exact division by the last pivot, +-det(A).  Nothing is random, so every
-answer is deterministic.
+Both eliminations run one Gauss-Jordan loop, _gauss_jordan: each pivot
+clears the rows above it as well as the rows below; only the row update
+differs.  Over F_p a row loses f times the pivot row.  The pivots stay
+unscaled, so the result is the unique reduced echelon form up to one factor
+per row: the same pivot columns and the same zeros.  The exact update is
+Bareiss's fraction-free one: each division is by the previous pivot and is
+exact in the ring (a Sylvester identity), so no fractions ever appear.  Each
+pivot row then holds, in a later column, the Cramer numerator of that
+column's coordinate on the pivot columns, over one common denominator d, the
+latest pivot.  A kernel vector is read off directly: the numerators in the
+first non-pivot column at the pivot columns to its left, and -d at the
+column itself.  The inverse runs the same elimination on [A | I], followed
+by one exact division by the last pivot, +-det(A).  Nothing is random, so
+every answer is deterministic.
 
 A product A @ B whose operands are both free of formal variables and have at
 least half of their entries nonzero goes through the packed kernel of
@@ -39,15 +43,12 @@ dense, since condition (2) asks for an everywhere-nonzero row, so one
 reduction per entry replaces one per term; an operand with about one nonzero
 per row is where the skipped zeros make the plain loop cheaper than packing
 (the sl(2|1) relation check works on such generators' nonzero entries
-without this product, see sl21/reps.py).  Entrywise sums, differences and scaling
+without this product, see sl21/reps.py).  Entrywise sums and differences
 likewise keep an entry as it is where the other operand is zero.
 
-Scaling columns, A @ diag(d), follows the same rule column by column.  When A
-takes the packed kernel and d_j has several terms and no formal variable,
-column j is the rows x 1 by 1 x 1 packed product, reduced once per entry.
-Every other column multiplies its entries by d_j: a one-term factor costs one
-monomial product per entry, and a column whose factor is 1 (every modified
-dimension of pointed data) is kept as it is, with no product.
+Scaling columns, A @ diag(d), multiplies each entry of column j by d_j.  A
+column whose factor is 1 (every modified dimension of pointed data) is kept
+as it is, with no product.
 """
 
 from __future__ import annotations
@@ -124,6 +125,50 @@ def _packs(entries: list[CycScalar]) -> bool:
     nonzero = [e for e in entries if e.coeffs]
     return 2 * len(nonzero) >= len(entries) and not any(
         vk for e in nonzero for _, vk in e.coeffs)
+
+
+def _gauss_jordan(rows: list[list], ncols: int, clear) -> tuple[list[int], int]:
+    """Gauss-Jordan elimination of rows in place; returns (pivot columns, swap
+    sign).  At each column the first row at or below the rank with a nonzero
+    (truthy) entry is swapped up, and every other row becomes clear(row,
+    pivot row, column, previous pivot or None), zero in that column."""
+    piv_cols: list[int] = []
+    sign = 1
+    prev = None
+    for c in range(ncols):
+        r = len(piv_cols)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[piv], rows[r] = rows[r], rows[piv]
+            sign = -sign
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            if i != r:
+                rows[i] = clear(row, prow, c, prev)
+        prev = prow[c]
+        piv_cols.append(c)
+    return piv_cols, sign
+
+
+def _clear_mod(p: int):
+    """The update of _gauss_jordan over F_p: row - f * pivot row, with f the
+    row's entry over the pivot, whose inverse is computed once.  The pivot
+    row is zero left of column c, so only entries from c on change; adding
+    (-f mod p) times it keeps each sum nonnegative, where % p is cheaper."""
+    inverses: dict[int, int] = {}
+
+    def clear(row, prow, c, _prev):
+        if not row[c]:
+            return row
+        if c not in inverses:
+            inverses[c] = pow(prow[c], -1, p)
+        g = -row[c] * inverses[c] % p
+        return row[:c] + [(a + g * b) % p for a, b in zip(row[c:], prow[c:])]
+    return clear
 
 
 class ExactMatrix:
@@ -229,18 +274,12 @@ class ExactMatrix:
         """self @ diag(diag), column by column (see the module docstring)."""
         if len(diag) != self.cols:
             raise ValueError("diagonal length mismatch")
-        rows, cols, m = self.rows, self.cols, self.conductor
-        packs = _packs(self.entries)
+        cols = self.cols
         out = list(self.entries)
         for j, d in enumerate(diag):
-            if d.is_one:
-                continue
-            column = self.entries[j::cols]
-            if packs and len(d.coeffs) > 1 and not any(vk for _, vk in d.coeffs):
-                out[j::cols] = _packed_product(m, column, [d], rows, 1, 1)
-            else:
-                out[j::cols] = [e * d for e in column]
-        return ExactMatrix(rows, cols, m, out)
+            if not d.is_one:
+                out[j::cols] = [e * d for e in self.entries[j::cols]]
+        return ExactMatrix(self.rows, cols, self.conductor, out)
 
     def is_symmetric(self) -> bool:
         n, e = self.cols, self.entries
@@ -257,32 +296,19 @@ class ExactMatrix:
         previous pivot stays exact, and a pivot row holds Cramer numerators
         over the latest pivot (see _kernel_vector).
         """
-        m = [list(self.row(i)) for i in range(self.rows)]
         zero = CycScalar.zero(self.conductor)
-        prev = CycScalar.one(self.conductor)
-        piv_cols: list[int] = []
-        sign = 1
-        for c in range(self.cols):
-            r = len(piv_cols)
-            if r == self.rows:
-                break
-            p = next((i for i in range(r, self.rows) if not m[i][c].is_zero), None)
-            if p is None:
-                continue
-            if p != r:
-                m[p], m[r] = m[r], m[p]
-                sign = -sign
-            pivot = m[r][c]
-            for i in range(self.rows):
-                if i == r:
-                    continue
-                mic = m[i][c]
-                for j in range(c + 1, self.cols):
-                    num = pivot * m[i][j] - mic * m[r][j]
-                    m[i][j] = num if prev.is_one else num.exact_div(prev)
-                m[i][c] = zero
-            prev = pivot
-            piv_cols.append(c)
+
+        def clear(row, prow, c, prev):
+            pivot, mic = prow[c], row[c]
+            divide = prev is not None and not prev.is_one
+            for j in range(c + 1, len(row)):
+                num = pivot * row[j] - mic * prow[j]
+                row[j] = num.exact_div(prev) if divide else num
+            row[c] = zero
+            return row
+
+        m = [list(self.row(i)) for i in range(self.rows)]
+        piv_cols, sign = _gauss_jordan(m, self.cols, clear)
         return m, piv_cols, sign
 
     def _image_mod_p(self) -> tuple[int, list[list[int]]] | None:
@@ -338,34 +364,10 @@ class ExactMatrix:
         if image is None:
             return None
         p, red = image
-        piv_cols: list[int] = []
-        for c in range(self.cols):
-            r = len(piv_cols)
-            if r == self.rows:
-                break
-            piv = next((i for i in range(r, self.rows) if red[i][c]), None)
-            if piv is None:
-                continue
-            red[r], red[piv] = red[piv], red[r]
-            prow = red[r]
-            inv = pow(prow[c], -1, p)
-            for i in range(r + 1, self.rows):
-                f = red[i][c] * inv % p
-                if f:
-                    red[i] = [(a - f * b) % p for a, b in zip(red[i], prow)]
-            piv_cols.append(c)
+        piv_cols, _ = _gauss_jordan(red, self.cols, _clear_mod(p))
         rank = len(piv_cols)
         if rank == min(self.rows, self.cols):
             return rank, []
-        # back-substitute to the reduced echelon form
-        for r in range(rank - 1, -1, -1):
-            c = piv_cols[r]
-            inv = pow(red[r][c], -1, p)
-            red[r] = prow = [a * inv % p for a in red[r]]
-            for i in range(r):
-                f = red[i][c]
-                if f:
-                    red[i] = [(a - f * b) % p for a, b in zip(red[i], prow)]
         zero = CycScalar.zero(self.conductor)
         kernel = []
         for j in range(self.cols):

@@ -104,8 +104,7 @@ back as a machine word (w up to 64 bits) or a byte slice; the digits go to
 divides each coefficient once.  ``_from_packed`` does both for one packed
 polynomial, whose bit length gives its number of digits.
 
-A matrix product over Q(zeta_m), and a column of a dense variable-free matrix
-scaled by a factor of several terms, may go through ``_packed_product``, which
+A matrix product over Q(zeta_m) may go through ``_packed_product``, which
 holds each entry as an integer vector over 1, zeta, .., zeta^(deg-1) with one
 common denominator per row or column, sums each dot product as plain int
 products of packed ints and unpacks each row of the product once.  It

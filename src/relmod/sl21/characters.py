@@ -131,11 +131,6 @@ def sl2_character(k: int) -> XYLaurent:
     return XYLaurent({(k - 2 * i, 0): 1 for i in range(k + 1)})
 
 
-def x0_factor(sign: int) -> XYLaurent:
-    """(1 +- y/x)(1 +- xy) = 1 +- y(x + 1/x) + y^2."""
-    return XYLaurent({(0, 0): 1, (1, 1): sign, (-1, 1): sign, (0, 2): 1})
-
-
 # ---------------------------------------------------------------------------
 # character expressions
 # ---------------------------------------------------------------------------
@@ -238,8 +233,8 @@ def typical_character(k: int, shift: int, ell: int, parity: int = 0,
                       eps: int = 0) -> CharacterExpr:
     """chi^+-(V(lambda^k_(alpha+shift))) with decorations; requires 0 <= k.
 
-    Equal to x0_factor(+-1) * sl2_character(k).shift(0, ydeg), expanded term
-    by term by _typical_terms."""
+    Equal to (1 +- y/x)(1 +- xy) * sl2_character(k).shift(0, ydeg), expanded
+    term by term by _typical_terms."""
     if k < 0:
         raise ValueError("height must be non-negative")
     return _character(_typical_terms((k,), 2 * shift + k + 2 * ell * eps,

@@ -1,13 +1,23 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import field_gauss_rank, random_matrix
+from conftest import (
+    field_gauss_rank,
+    perturb_block,
+    planted_modularity_datum,
+    pointed_datum,
+    random_matrix,
+)
 import relmod.matrices
-from relmod.matrices import ExactMatrix, _modulus, _variable_residue
+from relmod.datum import Degree, modified_S
+from relmod.matrices import ExactMatrix, _clear_mod, _gauss_jordan, _modulus, _variable_residue
 from relmod.scalars import CycScalar, InexactDivision
+from relmod.sl21 import emit_datum
 
 
 def one(m=5):
@@ -161,6 +171,111 @@ class TestRankCertificate:
         assert m.rank() == 1
 
 
+def reference_reduce_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[int]:
+    """The reduced echelon form over F_p by two passes, in place; returns the
+    pivot columns.  A forward pass clears the rows below each pivot, then
+    back-substitution scales each pivot row to 1 and clears the rows above."""
+    piv_cols: list[int] = []
+    for c in range(ncols):
+        r = len(piv_cols)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        inv = pow(prow[c], -1, p)
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
+        piv_cols.append(c)
+    for r in range(len(piv_cols) - 1, -1, -1):
+        c = piv_cols[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = prow = [a * inv % p for a in rows[r]]
+        for i in range(r):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
+    return piv_cols
+
+
+@st.composite
+def matrices_mod_p(draw):
+    """(p, rows, ncols): a product of rows x inner and inner x cols factors
+    over F_p, so of rank at most inner (0 gives rank 0), with some rows and
+    columns then set to zero.  Shapes run from empty to 7 x 7, wide and tall,
+    and small primes make zeros and rank deficits common."""
+    p = draw(st.sampled_from([2, 3, 7, _modulus(5)[0]]))
+    nrows, ncols, inner = (draw(st.integers(0, 7)) for _ in range(3))
+    entries = st.integers(0, p - 1)
+    left = [[draw(entries) for _ in range(inner)] for _ in range(nrows)]
+    right = [[draw(entries) for _ in range(ncols)] for _ in range(inner)]
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=nrows))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols))
+    rows = [[0 if i in zero_rows or j in zero_cols
+             else sum(a * right[k][j] for k, a in enumerate(left[i])) % p
+             for j in range(ncols)] for i in range(nrows)]
+    return p, rows, ncols
+
+
+class TestGaussJordanModP:
+    """One Gauss-Jordan pass with the F_p update gives the pivot columns and
+    the nonzero pattern of the two-pass reduced echelon form: the reduced
+    form is unique, and the one pass only leaves its pivots unscaled."""
+
+    @given(case=matrices_mod_p())
+    @example(case=(7, [], 3))
+    @example(case=(7, [[], []], 0))
+    @example(case=(3, [[0, 0, 0], [0, 0, 0]], 3))
+    @example(case=(2, [[0, 1, 1], [0, 1, 1], [0, 0, 1]], 3))
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_matches_forward_pass_and_back_substitution(self, case):
+        p, rows, ncols = case
+        got, want = [list(r) for r in rows], [list(r) for r in rows]
+        piv_cols, _ = _gauss_jordan(got, ncols, _clear_mod(p))
+        assert piv_cols == reference_reduce_mod_p(want, ncols, p)
+        assert [[bool(a) for a in r] for r in got] == [[bool(a) for a in r] for r in want]
+        assert all(0 <= a < p for r in got for a in r)
+
+
+def _pinned_matrices():
+    """(name, matrix) for each matrix whose rank and kernel vectors are pinned:
+    the emitted sl(2|1) S_g at ell = 5, 7, 9, the pointed n = 7 S_g, a
+    planted block, and the emitted ell = 3 S_g with one S' entry shifted by
+    1/p, whose image mod p does not exist, so it takes the whole-matrix
+    fallback."""
+    g = Degree(alpha=1)
+    for ell in (5, 7, 9):
+        yield f"emitted ell={ell}", modified_S(emit_datum(ell), g)
+    yield "pointed n=7", modified_S(pointed_datum(7), g)
+    planted, _ = planted_modularity_datum(random.Random(3), 4)
+    yield "planted size 4", modified_S(planted, g, Degree(alpha=1, shift=Fraction(1)))
+    p, _ = _modulus(3)
+    perturbed = perturb_block(emit_datum(3), 0, 0, 0, CycScalar.rational(Fraction(1, p), 3))
+    yield "perturbed emitted ell=3", modified_S(perturbed, g)
+
+
+# SHA-256 over (name, rank, str of every entry of every kernel vector) of each
+# matrix in `_pinned_matrices`, one JSON line each.  A change to elimination
+# must leave every kernel vector as it is, not only the first.
+KERNELS_SHA256 = "13ae8b8cb199ee7fedfcb42c78afcb7f62a4a12a996d734e2ab90152d766e69c"
+
+
+class TestPinnedKernels:
+    def test_rank_and_every_kernel_vector_are_pinned(self):
+        digest = hashlib.sha256()
+        for name, s in _pinned_matrices():
+            if name.startswith("perturbed"):
+                assert s._rank_certificate() is None
+            rank, kernel = s._rank_and_kernel()
+            line = [name, rank, [[str(x) for x in vec] for vec in kernel]]
+            digest.update((json.dumps(line) + "\n").encode())
+        assert digest.hexdigest() == KERNELS_SHA256
+
+
 class TestInvert:
     def test_identity(self):
         assert ExactMatrix.identity(4, 5).invert() == ExactMatrix.identity(4, 5)
@@ -226,6 +341,9 @@ class TestArithmetic:
     def test_scale_columns(self):
         m = ExactMatrix.identity(2, 5).scale_columns([rat(2), rat(3)])
         assert m == ExactMatrix.diagonal([rat(2), rat(3)], 5)
+        # a factor of 1 leaves the entries untouched
+        dense = ExactMatrix.from_rows([[rat(2), CycScalar.zero(5)], [rat(2), rat(2)]], 5)
+        assert dense.scale_columns([one(), one()]).entries == dense.entries
 
     def test_det_of_permutation(self):
         z = CycScalar.zero(5)
@@ -407,27 +525,3 @@ class TestProduct:
         want = [a[i, j] * diag[j] for i in range(a.rows) for j in range(a.cols)]
         for x, y in zip(got, want, strict=True):
             assert x == y and str(x) == str(y), (str(x), str(y))
-
-    def test_scale_columns_packs_only_factors_of_several_terms(self, monkeypatch):
-        calls = []
-        packed = relmod.matrices._packed_product
-
-        def recording(*args):
-            calls.append(args[3:])
-            return packed(*args)
-
-        monkeypatch.setattr(relmod.matrices, "_packed_product", recording)
-        two, z = rat(2), CycScalar.zero(5)
-        several = CycScalar.zeta(5, 4)  # -1 - z5 - z5^2 - z5^3
-        dense = ExactMatrix.from_rows([[two, z], [two, two]], 5)
-        sparse = ExactMatrix.from_rows([[two, z], [z, z]], 5)
-        wide = _matrix(5, 2, 3, [Fraction(1, 3), 2, CycScalar.zeta(5, 2), -1, 7, 1])
-        for a, diag, taken in ((dense, [several, two], [(2, 1, 1)]),
-                               (dense, [two, one()], []), (sparse, [several, several], []),
-                               (wide, [several, rat(Fraction(-2, 3)) * several, one()],
-                                [(2, 1, 1)] * 2)):
-            calls.clear()
-            assert a.scale_columns(diag).entries == [a[i, j] * diag[j] for i in range(a.rows)
-                                                     for j in range(a.cols)]
-            assert calls == taken
-        assert dense.scale_columns([one(), one()]).entries == dense.entries

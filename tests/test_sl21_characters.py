@@ -17,7 +17,12 @@ from relmod.sl21 import (
     trivial_rep,
     typical_character,
 )
-from relmod.sl21.characters import XYLaurent, sl2_character, x0_factor
+from relmod.sl21.characters import XYLaurent, sl2_character
+
+
+def x0_factor(sign: int) -> XYLaurent:
+    """(1 +- y/x)(1 +- xy) = 1 +- y(x + 1/x) + y^2."""
+    return XYLaurent({(0, 0): 1, (1, 1): sign, (-1, 1): sign, (0, 2): 1})
 
 
 def labels_tuple(labs):
