@@ -28,23 +28,21 @@ column itself.  The inverse runs the same elimination on [A | I], followed
 by one exact division by the last pivot, +-det(A).  Nothing is random, so
 every answer is deterministic.
 
-A product A @ B whose operands are both free of formal variables and have at
-least half of their entries nonzero goes through the packed kernel of
-scalars.py: each row of A and each column of B is put over one common
-denominator, each entry's integer vector over 1, zeta, .., zeta^(deg-1) is
-packed into one int, a dot product is a sum of plain int products, and each
-output entry is reduced modulo Phi_m and divided once.  Every other product
-multiplies and adds CycScalars row by row (Gustavson's row-wise sparse
-product): each row of B is listed once as its nonzero (column, entry) pairs,
-and row i of the product accumulates a * b over the nonzero a = A[i, k] and
-the pairs of row k, so the inner loop visits no zero of B.  The rule follows
-the inputs: the S' blocks whose products decide relative modularity are
+A product A @ B whose operands are both free of formal variables goes
+through the packed kernel of scalars.py: each row of A and each column of B
+is put over one common denominator, each entry's integer vector over 1,
+zeta, .., zeta^(deg-1) is packed into one int, a dot product is a sum of
+plain int products, and each output entry is reduced modulo Phi_m and
+divided once.  The S' blocks whose products decide relative modularity are
 dense, since condition (2) asks for an everywhere-nonzero row, so one
-reduction per entry replaces one per term; an operand with about one nonzero
-per row is where the skipped zeros make the plain loop cheaper than packing
-(the sl(2|1) relation check works on such generators' nonzero entries
-without this product, see sl21/reps.py).  Entrywise sums and differences
-likewise keep an entry as it is where the other operand is zero.
+reduction per entry replaces one per term.  A product with a formal
+variable multiplies and adds CycScalars row by row (Gustavson's row-wise
+sparse product): each row of B is listed once as its nonzero (column, entry)
+pairs, and row i of the product accumulates a * b over the nonzero
+a = A[i, k] and the pairs of row k, so the inner loop visits no zero of B.
+The sparse sl(2|1) generators take neither route: the relation check works
+on their nonzero entries (see sl21/reps.py).  Entrywise sums and differences
+keep an entry as it is where the other operand is zero.
 
 Scaling columns, A @ diag(d), multiplies each entry of column j by d_j.  A
 column whose factor is 1 (every modified dimension of pointed data) is kept
@@ -120,11 +118,9 @@ def _witness(vec: list[CycScalar]) -> list[CycScalar]:
 
 
 def _packs(entries: list[CycScalar]) -> bool:
-    """Whether a product operand takes the packed kernel: at least half of its
-    entries nonzero and no formal variable in any of them."""
-    nonzero = [e for e in entries if e.coeffs]
-    return 2 * len(nonzero) >= len(entries) and not any(
-        vk for e in nonzero for _, vk in e.coeffs)
+    """Whether a product operand takes the packed kernel: no formal variable
+    in any of its entries."""
+    return not any(vk for e in entries for _, vk in e.coeffs)
 
 
 def _gauss_jordan(rows: list[list], ncols: int, clear) -> tuple[list[int], int]:
@@ -199,17 +195,6 @@ class ExactMatrix:
     def identity(n: int, conductor: int) -> "ExactMatrix":
         one, zero = CycScalar.one(conductor), CycScalar.zero(conductor)
         return ExactMatrix(n, n, conductor, [one if i == j else zero for i in range(n) for j in range(n)])
-
-    @staticmethod
-    def zeros(rows: int, cols: int, conductor: int) -> "ExactMatrix":
-        zero = CycScalar.zero(conductor)
-        return ExactMatrix(rows, cols, conductor, [zero] * (rows * cols))
-
-    @staticmethod
-    def diagonal(diag: list[CycScalar], conductor: int) -> "ExactMatrix":
-        n = len(diag)
-        zero = CycScalar.zero(conductor)
-        return ExactMatrix(n, n, conductor, [diag[i] if i == j else zero for i in range(n) for j in range(n)])
 
     # -- access --------------------------------------------------------------
 

@@ -51,16 +51,18 @@ is 1, so scaling S' by them and the ``* d(V_i)`` of the Delta sums build
 nothing.  ``str()`` of a one-term scalar prints its term without sorting.
 
 A product of two variable-free scalars where either has more than one term
-is taken on integer numerators (``_field_product``): each operand is put
-over its common denominator, the two integer vectors over 1, zeta, .. are
-convolved, and ``_from_numerators`` folds the result mod m, reduces it
-modulo Phi_m as integers and divides each output coefficient once -- the
-same tail as ``_packed_product`` below, so no term makes a ``Fraction``.
-Field inverses, the planted data's units and the quantum-integer products of
-``build_Ak`` are such products.  One case stays term by term: a sum
-with int coefficients times a one-term int factor, such as a quantum integer
-times +-zeta^k, where ``_canon``'s few int products are cheaper than the
-conversion.  ``_canon`` serves every product with a formal variable.
+is one Kronecker product (``_field_product``): each operand is put over its
+common denominator, its integer vector over 1, zeta, .. is packed into one
+int (``_pack``, below) at the width that the product of the two vectors' L1
+norms sets, the two ints are multiplied once, and ``_from_packed`` reads the
+digits back, folds them mod m, reduces them modulo Phi_m and divides each
+output coefficient once, so no term makes a ``Fraction``.  Field inverses,
+the planted data's units, the quantum-integer products of ``build_Ak`` and a
+multi-term scalar times a one-term one with a ``Fraction`` on either side
+are such products.  One case stays term by term: a sum with int
+coefficients times a one-term int factor, such as a quantum integer times
++-zeta^k, where ``_canon``'s few int products are cheaper than packing.
+``_canon`` serves every product with a formal variable.
 
 Literals are read by ``parse_scalar``.  A literal in the form ``str()``
 prints is checked by one compiled full match and built as its coefficient
@@ -90,13 +92,14 @@ parsed literal can be printed.  These checks and the limit on converting
 long numerals stay on the scanner: a printed literal's numerals are far
 inside them.
 
-Kronecker substitution has one scheme here, used by ``_packed_product`` and
-by the sl(2|1) relation check (sl21/reps.py).  An integer vector
-(v_0, v_1, ..) over 1, zeta, .. is packed into the one int sum v_t 2^(w t)
-(``_pack``) at a digit width w that ``_kronecker_width`` takes from a bound
-on every coefficient the packed ints will hold: the bound's bit length plus
-a sign bit, rounded up to 8, 16, 32 or 64 bits or to whole bytes.  Sums and
-products of packed ints are then those of the polynomials.  One unpack tail reads them back:
+Kronecker substitution has one scheme here, used by ``_field_product``,
+``_packed_product`` and the sl(2|1) relation check (sl21/reps.py).  An
+integer vector (v_0, v_1, ..) over 1, zeta, .. is packed into the one int
+sum v_t 2^(w t) (``_pack``) at a digit width w that ``_kronecker_width``
+takes from a bound on every coefficient the packed ints will hold: the
+bound's bit length plus a sign bit, rounded up to 8, 16, 32 or 64 bits or to
+whole bytes.  Sums and products of packed ints are then those of the
+polynomials.  One unpack tail reads them back:
 ``_unpack`` adds 2^(w-1) to every digit, which makes each signed coefficient
 a plain w-bit field, writes the int out as bytes once and reads each digit
 back as a machine word (w up to 64 bits) or a byte slice; the digits go to
@@ -115,7 +118,6 @@ All operations are pure; instances are immutable once constructed.
 
 from __future__ import annotations
 
-import cmath
 import re
 import sys
 from array import array
@@ -304,17 +306,16 @@ def _from_numerators(m: int, digits: list[int], d: int) -> "CycScalar":
 
 
 def _field_product(a: "CycScalar", b: "CycScalar") -> "CycScalar":
-    """a * b for variable-free a and b of one conductor, on integer
-    numerators: each operand over its common denominator, the two integer
-    vectors convolved, and the result made canonical by _from_numerators."""
+    """a * b for variable-free a and b of one conductor, by Kronecker
+    substitution: each operand over its common denominator, its integer
+    numerators packed into one int (_pack), the two ints multiplied once and
+    the product read back by _from_packed.  A coefficient of the product
+    polynomial is at most the product of the two numerator vectors' L1 norms,
+    which sets the digit width."""
     da, db = _common_denominator((a,)), _common_denominator((b,))
     na, nb = _numerators(a, da), _numerators(b, db)
-    # max of the (zeta power, numerator) pairs has the top zeta power
-    out = [0] * (max(na)[0] + max(nb)[0] + 1)
-    for i, x in na:
-        for j, y in nb:
-            out[i + j] += x * y
-    return _from_numerators(a.conductor, out, da * db)
+    w = _kronecker_width(sum([abs(v) for _, v in na]) * sum([abs(v) for _, v in nb]))
+    return _from_packed(a.conductor, _pack(na, w) * _pack(nb, w), w, da * db)
 
 
 def _kronecker_width(bound: int) -> int:
@@ -590,12 +591,9 @@ class CycScalar:
 
         A one-term self gives the one key (zeta power, merged variable key)
         directly, and a rational multiplier scales each coefficient in
-        place.  A variable-free self with a Fraction on either side is
-        rotated on integer numerators: over its common denominator d, each
-        numerator times c's lands at its zeta power plus zp, and
-        _from_numerators reduces them and divides by d times c's
-        denominator.  With int coefficients alone, _canon's few int products
-        are the cheaper ones."""
+        place.  A variable-free self with a Fraction on either side is a
+        field product (_field_product).  With int coefficients alone, _canon's
+        few int products are the cheaper ones."""
         m = self.conductor
         coeffs = self.coeffs
         if not coeffs or c == 1 and not vk and not zp % m:
@@ -619,11 +617,7 @@ class CycScalar:
                 return CycScalar(m, out, _canonical=True)
             if (type(c) is Fraction or Fraction in map(type, coeffs.values())) and \
                     not any(map(_var_key, coeffs)):
-                d = _common_denominator((self,))
-                digits = [0] * (_degree(m) + zp)
-                for z1, x in _numerators(self, d):
-                    digits[z1 + zp] = x * c.numerator
-                return _from_numerators(m, digits, d * c.denominator)
+                return _field_product(self, _term(m, zp, (), c))
         return CycScalar(m, _canon(m, (
             ((z1 + zp, _vk_mul(v1, vk)), c1 * c)
             for (z1, v1), c1 in coeffs.items())), _canonical=True)
@@ -690,20 +684,6 @@ class CycScalar:
             return None
 
     # -- evaluation and printing --------------------------------------------
-
-    def evaluate(self, variables: dict[str, complex] | None = None) -> complex:
-        """Numerically evaluate at zeta_m = exp(2*pi*i/m) and the given variable values."""
-        variables = variables or {}
-        z = cmath.exp(2j * cmath.pi / self.conductor)
-        total = 0j
-        for (zp, vk), c in self.coeffs.items():
-            term = complex(c) * z ** zp
-            for name, e in vk:
-                if name not in variables:
-                    raise KeyError(f"no value supplied for variable {name!r}")
-                term *= variables[name] ** e
-            total += term
-        return total
 
     def __str__(self):
         coeffs = self.coeffs

@@ -104,9 +104,6 @@ class XYLaurent:
     def shift(self, dx: int, dy: int) -> "XYLaurent":
         return XYLaurent({(x + dx, y + dy): v for (x, y), v in self.terms.items()})
 
-    def at_ones(self) -> int:
-        return sum(self.terms.values())
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -158,9 +155,6 @@ class CharacterExpr:
     @property
     def is_zero(self) -> bool:
         return self.plus.is_zero and self.minus.is_zero
-
-    def dimension(self) -> int:
-        return self.plus.at_ones()
 
     def __str__(self):
         w = f" * w^{self.alpha_power}" if self.alpha_power else ""

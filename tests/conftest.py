@@ -31,6 +31,17 @@ MALFORMED_DEGREES = ("", " ", "2a3", "a1/2", "1,,0|a", ",|a", "|a", "1,0|", "0.5
                      "a+", "a a")
 
 
+def zero_matrix(rows: int, cols: int, conductor: int) -> ExactMatrix:
+    return ExactMatrix(rows, cols, conductor, [CycScalar.zero(conductor)] * (rows * cols))
+
+
+def diagonal_matrix(diag: list[CycScalar], conductor: int) -> ExactMatrix:
+    n = len(diag)
+    zero = CycScalar.zero(conductor)
+    return ExactMatrix(n, n, conductor,
+                       [diag[i] if i == j else zero for i in range(n) for j in range(n)])
+
+
 def random_unit(rng: random.Random, conductor: int) -> CycScalar:
     q = Fraction(rng.choice([1, 2, 3, -1, -2, 5]), rng.choice([1, 2, 3]))
     return CycScalar.rational(q, conductor) * CycScalar.zeta(conductor, rng.randrange(conductor))

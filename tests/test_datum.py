@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import MALFORMED_DEGREES, perturb_block, pointed_datum
+from conftest import (MALFORMED_DEGREES, diagonal_matrix, perturb_block, pointed_datum,
+                      zero_matrix)
 import relmod.checks as checks_mod
 from relmod.checks import check_premodular_inputs
 from relmod.cli import _run_all
@@ -341,7 +342,7 @@ class TestInvariantsOnLoad:
         d = emit_datum(3)
         a = Degree(alpha=1)
         block = d.block(a, a)
-        zero = ExactMatrix.zeros(block.matrix.rows, block.matrix.cols, 3)
+        zero = zero_matrix(block.matrix.rows, block.matrix.cols, 3)
         for bad, witness in (
                 (dataclasses.replace(d, degrees=d.degrees + (a,)),
                  ("degrees-distinct", ("a",))),
@@ -383,7 +384,7 @@ class TestModifiedS:
         d = loads_datum(doc)
         g = Degree(alpha=1)
         s = modified_S(d, g)
-        assert s == ExactMatrix.diagonal(
+        assert s == diagonal_matrix(
             [CycScalar.rational(2, 5), CycScalar.rational(3, 5)], 5)
 
     def test_rank_unchanged_by_dim_scaling(self):
@@ -578,7 +579,7 @@ class TestBlockIndex:
         a = Degree(alpha=1)
         block = d.block(a, a)
         assert block is d.sprime[[(b.row_degree, b.col_degree) for b in d.sprime].index((a, a))]
-        zero = dataclasses.replace(block, matrix=ExactMatrix.zeros(
+        zero = dataclasses.replace(block, matrix=zero_matrix(
             block.matrix.rows, block.matrix.cols, 3))
         assert dataclasses.replace(d, sprime=d.sprime + (zero,)).block(a, a) is block
         assert dataclasses.replace(d, sprime=(zero,) + d.sprime).block(a, a) is zero

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    diagonal_matrix,
     field_gauss_rank,
     perturb_block,
     planted_modularity_datum,
     pointed_datum,
     random_matrix,
+    zero_matrix,
 )
 import relmod.matrices
 from relmod.datum import Degree, modified_S
@@ -49,7 +51,7 @@ def random_rank_matrix(rng: random.Random, rows: int, cols: int, inner: int,
             out = out * CycScalar.variable(name, 5, rng.randint(-2, 2))
         return out
 
-    row_scale = ExactMatrix.diagonal([monomial() for _ in range(rows)], 5)
+    row_scale = diagonal_matrix([monomial() for _ in range(rows)], 5)
     return row_scale @ m.scale_columns([monomial() for _ in range(cols)])
 
 
@@ -61,7 +63,7 @@ class TestRank:
         assert ExactMatrix.from_rows([[one()] * 3] * 3, 5).rank() == 1
 
     def test_zero_matrix(self):
-        assert ExactMatrix.zeros(2, 4, 5).rank() == 0
+        assert zero_matrix(2, 4, 5).rank() == 0
 
     def test_against_field_elimination_oracle(self):
         rng = random.Random(42)
@@ -97,7 +99,7 @@ class TestRankModPFallback:
     def test_entry_vanishing_mod_p(self):
         x = CycScalar.variable("x", 5)
         vanishing = x - variable_residue_mod_p("x", 5)  # nonzero, but 0 in F_p
-        m = ExactMatrix.diagonal([vanishing, one()], 5)
+        m = diagonal_matrix([vanishing, one()], 5)
         assert m._rank_certificate() is None  # F_p rank 1, but column 0 has a pivot
         assert m.rank() == 2
         assert m._rank_and_kernel() == (2, [])
@@ -281,12 +283,12 @@ class TestInvert:
         assert ExactMatrix.identity(4, 5).invert() == ExactMatrix.identity(4, 5)
 
     def test_diagonal(self):
-        d = ExactMatrix.diagonal([rat(2), rat(3)], 5)
-        assert d.invert() == ExactMatrix.diagonal([rat(Fraction(1, 2)), rat(Fraction(1, 3))], 5)
+        d = diagonal_matrix([rat(2), rat(3)], 5)
+        assert d.invert() == diagonal_matrix([rat(Fraction(1, 2)), rat(Fraction(1, 3))], 5)
 
     def test_symbolic_diagonal(self):
-        d = ExactMatrix.diagonal([CycScalar.variable("d0", 5), CycScalar.variable("d1", 5)], 5)
-        assert d.invert() == ExactMatrix.diagonal(
+        d = diagonal_matrix([CycScalar.variable("d0", 5), CycScalar.variable("d1", 5)], 5)
+        assert d.invert() == diagonal_matrix(
             [CycScalar.variable("d0", 5, -1), CycScalar.variable("d1", 5, -1)], 5)
 
     def test_singular_all_ones(self):
@@ -297,7 +299,7 @@ class TestInvert:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            ExactMatrix.zeros(2, 3, 5).invert()
+            zero_matrix(2, 3, 5).invert()
 
     def test_inverse_outside_the_laurent_ring_is_inexact(self):
         x = CycScalar.variable("x", 5)
@@ -332,15 +334,15 @@ class TestInvert:
 
 class TestArithmetic:
     def test_matmul_shapes(self):
-        a = ExactMatrix.zeros(2, 3, 5)
-        b = ExactMatrix.zeros(3, 4, 5)
+        a = zero_matrix(2, 3, 5)
+        b = zero_matrix(3, 4, 5)
         assert (a @ b).rows == 2 and (a @ b).cols == 4
         with pytest.raises(ValueError):
             b @ a
 
     def test_scale_columns(self):
         m = ExactMatrix.identity(2, 5).scale_columns([rat(2), rat(3)])
-        assert m == ExactMatrix.diagonal([rat(2), rat(3)], 5)
+        assert m == diagonal_matrix([rat(2), rat(3)], 5)
         # a factor of 1 leaves the entries untouched
         dense = ExactMatrix.from_rows([[rat(2), CycScalar.zero(5)], [rat(2), rat(2)]], 5)
         assert dense.scale_columns([one(), one()]).entries == dense.entries
@@ -496,8 +498,10 @@ class TestProduct:
         sparse = ExactMatrix.from_rows([[two, z], [z, z]], 5)
         half = ExactMatrix.from_rows([[two, z], [two, z]], 5)
         symbolic = ExactMatrix.from_rows([[two, CycScalar.variable("u", 5)], [two, two]], 5)
+        # every variable-free product packs, however sparse; a formal variable
+        # on either side keeps the row-wise product
         for a, b, taken in ((dense, dense, True), (half, dense, True), (dense, half, True),
-                            (sparse, dense, False), (dense, sparse, False),
+                            (sparse, dense, True), (dense, sparse, True), (sparse, sparse, True),
                             (symbolic, dense, False), (dense, symbolic, False)):
             calls.clear()
             assert (a @ b).entries == reference_product(a, b)

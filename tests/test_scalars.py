@@ -24,6 +24,19 @@ from relmod.scalars import (
 from relmod.sl21 import emit_datum
 
 
+def evaluate(x, variables=None):
+    """x as a complex number at zeta_m = exp(2 pi i/m) and the given variable
+    values."""
+    z = cmath.exp(2j * cmath.pi / x.conductor)
+    total = 0j
+    for (zp, vk), c in x.coeffs.items():
+        term = complex(c) * z ** zp
+        for name, e in vk:
+            term *= variables[name] ** e
+        total += term
+    return total
+
+
 def scalars(conductor=5, names=("u", "x")):
     """Hypothesis strategy for small CycScalars."""
     if names:
@@ -109,7 +122,7 @@ class TestQuantumInteger:
         # oracle: [2] at q = zeta_3 is q + q^-1 = 2 cos(2 pi / 3) = -1
         numeric = 2 * cmath.cos(2 * cmath.pi / 3).real
         val = quantum_integer(2, 3)
-        assert abs(val.evaluate() - numeric) < 1e-12
+        assert abs(evaluate(val) - numeric) < 1e-12
         assert val == CycScalar.rational(-1, 3)
 
     def test_rejects_bad_ell(self):
@@ -149,8 +162,8 @@ class TestRingAxioms:
     @settings(max_examples=40)
     def test_evaluation_is_a_homomorphism(self, a, b):
         vals = {"u": cmath.exp(0.7j), "x": cmath.exp(-1.3j)}
-        assert abs((a * b).evaluate(vals) - a.evaluate(vals) * b.evaluate(vals)) < 1e-7
-        assert abs((a + b).evaluate(vals) - (a.evaluate(vals) + b.evaluate(vals))) < 1e-7
+        assert abs(evaluate(a * b, vals) - evaluate(a, vals) * evaluate(b, vals)) < 1e-7
+        assert abs(evaluate(a + b, vals) - (evaluate(a, vals) + evaluate(b, vals))) < 1e-7
 
     @given(a=scalars())
     def test_string_round_trip(self, a):
@@ -1121,3 +1134,87 @@ class TestFieldProduct:
             calls.clear()
             assert (x * y).coeffs == canon_product(x, y)
             assert len(calls) == 1
+
+    def test_digits_at_every_packing_width(self, monkeypatch):
+        # product digits just below, at and just above 2^7, 2^15, 2^31 and
+        # 2^63 and far above 64 bits, with the L1 bound that sets the width
+        # on either side of each: 8, 16, 32 and 64-bit words, then whole bytes
+        widths = []
+        original = scalars_mod._kronecker_width
+        monkeypatch.setattr(scalars_mod, "_kronecker_width",
+                            lambda bound: widths.append(original(bound)) or widths[-1])
+        for bits in (7, 15, 31, 63, 64, 71, 100, 200):
+            for x in (2 ** bits - 2, 2 ** bits - 1, 2 ** bits, 2 ** bits + 1):
+                for m in (3, 5, 7, 16):
+                    z = CycScalar.zeta(m)
+                    r = 1 << (bits // 2)
+                    cases = [
+                        # digits x and -1 at z^2, z^3 (one-term Fraction side)
+                        (x - z, z ** 2 * Fraction(1, 3)),
+                        # digits -x, 2x, -x: (x - x z) (-1 + z)
+                        (CycScalar(m, {(0, ()): x}) * (1 - z), z - 1),
+                        # digits r^2, 0, -r^2 with both sides multi-term
+                        ((1 + z) * r, (1 - z) * r),
+                        (-(1 + z) * Fraction(r, 3), (z ** 2 + 1) * Fraction(x, 7)),
+                    ]
+                    for a, b in cases:
+                        expected = canon_product(a, b)
+                        for got in (a * b, b * a):
+                            assert got.coeffs == expected, (m, x, str(a), str(b))
+                            assert no_fraction_is_integral(got)
+        assert {8, 16, 32, 64} <= set(widths)
+        wide = {w for w in widths if w > 64}
+        assert wide and all(w % 8 == 0 for w in wide) and wide - {128, 256}
+
+    @pytest.mark.parametrize("ell", [241, 511])
+    def test_middle_quantum_integers_at_large_ell(self, ell):
+        a, b = quantum_integer(ell // 2, ell), quantum_integer(ell // 2 + 1, ell)
+        expected = canon_product(a, b)
+        assert (a * b).coeffs == expected
+        assert (b * a).coeffs == expected
+        # [n][n+1] = [2n] + [2n-2] + .. + [2]
+        total = CycScalar.zero(ell)
+        for j in range(ell // 2):
+            total = total + quantum_integer(2 * (ell // 2) - 2 * j, ell)
+        assert a * b == total
+
+    def test_one_term_fraction_factor_in_either_order(self, monkeypatch):
+        # the one-term factor's zeta power below deg Phi_m, at or above it,
+        # zero and negative; on int and on Fraction sums
+        calls = []
+        original = scalars_mod._field_product
+        monkeypatch.setattr(scalars_mod, "_field_product",
+                            lambda a, b: calls.append(1) or original(a, b))
+        for m in PRODUCT_CONDUCTORS:
+            sums = [CycScalar(m, {(0, ()): 1, (1, ()): -2, (2, ()): 3}),
+                    CycScalar(m, {(0, ()): Fraction(1, 2), (3, ()): Fraction(-5, 6)}),
+                    parse_scalar(f"1 + z{m}^{m - 1}*3/4", m)]
+            for x in sums:
+                if len(x.coeffs) < 2:
+                    continue
+                for zp in (0, 1, m - 2, m - 1, m, -1, -m - 3):
+                    for c in (Fraction(1, 3), Fraction(-7, 2), Fraction(5, 1) / 2):
+                        y = CycScalar.zeta(m, zp) * c
+                        expected = canon_product(x, y)
+                        for got in (x * y, y * x):
+                            assert got.coeffs == expected, (m, str(x), str(y))
+                            assert typed_coeffs(got) == {k: (v, type(v))
+                                                         for k, v in expected.items()}
+                            assert no_fraction_is_integral(got)
+        # a nonzero zeta power on a one-term Fraction side takes the field product
+        assert calls
+
+    def test_exact_div_by_one_term_fraction(self):
+        for m in PRODUCT_CONDUCTORS:
+            x = CycScalar(m, {(0, ()): 4, (1, ()): Fraction(-3, 2), (2, ()): 9}) \
+                + CycScalar.zeta(m, m - 1) * 6
+            if len(x.coeffs) < 2:
+                continue
+            for zp in (0, 1, m - 1, 2 * m + 1):
+                for c in (Fraction(3, 4), Fraction(-2, 9), Fraction(1, 6)):
+                    y = CycScalar.zeta(m, zp) * c
+                    inv = CycScalar.zeta(m, -zp) * (1 / c)
+                    got = x.exact_div(y)
+                    assert got.coeffs == canon_product(x, inv), (m, zp, c)
+                    assert no_fraction_is_integral(got)
+                    assert got * y == x

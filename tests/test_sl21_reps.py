@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import diagonal_matrix, zero_matrix
 from relmod.matrices import ExactMatrix
 from relmod.scalars import CycScalar, quantum_integer
 from relmod.sl21 import (
@@ -66,12 +67,12 @@ def sparse(m):
 
 def H(rep, i):
     """H_(i+1) = diag of its eigenvalues in rep.h_eigs."""
-    return ExactMatrix.diagonal([CycScalar.rational(h[i], rep.ell) for h in rep.h_eigs], rep.ell)
+    return diagonal_matrix([CycScalar.rational(h[i], rep.ell) for h in rep.h_eigs], rep.ell)
 
 
 def K(rep, i, power=1):
     """K_(i+1)^power = q^(power H_(i+1)), a diagonal read off rep.h_eigs."""
-    return ExactMatrix.diagonal([CycScalar.zeta(rep.ell, power * h[i]) for h in rep.h_eigs],
+    return diagonal_matrix([CycScalar.zeta(rep.ell, power * h[i]) for h in rep.h_eigs],
                                 rep.ell)
 
 
@@ -380,7 +381,7 @@ def _reference_relations(rep):
     """The 16 evaluated clauses of EVALUATED_CLAUSES as dense (name, lhs, rhs):
     x @ y -+ y @ x for A3, the A5 chain and H_i @ X - X @ H_i for A7."""
     ell, n = rep.ell, rep.dim
-    zero = ExactMatrix.zeros(n, n, ell)
+    zero = zero_matrix(n, n, ell)
     q = CycScalar.zeta(ell)
     qq = q + q ** -1
     E, F = ([dense(x, n, ell) for x in xs] for xs in (rep.E, rep.F))
@@ -390,7 +391,7 @@ def _reference_relations(rep):
             xy, yx = E[i] @ F[j], F[j] @ E[i]
             # E2 and F2 are odd, so their bracket anticommutes
             lhs = xy + yx if i == j == 1 else xy - yx
-            rhs = ExactMatrix.diagonal([quantum_integer(h[i], ell) for h in rep.h_eigs],
+            rhs = diagonal_matrix([quantum_integer(h[i], ell) for h in rep.h_eigs],
                                        ell) if i == j else zero
             sides.append((lhs, rhs))
     sides.append((E[1] @ E[1], zero))
