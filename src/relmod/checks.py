@@ -30,7 +30,7 @@ cross-check inside check_relative_modularity is the arbiter for it.
 
 from __future__ import annotations
 
-from .datum import Degree, ModularDatum, _inverted_twists, _memo, _validation, modified_S
+from .datum import Degree, ModularDatum, _memo, _validation, modified_S
 from .scalars import CycScalar
 from .verdicts import DATA_ABSENT, FAILS, HOLDS, HYPOTHESIS_NOT_MET, Verdict, Witness
 
@@ -47,10 +47,13 @@ def _require_block(datum: ModularDatum, g: Degree, h: Degree):
 
 
 def _twist_inverses(datum: ModularDatum, g: Degree) -> list[CycScalar]:
-    """The twists' inverses at degree g, shared with validation (see
-    datum._inverted_twists); KeyError when g has no twists."""
+    """The twists' inverses at degree g; KeyError when g has no twists.
+    Validation inverts the same twists: a one-term twist inverts by negating
+    its key, and a field twist's inverse is served by the scalars' cache
+    (scalars._field_inverse)."""
     out = []
-    for t, inv in zip(datum.twists[g], _inverted_twists(datum, g)):
+    for t in datum.twists[g]:
+        inv = t.try_inverse()
         if inv is None:
             raise ValueError(f"twist {t} at degree {g} is not invertible")
         out.append(inv)
@@ -88,9 +91,11 @@ def delta_plus(datum: ModularDatum, g: Degree, j: int) -> CycScalar:
 
 
 def _try_deltas(datum: ModularDatum, g: Degree):
-    """(Delta_plus, Delta_minus) at j = 0, each None where its data are
-    absent; computed once per datum and degree while the blocks, twists,
-    dims and dual involution they read stay the same objects (see _memo)."""
+    """(Delta_plus, Delta_minus, Delta_plus * Delta_minus) at j = 0, each
+    Delta None where its data are absent and the product None unless both
+    are present; computed once per datum and degree while the blocks, twists,
+    dims and dual involution they read stay the same objects (see _memo), so
+    check_nondegeneracy and check_relative_modularity read one product."""
     def compute():
         dm = dp = None
         try:
@@ -101,23 +106,12 @@ def _try_deltas(datum: ModularDatum, g: Degree):
             dp = delta_plus(datum, g, 0)
         except KeyError:
             pass
-        return dp, dm
+        return dp, dm, None if dp is None or dm is None else dp * dm
 
     blocks = (datum.block(g, g), datum.block(datum.negate(g), g))
     inputs = tuple(None if b is None else b.matrix for b in blocks) + (
         datum.twists.get(g), datum.dims.get(g), datum.dual_involution.get(g))
     return _memo(datum, ("Delta", g), inputs, compute)
-
-
-def _delta_product(datum: ModularDatum, g: Degree):
-    """Delta_plus * Delta_minus at j = 0, None unless both are present;
-    multiplied once per datum and degree while _try_deltas returns the same
-    pair (see _memo): check_nondegeneracy and check_relative_modularity both
-    read it."""
-    dp, dm = _try_deltas(datum, g)
-    if dp is None or dm is None:
-        return None
-    return _memo(datum, ("Delta product", g), (dp, dm), lambda: dp * dm)
 
 
 def _rank_and_kernel(datum: ModularDatum, row: Degree, col: Degree):
@@ -163,12 +157,11 @@ def check_nondegeneracy(datum: ModularDatum, g: Degree) -> Verdict:
         v.status = FAILS
         v.witnesses.append(witness)
         return v
-    dp, dm = _try_deltas(datum, g)
+    dp, dm, prod = _try_deltas(datum, g)
     if dm is not None:
         v.derived_scalars["Delta_minus"] = str(dm)
     if dp is not None:
         v.derived_scalars["Delta_plus"] = str(dp)
-    prod = _delta_product(datum, g)
     if prod is not None:
         v.derived_scalars["Delta_plus*Delta_minus"] = str(prod)
         if prod.is_zero:
@@ -323,7 +316,7 @@ def check_relative_modularity(datum: ModularDatum, g: Degree, h: Degree) -> Verd
                     v.witnesses.append(Witness(
                         "off-diagonal entry of P is nonzero", ((i, j),), str(p[i, j])))
                 return v
-    prod = _delta_product(datum, g)
+    prod = _try_deltas(datum, g)[2]
     if prod is not None:
         v.derived_scalars["Delta_plus*Delta_minus"] = str(prod)
         if prod != zeta:

@@ -464,8 +464,8 @@ def validate_datum(datum: ModularDatum) -> list[Violation]:
             if d.is_zero:
                 out.append(Violation("dims-nonzero", (str(g), labels[i] if i < len(labels) else i),
                                      "modified dimension must be nonzero"))
-        for i, (t, inv) in enumerate(zip(datum.twists.get(g, ()), _inverted_twists(datum, g))):
-            if inv is None:
+        for i, t in enumerate(datum.twists.get(g, ())):
+            if t.try_inverse() is None:
                 out.append(Violation("twists-invertible", (str(g), labels[i] if i < len(labels) else i),
                                      f"twist {t} is not invertible in the scalar ring"))
     pairs: set[tuple[Degree, Degree]] = set()
@@ -523,12 +523,14 @@ def _scalar(text, conductor: int, path: str, literals: dict[str, CycScalar]) -> 
 
 def _by_degree(obj, degrees: tuple[Degree, ...], path: str):
     """(degree, list, path) for each entry of an object keyed by an index
-    into 'degrees' whose values are lists."""
+    into 'degrees' whose values are lists.  A key is the index as
+    dumps_datum writes it, str(i): another spelling of i ("-1", "+0", "00")
+    would let two keys name one degree."""
+    index = {str(i): g for i, g in enumerate(degrees)}
     for key, val in _expect(obj, dict, path).items():
-        try:
-            g = degrees[int(key)]
-        except (ValueError, IndexError):
-            raise DatumSchemaError(f"{path}.{key}", "key must index into 'degrees'") from None
+        g = index.get(key)
+        if g is None:
+            raise DatumSchemaError(f"{path}.{key}", "key must index into 'degrees'")
         yield g, _expect(val, list, f"{path}.{key}"), f"{path}.{key}"
 
 
@@ -630,13 +632,25 @@ def loads_datum(doc: dict) -> ModularDatum:
     return datum
 
 
+def _unique_names(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; ValueError for a name that appears twice in
+    it, where json.load would keep the last value alone."""
+    obj = {}
+    for name, value in pairs:
+        if name in obj:
+            raise ValueError(f"name {name!r} appears twice in one object")
+        obj[name] = value
+    return obj
+
+
 def _read_json(path: str):
     """The JSON document in a file; text that is not UTF-8 or not valid JSON
-    (a ValueError, as is an integer too long to convert), or JSON nested too
-    deeply to decode, is a schema error at "$"."""
+    (a ValueError, as is an integer too long to convert, or a name repeated
+    in one object), or JSON nested too deeply to decode, is a schema error
+    at "$"."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_names)
         except ValueError as exc:
             raise DatumSchemaError("$", f"not valid JSON: {exc}") from None
         except RecursionError:
@@ -795,15 +809,6 @@ def _validation(datum: ModularDatum) -> list[Violation]:
         for item in table.items():
             inputs.extend(item)
     return _memo(datum, "validation", tuple(inputs), lambda: validate_datum(datum))
-
-
-def _inverted_twists(datum: ModularDatum, g: Degree) -> tuple[CycScalar | None, ...]:
-    """The inverse of each twist at degree g, None for one that has none,
-    computed once per datum and degree while the twists tuple is the same
-    object (see _memo): validation and the Delta sums both invert them."""
-    twists = datum.twists.get(g, ())
-    return _memo(datum, ("twist inverses", g), (twists,),
-                 lambda: tuple(t.try_inverse() for t in twists))
 
 
 def _scaled_block(datum: ModularDatum, b: SBlock) -> ExactMatrix:

@@ -50,19 +50,18 @@ returns the other operand itself: every modified dimension of pointed data
 is 1, so scaling S' by them and the ``* d(V_i)`` of the Delta sums build
 nothing.  ``str()`` of a one-term scalar prints its term without sorting.
 
-A product of two variable-free scalars where either has more than one term
+A product of two variable-free scalars that both have more than one term
 is one Kronecker product (``_field_product``): each operand is put over its
 common denominator, its integer vector over 1, zeta, .. is packed into one
 int (``_pack``, below) at the width that the product of the two vectors' L1
 norms sets, the two ints are multiplied once, and ``_from_packed`` reads the
 digits back, folds them mod m, reduces them modulo Phi_m and divides each
 output coefficient once, so no term makes a ``Fraction``.  Field inverses,
-the planted data's units, the quantum-integer products of ``build_Ak`` and a
-multi-term scalar times a one-term one with a ``Fraction`` on either side
-are such products.  One case stays term by term: a sum with int
-coefficients times a one-term int factor, such as a quantum integer times
-+-zeta^k, where ``_canon``'s few int products are cheaper than packing.
-``_canon`` serves every product with a formal variable.
+the planted data's units and the quantum-integer products of ``build_Ak``
+are such products.  A sum times a one-term factor with a zeta power, such
+as a quantum integer times +-zeta^k, goes term by term through ``_canon``,
+whose few products are cheaper than packing, with int or ``Fraction``
+coefficients alike.  ``_canon`` serves every product with a formal variable.
 
 Literals are read by ``parse_scalar``.  A literal in the form ``str()``
 prints is checked by one compiled full match and built as its coefficient
@@ -591,9 +590,8 @@ class CycScalar:
 
         A one-term self gives the one key (zeta power, merged variable key)
         directly, and a rational multiplier scales each coefficient in
-        place.  A variable-free self with a Fraction on either side is a
-        field product (_field_product).  With int coefficients alone, _canon's
-        few int products are the cheaper ones."""
+        place.  Any other multiplier goes term by term through _canon, whose
+        few products are cheaper than packing (_field_product)."""
         m = self.conductor
         coeffs = self.coeffs
         if not coeffs or c == 1 and not vk and not zp % m:
@@ -607,17 +605,12 @@ class CycScalar:
             if not zp or zp < _degree(m):
                 return CycScalar(m, {(zp, _vk_mul(v1, vk)): c1}, _canonical=True)
             return CycScalar(m, _canon(m, (((zp, _vk_mul(v1, vk)), c1),)), _canonical=True)
-        if not vk:
-            zp %= m
-            if not zp:
-                out = {}
-                for k, x in coeffs.items():
-                    x *= c
-                    out[k] = x.numerator if type(x) is Fraction and x.denominator == 1 else x
-                return CycScalar(m, out, _canonical=True)
-            if (type(c) is Fraction or Fraction in map(type, coeffs.values())) and \
-                    not any(map(_var_key, coeffs)):
-                return _field_product(self, _term(m, zp, (), c))
+        if not vk and not zp % m:
+            out = {}
+            for k, x in coeffs.items():
+                x *= c
+                out[k] = x.numerator if type(x) is Fraction and x.denominator == 1 else x
+            return CycScalar(m, out, _canonical=True)
         return CycScalar(m, _canon(m, (
             ((z1 + zp, _vk_mul(v1, vk)), c1 * c)
             for (z1, v1), c1 in coeffs.items())), _canonical=True)

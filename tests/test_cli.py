@@ -191,6 +191,27 @@ class TestCheckCommand:
         assert code == 2
         assert "dims.0[0]" in err
 
+    @pytest.mark.parametrize("key", ["-1", "+0", " 0", "0_0", "00"])
+    def test_degree_key_spelled_otherwise_is_usage_error(self, capsys, tmp_path, key):
+        # int() reads each as an index, so it would name a degree that "0" or "1" names
+        doc = dumps_datum(emit_datum(3))
+        doc["twists"][key] = ["1"] * len(doc["twists"]["0"])
+        p = tmp_path / "alias.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "premodular", "--datum", str(p))
+        assert code == 2 and out == ""
+        assert f"twists.{key}: key must index into 'degrees'" in err
+
+    def test_repeated_name_is_usage_error(self, capsys, tmp_path):
+        # json.load alone keeps the second of two lists under one name
+        text = json.dumps(dumps_datum(emit_datum(3)))
+        head, tail = text.split('"twists": {', 1)
+        p = tmp_path / "repeated.json"
+        p.write_text(head + '"twists": {"0": ["1", "1", "1", "1"], ' + tail)
+        code, out, err = run(capsys, "check", "premodular", "--datum", str(p))
+        assert code == 2 and out == ""
+        assert "$: not valid JSON: name '0' appears twice in one object" in err
+
     @pytest.mark.parametrize("field, value, path", [
         ("grading", [], "grading: expected a grading object"),
         ("grading", {"small_symmetric": []}, "grading.small_symmetric"),

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (MALFORMED_DEGREES, diagonal_matrix, perturb_block, pointed_datum,
                       zero_matrix)
 import relmod.checks as checks_mod
+import relmod.scalars as scalars_mod
 from relmod.checks import check_premodular_inputs
 from relmod.cli import _run_all
 from relmod.datum import (
@@ -495,9 +496,9 @@ class TestLiteralSharing:
 
 
 class TestDeltaMemo:
-    """check all computes (Delta_+, Delta_-) once per degree and ranks each
-    S_g once, and never serves a pair computed from other twists, dims,
-    blocks or dual involution."""
+    """check all computes (Delta_+, Delta_-, Delta_+ * Delta_-) once per
+    degree and ranks each S_g once, and never serves a triple computed from
+    other twists, dims, blocks or dual involution."""
 
     @pytest.fixture
     def delta_calls(self, monkeypatch):
@@ -510,6 +511,11 @@ class TestDeltaMemo:
 
         monkeypatch.setattr(checks_mod, "delta_minus", counting)
         return calls
+
+    @staticmethod
+    def expected(d, g):
+        dp, dm = checks_mod.delta_plus(d, g, 0), checks_mod.delta_minus(d, g, 0)
+        return dp, dm, dp * dm
 
     def test_check_all_computes_each_degree_once(self, delta_calls, monkeypatch):
         ranked = []
@@ -526,9 +532,9 @@ class TestDeltaMemo:
         assert sorted(map(str, delta_calls)) == ["-a", "a"]
         for g in d.degrees:
             assert sum(m is modified_S(d, g) for m in ranked) == 1
-            pair = checks_mod._try_deltas(d, g)
-            assert checks_mod._try_deltas(d, g) is pair
-            assert pair == (checks_mod.delta_plus(d, g, 0), checks_mod.delta_minus(d, g, 0))
+            triple = checks_mod._try_deltas(d, g)
+            assert checks_mod._try_deltas(d, g) is triple
+            assert triple == self.expected(d, g)
         assert len(delta_calls) == 2 + len(d.degrees)
 
     @pytest.mark.parametrize("edit", [_edit_twists, _edit_dims, _edit_block, _edit_dual],
@@ -540,7 +546,7 @@ class TestDeltaMemo:
         edit(d, g)
         after = checks_mod._try_deltas(d, g)
         assert len(delta_calls) == 2
-        assert after == (checks_mod.delta_plus(d, g, 0), checks_mod.delta_minus(d, g, 0))
+        assert after == self.expected(d, g)
         assert after is not before
         assert checks_mod._try_deltas(d, g) is after
 
@@ -549,28 +555,43 @@ class TestDeltaMemo:
         g = Degree(alpha=1)
         assert None not in checks_mod._try_deltas(d, g)
         del d.dual_involution[g]
-        dp, dm = checks_mod._try_deltas(d, g)
-        assert dp is None and dm == checks_mod.delta_minus(d, g, 0)
+        dp, dm, prod = checks_mod._try_deltas(d, g)
+        assert dp is None and prod is None and dm == checks_mod.delta_minus(d, g, 0)
 
     def test_check_all_multiplies_each_delta_pair_once(self, monkeypatch):
         # check_nondegeneracy and check_relative_modularity read one product
         products = []
-        original = checks_mod._memo
+        original = CycScalar.__mul__
 
-        def recording(datum, key, inputs, compute):
-            if key[0] == "Delta product":
-                return original(datum, key, inputs, lambda: products.append(key) or compute())
-            return original(datum, key, inputs, compute)
+        def recording(self, other):
+            products.append((self, other))
+            return original(self, other)
 
-        monkeypatch.setattr(checks_mod, "_memo", recording)
+        monkeypatch.setattr(CycScalar, "__mul__", recording)
         d = pointed_datum(5, random.Random(3))
         assert all(v.status == HOLDS for v in _run_all(d))
-        assert sorted(str(g) for _, g in products) == ["-a", "a"]
         for g in d.degrees:
-            dp, dm = checks_mod._try_deltas(d, g)
-            assert checks_mod._delta_product(d, g) == dp * dm
-        assert len(products) == 2
+            dp, dm, prod = checks_mod._try_deltas(d, g)
+            assert sum(a is dp and b is dm for a, b in products) == 1
+            assert prod == dp * dm
 
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_check_all_inverts_each_field_twist_once(self, seed):
+        # validation and the Delta_- sum invert the same twists; a field
+        # twist's inverse is computed once and then served by the cache
+        d = pointed_datum(5, random.Random(seed))
+        field_twists = {t for ts in d.twists.values() for t in ts if len(t.coeffs) > 1}
+        assert field_twists
+        cache = scalars_mod._field_inverse
+        cache.cache_clear()
+        try:
+            assert all(v.status == HOLDS for v in _run_all(loads_datum(dumps_datum(d))))
+            assert cache.cache_info().misses == len(field_twists)
+            for t in field_twists:
+                cache(5, tuple(sorted((zp, c) for (zp, _), c in t.coeffs.items())))
+            assert cache.cache_info().misses == len(field_twists)
+        finally:
+            cache.cache_clear()
 
 
 class TestBlockIndex:

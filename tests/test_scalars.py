@@ -1123,14 +1123,17 @@ class TestFieldProduct:
             calls.clear()
             assert (x * y).coeffs == canon_product(x, y)
             assert len(calls) == 2  # the product and the reference
-        # an int sum times a one-term int factor stays term by term
+        # a sum times a one-term factor with a zeta power stays term by term,
+        # with int or Fraction coefficients on either side
         q = quantum_integer(5, 7)
-        calls.clear()
-        assert (q * CycScalar.zeta(7, 4)).coeffs == canon_product(q, CycScalar.zeta(7, 4))
-        assert len(calls) == 2
-        # a Fraction on either side, or a rational factor, takes no term-by-term product
+        for x, y in ((q, CycScalar.zeta(7, 4)), (CycScalar.zeta(7, 2) * Fraction(1, 2), q),
+                     (a, CycScalar.zeta(5, 3)), (CycScalar.zeta(5, 2) * 4, a)):
+            calls.clear()
+            assert (x * y).coeffs == canon_product(x, y)
+            assert len(calls) == 2
+        # a rational factor scales in place, and two sums take the field product
         for x, y in ((q, CycScalar.rational(Fraction(1, 2), 7)), (q, CycScalar.rational(-3, 7)),
-                     (a, CycScalar.zeta(5, 3)), (a, CycScalar.zeta(5, 2) * 4), (a, a)):
+                     (a, a)):
             calls.clear()
             assert (x * y).coeffs == canon_product(x, y)
             assert len(calls) == 1
@@ -1148,9 +1151,11 @@ class TestFieldProduct:
                 for m in (3, 5, 7, 16):
                     z = CycScalar.zeta(m)
                     r = 1 << (bits // 2)
+                    k = (x - 1) // 2
                     cases = [
-                        # digits x and -1 at z^2, z^3 (one-term Fraction side)
-                        (x - z, z ** 2 * Fraction(1, 3)),
+                        # digits k, -(k + 1), 1 over 3, with the L1 bound
+                        # 2(k + 1), which is x or x + 1
+                        (k - z, (1 - z) * Fraction(1, 3)),
                         # digits -x, 2x, -x: (x - x z) (-1 + z)
                         (CycScalar(m, {(0, ()): x}) * (1 - z), z - 1),
                         # digits r^2, 0, -r^2 with both sides multi-term
