@@ -24,6 +24,7 @@ pure-Python encoder.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from dataclasses import dataclass, field
@@ -505,17 +506,22 @@ def validate_datum(datum: ModularDatum) -> list[Violation]:
 SCHEMA_ID = "relmod-datum/1"
 
 
-def _scalar(text, conductor: int, path: str, literals: dict[str, CycScalar]) -> CycScalar:
+def _scalar(text, conductor: int, path: str, literals: dict[str, CycScalar],
+            factors: dict) -> CycScalar:
     """The value of the literal text.  literals maps each text already read
     from the same document to its value, so that a text repeated there is
     parsed once; a text that fails to parse is not kept, so each repetition
-    of it fails at its own path."""
+    of it fails at its own path.  factors is the document's table of factor
+    texts, which parse_scalar fills and reads (see _read_canonical in
+    scalars.py), so that a factor repeated across literals, such as a
+    variable with its power, is matched once and is one (name, exponent)
+    object in every value."""
     if not isinstance(text, str):
         raise DatumSchemaError(path, f"expected a scalar string, got {type(text).__name__}")
     value = literals.get(text)
     if value is None:
         try:
-            value = literals[text] = parse_scalar(text, conductor)
+            value = literals[text] = parse_scalar(text, conductor, factors=factors)
         except ScalarParseError as exc:
             raise DatumSchemaError(path, str(exc)) from None
     return value
@@ -535,6 +541,26 @@ def _by_degree(obj, degrees: tuple[Degree, ...], path: str):
 
 
 def loads_datum(doc: dict) -> ModularDatum:
+    """The datum a decoded JSON document describes, validated once;
+    DatumSchemaError names the first malformed field and DatumInvariantError
+    every invariant that fails.
+
+    Each distinct literal text is parsed once, and each distinct factor
+    text of the literals matched once, through two tables that live for this
+    call only (see _scalar).  The cyclic garbage collector is paused for the
+    call and left as it was found: every loaded scalar is a few tracked
+    containers, and at the sizes of the emitted sl(2|1) data their
+    allocations kept starting collections that rescanned the growing heap."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _datum_from_json(doc)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _datum_from_json(doc: dict) -> ModularDatum:
     if not isinstance(doc, dict):
         raise DatumSchemaError("$", "document must be a JSON object")
     if doc.get("schema") != SCHEMA_ID:
@@ -548,11 +574,14 @@ def loads_datum(doc: dict) -> ModularDatum:
 
     grading = grading_from_json(_need(doc, "grading", "$"), "grading")
     cyclic = grading.cyclic_factors
-    # each distinct literal text is parsed once per document (see _scalar)
+    # each distinct literal text is parsed once per document, and each
+    # distinct factor text matched once (see _scalar); neither table outlives
+    # this call
     literals: dict[str, CycScalar] = {}
+    factor_table: dict = {}
 
     def scalar(text, path: str) -> CycScalar:
-        return _scalar(text, conductor, path, literals)
+        return _scalar(text, conductor, path, literals, factor_table)
 
     tobj = _expect(_need(doc, "translation", "$"), dict, "translation")
     factors = _int_list(tobj.get("cyclic_factors", []), "translation.cyclic_factors")

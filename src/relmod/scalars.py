@@ -40,15 +40,21 @@ negation or the zero as soon as the operands are coerced to one conductor.
 The sparse sl(2|1) matrices are mostly zeros, so this is where most of their
 scalar operations end.
 
-A product of two one-term scalars is built as its single key in one step
-(``_times_term``): the zeta power mod m, and the variable key that
+``CycScalar(m, coeffs)`` puts any terms into canonical form.  Every routine
+here that already holds a canonical dict builds its scalar with ``_make``,
+which sets the two slots and runs no ``__init__``.
+
+A product of two one-term scalars is built inline in ``__mul__`` as its
+single key: the zeta power, wrapped once below m, and the variable key that
 ``_vk_mul`` merges from the two sorted keys, adding the exponents of a shared
 name and dropping a zero sum.  It is reduced modulo Phi_m only when that zeta
 power is not below deg Phi_m.  Emitting the sl(2|1) datum and scaling its S'
-columns by the dimensions are such products.  A product by the unit 1
-returns the other operand itself: every modified dimension of pointed data
-is 1, so scaling S' by them and the ``* d(V_i)`` of the Delta sums build
-nothing.  ``str()`` of a one-term scalar prints its term without sorting.
+columns by the dimensions are such products.  A product of a sum and a
+one-term scalar, and a division by a one-term divisor, go through
+``_times_term``.  A product by the unit 1 returns the other operand itself:
+every modified dimension of pointed data is 1, so scaling S' by them and the
+``* d(V_i)`` of the Delta sums build nothing.  ``str()`` of a one-term
+scalar prints its term without sorting.
 
 A product of two variable-free scalars that both have more than one term
 is one Kronecker product (``_field_product``): each operand is put over its
@@ -64,15 +70,24 @@ whose few products are cheaper than packing, with int or ``Fraction``
 coefficients alike.  ``_canon`` serves every product with a formal variable.
 
 Literals are read by ``parse_scalar``.  A literal in the form ``str()``
-prints is checked by one compiled full match and built as its coefficient
-dict, with one ``_quo`` per fraction and no other arithmetic
+prints is built as its coefficient dict with no arithmetic
 (``_read_canonical``).  That form is terms joined by ' + ' or ' - ', the
 first with an optional '-'; a term is an integer or fractional numeral with
 parts of at most 18 digits, then ``z{m}^k`` with 0 < k < deg Phi_m, then
 names in strictly ascending order with nonzero powers; and the terms' keys
 are strictly ascending.  Every literal of an emitted sl(2|1) datum, and every
-literal of pointed and planted data whose numerals fit, is one.  Every other
-literal goes through the scanner in one pass.
+literal of pointed and planted data whose numerals fit, is one.  The reader
+splits a literal on ' ' and '*' and looks each factor text up in a table of
+factor texts: a text not seen before is checked by one small full match
+(``_PRINTED_FACTOR``) and stored with its kind and value, a numeral's
+coefficient, a zeta power or a variable's (name, exponent) pair, so each
+distinct factor is matched and converted once and equal pairs are one tuple
+(hash-consing).  A caller that reads a whole document passes one table to
+every ``parse_scalar`` call of it (``loads_datum``); a bare call starts its
+own, and the module keeps none, so no table outlives its document.  What
+remains per literal is the order checks: the factor kinds in order, the
+names and the terms' keys strictly ascending.  Every other literal goes
+through the scanner in one pass.
 
 In the scanner, one compiled regex match reads a whole numeral or name
 factor: its unary minuses, the numeral, ``z{m}`` or variable name, its
@@ -260,11 +275,11 @@ def _field_inverse(m: int, items: tuple[tuple[int, Coeff], ...]) -> "CycScalar":
     for k in range(2, m):
         if gcd(k, m) == 1:
             cofactor = cofactor * CycScalar(m, {(zp * k, ()): c for zp, c in items})
-    norm = CycScalar(m, {(zp, ()): c for zp, c in items}, _canonical=True) * cofactor
+    norm = _make(m, {(zp, ()): c for zp, c in items}) * cofactor
     if list(norm.coeffs) != [(0, ())]:
         raise ArithmeticError("cyclotomic norm not rational; conductor data corrupt")
     n = norm.coeffs[(0, ())]
-    return CycScalar(m, {k: _quo(c, n) for k, c in cofactor.coeffs.items()}, _canonical=True)
+    return _make(m, {k: _quo(c, n) for k, c in cofactor.coeffs.items()})
 
 
 def _common_denominator(entries) -> int:
@@ -299,9 +314,8 @@ def _from_numerators(m: int, digits: list[int], d: int) -> "CycScalar":
                 for t, x in rows[e - deg]:
                     digits[t] += c * x
     if d == 1:
-        return CycScalar(m, {(t, ()): c for t, c in enumerate(digits[:deg]) if c}, _canonical=True)
-    return CycScalar(m, {(t, ()): _quo(c, d) for t, c in enumerate(digits[:deg]) if c},
-                     _canonical=True)
+        return _make(m, {(t, ()): c for t, c in enumerate(digits[:deg]) if c})
+    return _make(m, {(t, ()): _quo(c, d) for t, c in enumerate(digits[:deg]) if c})
 
 
 def _field_product(a: "CycScalar", b: "CycScalar") -> "CycScalar":
@@ -451,16 +465,28 @@ def _vk_neg(vk: VarKey) -> VarKey:
     return tuple((name, -e) for name, e in vk)
 
 
+_new = object.__new__
+
+
+def _make(m: int, coeffs: dict[Key, Coeff]) -> "CycScalar":
+    """The scalar over Q(zeta_m) that keeps the canonical dict coeffs as it
+    is: no copy, no check and no __init__."""
+    s = _new(CycScalar)
+    s.conductor = m
+    s.coeffs = coeffs
+    return s
+
+
 class CycScalar:
     """Element of Q(zeta_m) extended by formal Laurent variables."""
 
     __slots__ = ("conductor", "coeffs")
 
-    def __init__(self, conductor: int, coeffs: dict[Key, Coeff], *, _canonical: bool = False):
+    def __init__(self, conductor: int, coeffs: dict[Key, Coeff]):
+        """The canonical form of the terms coeffs: any zeta powers, variable
+        keys in any order with zero exponents, and int, Fraction or other
+        rational coefficients."""
         self.conductor = conductor
-        if _canonical:
-            self.coeffs = coeffs
-            return
         self.coeffs = _canon(conductor, (
             ((zp, tuple(sorted((n, e) for n, e in vk if e))),
              c if type(c) is int or type(c) is Fraction else Fraction(c))
@@ -470,7 +496,7 @@ class CycScalar:
 
     @staticmethod
     def zero(conductor: int) -> "CycScalar":
-        return CycScalar(conductor, {}, _canonical=True)
+        return _make(conductor, {})
 
     @staticmethod
     def one(conductor: int) -> "CycScalar":
@@ -484,7 +510,7 @@ class CycScalar:
                 q = q.numerator
         if not q:
             return CycScalar.zero(conductor)
-        return CycScalar(conductor, {(0, ()): q}, _canonical=True)
+        return _make(conductor, {(0, ()): q})
 
     @staticmethod
     def zeta(conductor: int, power: int = 1) -> "CycScalar":
@@ -494,7 +520,7 @@ class CycScalar:
     def variable(name: str, conductor: int, exponent: int = 1) -> "CycScalar":
         if exponent == 0:
             return CycScalar.one(conductor)
-        return CycScalar(conductor, {(0, ((name, exponent),)): 1}, _canonical=True)
+        return _make(conductor, {(0, ((name, exponent),)): 1})
 
     # -- predicates / conversions -------------------------------------------
 
@@ -541,12 +567,12 @@ class CycScalar:
                 out[k] = nc
             elif k in out:
                 del out[k]
-        return CycScalar(self.conductor, out, _canonical=True)
+        return _make(self.conductor, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycScalar(self.conductor, {k: -c for k, c in self.coeffs.items()}, _canonical=True)
+        return _make(self.conductor, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -564,23 +590,42 @@ class CycScalar:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not other.coeffs:
+        b = other.coeffs
+        if not b:
             return other
-        if not self.coeffs:
+        a = self.coeffs
+        if not a:
             return self
-        if len(other.coeffs) == 1:
-            ((zp, vk), c), = other.coeffs.items()
-            return self._times_term(zp, vk, c)
-        if len(self.coeffs) == 1:
-            ((zp, vk), c), = self.coeffs.items()
+        if len(b) == 1:
+            ((z2, v2), c2), = b.items()
+            if len(a) != 1:
+                return self._times_term(z2, v2, c2)
+            # one term times one term: the product's one key, built here
+            if not v2 and not z2 and c2 == 1:
+                return self
+            ((z1, v1), c1), = a.items()
+            if not v1 and not z1 and c1 == 1:
+                return other
+            c = c1 * c2
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            m = self.conductor
+            zp = z1 + z2
+            if zp >= m:
+                zp -= m
+            if not zp or zp < _degree(m):
+                return _make(m, {(zp, _vk_mul(v1, v2)): c})
+            return _make(m, _canon(m, (((zp, _vk_mul(v1, v2)), c),)))
+        if len(a) == 1:
+            ((zp, vk), c), = a.items()
             return other._times_term(zp, vk, c)
-        if not any(map(_var_key, self.coeffs)) and not any(map(_var_key, other.coeffs)):
+        if not any(map(_var_key, a)) and not any(map(_var_key, b)):
             return _field_product(self, other)
         m = self.conductor
-        return CycScalar(m, _canon(m, (
+        return _make(m, _canon(m, (
             ((z1 + z2, _vk_mul(v1, v2)), c1 * c2)
-            for (z1, v1), c1 in self.coeffs.items()
-            for (z2, v2), c2 in other.coeffs.items())), _canonical=True)
+            for (z1, v1), c1 in a.items()
+            for (z2, v2), c2 in b.items())))
 
     __rmul__ = __mul__
 
@@ -603,17 +648,17 @@ class CycScalar:
                 c1 = c1.numerator
             zp = (z1 + zp) % m
             if not zp or zp < _degree(m):
-                return CycScalar(m, {(zp, _vk_mul(v1, vk)): c1}, _canonical=True)
-            return CycScalar(m, _canon(m, (((zp, _vk_mul(v1, vk)), c1),)), _canonical=True)
+                return _make(m, {(zp, _vk_mul(v1, vk)): c1})
+            return _make(m, _canon(m, (((zp, _vk_mul(v1, vk)), c1),)))
         if not vk and not zp % m:
             out = {}
             for k, x in coeffs.items():
                 x *= c
                 out[k] = x.numerator if type(x) is Fraction and x.denominator == 1 else x
-            return CycScalar(m, out, _canonical=True)
-        return CycScalar(m, _canon(m, (
+            return _make(m, out)
+        return _make(m, _canon(m, (
             ((z1 + zp, _vk_mul(v1, vk)), c1 * c)
-            for (z1, v1), c1 in coeffs.items())), _canonical=True)
+            for (z1, v1), c1 in coeffs.items())))
 
     def __pow__(self, n: int):
         if n == 0:
@@ -708,8 +753,8 @@ def _term(m: int, zp: int, vk: VarKey, c: Coeff) -> CycScalar:
     reduced modulo Phi_m only when zp mod m is not below deg Phi_m."""
     zp %= m
     if zp < _degree(m):
-        return CycScalar(m, {(zp, vk): c}, _canonical=True)
-    return CycScalar(m, _canon(m, (((zp, vk), c),)), _canonical=True)
+        return _make(m, {(zp, vk): c})
+    return _make(m, _canon(m, (((zp, vk), c),)))
 
 
 def _laurent_div(a: CycScalar, b: CycScalar) -> CycScalar:
@@ -727,7 +772,7 @@ def _laurent_div(a: CycScalar, b: CycScalar) -> CycScalar:
             d = dict(vk)
             out.setdefault(tuple(d.get(n, 0) for n in names), {})[(zp, ())] = c
         val = tuple(min(k[i] for k in out) for i in range(len(names)))
-        return {tuple(e - v for e, v in zip(k, val)): CycScalar(m, c, _canonical=True)
+        return {tuple(e - v for e, v in zip(k, val)): _make(m, c)
                 for k, c in out.items()}, val
 
     f, valf = collect(a)
@@ -755,7 +800,7 @@ def _laurent_div(a: CycScalar, b: CycScalar) -> CycScalar:
     for k, cq in quot.items():
         vk = tuple((n, e + s) for n, e, s in zip(names, k, shift) if e + s)
         out.update(((zp, vk), c) for (zp, _), c in cq.coeffs.items())
-    return CycScalar(m, out, _canonical=True)
+    return _make(m, out)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,7 +1056,7 @@ def _scan_expr(text: str, pos: int, m: int) -> tuple[CycScalar, int]:
                 out[k] = _printable(nc)
             elif k in out:
                 del out[k]
-    return CycScalar(m, out, _canonical=True), pos
+    return _make(m, out), pos
 
 
 def _bad_character(text: str) -> int | None:
@@ -1025,80 +1070,116 @@ def _bad_character(text: str) -> int | None:
 
 # A literal in the form str() prints, which parse_scalar reads without the
 # scanner: terms joined by ' + ' or ' - ', the first with an optional '-'.  A
-# term is a numeral, then z{m} with a power, then variable factors with
-# powers, each part optional but not all.  A numeral is an integer or a
-# fraction, each part nonzero, without leading zeros and of at most 18
-# digits; a power is nonzero, of at most 18 digits, and positive on z{m}; a
-# variable is a name other than z followed by digits.  Such numerals and
-# powers are far inside every limit of the general path.
-_CANONICAL_NUMERAL = r"[1-9][0-9]{0,17}(?:/[1-9][0-9]{0,17})?"
-_CANONICAL_VARIABLE = r"(?!z[0-9]+(?![A-Za-z_0-9]))[A-Za-z_][A-Za-z_0-9]*(?:\^-?[1-9][0-9]{0,17})?"
+# term is factors joined by '*': a numeral, then z{m} with a power, then
+# variables with powers, each part optional but not all.  A numeral is an
+# integer or a fraction, each part nonzero, without leading zeros and of at
+# most 18 digits; a power is nonzero, of at most 18 digits, and positive on
+# z{m}; a variable is a name other than z followed by digits.  Such numerals
+# and powers are far inside every limit of the general path.
+#
+# One factor: a numeral (groups 1 and 2) or a name with an optional power
+# (groups 3 and 4).
+_PRINTED_FACTOR = re.compile(r"([1-9][0-9]{0,17})(?:/([1-9][0-9]{0,17}))?"
+                             r"|([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?[1-9][0-9]{0,17}))?")
+
+# The kinds of factor, in the order a term holds them; the first is a text
+# that is not a factor of a printed literal over the conductor.
+_NOT_PRINTED, _NUMERAL, _ZETA, _VARIABLE = range(4)
 
 
-@lru_cache(maxsize=None)
-def _printed_form(m: int) -> re.Pattern:
-    """The compiled full match of a printed literal over Q(zeta_m)."""
-    zeta = rf"z{m}(?:\^[1-9][0-9]{{0,17}})?(?![A-Za-z_0-9])"
-    term = (rf"(?:{_CANONICAL_NUMERAL}(?:\*{zeta})?|{zeta})(?:\*{_CANONICAL_VARIABLE})*"
-            rf"|{_CANONICAL_VARIABLE}(?:\*{_CANONICAL_VARIABLE})*")
-    return re.compile(rf"-?(?:{term})(?: [+-] (?:{term}))*")
+def _printed_factor(f: str, m: int) -> tuple[int, object]:
+    """(kind, value) of the factor text f in a literal over Q(zeta_m): a
+    numeral's coefficient, a power k of z{m} with 0 < k < deg Phi_m, or a
+    variable's (name, exponent) pair."""
+    mo = _PRINTED_FACTOR.fullmatch(f)
+    if mo is None:
+        return _NOT_PRINTED, None
+    num, den, name, e = mo.groups()
+    if name is None:
+        return _NUMERAL, int(num) if den is None else _quo(int(num), int(den))
+    k = 1 if e is None else int(e)
+    if name[0] == "z" and name[1:].isdigit():
+        if name != f"z{m}" or not 0 < k < _degree(m):
+            return _NOT_PRINTED, None
+        return _ZETA, k
+    return _VARIABLE, (name, k)
 
 
-def _read_canonical(text: str, m: int) -> CycScalar | None:
-    """The value of a printed literal, built as its coefficient dict with one
-    _quo per fraction; None when text does not match _printed_form(m), when
-    a zeta power is not below deg Phi_m, when a term's names are not
-    strictly ascending or when the terms' keys are not.  Within those limits
-    every key is canonical and no two terms share one, so the value is the
-    scanner's."""
-    if _printed_form(m).fullmatch(text) is None:
-        return None
-    deg = _degree(m)
-    zeta = f"z{m}"
+def _read_canonical(text: str, m: int,
+                    factors: dict[str, tuple[int, object]] | None = None) -> CycScalar | None:
+    """The value of a printed literal over Q(zeta_m), built as its
+    coefficient dict with no arithmetic; None when text is not one.
+
+    text is split on ' ' and '*'.  factors maps each factor text already
+    seen, by this call or an earlier one over the same conductor, to its
+    _printed_factor, so each distinct factor is matched once, and every
+    variable factor of one text is the one (name, exponent) tuple in every
+    key that holds it; None starts an empty table.  The literal is read when
+    each operator is '+' or '-', each factor is printed, the factors of a
+    term come in the kinds' order with one numeral and one zeta power at
+    most and strictly ascending names, and the terms' keys are strictly
+    ascending.  Within those limits every key is canonical and no two terms
+    share one, so the value is the scanner's."""
+    if factors is None:
+        factors = {}
     sign = 1
-    if text[0] == "-":
+    if text[:1] == "-":
         sign, text = -1, text[1:]
     # the terms are at the even places, each operator before its term
     parts = text.split(" ")
+    if not len(parts) & 1:
+        return None
     out: dict[Key, Coeff] = {}
     last = None
     for i in range(0, len(parts), 2):
         if i:
-            sign = -1 if parts[i - 1] == "-" else 1
-        c, zp, vk = sign, 0, []
-        for f in parts[i].split("*"):
-            if f[0] <= "9":
-                # a numeral; only the first factor can be one
-                num, _, den = f.partition("/")
-                c = sign * int(num) if not den else _quo(sign * int(num), int(den))
-                continue
-            name, caret, e = f.partition("^")
-            if name == zeta:
-                zp = int(e) if caret else 1
-                if zp >= deg:
-                    return None
-            elif vk and name <= vk[-1][0]:
-                return None
+            op = parts[i - 1]
+            if op == "+":
+                sign = 1
+            elif op == "-":
+                sign = -1
             else:
-                vk.append((name, int(e) if caret else 1))
+                return None
+        c, zp, vk, seen = sign, 0, [], _NOT_PRINTED
+        for f in parts[i].split("*"):
+            kind_value = factors.get(f)
+            if kind_value is None:
+                kind_value = factors[f] = _printed_factor(f, m)
+            kind, value = kind_value
+            if kind == _VARIABLE:
+                if vk and value[0] <= vk[-1][0]:
+                    return None
+                vk.append(value)
+            elif kind <= seen:
+                return None
+            elif kind == _NUMERAL:
+                c = value if sign == 1 else -value
+            else:
+                zp = value
+            seen = kind
         key = (zp, tuple(vk))
         if last is not None and not last < key:
             return None
         out[key] = c
         last = key
-    return CycScalar(m, out, _canonical=True)
+    return _make(m, out)
 
 
-def parse_scalar(text: str, conductor: int) -> CycScalar:
+def parse_scalar(text: str, conductor: int, *,
+                 factors: dict[str, tuple[int, object]] | None = None) -> CycScalar:
     """Parse the scalar grammar: rationals, z{m}^k, variables, * + - ( ).
 
     A literal in the form str() prints, such as ``-d0_1^-1*s1_3`` or
     ``1/2 - 3*z5^2*u`` -- numerals of at most 18 digits, zeta powers below
     deg Phi_m, strictly ascending names with nonzero powers in each term and
-    strictly ascending terms, joined by ' + ' and ' - ' -- is read by one
-    compiled full match and built as its coefficient dict (_read_canonical).
-    Every other literal goes to the general reader _parse_expr, and both
-    give the same value.
+    strictly ascending terms, joined by ' + ' and ' - ' -- is read factor by
+    factor and built as its coefficient dict (_read_canonical).  factors is
+    the table of factor texts that reader keeps; a caller that reads many
+    literals over one conductor, such as loads_datum for one document, passes
+    one table to every call, so that each distinct factor is matched once
+    and equal (name, exponent) pairs are one object.  Without it each call
+    starts an empty table.  Every other literal goes to the general reader
+    _parse_expr, and both give the same value.
 
     The general reader reads a whole numeral or name factor with its unary
     minuses, its power and the operator after it in one regex match; a
@@ -1114,7 +1195,7 @@ def parse_scalar(text: str, conductor: int) -> CycScalar:
     a power whose coefficients may be over MAX_POWER_BITS bits, or builds a
     coefficient that str() cannot print is malformed too: each raises
     ScalarParseError."""
-    v = _read_canonical(text, conductor)
+    v = _read_canonical(text, conductor, factors)
     return _parse_expr(text, conductor) if v is None else v
 
 

@@ -473,16 +473,18 @@ def _edit_dual(d, g):
 
 
 class TestLiteralSharing:
-    """loads_datum parses each distinct literal text once per call."""
+    """loads_datum parses each distinct literal text once per call, and the
+    (name, exponent) pairs of one document's values are shared, but no table
+    outlives the call."""
 
     def test_each_distinct_text_is_parsed_once_per_call(self, monkeypatch):
         import relmod.datum as datum_mod
         texts = []
         original = datum_mod.parse_scalar
 
-        def recording(text, conductor):
+        def recording(text, conductor, **kwargs):
             texts.append(text)
-            return original(text, conductor)
+            return original(text, conductor, **kwargs)
 
         monkeypatch.setattr(datum_mod, "parse_scalar", recording)
         d = pointed_datum(5, random.Random(3))
@@ -493,6 +495,53 @@ class TestLiteralSharing:
         assert sorted(texts) == sorted(set(every)) and len(texts) < len(every) / 4
         # no cache across calls
         assert loads_datum(doc) == d and len(texts) == 2 * len(set(texts))
+
+    @staticmethod
+    def pairs(d):
+        """Every (name, exponent) pair object in the values of d's dims,
+        twists and S' blocks."""
+        values = [x for b in d.sprime for x in b.matrix.entries] + \
+            [x for table in (d.dims, d.twists) for vals in table.values() for x in vals]
+        return [p for x in values for _, vk in x.coeffs for p in vk]
+
+    def test_equal_pairs_are_one_object_within_a_document(self):
+        d = loads_datum(dumps_datum(emit_datum(5)))
+        by_value = {}
+        for p in self.pairs(d):
+            by_value.setdefault(p, set()).add(id(p))
+        assert len(by_value) > 10
+        assert all(len(ids) == 1 for ids in by_value.values())
+
+    def test_no_table_outlives_a_document(self):
+        doc = dumps_datum(emit_datum(5))
+        first, second = loads_datum(doc), loads_datum(doc)
+        assert first == second
+        ids = {id(p) for p in self.pairs(first)}
+        assert ids and ids.isdisjoint(id(p) for p in self.pairs(second))
+        # nor a bare parse_scalar call
+        a, b = (scalars_mod.parse_scalar("s0_1^-2*u", 5) for _ in range(2))
+        assert a == b and all(p is not q for p, q in zip(*(next(iter(x.coeffs))[1]
+                                                          for x in (a, b))))
+
+    def test_the_scalar_module_keeps_no_table(self):
+        def sizes():
+            out = {}
+            for name, value in vars(scalars_mod).items():
+                if name.startswith("__"):
+                    continue
+                if isinstance(value, (dict, set, list)):
+                    out[name] = len(value)
+                elif hasattr(value, "cache_info"):
+                    out[name] = value.cache_info().currsize
+            return out
+        scalars_mod.parse_scalar("-2*z7^3*u", 7)  # fills the conductor's caches
+        before = sizes()
+        table = {}
+        for i in range(40):
+            text = f"-{i + 2}*z7^{i % 5 + 1}*s{i}_1^{i + 1}*u^-{i + 1}"
+            assert scalars_mod.parse_scalar(text, 7, factors=table) == \
+                scalars_mod.parse_scalar(text, 7)
+        assert len(table) >= 120 and sizes() == before
 
 
 class TestDeltaMemo:

@@ -2,6 +2,7 @@ import cmath
 import random
 import time
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1223,3 +1224,119 @@ class TestFieldProduct:
                     assert got.coeffs == canon_product(x, inv), (m, zp, c)
                     assert no_fraction_is_integral(got)
                     assert got * y == x
+
+
+# ---------------------------------------------------------------------------
+# homomorphism oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15)
+# the residue each variable goes to, modulo every prime below
+ORACLE_RESIDUES = {"d1_2": 3, "s0_1": 5, "u": 7, "x": 11}
+
+
+def _totient(m):
+    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+
+
+def _images_of_zeta(m, count=2):
+    """(p, r) for the first count primes p = 1 (mod m) above 10^6, r an
+    element of order exactly m modulo p, hence a root of Phi_m mod p."""
+    out = []
+    p = (10 ** 6 // m + 1) * m + 1
+    while len(out) < count:
+        if all(p % q for q in range(2, isqrt(p) + 1)):
+            for g in range(2, p):
+                r = pow(g, (p - 1) // m, p)
+                if all(pow(r, m // q, p) != 1 for q in range(2, m + 1)
+                       if m % q == 0 and all(q % s for s in range(2, q))):
+                    out.append((p, r))
+                    break
+        p += m
+    return out
+
+
+ORACLE_PRIMES = {m: _images_of_zeta(m) for m in ORACLE_CONDUCTORS}
+
+
+def image(x, p, r):
+    """x modulo p with zeta_m at r and each variable at its residue: each
+    term's coefficient, zeta power and variable powers taken mod p and
+    summed, with no canonical form involved."""
+    total = 0
+    for (zp, vk), c in x.coeffs.items():
+        t = c.numerator * pow(c.denominator, -1, p) * pow(r, zp, p) % p
+        for name, e in vk:
+            t = t * pow(ORACLE_RESIDUES[name], e, p) % p
+        total += t
+    return total % p
+
+
+def assert_canonical_shape(x):
+    """Zeta powers in 0..phi(m)-1, names strictly ascending with nonzero int
+    powers, and nonzero coefficients that are ints when integral."""
+    deg = _totient(x.conductor)
+    for (zp, vk), c in x.coeffs.items():
+        assert type(zp) is int and 0 <= zp < deg, x.coeffs
+        names = [name for name, _ in vk]
+        assert names == sorted(set(names)), x.coeffs
+        assert all(type(e) is int and e for _, e in vk), x.coeffs
+        assert c and (type(c) is int or type(c) is Fraction and c.denominator != 1), x.coeffs
+
+
+@st.composite
+def oracle_operands(draw):
+    """(m, a, b): one-term scalars half of the time, each side, else sums of
+    up to four terms; zeta powers mostly below phi(m), so that one-term
+    products meet deg Phi_m and m, and variables from ORACLE_RESIDUES."""
+    m = draw(st.sampled_from(ORACLE_CONDUCTORS))
+    deg = _totient(m)
+    names = st.sampled_from(sorted(ORACLE_RESIDUES))
+    coeff = st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=6)).filter(bool)
+    power = st.one_of(st.integers(0, deg - 1), st.integers(-m, 2 * m))
+    term = st.tuples(power, st.dictionaries(names, st.integers(-3, 3), max_size=3), coeff)
+
+    def operand():
+        size = 1 if draw(st.booleans()) else draw(st.integers(1, 4))
+        terms = draw(st.lists(term, min_size=size, max_size=size))
+        return CycScalar(m, {(zp, tuple(vk.items())): c for zp, vk, c in terms})
+    return m, operand(), operand()
+
+
+class TestHomomorphismOracle:
+    """Reducing mod p, with zeta_m sent to a root of Phi_m mod p and each
+    variable to a fixed residue, is a ring homomorphism.  So products, sums,
+    quotients and parsed printed literals map to the product, sum, quotient
+    and value of the images, for two primes; this shares no code with _canon
+    or the F_p image of the matrices."""
+
+    def test_zeta_images_have_order_m(self):
+        for m, pairs in ORACLE_PRIMES.items():
+            assert len({p for p, _ in pairs}) == 2
+            for p, r in pairs:
+                assert (p - 1) % m == 0 and pow(r, m, p) == 1
+                assert all(pow(r, k, p) != 1 for k in range(1, m))
+
+    @given(case=oracle_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_operations_map_to_the_images(self, case):
+        m, a, b = case
+        prod, total, diff = a * b, a + b, a - b
+        quotients = [(prod, b, a)] if b else []
+        if b:
+            try:
+                quotients.append((a, b, a.exact_div(b)))
+            except InexactDivision:
+                pass
+        for x in (prod, b * a, total, diff) + tuple(q for *_, q in quotients):
+            assert_canonical_shape(x)
+        for p, r in ORACLE_PRIMES[m]:
+            ia, ib = image(a, p, r), image(b, p, r)
+            assert image(prod, p, r) == image(b * a, p, r) == ia * ib % p
+            assert image(total, p, r) == (ia + ib) % p
+            assert image(diff, p, r) == (ia - ib) % p
+            for dividend, divisor, q in quotients:
+                assert image(q, p, r) * image(divisor, p, r) % p == image(dividend, p, r)
+            factors = {}
+            for x in (a, b, prod, total):
+                assert image(parse_scalar(str(x), m, factors=factors), p, r) == image(x, p, r)
