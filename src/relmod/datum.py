@@ -550,7 +550,11 @@ def loads_datum(doc: dict) -> ModularDatum:
     call only (see _scalar).  The cyclic garbage collector is paused for the
     call and left as it was found: every loaded scalar is a few tracked
     containers, and at the sizes of the emitted sl(2|1) data their
-    allocations kept starting collections that rescanned the growing heap."""
+    allocations kept starting collections that rescanned the growing heap.
+    The pause is process-wide: while the call runs no thread's cycles are
+    collected, and of two calls that overlap in different threads the first
+    to finish turns collection back on while the other still loads.  Load
+    from one thread at a time."""
     enabled = gc.isenabled()
     gc.disable()
     try:

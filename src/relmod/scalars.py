@@ -44,17 +44,17 @@ scalar operations end.
 here that already holds a canonical dict builds its scalar with ``_make``,
 which sets the two slots and runs no ``__init__``.
 
-A product of two one-term scalars is built inline in ``__mul__`` as its
-single key: the zeta power, wrapped once below m, and the variable key that
-``_vk_mul`` merges from the two sorted keys, adding the exponents of a shared
-name and dropping a zero sum.  It is reduced modulo Phi_m only when that zeta
+A product of two one-term scalars, from ``__mul__``, from the division by a
+one-term divisor or from the scanner, is built by ``_term_product`` as its
+single key: the zeta power mod m and the variable key that ``_vk_mul``
+merges from the two sorted keys, adding the exponents of a shared name and
+dropping a zero sum.  It is reduced modulo Phi_m only when that zeta
 power is not below deg Phi_m.  Emitting the sl(2|1) datum and scaling its S'
-columns by the dimensions are such products.  A product of a sum and a
-one-term scalar, and a division by a one-term divisor, go through
-``_times_term``.  A product by the unit 1 returns the other operand itself:
-every modified dimension of pointed data is 1, so scaling S' by them and the
-``* d(V_i)`` of the Delta sums build nothing.  ``str()`` of a one-term
-scalar prints its term without sorting.
+columns by the dimensions are such products.  A product by the unit 1, on
+either side, returns the other operand itself: every modified dimension of
+pointed data is 1, so scaling S' by them and the ``* d(V_i)`` of the Delta
+sums build nothing.  ``str()`` of a one-term scalar prints its term without
+sorting.
 
 A product of two variable-free scalars that both have more than one term
 is one Kronecker product (``_field_product``): each operand is put over its
@@ -84,7 +84,9 @@ coefficient, a zeta power or a variable's (name, exponent) pair, so each
 distinct factor is matched and converted once and equal pairs are one tuple
 (hash-consing).  A caller that reads a whole document passes one table to
 every ``parse_scalar`` call of it (``loads_datum``); a bare call starts its
-own, and the module keeps none, so no table outlives its document.  What
+own, and the module keeps none, so no table outlives its document.  A zeta
+factor's value depends on the conductor, so a table records the conductor it
+was first used over and refuses any other.  What
 remains per literal is the order checks: the factor kinds in order, the
 names and the terms' keys strictly ascending.  Every other literal goes
 through the scanner in one pass.
@@ -600,22 +602,12 @@ class CycScalar:
             ((z2, v2), c2), = b.items()
             if len(a) != 1:
                 return self._times_term(z2, v2, c2)
-            # one term times one term: the product's one key, built here
             if not v2 and not z2 and c2 == 1:
                 return self
             ((z1, v1), c1), = a.items()
             if not v1 and not z1 and c1 == 1:
                 return other
-            c = c1 * c2
-            if type(c) is Fraction and c.denominator == 1:
-                c = c.numerator
-            m = self.conductor
-            zp = z1 + z2
-            if zp >= m:
-                zp -= m
-            if not zp or zp < _degree(m):
-                return _make(m, {(zp, _vk_mul(v1, v2)): c})
-            return _make(m, _canon(m, (((zp, _vk_mul(v1, v2)), c),)))
+            return _term_product(self.conductor, z1, v1, c1, z2, v2, c2)
         if len(a) == 1:
             ((zp, vk), c), = a.items()
             return other._times_term(zp, vk, c)
@@ -633,9 +625,8 @@ class CycScalar:
         """self * c*zeta^zp*X^vk for nonzero c, where zp need not be reduced;
         self itself when that multiplier is 1 or self is zero.
 
-        A one-term self gives the one key (zeta power, merged variable key)
-        directly, and a rational multiplier scales each coefficient in
-        place.  Any other multiplier goes term by term through _canon, whose
+        A one-term self gives the one key of _term_product, and a rational
+        multiplier scales each coefficient in place.  Any other multiplier goes term by term through _canon, whose
         few products are cheaper than packing (_field_product)."""
         m = self.conductor
         coeffs = self.coeffs
@@ -643,13 +634,7 @@ class CycScalar:
             return self
         if len(coeffs) == 1:
             ((z1, v1), c1), = coeffs.items()
-            c1 *= c
-            if type(c1) is Fraction and c1.denominator == 1:
-                c1 = c1.numerator
-            zp = (z1 + zp) % m
-            if not zp or zp < _degree(m):
-                return _make(m, {(zp, _vk_mul(v1, vk)): c1})
-            return _make(m, _canon(m, (((zp, _vk_mul(v1, vk)), c1),)))
+            return _term_product(m, z1, v1, c1, zp, vk, c)
         if not vk and not zp % m:
             out = {}
             for k, x in coeffs.items():
@@ -755,6 +740,18 @@ def _term(m: int, zp: int, vk: VarKey, c: Coeff) -> CycScalar:
     if zp < _degree(m):
         return _make(m, {(zp, vk): c})
     return _make(m, _canon(m, (((zp, vk), c),)))
+
+
+def _term_product(m: int, z1: int, v1: VarKey, c1: Coeff,
+                  z2: int, v2: VarKey, c2: Coeff) -> CycScalar:
+    """c1*zeta^z1*X^v1 * c2*zeta^z2*X^v2 for nonzero c1 and c2, canonical v1
+    and v2 and any zeta powers: the one key ((z1 + z2) mod m, the variable
+    key _vk_mul merges), reduced as _term reduces it, with an int
+    coefficient when the product is integral."""
+    c = c1 * c2
+    if type(c) is Fraction and c.denominator == 1:
+        c = c.numerator
+    return _term(m, z1 + z2, _vk_mul(v1, v2), c)
 
 
 def _laurent_div(a: CycScalar, b: CycScalar) -> CycScalar:
@@ -1106,7 +1103,7 @@ def _printed_factor(f: str, m: int) -> tuple[int, object]:
 
 
 def _read_canonical(text: str, m: int,
-                    factors: dict[str, tuple[int, object]] | None = None) -> CycScalar | None:
+                    factors: dict | None = None) -> CycScalar | None:
     """The value of a printed literal over Q(zeta_m), built as its
     coefficient dict with no arithmetic; None when text is not one.
 
@@ -1114,7 +1111,10 @@ def _read_canonical(text: str, m: int,
     seen, by this call or an earlier one over the same conductor, to its
     _printed_factor, so each distinct factor is matched once, and every
     variable factor of one text is the one (name, exponent) tuple in every
-    key that holds it; None starts an empty table.  The literal is read when
+    key that holds it; None starts an empty table.  A zeta factor's entry
+    holds for one conductor only, so a table records the conductor of its
+    first call under the key None, and a call over another conductor raises
+    ValueError.  The literal is read when
     each operator is '+' or '-', each factor is printed, the factors of a
     term come in the kinds' order with one numeral and one zeta power at
     most and strictly ascending names, and the terms' keys are strictly
@@ -1122,6 +1122,9 @@ def _read_canonical(text: str, m: int,
     share one, so the value is the scanner's."""
     if factors is None:
         factors = {}
+    elif factors.setdefault(None, m) != m:
+        raise ValueError(f"a factor table of conductor {factors[None]} "
+                         f"used over conductor {m}")
     sign = 1
     if text[:1] == "-":
         sign, text = -1, text[1:]
@@ -1166,7 +1169,7 @@ def _read_canonical(text: str, m: int,
 
 
 def parse_scalar(text: str, conductor: int, *,
-                 factors: dict[str, tuple[int, object]] | None = None) -> CycScalar:
+                 factors: dict | None = None) -> CycScalar:
     """Parse the scalar grammar: rationals, z{m}^k, variables, * + - ( ).
 
     A literal in the form str() prints, such as ``-d0_1^-1*s1_3`` or
@@ -1177,8 +1180,9 @@ def parse_scalar(text: str, conductor: int, *,
     the table of factor texts that reader keeps; a caller that reads many
     literals over one conductor, such as loads_datum for one document, passes
     one table to every call, so that each distinct factor is matched once
-    and equal (name, exponent) pairs are one object.  Without it each call
-    starts an empty table.  Every other literal goes to the general reader
+    and equal (name, exponent) pairs are one object.  A table serves one
+    conductor: passing it with another raises ValueError.  Without it each
+    call starts an empty table.  Every other literal goes to the general reader
     _parse_expr, and both give the same value.
 
     The general reader reads a whole numeral or name factor with its unary

@@ -523,6 +523,23 @@ class TestLiteralSharing:
         assert a == b and all(p is not q for p, q in zip(*(next(iter(x.coeffs))[1]
                                                           for x in (a, b))))
 
+    def test_a_table_serves_one_conductor(self):
+        # z5^3 is a zeta power at m = 5 and, at m = 7, a literal for the
+        # scanner, which rejects the foreign root; a shared table would read
+        # it as z7^3
+        table = {}
+        assert scalars_mod.parse_scalar("z5^3*u", 5, factors=table) == \
+            CycScalar.zeta(5, 3) * CycScalar.variable("u", 5)
+        with pytest.raises(ValueError, match="conductor 5 used over conductor 7"):
+            scalars_mod.parse_scalar("z5^3*u", 7, factors=table)
+        with pytest.raises(ValueError, match="conductor 5 used over conductor 7"):
+            scalars_mod.parse_scalar("u", 7, factors=table)
+        with pytest.raises(scalars_mod.ScalarParseError, match="z5 does not match"):
+            scalars_mod.parse_scalar("z5^3*u", 7)
+        # the table still serves its own conductor
+        assert scalars_mod.parse_scalar("2*z5^3", 5, factors=table) == \
+            2 * CycScalar.zeta(5, 3)
+
     def test_the_scalar_module_keeps_no_table(self):
         def sizes():
             out = {}
