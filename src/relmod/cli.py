@@ -24,6 +24,7 @@ from .datum import (
     json_text,
     load_datum,
     parse_degree,
+    paused_gc,
     save_datum,
 )
 from .scalars import MAX_CONDUCTOR
@@ -270,9 +271,9 @@ def _cmd_closure(args) -> int:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing reads it and
-    never changes it."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by command word,
+    built once per process: parsing reads them and never changes them."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--datum", help="path to a relmod-datum/1 JSON file")
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -307,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--depth", type=int, default=8)
     pl.add_argument("--out", help="output path")
     pl.set_defaults(fn=_cmd_closure)
-    return p
+    return p, sub.choices
 
 
 def _attach_degrees(argv: list[str]) -> list[str]:
@@ -322,22 +323,46 @@ def _attach_degrees(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The parsed arguments, in one argparse pass.
+
+    The top-level parser hands everything after a command word to that
+    command's parser, and would add only `command` to its result, so that
+    parser reads the rest directly.  Anything else -- no arguments, a first
+    argument that is an option or no command, or arguments the command's
+    parser leaves over -- goes through the top-level parser, so its messages
+    and exit codes are the ones it prints."""
+    top, commands = _build_parser()
+    argv = _attach_degrees(argv)
+    parser = commands.get(argv[0]) if argv else None
+    if parser is not None:
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return top.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; return its exit code.  The cyclic garbage collector
+    is paused for the whole command, whose data hold no reference cycles,
+    and left as it was found on every exit (see datum.paused_gc, whose
+    thread caveat holds here)."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(_attach_degrees(argv))
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    args._argv = argv
-    try:
-        return args.fn(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except Exception as exc:  # pragma: no cover - internal invariant breach
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
+    with paused_gc():
+        try:
+            args = _parse(argv)
+        except SystemExit as exc:
+            return USAGE_ERROR if exc.code not in (0, None) else 0
+        args._argv = argv
+        try:
+            return args.fn(args)
+        except _CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        except Exception as exc:  # pragma: no cover - internal invariant breach
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return INTERNAL_ERROR
 
 
 def console_entry() -> None:

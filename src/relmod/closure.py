@@ -18,6 +18,7 @@ up to a bound, or a closed-form family asserting all exponents at once).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .datum import (
     DatumSchemaError,
@@ -222,58 +223,66 @@ def parse_expr(text: str) -> Expr:
             i = j
         else:
             raise ExprParseError(f"bad character {ch!r} at offset {i}")
-    pos = 0
+    parser = _ExprParser(tokens)
+    try:
+        out = parser.sum()
+    except RecursionError:
+        raise ExprParseError("expression nested too deeply") from None
+    if parser.peek() is not None:
+        raise ExprParseError(f"trailing token {parser.peek()!r}")
+    return out
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
 
-    def take():
-        nonlocal pos
-        t = peek()
-        pos += 1
+class _ExprParser:
+    """Recursive descent over the tokens of one expression.  Its methods, not
+    nested functions that call one another, so that a parse leaves no
+    reference cycle for the garbage collector."""
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        t = self.peek()
+        self.pos += 1
         return t
 
-    def parse_sum():
-        terms = [parse_prod()]
-        while peek() == "+":
-            take()
-            terms.append(parse_prod())
+    def sum(self):
+        terms = [self.prod()]
+        while self.peek() == "+":
+            self.take()
+            terms.append(self.prod())
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
-    def parse_prod():
-        factors = [parse_atomexpr()]
-        while peek() == "*":
-            take()
-            factors.append(parse_atomexpr())
+    def prod(self):
+        factors = [self.atom()]
+        while self.peek() == "*":
+            self.take()
+            factors.append(self.atom())
         return factors[0] if len(factors) == 1 else Tensor(tuple(factors))
 
-    def parse_atomexpr():
-        t = take()
+    def atom(self):
+        t = self.take()
         if t is None:
             raise ExprParseError("unexpected end of expression")
         if t == "(":
-            inner = parse_sum()
-            if take() != ")":
+            inner = self.sum()
+            if self.take() != ")":
                 raise ExprParseError("unbalanced parentheses")
             return inner
         if t == "retract":
-            if take() != "(":
+            if self.take() != "(":
                 raise ExprParseError("retract must be followed by (")
-            inner = parse_sum()
-            if take() != ")":
+            inner = self.sum()
+            if self.take() != ")":
                 raise ExprParseError("unbalanced parentheses in retract()")
             return Retract(inner)
         if t in ("*", "+", ")"):
             raise ExprParseError(f"unexpected token {t!r}")
         return Atom(t)
-
-    try:
-        out = parse_sum()
-    except RecursionError:
-        raise ExprParseError("expression nested too deeply") from None
-    if peek() is not None:
-        raise ExprParseError(f"trailing token {peek()!r}")
-    return out
 
 
 def expr_to_str(e: Expr) -> str:
@@ -676,13 +685,15 @@ def save_closure(datum: ClosureDatum, path: str) -> None:
 # the shipped toy datum
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def toy_closure_datum() -> ClosureDatum:
     """Two S-atoms plus a distinguished generator whose powers absorb products.
 
     Models the pattern of a perturbative module category generated by a small
     set of highest-weight objects and the standard module: every product of
     generators is a direct sum of retracts of generator (x) v^n, and v-power
-    coverage is a closed-form family.
+    coverage is a closed-form family.  Built once per process: the datum is
+    frozen, so every caller can share it.
     """
     abar = Degree(alpha=1)
     grading = GradingSpec(cyclic_factors=(), has_generic_torus=True,

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import gc
 import json
+import operator
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -159,7 +161,16 @@ def _reduce_cyclic(comps: tuple[int, ...], factors: tuple[int, ...]) -> tuple[in
     if len(comps) != len(factors):
         raise ValueError(f"expected {len(factors)} components, one per cyclic factor "
                          f"{list(factors)}, got {len(comps)}")
-    return tuple(c % o if o else c for c, o in zip(comps, factors))
+    return tuple([c % o if o else c for c, o in zip(comps, factors)])
+
+
+def _add_cyclic(c1: tuple[int, ...], c2: tuple[int, ...],
+                factors: tuple[int, ...]) -> tuple[int, ...]:
+    """c1 + c2 modulo the cyclic factors; ValueError unless both have one
+    component per factor."""
+    if len(c1) != len(c2):
+        raise ValueError(f"cannot add {len(c2)} components to {len(c1)}")
+    return _reduce_cyclic(tuple(map(operator.add, c1, c2)), factors)
 
 
 def check_cyclic(comps: tuple[int, ...], factors: tuple[int, ...],
@@ -234,15 +245,14 @@ class GradingSpec:
     small: SmallSubset = field(default_factory=SmallSubset)
 
     def add(self, d1: Degree, d2: Degree) -> Degree:
-        fin = _reduce_cyclic(tuple(a + b for a, b in zip(d1.finite, d2.finite, strict=True)),
-                             self.cyclic_factors)
+        fin = _add_cyclic(d1.finite, d2.finite, self.cyclic_factors)
         shift = d1.shift + d2.shift
         if type(shift) is Fraction:
             shift = _shift(shift)
         return Degree(fin, d1.alpha + d2.alpha, shift)
 
     def negate(self, d: Degree) -> Degree:
-        fin = _reduce_cyclic(tuple(-c for c in d.finite), self.cyclic_factors)
+        fin = _reduce_cyclic(tuple([-c for c in d.finite]), self.cyclic_factors)
         return Degree(fin, -d.alpha, -d.shift)
 
     def is_generic(self, d: Degree) -> bool:
@@ -308,15 +318,14 @@ class TranslationSpec:
     no_self_extension: bool | None = None
 
     def zadd(self, z1: ZElem, z2: ZElem) -> ZElem:
-        return _reduce_cyclic(tuple(a + b for a, b in zip(z1, z2, strict=True)),
-                              self.cyclic_factors)
+        return _add_cyclic(z1, z2, self.cyclic_factors)
 
     def zero_elem(self) -> ZElem:
         return (0,) * len(self.cyclic_factors)
 
     def validate(self, conductor: int, grading: GradingSpec) -> list[Violation]:
         out = []
-        one = CycScalar.one(conductor)
+        one, minus_one = CycScalar.one(conductor), CycScalar.rational(-1, conductor)
         seen: dict[ZElem, CycScalar] = {}
         for z, val in self.qdim_table:
             rz = _reduce_cyclic(z, self.cyclic_factors)
@@ -324,7 +333,7 @@ class TranslationSpec:
                 out.append(Violation(
                     "free-realisation-quantum-dimension", (z,),
                     f"quantum dimension of sigma{rz} given as both {seen[rz]} and {val}"))
-            if val != one and val != CycScalar.rational(-1, conductor):
+            if val != one and val != minus_one:
                 out.append(Violation(
                     "free-realisation-quantum-dimension", (z,),
                     f"quantum dimension of sigma{z} must be +1 or -1, got {val}"))
@@ -335,7 +344,7 @@ class TranslationSpec:
                 "quantum dimension of sigma(0) must be 1"))
         if self.qdim_generators is not None:
             bad_generators = [(i, val) for i, val in enumerate(self.qdim_generators)
-                              if val != one and val != CycScalar.rational(-1, conductor)]
+                              if val != one and val != minus_one]
             for i, val in bad_generators:
                 out.append(Violation(
                     "free-realisation-quantum-dimension", ("generator", i),
@@ -348,37 +357,67 @@ class TranslationSpec:
                     out.append(Violation(
                         "free-realisation-quantum-dimension", (z,),
                         f"table value {val} conflicts with generator product {hom}"))
-        # psi bilinearity on every derivable triple
+        # psi bilinearity on every derivable triple.  A product commutes, so
+        # each pair of elements, and of degrees, is summed and multiplied once
+        # for both orders, and a failing pair reported in each order, in the
+        # order of the sorted elements and degrees
         by_degree: dict[Degree, dict[ZElem, CycScalar]] = {}
+        reduced: dict[ZElem, ZElem] = {}    # the degrees usually share their elements
         for deg, z, val in self.psi:
             if val.is_zero:
                 out.append(Violation("psi-nonzero", (str(deg), z), "psi values must be nonzero"))
             table = by_degree.setdefault(deg, {})
-            rz = _reduce_cyclic(z, self.cyclic_factors)
-            if table.setdefault(rz, val) != val:
+            rz = reduced.get(z)
+            if rz is None:
+                rz = reduced[z] = _reduce_cyclic(z, self.cyclic_factors)
+            first = table.setdefault(rz, val)
+            if first is not val and first != val:
                 out.append(Violation("psi-single-valued", (str(deg), z),
                                      f"psi({deg},{rz}) given as both {table[rz]} and {val}"))
+        # (i, j, z_i + z_j) for i <= j and each sum that is an element too,
+        # per sorted element list: the degrees usually share one
+        derivable: dict[tuple[ZElem, ...], list[tuple[int, int, ZElem]]] = {}
         for deg, table in by_degree.items():
-            elems = sorted(table)
-            for z1 in elems:
-                for z2 in elems:
-                    z12 = self.zadd(z1, z2)
-                    if z12 in table and table[z12] != table[z1] * table[z2]:
-                        out.append(Violation(
-                            "psi-bilinear", (str(deg), z1, z2),
-                            f"psi({deg},{z1}+{z2}) != psi({deg},{z1})*psi({deg},{z2})"))
+            elems = tuple(sorted(table))
+            triples = derivable.get(elems)
+            if triples is None:
+                triples = derivable[elems] = []
+                for i, z1 in enumerate(elems):
+                    for j in range(i, len(elems)):
+                        z12 = self.zadd(z1, elems[j])
+                        if z12 in table:
+                            triples.append((i, j, z12))
+            fails = set()
+            for i, j, z12 in triples:
+                if table[z12] != table[elems[i]] * table[elems[j]]:
+                    fails.update(((i, j), (j, i)))
+            for i, j in sorted(fails):
+                z1, z2 = elems[i], elems[j]
+                out.append(Violation(
+                    "psi-bilinear", (str(deg), z1, z2),
+                    f"psi({deg},{z1}+{z2}) != psi({deg},{z1})*psi({deg},{z2})"))
         degs = sorted(by_degree, key=str)
-        for g1 in degs:
-            for g2 in degs:
-                g12 = grading.add(g1, g2)
-                if g12 not in by_degree:
+        alphas = {g.alpha for g in degs}
+        fails = {}
+        for i, g1 in enumerate(degs):
+            t1 = by_degree[g1]
+            for j in range(i, len(degs)):
+                if g1.alpha + degs[j].alpha not in alphas:
+                    continue    # no psi degree can be the sum
+                g12 = grading.add(g1, degs[j])
+                t12 = by_degree.get(g12)
+                if t12 is None:
                     continue
-                for z in by_degree[g12]:
-                    if z in by_degree[g1] and z in by_degree[g2]:
-                        if by_degree[g12][z] != by_degree[g1][z] * by_degree[g2][z]:
-                            out.append(Violation(
-                                "psi-bilinear", (str(g1), str(g2), z),
-                                f"psi({g12},{z}) != psi({g1},{z})*psi({g2},{z})"))
+                t2 = by_degree[degs[j]]
+                bad = [z for z, v in t12.items() if z in t1 and z in t2 and v != t1[z] * t2[z]]
+                if bad:
+                    fails[i, j] = fails[j, i] = (g12, bad)
+        for i, j in sorted(fails):
+            g1, g2 = degs[i], degs[j]
+            g12, bad = fails[i, j]
+            out.extend(Violation("psi-bilinear", (str(g1), str(g2), z),
+                                 f"psi({g12},{z}) != psi({g1},{z})*psi({g2},{z})")
+                       for z in bad)
         return out
 
     def quantum_dimension_from_generators(self, z: ZElem, conductor: int) -> CycScalar | None:
@@ -386,7 +425,8 @@ class TranslationSpec:
             return None
         out = CycScalar.one(conductor)
         for gen_val, c in zip(self.qdim_generators, _reduce_cyclic(z, self.cyclic_factors)):
-            out = out * gen_val ** c
+            if c:
+                out = out * gen_val ** c
         return out
 
 
@@ -540,6 +580,27 @@ def _by_degree(obj, degrees: tuple[Degree, ...], path: str):
         yield g, _expect(val, list, f"{path}.{key}"), f"{path}.{key}"
 
 
+@contextmanager
+def paused_gc():
+    """Pause the cyclic garbage collector for the block and leave it as it
+    was found, on every exit (a BaseException too).
+
+    Scalars and matrices are a few tracked containers each, and building
+    many of them kept starting collections that rescanned the growing heap
+    and found nothing to free: relmod's data hold no reference cycles.  The
+    pause is process-wide: while the block runs no thread's cycles are
+    collected, and of two blocks that overlap in different threads the first
+    to end turns collection back on while the other still runs.  Run one
+    paused block at a time."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def loads_datum(doc: dict) -> ModularDatum:
     """The datum a decoded JSON document describes, validated once;
     DatumSchemaError names the first malformed field and DatumInvariantError
@@ -547,21 +608,13 @@ def loads_datum(doc: dict) -> ModularDatum:
 
     Each distinct literal text is parsed once, and each distinct factor
     text of the literals matched once, through two tables that live for this
-    call only (see _scalar).  The cyclic garbage collector is paused for the
-    call and left as it was found: every loaded scalar is a few tracked
-    containers, and at the sizes of the emitted sl(2|1) data their
-    allocations kept starting collections that rescanned the growing heap.
-    The pause is process-wide: while the call runs no thread's cycles are
-    collected, and of two calls that overlap in different threads the first
-    to finish turns collection back on while the other still loads.  Load
-    from one thread at a time."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    call only (see _scalar).  The call runs with the cyclic garbage collector
+    paused (see paused_gc, whose thread caveat holds here): at the sizes of
+    the emitted sl(2|1) data the loaded scalars' allocations kept starting
+    collections.  The relmod command pauses it already for the whole
+    command; a library caller gets the same pause for the load."""
+    with paused_gc():
         return _datum_from_json(doc)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _datum_from_json(doc: dict) -> ModularDatum:
@@ -740,8 +793,16 @@ def _json_parts(obj, nl: str, out: list[str]) -> None:
             _json_parts(value, inner, out)
             sep = "," + inner
         out.append(nl + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
     else:
-        # None, a bool or a number, written as json.dumps writes it alone
+        # a float, or a value json.dumps rejects: written as it writes it alone
         out.append(json.dumps(obj))
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -13,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import conftest
 import relmod
-from relmod.cli import main
+from relmod.cli import _attach_degrees, _build_parser, _parse, main
 from relmod.closure import dumps_closure, toy_closure_datum
-from relmod.datum import SBlock, dumps_datum, save_datum
+from relmod.datum import DatumInvariantError, DatumSchemaError, SBlock, dumps_datum, \
+    loads_datum, save_datum
 from relmod.matrices import ExactMatrix
 from relmod.scalars import MAX_CONDUCTOR
 from relmod.sl21 import emit_datum
@@ -926,3 +928,176 @@ class TestDocumentFuzzer:
                     assert "internal error" not in err.getvalue()
 
         check()
+
+
+# Argument lists on which the top-level parser exits: help, a missing or
+# unknown command, a missing `what`, an invalid choice or value, an unknown,
+# ambiguous or value-less option, and arguments left over.
+_PARSER_EXITS = [
+    [], ["-h"], ["--help"], ["--he"], ["-x"], ["--bogus", "check"], ["--", "check", "all"],
+    ["check", "-h"], ["sl21", "--help"], ["closure", "-h"], ["check", "nondeg", "--help"],
+    ["sl21", "emit", "--ell", "3", "-h"], ["check", "nondeg", "extra", "--help"],
+    ["bogus"], ["chec"], ["Check"], ["check"], ["sl21", "--ell", "3"], ["closure"],
+    ["check", "bogus"], ["check", "all", "--format", "yaml"], ["closure", "check", "--cor", "3"],
+    ["sl21", "emit", "--ell", "x"], ["sl21", "emit", "--ell", "3.0"], ["sl21", "emit"],
+    ["closure", "certify", "--depth", "deep"],
+    ["check", "nondeg", "--bogus"], ["check", "nondeg", "--bogus=1"],
+    ["sl21", "emit", "--ell", "3", "-q"], ["closure", "check", "--c", "1"],
+    ["check", "nondeg", "--g"], ["check", "nondeg", "--g", "--h", "a"], ["check", "nondeg", "--datum"],
+    ["check", "nondeg", "x"], ["sl21", "emit", "--ell", "3", "extra", "more"],
+    ["closure", "emit-toy", "--", "x"], ["check", "--", "all", "x"],
+    ["sl21", "fuse", "--ell", "5", "--k", "1", "--i", "-3", "--i"],
+    ["sl21", "fuse", "--ell", "5", "--k", "1", "--i", "-3", "extra"],
+    ["check", "nondeg", "--g", "-a", "extra"], ["check", "nondeg", "--g", "-a", "--h"],
+]
+
+# Argument lists the top-level parser accepts: negative values as separate
+# arguments, abbreviated options, `--` before `what`.
+_PARSER_ACCEPTS = [
+    ["check", "nondeg", "--g", "-a"], ["check", "nondeg", "--g=-a"],
+    ["check", "dmug", "--h", "-a", "--g", "a"], ["check", "modularity", "--g", "a", "--h", "-a+1/2"],
+    ["sl21", "fuse", "--ell", "5", "--k", "1", "--i", "-3"], ["sl21", "emit", "--e", "3"],
+    ["check", "nondeg", "--dat", "x", "--form", "json", "--allow"], ["check", "--", "all"],
+    ["sl21", "relations", "--ell", "3", "--k=1", "--convention", "paper"],
+    ["closure", "certify", "--expr", "a*b", "--depth", "2"], ["closure", "emit-toy"],
+]
+
+
+class TestOneParsePass:
+    """main parses with the command's own parser, and every argument list
+    gives what the top-level parser alone gives."""
+
+    @staticmethod
+    def _top_level(argv):
+        top, _ = _build_parser()
+        try:
+            top.parse_args(_attach_degrees(list(argv)))
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
+        raise AssertionError(f"the top-level parser accepted {argv}")
+
+    @pytest.mark.parametrize("argv", _PARSER_EXITS, ids=" ".join)
+    def test_parser_exits_are_the_top_level_parsers(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (self._top_level(argv), *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", _PARSER_ACCEPTS, ids=" ".join)
+    def test_parsed_arguments_are_the_top_level_parsers(self, argv):
+        top, _ = _build_parser()
+        assert vars(_parse(list(argv))) == vars(top.parse_args(_attach_degrees(list(argv))))
+
+    def test_the_top_level_parser_is_not_run_on_a_command(self, capsys, monkeypatch):
+        top, _ = _build_parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("second parse")
+        monkeypatch.setattr(top, "parse_args", refuse)
+        monkeypatch.setattr(top, "parse_known_args", refuse)
+        code, out, _ = run(capsys, "sl21", "fuse", "--ell", "5", "--k", "3", "--i", "2")
+        assert code == 0 and "k=0, i=1" in out
+
+
+class _Deadline(BaseException):
+    """Raised inside a command, as a caller's deadline would be."""
+
+
+def _raise(exc):
+    def fn(*args, **kwargs):
+        raise exc
+    return fn
+
+
+# name -> (argv, (cli attribute, replacement) or None, exit code or the
+# BaseException main lets through)
+_GC_EXITS = {
+    "ok": (["sl21", "fuse", "--ell", "5", "--k", "3", "--i", "2"], None, 0),
+    "check-failure": (["sl21", "relations", "--ell", "5", "--k", "2", "--convention", "paper"],
+                      None, 1),
+    "parser-error": (["sl21", "emit"], None, 2),
+    "usage-error": (["closure", "certify"], None, 2),
+    "internal-error": (["sl21", "emit", "--ell", "5"],
+                       ("emit_datum", _raise(ValueError("shape mismatch"))), 3),
+    "help": (["check", "--help"], None, 0),
+    "base-exception": (["sl21", "fuse", "--ell", "5", "--k", "3", "--i", "2"],
+                       ("fuse_A", _raise(_Deadline())), _Deadline),
+}
+
+
+def _set_gc(enabled: bool) -> None:
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.fixture
+def gc_restored():
+    """Leave the collector as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    _set_gc(enabled)
+
+
+class TestGcPause:
+    """main pauses the cyclic garbage collector for the whole command and
+    loads_datum for the load; both leave it as they found it on every exit,
+    and a command leaves no cyclic garbage behind for the pause to hold."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("name", sorted(_GC_EXITS))
+    def test_main_leaves_the_collector_as_found(self, capsys, monkeypatch, gc_restored,
+                                                name, enabled):
+        argv, patch, want = _GC_EXITS[name]
+        if patch is not None:
+            monkeypatch.setattr(relmod.cli, *patch)
+        _set_gc(enabled)
+        if want is _Deadline:
+            with pytest.raises(_Deadline):
+                main(argv)
+        else:
+            assert main(argv) == want
+        assert gc.isenabled() is enabled
+
+    def test_the_command_runs_paused(self, capsys, monkeypatch, gc_restored):
+        seen = []
+        fuse = relmod.cli.fuse_A
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return fuse(*args)
+        monkeypatch.setattr(relmod.cli, "fuse_A", spy)
+        gc.enable()
+        assert run(capsys, "sl21", "fuse", "--ell", "5", "--k", "3", "--i", "2")[0] == 0
+        assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_loads_datum_leaves_the_collector_as_found(self, gc_restored, enabled):
+        doc = dumps_datum(emit_datum(3))
+        _set_gc(enabled)
+        loads_datum(doc)
+        assert gc.isenabled() is enabled
+        for bad, error in (({**doc, "conductor": 0}, DatumSchemaError),
+                           (_emitted_psi_doc("1", "-1"), DatumInvariantError)):
+            with pytest.raises(error):
+                loads_datum(bad)
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "all", "--datum", "pointed-5.json", "--format", "json"],
+        ["check", "all", "--datum", "pointed-3.json"],
+        ["sl21", "emit", "--ell", "5", "--format", "json"],
+        ["sl21", "emit", "--ell", "3", "--out", "emitted.json"],
+        ["sl21", "relations", "--ell", "5", "--k", "2", "--format", "json"],
+        ["sl21", "relations", "--ell", "5", "--k", "2", "--convention", "paper"],
+        ["sl21", "fuse", "--ell", "7", "--k", "0", "--i", "-3", "--format", "json"],
+        ["closure", "certify", "--expr", "a*b*a", "--format", "json"],
+        ["closure", "certify", "--expr", "a*b*a", "--depth", "0"],
+        ["closure", "certify", "--expr", "a*c", "--format", "json"],
+    ], ids=" ".join)
+    def test_a_command_leaves_no_cyclic_garbage(self, capsys, tmp_path, monkeypatch,
+                                                gc_restored, argv):
+        monkeypatch.chdir(tmp_path)
+        for n in (3, 5):
+            save_datum(conftest.pointed_datum(n), f"pointed-{n}.json")
+        gc.disable()
+        gc.collect()
+        code = main(argv)
+        assert gc.collect() == 0
+        assert code in (0, 1)

@@ -56,6 +56,9 @@ class TestCor1:
     def test_toy_holds(self):
         assert check_cor1(toy_closure_datum()).status == HOLDS
 
+    def test_toy_datum_is_built_once(self):
+        assert toy_closure_datum() is toy_closure_datum()
+
     def test_single_atom_self_rule(self):
         datum = ClosureDatum(
             atoms=(dataclasses.replace(toy_closure_datum().atoms[0], name="a",

@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import json
 import random
 from fractions import Fraction
@@ -34,7 +35,7 @@ from relmod.datum import (
     _memo,
 )
 from relmod.matrices import ExactMatrix
-from relmod.scalars import MAX_CONDUCTOR, CycScalar
+from relmod.scalars import MAX_CONDUCTOR, CycScalar, parse_scalar
 from relmod.sl21 import emit_datum
 from relmod.verdicts import FAILS, HOLDS
 
@@ -353,6 +354,64 @@ class TestInvariantsOnLoad:
             v = check_premodular_inputs(bad)
             assert v.status == FAILS
             assert [(w.name, w.indices) for w in v.witnesses] == [witness]
+
+
+def _psi_violations_pairwise(t: TranslationSpec, grading: GradingSpec) -> list:
+    """psi's violations by the plain definition: every ordered pair of
+    elements and of degrees summed and multiplied on its own."""
+    out = []
+    by_degree: dict = {}
+    for deg, z, val in t.psi:
+        if val.is_zero:
+            out.append(("psi-nonzero", (str(deg), z), "psi values must be nonzero"))
+        table = by_degree.setdefault(deg, {})
+        rz = t.zadd(z, t.zero_elem())
+        if table.setdefault(rz, val) != val:
+            out.append(("psi-single-valued", (str(deg), z),
+                        f"psi({deg},{rz}) given as both {table[rz]} and {val}"))
+    for deg, table in by_degree.items():
+        for z1 in sorted(table):
+            for z2 in sorted(table):
+                z12 = t.zadd(z1, z2)
+                if z12 in table and table[z12] != table[z1] * table[z2]:
+                    out.append(("psi-bilinear", (str(deg), z1, z2),
+                                f"psi({deg},{z1}+{z2}) != psi({deg},{z1})*psi({deg},{z2})"))
+    degs = sorted(by_degree, key=str)
+    for g1 in degs:
+        for g2 in degs:
+            g12 = grading.add(g1, g2)
+            for z, v in by_degree.get(g12, {}).items():
+                if z in by_degree[g1] and z in by_degree[g2] and \
+                        v != by_degree[g1][z] * by_degree[g2][z]:
+                    out.append(("psi-bilinear", (str(g1), str(g2), z),
+                                f"psi({g12},{z}) != psi({g1},{z})*psi({g2},{z})"))
+    return out
+
+
+class TestPsiValidation:
+    """TranslationSpec.validate forms each sum once and each product once for
+    both orders, and reports what the plain definition reports, in its order."""
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_violations_are_the_pairwise_ones(self, seed):
+        rng = random.Random(seed)
+        factors = rng.choice([(3,), (2, 0), (2, 3)])
+        degrees = [parse_degree(t) for t in ("a", "2a", "3a", "-a", "a+1/2", "2a+1", "0")]
+        values = [parse_scalar(t, 5) for t in ("1", "-1", "u", "u^2", "u^-1", "z5", "2", "0")]
+        psi = []
+        for deg in rng.sample(degrees, rng.randint(1, 5)):
+            for _ in range(rng.randint(1, 6)):
+                z = tuple(rng.randint(-3, 4) for _ in factors)
+                psi.append((deg, z, rng.choice(values)))
+        rng.shuffle(psi)
+        t = TranslationSpec(cyclic_factors=factors, psi=tuple(psi))
+        got = [(v.invariant, v.indices, v.message) for v in t.validate(5, GradingSpec())]
+        assert got == _psi_violations_pairwise(t, GradingSpec())
+
+    def test_sl21_psi_holds(self):
+        for ell in (3, 5, 7):
+            d = emit_datum(ell)
+            assert d.translation.validate(d.conductor, d.grading) == []
 
 
 class TestConductorBound:
@@ -789,6 +848,27 @@ class TestJsonText:
                 json.dumps(obj, indent=2, sort_keys=True)
             with pytest.raises(TypeError):
                 json_text(obj)
+
+    def test_scalar_leaves(self):
+        """ints, True, False and None are written without json.dumps, in
+        every place a leaf can sit; the text stays json.dumps's."""
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        big = 2 ** 64 + 1
+        ints = [0, 1, -1, 2 ** 63, -(2 ** 63) - 1, big, -big, 10 ** 100, -(10 ** 100), Level.HIGH]
+        leaves = [*ints, True, False, None]
+        for obj in (*leaves, leaves, tuple(leaves), [True], [False], [None], [big],
+                    {"a": big, "b": -7, "c": True, "d": False, "e": None, "f": Level.HIGH},
+                    [True, "x", None, [False, {"n": -big}], {}, []],
+                    {"mixed": [1, "1", True, None, -0, {"z": [False, 10 ** 30]}]},
+                    {1: True, 2: None, 3: -big}):
+            assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True), obj
+
+    def test_floats_are_written_by_json_dumps(self):
+        for obj in (-0.0, 0.0, 1e300, -1e-300, float("inf"), float("-inf"), float("nan"),
+                    [0.5, -0.0, 1e300, float("nan")], {"f": float("-inf"), "g": [1, 1.0, True]}):
+            assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True), obj
 
     def test_datum_files_are_the_json_dumps_text(self, tmp_path):
         d = emit_datum(5)
