@@ -13,6 +13,9 @@ Each check returns a Verdict with machine-readable witnesses:
                            identity; the multiplier is the modularity
                            parameter and is cross-checked against
                            Delta_plus * Delta_minus when both are computable.
+                           An identity that holds proves that both factors
+                           have full rank, and records it in the rank memo
+                           the other checks read (see _rank_and_kernel).
 * check_premodular_inputs -- batch data-level validation of the grading,
                            translation and S-block invariants; on a loaded
                            datum it reads the load's validation (see
@@ -48,9 +51,10 @@ def _require_block(datum: ModularDatum, g: Degree, h: Degree):
 
 def _twist_inverses(datum: ModularDatum, g: Degree) -> list[CycScalar]:
     """The twists' inverses at degree g; KeyError when g has no twists.
-    Validation inverts the same twists: a one-term twist inverts by negating
-    its key, and a field twist's inverse is served by the scalars' cache
-    (scalars._field_inverse)."""
+    Validation only tests that each twist is a unit (datum._is_unit), so the
+    inverses are computed here, where a Delta needs them: a one-term twist
+    inverts by negating its key, and a field twist's inverse is served by the
+    scalars' cache (scalars._field_inverse)."""
     out = []
     for t in datum.twists[g]:
         inv = t.try_inverse()
@@ -117,7 +121,9 @@ def _try_deltas(datum: ModularDatum, g: Degree):
 def _rank_and_kernel(datum: ModularDatum, row: Degree, col: Degree):
     """The rank and kernel vectors of S_{row,col}, found once per datum and
     pair of degrees while that scaled block is the same object (see _memo):
-    check_nondegeneracy and check_dmug both rank S_g."""
+    check_nondegeneracy and check_dmug both rank S_g.  A holding identity of
+    check_relative_modularity records the full rank of both its factors
+    here, and a block it covers is not eliminated."""
     s = modified_S(datum, row, col)
     return _memo(datum, ("rank", row, col), (s,), s._rank_and_kernel)
 
@@ -316,6 +322,13 @@ def check_relative_modularity(datum: ModularDatum, g: Degree, h: Degree) -> Verd
                     v.witnesses.append(Witness(
                         "off-diagonal entry of P is nonzero", ((i, j),), str(p[i, j])))
                 return v
+    # P = zeta * Id with zeta != 0 has rank n, so S_{g,h} (n x k) and
+    # S_{h,-g} (k x n) have rank n = min(n, k) over the fraction field: full
+    # rank, with no kernel vector.  Each is recorded in the rank memo under
+    # its own scaled block, so the checks after this one eliminate neither.
+    n = p.rows
+    for row, col, s in ((g, h, s_gh), (h, neg, s_hneg)):
+        _memo(datum, ("rank", row, col), (s,), lambda: (n, []))
     prod = _try_deltas(datum, g)[2]
     if prod is not None:
         v.derived_scalars["Delta_plus*Delta_minus"] = str(prod)

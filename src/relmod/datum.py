@@ -12,10 +12,12 @@ finite part has one component per cyclic factor of the grading, reduced
 factor contributes alpha * abar + shift where abar is a formal generic
 parameter and shift is an exact rational: an ``int`` while it is integral,
 else a ``Fraction``, the rule the scalar coefficients follow.  The two forms
-of an integer have the same ``==``, ``hash`` and ``str``; an int compares and
-hashes without Fraction's Python-level methods, which the degree lookups and
-memo keys of every check call.  Two degrees are equal iff all components
-match.
+of an integer have the same ``==``, ``hash`` and ``str``; an int compares
+without Fraction's Python-level methods.  Two degrees are equal iff all
+components match.  A degree's hash, that of the tuple of its components, is
+computed once when it is made and kept beside its fields, so the degree
+lookups and memo keys of every check hash no tuple and no Fraction; ``==``,
+``repr``, ``dataclasses.replace`` and ``dataclasses.fields`` do not see it.
 
 Every JSON document is written by ``json_text``, which gives exactly the text
 of ``json.dumps(obj, indent=2, sort_keys=True)`` without that call's
@@ -72,6 +74,14 @@ class Degree:
     finite: tuple[int, ...] = ()
     alpha: int = 0
     shift: int | Fraction = 0
+
+    def __post_init__(self):
+        # hash((finite, alpha, shift)), kept outside the fields (see the
+        # module docstring)
+        object.__setattr__(self, "_hash", hash((self.finite, self.alpha, self.shift)))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         parts = []
@@ -460,14 +470,15 @@ class ModularDatum:
     def block(self, g: Degree, h: Degree) -> SBlock | None:
         """The S' block for (g, h), None when there is none.  The blocks are
         indexed by their degree pair once per datum while sprime is the same
-        tuple (see _memo); the first block for a pair wins."""
-        return _memo(self, "blocks", (self.sprime,), self._block_index).get((g, h))
-
-    def _block_index(self) -> dict[tuple[Degree, Degree], SBlock]:
-        index: dict[tuple[Degree, Degree], SBlock] = {}
-        for b in self.sprime:
-            index.setdefault((b.row_degree, b.col_degree), b)
-        return index
+        tuple, kept beside the fields as _memo keeps its values; the first
+        block for a pair wins."""
+        sprime, index = self.__dict__.get("_blocks", (None, None))
+        if sprime is not self.sprime:
+            index = {}
+            for b in self.sprime:
+                index.setdefault((b.row_degree, b.col_degree), b)
+            self.__dict__["_blocks"] = (self.sprime, index)
+        return index.get((g, h))
 
     def negate(self, g: Degree) -> Degree:
         return self.grading.negate(g)
@@ -476,6 +487,15 @@ class ModularDatum:
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
+
+def _is_unit(t: CycScalar) -> bool:
+    """t is a unit of Q(zeta_m)[X^+-1].  That ring is a Laurent polynomial
+    ring over a field, so its units are the c*X^e with c a nonzero element
+    of Q(zeta_m): the nonzero scalars whose terms share one variable key.
+    The canonical form keeps no zero term, so a nonzero c is a nonempty
+    coefficient dict.  Nothing is inverted."""
+    return len({vk for _, vk in t.coeffs}) == 1
+
 
 def validate_datum(datum: ModularDatum) -> list[Violation]:
     out: list[Violation] = []
@@ -506,7 +526,7 @@ def validate_datum(datum: ModularDatum) -> list[Violation]:
                 out.append(Violation("dims-nonzero", (str(g), labels[i] if i < len(labels) else i),
                                      "modified dimension must be nonzero"))
         for i, t in enumerate(datum.twists.get(g, ())):
-            if t.try_inverse() is None:
+            if not _is_unit(t):
                 out.append(Violation("twists-invertible", (str(g), labels[i] if i < len(labels) else i),
                                      f"twist {t} is not invertible in the scalar ring"))
     pairs: set[tuple[Degree, Degree]] = set()

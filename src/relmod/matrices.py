@@ -11,7 +11,10 @@ gives an exact kernel vector, which is checked by an exact product M v = 0.
 These cols - r independent vectors bound the rank above by r, so it is
 exactly r.  When any step fails -- a denominator vanishes mod p, a sub-solve
 finds a pivot too many, or a product is nonzero -- the whole matrix is
-eliminated instead.
+eliminated instead.  The checks ask for this certificate only for a block
+whose rank no exact product has settled: a product S_{g,h} S_{h,-g} that
+equals zeta * Id with zeta != 0 proves both factors of full rank (see
+checks.check_relative_modularity), and check all reads their ranks from it.
 
 Both eliminations run one Gauss-Jordan loop, _gauss_jordan: each pivot
 clears the rows above it as well as the rows below; only the row update

@@ -15,8 +15,8 @@ norm formula a^-1 = prod_{k != 1} sigma_k(a) / N(a), the product of a's other
 Galois conjugates (zeta -> zeta^k) over its rational norm.  ``_field_inverse``
 forms those conjugates and products as scalars and keeps the last inverses in
 a cache of fixed size, keyed on the (zeta power, coefficient) items; a scalar
-is immutable, so every caller shares the cached one (loading a datum,
-re-validating it and the Delta sums invert the same few twists).  Every other
+is immutable, so every caller shares the cached one (the Delta sums at
+each degree invert the same few twists).  Every other
 divisor goes through multivariate Laurent long division, which holds each
 monomial's coefficient as a variable-free scalar, inverts the leading one by
 one of the two routes above and raises InexactDivision when the quotient is

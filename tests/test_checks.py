@@ -29,6 +29,7 @@ from relmod.datum import (
     SmallSubset,
     TranslationSpec,
     modified_S,
+    parse_degree,
     save_datum,
 )
 from relmod.matrices import ExactMatrix, _modulus, _variable_residue
@@ -304,8 +305,9 @@ class TestRankConstancy:
         monkeypatch.setattr(ExactMatrix, "_rank_certificate",
                             lambda self: calls.append(self) or original(self))
         assert cli.main(["check", "all", "--datum", path, "--format", "json"]) == 0
-        # one per S' block: nondeg, dmug and rank-constancy share each rank
-        assert len(calls) == 4
+        # each S' block's rank is read once, off a holding modularity identity
+        # that covers it, and nondeg, dmug and rank-constancy share it
+        assert len(calls) == 0
         assert '"status": "holds"' in capsys.readouterr().out
 
     def test_zero_dim_keeps_the_rank_of_s_prime(self):
@@ -319,6 +321,68 @@ class TestRankConstancy:
         d = tiny_datum([[2, 1], [1, 2]], mixed_rows=[[1, 2], [2, 1]],
                        dims=[CycScalar.one(5), CycScalar.rational(2, 5)])
         assert check_rank_constancy(d).derived_scalars == v.derived_scalars
+
+
+class TestIdentityRanks:
+    """A holding identity S_{g,h} S_{h,-g} = zeta * Id gives both factors full
+    rank, so check all ranks a block by F_p only when no such identity covers
+    it, and the F_p certificate agrees with every rank the identity gave."""
+
+    @pytest.fixture
+    def certified(self, monkeypatch):
+        calls = []
+        original = ExactMatrix._rank_certificate
+        monkeypatch.setattr(ExactMatrix, "_rank_certificate",
+                            lambda self: calls.append(self) or original(self))
+        return calls, original
+
+    @pytest.mark.parametrize("family, size", [("pointed", n) for n in (3, 5, 7)]
+                             + [("planted", s) for s in range(1, 7)])
+    def test_check_all_eliminates_no_covered_block(self, certified, family, size):
+        calls, original = certified
+        if family == "pointed":
+            d = pointed_datum(size, random.Random(size))
+        else:
+            d = planted_modularity_datum(random.Random(size), size)[0]
+        calls.clear()    # building the data ranks matrices of its own
+        verdicts = cli._run_all(d)
+        assert [v.status for v in verdicts if v.check == "relative-modularity"] == \
+            [HOLDS] * (4 if family == "pointed" else 1)
+        assert calls == []
+        for b in d.sprime:
+            s = modified_S(d, b.row_degree, b.col_degree)
+            assert original(s) == (size, [])
+
+    @pytest.mark.parametrize("family, block", [("pointed", 2), ("planted", 0),
+                                               ("planted", 1)])
+    def test_uncovered_blocks_are_ranked_once_by_f_p(self, certified, family, block):
+        calls, _ = certified
+        if family == "pointed":
+            d = pointed_datum(5, random.Random(5))
+        else:
+            # planted data of size 3 with this seed have no zero entry, so
+            # rank-constancy ranks both blocks
+            d = planted_modularity_datum(random.Random(3), 3)[0]
+        d = perturb_block(d, block, 0, 0, CycScalar.one(d.conductor))
+        calls.clear()
+        covered = set()
+        for v in cli._run_all(d):
+            if v.check != "relative-modularity":
+                continue
+            g, h = (parse_degree(v.params[k]) for k in ("g", "h"))
+            p = modified_S(d, g, h) @ modified_S(d, h, d.negate(g))
+            zeta = p[0, 0]
+            if not zeta.is_zero and p == ExactMatrix.identity(p.rows, d.conductor) \
+                    .scale_columns([zeta] * p.rows):
+                covered |= {(g, h), (h, d.negate(g))}
+        uncovered = [modified_S(d, b.row_degree, b.col_degree) for b in d.sprime
+                     if (b.row_degree, b.col_degree) not in covered]
+        # pointed: the perturbed (-a, a) block is a factor of the two products
+        # that fail, and the other three blocks of two that hold; planted: the
+        # one product fails
+        assert len(uncovered) == (1 if family == "pointed" else 2)
+        assert len(calls) == len(uncovered)
+        assert all(any(c is s for c in calls) for s in uncovered)
 
 
 class TestDmug:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import planted_modularity_datum, pointed_datum, random_matrix
 import relmod.scalars as scalars_mod
-from relmod.datum import dumps_datum, loads_datum
+from relmod.datum import _is_unit, dumps_datum, loads_datum
 from relmod.scalars import (
     MAX_POWER_BITS,
     MAX_POWER_TERMS,
@@ -285,6 +285,22 @@ class TestUnitDivision:
         assert (one + u).try_inverse() is None
         with pytest.raises(InexactDivision, match=r"x is not divisible by 1 \+ u"):
             x.exact_div(one + u)
+
+    @given(t=st.sampled_from([3, 5, 7]).flatmap(lambda m: st.one_of(
+        scalars(m, ("u", "x")), scalars(m, ()), units(m, VARIABLES), units(m, ()))))
+    @settings(max_examples=200, deadline=None)
+    def test_unit_rule_agrees_with_the_inverse(self, t):
+        # validation's twists-invertible rule decides without inverting
+        assert _is_unit(t) == (t.try_inverse() is not None)
+
+    def test_unit_rule_cases(self):
+        u = CycScalar.variable("u", 5)
+        one = CycScalar.one(5)
+        assert _is_unit((one + CycScalar.zeta(5, 1)) * u)
+        assert _is_unit(CycScalar.rational(Fraction(-3, 2), 5) * u ** -2)
+        assert not _is_unit(one + u)
+        assert not _is_unit(u + u ** -1)
+        assert not _is_unit(CycScalar.zero(5))
 
 
 class TestFieldInverseCount:
