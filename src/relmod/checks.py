@@ -21,6 +21,10 @@ Each check returns a Verdict with machine-readable witnesses:
                            datum it reads the load's validation (see
                            datum._validation).
 
+Each derived quantity -- a scaled S-matrix, a rank, a Delta triple, the
+validation -- is computed once per datum and kept with it (datum._memo): a
+datum cannot change, and dataclasses.replace gives a fresh one.
+
 Scalar quantities:
 
 * delta_minus(datum, g, j) = t_j^-1 sum_i S'_{ij} t_i^-1 d(V_i)
@@ -97,8 +101,7 @@ def delta_plus(datum: ModularDatum, g: Degree, j: int) -> CycScalar:
 def _try_deltas(datum: ModularDatum, g: Degree):
     """(Delta_plus, Delta_minus, Delta_plus * Delta_minus) at j = 0, each
     Delta None where its data are absent and the product None unless both
-    are present; computed once per datum and degree while the blocks, twists,
-    dims and dual involution they read stay the same objects (see _memo), so
+    are present; computed once per datum and degree (see _memo), so
     check_nondegeneracy and check_relative_modularity read one product."""
     def compute():
         dm = dp = None
@@ -112,20 +115,16 @@ def _try_deltas(datum: ModularDatum, g: Degree):
             pass
         return dp, dm, None if dp is None or dm is None else dp * dm
 
-    blocks = (datum.block(g, g), datum.block(datum.negate(g), g))
-    inputs = tuple(None if b is None else b.matrix for b in blocks) + (
-        datum.twists.get(g), datum.dims.get(g), datum.dual_involution.get(g))
-    return _memo(datum, ("Delta", g), inputs, compute)
+    return _memo(datum, ("Delta", g), compute)
 
 
 def _rank_and_kernel(datum: ModularDatum, row: Degree, col: Degree):
     """The rank and kernel vectors of S_{row,col}, found once per datum and
-    pair of degrees while that scaled block is the same object (see _memo):
-    check_nondegeneracy and check_dmug both rank S_g.  A holding identity of
-    check_relative_modularity records the full rank of both its factors
-    here, and a block it covers is not eliminated."""
-    s = modified_S(datum, row, col)
-    return _memo(datum, ("rank", row, col), (s,), s._rank_and_kernel)
+    pair of degrees (see _memo): check_nondegeneracy and check_dmug both
+    rank S_g.  A holding identity of check_relative_modularity records the
+    full rank of both its factors here, and a block it covers is not
+    eliminated."""
+    return _memo(datum, ("rank", row, col), modified_S(datum, row, col)._rank_and_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +323,10 @@ def check_relative_modularity(datum: ModularDatum, g: Degree, h: Degree) -> Verd
                 return v
     # P = zeta * Id with zeta != 0 has rank n, so S_{g,h} (n x k) and
     # S_{h,-g} (k x n) have rank n = min(n, k) over the fraction field: full
-    # rank, with no kernel vector.  Each is recorded in the rank memo under
-    # its own scaled block, so the checks after this one eliminate neither.
-    n = p.rows
-    for row, col, s in ((g, h, s_gh), (h, neg, s_hneg)):
-        _memo(datum, ("rank", row, col), (s,), lambda: (n, []))
+    # rank, with no kernel vector.  Each is recorded in the rank memo, so
+    # the checks after this one eliminate neither.
+    for row, col in ((g, h), (h, neg)):
+        _memo(datum, ("rank", row, col), lambda: (p.rows, []))
     prod = _try_deltas(datum, g)[2]
     if prod is not None:
         v.derived_scalars["Delta_plus*Delta_minus"] = str(prod)

@@ -593,6 +593,11 @@ def replay_certificate(cert: Certificate, datum: ClosureDatum) -> bool:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
+def _name(obj: dict, key: str, path: str) -> str:
+    """obj[key], a required JSON string, checked at path.key."""
+    return _expect(_need(obj, key, path), str, f"{path}.{key}")
+
+
 def _rules(doc: dict, key: str):
     """(rule object, path, its right-hand side) for each rule listed under key."""
     for i, r in enumerate(_expect(doc.get(key, []), list, key)):
@@ -602,7 +607,7 @@ def _rules(doc: dict, key: str):
         for j, t in enumerate(_expect(r.get("rhs", []), list, f"{path}.rhs")):
             tpath = f"{path}.rhs[{j}]"
             t = _expect(t, dict, tpath)
-            rhs.append(Term(str(_need(t, "atom", tpath)), _field(t, "v_power", 0, int, tpath)))
+            rhs.append(Term(_name(t, "atom", tpath), _field(t, "v_power", 0, int, tpath)))
         yield r, path, tuple(rhs)
 
 
@@ -621,17 +626,17 @@ def loads_closure(doc: dict) -> ClosureDatum:
             raise DatumSchemaError(f"atoms[{i}]", "expected an atom object")
         deg = a.get("degree")
         atoms.append(AtomSpec(
-            name=str(_need(a, "name", f"atoms[{i}]")),
+            name=_name(a, "name", f"atoms[{i}]"),
             strong_decomposition=_field(a, "strong_decomposition", False, bool, f"atoms[{i}]"),
             dual=_field(a, "dual", None, str, f"atoms[{i}]"),
             degree=degree_from_json(deg, f"atoms[{i}].degree", cyclic)
             if deg is not None else None))
     v_rules = tuple(
-        VRule(atom=str(_need(r, "atom", path)), n=_field(r, "n", None, int, path),
+        VRule(atom=_name(r, "atom", path), n=_field(r, "n", None, int, path),
               sd_asserted=_field(r, "sd_asserted", True, bool, path), rhs=rhs)
         for r, path, rhs in _rules(doc, "v_rules"))
     product_rules = tuple(
-        ProductRule(left=str(_need(r, "left", path)), right=str(_need(r, "right", path)),
+        ProductRule(left=_name(r, "left", path), right=_name(r, "right", path),
                     rhs=rhs)
         for r, path, rhs in _rules(doc, "product_rules"))
     bound = _field(doc, "bound", 0, int, "$")

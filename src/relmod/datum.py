@@ -19,6 +19,12 @@ computed once when it is made and kept beside its fields, so the degree
 lookups and memo keys of every check hash no tuple and no Fraction; ``==``,
 ``repr``, ``dataclasses.replace`` and ``dataclasses.fields`` do not see it.
 
+A datum cannot change after it is built: its four degree-keyed tables
+(index sets, dims, twists, dual involution) are read-only dicts, and
+``dataclasses.replace`` gives a changed datum.  So every value derived from
+a datum (its scaled S-matrices, ranks, Delta triples and validation, see
+``_memo``) is kept with it and lives exactly as long as it does.
+
 Every JSON document is written by ``json_text``, which gives exactly the text
 of ``json.dumps(obj, indent=2, sort_keys=True)`` without that call's
 pure-Python encoder.
@@ -152,6 +158,19 @@ def _int_list(value, path: str) -> tuple[int, ...]:
     if not (isinstance(value, list) and all(_is_int(c) for c in value)):
         raise DatumSchemaError(path, "expected a list of integers")
     return tuple(value)
+
+
+def _orders(value, path: str) -> tuple[int, ...]:
+    """A list of cyclic orders: integers, each >= 0 (0 is infinite cyclic)."""
+    for i, o in enumerate(orders := _int_list(value, path)):
+        if o < 0:
+            raise DatumSchemaError(f"{path}[{i}]", f"expected an order >= 0, got {o}")
+    return orders
+
+
+def _strings(value, path: str) -> tuple[str, ...]:
+    """A list of JSON strings, each checked at its own path."""
+    return tuple(_expect(x, str, f"{path}[{i}]") for i, x in enumerate(_expect(value, list, path)))
 
 
 def degree_to_json(d: Degree) -> dict:
@@ -303,7 +322,7 @@ def grading_from_json(obj, path: str) -> GradingSpec:
     elements = small.get("elements", [])
     if not isinstance(elements, list):
         raise DatumSchemaError(path + ".small_symmetric.elements", "expected a list of degrees")
-    factors = _int_list(obj.get("cyclic_factors", []), path + ".cyclic_factors")
+    factors = _orders(obj.get("cyclic_factors", []), path + ".cyclic_factors")
     return GradingSpec(
         cyclic_factors=factors,
         has_generic_torus=_field(obj, "has_generic_torus", True, bool, path),
@@ -453,6 +472,22 @@ class SBlock:
     col_labels: tuple[str, ...] = ()
 
 
+class _ReadOnlyTable(dict):
+    """A dict that refuses every change once built: a datum's degree-keyed
+    table.  It is still a dict, so ==, repr and the JSON writers see a plain
+    one; copy, deepcopy and pickle rebuild it from its items."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a datum's tables are read-only; use dataclasses.replace")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class ModularDatum:
     conductor: int
@@ -467,18 +502,18 @@ class ModularDatum:
     dual_involution: dict[Degree, tuple[int, ...]] = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # the tables become read-only (see the module docstring), and the
+        # blocks are indexed by their degree pair, kept outside the fields
+        # as _memo keeps its values; the first block for a pair wins
+        for name in ("index_sets", "dims", "twists", "dual_involution"):
+            object.__setattr__(self, name, _ReadOnlyTable(getattr(self, name)))
+        object.__setattr__(self, "_blocks", {(b.row_degree, b.col_degree): b
+                                             for b in reversed(self.sprime)})
+
     def block(self, g: Degree, h: Degree) -> SBlock | None:
-        """The S' block for (g, h), None when there is none.  The blocks are
-        indexed by their degree pair once per datum while sprime is the same
-        tuple, kept beside the fields as _memo keeps its values; the first
-        block for a pair wins."""
-        sprime, index = self.__dict__.get("_blocks", (None, None))
-        if sprime is not self.sprime:
-            index = {}
-            for b in self.sprime:
-                index.setdefault((b.row_degree, b.col_degree), b)
-            self.__dict__["_blocks"] = (self.sprime, index)
-        return index.get((g, h))
+        """The S' block for (g, h), None when there is none."""
+        return self._blocks.get((g, h))
 
     def negate(self, g: Degree) -> Degree:
         return self.grading.negate(g)
@@ -661,7 +696,7 @@ def _datum_from_json(doc: dict) -> ModularDatum:
         return _scalar(text, conductor, path, literals, factor_table)
 
     tobj = _expect(_need(doc, "translation", "$"), dict, "translation")
-    factors = _int_list(tobj.get("cyclic_factors", []), "translation.cyclic_factors")
+    factors = _orders(tobj.get("cyclic_factors", []), "translation.cyclic_factors")
     qpath = "translation.quantum_dimension"
     qobj = _expect(tobj.get("quantum_dimension", {}), dict, qpath)
     gens = qobj.get("generator_values")
@@ -692,7 +727,7 @@ def _datum_from_json(doc: dict) -> ModularDatum:
     degrees = tuple(degree_from_json(d, f"degrees[{i}]", cyclic) for i, d in
                     enumerate(_expect(_need(doc, "degrees", "$"), list, "degrees")))
 
-    index_sets = {g: tuple(str(x) for x in labels) for g, labels, _ in
+    index_sets = {g: _strings(labels, lpath) for g, labels, lpath in
                   _by_degree(_need(doc, "index_sets", "$"), degrees, "index_sets")}
     dims: dict[Degree, tuple[CycScalar, ...]] = {}
     twists: dict[Degree, tuple[CycScalar, ...]] = {}
@@ -716,7 +751,7 @@ def _datum_from_json(doc: dict) -> ModularDatum:
                                        f"ragged rows: {len(row)} entries, row 0 has {len(ent[0])}")
         rows = [[scalar(v, f"sprime[{i}].entries[{r}][{c}]")
                  for c, v in enumerate(row)] for r, row in enumerate(ent)]
-        labels = [tuple(_expect(bobj.get(key, []), list, f"sprime[{i}].{key}"))
+        labels = [_strings(bobj.get(key, []), f"sprime[{i}].{key}")
                   for key in ("row_labels", "col_labels")]
         blocks.append(SBlock(rd, cd, ExactMatrix.from_rows(rows, conductor), *labels))
 
@@ -889,49 +924,34 @@ def save_datum(datum: ModularDatum, path: str) -> None:
 # derived data
 # ---------------------------------------------------------------------------
 
-def _memo(datum: ModularDatum, key, inputs: tuple, compute):
-    """compute(), made once per datum and key while its inputs stay the same.
+def _memo(datum: ModularDatum, key, compute):
+    """compute(), made once per datum and key; compute never returns None.
 
     The value is kept in the datum's __dict__, outside its fields, so ==,
     repr and dataclasses.replace do not see it, and a replaced datum starts
-    empty.  It is served only while each of inputs -- the matrices, tuples
-    and permutations it was computed from, or None for an absent one -- is
-    the same object as when it was made, and there are as many of them.  So
-    a field replaced in place, such as d.dims[g] = ..., gives a fresh value,
-    while a mutable object changed inside (an entry list edited in place) is
-    not noticed.  An exception is not kept."""
+    empty.  A datum cannot change (see the module docstring), so the value
+    lives exactly as long as it; a mutable object changed inside, such as a
+    matrix's entry list edited in place, is not noticed.  An exception is
+    not kept."""
     memo = datum.__dict__.setdefault("_memo", {})
-    hit = memo.get(key)
-    if hit is not None and len(hit[0]) == len(inputs) and \
-            all(a is b for a, b in zip(hit[0], inputs)):
-        return hit[1]
-    value = compute()
-    memo[key] = (inputs, value)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
     return value
 
 
 def _validation(datum: ModularDatum) -> list[Violation]:
-    """validate_datum(datum), computed once per datum while every field it
-    reads is the same object (see _memo).  The inputs are the frozen fields
-    and then each of the four degree-keyed tables followed by its keys and
-    values, so an entry added, removed or replaced gives a fresh value.
+    """validate_datum(datum), computed once per datum (see _memo).
     loads_datum validates through it, so check_premodular_inputs on a loaded
     datum reads the load's result.  Callers must not change it."""
-    inputs = [datum.conductor, datum.grading, datum.translation, datum.degrees, datum.sprime]
-    for table in (datum.index_sets, datum.dims, datum.twists, datum.dual_involution):
-        inputs.append(table)
-        for item in table.items():
-            inputs.extend(item)
-    return _memo(datum, "validation", tuple(inputs), lambda: validate_datum(datum))
+    return _memo(datum, "validation", lambda: validate_datum(datum))
 
 
 def _scaled_block(datum: ModularDatum, b: SBlock) -> ExactMatrix:
     """b's matrix right-scaled by diag(d(V_j)) of its column degree, computed
-    once per datum and pair of degrees while the matrix and the dims tuple
-    stay the same objects (see _memo)."""
-    dims = datum.dims[b.col_degree]
-    return _memo(datum, ("S", b.row_degree, b.col_degree), (b.matrix, dims),
-                 lambda: b.matrix.scale_columns(list(dims)))
+    once per datum and pair of degrees (see _memo)."""
+    return _memo(datum, ("S", b.row_degree, b.col_degree),
+                 lambda: b.matrix.scale_columns(list(datum.dims[b.col_degree])))
 
 
 def modified_S(datum: ModularDatum, g: Degree, h: Degree | None = None) -> ExactMatrix:

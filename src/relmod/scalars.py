@@ -76,7 +76,8 @@ first with an optional '-'; a term is an integer or fractional numeral with
 parts of at most 18 digits, then ``z{m}^k`` with 0 < k < deg Phi_m, then
 names in strictly ascending order with nonzero powers; and the terms' keys
 are strictly ascending.  Every literal of an emitted sl(2|1) datum, and every
-literal of pointed and planted data whose numerals fit, is one.  The reader
+literal of pointed and planted data whose numerals fit but the zero "0", is
+one; "0" goes to the scanner.  The reader
 splits a literal on ' ' and '*' and looks each factor text up in a table of
 factor texts: a text not seen before is checked by one small full match
 (``_PRINTED_FACTOR``) and stored with its kind and value, a numeral's

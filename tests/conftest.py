@@ -71,24 +71,41 @@ def random_invertible(rng: random.Random, n: int, conductor: int) -> ExactMatrix
             return m
 
 
-def field_gauss_rank(m: ExactMatrix) -> int:
-    """Independent rank oracle: pivoted Gaussian elimination with exact
-    division in the cyclotomic field (no fraction-free tricks)."""
-    rows = [list(m.row(i)) for i in range(m.rows)]
+def _field_gauss_jordan(rows: list[list[CycScalar]], ncols: int) -> int:
+    """Reduce rows in place on their first ncols columns by pivoted
+    Gauss-Jordan elimination with exact division in the cyclotomic field (no
+    fraction-free tricks): each pivot becomes 1 and is cleared above and
+    below.  Returns the rank."""
     rank = 0
-    for c in range(m.cols):
-        piv = next((i for i in range(rank, m.rows) if not rows[i][c].is_zero), None)
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if not rows[i][c].is_zero), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = rows[rank][c].inverse()
         rows[rank] = [inv * e for e in rows[rank]]
-        for i in range(m.rows):
+        for i in range(len(rows)):
             if i != rank and not rows[i][c].is_zero:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def field_gauss_rank(m: ExactMatrix) -> int:
+    """Independent rank oracle (see _field_gauss_jordan)."""
+    return _field_gauss_jordan([list(m.row(i)) for i in range(m.rows)], m.cols)
+
+
+def field_gauss_inverse(m: ExactMatrix) -> ExactMatrix:
+    """Independent inverse of an invertible square matrix: _field_gauss_jordan
+    on [M | I].  The inverse is unique and each entry's form canonical, so it
+    is the inverse any other route gives."""
+    n = m.rows
+    one, zero = CycScalar.one(m.conductor), CycScalar.zero(m.conductor)
+    rows = [list(m.row(i)) + [one if j == i else zero for j in range(n)] for i in range(n)]
+    assert _field_gauss_jordan(rows, n) == n
+    return ExactMatrix(n, n, m.conductor, [e for row in rows for e in row[n:]])
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +175,8 @@ def planted_modularity_datum(rng: random.Random, size: int,
     h = Degree(alpha=1, shift=Fraction(1))
     ng = Degree(alpha=-1)
     a = random_invertible(rng, size, conductor)
-    ainv = a.invert()
+    ainv = field_gauss_inverse(a)
+    assert a @ ainv == diagonal_matrix([CycScalar.one(conductor)] * size, conductor)
     zeta = random_unit(rng, conductor)
     d_h = [random_unit(rng, conductor) for _ in range(size)]
     d_ng = [random_unit(rng, conductor) for _ in range(size)]

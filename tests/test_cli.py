@@ -260,6 +260,18 @@ class TestCheckCommand:
         ("degrees", [{"shift": "1/0"}], "degrees[0].shift: bad rational"),
         ("sprime", [{"row_degree": {}, "col_degree": {}, "entries": [["1", "2 *"], ["2 *", "1"]]}],
          "sprime[0].entries[0][1]: "),
+        ("index_sets", {"0": [None]}, "index_sets.0[0]: expected a string, got NoneType"),
+        ("index_sets", {"0": [1]}, "index_sets.0[0]: expected a string, got int"),
+        ("sprime", [{"row_degree": {}, "col_degree": {}, "entries": [["1"]],
+                     "row_labels": [{}]}],
+         "sprime[0].row_labels[0]: expected a string, got dict"),
+        ("sprime", [{"row_degree": {}, "col_degree": {}, "entries": [["1"]],
+                     "col_labels": ["0", 0.5]}],
+         "sprime[0].col_labels[1]: expected a string, got float"),
+        ("grading", {"cyclic_factors": [-2]},
+         "grading.cyclic_factors[0]: expected an order >= 0, got -2"),
+        ("translation", {"cyclic_factors": [0, -2]},
+         "translation.cyclic_factors[1]: expected an order >= 0, got -2"),
     ], ids=["grading-list", "small-subset-list", "ragged-rows", "translation-list",
             "quantum-dimension-list", "index-sets-list", "index-set-string", "dims-list",
             "dims-key-out-of-range", "twists-list", "degrees-object", "dual-involution-list",
@@ -269,7 +281,9 @@ class TestCheckCommand:
             "finite-part-without-cyclic-factor", "small-element-unreduced",
             "qdim-element-extra-component", "psi-element-without-cyclic-factor",
             "shift-float", "shift-bool", "shift-decimal-string", "shift-exponent-string",
-            "shift-zero-denominator", "repeated-malformed-literal"])
+            "shift-zero-denominator", "repeated-malformed-literal", "index-set-label-null",
+            "index-set-label-int", "row-label-object", "col-label-float",
+            "grading-order-negative", "translation-order-negative"])
     def test_malformed_field_is_usage_error_with_path(self, capsys, tmp_path, field, value,
                                                        path):
         doc = identity_datum_doc()
@@ -447,13 +461,26 @@ class TestClosureCommands:
          "atoms[0].degree.finite: expected 1 components"),
         (lambda doc: _z2_toy_closure(doc, [3]),
          "atoms[0].degree.finite: expected components reduced modulo [2], got [3]"),
+        (lambda doc: doc["atoms"][0].update(name=None), "atoms[0].name: expected a string"),
+        (lambda doc: doc["atoms"][0].update(name=7), "atoms[0].name: expected a string"),
+        (lambda doc: doc["v_rules"][0].update(atom=1), "v_rules[0].atom: expected a string"),
+        (lambda doc: doc["product_rules"][0].update(left=None),
+         "product_rules[0].left: expected a string"),
+        (lambda doc: doc["product_rules"][0].update(right=["b"]),
+         "product_rules[0].right: expected a string"),
+        (lambda doc: doc["product_rules"][0]["rhs"][0].update(atom=2),
+         "product_rules[0].rhs[0].atom: expected a string"),
+        (lambda doc: doc["v_rules"][0].update(rhs=[{"atom": False}]),
+         "v_rules[0].rhs[0].atom: expected a string"),
     ], ids=["nameless-atom", "grading-list", "small-subset-without-kind", "v-rule-without-atom",
             "product-rule-without-left", "product-rule-without-right", "rhs-term-without-atom",
             "v-rule-rhs-term-without-atom", "v-power-list", "product-rules-object",
             "distinguished-list", "dual-list", "strong-decomposition-string",
             "sd-asserted-string", "generic-torus-int", "v-power-bool", "bound-bool",
             "small-element-short-of-a-cyclic-factor", "atom-degree-short-of-a-cyclic-factor",
-            "atom-degree-unreduced"])
+            "atom-degree-unreduced", "atom-name-null", "atom-name-number", "v-rule-atom-number",
+            "product-rule-left-null", "product-rule-right-list", "rhs-term-atom-number",
+            "v-rule-rhs-term-atom-bool"])
     def test_malformed_closure_is_usage_error_with_path(self, capsys, tmp_path, edit, path):
         import relmod.closure as closure_mod
         doc = closure_mod.dumps_closure(closure_mod.toy_closure_datum())

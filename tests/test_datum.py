@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import enum
 import json
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -32,7 +35,6 @@ from relmod.datum import (
     parse_degree,
     save_datum,
     validate_datum,
-    _memo,
 )
 from relmod.matrices import ExactMatrix
 from relmod.scalars import MAX_CONDUCTOR, CycScalar, parse_scalar
@@ -527,8 +529,12 @@ class TestModifiedSMemo:
         d = pointed_datum(5, random.Random(3))
         g = Degree(alpha=1)
         s = modified_S(d, g)
-        d.dims[g] = tuple(x * 3 for x in d.dims[g])
-        assert modified_S(d, g) == d.block(g, g).matrix.scale_columns(list(d.dims[g])) != s
+        dims = tuple(x * 3 for x in d.dims[g])
+        with pytest.raises(TypeError, match="dataclasses.replace"):
+            d.dims[g] = dims
+        assert modified_S(d, g) is s
+        changed = dataclasses.replace(d, dims={**d.dims, g: dims})
+        assert modified_S(changed, g) == d.block(g, g).matrix.scale_columns(list(dims)) != s
 
     def test_asymmetric_block_after_a_symmetric_one_is_reported(self):
         d = pointed_datum(5, random.Random(3))
@@ -551,21 +557,35 @@ class TestModifiedSMemo:
         assert "_memo" not in dataclasses.replace(d).__dict__
 
 
+# Each edit is (field, the field's new value) for d at degree g.
+
 def _edit_twists(d, g):
-    d.twists[g] = tuple(t * CycScalar.zeta(d.conductor) for t in d.twists[g])
+    return "twists", {**d.twists, g: tuple(t * CycScalar.zeta(d.conductor) for t in d.twists[g])}
 
 
 def _edit_dims(d, g):
-    d.dims[g] = tuple(x * 2 for x in d.dims[g])
+    return "dims", {**d.dims, g: tuple(x * 2 for x in d.dims[g])}
 
 
 def _edit_block(d, g):
-    object.__setattr__(d, "sprime", perturb_block(d, 0, 1, 0, CycScalar.one(d.conductor)).sprime)
+    return "sprime", perturb_block(d, 0, 1, 0, CycScalar.one(d.conductor)).sprime
 
 
 def _edit_dual(d, g):
-    # an equal permutation in a new tuple: the pair is computed afresh
-    d.dual_involution[g] = tuple(list(d.dual_involution[g]))
+    # an equal permutation in a new tuple
+    return "dual_involution", {**d.dual_involution, g: tuple(list(d.dual_involution[g]))}
+
+
+def _edited(d, g, edit):
+    """d with edit made through dataclasses.replace, once the same edit made
+    in place has raised TypeError: a table's entry for g, or the first block."""
+    name, value = edit(d, g)
+    with pytest.raises(TypeError):
+        if name == "sprime":
+            operator.setitem(d.sprime, 0, value[0])
+        else:
+            getattr(d, name)[g] = value[g]
+    return dataclasses.replace(d, **{name: value})
 
 
 class TestLiteralSharing:
@@ -704,21 +724,27 @@ class TestDeltaMemo:
     @pytest.mark.parametrize("edit", [_edit_twists, _edit_dims, _edit_block, _edit_dual],
                              ids=["twists", "dims", "block", "dual-involution"])
     def test_inputs_replaced_in_place_give_fresh_values(self, delta_calls, edit):
+        # an input cannot be replaced in place; a replaced datum computes afresh
         d = pointed_datum(5, random.Random(3))
         g = Degree(alpha=1)
         before = checks_mod._try_deltas(d, g)
-        edit(d, g)
-        after = checks_mod._try_deltas(d, g)
+        changed = _edited(d, g, edit)
+        assert checks_mod._try_deltas(d, g) is before
+        after = checks_mod._try_deltas(changed, g)
         assert len(delta_calls) == 2
-        assert after == self.expected(d, g)
+        assert after == self.expected(changed, g)
         assert after is not before
-        assert checks_mod._try_deltas(d, g) is after
+        assert checks_mod._try_deltas(changed, g) is after
 
     def test_absent_dual_involution_is_not_served_stale(self, delta_calls):
         d = pointed_datum(5, random.Random(3))
         g = Degree(alpha=1)
         assert None not in checks_mod._try_deltas(d, g)
-        del d.dual_involution[g]
+        with pytest.raises(TypeError):
+            del d.dual_involution[g]
+        assert g in d.dual_involution
+        d = dataclasses.replace(d, dual_involution={
+            k: v for k, v in d.dual_involution.items() if k != g})
         dp, dm, prod = checks_mod._try_deltas(d, g)
         assert dp is None and prod is None and dm == checks_mod.delta_minus(d, g, 0)
 
@@ -773,24 +799,77 @@ class TestBlockIndex:
     def test_a_replaced_sprime_is_indexed_afresh(self):
         d = pointed_datum(3, random.Random(1))
         g = Degree(alpha=1)
-        assert d.block(g, g) is not None
-        object.__setattr__(d, "sprime", tuple(b for b in d.sprime if b.row_degree != g))
-        assert d.block(g, g) is None
+        block = d.block(g, g)
+        assert block is not None
+        with pytest.raises(TypeError):
+            del d.sprime[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.sprime = ()
+        changed = dataclasses.replace(d, sprime=tuple(b for b in d.sprime if b.row_degree != g))
+        assert changed.block(g, g) is None
+        assert d.block(g, g) is block
 
 
-class TestMemoInputs:
-    def test_longer_inputs_with_the_same_prefix_are_computed_afresh(self):
-        d = emit_datum(3)
-        x, y = object(), object()
-        assert _memo(d, "k", (x,), lambda: 1) == 1
-        assert _memo(d, "k", (x, y), lambda: 2) == 2
-        assert _memo(d, "k", (x,), lambda: 3) == 3
-        assert _memo(d, "k", (x,), lambda: 4) == 3
+TABLES = ("index_sets", "dims", "twists", "dual_involution")
+
+
+def _datum_kinds():
+    """A loaded, an emitted and a code-built datum."""
+    return {"loaded": loads_datum(dumps_datum(pointed_datum(5, random.Random(3)))),
+            "emitted": emit_datum(3), "code-built": pointed_datum(3, random.Random(1))}
+
+
+class TestReadOnlyTables:
+    """A datum's four degree-keyed tables refuse every change, and are still
+    dicts to everything that reads them."""
+
+    @pytest.mark.parametrize("kind", ["loaded", "emitted", "code-built"])
+    def test_every_mutator_raises(self, kind):
+        d = _datum_kinds()[kind]
+        g = d.degrees[0]
+        for name in TABLES:
+            table = getattr(d, name)
+            before = dict(table)
+            value = table.get(g, ())
+            for edit in (lambda: table.__setitem__(g, value),
+                         lambda: table.__delitem__(g),
+                         lambda: table.pop(g),
+                         lambda: table.pop(g, None),
+                         lambda: table.popitem(),
+                         lambda: table.setdefault(g, value),
+                         lambda: table.update({g: value}),
+                         lambda: table.update(),
+                         lambda: table.clear(),
+                         lambda: operator.ior(table, {g: value})):
+                with pytest.raises(TypeError, match="dataclasses.replace"):
+                    edit()
+            assert getattr(d, name) is table and table == before
+        assert type(d.extra) is dict   # extra stays as given
+
+    def test_copies_and_writers_see_a_plain_dict(self):
+        for d in _datum_kinds().values():
+            g = d.degrees[0]
+            modified_S(d, g)   # a memo entry rides along with the copies
+            text = json_text(dumps_datum(d))
+            plain = {name: dict(getattr(d, name)) for name in TABLES}
+            for name, table in plain.items():
+                assert getattr(d, name) == table and repr(getattr(d, name)) == repr(table)
+            for other in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d)),
+                          dataclasses.replace(d), dataclasses.replace(d, **plain)):
+                assert other == d and repr(other) == repr(d)
+                assert json_text(dumps_datum(other)) == text
+                assert other.block(g, g) == d.block(g, g)
+                assert modified_S(other, g) == modified_S(d, g)
+                for name in TABLES:
+                    with pytest.raises(TypeError):
+                        getattr(other, name)[g] = ()
+            assert copy.deepcopy(d.dims) == d.dims == pickle.loads(pickle.dumps(d.dims))
 
 
 class TestValidationOncePerLoad:
-    """check_premodular_inputs reads the validation that loads_datum made,
-    and validates again once a field it reads is replaced."""
+    """check_premodular_inputs reads the validation that loads_datum made;
+    a datum cannot be edited in place, and one made by dataclasses.replace
+    validates afresh."""
 
     def _counting(self, monkeypatch):
         import relmod.datum as datum_mod
@@ -813,10 +892,15 @@ class TestValidationOncePerLoad:
         assert check_premodular_inputs(d).status == HOLDS
         assert len(calls) == 1
         g = Degree(alpha=1)
-        d.dims[g] = tuple(list(d.dims[g]))   # equal values in a new tuple
+        with pytest.raises(TypeError):
+            d.dims[g] = (CycScalar.zero(d.conductor),) + d.dims[g][1:]
+        assert check_premodular_inputs(d).status == HOLDS
+        assert len(calls) == 1
+        # equal values in a new tuple
+        d = dataclasses.replace(d, dims={**d.dims, g: tuple(list(d.dims[g]))})
         assert check_premodular_inputs(d).status == HOLDS
         assert len(calls) == 2
-        d.dims[g] = (CycScalar.zero(d.conductor),) + d.dims[g][1:]
+        d = dataclasses.replace(d, dims={**d.dims, g: (CycScalar.zero(d.conductor),) + d.dims[g][1:]})
         verdict = check_premodular_inputs(d)
         assert len(calls) == 3
         assert verdict.status == FAILS
@@ -838,21 +922,35 @@ class TestValidationOncePerLoad:
         calls = self._counting(monkeypatch)
         check_premodular_inputs(d)
         assert calls == []
-        edits = [lambda: d.twists.__setitem__(g, tuple(list(d.twists[g]))),
-                 lambda: d.index_sets.__setitem__(g, tuple(list(d.index_sets[g]))),
-                 lambda: _edit_dual(d, g),
-                 lambda: d.dims.pop(g),
-                 lambda: object.__setattr__(d, "sprime", tuple(list(d.sprime)))]
-        for n, edit in enumerate(edits, 1):
-            edit()
-            check_premodular_inputs(d)
+        for edit in (lambda: d.twists.__setitem__(g, tuple(list(d.twists[g]))),
+                     lambda: d.index_sets.__setitem__(g, tuple(list(d.index_sets[g]))),
+                     lambda: d.dual_involution.__setitem__(g, d.dual_involution[g]),
+                     lambda: d.dims.pop(g),
+                     lambda: operator.setitem(d.sprime, 0, d.sprime[0])):
+            with pytest.raises(TypeError):
+                edit()
+        check_premodular_inputs(d)
+        assert calls == []
+
+        def without(table, key):
+            return {k: v for k, v in table.items() if k != key}
+
+        changes = [{"twists": {**d.twists, g: tuple(list(d.twists[g]))}},
+                   {"index_sets": {**d.index_sets, g: tuple(list(d.index_sets[g]))}},
+                   {"dual_involution": {**d.dual_involution,
+                                        g: tuple(list(d.dual_involution[g]))}},
+                   {"dims": without(d.dims, g)},
+                   {"sprime": tuple(list(d.sprime))}]
+        for n, change in enumerate(changes, 1):
+            check_premodular_inputs(dataclasses.replace(d, **change))
             assert len(calls) == n
-        # the twists tuple moved under the same key object into the emptied
-        # dims table: the same keys and values in the same order, in another table
+        # the twists tuple moved under the same key object into the dims
+        # table, in place of the dims
         (key,) = [k for k in d.twists if k == g]
-        d.dims[key] = d.twists.pop(key)
-        verdict = check_premodular_inputs(d)
-        assert len(calls) == len(edits) + 1
+        moved = dataclasses.replace(d, dims={**without(d.dims, key), key: d.twists[key]},
+                                    twists=without(d.twists, key))
+        verdict = check_premodular_inputs(moved)
+        assert len(calls) == len(changes) + 1
         assert "twists-present" in [w.name for w in verdict.witnesses]
 
 

@@ -333,7 +333,7 @@ class TestFieldInverseCount:
             return original(self, other)
 
         monkeypatch.setattr(CycScalar, "exact_div", recording)
-        assert a.det().is_zero
+        assert len(a._bareiss()[1]) < 6   # fewer than 6 pivots: det(a) = 0
         field_divisors = {d for d in divisors if len(d.coeffs) > 1}
         assert len(field_divisors) >= 2
         assert inverses() == len(field_divisors)
