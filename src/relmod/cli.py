@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from . import checks as checks_mod
 from . import closure as closure_mod
@@ -276,44 +277,102 @@ def _cmd_closure(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Option(NamedTuple):
+    """One option of a command: a flag, or one value read by `type` (a string
+    when it is None) and kept only when it is one of `choices`."""
+    name: str
+    help: str | None = None
+    type: Callable[[str], object] | None = None
+    choices: tuple | None = None
+    default: object = None
+    required: bool = False
+    flag: bool = False
+
+
+class _Command(NamedTuple):
+    help: str
+    what: tuple[str, ...]           # the choices of the `what` positional
+    fn: Callable[[argparse.Namespace], int]
+    options: tuple[_Option, ...]    # after _COMMON_OPTIONS, in help order
+
+
+_COMMON_OPTIONS = (
+    _Option("--datum", help="path to a relmod-datum/1 JSON file"),
+    _Option("--format", choices=("text", "json"), default="text"),
+    _Option("--allow-unmet", flag=True, default=False,
+            help="unmet hypotheses / absent data do not fail the run"),
+)
+
+_COMMANDS = {
+    "check": _Command(
+        "run checks on a datum",
+        ("nondeg", "dmug", "modularity", "rank-constancy", "premodular", "all"), _cmd_check, (
+            _Option("--g", help="degree, e.g. 'a', '-a', '0', 'a+1'"),
+            _Option("--h", help="second degree for modularity"),
+        )),
+    "sl21": _Command(
+        "quantum sl(2|1) tools", ("emit", "relations", "fuse", "rank-bound"), _cmd_sl21, (
+            _Option("--ell", type=int, required=True, help="odd root-of-unity order"),
+            _Option("--k", type=int, help="module height"),
+            _Option("--i", type=int, help="weight shift"),
+            _Option("--convention", choices=("paper", "corrected")),
+            _Option("--out", help="output path for emitted datum"),
+        )),
+    "closure": _Command(
+        "strong-decomposition engine", ("check", "certify", "emit-toy"), _cmd_closure, (
+            _Option("--cor", type=int, choices=(1, 2), default=1),
+            _Option("--closure", help="path to a relmod-closure/1 JSON file "
+                                      "(default: built-in toy datum)"),
+            _Option("--expr", help="expression over atoms with *, +, retract()"),
+            _Option("--depth", type=int, default=8),
+            _Option("--out", help="output path"),
+        )),
+}
+
+
+def _dest(name: str) -> str:
+    """The namespace attribute argparse gives option `name`."""
+    return name[2:].replace("-", "_")
+
+
+def _reader(cmd: _Command):
+    """What _read needs of one command, worked out once: its options by name
+    with their attributes, the names it requires, and its defaults in
+    argparse's order (each action's, then fn)."""
+    options = {opt.name: (opt, _dest(opt.name)) for opt in _COMMON_OPTIONS + cmd.options}
+    defaults = {_dest(opt.name): opt.default for opt in _COMMON_OPTIONS}
+    defaults["what"] = None
+    defaults.update((_dest(opt.name), opt.default) for opt in cmd.options)
+    defaults["fn"] = cmd.fn
+    required = frozenset(opt.name for opt in cmd.options if opt.required)
+    return cmd.what, options, required, defaults
+
+
+_READERS = {word: _reader(cmd) for word, cmd in _COMMANDS.items()}
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each command's own parser by command word,
-    built once per process: parsing reads them and never changes them."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--datum", help="path to a relmod-datum/1 JSON file")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--allow-unmet", action="store_true",
-                        help="unmet hypotheses / absent data do not fail the run")
-
+    built from _COMMANDS once per process: parsing reads them and never
+    changes them."""
     p = argparse.ArgumentParser(prog="relmod", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    for word, cmd in _COMMANDS.items():
+        ps = sub.add_parser(word, help=cmd.help)
 
-    pc = sub.add_parser("check", parents=[common], help="run checks on a datum")
-    pc.add_argument("what", choices=("nondeg", "dmug", "modularity",
-                                     "rank-constancy", "premodular", "all"))
-    pc.add_argument("--g", help="degree, e.g. 'a', '-a', '0', 'a+1'")
-    pc.add_argument("--h", help="second degree for modularity")
-    pc.set_defaults(fn=_cmd_check)
-
-    ps = sub.add_parser("sl21", parents=[common], help="quantum sl(2|1) tools")
-    ps.add_argument("what", choices=("emit", "relations", "fuse", "rank-bound"))
-    ps.add_argument("--ell", type=int, required=True, help="odd root-of-unity order")
-    ps.add_argument("--k", type=int, help="module height")
-    ps.add_argument("--i", type=int, help="weight shift")
-    ps.add_argument("--convention", choices=("paper", "corrected"))
-    ps.add_argument("--out", help="output path for emitted datum")
-    ps.set_defaults(fn=_cmd_sl21)
-
-    pl = sub.add_parser("closure", parents=[common], help="strong-decomposition engine")
-    pl.add_argument("what", choices=("check", "certify", "emit-toy"))
-    pl.add_argument("--cor", type=int, choices=(1, 2), default=1)
-    pl.add_argument("--closure", help="path to a relmod-closure/1 JSON file "
-                                      "(default: built-in toy datum)")
-    pl.add_argument("--expr", help="expression over atoms with *, +, retract()")
-    pl.add_argument("--depth", type=int, default=8)
-    pl.add_argument("--out", help="output path")
-    pl.set_defaults(fn=_cmd_closure)
+        def add(opt: _Option) -> None:
+            if opt.flag:
+                ps.add_argument(opt.name, action="store_true", help=opt.help)
+            else:
+                ps.add_argument(opt.name, type=opt.type, choices=opt.choices,
+                                default=opt.default, required=opt.required, help=opt.help)
+        for opt in _COMMON_OPTIONS:
+            add(opt)
+        ps.add_argument("what", choices=cmd.what)
+        for opt in cmd.options:
+            add(opt)
+        ps.set_defaults(fn=cmd.fn)
     return p, sub.choices
 
 
@@ -329,15 +388,71 @@ def _attach_degrees(argv: list[str]) -> list[str]:
     return out
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The parsed arguments, in one argparse pass.
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a well-formed argv (see _parse), read
+    straight from _COMMANDS; None for any other argv."""
+    reader = _READERS.get(argv[0]) if argv else None
+    if reader is None:
+        return None
+    whats, options, required, defaults = reader
+    values = dict(defaults)
+    what = None
+    seen = set()
+    rest = iter(argv[1:])
+    for tok in rest:
+        if tok[:1] != "-":
+            if what is not None or tok not in whats:
+                return None
+            what = tok
+            continue
+        opt_dest = options.get(tok)
+        if opt_dest is None or tok in seen:
+            return None
+        seen.add(tok)
+        opt, dest = opt_dest
+        if opt.flag:
+            values[dest] = True
+            continue
+        value = next(rest, "-")     # a missing value reads as an option
+        if value[:1] == "-":
+            return None
+        if opt.type is not None:
+            try:
+                value = opt.type(value)
+            except ValueError:
+                return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[dest] = value
+    if what is None or not required <= seen:
+        return None
+    values["what"] = what
+    values["command"] = argv[0]
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
 
-    The top-level parser hands everything after a command word to that
-    command's parser, and would add only `command` to its result, so that
-    parser reads the rest directly.  Anything else -- no arguments, a first
-    argument that is an option or no command, or arguments the command's
-    parser leaves over -- goes through the top-level parser, so its messages
-    and exit codes are the ones it prints."""
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The parsed arguments: what the top-level argparse parser gives.
+
+    A well-formed argv is read straight from _COMMANDS by _read, and no
+    parser is built.  Well-formed means: a command word; exactly one `what`
+    from its choices; and exact option names of that command, each given
+    once and each but --allow-unmet followed by a separate value that does
+    not start with '-'.  A value must pass int() where the option reads an
+    int, and then be one of the option's choices where it has some, as
+    argparse checks them.  Every required option must be there.
+
+    Any other argv goes to argparse: help, an abbreviated option,
+    --opt=value, a value that starts with '-' (such as `--g -a`), a repeated
+    or missing option, `--`, an unknown or extra token.  The command's own
+    parser reads it when it starts with a command word and that parser
+    leaves nothing over, else the top-level parser does, so every message
+    and exit code is argparse's."""
+    args = _read(argv)
+    if args is not None:
+        return args
     top, commands = _build_parser()
     argv = _attach_degrees(argv)
     parser = commands.get(argv[0]) if argv else None

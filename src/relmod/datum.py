@@ -20,10 +20,11 @@ lookups and memo keys of every check hash no tuple and no Fraction; ``==``,
 ``repr``, ``dataclasses.replace`` and ``dataclasses.fields`` do not see it.
 
 A datum cannot change after it is built: its four degree-keyed tables
-(index sets, dims, twists, dual involution) are read-only dicts, and
-``dataclasses.replace`` gives a changed datum.  So every value derived from
-a datum (its scaled S-matrices, ranks, Delta triples and validation, see
-``_memo``) is kept with it and lives exactly as long as it does.
+(index sets, dims, twists, dual involution) are read-only dicts, each S'
+block's matrix keeps its entries in a tuple, and ``dataclasses.replace``
+gives a changed datum.  So every value derived from a datum (its scaled
+S-matrices, ranks, Delta triples and validation, see ``_memo``) is kept
+with it and lives exactly as long as it does.
 
 Every JSON document is written by ``json_text``, which gives exactly the text
 of ``json.dumps(obj, indent=2, sort_keys=True)`` without that call's
@@ -930,9 +931,8 @@ def _memo(datum: ModularDatum, key, compute):
     The value is kept in the datum's __dict__, outside its fields, so ==,
     repr and dataclasses.replace do not see it, and a replaced datum starts
     empty.  A datum cannot change (see the module docstring), so the value
-    lives exactly as long as it; a mutable object changed inside, such as a
-    matrix's entry list edited in place, is not noticed.  An exception is
-    not kept."""
+    lives exactly as long as it and is never stale.  An exception is not
+    kept."""
     memo = datum.__dict__.setdefault("_memo", {})
     value = memo.get(key)
     if value is None:

@@ -55,6 +55,7 @@ as it is, with no product.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from functools import lru_cache
 
 from .scalars import CycScalar, InexactDivision, _packed_product
@@ -171,9 +172,13 @@ def _clear_mod(p: int):
 
 
 class ExactMatrix:
+    """A rows x cols matrix over Q(zeta_conductor)[X^+-1], its entries row by
+    row in a tuple: a matrix cannot be edited in place, so a value derived
+    from it stays true (see datum._memo)."""
     __slots__ = ("rows", "cols", "conductor", "entries")
 
-    def __init__(self, rows: int, cols: int, conductor: int, entries: list[CycScalar]):
+    def __init__(self, rows: int, cols: int, conductor: int, entries: Iterable[CycScalar]):
+        entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         self.rows = rows
@@ -205,10 +210,10 @@ class ExactMatrix:
         i, j = ij
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> list[CycScalar]:
+    def row(self, i: int) -> tuple[CycScalar, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def to_rows(self) -> list[list[CycScalar]]:
+    def to_rows(self) -> list[tuple[CycScalar, ...]]:
         return [self.row(i) for i in range(self.rows)]
 
     def __eq__(self, other):

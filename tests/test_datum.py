@@ -536,6 +536,22 @@ class TestModifiedSMemo:
         changed = dataclasses.replace(d, dims={**d.dims, g: dims})
         assert modified_S(changed, g) == d.block(g, g).matrix.scale_columns(list(dims)) != s
 
+    def test_block_entries_changed_in_place_are_not_served_stale(self):
+        # row 0 of the (a, a) block copied over row 1 leaves rank 4 < 5
+        d = pointed_datum(5, random.Random(3))
+        g = Degree(alpha=1)
+        assert checks_mod.check_nondegeneracy(d, g).status == HOLDS
+        block = d.block(g, g)
+        m = block.matrix
+        edited = list(m.entries)
+        edited[m.cols:2 * m.cols] = m.entries[:m.cols]
+        with pytest.raises(TypeError):
+            m.entries[m.cols:2 * m.cols] = m.entries[:m.cols]
+        assert checks_mod.check_nondegeneracy(d, g).status == HOLDS
+        changed = dataclasses.replace(block, matrix=ExactMatrix(m.rows, m.cols, m.conductor, edited))
+        d2 = dataclasses.replace(d, sprime=tuple(changed if b is block else b for b in d.sprime))
+        assert checks_mod.check_nondegeneracy(d2, g).status == FAILS
+
     def test_asymmetric_block_after_a_symmetric_one_is_reported(self):
         d = pointed_datum(5, random.Random(3))
         g = Degree(alpha=1)

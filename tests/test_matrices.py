@@ -361,8 +361,9 @@ class TestArithmetic:
         assert p.det() == rat(-1)
 
 
-def reference_product(a: ExactMatrix, b: ExactMatrix) -> list[CycScalar]:
-    """A @ B by a plain loop of CycScalar + and *, over every index."""
+def reference_product(a: ExactMatrix, b: ExactMatrix) -> tuple[CycScalar, ...]:
+    """A @ B by a plain loop of CycScalar + and *, over every index, row by
+    row as ExactMatrix keeps its entries."""
     out = []
     for i in range(a.rows):
         for j in range(b.cols):
@@ -370,7 +371,7 @@ def reference_product(a: ExactMatrix, b: ExactMatrix) -> list[CycScalar]:
             for k in range(a.cols):
                 acc = acc + a[i, k] * b[k, j]
             out.append(acc)
-    return out
+    return tuple(out)
 
 
 PRODUCT_CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 21)
@@ -405,8 +406,17 @@ def products(draw):
         if b.entries and draw(st.booleans()):
             target = b
         k = draw(st.integers(0, len(target.entries) - 1))
-        target.entries[k] = target.entries[k] * CycScalar.variable("u", m, draw(st.sampled_from([-1, 1])))
+        u = CycScalar.variable("u", m, draw(st.sampled_from([-1, 1])))
+        edited = _with_entry(target, k, target.entries[k] * u)
+        a, b = (edited, b) if target is a else (a, edited)
     return a, b
+
+
+def _with_entry(a: ExactMatrix, k: int, x: CycScalar) -> ExactMatrix:
+    """a with its k-th entry (row by row) replaced by x."""
+    entries = list(a.entries)
+    entries[k] = x
+    return ExactMatrix(a.rows, a.cols, a.conductor, entries)
 
 
 def _matrix(m, rows, cols, entries):
@@ -525,7 +535,7 @@ class TestProduct:
         a = data.draw(operands(m, rows, cols))
         if a.entries and data.draw(st.integers(0, 3)) == 0:
             k = data.draw(st.integers(0, len(a.entries) - 1))
-            a.entries[k] = a.entries[k] * CycScalar.variable("u", m)
+            a = _with_entry(a, k, a.entries[k] * CycScalar.variable("u", m))
         kind = data.draw(st.sampled_from(["ones", "field", "symbolic"]))
         if kind == "ones":
             diag = [CycScalar.one(m)] * cols
