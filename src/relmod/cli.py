@@ -188,6 +188,12 @@ def _sl21_arg(args, fn, *values):
         raise _CliError(f"{given}: {exc}") from None
 
 
+# The largest ell sl21 emit takes: 1 482 labels and 2.2 million S' entries.
+# The file holds n^2 entries for n = ell(ell-1) labels, about 10^8 at
+# ell = 101 and 7*10^10 at ell = 511, more than any disk or memory holds.
+MAX_EMIT_ELL = 39
+
+
 def _cmd_sl21(args) -> int:
     if args.ell > MAX_CONDUCTOR:
         # the emitted datum is over Q(zeta_ell), and the work and output of
@@ -195,6 +201,10 @@ def _cmd_sl21(args) -> int:
         raise _CliError(f"--ell {args.ell}: at most {MAX_CONDUCTOR} is supported")
     which = args.what
     if which == "emit":
+        if args.ell > MAX_EMIT_ELL:
+            n = args.ell * (args.ell - 1)
+            raise _CliError(f"--ell {args.ell}: sl21 emit takes at most ell = {MAX_EMIT_ELL}; "
+                            f"ell = {args.ell} has {n} labels and {n * n} S' entries")
         datum = _sl21_arg(args, emit_datum, args.ell)
         if args.out:
             _file("datum", args.out, save_datum, datum)

@@ -21,7 +21,8 @@ lookups and memo keys of every check hash no tuple and no Fraction; ``==``,
 
 A datum cannot change after it is built: its four degree-keyed tables
 (index sets, dims, twists, dual involution) are read-only dicts, each S'
-block's matrix keeps its entries in a tuple, and ``dataclasses.replace``
+block's matrix keeps its entries in a tuple, or the texts that fix them
+(see the matrices module docstring), and ``dataclasses.replace``
 gives a changed datum.  So every value derived from a datum (its scaled
 S-matrices, ranks, Delta triples and validation, see ``_memo``) is kept
 with it and lives exactly as long as it does.
@@ -863,9 +864,13 @@ def _json_parts(obj, nl: str, out: list[str]) -> None:
 
 
 def _write_json(doc: dict, path: str) -> None:
-    text = json_text(doc)
+    """json_text(doc) and a newline, written part by part: the file's text
+    is never held whole."""
+    out: list[str] = []
+    _json_parts(doc, "\n", out)
+    out.append("\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.writelines(out)
 
 
 def load_datum(path: str) -> ModularDatum:
@@ -892,7 +897,7 @@ def dumps_datum(datum: ModularDatum) -> dict:
             {
                 "row_degree": degree_to_json(b.row_degree),
                 "col_degree": degree_to_json(b.col_degree),
-                "entries": [[str(e) for e in b.matrix.row(i)] for i in range(b.matrix.rows)],
+                "entries": [b.matrix.row_texts(i) for i in range(b.matrix.rows)],
                 **({"row_labels": list(b.row_labels)} if b.row_labels else {}),
                 **({"col_labels": list(b.col_labels)} if b.col_labels else {}),
             }

@@ -50,6 +50,29 @@ keep an entry as it is where the other operand is zero.
 Scaling columns, A @ diag(d), multiplies each entry of column j by d_j.  A
 column whose factor is 1 (every modified dimension of pointed data) is kept
 as it is, with no product.
+
+A matrix can also be made from its entries' literal texts, the strings str()
+prints (ExactMatrix.from_texts).  It keeps the texts and parses none of them
+until something reads ``entries``.  Until then that slot is unset and the
+matrix is a _TextMatrix, whose ``__getattr__`` (which Python calls only for
+an attribute that is not set) parses the texts on that first read, from an
+entry lookup, a row, a product, a rank or ``==`` alike, fills the slot and
+makes the object a plain ExactMatrix.  ExactMatrix itself has no
+``__getattr__``: CPython does not specialise attribute reads on a class that
+has one, so a matrix built from its entries, or read, pays nothing for it.
+The parse is one pass through the canonical reader of scalars.py, with one
+table of factor texts for the whole matrix.  A text that reader does not
+take goes to the general reader, and unless str() prints its value as that
+text ("0", or a numeral over 18 digits), the read raises ValueError naming
+it.  The canonical reader also takes a few spellings that str() does not
+print, such as ``1*u`` or ``u^1``, at their values; a caller must not pass
+those, since the datum writer writes the texts as they are.  The texts fix
+every value, so a text-backed matrix is as immutable as any other.
+``row_texts`` gives a row's kept texts without a parse, and str() of the
+entries when there are none; copy, deepcopy and pickle of an unread matrix
+give an unread one.  ``sl21 emit`` formats its S' entries straight into
+texts and the datum writer writes them as they are, so an emitted matrix is
+parsed only when a check or a caller reads it.
 """
 
 from __future__ import annotations
@@ -58,7 +81,8 @@ import hashlib
 from collections.abc import Iterable
 from functools import lru_cache
 
-from .scalars import CycScalar, InexactDivision, _packed_product
+from .scalars import (CycScalar, InexactDivision, ScalarParseError, _packed_product,
+                      _read_canonical, parse_scalar)
 
 
 def _is_prime(n: int) -> bool:
@@ -174,8 +198,10 @@ def _clear_mod(p: int):
 class ExactMatrix:
     """A rows x cols matrix over Q(zeta_conductor)[X^+-1], its entries row by
     row in a tuple: a matrix cannot be edited in place, so a value derived
-    from it stays true (see datum._memo)."""
-    __slots__ = ("rows", "cols", "conductor", "entries")
+    from it stays true (see datum._memo).  texts is None, or the entries'
+    literal texts row by row, parsed into entries on first read (see the
+    module docstring)."""
+    __slots__ = ("rows", "cols", "conductor", "entries", "texts")
 
     def __init__(self, rows: int, cols: int, conductor: int, entries: Iterable[CycScalar]):
         entries = tuple(entries)
@@ -185,6 +211,7 @@ class ExactMatrix:
         self.cols = cols
         self.conductor = conductor
         self.entries = entries
+        self.texts = None
 
     # -- constructors -------------------------------------------------------
 
@@ -198,6 +225,21 @@ class ExactMatrix:
                 raise ValueError("ragged rows")
             flat.extend(row)
         return ExactMatrix(r, c, conductor, flat)
+
+    @staticmethod
+    def from_texts(rows: int, cols: int, conductor: int, texts: Iterable[str]) -> "ExactMatrix":
+        """The matrix whose entries, row by row, are the values of texts, each
+        the string str() prints of its value.  No text is parsed here (see
+        the module docstring)."""
+        texts = tuple(texts)
+        if len(texts) != rows * cols:
+            raise ValueError(f"expected {rows * cols} texts, got {len(texts)}")
+        m = object.__new__(_TextMatrix)
+        m.rows = rows
+        m.cols = cols
+        m.conductor = conductor
+        m.texts = texts
+        return m
 
     @staticmethod
     def identity(n: int, conductor: int) -> "ExactMatrix":
@@ -216,6 +258,13 @@ class ExactMatrix:
     def to_rows(self) -> list[tuple[CycScalar, ...]]:
         return [self.row(i) for i in range(self.rows)]
 
+    def row_texts(self, i: int) -> list[str]:
+        """str() of each entry of row i, as a datum document holds the row; a
+        text-backed matrix gives its kept texts and parses nothing."""
+        if self.texts is not None:
+            return list(self.texts[i * self.cols:(i + 1) * self.cols])
+        return [str(e) for e in self.row(i)]
+
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -223,7 +272,7 @@ class ExactMatrix:
             and self.entries == other.entries
 
     def __repr__(self):
-        body = "; ".join(", ".join(str(e) for e in self.row(i)) for i in range(self.rows))
+        body = "; ".join(", ".join(self.row_texts(i)) for i in range(self.rows))
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
     # -- arithmetic -----------------------------------------------------------
@@ -447,3 +496,37 @@ class ExactMatrix:
         return ExactMatrix(n, n, self.conductor,
                            [m[i][n + j].exact_div(m[n - 1][n - 1])
                             for i in range(n) for j in range(n)])
+
+
+class _TextMatrix(ExactMatrix):
+    """An ExactMatrix from from_texts whose entries nobody has read yet (see
+    the module docstring): __getattr__ fills the unset slot entries on its
+    first read and makes the object a plain ExactMatrix, and __reduce__
+    copies it unread."""
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "entries":
+            raise AttributeError(name)
+        m, factors = self.conductor, {}
+        # "0" and numerals over 18 digits are printed too, but only the
+        # general reader takes them
+        self.entries = tuple([e if (e := _read_canonical(t, m, factors)) is not None
+                              else _printed_value(t, m) for t in self.texts])
+        self.__class__ = ExactMatrix
+        return self.entries
+
+    def __reduce__(self):
+        return ExactMatrix.from_texts, (self.rows, self.cols, self.conductor, self.texts)
+
+
+def _printed_value(text: str, m: int) -> CycScalar:
+    """The value of text, which the canonical reader does not take; raises
+    ValueError naming text unless str() prints that value as text."""
+    try:
+        v = parse_scalar(text, m)
+        if str(v) == text:
+            return v
+    except ScalarParseError:
+        pass
+    raise ValueError(f"not a literal in the form str() prints: {text!r}")

@@ -102,6 +102,23 @@ def emit_datum(ell: int) -> ModularDatum:
     the factor -u^(-2) on the partner row/column of each orbit; S' entries
     divide the column dimension back out.  Everything not pinned down stays a
     named unknown, so checks that only need the constrained structure run.
+
+    So the S' entry at row r and column c is
+    row_coeff(r) * row_coeff(c) * s{lo}_{hi} * d{c}^-1, where row_coeff is 1
+    on a representative and -u^-2 on a partner, and lo <= hi are the indices
+    of the two labels' representatives.  Its text is written straight from
+    that formula, with no scalar built:
+
+        ["-"] + "d{c}^-1*s{lo}_{hi}" + ["*u^-2" | "*u^-4"]
+
+    with the minus sign when exactly one of r and c is a partner, "*u^-2" in
+    that case and "*u^-4" when both are.  That is the text str() prints for
+    the product: one term with coefficient +-1, which str() writes as a bare
+    sign, and its variables in ascending name order, which they already are,
+    since every dimension's name starts with d, every unknown's with s, and
+    "d" < "s" < "u".  The block is text-backed (ExactMatrix.from_texts): the
+    datum writer writes the texts as they are, and the entries are parsed
+    only when something reads them.
     """
     report = rank_bound_analysis(ell)
     labels = [(k, i) for k in range(ell - 1) for i in range(ell)]
@@ -115,33 +132,37 @@ def emit_datum(ell: int) -> ModularDatum:
     rep_index = {r: n for n, r in enumerate(reps)}
 
     one = CycScalar.one(ell)
-    factor = -CycScalar.variable("u", ell, -2)   # partner row = -u^-2 * rep row
-
-    def row_coeff(lab: tuple[int, int]) -> CycScalar:
-        return one if rep_of[lab] == lab else factor
-
     dims = [CycScalar.variable(f"d{_label_name(*lab)}", ell) for lab in labels]
     twists = [CycScalar.variable(f"t{_label_name(*lab)}", ell) for lab in labels]
 
-    # S' entry (r, c) = row_coeff(r) * row_coeff(c) * s{lo}_{hi} / d(c): the
-    # column factor row_coeff(c) / d(c) is built once, and once more times
-    # the partner factor for the partner rows, so an entry is one product.
-    n = len(labels)
-    rep_cols = [row_coeff(c) * d.inverse() for c, d in zip(labels, dims)]
-    partner_cols = [factor * f for f in rep_cols]
+    # per column, the text before and after s{lo}_{hi}: one pair for a
+    # representative row, one for a partner row
+    rep_row: list[tuple[str, str]] = []
+    partner_row: list[tuple[str, str]] = []
+    for c in labels:
+        head = f"d{_label_name(*c)}^-1*"
+        if rep_of[c] == c:
+            rep_row.append((head, ""))
+            partner_row.append(("-" + head, "*u^-2"))
+        else:
+            rep_row.append(("-" + head, "*u^-2"))
+            partner_row.append((head, "*u^-4"))
     col_reps = [rep_index[rep_of[c]] for c in labels]
-    sym: dict[tuple[int, int], CycScalar] = {}
-    entries: list[CycScalar] = []
+    # the unknowns' names along a row, by column, kept per representative
+    # index: a representative's row and its partner's share them, and each
+    # name is formatted once per pair of representatives
+    s_names: dict[int, list[str]] = {}
+    n = len(labels)
+    texts: list[str] = []
     for r in labels:
-        cols = rep_cols if rep_of[r] == r else partner_cols
         pr = rep_index[rep_of[r]]
-        for pc, f in zip(col_reps, cols):
-            key = (min(pr, pc), max(pr, pc))
-            s = sym.get(key)
-            if s is None:
-                s = sym[key] = CycScalar.variable(f"s{key[0]}_{key[1]}", ell)
-            entries.append(s * f)
-    sprime = ExactMatrix(n, n, ell, entries)
+        names = s_names.get(pr)
+        if names is None:
+            row_names = [f"s{min(pr, pc)}_{max(pr, pc)}" for pc in range(len(reps))]
+            names = s_names[pr] = [row_names[pc] for pc in col_reps]
+        cols = rep_row if rep_of[r] == r else partner_row
+        texts += [head + s + tail for (head, tail), s in zip(cols, names)]
+    sprime = ExactMatrix.from_texts(n, n, ell, texts)
 
     abar = Degree(alpha=1)
     grading = GradingSpec(

@@ -215,3 +215,14 @@ def perturb_block(datum: ModularDatum, block_index: int, i: int, j: int,
                                              b.matrix.conductor, entries),
                                  b.row_labels, b.col_labels)
     return dataclasses.replace(datum, sprime=tuple(blocks))
+
+
+def is_unread(m: ExactMatrix) -> bool:
+    """Whether m is text-backed (ExactMatrix.from_texts) and its entries are
+    not parsed yet.  The slot is read past __getattr__, so asking parses
+    nothing."""
+    try:
+        ExactMatrix.entries.__get__(m)
+    except AttributeError:
+        return True
+    return False

@@ -735,6 +735,9 @@ _BAD_INPUT_PROBES = {
                                 {}, "cannot write"),
     "fuse-at-even-ell": (["sl21", "fuse", "--ell", "4", "--k", "0", "--i", "0"], {},
                          "--ell 4 --k 0 --i 0: ell must be odd"),
+    "sl21-emit-ell-over-the-emit-bound": (
+        ["sl21", "emit", "--ell", "41"], {},
+        "--ell 41: sl21 emit takes at most ell = 39; ell = 41 has 1640 labels"),
     **{f"sl21-{what}-ell-over-the-bound": (
         ["sl21", what, "--ell", str(MAX_CONDUCTOR + 1), *extra], {},
         f"--ell {MAX_CONDUCTOR + 1}: at most {MAX_CONDUCTOR} is supported")

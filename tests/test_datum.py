@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (MALFORMED_DEGREES, diagonal_matrix, perturb_block, pointed_datum,
-                      zero_matrix)
+from conftest import (MALFORMED_DEGREES, diagonal_matrix, is_unread, perturb_block,
+                      pointed_datum, zero_matrix)
 import relmod.checks as checks_mod
 import relmod.scalars as scalars_mod
 from relmod.checks import check_premodular_inputs
@@ -880,6 +880,42 @@ class TestReadOnlyTables:
                     with pytest.raises(TypeError):
                         getattr(other, name)[g] = ()
             assert copy.deepcopy(d.dims) == d.dims == pickle.loads(pickle.dumps(d.dims))
+
+
+class TestUnreadBlock:
+    """An emitted datum's S' block is kept as texts until something reads its
+    entries.  Copies, the writer, repr, dataclasses.replace, == and
+    perturb_block give the same results whether or not it has been read, and
+    only a read of the entries parses it."""
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_before_and_after_the_first_read(self, read_first):
+        d = emit_datum(3)
+        eager = loads_datum(dumps_datum(emit_datum(3)))   # parsed from its file
+        g = d.degrees[0]
+        assert is_unread(d.sprime[0].matrix) and not is_unread(eager.sprime[0].matrix)
+        if read_first:
+            assert d.sprime[0].matrix.entries == eager.sprime[0].matrix.entries
+        written = dumps_datum(eager)
+        assert json_text(dumps_datum(d)) == json_text(written) and repr(d) == repr(eager)
+        copies = (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d)),
+                  dataclasses.replace(d), dataclasses.replace(d, extra={}))
+        for other in (d,) + copies:
+            assert is_unread(other.sprime[0].matrix) is not read_first
+            assert json_text(dumps_datum(other)["sprime"]) == json_text(written["sprime"])
+            assert repr(other.sprime) == repr(eager.sprime)
+            assert is_unread(other.sprime[0].matrix) is not read_first
+        for other in copies:
+            assert other.sprime == d.sprime == eager.sprime
+            assert not is_unread(other.sprime[0].matrix)
+            assert modified_S(other, g) == modified_S(eager, g)
+        delta = CycScalar.variable("u", 3)
+        for base in (emit_datum(3), d):
+            bumped = perturb_block(base, 0, 0, 1, delta)
+            m, e = bumped.sprime[0].matrix, eager.sprime[0].matrix
+            assert m[0, 1] == e[0, 1] + delta
+            assert all(m[i, j] == e[i, j] for i in range(6) for j in range(6) if (i, j) != (0, 1))
+            assert bumped != base and base.sprime == eager.sprime
 
 
 class TestValidationOncePerLoad:

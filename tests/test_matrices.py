@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     diagonal_matrix,
     field_gauss_rank,
+    is_unread,
     perturb_block,
     planted_modularity_datum,
     pointed_datum,
@@ -18,7 +20,7 @@ from conftest import (
 import relmod.matrices
 from relmod.datum import Degree, modified_S
 from relmod.matrices import ExactMatrix, _clear_mod, _gauss_jordan, _modulus, _variable_residue
-from relmod.scalars import CycScalar, InexactDivision
+from relmod.scalars import CycScalar, InexactDivision, parse_scalar
 from relmod.sl21 import emit_datum
 
 
@@ -547,3 +549,56 @@ class TestProduct:
         want = [a[i, j] * diag[j] for i in range(a.rows) for j in range(a.cols)]
         for x, y in zip(got, want, strict=True):
             assert x == y and str(x) == str(y), (str(x), str(y))
+
+
+@st.composite
+def printed_matrices(draw):
+    """(conductor, rows, cols, entries): each entry zero, a field element
+    whose numerals may pass the canonical reader's 18 digits, or one times a
+    Laurent monomial in d, s and u."""
+    m = draw(st.sampled_from(PRODUCT_CONDUCTORS))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    entries = []
+    for _ in range(rows * cols):
+        kind = draw(st.sampled_from(["zero", "field", "monomial"]))
+        e = CycScalar.zero(m) if kind == "zero" else draw(field_elements(m))
+        if kind == "monomial":
+            for name in ("d0_1", "s2_3", "u"):
+                e = e * CycScalar.variable(name, m, draw(st.integers(-4, 4)))
+        entries.append(e)
+    return m, rows, cols, entries
+
+
+class TestTextBacked:
+    """A matrix made from its entries' texts parses them on first read, and
+    equals the matrix of the parsed texts."""
+
+    @given(drawn=printed_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_matrix_of_the_parsed_texts(self, drawn):
+        m, rows, cols, entries = drawn
+        texts = [str(e) for e in entries]
+        t = ExactMatrix.from_texts(rows, cols, m, texts)
+        assert is_unread(t)
+        assert [t.row_texts(i) for i in range(rows)] == \
+            [texts[i * cols:(i + 1) * cols] for i in range(rows)]
+        assert is_unread(t)
+        parsed = ExactMatrix.from_rows([[parse_scalar(x, m) for x in texts[i * cols:(i + 1) * cols]]
+                                        for i in range(rows)], m)
+        assert t == parsed and parsed == t
+        assert not is_unread(t) and type(t) is ExactMatrix
+        assert t.entries == tuple(entries)
+        assert [t.row_texts(i) for i in range(rows)] == [parsed.row_texts(i) for i in range(rows)]
+
+    @pytest.mark.parametrize("bad", ["u*d0_1", "u + u", "z5^4", "0*u", "u +", "- u", "u**2"])
+    def test_a_text_str_does_not_print_raises_on_first_read(self, bad):
+        t = ExactMatrix.from_texts(1, 2, 5, ["u", bad])
+        assert t.texts == ("u", bad) and is_unread(t)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                t[0, 0]
+            assert is_unread(t)
+
+    def test_the_text_count_must_match_the_shape(self):
+        with pytest.raises(ValueError, match="expected 4 texts, got 3"):
+            ExactMatrix.from_texts(2, 2, 5, ["1", "u", "0"])
