@@ -25,6 +25,7 @@ from .datum import (
     Degree,
     GradingSpec,
     SmallSubset,
+    _document,
     _expect,
     _field,
     _need,
@@ -612,10 +613,7 @@ def _rules(doc: dict, key: str):
 
 
 def loads_closure(doc: dict) -> ClosureDatum:
-    if not isinstance(doc, dict):
-        raise DatumSchemaError("$", "document must be a JSON object")
-    if doc.get("schema") != CLOSURE_SCHEMA_ID:
-        raise DatumSchemaError("schema", f"expected {CLOSURE_SCHEMA_ID!r}, got {doc.get('schema')!r}")
+    _document(doc, CLOSURE_SCHEMA_ID)
     grading = None
     if doc.get("grading") is not None:
         grading = grading_from_json(doc["grading"], "grading")

@@ -150,6 +150,16 @@ def _expect(value, kind: type, path: str):
     return value
 
 
+def _document(doc, schema_id: str) -> dict:
+    """doc, if it is a JSON object whose "schema" is schema_id: the checks
+    that open the loading of a datum and of a closure document."""
+    if not isinstance(doc, dict):
+        raise DatumSchemaError("$", "document must be a JSON object")
+    if doc.get("schema") != schema_id:
+        raise DatumSchemaError("schema", f"expected {schema_id!r}, got {doc.get('schema')!r}")
+    return doc
+
+
 def _field(obj: dict, key: str, default, kind: type, path: str):
     """obj[key], which must be a kind or default; default when absent."""
     value = obj.get(key, default)
@@ -675,10 +685,7 @@ def loads_datum(doc: dict) -> ModularDatum:
 
 
 def _datum_from_json(doc: dict) -> ModularDatum:
-    if not isinstance(doc, dict):
-        raise DatumSchemaError("$", "document must be a JSON object")
-    if doc.get("schema") != SCHEMA_ID:
-        raise DatumSchemaError("schema", f"expected {SCHEMA_ID!r}, got {doc.get('schema')!r}")
+    _document(doc, SCHEMA_ID)
     conductor = _need(doc, "conductor", "$")
     if not _is_int(conductor) or conductor < 1:
         raise DatumSchemaError("conductor", "expected a positive integer")

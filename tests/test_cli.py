@@ -1169,7 +1169,9 @@ class TestOptionTable:
     what argparse alone gives: the same exit code, stdout and stderr, and
     for an accepted argv the same parsed arguments."""
 
-    def test_main_is_argparse_alone(self, tmp_path):
+    def test_main_is_argparse_alone(self, tmp_path, monkeypatch):
+        # a drawn token such as `x` or ` 3` can be an --out path
+        monkeypatch.chdir(tmp_path)
         datum = str(tmp_path / "d.json")
         save_datum(emit_datum(3), datum)
         closure_path = str(tmp_path / "toy.json")
