@@ -25,7 +25,14 @@ block's matrix keeps its entries in a tuple, or the texts that fix them
 (see the matrices module docstring), and ``dataclasses.replace``
 gives a changed datum.  So every value derived from a datum (its scaled
 S-matrices, ranks, Delta triples and validation, see ``_memo``) is kept
-with it and lives exactly as long as it does.
+with it and lives exactly as long as it does.  Validation builds no scaled
+S-matrix: it decides the symmetry of S_g = S' diag(d) pair by pair, on the
+S' block and the dims (``ExactMatrix.asymmetric_pair``), so S_g is built only
+when a check asks ``modified_S`` for it.
+
+The loader reads each S' block's entries in one pass through the document's
+literal table; it formats an entry's field path only when a literal fails,
+and then walks the block again to name the first failing entry.
 
 Every JSON document is written by ``json_text``, which gives exactly the text
 of ``json.dumps(obj, indent=2, sort_keys=True)`` without that call's
@@ -43,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .matrices import ExactMatrix
-from .scalars import MAX_CONDUCTOR, CycScalar, ScalarParseError, parse_scalar
+from .scalars import MAX_CONDUCTOR, CycScalar, ScalarParseError, parse_scalar, products_equal
 
 
 class DatumSchemaError(ValueError):
@@ -430,7 +437,7 @@ class TranslationSpec:
                             triples.append((i, j, z12))
             fails = set()
             for i, j, z12 in triples:
-                if table[z12] != table[elems[i]] * table[elems[j]]:
+                if not products_equal(table[elems[i]], table[elems[j]], table[z12], one):
                     fails.update(((i, j), (j, i)))
             for i, j in sorted(fails):
                 z1, z2 = elems[i], elems[j]
@@ -450,7 +457,8 @@ class TranslationSpec:
                 if t12 is None:
                     continue
                 t2 = by_degree[degs[j]]
-                bad = [z for z, v in t12.items() if z in t1 and z in t2 and v != t1[z] * t2[z]]
+                bad = [z for z, v in t12.items()
+                       if z in t1 and z in t2 and not products_equal(t1[z], t2[z], v, one)]
                 if bad:
                     fails[i, j] = fails[j, i] = (g12, bad)
         for i, j in sorted(fails):
@@ -464,11 +472,11 @@ class TranslationSpec:
     def quantum_dimension_from_generators(self, z: ZElem, conductor: int) -> CycScalar | None:
         if self.qdim_generators is None:
             return None
-        out = CycScalar.one(conductor)
+        out = None
         for gen_val, c in zip(self.qdim_generators, _reduce_cyclic(z, self.cyclic_factors)):
             if c:
-                out = out * gen_val ** c
-        return out
+                out = gen_val ** c if out is None else out * gen_val ** c
+        return CycScalar.one(conductor) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -590,13 +598,12 @@ def validate_datum(datum: ModularDatum) -> list[Violation]:
         if b.col_degree in datum.index_sets and b.matrix.cols != len(datum.index_sets[b.col_degree]):
             out.append(Violation("block-shape", (bi, str(b.col_degree)),
                                  "block column count does not match the column degree's index set"))
-        # symmetry is checked only on a square diagonal block that its dims fit
+        # symmetry is checked only on a square diagonal block that its dims fit,
+        # pair by pair: S_g itself is not built (see ExactMatrix.asymmetric_pair)
         if b.row_degree == b.col_degree and \
                 b.matrix.rows == b.matrix.cols == len(datum.dims.get(b.col_degree, ())):
-            s = _scaled_block(datum, b)
-            if not s.is_symmetric():
-                bad = next((i, j) for i in range(s.rows) for j in range(s.cols)
-                           if s[i, j] != s[j, i])
+            bad = b.matrix.asymmetric_pair(datum.dims[b.col_degree])
+            if bad is not None:
                 out.append(Violation("modified-S-symmetric", (str(b.row_degree),) + bad,
                                      "the modified S-matrix S_g must be symmetric"))
     for g, inv in datum.dual_involution.items():
@@ -704,6 +711,8 @@ def _datum_from_json(doc: dict) -> ModularDatum:
     def scalar(text, path: str) -> CycScalar:
         return _scalar(text, conductor, path, literals, factor_table)
 
+    known = literals.get
+
     tobj = _expect(_need(doc, "translation", "$"), dict, "translation")
     factors = _orders(tobj.get("cyclic_factors", []), "translation.cyclic_factors")
     qpath = "translation.quantum_dimension"
@@ -758,11 +767,21 @@ def _datum_from_json(doc: dict) -> ModularDatum:
             if len(row) != len(ent[0]):
                 raise DatumSchemaError(f"sprime[{i}].entries[{r}]",
                                        f"ragged rows: {len(row)} entries, row 0 has {len(ent[0])}")
-        rows = [[scalar(v, f"sprime[{i}].entries[{r}][{c}]")
-                 for c, v in enumerate(row)] for r, row in enumerate(ent)]
+        # one pass over the block; the field path of an entry is formatted
+        # only once one fails (an unhashable one fails in known), by a second
+        # pass that stops at the first
+        try:
+            flat = [e if (e := known(v)) is not None else scalar(v, "")
+                    for row in ent for v in row]
+        except (TypeError, DatumSchemaError):
+            for r, row in enumerate(ent):
+                for c, v in enumerate(row):
+                    scalar(v, f"sprime[{i}].entries[{r}][{c}]")
+            raise
         labels = [_strings(bobj.get(key, []), f"sprime[{i}].{key}")
                   for key in ("row_labels", "col_labels")]
-        blocks.append(SBlock(rd, cd, ExactMatrix.from_rows(rows, conductor), *labels))
+        blocks.append(SBlock(rd, cd, ExactMatrix(len(ent), len(ent[0]), conductor, flat),
+                             *labels))
 
     dual = {g: _int_list(perm, ppath) for g, perm, ppath in
             _by_degree(doc.get("dual_involution", {}), degrees, "dual_involution")}
@@ -955,24 +974,19 @@ def _memo(datum: ModularDatum, key, compute):
 def _validation(datum: ModularDatum) -> list[Violation]:
     """validate_datum(datum), computed once per datum (see _memo).
     loads_datum validates through it, so check_premodular_inputs on a loaded
-    datum reads the load's result.  Callers must not change it."""
+    datum reads the load's result.  It keeps no S_g: the symmetry check
+    compares pairs of products without building them (see validate_datum).
+    Callers must not change it."""
     return _memo(datum, "validation", lambda: validate_datum(datum))
-
-
-def _scaled_block(datum: ModularDatum, b: SBlock) -> ExactMatrix:
-    """b's matrix right-scaled by diag(d(V_j)) of its column degree, computed
-    once per datum and pair of degrees (see _memo)."""
-    return _memo(datum, ("S", b.row_degree, b.col_degree),
-                 lambda: b.matrix.scale_columns(list(datum.dims[b.col_degree])))
 
 
 def modified_S(datum: ModularDatum, g: Degree, h: Degree | None = None) -> ExactMatrix:
     """The modified S-matrix S_{g,h}: the S' block right-scaled by diag(d(V_j)).
 
-    It is scaled once per datum and (g, h), and validate_datum's symmetry
-    check scales through the same memo, so a repeated call, or a check after
-    loading, returns the same object (see _memo).  Callers must not change it
-    in place."""
+    It is scaled once per datum and (g, h), so a repeated call returns the
+    same object (see _memo); it is built only when a check asks for it, since
+    validate_datum decides the symmetry of S_g without it.  Callers must not
+    change it in place."""
     if h is None:
         h = g
     if g not in datum.degrees and h not in datum.degrees:
@@ -982,5 +996,5 @@ def modified_S(datum: ModularDatum, g: Degree, h: Degree | None = None) -> Exact
         raise KeyError(f"no S' block for degrees ({g}, {h})")
     if h not in datum.dims:
         raise KeyError(f"no modified dimensions recorded for column degree {h}")
-    return _scaled_block(datum, b)
+    return _memo(datum, ("S", g, h), lambda: b.matrix.scale_columns(list(datum.dims[h])))
 

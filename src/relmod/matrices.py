@@ -49,7 +49,10 @@ keep an entry as it is where the other operand is zero.
 
 Scaling columns, A @ diag(d), multiplies each entry of column j by d_j.  A
 column whose factor is 1 (every modified dimension of pointed data) is kept
-as it is, with no product.
+as it is, with no product.  Whether A @ diag(d) is symmetric is decided
+without it (asymmetric_pair): each pair M_ij d_j, M_ji d_i is compared by
+scalars.products_equal, which on one-term entries and factors compares keys
+and builds neither product.
 
 A matrix can also be made from its entries' literal texts, the strings str()
 prints (ExactMatrix.from_texts).  It keeps the texts and parses none of them
@@ -82,7 +85,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 
 from .scalars import (CycScalar, InexactDivision, ScalarParseError, _packed_product,
-                      _read_canonical, parse_scalar)
+                      _read_canonical, parse_scalar, products_equal)
 
 
 def _is_prime(n: int) -> bool:
@@ -323,10 +326,20 @@ class ExactMatrix:
                 out[j::cols] = [e * d for e in self.entries[j::cols]]
         return ExactMatrix(self.rows, cols, self.conductor, out)
 
-    def is_symmetric(self) -> bool:
+    def asymmetric_pair(self, diag: list[CycScalar]) -> tuple[int, int] | None:
+        """The first (i, j) with i < j, in row-major order, where the entries
+        of self @ diag(diag) differ, M_ij d_j != M_ji d_i; None when that
+        product is symmetric.  Neither product is kept (see the module
+        docstring)."""
         n, e = self.cols, self.entries
-        return self.rows == n and all(
-            e[i * n + j] == e[j * n + i] for i in range(n) for j in range(i + 1, n))
+        if self.rows != n or len(diag) != n:
+            raise ValueError("a square matrix and one diagonal entry per column required")
+        for i in range(n):
+            d_i, row = diag[i], i * n
+            for j in range(i + 1, n):
+                if not products_equal(e[row + j], diag[j], e[j * n + i], d_i):
+                    return i, j
+        return None
 
     # -- elimination -----------------------------------------------------------
 

@@ -56,6 +56,15 @@ pointed data is 1, so scaling S' by them and the ``* d(V_i)`` of the Delta
 sums build nothing.  ``str()`` of a one-term scalar prints its term without
 sorting.
 
+``products_equal`` decides a*b == c*d.  When b == d is nonzero it compares a
+with c, as on pointed data, whose modified dimensions are all 1.  When all
+four operands are one-term, as every S' entry and dimension of the emitted
+sl(2|1) data is, it compares the two products' keys, merged as
+``_term_product`` merges them, and their coefficients, and builds no scalar
+(see its docstring for the rule); any other operands are multiplied and
+compared.  The symmetry of S_g in datum validation and the bilinearity of
+psi are decided by it.
+
 A product of two variable-free scalars that both have more than one term
 is one Kronecker product (``_field_product``): each operand is put over its
 common denominator, its integer vector over 1, zeta, .. is packed into one
@@ -753,6 +762,38 @@ def _term_product(m: int, z1: int, v1: VarKey, c1: Coeff,
     if type(c) is Fraction and c.denominator == 1:
         c = c.numerator
     return _term(m, z1 + z2, _vk_mul(v1, v2), c)
+
+
+def products_equal(a: CycScalar, b: CycScalar, c: CycScalar, d: CycScalar) -> bool:
+    """a * b == c * d.
+
+    Over one conductor m, nothing is multiplied in two cases.  When b == d
+    is nonzero, it is a == c: the ring has no zero divisors, so the common
+    factor cancels (every modified dimension of pointed data is 1).  When
+    all four are one-term, their keys decide it and no scalar is built:
+    c1*zeta^k1*X^v1 == c2*zeta^k2*X^v2, for nonzero c1 and c2, iff v1 == v2
+    and either c1 == c2 and k1 = k2 (mod m), or m is even, c1 == -c2 and
+    k1 = k2 + m/2 (mod m), because zeta^(m/2) = -1 and no other power of
+    zeta is rational.  Each side's coefficient is the product of its two,
+    its zeta power the plain sum of its two and its variable key the one
+    _vk_mul merges.  Any other four are multiplied and compared."""
+    ta, tb, tc, td = a.coeffs, b.coeffs, c.coeffs, d.coeffs
+    m = a.conductor
+    if b.conductor == c.conductor == d.conductor == m:
+        if tb and tb == td:
+            return ta == tc
+        if len(ta) == len(tb) == len(tc) == len(td) == 1:
+            ((za, va), ca), = ta.items()
+            ((zb, vb), cb), = tb.items()
+            ((zc, vc), cc), = tc.items()
+            ((zd, vd), cd), = td.items()
+            if _vk_mul(va, vb) != _vk_mul(vc, vd):
+                return False
+            k = (za + zb - zc - zd) % m
+            if not k:
+                return ca * cb == cc * cd
+            return 2 * k == m and ca * cb == -(cc * cd)
+    return a * b == c * d
 
 
 def _laurent_div(a: CycScalar, b: CycScalar) -> CycScalar:

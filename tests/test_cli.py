@@ -23,7 +23,7 @@ from relmod.closure import dumps_closure, toy_closure_datum
 from relmod.datum import DatumInvariantError, DatumSchemaError, SBlock, dumps_datum, \
     loads_datum, save_datum
 from relmod.matrices import ExactMatrix
-from relmod.scalars import MAX_CONDUCTOR
+from relmod.scalars import MAX_CONDUCTOR, CycScalar
 from relmod.sl21 import emit_datum
 
 DATA = Path(__file__).parent / "data"
@@ -297,6 +297,46 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "premodular", "--datum", str(p))
         assert code == 2
         assert path in err
+
+    @staticmethod
+    def _square_block_doc(entries):
+        """identity_datum_doc with an n x n S' block and n unit dims and twists."""
+        doc = identity_datum_doc()
+        n = len(entries)
+        doc["index_sets"]["0"] = [str(i) for i in range(n)]
+        doc["dims"]["0"] = doc["twists"]["0"] = ["1"] * n
+        doc["dual_involution"]["0"] = list(range(n))
+        doc["sprime"][0]["entries"] = entries
+        return doc
+
+    @pytest.mark.parametrize("entries, message", [
+        ([["1", "2"], ["2", "2 *"]], "sprime[0].entries[1][1]: unexpected end of input in '2 *'"),
+        ([["1", "z5", "u"], ["z5", "1", "2"], ["u", "3/0", "1"]],
+         "sprime[0].entries[2][1]: cannot evaluate '3/0': Fraction(3, 0)"),
+        ([["1", "x^"], ["x^", "1"]], "sprime[0].entries[0][1]: bad exponent in 'x^'"),
+        ([["1", "2"], ["2", 7]], "sprime[0].entries[1][1]: expected a scalar string, got int"),
+        ([["1", "2"], ["2", None]],
+         "sprime[0].entries[1][1]: expected a scalar string, got NoneType"),
+        ([["1", "2"], ["2", []]], "sprime[0].entries[1][1]: expected a scalar string, got list"),
+        ([["1", {}], ["2", "2 *"]], "sprime[0].entries[0][1]: expected a scalar string, got dict"),
+    ], ids=["malformed-at-1-1", "malformed-at-2-1", "first-of-a-repeated-one", "int", "null",
+            "list", "object-before-a-malformed-literal"])
+    def test_malformed_entry_names_its_field(self, capsys, tmp_path, entries, message):
+        """The block is read in one pass; an entry that fails is named by its
+        field path and message, the first in row-major order."""
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(self._square_block_doc(entries)))
+        assert run(capsys, "check", "premodular", "--datum", str(p)) == \
+            (2, "", f"error: invalid datum: {message}\n")
+
+    def test_a_literal_only_the_scanner_takes_loads_at_its_value(self, capsys, tmp_path):
+        doc = self._square_block_doc([["(1+u)^2", "0"], ["0", "(1+u)^2"]])
+        square, zero = (CycScalar.variable("u", 5) + 1) ** 2, CycScalar.zero(5)
+        assert loads_datum(doc).sprime[0].matrix.entries == (square, zero, zero, square)
+        p = tmp_path / "scanner.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "premodular", "--datum", str(p))
+        assert (code, err) == (0, "") and "all structural invariants hold" in out
 
     def test_check_all_json_deterministic(self, capsys, tmp_path):
         path = str(tmp_path / "d.json")

@@ -15,7 +15,7 @@ from conftest import (MALFORMED_DEGREES, diagonal_matrix, is_unread, perturb_blo
 import relmod.checks as checks_mod
 import relmod.scalars as scalars_mod
 from relmod.checks import check_premodular_inputs
-from relmod.cli import _run_all
+from relmod.cli import _run_all, main
 from relmod.datum import (
     DatumInvariantError,
     DatumSchemaError,
@@ -497,14 +497,17 @@ class TestModifiedS:
         s = modified_S(d, g)
         assert (s.rows, s.cols) == (6, 6)
         assert s.rank() == 3
-        assert s.is_symmetric()
+        assert d.block(g, g).matrix.asymmetric_pair(d.dims[g]) is None
 
 
 class TestModifiedSMemo:
     """modified_S scales a block once per datum and (g, h), and never serves
     a matrix scaled from another block or other dims."""
 
-    def test_repeated_call_and_validation_share_one_matrix(self):
+    def test_repeated_call_returns_one_matrix_that_validation_leaves_alone(self):
+        """A repeated modified_S call returns the matrix of the first, and
+        neither validating the datum again nor check premodular replaces
+        it: the symmetry check builds no S_g of its own."""
         d = loads_datum(dumps_datum(emit_datum(3)))
         g = Degree(alpha=1)
         s = modified_S(d, g)
@@ -513,6 +516,68 @@ class TestModifiedSMemo:
         assert modified_S(d, g) is s
         assert check_premodular_inputs(d).status == HOLDS
         assert modified_S(d, g) is s
+
+    def test_loading_and_check_premodular_build_no_scaled_matrix(self, monkeypatch, tmp_path,
+                                                                 capsys):
+        """Loading the emitted ell = 5 file and checking its premodular
+        inputs, in the library and through the command, make no scalar
+        product: every S' entry and dim is one-term, so the symmetry of S_g
+        and the bilinearity of psi are decided on keys.  S_g is built only
+        when modified_S is asked for it."""
+        path = str(tmp_path / "sl21-ell5.json")
+        assert main(["sl21", "emit", "--ell", "5", "--out", path]) == 0
+        calls = []
+        mul = CycScalar.__mul__
+        monkeypatch.setattr(CycScalar, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        d = load_datum(path)
+        assert check_premodular_inputs(d).status == HOLDS
+        assert main(["check", "premodular", "--datum", path]) == 0
+        capsys.readouterr()
+        assert calls == []
+        assert [key for key in d.__dict__["_memo"] if key[:1] == ("S",)] == []
+        # the counter sees the work: S_g is 20 x 20, scaled by 20 dims
+        g = Degree(alpha=1)
+        s = modified_S(d, g)
+        assert len(calls) == 400 and d.__dict__["_memo"][("S", g, g)] is s
+
+    @pytest.mark.parametrize("make, edits, pair", [
+        (lambda: emit_datum(5), [((7, 3), "d0_1^-1")], (3, 7)),
+        (lambda: emit_datum(5), [((2, 11), "z5^2 + u")], (2, 11)),
+        (lambda: emit_datum(5), [((19, 18), "-1")], (18, 19)),
+        (lambda: emit_datum(5), [((7, 3), "u"), ((1, 15), "2")], (1, 15)),
+        (lambda: emit_datum(5), [((9, 2), "u"), ((4, 2), "2")], (2, 4)),
+        (lambda: pointed_datum(7, random.Random(7)), [((5, 1), "1")], (1, 5)),
+        (lambda: pointed_datum(7, random.Random(7)), [((3, 6), "z7^3")], (3, 6)),
+        (lambda: pointed_datum(15, random.Random(15)), [((12, 4), "-z15")], (4, 12)),
+    ], ids=["emit-variable", "emit-sum", "emit-last-row", "emit-two-rows", "emit-one-column",
+            "pointed-one", "pointed-zeta", "pointed-15"])
+    def test_asymmetric_block_names_its_first_pair(self, make, edits, pair):
+        """The reported (i, j) is the first pair in row-major order where
+        S_g differs from its transpose: on emitted data every pair is decided
+        on keys but the edited ones, on pointed data many go through the
+        product.  A load names the same pair."""
+        d = make()
+        g = Degree(alpha=1)
+        for at, delta in edits:
+            d = perturb_block(d, 0, *at, parse_scalar(delta, d.conductor))
+        s = d.block(g, g).matrix.scale_columns(list(d.dims[g]))
+        assert pair == next((i, j) for i in range(s.rows) for j in range(s.cols)
+                            if s[i, j] != s[j, i])
+        expected = [("modified-S-symmetric", ("a", *pair))]
+        assert [(v.invariant, v.indices) for v in validate_datum(d)] == expected
+        with pytest.raises(DatumInvariantError) as ei:
+            loads_datum(dumps_datum(d))
+        assert [(v.invariant, v.indices) for v in ei.value.violations] == expected
+
+    def test_a_changed_dim_names_the_first_pair_of_its_column(self):
+        d = emit_datum(5)
+        g = Degree(alpha=1)
+        dims = list(d.dims[g])
+        dims[6] = dims[6] * parse_scalar("-u", 5)
+        bad = dataclasses.replace(d, dims={**d.dims, g: tuple(dims)})
+        assert [(v.invariant, v.indices) for v in validate_datum(bad)] == \
+            [("modified-S-symmetric", ("a", 0, 6))]
+        assert d.block(g, g).matrix.asymmetric_pair(dims) == (0, 6)
 
     def test_replaced_dims_give_a_freshly_scaled_matrix(self):
         d = pointed_datum(5, random.Random(3))

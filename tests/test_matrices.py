@@ -20,7 +20,7 @@ from conftest import (
 import relmod.matrices
 from relmod.datum import Degree, modified_S
 from relmod.matrices import ExactMatrix, _clear_mod, _gauss_jordan, _modulus, _variable_residue
-from relmod.scalars import CycScalar, InexactDivision, parse_scalar
+from relmod.scalars import CycScalar, InexactDivision, _degree, parse_scalar
 from relmod.sl21 import emit_datum
 
 
@@ -549,6 +549,55 @@ class TestProduct:
         want = [a[i, j] * diag[j] for i in range(a.rows) for j in range(a.cols)]
         for x, y in zip(got, want, strict=True):
             assert x == y and str(x) == str(y), (str(x), str(y))
+
+
+@st.composite
+def laurent_sums(draw, m: int, terms: int, variable: bool = True) -> CycScalar:
+    """A sum of terms c*zeta^k*u^e with small c and k below deg Phi_m, so a
+    single term is a one-term scalar; e is 0 unless variable is set."""
+    deg = _degree(m)
+    out = CycScalar.zero(m)
+    for _ in range(terms):
+        e = draw(st.integers(-2, 2)) if variable else 0
+        out = out + CycScalar(m, {(draw(st.integers(0, deg - 1)), (("u", e),) if e else ()):
+                                  draw(st.integers(-3, 3).filter(bool))})
+    return out
+
+
+class TestAsymmetricPair:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_first_pair_of_the_scaled_matrix(self, data):
+        """asymmetric_pair(d) is the first (i, j) in row-major order where
+        S' diag(d) differs from its transpose.  S' is made so that S' diag(d)
+        is symmetric, from one-term entries and dims (decided on keys) or
+        sums and field dims (multiplied), and then edited in up to two
+        entries."""
+        m = data.draw(st.sampled_from(PRODUCT_CONDUCTORS))
+        n = data.draw(st.integers(1, 5))
+        one_term = data.draw(st.booleans())
+        entry = laurent_sums(m, 1) if one_term else \
+            st.integers(0, 2).flatmap(lambda t: laurent_sums(m, t))
+        dim = laurent_sums(m, 1) if one_term else \
+            st.integers(1, 2).flatmap(lambda t: laurent_sums(m, t, variable=False))
+        diag = [data.draw(dim.filter(bool)) for _ in range(n)]
+        upper = {(i, j): data.draw(entry) for i in range(n) for j in range(i, n)}
+        entries = [upper[min(i, j), max(i, j)].exact_div(diag[j])
+                   for i in range(n) for j in range(n)]
+        for _ in range(data.draw(st.integers(0, 2))):
+            k = data.draw(st.integers(0, n * n - 1))
+            entries[k] = entries[k] + data.draw(laurent_sums(m, 1))
+        a = ExactMatrix(n, n, m, entries)
+        s = a.scale_columns(diag)
+        assert a.asymmetric_pair(diag) == next(
+            ((i, j) for i in range(n) for j in range(n) if s[i, j] != s[j, i]), None)
+
+    def test_a_square_matrix_and_one_dim_per_column(self):
+        with pytest.raises(ValueError, match="square"):
+            ExactMatrix(1, 2, 5, [one(), one()]).asymmetric_pair([one(), one()])
+        with pytest.raises(ValueError, match="square"):
+            ExactMatrix.identity(2, 5).asymmetric_pair([one()])
+        assert ExactMatrix.identity(2, 5).asymmetric_pair([one(), rat(2)]) is None
 
 
 @st.composite

@@ -1,7 +1,9 @@
 import cmath
+import itertools
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 import pytest
@@ -16,10 +18,14 @@ from relmod.scalars import (
     CycScalar,
     InexactDivision,
     ScalarParseError,
+    _degree,
     _laurent_div,
     _power_term_bound,
+    _vk_mul,
+    _vk_neg,
     cyclotomic_coeffs,
     parse_scalar,
+    products_equal,
     quantum_integer,
 )
 from relmod.sl21 import emit_datum
@@ -1054,6 +1060,122 @@ class TestOneTermProduct:
             assert got == expected and hash(got) == hash(expected)
             assert str(got) == str(expected)
             assert typed_coeffs(got) == typed_coeffs(expected)
+
+
+PRODUCT_CONDUCTORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15)
+
+
+@lru_cache(maxsize=None)
+def _zeta_quadruples(m, half):
+    """The zeta powers (za, zb, zc, zd), each below deg Phi_m, with
+    za + zb - zc - zd = m/2 (mod m) when half is set, else 0 (mod m)."""
+    deg, target = _degree(m), m // 2 if half else 0
+    return tuple(q for q in itertools.product(range(deg), repeat=4)
+                 if (q[0] + q[1] - q[2] - q[3] - target) % m == 0)
+
+
+@st.composite
+def product_quadruples(draw):
+    """(m, a, b, c, d, equal): four scalars over Q(zeta_m), and whether a*b
+    == c*d holds by construction (None when that is not known).
+
+    "equal" and "half" draw one-term a, b, c and solve for a one-term d:
+    its zeta power from a quadruple above, so the powers' sums reach deg
+    Phi_m and wrap mod m, and "half" makes the products equal only through
+    zeta^(m/2) = -1 (d's coefficient negated).  Variable keys come from
+    three names with exponents +-1, +-2, so merged keys cancel, as in
+    d0_1^-1 * d0_1.  One part of d may then be spoiled.  "free" draws four
+    one-term scalars, "sums" four scalars of up to four terms or zero, and
+    "common" such scalars with b == d."""
+    m = draw(st.sampled_from(PRODUCT_CONDUCTORS))
+    kind = draw(st.sampled_from(["equal", "half", "free", "sums", "common"]))
+    if kind == "sums":
+        return (m, *(draw(scalars(m, ("u", "d0_1"))) for _ in range(4)), None)
+    if kind == "common":
+        a, b = draw(scalars(m, ("u", "d0_1"))), draw(scalars(m, ("u", "d0_1")))
+        c = a if draw(st.booleans()) else draw(scalars(m, ("u", "d0_1")))
+        return m, a, b, c, b, c is a or None
+    deg = _degree(m)
+    coeff = st.fractions(-3, 3, max_denominator=4).filter(bool)
+
+    def var_key():
+        names = draw(st.lists(st.sampled_from(["d0_1", "s1_3", "u"]), unique=True, max_size=2))
+        return tuple(sorted((n, draw(st.sampled_from([-2, -1, 1, 2]))) for n in names))
+
+    if kind == "free":
+        return (m, *(CycScalar(m, {(draw(st.integers(0, deg - 1)), var_key()): draw(coeff)})
+                     for _ in range(4)), None)
+    half = kind == "half" and m % 2 == 0 and bool(_zeta_quadruples(m, True))
+    za, zb, zc, zd = draw(st.sampled_from(_zeta_quadruples(m, half)))
+    ca, cb, cc = draw(coeff), draw(coeff), draw(coeff)
+    cd = ca * cb / cc * (-1 if half else 1)
+    va, vb, vc = var_key(), var_key(), var_key()
+    vd = _vk_mul(_vk_mul(va, vb), _vk_neg(vc))
+    spoil = draw(st.sampled_from([None, "coefficient", "sign", "zeta", "variable"]))
+    if spoil == "coefficient":
+        cd *= 2
+    elif spoil == "sign":
+        cd = -cd
+    elif spoil == "zeta":
+        zd = (zd + 1) % deg
+    elif spoil == "variable":
+        vd = _vk_mul(vd, (("u", 1),))
+    a, b, c, d = (CycScalar(m, {(z, v): x}) for z, v, x in
+                  ((za, va, ca), (zb, vb, cb), (zc, vc, cc), (zd, vd, cd)))
+    return m, a, b, c, d, spoil is None or None
+
+
+class TestProductsEqual:
+    """products_equal(a, b, c, d) decides a*b == c*d; on one-term operands
+    it compares keys and builds no product."""
+
+    @given(case=product_quadruples())
+    @settings(max_examples=600, deadline=None)
+    def test_agrees_with_the_products(self, case):
+        m, a, b, c, d, equal = case
+        got = products_equal(a, b, c, d)
+        assert got == (a * b == c * d)
+        assert products_equal(c, d, a, b) == got
+        if equal:
+            assert got
+
+    @pytest.mark.parametrize("m, a, b, c, d, equal", [
+        (4, "z4", "z4", "-1", "1", True),                 # zeta^2 = -1
+        (4, "z4", "z4", "1", "1", False),
+        (12, "z12^3", "z12^3", "-1", "1", True),          # zeta^6 = -1
+        (8, "2*z8^3", "z8^3", "-2*z8^2", "1", True),      # zeta^6 = -zeta^2
+        (6, "z6", "z6", "-1", "z6", False),               # zeta^2 != -zeta
+        (5, "-d0_1^-1*u", "d0_1", "u", "-1", True),       # the variable cancels
+        (5, "d0_1^-1*u", "d0_1", "u^-1", "1", False),
+        (7, "1/2*z7^5", "4*z7^4", "2", "z7^2", True),     # zeta^9 = zeta^2
+        (2, "3/4", "-4/3", "-1", "1", True),
+        (1, "u", "u^-1", "1", "1", True),
+    ])
+    def test_one_term_examples_build_no_product(self, monkeypatch, m, a, b, c, d, equal):
+        a, b, c, d = (parse_scalar(t, m) for t in (a, b, c, d))
+        assert (a * b == c * d) is equal
+        calls = []
+        mul = CycScalar.__mul__
+        monkeypatch.setattr(CycScalar, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+        assert products_equal(a, b, c, d) is equal and calls == []
+
+    def test_a_common_nonzero_factor_cancels_with_no_product(self, monkeypatch):
+        a, b, c = (parse_scalar(t, 5) for t in ("1 + z5*u", "2 - u^-1", "1 + z5"))
+        calls = []
+        mul = CycScalar.__mul__
+        monkeypatch.setattr(CycScalar, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+        assert products_equal(a, b, a, b) and not products_equal(a, b, c, b)
+        assert calls == []
+
+    def test_other_operands_are_multiplied(self):
+        m = 5
+        one, zero = CycScalar.one(m), CycScalar.zero(m)
+        s = parse_scalar("1 + z5", m)
+        assert products_equal(s, one, one, s)
+        assert not products_equal(s, s, s, one)
+        assert products_equal(zero, s, zero, one) and not products_equal(zero, s, one, one)
+        with pytest.raises(ValueError, match="conductor mismatch"):
+            products_equal(one, one, one, CycScalar.one(7))
 
 
 def canon_product(a, b):
