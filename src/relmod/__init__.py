@@ -10,6 +10,7 @@ from .datum import (
     save_datum,
 )
 from .checks import (
+    check_all,
     check_dmug,
     check_nondegeneracy,
     check_premodular_inputs,
@@ -27,6 +28,7 @@ __all__ = [
     "InexactDivision",
     "ModularDatum",
     "Verdict",
+    "check_all",
     "check_dmug",
     "check_nondegeneracy",
     "check_premodular_inputs",

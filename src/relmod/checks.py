@@ -20,6 +20,7 @@ Each check returns a Verdict with machine-readable witnesses:
                            translation and S-block invariants; on a loaded
                            datum it reads the load's validation (see
                            datum._validation).
+* check_all             -- every check above, modularity decided first.
 
 Each derived quantity -- a scaled S-matrix, a rank, a Delta triple, the
 validation -- is computed once per datum and kept with it (datum._memo): a
@@ -324,7 +325,7 @@ def check_relative_modularity(datum: ModularDatum, g: Degree, h: Degree) -> Verd
     # P = zeta * Id with zeta != 0 has rank n, so S_{g,h} (n x k) and
     # S_{h,-g} (k x n) have rank n = min(n, k) over the fraction field: full
     # rank, with no kernel vector.  Each is recorded in the rank memo, so
-    # the checks after this one eliminate neither.
+    # the checks check_all runs after this one eliminate neither.
     for row, col in ((g, h), (h, neg)):
         _memo(datum, ("rank", row, col), lambda: (p.rows, []))
     prod = _try_deltas(datum, g)[2]
@@ -341,6 +342,34 @@ def check_relative_modularity(datum: ModularDatum, g: Degree, h: Degree) -> Verd
         v.notes.append("Delta cross-check skipped: diagonal blocks or dual involution absent")
     v.witnesses.append(Witness("P = zeta * Id", (), str(zeta)))
     return v
+
+
+def check_all(datum: ModularDatum) -> list[Verdict]:
+    """Every check at every generic degree and pair of them, reported in the
+    order premodular, rank-constancy, nondeg and dmug per degree, modularity
+    per pair, then cross-check breaches.  Modularity is decided first, so
+    the checks after it eliminate only the blocks that no holding identity
+    covers (see the rank memo in check_relative_modularity)."""
+    generic = [g for g in datum.degrees if datum.grading.is_generic(g)]
+    modularity = [(g, h, check_relative_modularity(datum, g, h))
+                  for g in generic for h in generic
+                  if datum.block(g, h) is not None
+                  and datum.block(h, datum.negate(g)) is not None]
+    results = [check_premodular_inputs(datum), check_rank_constancy(datum)]
+    nondeg = {}
+    for g in generic:
+        nondeg[g] = check_nondegeneracy(datum, g)
+        results += [nondeg[g], check_dmug(datum, g)]
+    breaches = []
+    for g, h, mod_v in modularity:
+        results.append(mod_v)
+        # relative modularity at (g, .) forces non-degeneracy at g
+        if mod_v.status == HOLDS and nondeg[g].status == FAILS:
+            breach = Verdict("cross-check", FAILS, params={"g": str(g), "h": str(h)})
+            breach.notes.append("internal consistency: relative modularity holds "
+                                "but non-degeneracy fails at the same degree")
+            breaches.append(breach)
+    return results + breaches
 
 
 # ---------------------------------------------------------------------------

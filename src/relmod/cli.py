@@ -39,7 +39,7 @@ from .sl21 import (
     select_convention,
     WeightLabel,
 )
-from .verdicts import DATA_ABSENT, FAILS, HOLDS, HYPOTHESIS_NOT_MET, Verdict
+from .verdicts import DATA_ABSENT, FAILS, HYPOTHESIS_NOT_MET, Verdict
 
 USAGE_ERROR, CHECK_FAILURE, INTERNAL_ERROR = 2, 1, 3
 
@@ -138,38 +138,8 @@ def _cmd_check(args) -> int:
     elif which == "premodular":
         verdicts.append(checks_mod.check_premodular_inputs(datum))
     else:
-        verdicts.extend(_run_all(datum))
+        verdicts.extend(checks_mod.check_all(datum))
     return _report(args, verdicts)
-
-
-def _run_all(datum: ModularDatum) -> list[Verdict]:
-    """Every check at every generic degree and pair of them, reported in the
-    order premodular, rank-constancy, nondeg and dmug per degree, modularity
-    per pair, then cross-check breaches.  Modularity is decided first: each
-    identity that holds records the full rank of both its factors (see
-    check_relative_modularity), so the checks after it eliminate only the
-    blocks that no holding identity covers."""
-    generic = [g for g in datum.degrees if datum.grading.is_generic(g)]
-    modularity = [(g, h, checks_mod.check_relative_modularity(datum, g, h))
-                  for g in generic for h in generic
-                  if datum.block(g, h) is not None
-                  and datum.block(h, datum.negate(g)) is not None]
-    results = [checks_mod.check_premodular_inputs(datum),
-               checks_mod.check_rank_constancy(datum)]
-    nondeg = {}
-    for g in generic:
-        nondeg[g] = checks_mod.check_nondegeneracy(datum, g)
-        results += [nondeg[g], checks_mod.check_dmug(datum, g)]
-    breaches = []
-    for g, h, mod_v in modularity:
-        results.append(mod_v)
-        # relative modularity at (g, .) forces non-degeneracy at g
-        if mod_v.status == HOLDS and nondeg[g].status == FAILS:
-            breach = Verdict("cross-check", FAILS, params={"g": str(g), "h": str(h)})
-            breach.notes.append("internal consistency: relative modularity holds "
-                                "but non-degeneracy fails at the same degree")
-            breaches.append(breach)
-    return results + breaches
 
 
 # ---------------------------------------------------------------------------

@@ -115,23 +115,40 @@ def field_gauss_inverse(m: ExactMatrix) -> ExactMatrix:
 def pointed_datum(n: int, rng: random.Random | None = None) -> ModularDatum:
     """A fully consistent datum on Z/n labels (n odd), randomized by a
     relabeling permutation and global unit scales."""
-    assert n % 2 == 1
-    rng = rng or random.Random(0)
+    return premetric_datum(n, 1, rng)
+
+
+def relabelling(n: int, rng: random.Random) -> list[int]:
+    """The permutation pi of Z/n that premetric_datum draws first from rng:
+    label i stands for the group element pi(i)."""
     perm = list(range(n))
     rng.shuffle(perm)
+    return perm
+
+
+def premetric_datum(n: int, k: int, rng: random.Random | None = None) -> ModularDatum:
+    """pointed_datum with every exponent scaled by k: the pre-metric group
+    Z/n (n odd) with the quadratic form q(i) = zeta_n^(k i^2), whose
+    bicharacter zeta_n^(2k ij) has the radical R = {i : n | 2ki} of order
+    gcd(k, n).  Labels whose elements differ by R have equal rows, so every
+    S-matrix has rank n / gcd(k, n), and k = 1 gives pointed_datum.  The
+    planted zeta is that of k = 1, which the products meet only when R = 0."""
+    assert n % 2 == 1
+    rng = rng or random.Random(0)
+    perm = relabelling(n, rng)
     s1 = random_unit(rng, n)
     s2 = random_unit(rng, n)
     ct = random_unit(rng, n)
 
-    q2 = lambda i, j: CycScalar.zeta(n, (2 * perm[i] * perm[j]) % n)
-    q2inv = lambda i, j: CycScalar.zeta(n, (-2 * perm[i] * perm[j]) % n)
+    q2 = lambda i, j: CycScalar.zeta(n, (2 * k * perm[i] * perm[j]) % n)
+    q2inv = lambda i, j: CycScalar.zeta(n, (-2 * k * perm[i] * perm[j]) % n)
 
     one = CycScalar.one(n)
     g = Degree(alpha=1)
     ng = Degree(alpha=-1)
     labels = tuple(str(i) for i in range(n))
     dims = tuple([one] * n)
-    twists = tuple(ct * CycScalar.zeta(n, (perm[i] * perm[i]) % n) for i in range(n))
+    twists = tuple(ct * CycScalar.zeta(n, (k * perm[i] * perm[i]) % n) for i in range(n))
 
     def block(rd, cd, fn, scale):
         rows = [[scale * fn(i, j) for j in range(n)] for i in range(n)]

@@ -7,6 +7,7 @@ exact (tolerance 0); runtime limits are asserted where stated.
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -17,6 +18,7 @@ from conftest import (
     planted_modularity_datum,
     pointed_datum,
     pointed_zeta,
+    premetric_datum,
     random_matrix,
 )
 from relmod.checks import (
@@ -247,6 +249,36 @@ def test_criterion_11b_relations_on_products_of_three_and_four_modules(capsys):
     with capsys.disabled():
         _report("11b", "relations hold on A2^3, A2^4 at ell = 7, A10 (x) A10 and A_20 "
                        "at ell = 21")
+
+
+def test_criterion_12_check_all_fails_on_a_premetric_radical(capsys, tmp_path):
+    """check all on the saved pre-metric data at (n, k) = (45, 3) and (63, 7)
+    (seed n), whose form zeta_n^(k i^2) has a radical of order gcd(k, n):
+    premodular-inputs and rank-constancy hold, with every block at rank
+    n / gcd(k, n); nondegeneracy fails at a and -a with that rank, and dmug
+    and all four relative-modularity verdicts fail.  Each run takes under
+    5 s in process."""
+    for n, k in ((45, 3), (63, 7)):
+        rank = str(n // math.gcd(k, n))
+        path = str(tmp_path / f"premetric-{n}-{k}.json")
+        save_datum(premetric_datum(n, k, random.Random(n)), path)
+        t0 = time.perf_counter()
+        code = main(["check", "all", "--datum", path, "--format", "json"])
+        elapsed = time.perf_counter() - t0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert code == 1
+        assert [(r["check"], r["params"].get("g"), r["status"]) for r in reports] == [
+            ("premodular-inputs", None, "holds"), ("rank-constancy", None, "holds"),
+            ("nondegeneracy", "a", "fails"), ("dmug", "a", "fails"),
+            ("nondegeneracy", "-a", "fails"), ("dmug", "-a", "fails"),
+        ] + [("relative-modularity", g, "fails") for g in ("a", "a", "-a", "-a")], reports
+        ranks = [value for r in reports for key, value in r["derived_scalars"].items()
+                 if key.startswith("rank(")]
+        assert len(ranks) == 6 and set(ranks) == {rank}, (n, k, ranks)
+        assert elapsed < 5.0, f"(n, k) = ({n}, {k}) took {elapsed:.3f}s"
+    with capsys.disabled():
+        _report(12, "check all fails on the pre-metric radicals at (45, 3) and (63, 7) with "
+                    "rank n / gcd(k, n), under 5 s each")
 
 
 def test_criterion_2_defining_relation_suite():

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -9,10 +11,13 @@ from conftest import (
     planted_modularity_datum,
     pointed_datum,
     pointed_zeta,
+    premetric_datum,
+    relabelling,
 )
 from relmod import cli
 from relmod.checks import (
     ZERO_ENTRY_HYPOTHESIS,
+    check_all,
     check_dmug,
     check_nondegeneracy,
     check_premodular_inputs,
@@ -28,6 +33,8 @@ from relmod.datum import (
     SBlock,
     SmallSubset,
     TranslationSpec,
+    dumps_datum,
+    json_text,
     modified_S,
     parse_degree,
     save_datum,
@@ -345,7 +352,7 @@ class TestIdentityRanks:
         else:
             d = planted_modularity_datum(random.Random(size), size)[0]
         calls.clear()    # building the data ranks matrices of its own
-        verdicts = cli._run_all(d)
+        verdicts = check_all(d)
         assert [v.status for v in verdicts if v.check == "relative-modularity"] == \
             [HOLDS] * (4 if family == "pointed" else 1)
         assert calls == []
@@ -366,7 +373,7 @@ class TestIdentityRanks:
         d = perturb_block(d, block, 0, 0, CycScalar.one(d.conductor))
         calls.clear()
         covered = set()
-        for v in cli._run_all(d):
+        for v in check_all(d):
             if v.check != "relative-modularity":
                 continue
             g, h = (parse_degree(v.params[k]) for k in ("g", "h"))
@@ -526,3 +533,101 @@ class TestPerturbations:
         v = check_relative_modularity(bad, G, h)
         assert v.status == FAILS
         assert v.witnesses
+
+
+# SHA-256 over the saved documents of pointed_datum(n, Random(seed)) for n in
+# (3, 5, 7, 9, 15, 21) and seed in (0, n): the pointed family every other test
+# and pin builds on, which premetric_datum must give at k = 1.
+POINTED_DOCUMENTS_SHA256 = "a617e8b25188d700bd18ad338a3b183422408d1073c9c07f344446f68667f038"
+
+# (n, k) with a radical R = {i : n | 2ki} of order gcd(k, n) > 1
+PREMETRIC = [(9, 3), (15, 3), (15, 5), (21, 3), (21, 7), (45, 3), (45, 9)]
+
+
+class TestPremetricRadical:
+    """The pre-metric group Z/n with the form zeta_n^(k i^2) (premetric_datum)
+    is degenerate exactly on its radical R (Drinfeld, Gelaki, Nikshych and
+    Ostrik, "On braided fusion categories I", Selecta Math. 16, 2010): every
+    S-matrix has rank n / gcd(k, n), its kernel is spanned by e_i - e_j for
+    labels whose elements differ by R, and check all must fail for that
+    reason alone."""
+
+    def test_k_1_gives_the_pointed_datum(self):
+        digest = hashlib.sha256()
+        for n in (3, 5, 7, 9, 15, 21):
+            for seed in (0, n):
+                d = premetric_datum(n, 1, random.Random(seed))
+                assert d == pointed_datum(n, random.Random(seed))
+                digest.update(json_text(dumps_datum(d)).encode())
+        assert digest.hexdigest() == POINTED_DOCUMENTS_SHA256
+
+    @pytest.mark.parametrize("n, k", PREMETRIC)
+    def test_check_all_fails_on_the_radical(self, n, k):
+        d = premetric_datum(n, k, random.Random(n))
+        perm = relabelling(n, random.Random(n))
+        radical = {i for i in range(n) if 2 * k * i % n == 0}
+        rank = str(n // math.gcd(k, n))
+        assert len(radical) == math.gcd(k, n) > 1
+        verdicts = check_all(d)
+        assert [(v.check, v.params.get("g"), v.status) for v in verdicts] == [
+            ("premodular-inputs", None, HOLDS), ("rank-constancy", None, HOLDS),
+            ("nondegeneracy", "a", FAILS), ("dmug", "a", FAILS),
+            ("nondegeneracy", "-a", FAILS), ("dmug", "-a", FAILS),
+        ] + [("relative-modularity", g, FAILS) for g in ("a", "a", "-a", "-a")]
+        _, constancy, *per_degree = verdicts[:6]
+        assert set(constancy.derived_scalars.values()) == {rank}
+        for v in per_degree:
+            g = parse_degree(v.params["g"])
+            (w,) = v.witnesses
+            if v.check == "dmug":
+                assert (w.name, w.value) == ("condition (1): S_g is singular", rank)
+                continue
+            assert v.derived_scalars["rank(S_g)"] == rank
+            assert w.name == "kernel vector of S_g"
+            vector = [parse_scalar(x, n) for x in w.value[1:-1].split(", ")]
+            support = [i for i, x in enumerate(vector) if not x.is_zero]
+            assert sorted(str(vector[i]) for i in support) == ["-1", "1"]
+            m = modified_S(d, g)
+            zero = CycScalar.zero(n)
+            for i in range(n):
+                row = zero
+                for j in support:
+                    row = row + m[i, j] * vector[j]
+                assert row.is_zero, (i, w.value)
+            i, j = support
+            assert (perm[i] - perm[j]) % n in radical
+
+
+def _single_checks(d):
+    """The verdicts of check_all(d) without its cross-check breaches, each
+    made by a single check on a copy of d whose memo starts empty."""
+    generic = [g for g in d.degrees if d.grading.is_generic(g)]
+    fresh = lambda: dataclasses.replace(d)
+    out = [check_premodular_inputs(fresh()), check_rank_constancy(fresh())]
+    for g in generic:
+        out += [check_nondegeneracy(fresh(), g), check_dmug(fresh(), g)]
+    return out + [check_relative_modularity(fresh(), g, h) for g in generic for h in generic
+                  if d.block(g, h) is not None and d.block(h, d.negate(g)) is not None]
+
+
+class TestCheckAllRoutes:
+    """check all reads the ranks that a holding modularity identity proves,
+    where a single check nondeg, dmug or rank-constancy runs the F_p
+    certificate: the two routes give the same reports, ranks and witnesses
+    included."""
+
+    @pytest.mark.parametrize("name", ["pointed-3", "pointed-5", "pointed-7", "planted-1",
+                                      "planted-2", "planted-3", "planted-4",
+                                      "premetric-15-3", "premetric-21-7", "sl21-ell3"])
+    def test_check_all_equals_the_single_checks(self, name):
+        family, *size = name.split("-")
+        if family == "pointed":
+            d = pointed_datum(int(size[0]), random.Random(int(size[0])))
+        elif family == "planted":
+            d = planted_modularity_datum(random.Random(int(size[0])), int(size[0]))[0]
+        elif family == "premetric":
+            d = premetric_datum(int(size[0]), int(size[1]), random.Random(int(size[0])))
+        else:
+            d = emit_datum(3)
+        assert [v.to_json() for v in check_all(d)] == \
+            [v.to_json() for v in _single_checks(d)]

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -33,6 +34,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# Every bad-input probe is refused within this many seconds: a guard against a
+# refusal that first does work it has no need of, or never ends.
+REFUSAL_SECONDS = 10
+
+
+def refused(capsys, *argv):
+    """Run argv, which must be refused as a usage error: exit 2 within
+    REFUSAL_SECONDS, nothing on stdout, and an `error: ` message on stderr
+    that is no internal error.  Returns stderr."""
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    elapsed = time.perf_counter() - t0
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ") and "internal error" not in err
+    assert elapsed < REFUSAL_SECONDS, f"refused after {elapsed:.3f}s"
+    return err
 
 
 class TestRankBound:
@@ -204,8 +223,7 @@ class TestCheckCommand:
         doc["twists"][key] = ["1"] * len(doc["twists"]["0"])
         p = tmp_path / "alias.json"
         p.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "check", "premodular", "--datum", str(p))
-        assert code == 2 and out == ""
+        err = refused(capsys, "check", "premodular", "--datum", str(p))
         assert f"twists.{key}: key must index into 'degrees'" in err
 
     def test_repeated_name_is_usage_error(self, capsys, tmp_path):
@@ -214,8 +232,7 @@ class TestCheckCommand:
         head, tail = text.split('"twists": {', 1)
         p = tmp_path / "repeated.json"
         p.write_text(head + '"twists": {"0": ["1", "1", "1", "1"], ' + tail)
-        code, out, err = run(capsys, "check", "premodular", "--datum", str(p))
-        assert code == 2 and out == ""
+        err = refused(capsys, "check", "premodular", "--datum", str(p))
         assert "$: not valid JSON: name '0' appears twice in one object" in err
 
     @pytest.mark.parametrize("field, value, path", [
@@ -294,9 +311,7 @@ class TestCheckCommand:
         doc[field] = value
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "check", "premodular", "--datum", str(p))
-        assert code == 2
-        assert path in err
+        assert path in refused(capsys, "check", "premodular", "--datum", str(p))
 
     @staticmethod
     def _square_block_doc(entries):
@@ -531,9 +546,7 @@ class TestClosureCommands:
         edit(doc)
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "closure", "certify", "--expr", "a*b", "--closure", str(p))
-        assert code == 2
-        assert path in err
+        assert path in refused(capsys, "closure", "certify", "--expr", "a*b", "--closure", str(p))
 
     def test_certify_without_expr_is_usage_error(self, capsys):
         code, _, err = run(capsys, "closure", "certify")
@@ -602,6 +615,16 @@ def _z2_toy_closure(doc, finite_a):
 PINNED_REPORTS_SHA256 = "4cc689ba0402e908b720c845f63dcef5de9f442e4f08d91c634a0587cbf8e39e"
 
 
+def _python_m_relmod(argv, **kwargs):
+    """Run `python -m relmod *argv` in a fresh process, with this checkout's
+    package first on PYTHONPATH."""
+    src = str(Path(relmod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "relmod", *argv], env=env, timeout=300,
+                          **kwargs)
+
+
 class TestClosedStdout:
     def test_closed_stdout_keeps_the_verdict_code(self, capsys, tmp_path):
         path = str(tmp_path / "d.json")
@@ -610,18 +633,38 @@ class TestClosedStdout:
         expected = main(argv)
         capsys.readouterr()
         assert expected == 1
-        src = str(Path(relmod.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         read_end, write_end = os.pipe()
         os.close(read_end)  # a reader that has gone away, as after `| head`
         try:
-            proc = subprocess.run([sys.executable, "-m", "relmod", *argv], stdout=write_end,
-                                  stderr=subprocess.PIPE, env=env, timeout=300)
+            proc = _python_m_relmod(argv, stdout=write_end, stderr=subprocess.PIPE)
         finally:
             os.close(write_end)
         assert proc.returncode == expected
         assert proc.stderr == b""
+
+
+class TestColdProcessArgparse:
+    """Argument lists that the option table hands to argparse, each run
+    through `python -m relmod` in a fresh process: a value that is no int, a
+    value that is no choice, --opt=value and help.  A usage error exits 2
+    with nothing on stdout and argparse's usage and message on stderr; the
+    others exit 0 with their report on stdout."""
+
+    @pytest.mark.parametrize("argv, code, patterns", [
+        (["sl21", "emit", "--ell", "x"], 2, ("^usage: relmod ", "error: argument")),
+        (["check", "all", "--datum", "d.json", "--format", "yaml"], 2,
+         ("^usage: relmod ", "error: argument")),
+        (["sl21", "fuse", "--ell=5", "--k", "3", "--i", "2"], 0, ("k=0, i=1",)),
+        (["check", "--help"], 0, ("^usage: relmod check ",)),
+    ], ids=["int-option-not-an-int", "format-not-a-choice", "option-equals-value", "help"])
+    def test_argparse_exit_and_message(self, tmp_path, argv, code, patterns):
+        proc = _python_m_relmod(argv, capture_output=True, text=True, cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        if code == 2:
+            assert proc.stdout == ""
+        text = proc.stderr if code == 2 else proc.stdout
+        for pattern in patterns:
+            assert re.search(pattern, text, re.MULTILINE), (pattern, text)
 
 
 def _pinned_invocations(tmp_path):
@@ -894,9 +937,7 @@ class TestBadInputIsUsageError:
     @pytest.mark.parametrize("name", sorted(_BAD_INPUT_PROBES))
     def test_probe_exits_2_with_a_path(self, capsys, tmp_path, name):
         argv, files, fragment = _BAD_INPUT_PROBES[name]
-        code, out, err = run(capsys, *_probe_argv(tmp_path, argv, files))
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and "internal error" not in err
+        err = refused(capsys, *_probe_argv(tmp_path, argv, files))
         assert fragment in err
         if fragment in ("DIR", "cannot write"):
             assert str(tmp_path) in err and "not found" not in err
@@ -918,6 +959,23 @@ class TestBadInputIsUsageError:
         elapsed = time.perf_counter() - t0
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "dims.0[0]" in err and "terms" in err
+        assert elapsed < 0.1, f"rejected after {elapsed:.3f}s"
+
+    def test_conductor_over_the_bound_is_rejected_quickly(self, capsys, tmp_path):
+        # the loader refuses the conductor before it reads a literal over it
+        p = tmp_path / "conductor.json"
+        p.write_text(json.dumps({
+            "schema": "relmod-datum/1", "conductor": 4001,
+            "grading": {"cyclic_factors": [], "has_generic_torus": True,
+                        "small_symmetric": {"kind": "list", "elements": [{}]}},
+            "translation": {}, "degrees": [{}], "index_sets": {"0": ["x"]},
+            "dims": {"0": ["1"]}, "twists": {"0": ["1 + z4001"]},
+            "sprime": [{"row_degree": {}, "col_degree": {}, "entries": [["1"]]}]}))
+        t0 = time.perf_counter()
+        err = refused(capsys, "check", "premodular", "--datum", str(p))
+        elapsed = time.perf_counter() - t0
+        assert err == ("error: invalid datum: conductor: at most 512 is supported, "
+                       "got 4001\n")
         assert elapsed < 0.1, f"rejected after {elapsed:.3f}s"
 
     def test_other_value_error_in_sl21_code_is_internal(self, capsys, monkeypatch):

@@ -14,8 +14,8 @@ from conftest import (MALFORMED_DEGREES, diagonal_matrix, is_unread, perturb_blo
                       pointed_datum, zero_matrix)
 import relmod.checks as checks_mod
 import relmod.scalars as scalars_mod
-from relmod.checks import check_premodular_inputs
-from relmod.cli import _run_all, main
+from relmod.checks import check_all, check_premodular_inputs
+from relmod.cli import main
 from relmod.datum import (
     DatumInvariantError,
     DatumSchemaError,
@@ -791,7 +791,7 @@ class TestDeltaMemo:
 
         monkeypatch.setattr(ExactMatrix, "_rank_and_kernel", recording)
         d = pointed_datum(5, random.Random(3))
-        verdicts = _run_all(d)
+        verdicts = check_all(d)
         assert all(v.status == HOLDS for v in verdicts)
         assert sorted(map(str, delta_calls)) == ["-a", "a"]
         # every S_g's rank is read off a holding modularity identity
@@ -840,7 +840,7 @@ class TestDeltaMemo:
 
         monkeypatch.setattr(CycScalar, "__mul__", recording)
         d = pointed_datum(5, random.Random(3))
-        assert all(v.status == HOLDS for v in _run_all(d))
+        assert all(v.status == HOLDS for v in check_all(d))
         for g in d.degrees:
             dp, dm, prod = checks_mod._try_deltas(d, g)
             assert sum(a is dp and b is dm for a, b in products) == 1
@@ -856,7 +856,7 @@ class TestDeltaMemo:
         cache = scalars_mod._field_inverse
         cache.cache_clear()
         try:
-            assert all(v.status == HOLDS for v in _run_all(loads_datum(dumps_datum(d))))
+            assert all(v.status == HOLDS for v in check_all(loads_datum(dumps_datum(d))))
             assert cache.cache_info().misses == len(field_twists)
             for t in field_twists:
                 cache(5, tuple(sorted((zp, c) for (zp, _), c in t.coeffs.items())))
