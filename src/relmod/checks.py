@@ -73,30 +73,28 @@ def _twist_inverses(datum: ModularDatum, g: Degree) -> list[CycScalar]:
 # Kirby-color closures
 # ---------------------------------------------------------------------------
 
+def _kirby_sum(datum: ModularDatum, block, rows, twists, dims, j: int) -> CycScalar:
+    """t_j sum_i S'_{rows[i], j} t_i d(V_i) over block: the loop of both Deltas."""
+    acc = CycScalar.zero(datum.conductor)
+    for i, r in enumerate(rows):
+        acc = acc + block.matrix[r, j] * twists[i] * dims[i]
+    return twists[j] * acc
+
+
 def delta_minus(datum: ModularDatum, g: Degree, j: int) -> CycScalar:
     """The minus-framed closure scalar t_j^-1 sum_i S'_{ij} t_i^-1 d(V_i)."""
     block = _require_block(datum, g, g)
     tinv = _twist_inverses(datum, g)
-    dims = datum.dims[g]
-    acc = CycScalar.zero(datum.conductor)
-    for i in range(block.matrix.rows):
-        acc = acc + block.matrix[i, j] * tinv[i] * dims[i]
-    return tinv[j] * acc
+    return _kirby_sum(datum, block, range(block.matrix.rows), tinv, datum.dims[g], j)
 
 
 def delta_plus(datum: ModularDatum, g: Degree, j: int) -> CycScalar:
     """Mirror scalar over the (-g, g) block through the dual involution."""
-    neg = datum.negate(g)
-    block = _require_block(datum, neg, g)
+    block = _require_block(datum, datum.negate(g), g)
     if g not in datum.dual_involution:
         raise KeyError(f"no dual involution recorded for degree {g}")
-    inv = datum.dual_involution[g]
-    twists = datum.twists[g]
-    dims = datum.dims[g]
-    acc = CycScalar.zero(datum.conductor)
-    for i in range(len(dims)):
-        acc = acc + block.matrix[inv[i], j] * twists[i] * dims[i]
-    return twists[j] * acc
+    inv, twists, dims = datum.dual_involution[g], datum.twists[g], datum.dims[g]
+    return _kirby_sum(datum, block, [inv[i] for i in range(len(dims))], twists, dims, j)
 
 
 def _try_deltas(datum: ModularDatum, g: Degree):
@@ -119,13 +117,16 @@ def _try_deltas(datum: ModularDatum, g: Degree):
     return _memo(datum, ("Delta", g), compute)
 
 
-def _rank_and_kernel(datum: ModularDatum, row: Degree, col: Degree):
+def _rank_and_kernel(datum: ModularDatum, row: Degree, col: Degree,
+                     full_rank: int | None = None):
     """The rank and kernel vectors of S_{row,col}, found once per datum and
     pair of degrees (see _memo): check_nondegeneracy and check_dmug both
-    rank S_g.  A holding identity of check_relative_modularity records the
-    full rank of both its factors here, and a block it covers is not
-    eliminated."""
-    return _memo(datum, ("rank", row, col), modified_S(datum, row, col)._rank_and_kernel)
+    rank S_g.  A holding identity of check_relative_modularity passes the
+    full rank it proves for both its factors as full_rank, recorded here
+    with no kernel vector, so a block it covers is not eliminated."""
+    compute = (modified_S(datum, row, col)._rank_and_kernel if full_rank is None
+               else lambda: (full_rank, []))
+    return _memo(datum, ("rank", row, col), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +136,7 @@ def _rank_and_kernel(datum: ModularDatum, row: Degree, col: Degree):
 def check_nondegeneracy(datum: ModularDatum, g: Degree) -> Verdict:
     v = Verdict("nondegeneracy", HOLDS, params={"g": str(g)})
     if not datum.grading.is_generic(g):
-        v.status = HYPOTHESIS_NOT_MET
-        v.witnesses.append(Witness("generic degree required", (str(g),)))
-        return v
+        return v.end(HYPOTHESIS_NOT_MET, Witness("generic degree required", (str(g),)))
     neg = datum.negate(g)
     passes = (("S_g", g, (str(g),), None),
               ("S_-g,g", neg, (str(neg), str(g)),
@@ -149,20 +148,13 @@ def check_nondegeneracy(datum: ModularDatum, g: Degree) -> Verdict:
             s = modified_S(datum, row, g)
             rank, kernel = _rank_and_kernel(datum, row, g)
         except KeyError as exc:
-            v.status = DATA_ABSENT
-            v.notes.append(_msg(exc))
-            return v
+            return v.end(DATA_ABSENT, _msg(exc))
         v.derived_scalars[f"rank({name})"] = str(rank)
         if s.rows != s.cols:
-            witness = Witness(f"{name} not square", (s.rows, s.cols))
-        elif kernel:
-            witness = Witness(f"kernel vector of {name}", where,
-                              "(" + ", ".join(str(x) for x in kernel[0]) + ")")
-        else:
-            continue
-        v.status = FAILS
-        v.witnesses.append(witness)
-        return v
+            return v.end(FAILS, Witness(f"{name} not square", (s.rows, s.cols)))
+        if kernel:
+            return v.end(FAILS, Witness(f"kernel vector of {name}", where,
+                                        "(" + ", ".join(str(x) for x in kernel[0]) + ")"))
     dp, dm, prod = _try_deltas(datum, g)
     if dm is not None:
         v.derived_scalars["Delta_minus"] = str(dm)
@@ -171,13 +163,10 @@ def check_nondegeneracy(datum: ModularDatum, g: Degree) -> Verdict:
     if prod is not None:
         v.derived_scalars["Delta_plus*Delta_minus"] = str(prod)
         if prod.is_zero:
-            v.status = FAILS
-            v.witnesses.append(Witness("internal-consistency: Delta_+Delta_- vanished "
-                                       "although both S-matrices are non-degenerate"))
-            return v
-    v.witnesses.append(Witness("both S-matrices have full rank", (str(g),),
-                               v.derived_scalars["rank(S_g)"]))
-    return v
+            return v.end(FAILS, Witness("internal-consistency: Delta_+Delta_- vanished "
+                                        "although both S-matrices are non-degenerate"))
+    return v.end(HOLDS, Witness("both S-matrices have full rank", (str(g),),
+                                v.derived_scalars["rank(S_g)"]))
 
 
 # ---------------------------------------------------------------------------
@@ -209,30 +198,22 @@ def check_rank_constancy(datum: ModularDatum) -> Verdict:
     (see _block_rank), so check all ranks each block once."""
     v = Verdict("rank-constancy", HOLDS)
     if len(datum.sprime) < 2:
-        v.status = DATA_ABSENT
-        v.notes.append("need at least two recorded blocks to compare ranks")
-        return v
+        return v.end(DATA_ABSENT, "need at least two recorded blocks to compare ranks")
     for bi, b in enumerate(datum.sprime):
         for at, e in enumerate(b.matrix.entries):
             if not e.coeffs:
                 i, j = divmod(at, b.matrix.cols)
-                v.status = HYPOTHESIS_NOT_MET
-                v.witnesses.append(Witness(
+                return v.end(HYPOTHESIS_NOT_MET, Witness(
                     ZERO_ENTRY_HYPOTHESIS,
                     (bi, str(b.row_degree), str(b.col_degree), i, j), "0"))
-                return v
     ranks = [(bi, _block_rank(datum, b)) for bi, b in enumerate(datum.sprime)]
     for bi, r in ranks:
         v.derived_scalars[f"rank(block {bi})"] = str(r)
     distinct = {r for _, r in ranks}
     if len(distinct) > 1:
-        v.status = FAILS
-        v.witnesses.append(Witness("blocks of different rank",
-                                   tuple(bi for bi, _ in ranks),
-                                   str(sorted(distinct))))
-    else:
-        v.witnesses.append(Witness("all blocks share one rank", (), str(ranks[0][1])))
-    return v
+        return v.end(FAILS, Witness("blocks of different rank",
+                                    tuple(bi for bi, _ in ranks), str(sorted(distinct))))
+    return v.end(HOLDS, Witness("all blocks share one rank", (), str(ranks[0][1])))
 
 
 # ---------------------------------------------------------------------------
@@ -244,43 +225,32 @@ def check_dmug(datum: ModularDatum, g: Degree) -> Verdict:
     v.notes.append("sufficient condition for Z-trivial Mueger center; "
                    "the Mueger center itself is never computed")
     if datum.orbit_count is None:
-        v.status = DATA_ABSENT
-        v.notes.append("orbit_count N is not recorded in the datum")
-        return v
+        return v.end(DATA_ABSENT, "orbit_count N is not recorded in the datum")
     if datum.translation.no_self_extension is False:
-        v.status = HYPOTHESIS_NOT_MET
-        v.witnesses.append(Witness(
+        return v.end(HYPOTHESIS_NOT_MET, Witness(
             "the translation objects must have no self extension (user-asserted flag is false)"))
-        return v
     if datum.translation.no_self_extension is None:
         v.notes.append("hypothesis 'no self extension' not recorded; assumed as user-asserted")
     n = datum.orbit_count
     size = len(datum.index_sets.get(g, ()))
     if size != n:
-        v.status = FAILS
-        v.witnesses.append(Witness("condition (1) shape: |I_g| != N", (size, n)))
-        return v
+        return v.end(FAILS, Witness("condition (1) shape: |I_g| != N", (size, n)))
     try:
         sg = modified_S(datum, g)
         s_mixed = modified_S(datum, datum.negate(g), g)
     except KeyError as exc:
-        v.status = DATA_ABSENT
-        v.notes.append(_msg(exc))
-        return v
+        return v.end(DATA_ABSENT, _msg(exc))
     r = _rank_and_kernel(datum, g, g)[0]
     if r < n:
-        v.status = FAILS
-        v.witnesses.append(Witness("condition (1): S_g is singular", (str(g),), str(r)))
-        return v
+        return v.end(FAILS, Witness("condition (1): S_g is singular", (str(g),), str(r)))
+    rows = []
     for name, mat in (("S_g", sg), ("S_-g,g", s_mixed)):
         row = next((i for i in range(mat.rows)
                     if all(not mat[i, j].is_zero for j in range(mat.cols))), None)
         if row is None:
-            v.status = FAILS
-            v.witnesses.append(Witness(f"condition (2): every row of {name} has a zero entry"))
-            return v
-        v.witnesses.append(Witness(f"everywhere-nonzero row of {name}", (row,)))
-    return v
+            return v.end(FAILS, Witness(f"condition (2): every row of {name} has a zero entry"))
+        rows.append(Witness(f"everywhere-nonzero row of {name}", (row,)))
+    return v.end(HOLDS, *rows)
 
 
 # ---------------------------------------------------------------------------
@@ -294,54 +264,40 @@ def check_relative_modularity(datum: ModularDatum, g: Degree, h: Degree) -> Verd
         s_gh = modified_S(datum, g, h)
         s_hneg = modified_S(datum, h, neg)
     except KeyError as exc:
-        v.status = DATA_ABSENT
-        v.notes.append(_msg(exc))
-        return v
+        return v.end(DATA_ABSENT, _msg(exc))
     p = s_gh @ s_hneg
     if p.rows != p.cols:
-        v.status = FAILS
-        v.witnesses.append(Witness("product S_{g,h} S_{h,-g} is not square", (p.rows, p.cols)))
-        return v
+        return v.end(FAILS, Witness("product S_{g,h} S_{h,-g} is not square",
+                                    (p.rows, p.cols)))
     zeta = p[0, 0]
     v.derived_scalars["zeta_Omega"] = str(zeta)
     if zeta.is_zero:
-        v.status = FAILS
-        v.witnesses.append(Witness("zeta candidate P[0][0] is zero", (0, 0), "0"))
-        return v
+        return v.end(FAILS, Witness("zeta candidate P[0][0] is zero", (0, 0), "0"))
     zero = CycScalar.zero(datum.conductor)
     for i in range(p.rows):
         for j in range(p.cols):
-            expected = zeta if i == j else zero
-            if p[i, j] != expected:
-                v.status = FAILS
-                if i == j:
-                    v.witnesses.append(Witness(
-                        "unequal diagonal entries of P", ((0, 0), (i, j)),
-                        f"{zeta} vs {p[i, j]}"))
-                else:
-                    v.witnesses.append(Witness(
-                        "off-diagonal entry of P is nonzero", ((i, j),), str(p[i, j])))
-                return v
+            if i == j and p[i, j] != zeta:
+                return v.end(FAILS, Witness("unequal diagonal entries of P",
+                                            ((0, 0), (i, j)), f"{zeta} vs {p[i, j]}"))
+            if i != j and p[i, j] != zero:
+                return v.end(FAILS, Witness("off-diagonal entry of P is nonzero",
+                                            ((i, j),), str(p[i, j])))
     # P = zeta * Id with zeta != 0 has rank n, so S_{g,h} (n x k) and
     # S_{h,-g} (k x n) have rank n = min(n, k) over the fraction field: full
     # rank, with no kernel vector.  Each is recorded in the rank memo, so
     # the checks check_all runs after this one eliminate neither.
     for row, col in ((g, h), (h, neg)):
-        _memo(datum, ("rank", row, col), lambda: (p.rows, []))
+        _rank_and_kernel(datum, row, col, full_rank=p.rows)
+    held = Witness("P = zeta * Id", (), str(zeta))
     prod = _try_deltas(datum, g)[2]
-    if prod is not None:
-        v.derived_scalars["Delta_plus*Delta_minus"] = str(prod)
-        if prod != zeta:
-            v.status = FAILS
-            v.witnesses.append(Witness(
-                "Delta_+ convention mismatch: zeta_Omega != Delta_+Delta_-",
-                (), f"{zeta} vs {prod}"))
-            return v
-        v.notes.append("cross-check zeta_Omega = Delta_+Delta_- passed")
-    else:
-        v.notes.append("Delta cross-check skipped: diagonal blocks or dual involution absent")
-    v.witnesses.append(Witness("P = zeta * Id", (), str(zeta)))
-    return v
+    if prod is None:
+        return v.end(HOLDS, "Delta cross-check skipped: diagonal blocks or dual involution absent",
+                     held)
+    v.derived_scalars["Delta_plus*Delta_minus"] = str(prod)
+    if prod != zeta:
+        return v.end(FAILS, Witness("Delta_+ convention mismatch: zeta_Omega != Delta_+Delta_-",
+                                    (), f"{zeta} vs {prod}"))
+    return v.end(HOLDS, "cross-check zeta_Omega = Delta_+Delta_- passed", held)
 
 
 def check_all(datum: ModularDatum) -> list[Verdict]:
@@ -365,10 +321,9 @@ def check_all(datum: ModularDatum) -> list[Verdict]:
         results.append(mod_v)
         # relative modularity at (g, .) forces non-degeneracy at g
         if mod_v.status == HOLDS and nondeg[g].status == FAILS:
-            breach = Verdict("cross-check", FAILS, params={"g": str(g), "h": str(h)})
-            breach.notes.append("internal consistency: relative modularity holds "
-                                "but non-degeneracy fails at the same degree")
-            breaches.append(breach)
+            breach = Verdict("cross-check", HOLDS, params={"g": str(g), "h": str(h)})
+            breaches.append(breach.end(FAILS, "internal consistency: relative modularity "
+                                       "holds but non-degeneracy fails at the same degree"))
     return results + breaches
 
 
@@ -384,9 +339,6 @@ def check_premodular_inputs(datum: ModularDatum) -> Verdict:
         v.notes.append("psi is user-supplied data; psi-dependent conclusions are "
                        f"input-dependent (degrees covered: {sorted(psi_degrees)})")
     if violations:
-        v.status = FAILS
-        for viol in violations:
-            v.witnesses.append(Witness(viol.invariant, viol.indices, viol.message))
-    else:
-        v.witnesses.append(Witness("all structural invariants hold"))
-    return v
+        return v.end(FAILS, *(Witness(viol.invariant, viol.indices, viol.message)
+                              for viol in violations))
+    return v.end(HOLDS, Witness("all structural invariants hold"))

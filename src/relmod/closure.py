@@ -323,46 +323,32 @@ def check_cor1(datum: ClosureDatum) -> Verdict:
     """
     v = Verdict("closure-cor1", HOLDS)
     if datum.distinguished is None:
-        v.status = DATA_ABSENT
-        v.notes.append("no distinguished atom v declared")
-        return v
+        return v.end(DATA_ABSENT, "no distinguished atom v declared")
     dist = datum.atom(datum.distinguished)
     if not dist.strong_decomposition:
-        v.status = FAILS
-        v.witnesses.append(Witness("distinguished atom lacks the strong-decomposition flag",
-                                   (dist.name,)))
-        return v
+        return v.end(FAILS, Witness("distinguished atom lacks the strong-decomposition flag",
+                                    (dist.name,)))
     for a in sorted(datum.atoms, key=lambda x: x.name):
         if not a.strong_decomposition:
-            v.status = FAILS
-            v.witnesses.append(Witness("atom lacks the strong-decomposition flag", (a.name,)))
-            return v
+            return v.end(FAILS, Witness("atom lacks the strong-decomposition flag", (a.name,)))
     s_names = sorted(a.name for a in datum.s_atoms())
     for name in s_names + [datum.distinguished]:
         if any(datum.v_coverage(name, n) is None for n in datum.exponents()):
-            v.status = FAILS
-            v.witnesses.append(Witness(
+            return v.end(FAILS, Witness(
                 "condition (1): missing v-power coverage", (name,),
                 f"need a family rule or explicit rules up to bound {datum.bound}"))
-            return v
     for i, a in enumerate(s_names):
         for b in s_names[i:]:
             rule = datum.product_rule(a, b)
             if rule is None:
-                v.status = FAILS
-                v.witnesses.append(Witness("condition (2): missing product rule", (a, b)))
-                return v
+                return v.end(FAILS, Witness("condition (2): missing product rule", (a, b)))
             for t in rule.rhs:
                 spec = datum.atom(t.atom)
                 if spec is None or not spec.strong_decomposition or t.atom == datum.distinguished:
-                    v.status = FAILS
-                    v.witnesses.append(Witness(
-                        "condition (2): rule output not a flagged S-atom",
-                        (a, b, t.atom)))
-                    return v
-    v.witnesses.append(Witness("all required rules present with flagged inputs",
-                               tuple(s_names)))
-    return v
+                    return v.end(FAILS, Witness(
+                        "condition (2): rule output not a flagged S-atom", (a, b, t.atom)))
+    return v.end(HOLDS, Witness("all required rules present with flagged inputs",
+                                tuple(s_names)))
 
 
 def _generic(datum: ClosureDatum, deg: Degree | None) -> bool:
@@ -377,21 +363,14 @@ def check_cor2(datum: ClosureDatum) -> Verdict:
     """Graded variant: conditions are required only at generic composite degrees."""
     v = Verdict("closure-cor2", HOLDS)
     if datum.grading is None:
-        v.status = DATA_ABSENT
-        v.notes.append("no grading present; use check_cor1 instead")
-        return v
+        return v.end(DATA_ABSENT, "no grading present; use check_cor1 instead")
     if datum.distinguished is None:
-        v.status = DATA_ABSENT
-        v.notes.append("no distinguished atom v declared")
-        return v
+        return v.end(DATA_ABSENT, "no distinguished atom v declared")
     g = datum.grading
     for a in sorted(datum.atoms, key=lambda x: x.name):
         if _generic(datum, a.degree) and not a.strong_decomposition:
-            v.status = FAILS
-            v.witnesses.append(Witness(
-                "condition (1): generic atom lacks the strong-decomposition flag",
-                (a.name,)))
-            return v
+            return v.end(FAILS, Witness(
+                "condition (1): generic atom lacks the strong-decomposition flag", (a.name,)))
     vdeg = datum.degree_of(datum.distinguished)
     s_names = sorted(a.name for a in datum.s_atoms())
     for name in s_names:
@@ -404,11 +383,8 @@ def check_cor2(datum: ClosureDatum) -> Verdict:
                 for _ in range(n):
                     composite = g.add(composite, vdeg)
             if _generic(datum, composite) and datum.v_coverage(name, n) is None:
-                v.status = FAILS
-                v.witnesses.append(Witness(
-                    "condition (2): missing v-power coverage at generic degree",
-                    (name, n)))
-                return v
+                return v.end(FAILS, Witness(
+                    "condition (2): missing v-power coverage at generic degree", (name, n)))
     for i, a in enumerate(s_names):
         for b in s_names[i:]:
             da, db = datum.degree_of(a), datum.degree_of(b)
@@ -417,12 +393,9 @@ def check_cor2(datum: ClosureDatum) -> Verdict:
                 continue
             rule = datum.product_rule(a, b)
             if rule is None:
-                v.status = FAILS
-                v.witnesses.append(Witness(
+                return v.end(FAILS, Witness(
                     "condition (3): missing product rule at generic degree", (a, b)))
-                return v
-    v.witnesses.append(Witness("all generically-required rules present", tuple(s_names)))
-    return v
+    return v.end(HOLDS, Witness("all generically-required rules present", tuple(s_names)))
 
 
 # ---------------------------------------------------------------------------

@@ -379,14 +379,12 @@ def check_relations(rep: WeightModuleRep) -> Verdict:
         if bad is None:
             v.notes.append(f"{name}: holds")
             continue
-        v.status = FAILS
         row, col, disc = bad
-        v.witnesses.append(Witness(
-            name, (str(rep.labels[col]), row, col), str(disc)))
-        v.notes.append(f"{name}: fails on basis vector {rep.labels[col]}")
-    if v.status == HOLDS:
-        v.witnesses.append(Witness("all relations hold as exact matrix identities",
-                                   (), str(len(rels))))
+        v.end(FAILS, Witness(name, (str(rep.labels[col]), row, col), str(disc)),
+              f"{name}: fails on basis vector {rep.labels[col]}")
+    if v.ok:
+        v.end(HOLDS, Witness("all relations hold as exact matrix identities",
+                             (), str(len(rels))))
     return v
 
 

@@ -1,4 +1,11 @@
-"""Structured verdicts returned by every decision procedure."""
+"""Structured verdicts returned by every decision procedure.
+
+A check builds its Verdict with status HOLDS and changes that status only
+through Verdict.end, which takes the new status together with its reasons:
+a Witness for each positive or refuting claim, a note where the claim has no
+witness (absent data, say).  So every verdict carries why it ended as it
+did, and no code outside end assigns a status.
+"""
 
 from __future__ import annotations
 
@@ -30,6 +37,17 @@ class Verdict:
     derived_scalars: dict[str, str] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     params: dict[str, str] = field(default_factory=dict)
+
+    def end(self, status: str, *reasons: Witness | str) -> Verdict:
+        """Set the status and append each reason in the order given, a Witness
+        to witnesses and a string to notes; returns self.  A status with no
+        reason is a ValueError."""
+        if not reasons:
+            raise ValueError(f"{self.check}: status {status!r} needs a reason")
+        self.status = status
+        for r in reasons:
+            (self.witnesses if isinstance(r, Witness) else self.notes).append(r)
+        return self
 
     @property
     def ok(self) -> bool:

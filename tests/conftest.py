@@ -10,6 +10,7 @@ S_{g,h} S_{h,-g} = (n * s1 * s2) Id exactly.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -133,33 +134,62 @@ def premetric_datum(n: int, k: int, rng: random.Random | None = None) -> Modular
     gcd(k, n).  Labels whose elements differ by R have equal rows, so every
     S-matrix has rank n / gcd(k, n), and k = 1 gives pointed_datum.  The
     planted zeta is that of k = 1, which the products meet only when R = 0."""
-    assert n % 2 == 1
+    return premetric_product_datum(((n, k),), rng)
+
+
+def group_element(factors, e: int) -> tuple[int, ...]:
+    """The coordinates of element e of Z/n_1 x ... x Z/n_r, numbered in mixed
+    radix with the last factor running fastest."""
+    out = []
+    for n, _ in reversed(factors):
+        e, x = divmod(e, n)
+        out.append(x)
+    return tuple(reversed(out))
+
+
+def premetric_product_datum(factors, rng: random.Random | None = None) -> ModularDatum:
+    """premetric_datum on the product Z/n_1 x ... x Z/n_r of factors
+    ((n_1, k_1), ...), each n odd, with the form q(x) = prod zeta_n^(k x^2)
+    over its factors, written over the conductor N = lcm(n_1, ..., n_r).  Its
+    radical is the product of the factors' radicals, so every S-matrix has
+    rank |G| / prod gcd(k, n).  Label i is element i's coordinates joined by
+    commas ("2,7"; one factor gives "i") and stands for the element pi(i) of
+    relabelling(|G|, rng).  One factor gives premetric_datum."""
+    assert all(f % 2 == 1 for f, _ in factors)
     rng = rng or random.Random(0)
+    n = math.prod(f for f, _ in factors)
+    c = math.lcm(*(f for f, _ in factors))  # the conductor N
     perm = relabelling(n, rng)
-    s1 = random_unit(rng, n)
-    s2 = random_unit(rng, n)
-    ct = random_unit(rng, n)
+    s1 = random_unit(rng, c)
+    s2 = random_unit(rng, c)
+    ct = random_unit(rng, c)
+    elements = [group_element(factors, perm[i]) for i in range(n)]
 
-    q2 = lambda i, j: CycScalar.zeta(n, (2 * k * perm[i] * perm[j]) % n)
-    q2inv = lambda i, j: CycScalar.zeta(n, (-2 * k * perm[i] * perm[j]) % n)
+    def power(i, j, m):
+        # m * sum over factors of (N / f) k x_i x_j, mod N
+        return m * sum(c // f * k * x * y for (f, k), x, y
+                       in zip(factors, elements[i], elements[j])) % c
 
-    one = CycScalar.one(n)
+    q2 = lambda i, j: CycScalar.zeta(c, power(i, j, 2))
+    q2inv = lambda i, j: CycScalar.zeta(c, power(i, j, -2))
+
+    one = CycScalar.one(c)
     g = Degree(alpha=1)
     ng = Degree(alpha=-1)
-    labels = tuple(str(i) for i in range(n))
+    labels = tuple(",".join(map(str, group_element(factors, i))) for i in range(n))
     dims = tuple([one] * n)
-    twists = tuple(ct * CycScalar.zeta(n, (k * perm[i] * perm[i]) % n) for i in range(n))
+    twists = tuple(ct * CycScalar.zeta(c, power(i, i, 1)) for i in range(n))
 
     def block(rd, cd, fn, scale):
         rows = [[scale * fn(i, j) for j in range(n)] for i in range(n)]
-        return SBlock(rd, cd, ExactMatrix.from_rows(rows, n), labels, labels)
+        return SBlock(rd, cd, ExactMatrix.from_rows(rows, c), labels, labels)
 
     grading = GradingSpec(cyclic_factors=(), has_generic_torus=True,
                           small=SmallSubset("list", (Degree(),)))
     translation = TranslationSpec(cyclic_factors=(), qdim_table=(((), one),),
                                   psi=(), no_self_extension=True)
     return ModularDatum(
-        conductor=n, grading=grading, translation=translation,
+        conductor=c, grading=grading, translation=translation,
         degrees=(g, ng),
         index_sets={g: labels, ng: labels},
         dims={g: dims, ng: dims},
@@ -172,7 +202,7 @@ def premetric_datum(n: int, k: int, rng: random.Random | None = None) -> Modular
         ),
         orbit_count=n,
         dual_involution={g: tuple(range(n)), ng: tuple(range(n))},
-        extra={"planted": {"zeta": str(CycScalar.rational(n, n) * s1 * s2)}})
+        extra={"planted": {"zeta": str(CycScalar.rational(n, c) * s1 * s2)}})
 
 
 def pointed_zeta(datum: ModularDatum) -> CycScalar:

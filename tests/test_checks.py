@@ -2,16 +2,19 @@ import dataclasses
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    group_element,
     perturb_block,
     planted_modularity_datum,
     pointed_datum,
     pointed_zeta,
     premetric_datum,
+    premetric_product_datum,
     relabelling,
 )
 from relmod import cli
@@ -598,6 +601,50 @@ class TestPremetricRadical:
             assert (perm[i] - perm[j]) % n in radical
 
 
+class TestPremetricProducts:
+    """premetric_product_datum on Z/n1 x Z/n2 over the conductor lcm(n1, n2),
+    labels as pairs: check all gives the verdicts of the product's radical,
+    the product of the factors' radicals, in under 5 s (as criterion 12)."""
+
+    def _check_all(self, factors):
+        d = premetric_product_datum(factors, random.Random(7))
+        t0 = time.perf_counter()
+        verdicts = check_all(d)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 5.0, f"{factors} took {elapsed:.3f}s"
+        ranks = {value for v in verdicts for key, value in v.derived_scalars.items()
+                 if key.startswith("rank(")}
+        return d, verdicts, ranks
+
+    def test_a_non_cyclic_group_is_modular(self):
+        # Z/3 x Z/3 has no element of order 9; the form is non-degenerate
+        d, verdicts, ranks = self._check_all(((3, 1), (3, 1)))
+        assert d.conductor == 3 and d.index_sets[G][:4] == ("0,0", "0,1", "0,2", "1,0")
+        assert [v.status for v in verdicts] == [HOLDS] * 10
+        assert ranks == {"9"}
+
+    def test_a_form_degenerate_on_one_factor(self):
+        # the radical is {0} x {0, 3, 6}: Z/5 with k = 1 has none, Z/9 with
+        # k = 3 has {x : 9 | 6x}
+        factors = ((5, 1), (9, 3))
+        d, verdicts, ranks = self._check_all(factors)
+        assert d.conductor == 45
+        assert [(v.check, v.params.get("g"), v.status) for v in verdicts] == [
+            ("premodular-inputs", None, HOLDS), ("rank-constancy", None, HOLDS),
+            ("nondegeneracy", "a", FAILS), ("dmug", "a", FAILS),
+            ("nondegeneracy", "-a", FAILS), ("dmug", "-a", FAILS),
+        ] + [("relative-modularity", g, FAILS) for g in ("a", "a", "-a", "-a")]
+        assert ranks == {"15"}
+        perm = relabelling(45, random.Random(7))
+        radical = {(0, 0), (0, 3), (0, 6)}
+        for v in verdicts[2:6:2]:
+            (w,) = v.witnesses
+            assert w.name == "kernel vector of S_g"
+            i, j = [at for at, x in enumerate(w.value[1:-1].split(", ")) if x != "0"]
+            x, y = group_element(factors, perm[i]), group_element(factors, perm[j])
+            assert ((x[0] - y[0]) % 5, (x[1] - y[1]) % 9) in radical
+
+
 def _single_checks(d):
     """The verdicts of check_all(d) without its cross-check breaches, each
     made by a single check on a copy of d whose memo starts empty."""
@@ -631,3 +678,23 @@ class TestCheckAllRoutes:
             d = emit_datum(3)
         assert [v.to_json() for v in check_all(d)] == \
             [v.to_json() for v in _single_checks(d)]
+
+    def test_modularity_without_nondegeneracy_is_a_cross_check_breach(self):
+        # the planted identity at (a, a+1) holds; an all-ones S'_a makes
+        # nondegeneracy fail at a, which relative modularity there forbids
+        d = planted_modularity_datum(random.Random(2), 2)[0]
+        one = CycScalar.one(5)
+        ones = ExactMatrix.from_rows([[one, one], [one, one]], 5)
+        labels = d.index_sets[G]
+        d = dataclasses.replace(d, sprime=d.sprime + (SBlock(G, G, ones, labels, labels),
+                                                      SBlock(NG, G, ones, labels, labels)))
+        verdicts = check_all(d)
+        assert [(v.check, v.status) for v in verdicts if v.params.get("g") == "a"] == [
+            ("nondegeneracy", FAILS), ("dmug", FAILS),
+            ("relative-modularity", HOLDS), ("cross-check", FAILS)]
+        breach = verdicts[-1]
+        assert breach.to_json() == {
+            "check": "cross-check", "params": {"g": "a", "h": "a+1"}, "status": FAILS,
+            "witnesses": [], "derived_scalars": {},
+            "notes": ["internal consistency: relative modularity holds "
+                      "but non-degeneracy fails at the same degree"]}
