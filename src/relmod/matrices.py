@@ -44,8 +44,7 @@ sparse product): each row of B is listed once as its nonzero (column, entry)
 pairs, and row i of the product accumulates a * b over the nonzero
 a = A[i, k] and the pairs of row k, so the inner loop visits no zero of B.
 The sparse sl(2|1) generators take neither route: the relation check works
-on their nonzero entries (see sl21/reps.py).  Entrywise sums and differences
-keep an entry as it is where the other operand is zero.
+on their nonzero entries (see sl21/reps.py).
 
 Scaling columns, A @ diag(d), multiplies each entry of column j by d_j.  A
 column whose factor is 1 (every modified dimension of pointed data) is kept
@@ -279,20 +278,6 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
     # -- arithmetic -----------------------------------------------------------
-
-    def _entrywise(self, other: "ExactMatrix", op) -> "ExactMatrix":
-        """op(a, b) on each pair of entries where b is nonzero; a where b is zero."""
-        if (self.rows, self.cols, self.conductor) != (other.rows, other.cols, other.conductor):
-            raise ValueError("shape or conductor mismatch")
-        return ExactMatrix(self.rows, self.cols, self.conductor,
-                           [op(a, b) if b.coeffs else a
-                            for a, b in zip(self.entries, other.entries)])
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._entrywise(other, CycScalar.__add__)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._entrywise(other, CycScalar.__sub__)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:

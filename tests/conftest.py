@@ -205,6 +205,59 @@ def premetric_product_datum(factors, rng: random.Random | None = None) -> Modula
         extra={"planted": {"zeta": str(CycScalar.rational(n, c) * s1 * s2)}})
 
 
+def su2_datum(k: int, even: bool = False) -> ModularDatum:
+    """The Verlinde data of SU(2)_k (Bakalov and Kirillov, "Lectures on tensor
+    categories and modular functors", AMS 2001) over the conductor
+    N = 4(k+2), with q = zeta_N^2 and the quantum integer
+    [n]_q = (q^n - q^-n) / (q - q^-1) = q^(n-1) + q^(n-3) + ... + q^(1-n).
+    Label j = 0 ... k (printed "j") has S_ij = [(i+1)(j+1)]_q, d_j = [j+1]_q
+    and theta_j = zeta_N^(j(j+2)); S'_ij = S_ij / d_j is the polynomial
+    [i+1]_(q^(j+1)), since [ab]_q / [b]_q = [a]_(q^b).  The four blocks at
+    the degrees a and -a all carry S', and the dual involution is the
+    identity.  S is real and symmetric with S^2 = D^2 Id, D^2 = sum d_j^2, so
+    every check holds with zeta = D^2, and Delta_+ Delta_- = D^2; S_ij = 0
+    where (k+2) | (i+1)(j+1), which rank-constancy's hypothesis excludes when
+    k + 2 is composite.
+
+    even=True (k even) keeps the even labels 0, 2, ..., k: a premodular
+    subcategory whose Mueger centre is {0, k} (Mueger, "On the structure of
+    modular categories", Proc. London Math. Soc. 87, 2003).  Since
+    q^(k+2) = -1, S_(i,k-j) = (-1)^i S_ij, so columns j and k - j of its S
+    are equal, every S-matrix has rank k/4 + 1 when 4 | k and (k+2)/4 when
+    k = 2 (mod 4), the super-modular case (Bruillard et al., "Fermionic
+    modular categories and the 16-fold way", J. Math. Phys. 58, 2017), and
+    the kernel is spanned by the e_j - e_(k-j)."""
+    assert not even or k % 2 == 0
+    c = 4 * (k + 2)
+    js = range(0, k + 1, 2) if even else range(k + 1)
+    zero = CycScalar.zero(c)
+
+    def qint(n, step=1):  # [n]_(q^step)
+        return sum((CycScalar.zeta(c, 2 * step * (n - 1 - 2 * r)) for r in range(n)), zero)
+
+    one = CycScalar.one(c)
+    g = Degree(alpha=1)
+    ng = Degree(alpha=-1)
+    labels = tuple(str(j) for j in js)
+    dims = tuple(qint(j + 1) for j in js)
+    twists = tuple(CycScalar.zeta(c, j * (j + 2)) for j in js)
+    sprime = ExactMatrix.from_rows([[qint(i + 1, j + 1) for j in js] for i in js], c)
+    grading = GradingSpec(cyclic_factors=(), has_generic_torus=True,
+                          small=SmallSubset("list", (Degree(),)))
+    translation = TranslationSpec(cyclic_factors=(), qdim_table=(((), one),),
+                                  psi=(), no_self_extension=True)
+    return ModularDatum(
+        conductor=c, grading=grading, translation=translation,
+        degrees=(g, ng),
+        index_sets={g: labels, ng: labels},
+        dims={g: dims, ng: dims},
+        twists={g: twists, ng: twists},
+        sprime=tuple(SBlock(rd, cd, sprime, labels, labels)
+                     for rd, cd in ((g, g), (ng, ng), (ng, g), (g, ng))),
+        orbit_count=len(labels),
+        dual_involution={g: tuple(range(len(labels))), ng: tuple(range(len(labels)))})
+
+
 def pointed_zeta(datum: ModularDatum) -> CycScalar:
     from relmod.scalars import parse_scalar
     return parse_scalar(datum.extra["planted"]["zeta"], datum.conductor)

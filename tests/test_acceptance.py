@@ -20,6 +20,7 @@ from conftest import (
     pointed_zeta,
     premetric_datum,
     random_matrix,
+    su2_datum,
 )
 from relmod.checks import (
     check_premodular_inputs,
@@ -279,6 +280,50 @@ def test_criterion_12_check_all_fails_on_a_premetric_radical(capsys, tmp_path):
     with capsys.disabled():
         _report(12, "check all fails on the pre-metric radicals at (45, 3) and (63, 7) with "
                     "rank n / gcd(k, n), under 5 s each")
+
+
+def test_criterion_13_check_all_on_verlinde_data(capsys, tmp_path):
+    """check all on the saved Verlinde data of SU(2)_30 (su2_datum): the full
+    datum, 31 labels over the conductor 128, is modular, with every rank 31
+    and zeta = D^2, rank-constancy's hypothesis unmet (S has zero entries);
+    its even half, 16 labels, fails nondegeneracy, dmug and all four
+    relative-modularity verdicts at rank 8 = (30 + 2) / 4, with
+    premodular-inputs and rank-constancy holding.  Both exit 1: an unmet
+    hypothesis fails a run without --allow-unmet.  Each run takes under 2 s
+    in process."""
+    held = [("nondegeneracy", "a", "holds"), ("dmug", "a", "holds"),
+            ("nondegeneracy", "-a", "holds"), ("dmug", "-a", "holds")]
+    cases = (
+        (False, "31", [("premodular-inputs", None, "holds"),
+                       ("rank-constancy", None, "hypothesis-not-met")] + held
+         + [("relative-modularity", g, "holds") for g in ("a", "a", "-a", "-a")]),
+        (True, "8", [("premodular-inputs", None, "holds"), ("rank-constancy", None, "holds"),
+                     ("nondegeneracy", "a", "fails"), ("dmug", "a", "fails"),
+                     ("nondegeneracy", "-a", "fails"), ("dmug", "-a", "fails")]
+         + [("relative-modularity", g, "fails") for g in ("a", "a", "-a", "-a")]),
+    )
+    for even, rank, statuses in cases:
+        datum = su2_datum(30, even)
+        path = str(tmp_path / f"su2-30-{even}.json")
+        save_datum(datum, path)
+        t0 = time.perf_counter()
+        code = main(["check", "all", "--datum", path, "--format", "json"])
+        elapsed = time.perf_counter() - t0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert code == 1
+        assert [(r["check"], r["params"].get("g"), r["status"]) for r in reports] == statuses
+        ranks = {value for r in reports for key, value in r["derived_scalars"].items()
+                 if key.startswith("rank(")}
+        assert ranks == {rank}, (even, ranks)
+        if not even:
+            d2 = sum((d * d for d in datum.dims[G]), CycScalar.zero(datum.conductor))
+            zetas = {r["derived_scalars"]["zeta_Omega"] for r in reports
+                     if r["check"] == "relative-modularity"}
+            assert zetas == {str(d2)}
+        assert elapsed < 2.0, f"su2_datum(30, even={even}) took {elapsed:.3f}s"
+    with capsys.disabled():
+        _report(13, "check all on SU(2)_30 holds with rank 31 and zeta = D^2, and fails on its "
+                    "even half with rank 8, under 2 s each")
 
 
 def test_criterion_2_defining_relation_suite():

@@ -16,6 +16,7 @@ from conftest import (
     premetric_datum,
     premetric_product_datum,
     relabelling,
+    su2_datum,
 )
 from relmod import cli
 from relmod.checks import (
@@ -698,3 +699,172 @@ class TestCheckAllRoutes:
             "witnesses": [], "derived_scalars": {},
             "notes": ["internal consistency: relative modularity holds "
                       "but non-degeneracy fails at the same degree"]}
+
+
+def _statuses(verdicts):
+    return [(v.check, v.params.get("g"), v.params.get("h"), v.status) for v in verdicts]
+
+
+def _ranks(verdicts):
+    return [(v.check, key, value) for v in verdicts for key, value in v.derived_scalars.items()
+            if key.startswith("rank(")]
+
+
+def _kernel_vectors(datum, verdicts):
+    """(M, v) for each kernel witness of verdicts: M = S_{row,col} of datum
+    and v the witness vector, parsed."""
+    out = []
+    for v in verdicts:
+        for w in v.witnesses:
+            if w.name.startswith("kernel vector of "):
+                row, col = parse_degree(w.indices[0]), parse_degree(w.indices[-1])
+                vector = [parse_scalar(x, datum.conductor) for x in w.value[1:-1].split(", ")]
+                out.append((modified_S(datum, row, col), vector))
+    return out
+
+
+def _assert_kernel(m, vector):
+    """M v = 0 exactly, row by row."""
+    zero = CycScalar.zero(m.conductor)
+    for i in range(m.rows):
+        row = zero
+        for j, x in enumerate(vector):
+            if not x.is_zero:
+                row = row + m[i, j] * x
+        assert row.is_zero, i
+
+
+class TestVerlinde:
+    """su2_datum gives the verdicts of the theory in its docstring: the full
+    Verlinde data of SU(2)_k are modular with zeta = D^2, and the even half
+    fails exactly on its Mueger centre {0, k}."""
+
+    @staticmethod
+    def _d2(k, conductor):
+        # D^2 = sum [j+1]_q^2 over j = 0 ... k, each [n]_q = (q^n - q^-n) / (q - q^-1)
+        # by one field division, not the telescoped sum su2_datum builds
+        q = CycScalar.zeta(conductor, 2)
+        unit = (q - q ** -1).inverse()
+        dims = [(q ** (j + 1) - q ** -(j + 1)) * unit for j in range(k + 1)]
+        return dims, sum((d * d for d in dims), CycScalar.zero(conductor))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_the_full_datum_is_modular_with_zeta_d_squared(self, k):
+        d = su2_datum(k)
+        dims, d2 = self._d2(k, d.conductor)
+        assert d.conductor == 4 * (k + 2) and list(d.dims[G]) == dims
+        verdicts = check_all(d)
+        # S_ij = 0 where (k+2) | (i+1)(j+1), which some i, j <= k meet exactly
+        # when k + 2 is composite; rank-constancy assumes no zero entry
+        composite = any((k + 2) % a == 0 for a in range(2, k + 2))
+        constancy = HYPOTHESIS_NOT_MET if composite else HOLDS
+        assert [(c, g, status) for c, g, _, status in _statuses(verdicts)] == [
+            ("premodular-inputs", None, HOLDS), ("rank-constancy", None, constancy),
+            ("nondegeneracy", "a", HOLDS), ("dmug", "a", HOLDS),
+            ("nondegeneracy", "-a", HOLDS), ("dmug", "-a", HOLDS),
+        ] + [("relative-modularity", g, HOLDS) for g in ("a", "a", "-a", "-a")]
+        ranks = [value for _, _, value in _ranks(verdicts)]
+        assert len(ranks) == (4 if composite else 8) and set(ranks) == {str(k + 1)}
+        scalars = [parse_scalar(value, d.conductor) for v in verdicts
+                   for key, value in v.derived_scalars.items()
+                   if key in ("zeta_Omega", "Delta_plus*Delta_minus")]
+        assert len(scalars) == 10 and set(scalars) == {d2}
+
+    @pytest.mark.parametrize("k", range(2, 13, 2))
+    def test_the_even_half_fails_on_its_mueger_centre(self, k):
+        d = su2_datum(k, even=True)
+        labels = [int(j) for j in d.index_sets[G]]
+        assert labels == list(range(0, k + 1, 2))
+        rank = str(k // 4 + 1 if k % 4 == 0 else (k + 2) // 4)
+        verdicts = check_all(d)
+        assert [(c, g, status) for c, g, _, status in _statuses(verdicts)] == [
+            ("premodular-inputs", None, HOLDS), ("rank-constancy", None, HOLDS),
+            ("nondegeneracy", "a", FAILS), ("dmug", "a", FAILS),
+            ("nondegeneracy", "-a", FAILS), ("dmug", "-a", FAILS),
+        ] + [("relative-modularity", g, FAILS) for g in ("a", "a", "-a", "-a")]
+        ranks = [value for _, _, value in _ranks(verdicts)]
+        assert len(ranks) == 6 and set(ranks) == {rank}
+        for v in verdicts[3:6:2]:
+            assert [(w.name, w.value) for w in v.witnesses] == [
+                ("condition (1): S_g is singular", rank)]
+        kernels = _kernel_vectors(d, verdicts)
+        assert len(kernels) == 2
+        for m, vector in kernels:
+            support = [labels[i] for i, x in enumerate(vector) if not x.is_zero]
+            assert len(support) == 2 and sum(support) == k, support
+            _assert_kernel(m, vector)
+
+
+def relabel(datum, g, perm):
+    """datum with the labels of degree g reordered: label p of the result is
+    label perm[p] of datum, in the names, dims, twists, dual involutions and
+    every S' block's rows and columns at g."""
+    inv = [0] * len(perm)
+    for p, old in enumerate(perm):
+        inv[old] = p
+    take = lambda xs: tuple(xs[old] for old in perm)
+
+    def block(b):
+        m = b.matrix
+        rows = perm if b.row_degree == g else range(m.rows)
+        cols = perm if b.col_degree == g else range(m.cols)
+        return SBlock(b.row_degree, b.col_degree,
+                      ExactMatrix.from_rows([[m[i, j] for j in cols] for i in rows],
+                                            m.conductor),
+                      take(b.row_labels) if b.row_degree == g and b.row_labels else b.row_labels,
+                      take(b.col_labels) if b.col_degree == g and b.col_labels else b.col_labels)
+
+    # dual_involution[h][i] is the position in I_-h of the dual of label i of h
+    duals = {}
+    for h, dual in datum.dual_involution.items():
+        dual = take(dual) if h == g else dual
+        duals[h] = tuple(inv[x] for x in dual) if datum.negate(h) == g else dual
+    return dataclasses.replace(
+        datum, index_sets={**datum.index_sets, g: take(datum.index_sets[g])},
+        dims={**datum.dims, g: take(datum.dims[g])},
+        twists={**datum.twists, g: take(datum.twists[g])},
+        sprime=tuple(block(b) for b in datum.sprime), dual_involution=duals)
+
+
+class TestRelabel:
+    """Reordering the labels of a degree changes no status and no rank, and
+    every kernel witness is a kernel vector of the relabelled S-matrix.  The
+    modularity identity reads I_-g in the order of I_g, so a degree and its
+    negative are relabelled by one permutation together."""
+
+    @pytest.mark.parametrize("name", ["pointed-3", "pointed-5", "planted-1", "planted-2",
+                                      "planted-3", "premetric-15-3", "sl21-ell3", "su2-4",
+                                      "su2-4-even"])
+    def test_relabelling_keeps_every_status_and_rank(self, name):
+        family, *size = name.split("-")
+        if family == "pointed":
+            d = pointed_datum(int(size[0]), random.Random(int(size[0])))
+        elif family == "planted":
+            d = planted_modularity_datum(random.Random(int(size[0])), int(size[0]))[0]
+        elif family == "premetric":
+            d = premetric_datum(int(size[0]), int(size[1]))
+        elif family == "sl21":
+            d = emit_datum(3)
+        else:
+            d = su2_datum(int(size[0]), even=size[1:] == ["even"])
+        before = check_all(d)
+        rng = random.Random(name)
+        done = set()
+        for g in d.degrees:
+            if g in done:
+                continue
+            pair = [g] + [h for h in (d.negate(g),) if h != g and h in d.index_sets]
+            done.update(pair)
+            perm = list(range(len(d.index_sets[g])))
+            while perm == sorted(perm) and len(perm) > 1:
+                rng.shuffle(perm)
+            e = d
+            for h in pair:
+                e = relabel(e, h, perm)
+            after = check_all(e)
+            assert _statuses(after) == _statuses(before), (str(g), perm)
+            assert _ranks(after) == _ranks(before), (str(g), perm)
+            kernels = _kernel_vectors(e, after)
+            assert len(kernels) == len(_kernel_vectors(d, before))
+            for m, vector in kernels:
+                _assert_kernel(m, vector)

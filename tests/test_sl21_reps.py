@@ -81,6 +81,18 @@ def scaled(m, c):
     return m.scale_columns([c] * m.cols)
 
 
+def add(x, y):
+    """The entrywise sum x + y."""
+    assert (x.rows, x.cols) == (y.rows, y.cols)
+    return ExactMatrix(x.rows, x.cols, x.conductor, [a + b for a, b in zip(x.entries, y.entries)])
+
+
+def sub(x, y):
+    """The entrywise difference x - y."""
+    assert (x.rows, x.cols) == (y.rows, y.cols)
+    return ExactMatrix(x.rows, x.cols, x.conductor, [a - b for a, b in zip(x.entries, y.entries)])
+
+
 def relation_set(rep):
     """The 16 evaluated relations as (name, lhs, rhs), each side computed on
     the generators' nonzero entries by check_relations' CycScalar path and
@@ -363,7 +375,7 @@ def test_a7_bracket_equals_the_matrix_commutator(seed):
         for j in (0, 1):
             for name, x in ((f"A7: [H{i + 1},E{j + 1}] = a{i + 1}{j + 1} E{j + 1}", E[j]),
                             (f"A7: [H{i + 1},F{j + 1}] = -a{i + 1}{j + 1} F{j + 1}", F[j])):
-                want = h @ x - x @ h
+                want = sub(h @ x, x @ h)
                 assert rels[name] == want, name
                 assert [str(e) for e in rels[name].entries] == [str(e) for e in want.entries]
 
@@ -390,20 +402,20 @@ def _reference_relations(rep):
         for j in (0, 1):
             xy, yx = E[i] @ F[j], F[j] @ E[i]
             # E2 and F2 are odd, so their bracket anticommutes
-            lhs = xy + yx if i == j == 1 else xy - yx
+            lhs = add(xy, yx) if i == j == 1 else sub(xy, yx)
             rhs = diagonal_matrix([quantum_integer(h[i], ell) for h in rep.h_eigs],
                                        ell) if i == j else zero
             sides.append((lhs, rhs))
     sides.append((E[1] @ E[1], zero))
     sides.append((F[1] @ F[1], zero))
     for x1, x2 in (E, F):
-        sides.append((x1 @ x1 @ x2 - scaled(x1 @ x2 @ x1, qq) + x2 @ x1 @ x1, zero))
+        sides.append((add(sub(x1 @ x1 @ x2, scaled(x1 @ x2 @ x1, qq)), x2 @ x1 @ x1), zero))
     for i in (0, 1):
         h = H(rep, i)
         for j in (0, 1):
             a = REFERENCE_CARTAN[i][j]
-            sides.append((h @ E[j] - E[j] @ h, scaled(E[j], CycScalar.rational(a, ell))))
-            sides.append((h @ F[j] - F[j] @ h, scaled(F[j], CycScalar.rational(-a, ell))))
+            sides.append((sub(h @ E[j], E[j] @ h), scaled(E[j], CycScalar.rational(a, ell))))
+            sides.append((sub(h @ F[j], F[j] @ h), scaled(F[j], CycScalar.rational(-a, ell))))
     return [(name, lhs, rhs) for name, (lhs, rhs) in zip(EVALUATED_CLAUSES, sides)]
 
 
@@ -456,8 +468,8 @@ def _reference_tensor_generators(a, b):
 
     def kron(x, y, y_parity):
         return _reference_kron(x, y, a.parities, y_parity, ell)
-    E = [kron(aE[i], id_b, 0) + kron(K(a, i, -1), bE[i], i) for i in (0, 1)]
-    F = [kron(aF[i], K(b, i), 0) + kron(id_a, bF[i], i) for i in (0, 1)]
+    E = [add(kron(aE[i], id_b, 0), kron(K(a, i, -1), bE[i], i)) for i in (0, 1)]
+    F = [add(kron(aF[i], K(b, i), 0), kron(id_a, bF[i], i)) for i in (0, 1)]
     return E + F
 
 
