@@ -10,9 +10,11 @@ Each check returns a Verdict with machine-readable witnesses:
                            S_g is an N x N invertible matrix and both S_g and
                            S_{-g,g} have a row with no zero entry.
 * check_relative_modularity -- S_{g,h} S_{h,-g} is a nonzero multiple of the
-                           identity; the multiplier is the modularity
-                           parameter and is cross-checked against
-                           Delta_plus * Delta_minus when both are computable.
+                           identity, its columns taken in the order of the
+                           dual involution when one is recorded; the
+                           multiplier is the modularity parameter and is
+                           cross-checked against Delta_plus * Delta_minus
+                           when both are computable.
                            An identity that holds proves that both factors
                            have full rank, and records it in the rank memo
                            the other checks read (see _rank_and_kernel).
@@ -269,26 +271,34 @@ def check_relative_modularity(datum: ModularDatum, g: Degree, h: Degree) -> Verd
     if p.rows != p.cols:
         return v.end(FAILS, Witness("product S_{g,h} S_{h,-g} is not square",
                                     (p.rows, p.cols)))
-    zeta = p[0, 0]
+    # row i of P meets column dual[i], the dual of label i of g in I_-g; P
+    # is compared with zeta times the permutation matrix of dual, which the
+    # witnesses name Id (and its entries diagonal) when dual is the identity
+    dual = tuple(datum.dual_involution.get(g, range(p.rows)))
+    perm, on = (("Id", "diagonal") if dual == tuple(range(p.rows))
+                else (f"Perm{dual}", "dual-involution"))
+    zeta = p[0, dual[0]]
     v.derived_scalars["zeta_Omega"] = str(zeta)
     if zeta.is_zero:
-        return v.end(FAILS, Witness("zeta candidate P[0][0] is zero", (0, 0), "0"))
+        return v.end(FAILS, Witness(f"zeta candidate P[0][{dual[0]}] is zero",
+                                    (0, dual[0]), "0"))
     zero = CycScalar.zero(datum.conductor)
     for i in range(p.rows):
         for j in range(p.cols):
-            if i == j and p[i, j] != zeta:
-                return v.end(FAILS, Witness("unequal diagonal entries of P",
-                                            ((0, 0), (i, j)), f"{zeta} vs {p[i, j]}"))
-            if i != j and p[i, j] != zero:
-                return v.end(FAILS, Witness("off-diagonal entry of P is nonzero",
+            if j == dual[i] and p[i, j] != zeta:
+                return v.end(FAILS, Witness(f"unequal {on} entries of P",
+                                            ((0, dual[0]), (i, j)), f"{zeta} vs {p[i, j]}"))
+            if j != dual[i] and p[i, j] != zero:
+                return v.end(FAILS, Witness(f"off-{on} entry of P is nonzero",
                                             ((i, j),), str(p[i, j])))
-    # P = zeta * Id with zeta != 0 has rank n, so S_{g,h} (n x k) and
-    # S_{h,-g} (k x n) have rank n = min(n, k) over the fraction field: full
-    # rank, with no kernel vector.  Each is recorded in the rank memo, so
-    # the checks check_all runs after this one eliminate neither.
+    # P = zeta * (the permutation matrix of dual) with zeta != 0 has rank n,
+    # so S_{g,h} (n x k) and S_{h,-g} (k x n) have rank n = min(n, k) over
+    # the fraction field: full rank, with no kernel vector.  Each is recorded
+    # in the rank memo, so the checks check_all runs after this one eliminate
+    # neither.
     for row, col in ((g, h), (h, neg)):
         _rank_and_kernel(datum, row, col, full_rank=p.rows)
-    held = Witness("P = zeta * Id", (), str(zeta))
+    held = Witness(f"P = zeta * {perm}", (), str(zeta))
     prod = _try_deltas(datum, g)[2]
     if prod is None:
         return v.end(HOLDS, "Delta cross-check skipped: diagonal blocks or dual involution absent",

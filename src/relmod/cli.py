@@ -332,10 +332,9 @@ _READERS = {word: _reader(cmd) for word, cmd in _COMMANDS.items()}
 
 
 @lru_cache(maxsize=1)
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser by command word,
-    built from _COMMANDS once per process: parsing reads them and never
-    changes them."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, built from _COMMANDS once per process: parsing
+    reads it and never changes it."""
     p = argparse.ArgumentParser(prog="relmod", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for word, cmd in _COMMANDS.items():
@@ -353,7 +352,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         for opt in cmd.options:
             add(opt)
         ps.set_defaults(fn=cmd.fn)
-    return p, sub.choices
+    return p
 
 
 def _attach_degrees(argv: list[str]) -> list[str]:
@@ -424,24 +423,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     int, and then be one of the option's choices where it has some, as
     argparse checks them.  Every required option must be there.
 
-    Any other argv goes to argparse: help, an abbreviated option,
-    --opt=value, a value that starts with '-' (such as `--g -a`), a repeated
-    or missing option, `--`, an unknown or extra token.  The command's own
-    parser reads it when it starts with a command word and that parser
-    leaves nothing over, else the top-level parser does, so every message
-    and exit code is argparse's."""
+    Any other argv goes to the top-level argparse parser: help, an
+    abbreviated option, --opt=value, a value that starts with '-' (such as
+    `--g -a`), a repeated or missing option, `--`, an unknown or extra
+    token.  So every message and exit code is argparse's."""
     args = _read(argv)
     if args is not None:
         return args
-    top, commands = _build_parser()
-    argv = _attach_degrees(argv)
-    parser = commands.get(argv[0]) if argv else None
-    if parser is not None:
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
-            return args
-    return top.parse_args(argv)
+    return _build_parser().parse_args(_attach_degrees(argv))
 
 
 def main(argv: list[str] | None = None) -> int:

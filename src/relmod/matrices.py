@@ -2,18 +2,20 @@
 
 Rank is certified by specialisation.  Modulo a prime p = 1 (mod m), zeta_m
 goes to a fixed root of Phi_m mod p and each formal variable to a nonzero
-residue hashed from its name.  That map is a ring homomorphism, so a minor
-that is nonzero mod p is nonzero: the F_p rank r is a lower bound on the
-exact rank, and r = min(rows, cols) proves full rank.  Below full rank, the
+residue hashed from its name and p.  That map is a ring homomorphism, so a
+minor that is nonzero mod p is nonzero: the F_p rank r is a lower bound on
+the exact rank, and r = min(rows, cols) proves full rank.  Below full rank, the
 reduced F_p echelon form names, for each non-pivot column, the few columns
 its kernel vector lives on.  Fraction-free elimination of those columns alone
 gives an exact kernel vector, which is checked by an exact product M v = 0.
 These cols - r independent vectors bound the rank above by r, so it is
-exactly r.  When any step fails -- a denominator vanishes mod p, a sub-solve
-finds a pivot too many, or a product is nonzero -- the whole matrix is
-eliminated instead.  The checks ask for this certificate only for a block
-whose rank no exact product has settled: a product S_{g,h} S_{h,-g} that
-equals zeta * Id with zeta != 0 proves both factors of full rank (see
+exactly r.  A prime fails where it divides a denominator, or where a nonzero
+minor vanishes at its point and a sub-solve finds a pivot too many; then the
+next prime = 1 (mod m), with new residues, is tried, and the first
+certificate that closes answers.  A nonzero product M v is a defect and raises
+ArithmeticError.  The checks ask for this certificate only for a block whose
+rank no exact product has settled: a product S_{g,h} S_{h,-g} that equals
+zeta * Id with zeta != 0 proves both factors of full rank (see
 checks.check_relative_modularity), and check all reads their ranks from it.
 
 Both eliminations run one Gauss-Jordan loop, _gauss_jordan: each pivot
@@ -82,6 +84,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable
 from functools import lru_cache
+from itertools import count
 
 from .scalars import (CycScalar, InexactDivision, ScalarParseError, _packed_product,
                       _read_canonical, parse_scalar, products_equal)
@@ -112,10 +115,10 @@ def _is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _modulus(m: int) -> tuple[int, int]:
-    """(p, r): the largest prime p < 2^61 with p = 1 (mod m), and r in F_p of
-    multiplicative order exactly m, hence a root of Phi_m mod p."""
-    p = ((1 << 61) - 2) // m * m + 1
+def _modulus(m: int, k: int = 0) -> tuple[int, int]:
+    """(p, r): the (k+1)-th largest prime p < 2^61 with p = 1 (mod m), and r
+    in F_p of multiplicative order exactly m, hence a root of Phi_m mod p."""
+    p = ((1 << 61) - 2) // m * m + 1 if k == 0 else _modulus(m, k - 1)[0] - m
     while not _is_prime(p):
         p -= m
     factors = {q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)}
@@ -128,8 +131,10 @@ def _modulus(m: int) -> tuple[int, int]:
 
 
 def _variable_residue(name: str, p: int) -> int:
-    """The fixed nonzero residue mod p that a formal variable is sent to."""
-    digest = hashlib.sha256(name.encode()).digest()
+    """The nonzero residue mod p that a formal variable is sent to.  The hash
+    takes p too: reduced mod p - 1, a hash of the name alone is one fixed
+    integer mod every prime in a long run, where x minus it would vanish."""
+    digest = hashlib.sha256(f"{name} mod {p}".encode()).digest()
     return int.from_bytes(digest[:8], "big") % (p - 1) + 1
 
 
@@ -351,12 +356,10 @@ class ExactMatrix:
         piv_cols, sign = _gauss_jordan(m, self.cols, clear)
         return m, piv_cols, sign
 
-    def _image_mod_p(self) -> tuple[int, list[list[int]]] | None:
-        """(p, rows of the F_p image) (see the module docstring); None when a
-        coefficient's denominator vanishes mod p."""
-        m = self.conductor
-        p, r = _modulus(m)
-        zpow = [pow(r, k, p) for k in range(m)]
+    def _image_mod_p(self, p: int, root: int) -> list[list[int]] | None:
+        """The rows of the F_p image, zeta sent to root (see the module
+        docstring); None when a coefficient's denominator vanishes mod p."""
+        zpow = [pow(root, k, p) for k in range(self.conductor)]
         # a variable's residue, its k-th power and den^-1 are each computed once
         var: dict[str, int] = {}
         vpow: dict[tuple[str, int], int] = {}
@@ -384,11 +387,12 @@ class ExactMatrix:
                     acc += t
                 row.append(acc % p)
             rows.append(row)
-        return p, rows
+        return rows
 
-    def _rank_certificate(self) -> tuple[int, list[list[CycScalar]]] | None:
+    def _rank_certificate(self, p: int, root: int) -> tuple[int, list[list[CycScalar]]] | None:
         """Exact rank and, when it is below min(rows, cols), one exact kernel
-        vector per non-pivot column; None when the certificate does not close.
+        vector per non-pivot column; None when the certificate does not close
+        at the prime p, with zeta sent to root.
 
         The F_p image (see the module docstring) is reduced once.  Its rank r
         is a lower bound on the exact rank, and at full rank that settles it.
@@ -398,12 +402,12 @@ class ExactMatrix:
         and the kernel vector found there is checked by M v = 0, a product over
         those columns only, since v vanishes off them.  The vectors
         are independent (each is nonzero at its own non-pivot column only), so
-        the rank is at most r, hence exactly r.
+        the rank is at most r, hence exactly r.  A nonzero product raises
+        ArithmeticError: the sub-solve yields a kernel vector by construction.
         """
-        image = self._image_mod_p()
-        if image is None:
+        red = self._image_mod_p(p, root)
+        if red is None:
             return None
-        p, red = image
         piv_cols, _ = _gauss_jordan(red, self.cols, _clear_mod(p))
         rank = len(piv_cols)
         if rank == min(self.rows, self.cols):
@@ -421,7 +425,7 @@ class ExactMatrix:
                 return None
             kv = ExactMatrix(len(cols), 1, self.conductor, sub._kernel_vector(ech, sub_piv))
             if any(not e.is_zero for e in (sub @ kv).entries):
-                return None
+                raise ArithmeticError(f"the sub-solve on columns {cols} gave no kernel vector")
             vec = [zero] * self.cols
             for c, x in zip(cols, kv.entries):
                 vec[c] = x
@@ -430,17 +434,13 @@ class ExactMatrix:
 
     def _rank_and_kernel(self) -> tuple[int, list[list[CycScalar]]]:
         """Exact rank over the fraction field and the kernel vectors that bound
-        it above ([] at full rank): the certificate above when it closes, else
-        fraction-free elimination of the whole matrix and the kernel vector of
-        its first non-pivot column."""
-        cert = self._rank_certificate()
-        if cert is not None:
-            return cert
-        ech, piv_cols, _ = self._bareiss()
-        rank = len(piv_cols)
-        if rank == min(self.rows, self.cols):
-            return rank, []
-        return rank, [self._kernel_vector(ech, piv_cols)]
+        it above ([] at full rank): the certificate above at the first of the
+        primes = 1 (mod m), largest first, at which it closes (see the module
+        docstring)."""
+        for k in count():
+            cert = self._rank_certificate(*_modulus(self.conductor, k))
+            if cert is not None:
+                return cert
 
     def rank(self) -> int:
         """Exact rank over the fraction field (see _rank_and_kernel)."""

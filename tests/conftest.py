@@ -22,8 +22,9 @@ from relmod.datum import (
     SmallSubset,
     TranslationSpec,
 )
-from relmod.matrices import ExactMatrix
+from relmod.matrices import ExactMatrix, _modulus, _variable_residue
 from relmod.scalars import CycScalar
+from relmod.sl21.datum_gen import emit_datum
 
 
 # Degree texts that parse_degree rejects: each is something Degree.__str__
@@ -315,6 +316,29 @@ def perturb_block(datum: ModularDatum, block_index: int, i: int, j: int,
                                              b.matrix.conductor, entries),
                                  b.row_labels, b.col_labels)
     return dataclasses.replace(datum, sprime=tuple(blocks))
+
+
+def perturbed_emitted_datum(ell: int, primes: int = 1) -> ModularDatum:
+    """emit_datum(ell) with row and column 1 of its S' block multiplied by
+    t = (x - r_0) ... (x - r_(primes-1)), where r_k is the residue of the
+    formal variable x at the k-th prime of the rank certificate (_modulus).
+    Scaling both keeps S_g symmetric, so the datum loads, and changes no
+    rank; but t vanishes mod each of those primes, where row and column 1 of
+    the F_p image are zero, so the certificate closes only at the next one."""
+    import dataclasses
+    datum = emit_datum(ell)
+    x = CycScalar.variable("x", ell)
+    t = CycScalar.one(ell)
+    for k in range(primes):
+        t = t * (x - CycScalar.rational(_variable_residue("x", _modulus(ell, k)[0]), ell))
+    (b,) = datum.sprime
+    m = b.matrix
+    scale = [t if i == 1 else CycScalar.one(ell) for i in range(m.cols)]
+    entries = [e * scale[i] * scale[j] for i, row in enumerate(m.to_rows())
+               for j, e in enumerate(row)]
+    return dataclasses.replace(datum, sprime=(SBlock(
+        b.row_degree, b.col_degree, ExactMatrix(m.rows, m.cols, ell, entries),
+        b.row_labels, b.col_labels),))
 
 
 def is_unread(m: ExactMatrix) -> bool:

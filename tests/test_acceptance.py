@@ -15,6 +15,7 @@ from fractions import Fraction
 from conftest import (
     field_gauss_rank,
     perturb_block,
+    perturbed_emitted_datum,
     planted_modularity_datum,
     pointed_datum,
     pointed_zeta,
@@ -29,7 +30,7 @@ from relmod.checks import (
 )
 from relmod.cli import main
 from relmod.datum import Degree, GradingSpec, SmallSubset, load_datum, modified_S, save_datum
-from relmod.matrices import ExactMatrix
+from relmod.matrices import ExactMatrix, _modulus
 from relmod.scalars import CycScalar, parse_scalar
 from relmod.sl21 import (
     WeightLabel,
@@ -324,6 +325,39 @@ def test_criterion_13_check_all_on_verlinde_data(capsys, tmp_path):
     with capsys.disabled():
         _report(13, "check all on SU(2)_30 holds with rank 31 and zeta = D^2, and fails on its "
                     "even half with rank 8, under 2 s each")
+
+
+def test_criterion_14_rank_at_the_next_prime(capsys, tmp_path):
+    """check nondeg on the emitted data at ell = 5 and 7 with row and column 1
+    of S' scaled by t = x - r, r the residue of x at the first prime
+    (perturbed_emitted_datum): the certificate does not close at that prime,
+    and the next one gives the true rank 10 / 21 with a kernel witness that
+    exact products check, in under 1 s each."""
+    for ell, rank in ((5, 10), (7, 21)):
+        datum = perturbed_emitted_datum(ell)
+        assert modified_S(datum, G)._rank_certificate(*_modulus(ell)) is None
+        path = str(tmp_path / f"perturbed-{ell}.json")
+        save_datum(datum, path)
+        t0 = time.perf_counter()
+        code = main(["check", "nondeg", "--g", "a", "--datum", path, "--format", "json"])
+        elapsed = time.perf_counter() - t0
+        assert code == 1
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["status"] == "fails"
+        assert report["derived_scalars"]["rank(S_g)"] == str(rank)
+        (witness,) = [w for w in report["witnesses"] if w["name"] == "kernel vector of S_g"]
+        s = modified_S(load_datum(path), G)
+        v = [parse_scalar(t, s.conductor) for t in witness["value"].strip("()").split(", ")]
+        assert len(v) == s.cols and any(not x.is_zero for x in v)
+        for i in range(s.rows):
+            acc = CycScalar.zero(s.conductor)
+            for j in range(s.cols):
+                acc = acc + s[i, j] * v[j]
+            assert acc.is_zero, (ell, i)
+        assert elapsed < 1.0, f"ell={ell} took {elapsed:.3f}s"
+    with capsys.disabled():
+        _report(14, "check nondeg on S' scaled by a factor vanishing at the first prime gives "
+                    "rank 10/21 at the next prime, with a checked kernel vector, under 1 s each")
 
 
 def test_criterion_2_defining_relation_suite():

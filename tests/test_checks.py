@@ -212,9 +212,9 @@ class TestNondegeneracy:
         assert w.name == "S_-g,g not square"
         assert w.indices == (len(mixed_rows), cols)
 
-    def test_kernel_vector_from_whole_matrix_elimination(self):
+    def test_kernel_vector_at_the_next_prime(self):
         # S' = v v^T with v = (1, t, 1), where t is nonzero but vanishes mod p:
-        # the F_p certificate does not close, so the whole matrix is eliminated
+        # the F_p certificate does not close at p, so it is made at the next prime
         x = CycScalar.variable("x", 5)
         p, _ = _modulus(5)
         t = x - CycScalar.rational(_variable_residue("x", p), 5)
@@ -222,7 +222,8 @@ class TestNondegeneracy:
         d = tiny_datum([[a * b for b in vec] for a in vec],
                        mixed_rows=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         s_g = modified_S(d, G)
-        assert s_g._rank_certificate() is None
+        assert s_g._rank_certificate(*_modulus(5)) is None
+        assert s_g._rank_certificate(*_modulus(5, 1))[0] == 1
         v = check_nondegeneracy(d, G)
         assert v.status == FAILS
         assert v.derived_scalars == {"rank(S_g)": "1"}
@@ -314,7 +315,7 @@ class TestRankConstancy:
         calls = []
         original = ExactMatrix._rank_certificate
         monkeypatch.setattr(ExactMatrix, "_rank_certificate",
-                            lambda self: calls.append(self) or original(self))
+                            lambda self, p, root: calls.append(self) or original(self, p, root))
         assert cli.main(["check", "all", "--datum", path, "--format", "json"]) == 0
         # each S' block's rank is read once, off a holding modularity identity
         # that covers it, and nondeg, dmug and rank-constancy share it
@@ -344,7 +345,7 @@ class TestIdentityRanks:
         calls = []
         original = ExactMatrix._rank_certificate
         monkeypatch.setattr(ExactMatrix, "_rank_certificate",
-                            lambda self: calls.append(self) or original(self))
+                            lambda self, p, root: calls.append(self) or original(self, p, root))
         return calls, original
 
     @pytest.mark.parametrize("family, size", [("pointed", n) for n in (3, 5, 7)]
@@ -362,7 +363,7 @@ class TestIdentityRanks:
         assert calls == []
         for b in d.sprime:
             s = modified_S(d, b.row_degree, b.col_degree)
-            assert original(s) == (size, [])
+            assert original(s, *_modulus(d.conductor)) == (size, [])
 
     @pytest.mark.parametrize("family, block", [("pointed", 2), ("planted", 0),
                                                ("planted", 1)])
@@ -829,8 +830,29 @@ def relabel(datum, g, perm):
 class TestRelabel:
     """Reordering the labels of a degree changes no status and no rank, and
     every kernel witness is a kernel vector of the relabelled S-matrix.  The
-    modularity identity reads I_-g in the order of I_g, so a degree and its
-    negative are relabelled by one permutation together."""
+    modularity identity reads I_-g through the dual involution, so a degree
+    can be relabelled without its negative."""
+
+    def test_one_degree_without_its_negative(self):
+        d = pointed_datum(3, random.Random(3))
+        g = d.degrees[0]
+        e = relabel(d, g, [1, 2, 0])
+        assert e.dual_involution[g] != d.dual_involution[g]
+        before, after = check_all(d), check_all(e)
+        modularity = [v.status for v in after if v.check == "relative-modularity"]
+        assert modularity == [HOLDS] * 4
+        assert _statuses(after) == _statuses(before)
+        assert _ranks(after) == _ranks(before)
+        assert [v.derived_scalars for v in after] == [v.derived_scalars for v in before]
+        # the witnesses name the permutation the identity was read through
+        held = lambda vs, h: {v.witnesses[-1].name for v in vs
+                              if v.check == "relative-modularity" and v.params["g"] == str(h)}
+        assert held(before, g) == {"P = zeta * Id"}
+        assert held(after, g) == {f"P = zeta * Perm{e.dual_involution[g]}"}
+        one = CycScalar.one(e.conductor)
+        broken = check_relative_modularity(perturb_block(e, 0, 0, 0, one), g, g)
+        assert broken.status == FAILS
+        assert "dual-involution" in broken.witnesses[-1].name
 
     @pytest.mark.parametrize("name", ["pointed-3", "pointed-5", "planted-1", "planted-2",
                                       "planted-3", "premetric-15-3", "sl21-ell3", "su2-4",

@@ -1096,12 +1096,13 @@ _PARSER_ACCEPTS = [
 
 
 class TestOneParsePass:
-    """main parses with the command's own parser, and every argument list
-    gives what the top-level parser alone gives."""
+    """main reads a well-formed argument list from the option table and hands
+    any other to the top-level parser, and every argument list gives what
+    the top-level parser alone gives."""
 
     @staticmethod
     def _top_level(argv):
-        top, _ = _build_parser()
+        top = _build_parser()
         try:
             top.parse_args(_attach_degrees(list(argv)))
         except SystemExit as exc:
@@ -1115,7 +1116,7 @@ class TestOneParsePass:
 
     @pytest.mark.parametrize("argv", _PARSER_ACCEPTS, ids=" ".join)
     def test_parsed_arguments_are_the_top_level_parsers(self, argv):
-        top, _ = _build_parser()
+        top = _build_parser()
         assert vars(_parse(list(argv))) == vars(top.parse_args(_attach_degrees(list(argv))))
 
     def test_the_top_level_parser_is_not_run_on_a_command(self, capsys, monkeypatch,
@@ -1172,8 +1173,7 @@ class TestPinnedHelp:
 
 def _argparse_alone(argv):
     """The arguments as the top-level argparse parser alone parses them."""
-    top, _ = _build_parser()
-    return top.parse_args(_attach_degrees(list(argv)))
+    return _build_parser().parse_args(_attach_degrees(list(argv)))
 
 
 def _outcome(argv):
