@@ -24,9 +24,17 @@ Each check returns a Verdict with machine-readable witnesses:
                            datum._validation).
 * check_all             -- every check above, modularity decided first.
 
-Each derived quantity -- a scaled S-matrix, a rank, a Delta triple, the
-validation -- is computed once per datum and kept with it (datum._memo): a
-datum cannot change, and dataclasses.replace gives a fresh one.
+Each derived quantity -- the view of a scaled S-matrix, a rank, a Delta
+triple, the validation -- is computed once per datum and kept with it
+(datum._memo): a datum cannot change, and dataclasses.replace gives a fresh
+one.  Each check reads the view datum.scaled_block (a
+matrices.ScaledBlock) of S_{g,h} = S'_{g,h} diag(d_h):
+check_relative_modularity multiplies the two views' integer forms in the
+packed kernel; check_nondegeneracy reads a block's shape, and the rank
+memo certifies a rank from the view's F_p image and exact columns;
+check_dmug tests entries for zero on S' and the dims.  So no check builds
+a whole exact S_{g,h}, except the modularity product of two blocks of
+which one has a formal variable, which multiplies the whole matrices.
 
 Scalar quantities:
 
@@ -40,7 +48,7 @@ cross-check inside check_relative_modularity is the arbiter for it.
 
 from __future__ import annotations
 
-from .datum import Degree, ModularDatum, _memo, _validation, modified_S
+from .datum import Degree, ModularDatum, _memo, _validation, scaled_block
 from .scalars import CycScalar
 from .verdicts import DATA_ABSENT, FAILS, HOLDS, HYPOTHESIS_NOT_MET, Verdict, Witness
 
@@ -126,7 +134,7 @@ def _rank_and_kernel(datum: ModularDatum, row: Degree, col: Degree,
     rank S_g.  A holding identity of check_relative_modularity passes the
     full rank it proves for both its factors as full_rank, recorded here
     with no kernel vector, so a block it covers is not eliminated."""
-    compute = (modified_S(datum, row, col)._rank_and_kernel if full_rank is None
+    compute = ((lambda: scaled_block(datum, row, col)._rank_and_kernel()) if full_rank is None
                else lambda: (full_rank, []))
     return _memo(datum, ("rank", row, col), compute)
 
@@ -147,7 +155,7 @@ def check_nondegeneracy(datum: ModularDatum, g: Degree) -> Verdict:
         try:
             if absent is not None and datum.block(row, g) is None:
                 raise KeyError(absent)
-            s = modified_S(datum, row, g)
+            s = scaled_block(datum, row, g)
             rank, kernel = _rank_and_kernel(datum, row, g)
         except KeyError as exc:
             return v.end(DATA_ABSENT, _msg(exc))
@@ -183,7 +191,7 @@ def _block_rank(datum: ModularDatum, b) -> int:
     when every d_h is nonzero, so it is read through _rank_and_kernel, the
     memo check_nondegeneracy and check_dmug rank S_g through.  S' is ranked
     directly when a dim of its column degree is zero or missing, or when
-    modified_S would not scale b: it finds another block of those degrees
+    scaled_block would not view b: it finds another block of those degrees
     first, or neither degree is listed."""
     g, h = b.row_degree, b.col_degree
     dims = datum.dims.get(h)
@@ -238,8 +246,8 @@ def check_dmug(datum: ModularDatum, g: Degree) -> Verdict:
     if size != n:
         return v.end(FAILS, Witness("condition (1) shape: |I_g| != N", (size, n)))
     try:
-        sg = modified_S(datum, g)
-        s_mixed = modified_S(datum, datum.negate(g), g)
+        sg = scaled_block(datum, g)
+        s_mixed = scaled_block(datum, datum.negate(g), g)
     except KeyError as exc:
         return v.end(DATA_ABSENT, _msg(exc))
     r = _rank_and_kernel(datum, g, g)[0]
@@ -248,7 +256,7 @@ def check_dmug(datum: ModularDatum, g: Degree) -> Verdict:
     rows = []
     for name, mat in (("S_g", sg), ("S_-g,g", s_mixed)):
         row = next((i for i in range(mat.rows)
-                    if all(not mat[i, j].is_zero for j in range(mat.cols))), None)
+                    if not any(mat.is_zero(i, j) for j in range(mat.cols))), None)
         if row is None:
             return v.end(FAILS, Witness(f"condition (2): every row of {name} has a zero entry"))
         rows.append(Witness(f"everywhere-nonzero row of {name}", (row,)))
@@ -263,8 +271,8 @@ def check_relative_modularity(datum: ModularDatum, g: Degree, h: Degree) -> Verd
     v = Verdict("relative-modularity", HOLDS, params={"g": str(g), "h": str(h)})
     neg = datum.negate(g)
     try:
-        s_gh = modified_S(datum, g, h)
-        s_hneg = modified_S(datum, h, neg)
+        s_gh = scaled_block(datum, g, h)
+        s_hneg = scaled_block(datum, h, neg)
     except KeyError as exc:
         return v.end(DATA_ABSENT, _msg(exc))
     p = s_gh @ s_hneg

@@ -23,12 +23,14 @@ A datum cannot change after it is built: its four degree-keyed tables
 (index sets, dims, twists, dual involution) are read-only dicts, each S'
 block's matrix keeps its entries in a tuple, or the texts that fix them
 (see the matrices module docstring), and ``dataclasses.replace``
-gives a changed datum.  So every value derived from a datum (its scaled
-S-matrices, ranks, Delta triples and validation, see ``_memo``) is kept
-with it and lives exactly as long as it does.  Validation builds no scaled
-S-matrix: it decides the symmetry of S_g = S' diag(d) pair by pair, on the
-S' block and the dims (``ExactMatrix.asymmetric_pair``), so S_g is built only
-when a check asks ``modified_S`` for it.
+gives a changed datum.  So every value derived from a datum (the views of
+its scaled S-matrices, ranks, Delta triples and validation, see ``_memo``)
+is kept with it and lives exactly as long as it does.  Validation builds no
+scaled S-matrix: it decides the symmetry of S_g = S' diag(d) pair by pair,
+on the S' block and the dims (``ExactMatrix.asymmetric_pair``).  The checks
+read S_{g,h} through its view (``scaled_block``, a ``matrices.ScaledBlock``)
+as an integer form, an F_p image, exact columns and zero tests, so the
+whole exact S_{g,h} is built only when a caller asks ``modified_S`` for it.
 
 The loader reads each S' block's entries in one pass through the document's
 literal table; it formats an entry's field path only when a literal fails,
@@ -49,7 +51,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, ScaledBlock
 from .scalars import MAX_CONDUCTOR, CycScalar, ScalarParseError, parse_scalar, products_equal
 
 
@@ -980,13 +982,13 @@ def _validation(datum: ModularDatum) -> list[Violation]:
     return _memo(datum, "validation", lambda: validate_datum(datum))
 
 
-def modified_S(datum: ModularDatum, g: Degree, h: Degree | None = None) -> ExactMatrix:
-    """The modified S-matrix S_{g,h}: the S' block right-scaled by diag(d(V_j)).
-
-    It is scaled once per datum and (g, h), so a repeated call returns the
-    same object (see _memo); it is built only when a check asks for it, since
-    validate_datum decides the symmetry of S_g without it.  Callers must not
-    change it in place."""
+def scaled_block(datum: ModularDatum, g: Degree, h: Degree | None = None) -> ScaledBlock:
+    """The view of the modified S-matrix S_{g,h} = S' diag(d(V_j)): the S'
+    block for (g, h) and the dims of h, from which a check reads S's integer
+    form, F_p image, exact columns and zero entries without its whole exact
+    matrix (see matrices.ScaledBlock).  One view per datum and (g, h), so a
+    repeated call returns the same object (see _memo); KeyError names the
+    degree, block or dims that are missing."""
     if h is None:
         h = g
     if g not in datum.degrees and h not in datum.degrees:
@@ -996,5 +998,15 @@ def modified_S(datum: ModularDatum, g: Degree, h: Degree | None = None) -> Exact
         raise KeyError(f"no S' block for degrees ({g}, {h})")
     if h not in datum.dims:
         raise KeyError(f"no modified dimensions recorded for column degree {h}")
-    return _memo(datum, ("S", g, h), lambda: b.matrix.scale_columns(list(datum.dims[h])))
+    return _memo(datum, ("S", g, h), lambda: ScaledBlock(b.matrix, datum.dims[h]))
 
+
+def modified_S(datum: ModularDatum, g: Degree, h: Degree | None = None) -> ExactMatrix:
+    """The modified S-matrix S_{g,h}: the S' block right-scaled by diag(d(V_j)).
+
+    It is the whole exact matrix of scaled_block(datum, g, h), scaled once
+    per datum and (g, h), so a repeated call returns the same object.  No
+    check asks for it: each reads the view (see the checks module
+    docstring), and validate_datum decides the symmetry of S_g without it.
+    Callers must not change it in place."""
+    return scaled_block(datum, g, h).matrix()

@@ -13,10 +13,13 @@ exactly r.  A prime fails where it divides a denominator, or where a nonzero
 minor vanishes at its point and a sub-solve finds a pivot too many; then the
 next prime = 1 (mod m), with new residues, is tried, and the first
 certificate that closes answers.  A nonzero product M v is a defect and raises
-ArithmeticError.  The checks ask for this certificate only for a block whose
-rank no exact product has settled: a product S_{g,h} S_{h,-g} that equals
-zeta * Id with zeta != 0 proves both factors of full rank (see
-checks.check_relative_modularity), and check all reads their ranks from it.
+ArithmeticError.  The certificate reads a matrix through two faces only, its
+F_p image and its exact columns (_certificate), so a ScaledBlock (below) is
+ranked without its whole exact matrix.  The checks ask for this certificate
+only for a block whose rank no exact product has settled: a product
+S_{g,h} S_{h,-g} that equals zeta * Id with zeta != 0 proves both factors of
+full rank (see checks.check_relative_modularity), and check all reads their
+ranks from it.
 
 Both eliminations run one Gauss-Jordan loop, _gauss_jordan: each pivot
 clears the rows above it as well as the rows below; only the row update
@@ -34,17 +37,20 @@ by one exact division by the last pivot, +-det(A).  Nothing is random, so
 every answer is deterministic.
 
 A product A @ B whose operands are both free of formal variables goes
-through the packed kernel of scalars.py: each row of A and each column of B
-is put over one common denominator, each entry's integer vector over 1,
-zeta, .., zeta^(deg-1) is packed into one int, a dot product is a sum of
-plain int products, and each output entry is reduced modulo Phi_m and
-divided once.  The S' blocks whose products decide relative modularity are
-dense, since condition (2) asks for an everywhere-nonzero row, so one
-reduction per entry replaces one per term.  A product with a formal
-variable multiplies and adds CycScalars row by row (Gustavson's row-wise
-sparse product): each row of B is listed once as its nonzero (column, entry)
-pairs, and row i of the product accumulates a * b over the nonzero
-a = A[i, k] and the pairs of row k, so the inner loop visits no zero of B.
+through the packed kernel of scalars.py on the operands' integer forms:
+each row of A and each column of B is put over its own common denominator
+(a ScaledBlock gives one for the whole block), each entry's integer
+vector over 1, zeta, .., zeta^(deg-1) is packed into one int, a dot product
+is a sum of plain int products, and each output entry is reduced modulo
+Phi_m and divided once.  The S blocks whose products decide relative
+modularity are dense, since condition (2) asks for an everywhere-nonzero
+row, so one reduction per entry replaces one per term; ScaledBlock @
+ScaledBlock hands the kernel the integer forms it keeps (below).  A product
+with a formal variable multiplies and adds CycScalars row by row
+(Gustavson's row-wise sparse product): each row of B is listed once as its
+nonzero (column, entry) pairs, and row i of the product accumulates a * b
+over the nonzero a = A[i, k] and the pairs of row k, so the inner loop
+visits no zero of B.
 The sparse sl(2|1) generators take neither route: the relation check works
 on their nonzero entries (see sl21/reps.py).
 
@@ -54,6 +60,24 @@ as it is, with no product.  Whether A @ diag(d) is symmetric is decided
 without it (asymmetric_pair): each pair M_ij d_j, M_ji d_i is compared by
 scalars.products_equal, which on one-term entries and factors compares keys
 and builds neither product.
+
+The checks read a modified S-matrix S = S' diag(d) through one view,
+ScaledBlock, kept per datum and pair of degrees (datum.scaled_block).  It
+holds the S' block and the dims, and makes each of its faces on first read:
+
+* the integer form, for S' and d free of formal variables: S''s numerator
+  vectors over its one denominator, each column's multiplied by its dim's
+  numerator vector over the dims' one denominator at the integer level and
+  reduced modulo Phi_m once (scalars._times_numerators), so no CycScalar is
+  made; both modularity products that read the block take it;
+* the F_p image: S''s image with column j times the image of d_j, one
+  residue per dim, made afresh at each prime;
+* the exact columns, S''s column times d_j, each kept once read, for the
+  sub-solves of the rank certificate;
+* matrix(), the whole exact S, which only datum.modified_S asks for, and
+  which a product with a formal variable multiplies.
+
+A zero test reads S' and d: S'_ij d_j is zero exactly when one factor is.
 
 A matrix can also be made from its entries' literal texts, the strings str()
 prints (ExactMatrix.from_texts).  It keeps the texts and parses none of them
@@ -86,8 +110,9 @@ from collections.abc import Iterable
 from functools import lru_cache
 from itertools import count
 
-from .scalars import (CycScalar, InexactDivision, ScalarParseError, _packed_product,
-                      _read_canonical, parse_scalar, products_equal)
+from .scalars import (CycScalar, InexactDivision, ScalarParseError, _integer_form,
+                      _packed_product, _read_canonical, _row_column_forms, _times_numerators,
+                      parse_scalar, products_equal)
 
 
 def _is_prime(n: int) -> bool:
@@ -202,7 +227,120 @@ def _clear_mod(p: int):
     return clear
 
 
-class ExactMatrix:
+def _image(entries, rows: int, cols: int, m: int, p: int, root: int,
+           dims=()) -> list[list[int]] | None:
+    """The rows of the F_p image of the rows x cols matrix whose entries are
+    given row by row, zeta_m sent to root and each formal variable to its
+    residue (see the module docstring), column j times the image of dims[j]
+    when dims are given; None when a coefficient's denominator vanishes mod
+    p."""
+    zpow = [pow(root, k, p) for k in range(m)]
+    # a variable's residue, its k-th power and den^-1 are each computed once
+    # per call
+    var: dict[str, int] = {}
+    vpow: dict[tuple[str, int], int] = {}
+    dinv: dict[int, int] = {1: 1}
+    scale = [1] * cols
+    out = []
+    # row -1 is the image of the dims, which scales every row after it
+    for i in range(-1 if dims else 0, rows):
+        row = []
+        for e, f in zip(dims if i < 0 else entries[i * cols:(i + 1) * cols], scale):
+            acc = 0
+            for (zp, vk), c in e.coeffs.items():
+                den = c.denominator
+                if den not in dinv:
+                    if not den % p:
+                        return None
+                    dinv[den] = pow(den, -1, p)
+                t = c.numerator * zpow[zp] * dinv[den]
+                for name_k in vk:
+                    x = vpow.get(name_k)
+                    if x is None:
+                        name, k = name_k
+                        if name not in var:
+                            var[name] = _variable_residue(name, p)
+                        x = vpow[name_k] = pow(var[name], k, p)
+                    t = t * x
+                acc += t
+            row.append(acc * f % p)
+        if i < 0:
+            scale = row
+        else:
+            out.append(row)
+    return out
+
+
+def _certificate(red: list[list[int]] | None, p: int, cols: int, conductor: int,
+                 column) -> tuple[int, list[list[CycScalar]]] | None:
+    """Exact rank and, when it is below min(rows, cols), one exact kernel
+    vector per non-pivot column, of the matrix whose F_p image at the prime p
+    has the rows red and whose exact column c is column(c); None when the
+    certificate does not close at p (red is None when a denominator of the
+    matrix vanishes mod p).
+
+    The image is reduced once, in place.  Its rank r is a lower bound on the
+    exact rank, and at full rank that settles it.  Otherwise each non-pivot
+    column j of the reduced form has an F_p kernel vector whose support is j
+    and the pivot columns q with a nonzero entry in q's row.  Those columns
+    alone are read exactly and eliminated, and the kernel vector found there
+    is checked by M v = 0, a product over those columns only, since v
+    vanishes off them.  The vectors are independent (each is nonzero at its
+    own non-pivot column only), so the rank is at most r, hence exactly r.
+    A nonzero product raises ArithmeticError: the sub-solve yields a kernel
+    vector by construction.
+    """
+    if red is None:
+        return None
+    rows = len(red)
+    piv_cols, _ = _gauss_jordan(red, cols, _clear_mod(p))
+    rank = len(piv_cols)
+    if rank == min(rows, cols):
+        return rank, []
+    zero = CycScalar.zero(conductor)
+    kernel = []
+    for j in range(cols):
+        if j in piv_cols:
+            continue
+        support = [q for r, q in enumerate(piv_cols) if red[r][j]] + [j]
+        sub = ExactMatrix(rows, len(support), conductor,
+                          [e for row in zip(*map(column, support)) for e in row])
+        ech, sub_piv, _ = sub._bareiss()
+        if len(sub_piv) != len(support) - 1:
+            return None
+        kv = ExactMatrix(len(support), 1, conductor, sub._kernel_vector(ech, sub_piv))
+        if any(not e.is_zero for e in (sub @ kv).entries):
+            raise ArithmeticError(f"the sub-solve on columns {support} gave no kernel vector")
+        vec = [zero] * cols
+        for c, x in zip(support, kv.entries):
+            vec[c] = x
+        kernel.append(vec)
+    return rank, kernel
+
+
+class _Certified:
+    """The rank certificate of a matrix that gives its F_p image
+    (_image_mod_p) and its exact columns (column): an ExactMatrix, or a
+    ScaledBlock, which gives both without its whole exact matrix."""
+    __slots__ = ()
+
+    def _rank_certificate(self, p: int, root: int) -> tuple[int, list[list[CycScalar]]] | None:
+        """_certificate at the prime p, with zeta sent to root."""
+        return _certificate(self._image_mod_p(p, root), p, self.cols, self.conductor,
+                            self.column)
+
+    def _rank_and_kernel(self) -> tuple[int, list[list[CycScalar]]]:
+        """Exact rank over the fraction field and the kernel vectors that bound
+        it above ([] at full rank): the certificate above at the first of the
+        primes = 1 (mod m), largest first, at which it closes (see the module
+        docstring)."""
+        for k in count():
+            cert = self._rank_certificate(*_modulus(self.conductor, k))
+            if cert is not None:
+                return cert
+
+
+class ExactMatrix(_Certified):
     """A rows x cols matrix over Q(zeta_conductor)[X^+-1], its entries row by
     row in a tuple: a matrix cannot be edited in place, so a value derived
     from it stays true (see datum._memo).  texts is None, or the entries'
@@ -262,6 +400,9 @@ class ExactMatrix:
     def row(self, i: int) -> tuple[CycScalar, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
+    def column(self, j: int) -> tuple[CycScalar, ...]:
+        return self.entries[j::self.cols]
+
     def to_rows(self) -> list[tuple[CycScalar, ...]]:
         return [self.row(i) for i in range(self.rows)]
 
@@ -289,7 +430,9 @@ class ExactMatrix:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         if _packs(self.entries) and _packs(other.entries):
             return ExactMatrix(self.rows, other.cols, self.conductor, _packed_product(
-                self.conductor, self.entries, other.entries, self.rows, self.cols, other.cols))
+                self.conductor, *_row_column_forms(self.entries, other.entries, self.rows,
+                                                   self.cols, other.cols),
+                self.rows, self.cols, other.cols))
         n, oc = self.cols, other.cols
         # row k of B as its nonzero (column, entry) pairs, built once
         b_rows = [[(j, b) for j, b in enumerate(other.entries[k * oc:(k + 1) * oc]) if b.coeffs]
@@ -359,88 +502,7 @@ class ExactMatrix:
     def _image_mod_p(self, p: int, root: int) -> list[list[int]] | None:
         """The rows of the F_p image, zeta sent to root (see the module
         docstring); None when a coefficient's denominator vanishes mod p."""
-        zpow = [pow(root, k, p) for k in range(self.conductor)]
-        # a variable's residue, its k-th power and den^-1 are each computed once
-        var: dict[str, int] = {}
-        vpow: dict[tuple[str, int], int] = {}
-        dinv: dict[int, int] = {1: 1}
-        rows = []
-        for i in range(self.rows):
-            row = []
-            for e in self.row(i):
-                acc = 0
-                for (zp, vk), c in e.coeffs.items():
-                    den = c.denominator
-                    if den not in dinv:
-                        if not den % p:
-                            return None
-                        dinv[den] = pow(den, -1, p)
-                    t = c.numerator * zpow[zp] * dinv[den]
-                    for name_k in vk:
-                        x = vpow.get(name_k)
-                        if x is None:
-                            name, k = name_k
-                            if name not in var:
-                                var[name] = _variable_residue(name, p)
-                            x = vpow[name_k] = pow(var[name], k, p)
-                        t = t * x
-                    acc += t
-                row.append(acc % p)
-            rows.append(row)
-        return rows
-
-    def _rank_certificate(self, p: int, root: int) -> tuple[int, list[list[CycScalar]]] | None:
-        """Exact rank and, when it is below min(rows, cols), one exact kernel
-        vector per non-pivot column; None when the certificate does not close
-        at the prime p, with zeta sent to root.
-
-        The F_p image (see the module docstring) is reduced once.  Its rank r
-        is a lower bound on the exact rank, and at full rank that settles it.
-        Otherwise each non-pivot column j of the reduced form has an F_p
-        kernel vector whose support is j and the pivot columns q with a
-        nonzero entry in q's row.  Those columns alone are eliminated exactly,
-        and the kernel vector found there is checked by M v = 0, a product over
-        those columns only, since v vanishes off them.  The vectors
-        are independent (each is nonzero at its own non-pivot column only), so
-        the rank is at most r, hence exactly r.  A nonzero product raises
-        ArithmeticError: the sub-solve yields a kernel vector by construction.
-        """
-        red = self._image_mod_p(p, root)
-        if red is None:
-            return None
-        piv_cols, _ = _gauss_jordan(red, self.cols, _clear_mod(p))
-        rank = len(piv_cols)
-        if rank == min(self.rows, self.cols):
-            return rank, []
-        zero = CycScalar.zero(self.conductor)
-        kernel = []
-        for j in range(self.cols):
-            if j in piv_cols:
-                continue
-            cols = [q for r, q in enumerate(piv_cols) if red[r][j]] + [j]
-            sub = ExactMatrix(self.rows, len(cols), self.conductor,
-                              [self[i, c] for i in range(self.rows) for c in cols])
-            ech, sub_piv, _ = sub._bareiss()
-            if len(sub_piv) != len(cols) - 1:
-                return None
-            kv = ExactMatrix(len(cols), 1, self.conductor, sub._kernel_vector(ech, sub_piv))
-            if any(not e.is_zero for e in (sub @ kv).entries):
-                raise ArithmeticError(f"the sub-solve on columns {cols} gave no kernel vector")
-            vec = [zero] * self.cols
-            for c, x in zip(cols, kv.entries):
-                vec[c] = x
-            kernel.append(vec)
-        return rank, kernel
-
-    def _rank_and_kernel(self) -> tuple[int, list[list[CycScalar]]]:
-        """Exact rank over the fraction field and the kernel vectors that bound
-        it above ([] at full rank): the certificate above at the first of the
-        primes = 1 (mod m), largest first, at which it closes (see the module
-        docstring)."""
-        for k in count():
-            cert = self._rank_certificate(*_modulus(self.conductor, k))
-            if cert is not None:
-                return cert
+        return _image(self.entries, self.rows, self.cols, self.conductor, p, root)
 
     def rank(self) -> int:
         """Exact rank over the fraction field (see _rank_and_kernel)."""
@@ -528,3 +590,80 @@ def _printed_value(text: str, m: int) -> CycScalar:
     except ScalarParseError:
         pass
     raise ValueError(f"not a literal in the form str() prints: {text!r}")
+
+
+class ScaledBlock(_Certified):
+    """One view of the modified S-matrix S = S' diag(d), read from the S'
+    block and the dims d without the whole exact S (see the module
+    docstring).  Each face is made on its first read and kept: the integer
+    form, the exact columns and the whole matrix."""
+    __slots__ = ("sprime", "dims", "rows", "cols", "conductor", "_ints", "_columns", "_matrix")
+
+    def __init__(self, sprime: ExactMatrix, dims: Iterable[CycScalar]):
+        dims = tuple(dims)
+        if len(dims) != sprime.cols:
+            raise ValueError("diagonal length mismatch")
+        self.sprime, self.dims = sprime, dims
+        self.rows, self.cols, self.conductor = sprime.rows, sprime.cols, sprime.conductor
+        self._ints = self._matrix = None
+        self._columns: dict[int, tuple[CycScalar, ...]] = {}
+
+    def integer_form(self) -> tuple[list[list[tuple[int, int]]], int] | None:
+        """S in the integer form of the packed product (scalars._integer_form),
+        None when S' or d has a formal variable.  Each S' numerator vector, over
+        the block's one denominator, is multiplied by its column's dim's
+        numerator vector over the dims' one denominator and reduced modulo
+        Phi_m (scalars._times_numerators); S's denominator is the product of
+        the two.  A column whose numerator vector is 1 is kept as it is."""
+        if self._ints is None:
+            self._ints = False
+            if _packs(self.sprime.entries) and _packs(self.dims):
+                nums, den = _integer_form(self.sprime.entries)
+                dnums, dden = _integer_form(self.dims)
+                for j, dn in enumerate(dnums):
+                    if dn != [(0, 1)]:
+                        nums[j::self.cols] = _times_numerators(self.conductor,
+                                                               nums[j::self.cols], dn)
+                self._ints = nums, den * dden
+        return self._ints or None
+
+    def _image_mod_p(self, p: int, root: int) -> list[list[int]] | None:
+        """The rows of S's F_p image: S''s image with column j times the image
+        of d_j; None when a denominator of either vanishes mod p."""
+        return _image(self.sprime.entries, self.rows, self.cols, self.conductor, p, root,
+                      self.dims)
+
+    def column(self, j: int) -> tuple[CycScalar, ...]:
+        """Column j of S, exact: S''s column j times d_j."""
+        col = self._columns.get(j)
+        if col is None:
+            d, col = self.dims[j], self.sprime.column(j)
+            if not d.is_one:
+                col = tuple([e * d for e in col])
+            self._columns[j] = col
+        return col
+
+    def is_zero(self, i: int, j: int) -> bool:
+        """Whether S[i, j] = S'[i, j] d_j is zero, with no product."""
+        return self.sprime[i, j].is_zero or self.dims[j].is_zero
+
+    def matrix(self) -> ExactMatrix:
+        """The whole exact S, S'.scale_columns(d), built once."""
+        if self._matrix is None:
+            self._matrix = self.sprime.scale_columns(list(self.dims))
+        return self._matrix
+
+    def __matmul__(self, other: "ScaledBlock") -> ExactMatrix:
+        """The exact product of two scaled blocks: the packed kernel on their
+        integer forms, or the product of the two whole matrices when either
+        has a formal variable."""
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        a, b = self.integer_form(), other.integer_form()
+        if a is None or b is None:
+            return self.matrix() @ other.matrix()
+        # the one denominator of each view, for every row of a and column of b
+        (ia, da), (ib, db) = a, b
+        return ExactMatrix(self.rows, other.cols, self.conductor, _packed_product(
+            self.conductor, (ia, [da] * self.rows), (ib, [db] * other.cols),
+            self.rows, self.cols, other.cols))

@@ -134,10 +134,16 @@ divides each coefficient once.  ``_from_packed`` does both for one packed
 polynomial, whose bit length gives its number of digits.
 
 A matrix product over Q(zeta_m) may go through ``_packed_product``, which
-holds each entry as an integer vector over 1, zeta, .., zeta^(deg-1) with one
-common denominator per row or column, sums each dot product as plain int
-products of packed ints and unpacks each row of the product once.  It
-returns the canonical form that ``_canon`` would.
+takes each operand in an integer form: each entry as an integer vector over
+1, zeta, .., zeta^(deg-1), over one common denominator per row of the left
+operand and per column of the right one (``_row_column_forms``), or, for a
+scaled S block, one for the whole block (``_integer_form``).  It sums each
+dot product as plain int products of packed ints and unpacks each row of the
+product once, and it returns the canonical form that ``_canon`` would.
+``_times_numerators`` scales one column of such vectors by one more vector,
+a modified dimension's, by one packed product per column, and folds each
+entry back to deg coefficients (``_fold``); so a scaled S block reaches the
+product kernel with no CycScalar made (matrices.py).
 
 All operations are pure; instances are immutable once constructed.
 """
@@ -304,30 +310,100 @@ def _numerators(e: "CycScalar", d: int) -> list[tuple[int, int]]:
     that clears every denominator of e."""
     if d == 1:
         return [(zp, c.numerator) for (zp, _), c in e.coeffs.items()]
-    return [(zp, c.numerator * (d // c.denominator)) for (zp, _), c in e.coeffs.items()]
+    # one as_integer_ratio() call costs less than Fraction's two properties
+    return [(zp, n * (d // q)) for (zp, _), c in e.coeffs.items()
+            for n, q in (c.as_integer_ratio(),)]
+
+
+@lru_cache(maxsize=None)
+def _power_rows(m: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row e - deg expresses zeta_m^e (deg <= e < n) over the basis
+    1..zeta^(deg-1), as its (power, nonzero coefficient) pairs: zeta^e is
+    zeta^(e mod m), a basis power or a row of _zeta_reduction_rows."""
+    deg, rows = _degree(m), _zeta_reduction_rows(m)
+    return tuple(((e % m, 1),) if e % m < deg else rows[e % m - deg] for e in range(deg, n))
+
+
+def _fold(m: int, digits: list[int]) -> list[int]:
+    """The integer vector over 1, zeta, .., zeta^(deg-1) of sum_t digits[t]*zeta^t,
+    for integer digits at the powers t = 0, 1, ..: each digit at a power of
+    deg or more is moved onto the basis by its row of _power_rows.  The list
+    digits is used up."""
+    deg = _degree(m)
+    for e, row in enumerate(_power_rows(m, len(digits)), deg):
+        c = digits[e]
+        if c:
+            for t, x in row:
+                digits[t] += c * x
+    return digits[:deg]
 
 
 def _from_numerators(m: int, digits: list[int], d: int) -> "CycScalar":
     """The canonical form of sum_t digits[t]*zeta^t / d, for integer digits
-    at the powers t = 0, 1, ..: they are folded mod m, reduced modulo Phi_m as
-    integers and divided by d once per output coefficient.  The list digits
-    is used up."""
-    deg = _degree(m)
-    n = len(digits)
-    if n > deg:
-        for t in range(m, n):
-            c = digits[t]
-            if c:
-                digits[t % m] += c
-        rows = _zeta_reduction_rows(m)
-        for e in range(deg, min(m, n)):
-            c = digits[e]
-            if c:
-                for t, x in rows[e - deg]:
-                    digits[t] += c * x
+    at the powers t = 0, 1, ..: _fold reduces them, and each output
+    coefficient is divided by d once.  The list digits is used up."""
+    digits = _fold(m, digits)
     if d == 1:
-        return _make(m, {(t, ()): c for t, c in enumerate(digits[:deg]) if c})
-    return _make(m, {(t, ()): _quo(c, d) for t, c in enumerate(digits[:deg]) if c})
+        return _make(m, {(t, ()): c for t, c in enumerate(digits) if c})
+    return _make(m, {(t, ()): _quo(c, d) for t, c in enumerate(digits) if c})
+
+
+def _integer_form(entries) -> tuple[list[list[tuple[int, int]]], int]:
+    """(numerators, d) of variable-free entries: d, the lcm of every
+    coefficient's denominator, and each entry's (zeta power, integer) pairs
+    over it (_numerators).  Entries that are one object share one list: a
+    loaded block holds each distinct literal once (datum.loads_datum), so
+    its form costs a list per distinct value.  The lists are never changed
+    in place."""
+    d = _common_denominator(entries)
+    shared: dict[int, list[tuple[int, int]]] = {}
+    out = []
+    for e in entries:
+        nums = shared.get(id(e))
+        if nums is None:
+            nums = shared[id(e)] = _numerators(e, d)
+        out.append(nums)
+    return out, d
+
+
+def _row_column_forms(a, b, rows: int, inner: int, cols: int) -> tuple[tuple, tuple]:
+    """The operands of _packed_product for the variable-free row-major
+    entries a (rows x inner) and b (inner x cols): each row of a over its own
+    common denominator, and each column of b over its own, so rows or
+    columns with unrelated denominators do not widen each other's
+    numerators."""
+    da = [_common_denominator(a[i * inner:(i + 1) * inner]) for i in range(rows)]
+    db = [_common_denominator(b[j::cols]) for j in range(cols)]
+    return ([_numerators(e, da[at // inner]) for at, e in enumerate(a)], da), \
+        ([_numerators(e, db[at % cols]) for at, e in enumerate(b)], db)
+
+
+def _times_numerators(m: int, column: list[list[tuple[int, int]]],
+                      factor: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Each numerator vector of column times the numerator vector factor,
+    reduced modulo Phi_m: the integer level of scaling a matrix column by
+    one scalar.
+
+    A zero factor gives zero vectors.  Any other factor is one Kronecker
+    product per column: the column is packed into one int (_pack_digits),
+    entry i at 2^(W i) for W = (2 deg - 1) w, and multiplied by the packed
+    factor once; every coefficient of an entry's product is at most the two
+    vectors' L1 norms multiplied, which sets w.  The product is unpacked
+    once (_unpack), and each entry's 2 deg - 1 digits are folded onto the
+    basis (_fold)."""
+    if not factor:
+        return [[] for _ in column]
+    deg = _degree(m)
+    span = 2 * deg - 1
+    top = max([sum([abs(v) for _, v in e]) for e in column], default=0)
+    w = _kronecker_width(top * sum([abs(v) for _, v in factor]))
+    digits = [0] * (span * len(column))
+    for i, e in enumerate(column):
+        for t, v in e:
+            digits[span * i + t] = v
+    digits = _unpack(_pack_digits(digits, w) * _pack(factor, w), w, len(digits))
+    return [[(t, c) for t, c in enumerate(_fold(m, digits[i * span:(i + 1) * span])) if c]
+            for i in range(len(column))]
 
 
 def _field_product(a: "CycScalar", b: "CycScalar") -> "CycScalar":
@@ -386,6 +462,24 @@ def _unpack(x: int, w: int, count: int) -> list[int]:
     return [int.from_bytes(digits[i:i + wb], "little") - half for i in range(0, len(digits), wb)]
 
 
+def _pack_digits(digits: list[int], w: int) -> int:
+    """The int sum c_t 2^(w t) of the digits c_0, c_1, .., each below
+    2^(w-1) in size: _unpack's inverse.  Each digit plus 2^(w-1) is one plain
+    w-bit field, so the fields are written out as bytes at once, as machine
+    words when w is 8, 16, 32 or 64, read back as one int, and _bias is taken
+    away; the cost is linear in the digits, where a sum of shifted ints
+    copies the growing sum at every term."""
+    wb, half = w // 8, 1 << (w - 1)
+    if wb in _WORD_CODES:
+        words = array(_WORD_CODES[wb], [c + half for c in digits])
+        if sys.byteorder == "big":
+            words.byteswap()
+        raw = words.tobytes()
+    else:
+        raw = b"".join([(c + half).to_bytes(wb, "little") for c in digits])
+    return int.from_bytes(raw, "little") - _bias(w, len(digits))
+
+
 def _from_packed(m: int, x: int, w: int, d: int) -> "CycScalar":
     """The canonical form of P(zeta)/d for the integer polynomial P with
     x = P(2^w), each coefficient below 2^(w-1) in absolute value.
@@ -395,30 +489,28 @@ def _from_packed(m: int, x: int, w: int, d: int) -> "CycScalar":
     return _from_numerators(m, _unpack(x, w, abs(x).bit_length() // w + 1), d)
 
 
-def _packed_product(m: int, a: list["CycScalar"], b: list["CycScalar"],
+def _packed_product(m: int, a: tuple[list, list[int]], b: tuple[list, list[int]],
                     rows: int, inner: int, cols: int) -> list["CycScalar"]:
-    """Entries of the product of the variable-free rows x inner matrix a and
-    inner x cols matrix b (row-major lists), by packed integer dot products.
+    """Entries of the product of the rows x inner matrix a and the inner x
+    cols matrix b, by packed integer dot products.  Each operand is given as
+    (numerators, denominators): its row-major numerator vectors over
+    1, zeta, .., zeta^(deg-1), row i of a over da[i] and column j of b over
+    db[j] (see _row_column_forms and _integer_form).
 
-    Row i of a is scaled to integers by one common denominator da[i], column j
-    of b by db[j].  An integer vector (v_0, .., v_(deg-1)) over 1, zeta, ..,
-    zeta^(deg-1) is packed into the one int sum v_t 2^(w t) (Kronecker
-    substitution, _pack).  Every coefficient of a sum of inner products of
-    such polynomials is below inner*deg*max|a|*max|b| in size, so w is
-    _kronecker_width of that bound, and a packed dot product unpacks into
-    its 2 deg - 1 signed coefficients.  Row k of b is packed once more, entry j
-    at 2^(W j) for W = (2 deg - 1) w, so row i of the product is one packed
-    int, the sum over k of a[i, k] times row k of b: its cols blocks of
-    2 deg - 1 digits are the entries' dot products.  The row is unpacked once
-    (_unpack), a block of zero digits is a zero entry, and _from_numerators
-    folds each other block mod m, reduces it modulo Phi_m and divides it by
-    da[i]*db[j].
+    An integer vector (v_0, .., v_(deg-1)) is packed into the one int
+    sum v_t 2^(w t) (Kronecker substitution, _pack).  Every coefficient of a
+    sum of inner products of such polynomials is below
+    inner*deg*max|a|*max|b| in size, so w is _kronecker_width of that bound,
+    and a packed dot product unpacks into its 2 deg - 1 signed coefficients.
+    Row k of b is packed once more, entry j at 2^(W j) for W = (2 deg - 1) w,
+    so row i of the product is one packed int, the sum over k of a[i, k]
+    times row k of b: its cols blocks of 2 deg - 1 digits are the entries'
+    dot products.  The row is unpacked once (_unpack), a block of zero
+    digits is a zero entry, and _from_numerators folds each other block mod
+    m, reduces it modulo Phi_m and divides it by da[i]*db[j].
     """
+    (ia, da), (ib, db) = a, b
     deg = _degree(m)
-    da = [_common_denominator(a[i * inner:(i + 1) * inner]) for i in range(rows)]
-    db = [_common_denominator(b[j::cols]) for j in range(cols)]
-    ia = [_numerators(e, da[at // inner]) for at, e in enumerate(a)]
-    ib = [_numerators(e, db[at % cols]) for at, e in enumerate(b)]
     top_a = max([abs(v) for e in ia for _, v in e], default=0)
     top_b = max([abs(v) for e in ib for _, v in e], default=0)
     w = _kronecker_width(inner * deg * top_a * top_b)

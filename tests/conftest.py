@@ -303,6 +303,12 @@ def planted_modularity_datum(rng: random.Random, size: int,
     return datum, zeta
 
 
+def planted_datum(size: int, seed: int) -> ModularDatum:
+    """The datum of planted_modularity_datum(random.Random(seed), size), from
+    arguments that JSON can carry (tools/instances.json)."""
+    return planted_modularity_datum(random.Random(seed), size)[0]
+
+
 def perturb_block(datum: ModularDatum, block_index: int, i: int, j: int,
                   delta: CycScalar) -> ModularDatum:
     """Copy of datum with one S' entry shifted by delta."""

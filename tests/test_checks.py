@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import random
 import time
@@ -10,6 +11,7 @@ import pytest
 from conftest import (
     group_element,
     perturb_block,
+    perturbed_emitted_datum,
     planted_modularity_datum,
     pointed_datum,
     pointed_zeta,
@@ -42,8 +44,9 @@ from relmod.datum import (
     modified_S,
     parse_degree,
     save_datum,
+    scaled_block,
 )
-from relmod.matrices import ExactMatrix, _modulus, _variable_residue
+from relmod.matrices import ExactMatrix, ScaledBlock, _Certified, _modulus, _variable_residue
 from relmod.scalars import CycScalar, parse_scalar
 from relmod.sl21 import emit_datum
 from relmod.verdicts import DATA_ABSENT, FAILS, HOLDS, HYPOTHESIS_NOT_MET
@@ -313,8 +316,8 @@ class TestRankConstancy:
         path = str(tmp_path / "pointed5.json")
         save_datum(pointed_datum(5, random.Random(5)), path)
         calls = []
-        original = ExactMatrix._rank_certificate
-        monkeypatch.setattr(ExactMatrix, "_rank_certificate",
+        original = _Certified._rank_certificate
+        monkeypatch.setattr(_Certified, "_rank_certificate",
                             lambda self, p, root: calls.append(self) or original(self, p, root))
         assert cli.main(["check", "all", "--datum", path, "--format", "json"]) == 0
         # each S' block's rank is read once, off a holding modularity identity
@@ -342,9 +345,11 @@ class TestIdentityRanks:
 
     @pytest.fixture
     def certified(self, monkeypatch):
+        # every matrix's certificate, an ExactMatrix's or a view's of S_{g,h}
+        # (datum.scaled_block)
         calls = []
-        original = ExactMatrix._rank_certificate
-        monkeypatch.setattr(ExactMatrix, "_rank_certificate",
+        original = _Certified._rank_certificate
+        monkeypatch.setattr(_Certified, "_rank_certificate",
                             lambda self, p, root: calls.append(self) or original(self, p, root))
         return calls, original
 
@@ -387,7 +392,7 @@ class TestIdentityRanks:
             if not zeta.is_zero and p == ExactMatrix.identity(p.rows, d.conductor) \
                     .scale_columns([zeta] * p.rows):
                 covered |= {(g, h), (h, d.negate(g))}
-        uncovered = [modified_S(d, b.row_degree, b.col_degree) for b in d.sprime
+        uncovered = [scaled_block(d, b.row_degree, b.col_degree) for b in d.sprime
                      if (b.row_degree, b.col_degree) not in covered]
         # pointed: the perturbed (-a, a) block is a factor of the two products
         # that fail, and the other three blocks of two that hold; planted: the
@@ -890,3 +895,87 @@ class TestRelabel:
             assert len(kernels) == len(_kernel_vectors(d, before))
             for m, vector in kernels:
                 _assert_kernel(m, vector)
+
+
+class TestNoWholeScaledMatrix:
+    """No check builds a whole exact S_{g,h}: modularity multiplies the
+    views' integer forms, a rank is certified from the view's F_p image and
+    the exact columns its sub-solves read, and dmug tests zeros on S' and
+    the dims (see datum.scaled_block)."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        scale, matrix = ExactMatrix.scale_columns, ScaledBlock.matrix
+        monkeypatch.setattr(ExactMatrix, "scale_columns",
+                            lambda self, diag: calls.append("scale_columns") or scale(self, diag))
+        monkeypatch.setattr(ScaledBlock, "matrix",
+                            lambda self: calls.append("matrix") or matrix(self))
+        return calls
+
+    @pytest.mark.parametrize("family", ["pointed", "planted", "premetric", "su2", "su2-even"])
+    def test_check_all(self, built, family):
+        d = {"pointed": lambda: pointed_datum(5, random.Random(5)),
+             "planted": lambda: planted_modularity_datum(random.Random(4), 4)[0],
+             "premetric": lambda: premetric_datum(15, 3, random.Random(15)),
+             "su2": lambda: su2_datum(6),
+             "su2-even": lambda: su2_datum(8, even=True)}[family]()
+        built.clear()    # the planted builder scales columns of its own
+        verdicts = check_all(d)
+        assert {v.status for v in verdicts} & {HOLDS, FAILS}
+        assert built == []
+
+    def test_check_nondeg_on_emitted_ell_5(self, built, tmp_path, capsys):
+        path = str(tmp_path / "sl21-ell5.json")
+        assert cli.main(["sl21", "emit", "--ell", "5", "--out", path]) == 0
+        capsys.readouterr()
+        assert cli.main(["check", "nondeg", "--g", "a", "--datum", path, "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        assert report["derived_scalars"]["rank(S_g)"] == "10"
+        assert built == []
+        built.clear()
+        assert check_nondegeneracy(perturbed_emitted_datum(5), G).status == FAILS
+        assert built == []
+
+
+def gauge(datum, g, c):
+    """datum with every dim of degree g multiplied by the unit c, and every
+    S' column of degree g (each block whose column degree is g) by c^-1.
+    S_{h,g} = S'_{h,g} diag(d_g) does not change, nor do Delta_+, Delta_-
+    or the symmetry of S_g, so no report may change."""
+    cinv = c.inverse()
+
+    def block(b):
+        if b.col_degree != g:
+            return b
+        m = b.matrix
+        return SBlock(b.row_degree, g, ExactMatrix(m.rows, m.cols, m.conductor,
+                                                   [e * cinv for e in m.entries]),
+                      b.row_labels, b.col_labels)
+    return dataclasses.replace(datum, dims={**datum.dims, g: tuple(x * c for x in datum.dims[g])},
+                               sprime=tuple(block(b) for b in datum.sprime))
+
+
+def _report(verdicts) -> str:
+    return json_text([v.to_json() for v in verdicts]) + "".join(v.render_text() for v in verdicts)
+
+
+class TestDimGauge:
+    """The dim gauge d_g -> c d_g, S'_{., g} -> S'_{., g} c^-1 leaves every
+    S-matrix as it is, so check all reports byte for byte the same: with a
+    field unit of one term or several, and with a formal variable, which
+    takes the product of whole matrices and the residues mod p."""
+
+    @pytest.mark.parametrize("family", ["pointed", "planted", "su2", "su2-even"])
+    def test_reports_are_byte_identical(self, family):
+        d = {"pointed": lambda: pointed_datum(5, random.Random(5)),
+             "planted": lambda: planted_modularity_datum(random.Random(3), 3)[0],
+             "su2": lambda: su2_datum(4),
+             "su2-even": lambda: su2_datum(6, even=True)}[family]()
+        m = d.conductor
+        units = [CycScalar.zeta(m, 1) * 2, CycScalar.one(m) + CycScalar.zeta(m, m - 1),
+                 CycScalar.rational(Fraction(-3, 2), m) * CycScalar.variable("x", m)]
+        want = _report(check_all(d))
+        for g in d.degrees:
+            for c in units:
+                assert _report(check_all(gauge(d, g, c))) == want, (str(g), str(c))

@@ -36,7 +36,7 @@ from relmod.datum import (
     save_datum,
     validate_datum,
 )
-from relmod.matrices import ExactMatrix
+from relmod.matrices import ExactMatrix, _Certified
 from relmod.scalars import MAX_CONDUCTOR, CycScalar, parse_scalar
 from relmod.sl21 import emit_datum
 from relmod.verdicts import FAILS, HOLDS
@@ -538,7 +538,7 @@ class TestModifiedSMemo:
         # the counter sees the work: S_g is 20 x 20, scaled by 20 dims
         g = Degree(alpha=1)
         s = modified_S(d, g)
-        assert len(calls) == 400 and d.__dict__["_memo"][("S", g, g)] is s
+        assert len(calls) == 400 and d.__dict__["_memo"][("S", g, g)].matrix() is s
 
     @pytest.mark.parametrize("make, edits, pair", [
         (lambda: emit_datum(5), [((7, 3), "d0_1^-1")], (3, 7)),
@@ -783,13 +783,13 @@ class TestDeltaMemo:
 
     def test_check_all_computes_each_degree_once(self, delta_calls, monkeypatch):
         ranked = []
-        original = ExactMatrix._rank_and_kernel
+        original = _Certified._rank_and_kernel
 
         def recording(self):
             ranked.append(self)
             return original(self)
 
-        monkeypatch.setattr(ExactMatrix, "_rank_and_kernel", recording)
+        monkeypatch.setattr(_Certified, "_rank_and_kernel", recording)
         d = pointed_datum(5, random.Random(3))
         verdicts = check_all(d)
         assert all(v.status == HOLDS for v in verdicts)

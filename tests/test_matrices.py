@@ -15,14 +15,17 @@ from conftest import (
     planted_modularity_datum,
     perturbed_emitted_datum,
     pointed_datum,
+    premetric_datum,
     random_matrix,
+    su2_datum,
     zero_matrix,
 )
 import relmod.matrices
 from relmod import cli
-from relmod.datum import Degree, modified_S, save_datum
-from relmod.matrices import ExactMatrix, _clear_mod, _gauss_jordan, _modulus, _variable_residue
-from relmod.scalars import CycScalar, InexactDivision, _degree, parse_scalar
+from relmod.datum import Degree, modified_S, save_datum, scaled_block
+from relmod.matrices import (ExactMatrix, ScaledBlock, _clear_mod, _gauss_jordan, _modulus,
+                             _variable_residue)
+from relmod.scalars import CycScalar, InexactDivision, _degree, _from_numerators, parse_scalar
 from relmod.sl21 import emit_datum
 
 
@@ -594,6 +597,23 @@ class TestProduct:
             assert (a @ b).entries == reference_product(a, b)
             assert calls == ([(2, 2, 2)] if taken else [])
 
+    def test_each_row_and_column_keeps_its_denominator(self, monkeypatch):
+        # rows of A, and columns of B, over unrelated denominators are not put
+        # over one, which would widen every numerator by all of them
+        forms = []
+        packed = relmod.matrices._packed_product
+
+        def recording(m, a, b, *shape):
+            forms.append((a[1], b[1]))
+            return packed(m, a, b, *shape)
+
+        monkeypatch.setattr(relmod.matrices, "_packed_product", recording)
+        q = Fraction
+        a = ExactMatrix.from_rows([[rat(q(1, 3)), rat(q(2, 3))], [rat(q(1, 7)), one()]], 5)
+        b = ExactMatrix.from_rows([[rat(q(1, 11)), rat(q(1, 13))], [rat(q(2, 11)), one()]], 5)
+        assert (a @ b).entries == reference_product(a, b)
+        assert forms == [([3, 7], [11, 13])]
+
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_scale_columns_matches_the_entrywise_loop(self, data):
@@ -718,3 +738,129 @@ class TestTextBacked:
     def test_the_text_count_must_match_the_shape(self):
         with pytest.raises(ValueError, match="expected 4 texts, got 3"):
             ExactMatrix.from_texts(2, 2, 5, ["1", "u", "0"])
+
+
+# The conductors of the scaled-block oracle: the trivial field, small prime,
+# prime-power and composite conductors, and 2^7, whose Phi has degree 64.
+VIEW_CONDUCTORS = (1, 3, 4, 5, 8, 12, 15, 128)
+
+
+@st.composite
+def dims(draw, m: int, n: int) -> list[CycScalar]:
+    """n modified dimensions: 1, one term c*zeta^k (k may pass deg Phi_m,
+    which makes several terms), a field element of several terms, or,
+    rarely, 0 or a formal variable times one of those."""
+    out = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["one"] * 2 + ["term"] * 3 + ["sum"] * 2 + ["zero", "symbolic"]))
+        if kind == "one":
+            d = CycScalar.one(m)
+        elif kind == "zero":
+            d = CycScalar.zero(m)
+        elif kind == "sum":
+            d = draw(field_elements(m).filter(bool))
+        else:
+            d = CycScalar.zeta(m, draw(st.integers(0, m - 1))) * draw(big_fractions.filter(bool))
+            if kind == "symbolic":
+                d = d * CycScalar.variable("x", m, draw(st.sampled_from([-1, 1])))
+        out.append(d)
+    return out
+
+
+@st.composite
+def scaled_products(draw):
+    """(a, da, b, db): S' blocks a (rows x inner) and b (inner x cols), with
+    zero entries and Fraction coefficients, and the dims of their columns."""
+    m = draw(st.sampled_from(VIEW_CONDUCTORS))
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    a, b = draw(operands(m, rows, inner)), draw(operands(m, inner, cols))
+    return a, draw(dims(m, inner)), b, draw(dims(m, cols))
+
+
+def decoded(view: ScaledBlock) -> tuple[CycScalar, ...]:
+    """The entries that the view's integer form stands for."""
+    nums, den = view.integer_form()
+    deg = _degree(view.conductor)
+    out = []
+    for e in nums:
+        digits = [0] * deg
+        for t, v in e:
+            digits[t] = v
+        out.append(_from_numerators(view.conductor, digits, den))
+    return tuple(out)
+
+
+def _view_families():
+    """(name, datum) for every family of tests/conftest.py."""
+    yield "pointed n=5", pointed_datum(5, random.Random(5))
+    yield "planted size 4", planted_modularity_datum(random.Random(3), 4)[0]
+    yield "pre-metric (15, 3)", premetric_datum(15, 3, random.Random(15))
+    yield "Verlinde SU(2)_6", su2_datum(6)
+    yield "Verlinde SU(2)_8 even", su2_datum(8, even=True)
+    yield "emitted ell=3", emit_datum(3)
+    yield "emitted ell=5", emit_datum(5)
+    yield "perturbed emitted ell=5", perturbed_emitted_datum(5)
+
+
+class TestScaledBlock:
+    """The view of S = S' diag(d) gives what the whole exact matrix, the old
+    route, gives: its integer form stands for the scaled entries, the product
+    of two views is the product of the two scaled matrices, and its F_p
+    image, exact columns and rank are the matrix's."""
+
+    @given(drawn=scaled_products())
+    @example(drawn=(_matrix(5, 1, 1, [CycScalar.zeta(5, 3)]), [CycScalar.zeta(5, 3) * 7],
+                    _matrix(5, 1, 1, [Fraction(1, 3)]), [CycScalar.zeta(5, 4) * Fraction(2, 3)]))
+    @example(drawn=(_matrix(128, 1, 2, [CycScalar.zeta(128, 63), 0]),
+                    [CycScalar.zeta(128, 100), CycScalar.one(128)],
+                    _matrix(128, 2, 1, [Fraction(-5, 7), 1]), [CycScalar.zeta(128, 1) + 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_product_of_views_is_the_product_of_the_scaled_matrices(self, drawn):
+        a, da, b, db = drawn
+        va, vb = ScaledBlock(a, da), ScaledBlock(b, db)
+        sa, sb = a.scale_columns(da), b.scale_columns(db)
+        for view, m, scaled in ((va, a, sa), (vb, b, sb)):
+            assert [view.is_zero(i, j) for i in range(m.rows) for j in range(m.cols)] == \
+                [e.is_zero for e in scaled.entries]
+            if any(vk for e in m.entries + view.dims for _, vk in e.coeffs):
+                assert view.integer_form() is None
+            else:
+                assert decoded(view) == scaled.entries
+        got = (va @ vb).entries
+        want = reference_product(sa, sb)
+        assert len(got) == len(want) == a.rows * b.cols
+        for x, y, z in zip(got, want, (sa @ sb).entries):
+            assert x == y == z and str(x) == str(y), (str(x), str(y))
+
+    def test_shape_mismatch(self):
+        v = ScaledBlock(ExactMatrix.identity(2, 5), [one(), one()])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            v @ ScaledBlock(ExactMatrix.identity(3, 5), [one()] * 3)
+        with pytest.raises(ValueError, match="diagonal length mismatch"):
+            ScaledBlock(ExactMatrix.identity(2, 5), [one()])
+
+    @pytest.mark.parametrize("family", [name for name, _ in _view_families()])
+    def test_image_columns_and_rank_are_the_scaled_matrix_s(self, family):
+        d = dict(_view_families())[family]
+        for b in d.sprime:
+            g, h = b.row_degree, b.col_degree
+            view, s = ScaledBlock(b.matrix, d.dims[h]), modified_S(d, g, h)
+            for k in (0, 1):
+                modulus = _modulus(d.conductor, k)
+                assert view._image_mod_p(*modulus) == s._image_mod_p(*modulus)
+            assert [view.column(j) for j in range(s.cols)] == \
+                [s.column(j) for j in range(s.cols)]
+            assert all(view.is_zero(i, j) == s[i, j].is_zero
+                       for i in range(s.rows) for j in range(s.cols))
+            assert view._rank_and_kernel() == s._rank_and_kernel()
+            assert view.matrix() == s
+            assert scaled_block(d, g, h).matrix() is s
+
+    def test_faces_are_kept(self):
+        d = pointed_datum(3, random.Random(3))
+        g = Degree(alpha=1)
+        view = scaled_block(d, g)
+        assert scaled_block(d, g, g) is view
+        assert view.integer_form() is view.integer_form()
+        assert view.column(1) is view.column(1)
+        assert view.matrix() is view.matrix() is modified_S(d, g)

@@ -1277,6 +1277,18 @@ class TestFieldProduct:
             assert (x * y).coeffs == canon_product(x, y)
             assert len(calls) == 1
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_packed_digits_unpack_to_themselves(self, data):
+        # _pack_digits is _unpack's inverse at every width _kronecker_width
+        # gives: machine words, then whole bytes
+        w = data.draw(st.sampled_from([8, 16, 32, 64, 72, 128, 200]))
+        bound = (1 << (w - 1)) - 1
+        digits = data.draw(st.lists(st.integers(-bound, bound), max_size=12))
+        x = scalars_mod._pack_digits(digits, w)
+        assert x == scalars_mod._pack(list(enumerate(digits)), w)
+        assert scalars_mod._unpack(x, w, len(digits)) == digits
+
     def test_digits_at_every_packing_width(self, monkeypatch):
         # product digits just below, at and just above 2^7, 2^15, 2^31 and
         # 2^63 and far above 64 bits, with the L1 bound that sets the width
