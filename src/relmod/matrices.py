@@ -36,21 +36,18 @@ column itself.  The inverse runs the same elimination on [A | I], followed
 by one exact division by the last pivot, +-det(A).  Nothing is random, so
 every answer is deterministic.
 
-A product A @ B whose operands are both free of formal variables goes
-through the packed kernel of scalars.py on the operands' integer forms:
-each row of A and each column of B is put over its own common denominator
-(a ScaledBlock gives one for the whole block), each entry's integer
-vector over 1, zeta, .., zeta^(deg-1) is packed into one int, a dot product
-is a sum of plain int products, and each output entry is reduced modulo
-Phi_m and divided once.  The S blocks whose products decide relative
-modularity are dense, since condition (2) asks for an everywhere-nonzero
-row, so one reduction per entry replaces one per term; ScaledBlock @
-ScaledBlock hands the kernel the integer forms it keeps (below).  A product
-with a formal variable multiplies and adds CycScalars row by row
+A product A @ B of two matrices multiplies and adds CycScalars row by row
 (Gustavson's row-wise sparse product): each row of B is listed once as its
 nonzero (column, entry) pairs, and row i of the product accumulates a * b
 over the nonzero a = A[i, k] and the pairs of row k, so the inner loop
-visits no zero of B.
+visits no zero of B.  The products that decide relative modularity are
+ScaledBlock @ ScaledBlock (below), and they go through the packed kernel of
+scalars.py when both blocks are free of formal variables: each block's
+integer form is over one denominator, each entry's integer vector over
+1, zeta, .., zeta^(deg-1) is packed into one int, a dot product is a sum of
+plain int products, and each output entry is reduced modulo Phi_m and
+divided once.  Those blocks are dense, since condition (2) asks for an
+everywhere-nonzero row, so one reduction per entry replaces one per term.
 The sparse sl(2|1) generators take neither route: the relation check works
 on their nonzero entries (see sl21/reps.py).
 
@@ -111,8 +108,8 @@ from functools import lru_cache
 from itertools import count
 
 from .scalars import (CycScalar, InexactDivision, ScalarParseError, _integer_form,
-                      _packed_product, _read_canonical, _row_column_forms, _times_numerators,
-                      parse_scalar, products_equal)
+                      _packed_product, _read_canonical, _times_numerators, parse_scalar,
+                      products_equal)
 
 
 def _is_prime(n: int) -> bool:
@@ -178,8 +175,8 @@ def _witness(vec: list[CycScalar]) -> list[CycScalar]:
 
 
 def _packs(entries: list[CycScalar]) -> bool:
-    """Whether a product operand takes the packed kernel: no formal variable
-    in any of its entries."""
+    """Whether entries have an integer form for the packed kernel: no formal
+    variable in any of them."""
     return not any(vk for e in entries for _, vk in e.coeffs)
 
 
@@ -428,11 +425,6 @@ class ExactMatrix(_Certified):
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if _packs(self.entries) and _packs(other.entries):
-            return ExactMatrix(self.rows, other.cols, self.conductor, _packed_product(
-                self.conductor, *_row_column_forms(self.entries, other.entries, self.rows,
-                                                   self.cols, other.cols),
-                self.rows, self.cols, other.cols))
         n, oc = self.cols, other.cols
         # row k of B as its nonzero (column, entry) pairs, built once
         b_rows = [[(j, b) for j, b in enumerate(other.entries[k * oc:(k + 1) * oc]) if b.coeffs]
@@ -662,8 +654,5 @@ class ScaledBlock(_Certified):
         a, b = self.integer_form(), other.integer_form()
         if a is None or b is None:
             return self.matrix() @ other.matrix()
-        # the one denominator of each view, for every row of a and column of b
-        (ia, da), (ib, db) = a, b
         return ExactMatrix(self.rows, other.cols, self.conductor, _packed_product(
-            self.conductor, (ia, [da] * self.rows), (ib, [db] * other.cols),
-            self.rows, self.cols, other.cols))
+            self.conductor, a, b, self.rows, self.cols, other.cols))

@@ -133,13 +133,13 @@ back as a machine word (w up to 64 bits) or a byte slice; the digits go to
 divides each coefficient once.  ``_from_packed`` does both for one packed
 polynomial, whose bit length gives its number of digits.
 
-A matrix product over Q(zeta_m) may go through ``_packed_product``, which
-takes each operand in an integer form: each entry as an integer vector over
-1, zeta, .., zeta^(deg-1), over one common denominator per row of the left
-operand and per column of the right one (``_row_column_forms``), or, for a
-scaled S block, one for the whole block (``_integer_form``).  It sums each
-dot product as plain int products of packed ints and unpacks each row of the
-product once, and it returns the canonical form that ``_canon`` would.
+The product of two scaled S blocks over Q(zeta_m) goes through
+``_packed_product``, which takes each operand in its integer form
+(``_integer_form``): each entry as an integer vector over
+1, zeta, .., zeta^(deg-1), over one denominator for the whole block.  It
+sums each dot product as plain int products of packed ints and unpacks each
+row of the product once, and it returns the canonical form that ``_canon``
+would.
 ``_times_numerators`` scales one column of such vectors by one more vector,
 a modified dimension's, by one packed product per column, and folds each
 entry back to deg coefficients (``_fold``); so a scaled S block reaches the
@@ -366,18 +366,6 @@ def _integer_form(entries) -> tuple[list[list[tuple[int, int]]], int]:
     return out, d
 
 
-def _row_column_forms(a, b, rows: int, inner: int, cols: int) -> tuple[tuple, tuple]:
-    """The operands of _packed_product for the variable-free row-major
-    entries a (rows x inner) and b (inner x cols): each row of a over its own
-    common denominator, and each column of b over its own, so rows or
-    columns with unrelated denominators do not widen each other's
-    numerators."""
-    da = [_common_denominator(a[i * inner:(i + 1) * inner]) for i in range(rows)]
-    db = [_common_denominator(b[j::cols]) for j in range(cols)]
-    return ([_numerators(e, da[at // inner]) for at, e in enumerate(a)], da), \
-        ([_numerators(e, db[at % cols]) for at, e in enumerate(b)], db)
-
-
 def _times_numerators(m: int, column: list[list[tuple[int, int]]],
                       factor: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
     """Each numerator vector of column times the numerator vector factor,
@@ -489,13 +477,12 @@ def _from_packed(m: int, x: int, w: int, d: int) -> "CycScalar":
     return _from_numerators(m, _unpack(x, w, abs(x).bit_length() // w + 1), d)
 
 
-def _packed_product(m: int, a: tuple[list, list[int]], b: tuple[list, list[int]],
+def _packed_product(m: int, a: tuple[list, int], b: tuple[list, int],
                     rows: int, inner: int, cols: int) -> list["CycScalar"]:
     """Entries of the product of the rows x inner matrix a and the inner x
-    cols matrix b, by packed integer dot products.  Each operand is given as
-    (numerators, denominators): its row-major numerator vectors over
-    1, zeta, .., zeta^(deg-1), row i of a over da[i] and column j of b over
-    db[j] (see _row_column_forms and _integer_form).
+    cols matrix b, by packed integer dot products.  Each operand is given in
+    its integer form (numerators, d) (_integer_form): its row-major numerator
+    vectors over 1, zeta, .., zeta^(deg-1), all over the one denominator d.
 
     An integer vector (v_0, .., v_(deg-1)) is packed into the one int
     sum v_t 2^(w t) (Kronecker substitution, _pack).  Every coefficient of a
@@ -507,9 +494,11 @@ def _packed_product(m: int, a: tuple[list, list[int]], b: tuple[list, list[int]]
     times row k of b: its cols blocks of 2 deg - 1 digits are the entries'
     dot products.  The row is unpacked once (_unpack), a block of zero
     digits is a zero entry, and _from_numerators folds each other block mod
-    m, reduces it modulo Phi_m and divides it by da[i]*db[j].
+    m, reduces it modulo Phi_m and divides it by the two denominators'
+    product.
     """
     (ia, da), (ib, db) = a, b
+    d = da * db
     deg = _degree(m)
     top_a = max([abs(v) for e in ia for _, v in e], default=0)
     top_b = max([abs(v) for e in ib for _, v in e], default=0)
@@ -530,7 +519,7 @@ def _packed_product(m: int, a: tuple[list, list[int]], b: tuple[list, list[int]]
         digits = _unpack(s, w, span * cols)
         for j in range(cols):
             block = digits[j * span:(j + 1) * span]
-            out.append(_from_numerators(m, block, da[i] * db[j]) if any(block) else zero)
+            out.append(_from_numerators(m, block, d) if any(block) else zero)
     return out
 
 

@@ -10,9 +10,12 @@ S_{g,h} S_{h,-g} = (n * s1 * s2) Id exactly.
 
 from __future__ import annotations
 
+import difflib
 import math
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from relmod.datum import (
     Degree,
@@ -25,6 +28,39 @@ from relmod.datum import (
 from relmod.matrices import ExactMatrix, _modulus, _variable_residue
 from relmod.scalars import CycScalar
 from relmod.sl21.datum_gen import emit_datum
+
+
+# The test inputs and golden files (see assert_golden).
+DATA = Path(__file__).parent / "data"
+
+# How many lines of unified diff a golden mismatch shows.
+GOLDEN_DIFF_LINES = 40
+
+
+def assert_golden(name: str, text: str) -> None:
+    """Assert that text, encoded as UTF-8, is byte for byte the golden file
+    DATA/name.  The file is read as bytes, so no newline is translated.  On
+    a mismatch, text is written to a temporary file out of the checkout, and
+    the failure names the first differing line, shows the first lines of a
+    unified diff and names that file: a re-pin is an edit of the golden file,
+    or a copy of the actual text over it."""
+    got, want = text.encode(), (DATA / name).read_bytes()
+    if got == want:
+        return
+    with tempfile.NamedTemporaryFile("wb", prefix="golden-", suffix="-" + name,
+                                     delete=False) as f:
+        f.write(got)
+    old = want.decode(errors="replace").splitlines(keepends=True)
+    new = text.splitlines(keepends=True)
+    first = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b),
+                 min(len(old), len(new)))
+    # a last line with no newline is marked as diff(1) marks it
+    old, new = ([line if line.endswith("\n") else line + "\n\\ No newline at end of file\n"
+                 for line in lines] for lines in (old, new))
+    diff = list(difflib.unified_diff(old, new, f"tests/data/{name}", f.name, n=1))
+    raise AssertionError(
+        f"{name} differs from its golden file at line {first + 1}; the actual text is in "
+        f"{f.name}\n" + "".join(diff[:GOLDEN_DIFF_LINES]))
 
 
 # Degree texts that parse_degree rejects: each is something Degree.__str__

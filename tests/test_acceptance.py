@@ -60,7 +60,8 @@ G = Degree(alpha=1)
 
 # SHA-256 of the files `sl21 emit --ell N` writes: S' is emitted as texts
 # formatted from the orbit formula, which must stay the texts str() prints of
-# the product-built entries
+# the product-built entries.  These stay digests, not golden files, since the
+# golden sl21_ell5.json already shows any emit change line by line.
 EMITTED_SHA256 = {
     7: "46ed71a0d5008fc1e78bcc93bd54864ffae112bbe8f23fefc91532b9872ab125",
     9: "3aaf11478c7539c565f493857d4a98bae270ed16dcae776c06da4b99dd1625d7",

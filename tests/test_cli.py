@@ -2,7 +2,6 @@ import argparse
 import contextlib
 import dataclasses
 import gc
-import hashlib
 import io
 import json
 import os
@@ -26,8 +25,6 @@ from relmod.datum import DatumInvariantError, DatumSchemaError, SBlock, dumps_da
 from relmod.matrices import ExactMatrix
 from relmod.scalars import MAX_CONDUCTOR, CycScalar
 from relmod.sl21 import emit_datum
-
-DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -405,7 +402,7 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", "nondeg", "--g", "a",
                            "--datum", "sl21-ell3.json", "--format", "json")
         assert code == 1
-        assert out == (DATA / "sl21_ell3_nondeg.json").read_text()
+        conftest.assert_golden("sl21_ell3_nondeg.json", out)
 
     def test_sl21_ell3_witness_is_proportional_to_the_bareiss_one(self, capsys, tmp_path,
                                                                   monkeypatch):
@@ -422,7 +419,7 @@ class TestCheckCommand:
             return [parse_scalar(t, 3) for t in text.strip().strip("()").split(", ")]
 
         new = vector(witness["value"])
-        old = vector((DATA / "sl21_ell3_kernel_bareiss.txt").read_text())
+        old = vector((conftest.DATA / "sl21_ell3_kernel_bareiss.txt").read_text())
         assert new == vector("(0, 0, u^-2, 1, 0, 0)")
         assert len(old) == len(new) == 6
         assert all(new[i] * old[j] == new[j] * old[i] for i in range(6) for j in range(6))
@@ -609,12 +606,6 @@ def _z2_toy_closure(doc, finite_a):
     return doc
 
 
-# SHA-256 over (argv, exit code, stdout) of every invocation in
-# `_pinned_invocations`, one JSON line each.  A change to the scalar or matrix
-# kernels must leave these reports as they are.
-PINNED_REPORTS_SHA256 = "4cc689ba0402e908b720c845f63dcef5de9f442e4f08d91c634a0587cbf8e39e"
-
-
 def _python_m_relmod(argv, **kwargs):
     """Run `python -m relmod *argv` in a fresh process, with this checkout's
     package first on PYTHONPATH."""
@@ -669,7 +660,6 @@ class TestColdProcessArgparse:
 
 def _pinned_invocations(tmp_path):
     import random
-    import conftest
     from relmod.closure import toy_expressions
     data = {f"pointed-{n}.json": conftest.pointed_datum(n) for n in (3, 5)}
     for size in (1, 2, 3, 4):
@@ -685,24 +675,33 @@ def _pinned_invocations(tmp_path):
         yield ["closure", "certify", "--expr", expr, "--format", "json"]
 
 
+def _record(header: str, text: str) -> str:
+    """One record of the golden report files: a header line that ends with
+    text's line count, then text as printed."""
+    assert text.endswith("\n") or not text, header
+    lines = text.count("\n")
+    return f"==> {header}, {lines} lines\n{text}"
+
+
+def _invocation(capsys, argv) -> str:
+    """The record of main(argv): its argv as JSON and exit code, then its
+    stdout."""
+    code, out, _ = run(capsys, *argv)
+    return _record(f"{json.dumps(argv)} exit {code}", out)
+
+
 class TestPinnedReports:
+    # A change to the scalar or matrix kernels must leave these reports as
+    # they are.
     def test_check_all_and_certify_reports_are_pinned(self, capsys, tmp_path, monkeypatch):
-        import hashlib
         monkeypatch.chdir(tmp_path)
-        digest = hashlib.sha256()
-        for argv in _pinned_invocations(tmp_path):
-            code, out, _ = run(capsys, *argv)
-            digest.update((json.dumps([argv, code, out]) + "\n").encode())
-        assert digest.hexdigest() == PINNED_REPORTS_SHA256
+        records = [_invocation(capsys, argv) for argv in _pinned_invocations(tmp_path)]
+        conftest.assert_golden("check_all_and_certify_reports.txt", "".join(records))
 
 
-# SHA-256 over (argv, exit code, stdout) of every invocation in
-# `_pinned_commands`, one JSON line each, followed by the bytes of any file an
-# `--out` invocation wrote.  It pins the reports of the sl21 and closure
-# subcommands that `PINNED_REPORTS_SHA256` does not reach.
-PINNED_COMMANDS_SHA256 = "27725a5b13ddc1cb4cd97d4c2c2e39f8dffa715ab772557810200bcbef586669"
-
-
+# The reports of the sl21 and closure subcommands that the pinned check all
+# and certify reports do not reach, with each file an `--out` invocation
+# writes after its record.
 def _pinned_commands():
     for fmt in ("json", "text"):
         tail = ["--format", fmt]
@@ -725,15 +724,14 @@ def _pinned_commands():
 
 class TestPinnedCommands:
     def test_sl21_and_closure_reports_are_pinned(self, capsys, tmp_path, monkeypatch):
-        import hashlib
         monkeypatch.chdir(tmp_path)
-        digest = hashlib.sha256()
+        records = []
         for argv in _pinned_commands():
-            code, out, _ = run(capsys, *argv)
-            digest.update((json.dumps([argv, code, out]) + "\n").encode())
+            records.append(_invocation(capsys, argv))
             if "--out" in argv:
-                digest.update((tmp_path / argv[argv.index("--out") + 1]).read_bytes())
-        assert digest.hexdigest() == PINNED_COMMANDS_SHA256
+                name = argv[argv.index("--out") + 1]
+                records.append(_record(f"file {name}", (tmp_path / name).read_bytes().decode()))
+        conftest.assert_golden("sl21_and_closure_reports.txt", "".join(records))
 
 
 def _two_label_doc(**edits):
@@ -1148,27 +1146,20 @@ class TestOneParsePass:
         assert code == 0 and "k=0, i=1" in out
 
 
-# SHA-256 of the help text each argv prints, at COLUMNS=80 on Python 3.11,
-# whose argparse lays help out as these pins expect.  The parsers are built
-# from the option table in relmod.cli; the pins keep their help and usage
-# text as it was when each parser was written out by hand.
-PINNED_HELP_SHA256 = {
-    "-h": "3c645de0f5241f5235ce46bb1ea0fcbf71079d19601659285cae5ffba395135a",
-    "check -h": "3fdc85c6175d0de2740e5a19b0d4fac5b9e824f7d53820fbad79742af46348fd",
-    "sl21 -h": "7b92e6b7f0af8488f9f5a3f4a293d067ec3bd96c9efed22fc77a8a1e47116e62",
-    "closure -h": "b69c534bcbedf133d74bd15faab8b692b185736fa1a087fb3cc5f956a588ffb2",
-}
-
-
 class TestPinnedHelp:
+    # The help text each argv prints, at COLUMNS=80 on Python 3.11, whose
+    # argparse lays help out as the golden files expect: "check -h" prints
+    # help_check.txt.  The parsers are built from the option table in
+    # relmod.cli; the golden files keep their help and usage text as it was
+    # when each parser was written out by hand.
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                         reason="the help pins are taken on Python 3.11")
-    @pytest.mark.parametrize("argv", sorted(PINNED_HELP_SHA256))
+    @pytest.mark.parametrize("argv", ["-h", "check -h", "closure -h", "sl21 -h"])
     def test_help_text_is_pinned(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
         code, out, err = run(capsys, *argv.split())
         assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HELP_SHA256[argv]
+        conftest.assert_golden("_".join(["help", *argv.split()[:-1]]) + ".txt", out)
 
 
 def _argparse_alone(argv):

@@ -15,7 +15,8 @@ _spec = importlib.util.spec_from_file_location("scale", ROOT / "tools" / "scale.
 scale = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(scale)
 
-# SHA-256 of the report of `sl21 rank-bound --ell 3 --format json`
+# SHA-256 of the report of `sl21 rank-bound --ell 3 --format json`: a digest,
+# since what is tested is the runner's own `sha256` row field.
 RANK_BOUND_3_SHA256 = "781aadc49d1f7c5f44aa43fcac906ee4aeafdf63caee417b6f95c1a87903d03d"
 
 ROW = {"name": "rank-bound-3", "claim": "the S-matrix at ell = 3 has rank at most 3",

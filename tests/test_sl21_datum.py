@@ -1,9 +1,9 @@
-import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import assert_golden
 from relmod.checks import check_nondegeneracy, check_premodular_inputs
 import relmod.cli
 import relmod.matrices
@@ -42,17 +42,14 @@ class TestRankBound:
             rank_bound_analysis(4)
 
 
-# SHA-256 of the file `relmod sl21 emit --ell 5` writes.  A change to the
-# scalar arithmetic must leave the emitted bytes as they are.
-EMIT_ELL5_SHA256 = "96eef8b7edf691d74c00c4418b1e68e02ade4f580dce03dc1b350f8d7c965ba7"
-
-
 class TestEmittedDatum:
+    # A change to the scalar arithmetic must leave the bytes that
+    # `relmod sl21 emit --ell 5` writes as they are.
     def test_emitted_ell5_bytes_are_pinned(self, capsys, tmp_path):
         path = tmp_path / "sl21-ell5.json"
         assert main(["sl21", "emit", "--ell", "5", "--out", str(path)]) == 0
         capsys.readouterr()
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == EMIT_ELL5_SHA256
+        assert_golden("sl21_ell5.json", path.read_bytes().decode())
 
     def test_loads_and_validates(self):
         d = emit_datum(3)

@@ -1,11 +1,9 @@
-import hashlib
-import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import diagonal_matrix, zero_matrix
+from conftest import assert_golden, diagonal_matrix, zero_matrix
 from relmod.matrices import ExactMatrix
 from relmod.scalars import CycScalar, quantum_integer
 from relmod.sl21 import (
@@ -311,21 +309,23 @@ class TestTensor:
             assert K(t, 1)[p, p] == CycScalar.zeta(5, h2)
 
 
-# SHA-256 of the E and F entries of tensor_rep(A_k1, A_k2) at ell = 3, 5, 7,
-# for k1 in (1, 2) and every k2, in the order E1, E2, F1, F2.
-TENSOR_EF_SHA256 = "e1877fecbc37eb8394d8fd604cf5849cb7a33c9cc42651f71db7dcb69076b3dd"
+# The products whose generators tensor_ef.txt pins: tensor_rep(A_k1, A_k2)
+# at ell = 3, 5, 7, for k1 in (1, 2) and every k2.
+TENSOR_PRODUCTS = [(ell, k1, k2) for ell in (3, 5, 7) for k1 in (1, 2) for k2 in range(1, ell)]
 
 
 def test_tensor_generators_are_pinned():
-    digest = hashlib.sha256()
-    for ell in (3, 5, 7):
-        for k1 in (1, 2):
-            for k2 in range(1, ell):
-                t = tensor_rep(build_Ak(k1, ell), build_Ak(k2, ell))
-                for m in (dense(x, t.dim, ell) for x in t.E + t.F):
-                    digest.update((json.dumps(
-                        [m.rows, m.cols, [str(x) for x in m.entries]]) + "\n").encode())
-    assert digest.hexdigest() == TENSOR_EF_SHA256
+    # each of E1, E2, F1, F2 as a line "ell=. k1=. k2=. name rowsxcols", then
+    # one line "row col value" for each nonzero entry in row-major order
+    lines = []
+    for ell, k1, k2 in TENSOR_PRODUCTS:
+        t = tensor_rep(build_Ak(k1, ell), build_Ak(k2, ell))
+        for name, x in zip(("E1", "E2", "F1", "F2"), t.E + t.F, strict=True):
+            m = dense(x, t.dim, ell)
+            lines.append(f"ell={ell} k1={k1} k2={k2} {name} {m.rows}x{m.cols}")
+            lines.extend(f"{i} {j} {m[i, j]}" for i in range(m.rows) for j in range(m.cols)
+                         if not m[i, j].is_zero)
+    assert_golden("tensor_ef.txt", "".join(line + "\n" for line in lines))
 
 
 @given(k=st.integers(1, 4), ell=st.sampled_from([5, 7]))
@@ -601,25 +601,15 @@ def test_tensor_generators_match_the_dense_koszul_kron(ell):
         assert dense(got, t.dim, ell) == want
 
 
-# SHA-256 of json_text(check_relations(rep).to_json()), one line each, for
-# every A_k at ell = 3, 5, 7, 9 under the "paper" then the "corrected"
-# convention, then for each tensor product of TENSOR_EF_SHA256's list.
-RELATIONS_SHA256 = "0d85ec035cce4c2e0d342308aa0fe7e3f8ae56d0e7c8d6757e3841c5e9da9279"
-
-
 def test_relation_reports_are_pinned():
-    digest = hashlib.sha256()
-    for ell in (3, 5, 7, 9):
-        for k in range(1, ell):
-            for conv in ("paper", "corrected"):
-                digest.update((json_text(check_relations(build_Ak(k, ell, conv)).to_json())
-                               + "\n").encode())
-    for ell in (3, 5, 7):
-        for k1 in (1, 2):
-            for k2 in range(1, ell):
-                t = tensor_rep(build_Ak(k1, ell), build_Ak(k2, ell))
-                digest.update((json_text(check_relations(t).to_json()) + "\n").encode())
-    assert digest.hexdigest() == RELATIONS_SHA256
+    # json_text(check_relations(rep).to_json()) and a newline, for every A_k
+    # at ell = 3, 5, 7, 9 under the "paper" then the "corrected" convention,
+    # then for each of TENSOR_PRODUCTS
+    reps = [build_Ak(k, ell, conv) for ell in (3, 5, 7, 9) for k in range(1, ell)
+            for conv in ("paper", "corrected")]
+    reps += [tensor_rep(build_Ak(k1, ell), build_Ak(k2, ell)) for ell, k1, k2 in TENSOR_PRODUCTS]
+    assert_golden("relations.txt",
+                  "".join(json_text(check_relations(rep).to_json()) + "\n" for rep in reps))
 
 
 # ---------------------------------------------------------------------------
@@ -730,12 +720,7 @@ def test_formal_variable_controls():
         assert [w.name.split(":")[0] for w in check_relations(bad).witnesses] == ["A3 (1,1)"]
 
 
-# SHA-256 of the stdout of `relmod sl21 relations --ell 61 --k 60`.
-RELATIONS_ELL61_SHA256 = "8d8dccf80607197c4c0671c5ffcd386f754fc185b5118fe84909e6c0cfd361d3"
-
-
 def test_relations_report_at_ell_61_is_pinned(capsys):
     from relmod.cli import main
     assert main(["sl21", "relations", "--ell", "61", "--k", "60", "--format", "json"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == RELATIONS_ELL61_SHA256
+    assert_golden("relations_ell61.json", capsys.readouterr().out)
