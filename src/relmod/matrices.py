@@ -86,10 +86,9 @@ makes the object a plain ExactMatrix.  ExactMatrix itself has no
 ``__getattr__``: CPython does not specialise attribute reads on a class that
 has one, so a matrix built from its entries, or read, pays nothing for it.
 The parse is one pass through the canonical reader of scalars.py, with one
-table of factor texts for the whole matrix.  A text that reader does not
-take goes to the general reader, and unless str() prints its value as that
-text ("0", or a numeral over 18 digits), the read raises ValueError naming
-it.  The canonical reader also takes a few spellings that str() does not
+table of factor texts for the whole matrix.  That reader takes every text
+str() prints; the read raises ValueError naming any text it does not take.
+The canonical reader also takes a few spellings that str() does not
 print, such as ``1*u`` or ``u^1``, at their values; a caller must not pass
 those, since the datum writer writes the texts as they are.  The texts fix
 every value, so a text-backed matrix is as immutable as any other.
@@ -107,9 +106,8 @@ from collections.abc import Iterable
 from functools import lru_cache
 from itertools import count
 
-from .scalars import (CycScalar, InexactDivision, ScalarParseError, _integer_form,
-                      _packed_product, _read_canonical, _times_numerators, parse_scalar,
-                      products_equal)
+from .scalars import (CycScalar, InexactDivision, _integer_form, _packed_product,
+                      _read_canonical, _times_numerators, products_equal)
 
 
 def _is_prime(n: int) -> bool:
@@ -560,28 +558,18 @@ class _TextMatrix(ExactMatrix):
     def __getattr__(self, name):
         if name != "entries":
             raise AttributeError(name)
-        m, factors = self.conductor, {}
-        # "0" and numerals over 18 digits are printed too, but only the
-        # general reader takes them
-        self.entries = tuple([e if (e := _read_canonical(t, m, factors)) is not None
-                              else _printed_value(t, m) for t in self.texts])
+        m, factors, entries = self.conductor, {}, []
+        for t in self.texts:
+            e = _read_canonical(t, m, factors)
+            if e is None:
+                raise ValueError(f"not a literal in the form str() prints: {t!r}")
+            entries.append(e)
+        self.entries = tuple(entries)
         self.__class__ = ExactMatrix
         return self.entries
 
     def __reduce__(self):
         return ExactMatrix.from_texts, (self.rows, self.cols, self.conductor, self.texts)
-
-
-def _printed_value(text: str, m: int) -> CycScalar:
-    """The value of text, which the canonical reader does not take; raises
-    ValueError naming text unless str() prints that value as text."""
-    try:
-        v = parse_scalar(text, m)
-        if str(v) == text:
-            return v
-    except ScalarParseError:
-        pass
-    raise ValueError(f"not a literal in the form str() prints: {text!r}")
 
 
 class ScaledBlock(_Certified):

@@ -80,13 +80,11 @@ coefficients alike.  ``_canon`` serves every product with a formal variable.
 
 Literals are read by ``parse_scalar``.  A literal in the form ``str()``
 prints is built as its coefficient dict with no arithmetic
-(``_read_canonical``).  That form is terms joined by ' + ' or ' - ', the
-first with an optional '-'; a term is an integer or fractional numeral with
-parts of at most 18 digits, then ``z{m}^k`` with 0 < k < deg Phi_m, then
-names in strictly ascending order with nonzero powers; and the terms' keys
-are strictly ascending.  Every literal of an emitted sl(2|1) datum, and every
-literal of pointed and planted data whose numerals fit but the zero "0", is
-one; "0" goes to the scanner.  The reader
+(``_read_canonical``).  That form is the zero "0", or terms joined by ' + '
+or ' - ', the first with an optional '-'; a term is an integer or fractional
+numeral, then ``z{m}^k`` with 0 < k < deg Phi_m, then names in strictly
+ascending order with nonzero powers; and the terms' keys are strictly
+ascending.  Every literal relmod writes is one.  The reader
 splits a literal on ' ' and '*' and looks each factor text up in a table of
 factor texts: a text not seen before is checked by one small full match
 (``_PRINTED_FACTOR``) and stored with its kind and value, a numeral's
@@ -98,8 +96,8 @@ own, and the module keeps none, so no table outlives its document.  A zeta
 factor's value depends on the conductor, so a table records the conductor it
 was first used over and refuses any other.  What
 remains per literal is the order checks: the factor kinds in order, the
-names and the terms' keys strictly ascending.  Every other literal goes
-through the scanner in one pass.
+names and the terms' keys strictly ascending.  Every other literal, such as
+hand-written text, goes through the scanner in one pass.
 
 In the scanner, one compiled regex match reads a whole numeral or name
 factor: its unary minuses, the numeral, ``z{m}`` or variable name, its
@@ -112,11 +110,11 @@ result's term count and rejects the literal when that bound is over
 ``MAX_POWER_TERMS``; before it raises a one-term factor to a power, or a sum
 to a positive power, it bounds the coefficients' bit length against
 ``MAX_POWER_BITS``.  Every product, sum and power a literal builds is
-checked to have no numerator or denominator of 4300 or more digits (a sum
-checks the coefficients each term touches), so every coefficient of a
+checked to have no numerator or denominator over ``_PRINT_DIGITS`` digits (a
+sum checks the coefficients each term touches), so every coefficient of a
 parsed literal can be printed.  These checks and the limit on converting
-long numerals stay on the scanner: a printed literal's numerals are far
-inside them.
+long numerals stay on the scanner: the printed form's numerals and powers
+have at most that many digits, and one that ``int()`` refuses goes there.
 
 Kronecker substitution has one scheme here, used by ``_field_product``,
 ``_packed_product`` and the sl(2|1) relation check (sl21/reps.py).  An
@@ -959,15 +957,17 @@ MAX_POWER_TERMS = 10_000
 # tests and the benchmark build has m <= 21; constructors in code are not bound.
 MAX_CONDUCTOR = 512
 
+# Python's default limit on converting an int to a string: str() prints an
+# int of at most _PRINT_DIGITS digits, and _UNPRINTABLE is the least it cannot.
+_PRINT_DIGITS = 4300
+_UNPRINTABLE = 10 ** _PRINT_DIGITS
+
 # A one-term power c^n with |n| > 1 is computed only when |n| * ceil(log2 x) is
 # at most this, for x the larger of |numerator| and denominator of c.  Then
-# both parts of c^n are at most 2^MAX_POWER_BITS < 10^4300, so str() can print
-# them: 4300 digits is Python's default limit on converting an int to a string.
-# A positive power of a sum is bounded the same way by _sum_power_bits.
+# both parts of c^n are at most 2^MAX_POWER_BITS < _UNPRINTABLE, so str() can
+# print them.  A positive power of a sum is bounded the same way by
+# _sum_power_bits.
 MAX_POWER_BITS = 14_284
-
-# The least int that str() cannot print under that limit.
-_UNPRINTABLE = 10 ** 4300
 
 def _power_term_bound(deg: int, n: int, t: int) -> int:
     """deg * C(n+t-1, t-1), or the first partial product over MAX_POWER_TERMS."""
@@ -985,7 +985,7 @@ def _check_power(c: Coeff, n: int) -> None:
     that product bounds the bit length of either part of c^n."""
     if abs(n) > 1 and abs(n) * (max(abs(c.numerator), c.denominator) - 1).bit_length() \
             > MAX_POWER_BITS:
-        raise ScalarParseError(f"{abs(c)} to the power {n} may have more than 4300 digits")
+        raise ScalarParseError(f"{abs(c)} to the power {n} may have more than {_PRINT_DIGITS} digits")
 
 
 def _sum_power_bits(v: CycScalar, n: int) -> int:
@@ -1006,7 +1006,7 @@ def _printable(c: Coeff) -> Coeff:
     """c, or ScalarParseError when str() cannot print its numerator or
     denominator."""
     if abs(c.numerator) >= _UNPRINTABLE or c.denominator >= _UNPRINTABLE:
-        raise ScalarParseError("a coefficient has more than 4300 digits")
+        raise ScalarParseError(f"a coefficient has more than {_PRINT_DIGITS} digits")
     return c
 
 
@@ -1077,7 +1077,7 @@ def _power(v: CycScalar, n: int) -> CycScalar:
             v, n = v.inverse(), -n
         if _sum_power_bits(v, n) > MAX_POWER_BITS:
             raise ScalarParseError(f"a sum to the power {n} may have a coefficient "
-                                   f"of more than 4300 digits")
+                                   f"of more than {_PRINT_DIGITS} digits")
     return _printable_scalar(v ** n)
 
 
@@ -1189,18 +1189,20 @@ def _bad_character(text: str) -> int | None:
 
 
 # A literal in the form str() prints, which parse_scalar reads without the
-# scanner: terms joined by ' + ' or ' - ', the first with an optional '-'.  A
-# term is factors joined by '*': a numeral, then z{m} with a power, then
-# variables with powers, each part optional but not all.  A numeral is an
-# integer or a fraction, each part nonzero, without leading zeros and of at
-# most 18 digits; a power is nonzero, of at most 18 digits, and positive on
-# z{m}; a variable is a name other than z followed by digits.  Such numerals
-# and powers are far inside every limit of the general path.
+# scanner: "0", or terms joined by ' + ' or ' - ', the first with an optional
+# '-'.  A term is factors joined by '*': a numeral, then z{m} with a power,
+# then variables with powers, each part optional but not all.  A numeral is an
+# integer or a fraction, each part nonzero and without leading zeros; a power
+# is nonzero, and positive on z{m}; a variable is a name other than z followed
+# by digits.  Numerals and powers have at most _PRINT_DIGITS digits, as every
+# int that str() prints does; a longer one, or one that int() refuses under a
+# lower limit, goes to the scanner, whose limits and messages hold for it.
 #
 # One factor: a numeral (groups 1 and 2) or a name with an optional power
 # (groups 3 and 4).
-_PRINTED_FACTOR = re.compile(r"([1-9][0-9]{0,17})(?:/([1-9][0-9]{0,17}))?"
-                             r"|([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?[1-9][0-9]{0,17}))?")
+_DIGITS = rf"[1-9][0-9]{{0,{_PRINT_DIGITS - 1}}}"
+_PRINTED_FACTOR = re.compile(rf"({_DIGITS})(?:/({_DIGITS}))?"
+                             rf"|([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?{_DIGITS}))?")
 
 # The kinds of factor, in the order a term holds them; the first is a text
 # that is not a factor of a printed literal over the conductor.
@@ -1215,9 +1217,12 @@ def _printed_factor(f: str, m: int) -> tuple[int, object]:
     if mo is None:
         return _NOT_PRINTED, None
     num, den, name, e = mo.groups()
-    if name is None:
-        return _NUMERAL, int(num) if den is None else _quo(int(num), int(den))
-    k = 1 if e is None else int(e)
+    try:
+        if name is None:
+            return _NUMERAL, int(num) if den is None else _quo(int(num), int(den))
+        k = 1 if e is None else int(e)
+    except ValueError:  # a numeral over the int-string limit
+        return _NOT_PRINTED, None
     if name[0] == "z" and name[1:].isdigit():
         if name != f"z{m}" or not 0 < k < _degree(m):
             return _NOT_PRINTED, None
@@ -1242,7 +1247,8 @@ def _read_canonical(text: str, m: int,
     term come in the kinds' order with one numeral and one zeta power at
     most and strictly ascending names, and the terms' keys are strictly
     ascending.  Within those limits every key is canonical and no two terms
-    share one, so the value is the scanner's."""
+    share one, so the value is the scanner's.  The zero "0", whose factor is
+    not printed, is looked for only where a text is refused."""
     if factors is None:
         factors = {}
     elif factors.setdefault(None, m) != m:
@@ -1277,7 +1283,7 @@ def _read_canonical(text: str, m: int,
                     return None
                 vk.append(value)
             elif kind <= seen:
-                return None
+                return _make(m, {}) if text == "0" and sign == 1 else None
             elif kind == _NUMERAL:
                 c = value if sign == 1 else -value
             else:
@@ -1295,10 +1301,10 @@ def parse_scalar(text: str, conductor: int, *,
                  factors: dict | None = None) -> CycScalar:
     """Parse the scalar grammar: rationals, z{m}^k, variables, * + - ( ).
 
-    A literal in the form str() prints, such as ``-d0_1^-1*s1_3`` or
-    ``1/2 - 3*z5^2*u`` -- numerals of at most 18 digits, zeta powers below
-    deg Phi_m, strictly ascending names with nonzero powers in each term and
-    strictly ascending terms, joined by ' + ' and ' - ' -- is read factor by
+    A literal in the form str() prints, such as ``0``, ``-d0_1^-1*s1_3`` or
+    ``1/2 - 3*z5^2*u`` -- zeta powers below deg Phi_m, strictly ascending
+    names with nonzero powers in each term and strictly ascending terms,
+    joined by ' + ' and ' - ' -- is read factor by
     factor and built as its coefficient dict (_read_canonical).  factors is
     the table of factor texts that reader keeps; a caller that reads many
     literals over one conductor, such as loads_datum for one document, passes

@@ -13,9 +13,12 @@ from __future__ import annotations
 import difflib
 import math
 import random
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from relmod.datum import (
     Degree,
@@ -61,6 +64,16 @@ def assert_golden(name: str, text: str) -> None:
     raise AssertionError(
         f"{name} differs from its golden file at line {first + 1}; the actual text is in "
         f"{f.name}\n" + "".join(diff[:GOLDEN_DIFF_LINES]))
+
+
+@pytest.fixture
+def int_digits_640():
+    """Python's limit on converting between an int and its decimal string
+    lowered from 4300 digits to 640, the least it takes, for one test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 # Degree texts that parse_degree rejects: each is something Degree.__str__

@@ -46,6 +46,7 @@ from relmod.datum import (
     save_datum,
     scaled_block,
 )
+import relmod.matrices as matrices_mod
 from relmod.matrices import ExactMatrix, ScaledBlock, _Certified, _modulus, _variable_residue
 from relmod.scalars import CycScalar, parse_scalar
 from relmod.sl21 import emit_datum
@@ -978,3 +979,112 @@ class TestDimGauge:
         for g in d.degrees:
             for c in units:
                 assert _report(check_all(gauge(d, g, c))) == want, (str(g), str(c))
+
+
+def map_scalars(datum, f):
+    """datum with the map f applied to every scalar: the dims, twists and S'
+    entries and the quantum dimensions and psi values of the translation."""
+    t = datum.translation
+    translation = dataclasses.replace(
+        t, qdim_generators=None if t.qdim_generators is None else tuple(map(f, t.qdim_generators)),
+        qdim_table=tuple((z, f(v)) for z, v in t.qdim_table),
+        psi=tuple((g, z, f(v)) for g, z, v in t.psi))
+
+    def block(b):
+        m = b.matrix
+        return SBlock(b.row_degree, b.col_degree,
+                      ExactMatrix(m.rows, m.cols, m.conductor, [f(e) for e in m.entries]),
+                      b.row_labels, b.col_labels)
+    return dataclasses.replace(
+        datum, translation=translation,
+        dims={g: tuple(map(f, v)) for g, v in datum.dims.items()},
+        twists={g: tuple(map(f, v)) for g, v in datum.twists.items()},
+        sprime=tuple(map(block, datum.sprime)))
+
+
+def galois(k):
+    """sigma_k: zeta -> zeta^k, for k prime to the conductor, fixing every
+    formal variable; a ring automorphism of Q(zeta_m)[X^+-1]."""
+    return lambda v: CycScalar(v.conductor, {(zp * k, vk): c for (zp, vk), c in v.coeffs.items()})
+
+
+CONJUGATED = {
+    "pointed-3": lambda: pointed_datum(3, random.Random(3)),
+    "pointed-5": lambda: pointed_datum(5, random.Random(5)),
+    "planted-3": lambda: planted_modularity_datum(random.Random(3), 3)[0],
+    "premetric-15-3": lambda: premetric_datum(15, 3),
+    "su2-12": lambda: su2_datum(12),
+    "su2-12-even": lambda: su2_datum(12, even=True),
+}
+
+
+class TestGaloisConjugation:
+    """sigma_k applied to every scalar of a datum is a field automorphism, so
+    it keeps every zero, equality and rank: check all keeps every status and
+    rank, and each zeta_Omega becomes sigma_k of its old value."""
+
+    @pytest.mark.parametrize("name, k", [
+        ("pointed-3", 2), ("pointed-5", 2), ("pointed-5", 4), ("planted-3", 2),
+        ("planted-3", 4), ("premetric-15-3", 2), ("premetric-15-3", 14), ("su2-12", 3),
+        ("su2-12", 55), ("su2-12-even", 3), ("su2-12-even", 55)])
+    def test_statuses_ranks_and_zeta(self, name, k):
+        d = CONJUGATED[name]()
+        m, sigma = d.conductor, galois(k)
+        assert math.gcd(k, m) == 1 and k % m != 1
+        before, after = check_all(d), check_all(map_scalars(d, sigma))
+        assert _statuses(after) == _statuses(before)
+        assert _ranks(after) == _ranks(before)
+        zetas = [(parse_scalar(b.derived_scalars["zeta_Omega"], m),
+                  parse_scalar(a.derived_scalars.get("zeta_Omega", "0"), m))
+                 for b, a in zip(before, after) if "zeta_Omega" in b.derived_scalars]
+        assert zetas
+        assert [sigma(z) for z, _ in zetas] == [z for _, z in zetas]
+
+
+def variable_names(datum):
+    """The sorted names of the formal variables in datum's scalars."""
+    out = set()
+    map_scalars(datum, lambda v: out.update(n for _, vk in v.coeffs for n, _ in vk) or v)
+    return sorted(out)
+
+
+def renaming(names):
+    """The map that renames each formal variable n of a scalar to names[n]."""
+    return lambda v: CycScalar(v.conductor, {(zp, tuple((names[n], e) for n, e in vk)): c
+                                             for (zp, vk), c in v.coeffs.items()})
+
+
+class TestRenameVariables:
+    """Renaming the formal variables by a bijection that reverses their sort
+    order keeps every status and rank, and each kernel witness is a kernel
+    vector of the renamed S-matrix.  The residues mod p are hashed from the
+    names, so they move: the perturbed datum's certificate closes at the
+    second prime (see perturbed_emitted_datum) before renaming and at the
+    first after, which takes the next-prime route one way."""
+
+    @pytest.mark.parametrize("name, primes_before, primes_after", [
+        ("sl21-ell3", [0], [0]), ("sl21-ell5", [0], [0]),
+        ("sl21-ell5-perturbed", [0, 1], [0])])
+    def test_statuses_and_ranks(self, monkeypatch, name, primes_before, primes_after):
+        d = {"sl21-ell3": lambda: emit_datum(3), "sl21-ell5": lambda: emit_datum(5),
+             "sl21-ell5-perturbed": lambda: perturbed_emitted_datum(5)}[name]()
+        names = variable_names(d)
+        # fixed-width names, numbered down, sort in the reverse order
+        new = {n: f"v{len(names) - i:03d}" for i, n in enumerate(names)}
+        assert len(names) > 1 and sorted(new.values(), reverse=True) == list(new.values())
+        e = map_scalars(d, renaming(new))
+        used = []
+        modulus = matrices_mod._modulus
+        monkeypatch.setattr(matrices_mod, "_modulus",
+                            lambda m, k=0: used.append(k) or modulus(m, k))
+        before = check_all(d)
+        assert sorted(set(used)) == primes_before
+        used.clear()
+        after = check_all(e)
+        assert sorted(set(used)) == primes_after
+        assert _statuses(after) == _statuses(before)
+        assert _ranks(after) == _ranks(before)
+        kernels = _kernel_vectors(e, after)
+        assert len(kernels) == len(_kernel_vectors(d, before))
+        for m, vector in kernels:
+            _assert_kernel(m, vector)

@@ -350,6 +350,18 @@ class TestCheckCommand:
         code, out, err = run(capsys, "check", "premodular", "--datum", str(p))
         assert (code, err) == (0, "") and "all structural invariants hold" in out
 
+    def test_a_numeral_int_refuses_is_malformed_at_its_field(self, capsys, tmp_path,
+                                                            int_digits_640):
+        """Under a lowered int-string limit a numeral of 1000 digits is no
+        printed literal: the scanner refuses it, and check all exits 2 with
+        the field path."""
+        big = "9" * 1000
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(self._square_block_doc([["1", big], [big, "1"]])))
+        assert run(capsys, "check", "all", "--datum", str(p)) == (
+            2, "", "error: invalid datum: sprime[0].entries[0][1]: "
+                   "numeral of 1000 characters is too long\n")
+
     def test_check_all_json_deterministic(self, capsys, tmp_path):
         path = str(tmp_path / "d.json")
         run(capsys, "sl21", "emit", "--ell", "3", "--out", path)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (MALFORMED_DEGREES, diagonal_matrix, is_unread, perturb_block,
-                      pointed_datum, zero_matrix)
+                      perturbed_emitted_datum, planted_datum, pointed_datum, premetric_datum,
+                      su2_datum, zero_matrix)
 import relmod.checks as checks_mod
 import relmod.scalars as scalars_mod
 from relmod.checks import check_all, check_premodular_inputs
@@ -287,6 +288,45 @@ class TestLoader:
             q = tmp_path / "d2.json"
             save_datum(rt, str(q))
             assert p.read_bytes() == q.read_bytes()
+
+
+SAVED_FAMILIES = {
+    "pointed-3": lambda: pointed_datum(3, random.Random(3)),
+    "pointed-5": lambda: pointed_datum(5, random.Random(5)),
+    **{f"planted-{n}": (lambda n=n: planted_datum(n, 1)) for n in range(1, 7)},
+    "planted-32": lambda: planted_datum(32, 1),
+    "premetric-15-3": lambda: premetric_datum(15, 3),
+    "su2-12": lambda: su2_datum(12),
+    "su2-12-even": lambda: su2_datum(12, even=True),
+    "sl21-ell3": lambda: emit_datum(3),
+    "sl21-ell5": lambda: emit_datum(5),
+    "sl21-ell5-perturbed": lambda: perturbed_emitted_datum(5),
+}
+
+
+class TestSavedDataSkipsTheScanner:
+    """Every literal relmod writes, the zero and numerals of any printable
+    length included, is in the form the canonical reader takes, so loading a
+    saved datum makes no scanner call; hand-written text still makes one."""
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        texts, scan = [], scalars_mod._scan_expr
+        monkeypatch.setattr(scalars_mod, "_scan_expr",
+                            lambda text, pos, m: texts.append(text) or scan(text, pos, m))
+        return texts
+
+    @pytest.mark.parametrize("name", SAVED_FAMILIES)
+    def test_loading_a_saved_datum(self, scanned, tmp_path, name):
+        datum = SAVED_FAMILIES[name]()
+        path = str(tmp_path / "d.json")
+        save_datum(datum, path)
+        assert load_datum(path) == datum
+        assert scanned == []
+
+    def test_a_hand_written_literal(self, scanned):
+        assert parse_scalar("(1 + u)^2", 5) == (CycScalar.variable("u", 5) + 1) ** 2
+        assert scanned and set(scanned) == {"(1 + u)^2"}
 
 
 def _two_labels(doc, **edits):

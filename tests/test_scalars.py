@@ -7,7 +7,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import planted_modularity_datum, pointed_datum, random_matrix
 import relmod.scalars as scalars_mod
@@ -904,12 +904,14 @@ class TestOneTermReader:
         assert typed_coeffs(got) == typed_coeffs(expected)
 
     def test_takes_the_literals_it_is_for_and_no_others(self):
-        printed = ["-d0_1^-1*s1_3*u^-2", "d0_1^-1*s1_3", "u^-4", "1", "-1",
-                   "9" * 18 + "*u", "u^" + "9" * 18, "z", "z5a*zz", "z5", "1/2*u",
-                   "-3/2*z5^3", "1 - z5", "-1/2 + u^2 + 1/2*z5 - 3*z5^2*u"]
-        scanner = ["9" * 19, "u^" + "9" * 19, "z05*u", "u*z5", "u*2", "2^3",
-                   "--u", "u ", " u", "(u)", "u+x", "u*", "u^", "-", "0", "00*u", "u*u^-1",
-                   "u^0", "1/0", "z5^4", "z7", "x*u", "u - 1", "1 + 1", "1  + u", "1 +u"]
+        printed = ["-d0_1^-1*s1_3*u^-2", "d0_1^-1*s1_3", "u^-4", "1", "-1", "0",
+                   "9" * 18 + "*u", "u^" + "9" * 18, "9" * 19, "u^" + "9" * 19,
+                   "9" * 4300, "1/" + "9" * 4300, "u^-" + "9" * 4300, "z", "z5a*zz", "z5",
+                   "1/2*u", "-3/2*z5^3", "1 - z5", "-1/2 + u^2 + 1/2*z5 - 3*z5^2*u"]
+        scanner = ["9" * 4301, "1/" + "9" * 4301, "u^" + "9" * 4301, "z05*u", "u*z5", "u*2",
+                   "2^3", "--u", "u ", " u", "(u)", "u+x", "u*", "u^", "-", "-0", "0 + u",
+                   "u + 0", "0*u", "00", "00*u", "u*u^-1", "u^0", "1/0", "z5^4", "z7", "x*u",
+                   "u - 1", "1 + 1", "1  + u", "1 +u"]
         for text in printed:
             assert scalars_mod._read_canonical(text, 5) is not None, text
         for text in scanner:
@@ -928,13 +930,20 @@ READER_CONDUCTORS = (1, 2, 3, 4, 5, 8, 9, 12, 15, 21)
 
 
 @st.composite
-def printed_scalars(draw):
+def printed_scalars(draw, long=False):
     """(conductor, scalar): a random scalar, with or without formal variables,
-    whose numerals str() prints in at most 18 digits."""
+    with small numerals, or with long=True numerals of 19 to 4300 digits."""
     m = draw(st.sampled_from(READER_CONDUCTORS))
     names = draw(st.sampled_from([(), ("u", "x"), ("s0_1", "u", "z")]))
-    coeff = st.one_of(st.integers(-10 ** 6, 10 ** 6),
-                      st.fractions(-100, 100, max_denominator=10 ** 6)).filter(bool)
+    if long:
+        # n digits: a leading digit, zeros and 18 drawn low digits
+        part = st.builds(lambda n, a, b: a * 10 ** (n - 1) + b, st.integers(19, 4300),
+                         st.integers(1, 9), st.integers(0, 10 ** 18 - 1))
+        coeff = st.one_of(part, part.map(lambda n: -n),
+                          st.builds(Fraction, part | st.integers(-9, 9).filter(bool), part))
+    else:
+        coeff = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                          st.fractions(-100, 100, max_denominator=10 ** 6)).filter(bool)
     vk = monomial_keys(names)
     terms = draw(st.dictionaries(st.tuples(st.integers(0, 2 * m), vk), coeff, max_size=5))
     return m, CycScalar(m, terms)
@@ -978,20 +987,17 @@ class TestCanonicalReader:
     """_read_canonical reads what str() prints, agrees with _parse_expr on
     every text it takes, and leaves every edited text to the scanner."""
 
-    @given(case=printed_scalars())
+    @given(case=printed_scalars() | printed_scalars(long=True))
     @settings(max_examples=300, deadline=None)
     def test_round_trip(self, case):
         m, v = case
+        # terms that meet on one key can sum past the print limit
+        assume(all(abs(c.numerator) < 10 ** 4300 > c.denominator for c in v.coeffs.values()))
         text = str(v)
-        # the reader takes every printed literal whose numerals have at most
-        # 18 digits; terms that meet on one key can sum to a longer fraction,
-        # which it leaves to the scanner, as it leaves "0"
-        short = all(len(str(abs(c.numerator))) <= 18 and len(str(c.denominator)) <= 18
-                    for c in v.coeffs.values())
-        assert (scalars_mod._read_canonical(text, m) is None) == (v.is_zero or not short)
-        got = parse_scalar(text, m)
-        assert got == v and str(got) == text
-        assert typed_coeffs(got) == typed_coeffs(v)
+        # the reader takes every printed literal, "0" and long numerals too
+        for got in (scalars_mod._read_canonical(text, m), parse_scalar(text, m)):
+            assert got == v and str(got) == text
+            assert typed_coeffs(got) == typed_coeffs(v)
 
     @given(case=printed_scalars(), edit=st.sampled_from(PRINTED_EDITS))
     @settings(max_examples=600, deadline=None)
@@ -1031,10 +1037,21 @@ class TestCanonicalReader:
 
     def test_edits_that_leave_the_printed_form(self):
         for text, m in [("1  + u", 5), (" u", 5), ("u*u", 5), ("x*u", 5), ("u + u", 5),
-                        ("u + 1", 5), ("z5^4", 5), ("z5^5", 5), ("1" + "0" * 18, 5),
-                        ("1/" + "1" + "0" * 18, 5), ("0", 5), ("z7", 5), ("u^0", 5),
-                        ("z3^2", 3), ("z1", 1), ("z2", 2), ("z4^2", 4)]:
+                        ("u + 1", 5), ("z5^4", 5), ("z5^5", 5), ("-0", 5), ("0 + u", 5),
+                        ("z7", 5), ("u^0", 5), ("z3^2", 3), ("z1", 1), ("z2", 2), ("z4^2", 4)]:
             assert scalars_mod._read_canonical(text, m) is None, (text, m)
+        # the zero and numerals of 19 digits are printed too
+        for text, m in [("0", 5), ("0", 1), ("1" + "0" * 18, 5), ("1/" + "1" + "0" * 18, 5)]:
+            assert str(scalars_mod._read_canonical(text, m)) == text, (text, m)
+
+    def test_a_numeral_int_refuses_goes_to_the_scanner(self, int_digits_640):
+        # the reader's bound is the default limit; under a lower one int()
+        # refuses the numeral, and the scanner's message names it
+        for text in ("9" * 1000, "u^" + "9" * 1000, "1/" + "9" * 1000):
+            assert scalars_mod._read_canonical(text, 5) is None, text
+        with pytest.raises(ScalarParseError, match="numeral of 1000 characters is too long"):
+            parse_scalar("9" * 1000, 5)
+        assert parse_scalar("9" * 640, 5) == CycScalar.rational(10 ** 640 - 1, 5)
 
 
 @st.composite
