@@ -463,7 +463,7 @@ def certify(datum: ClosureDatum, expr: Expr | str, depth: int):
     if isinstance(expr, str):
         expr = parse_expr(expr)
     try:
-        return _derive(datum, expr, depth)
+        return _derive(datum, expr, depth, {})
     except _Failed as exc:
         return exc.failure
     except RecursionError:
@@ -471,17 +471,28 @@ def certify(datum: ClosureDatum, expr: Expr | str, depth: int):
                               "derivation deeper than the recursion limit")
 
 
-def _derive(datum: ClosureDatum, expr: Expr, depth: int) -> Certificate:
-    """expr's certificate, derived depth first; the first failing subgoal raises _Failed."""
+def _derive(datum: ClosureDatum, expr: Expr, depth: int, memo: dict) -> Certificate:
+    """expr's certificate, derived depth first; the first failing subgoal raises _Failed.
+
+    memo maps the text of each tensor rewrite made so far in one certify
+    call to [its certificate, its height or None until asked].  Such a node
+    is a word of atoms, so its text names its derivation (a text with a sum
+    or a retract in it would not: `(a + b) + a` prints as `a + b + a`).
+    Depth only decides where a derivation runs out, so a certificate answers
+    again at any depth at or above its height, and a repeated subgoal costs
+    one lookup: the certificate is then a DAG that shares the subtree."""
     text = expr_to_str(expr)
+    hit = memo.get(text)
+    if hit is not None and _height(hit[0], memo) <= depth:
+        return hit[0]
 
     if isinstance(expr, Sum):
         return Certificate("direct-sum", text, RETRACT_LEMMA,
-                           children=[_derive(datum, t, depth) for t in expr.terms])
+                           children=[_derive(datum, t, depth, memo) for t in expr.terms])
 
     if isinstance(expr, Retract):
         return Certificate("retract", text, RETRACT_LEMMA,
-                           children=[_derive(datum, expr.inner, depth)])
+                           children=[_derive(datum, expr.inner, depth, memo)])
 
     if isinstance(expr, Atom):
         spec = datum.atom(expr.name)
@@ -499,13 +510,13 @@ def _derive(datum: ClosureDatum, expr: Expr, depth: int) -> Certificate:
                 Tensor(tuple(flat[:i] + [t] + flat[i + 1:])) for t in f.terms))
             return Certificate("distribute", text,
                                "tensor products distribute over direct sums",
-                               children=[_derive(datum, expanded, depth)])
+                               children=[_derive(datum, expanded, depth, memo)])
     if any(isinstance(f, Retract) for f in flat):
         inner = Tensor(tuple(f.inner if isinstance(f, Retract) else f for f in flat))
         return Certificate("retract-absorb", text,
                            "a product with a retract factor is a retract of the "
                            "product of the ambient objects",
-                           children=[_derive(datum, Retract(inner), depth)])
+                           children=[_derive(datum, Retract(inner), depth, memo)])
 
     names = [f.name for f in flat]
     bad = next((n for n in names if datum.atom(n) is None), None)
@@ -516,8 +527,10 @@ def _derive(datum: ClosureDatum, expr: Expr, depth: int) -> Certificate:
     vpow = len(names) - len(word)
 
     def tensor_rewrite(replacement: Expr, justification: str, rule: str) -> Certificate:
-        return Certificate("tensor-rewrite", text, justification, rule=rule,
-                           children=[_derive(datum, replacement, depth - 1)])
+        cert = Certificate("tensor-rewrite", text, justification, rule=rule,
+                           children=[_derive(datum, replacement, depth - 1, memo)])
+        memo[text] = [cert, None]
+        return cert
 
     if len(word) <= 1:
         base = word[0] if word else vname
@@ -547,6 +560,17 @@ def _derive(datum: ClosureDatum, expr: Expr, depth: int) -> Certificate:
     return tensor_rewrite(_rewrite(datum, rule.rhs, word[2:], vpow),
                    "product rule application followed by braided regrouping "
                    "of v-powers", f"({rule.left},{rule.right})")
+
+
+def _height(cert: Certificate, memo: dict) -> int:
+    """The most tensor rewrites on one path down from cert, the least depth
+    at which certify derives it; a rewrite's is kept in its memo entry."""
+    if cert.kind != "tensor-rewrite":
+        return max((_height(c, memo) for c in cert.children), default=0)
+    entry = memo[cert.expr]
+    if entry[1] is None:
+        entry[1] = 1 + _height(cert.children[0], memo)
+    return entry[1]
 
 
 def replay_certificate(cert: Certificate, datum: ClosureDatum) -> bool:

@@ -466,6 +466,24 @@ def _pack_digits(digits: list[int], w: int) -> int:
     return int.from_bytes(raw, "little") - _bias(w, len(digits))
 
 
+def _relayout(x: int, w: int, stride: int, n: int, new_w: int, new_stride: int) -> int:
+    """x, whose digits of width w hold rows of n digits at the given stride,
+    with each row moved to a multiple of new_stride >= n and every digit
+    widened to new_w >= w bits (the substitution y = 2^(w stride) changed to
+    y = 2^(new_w new_stride)).  Each digit plus h = 2^(w-1) is a plain field:
+    the fields are written out as bytes, widened, each row's n joined by
+    new_stride - n fields of h, and the h taken away."""
+    pb, wb, size = w // 8, new_w // 8, (abs(x).bit_length() // w // stride + 1) * stride
+    fields = (x + _bias(w, size)).to_bytes(size * pb, "little")
+    if pb < wb:
+        fields, narrow = bytearray(size * wb), fields
+        for j in range(pb):
+            fields[j::wb] = narrow[j::pb]
+    out = ((1 << w - 1).to_bytes(wb, "little") * (new_stride - n)).join(
+        [fields[i:i + n * wb] for i in range(0, size * wb, stride * wb)])
+    return int.from_bytes(out, "little") - (_bias(new_w, len(out) // wb) >> new_w - w)
+
+
 def _from_packed(m: int, x: int, w: int, d: int) -> "CycScalar":
     """The canonical form of P(zeta)/d for the integer polynomial P with
     x = P(2^w), each coefficient below 2^(w-1) in absolute value.

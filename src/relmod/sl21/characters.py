@@ -2,10 +2,9 @@
 
 Conventions.  A weight with (H1, H2) eigenvalues (a, b) contributes the
 monomial x^a y^(a+2b); the supercharacter weights each basis vector by
-(-1)^parity.  The generic highest-weight parameter only ever enters through
-the formal monomial w = y^(2*alpha), tracked as an integer power per
-character.  With T_k(x) = (x^(k+1) - x^(-k-1))/(x - x^(-1)) the closed forms
-are
+(-1)^parity.  The generic highest-weight parameter enters only through the
+formal monomial w = y^(2*alpha), an integer power per character.  With
+T_k(x) = (x^(k+1) - x^(-k-1))/(x - x^(-1)) the closed forms are
 
     chi^+-(A_k)            = y^k T_k +- y^(k+1) T_(k-1)
     chi^+-(V(lambda^k_(alpha+s))) = X0^+- w y^(2s+k) T_k,
@@ -23,6 +22,8 @@ makes the decomposition land on the fusion rule after discarding negligibles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from ..scalars import _kronecker_width, _pack_digits, _relayout, _unpack
 
 
 class ParameterError(ValueError):
@@ -43,17 +44,22 @@ class DecompositionError(ValueError):
         self.residual = residual
 
 
-# ---------------------------------------------------------------------------
-# integer Laurent polynomials in x, y
-# ---------------------------------------------------------------------------
-
 class XYLaurent:
-    """Laurent polynomial in x, y with integer coefficients, dict-backed."""
+    """Laurent polynomial in x, y with integer coefficients, packed in one int:
+    x^a y^b's coefficient is the signed digit (b - y0) s + a - x0 of
+    _x = sum c_t 2^(w t), for rows of n columns (x0 .. x0 + n - 1) at stride
+    s >= n and w = _width(_l1), _l1 a bound on the sum of |coefficients|."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_x", "_x0", "_y0", "_n", "_s", "_l1", "_w", "_terms")
 
-    def __init__(self, terms: dict[tuple[int, int], int] | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+    def __new__(cls, terms: dict[tuple[int, int], int] | None = None):
+        terms = {k: v for k, v in (terms or {}).items() if v}
+        xs, ys = [a for a, _ in terms] or [0], [b for _, b in terms] or [0]
+        x0, y0, n, l1 = min(xs), min(ys), max(xs) - min(xs) + 1, sum(map(abs, terms.values()))
+        s, w, digits = _stride(n), _width(l1), [0] * ((max(ys) - min(ys) + 1) * _stride(n))
+        for (a, b), v in terms.items():
+            digits[(b - y0) * s + a - x0] = v
+        return _packed(_pack_digits(digits, w), x0, y0, n, s, l1, w, terms)
 
     @staticmethod
     def monomial(ex: int, ey: int, c: int = 1) -> "XYLaurent":
@@ -68,8 +74,16 @@ class XYLaurent:
         return XYLaurent({(0, 0): 1})
 
     @property
+    def terms(self) -> dict[tuple[int, int], int]:
+        if self._terms is None:
+            x, w, s = self._x, self._w, self._s
+            self._terms = {(self._x0 + t % s, self._y0 + t // s): c for t, c
+                           in enumerate(_unpack(x, w, abs(x).bit_length() // w + 1)) if c}
+        return self._terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._x
 
     def __eq__(self, other):
         return isinstance(other, XYLaurent) and self.terms == other.terms
@@ -77,67 +91,92 @@ class XYLaurent:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    def _on(self, x0: int, y0: int, s: int, w: int) -> int:
+        """This int in a box with corner (x0, y0), stride s and width w >= _w
+        that holds this box: a shift, after _relayout if s or w is new."""
+        x = self._x
+        if (self._s, self._w) != (s, w) and x:
+            x = _relayout(x, self._w, self._s, self._n, w, s)
+        return x << w * ((self._y0 - y0) * s + self._x0 - x0)
+
+    def _sized(self, other: "XYLaurent", n: int, l1: int) -> tuple[int, int]:
+        """Stride and width for n columns and bound l1: the larger stride if it fits."""
+        s = max(self._s, other._s)
+        return (s if s >= n else _stride(n)), _width(l1)
+
     def __add__(self, other: "XYLaurent") -> "XYLaurent":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            nv = out.get(k, 0) + v
-            if nv:
-                out[k] = nv
-            elif k in out:
-                del out[k]
-        return XYLaurent(out)
+        if not other._x or not self._x:
+            return self if other.is_zero else other
+        x0, y0 = min(self._x0, other._x0), min(self._y0, other._y0)
+        n, l1 = max(self._x0 + self._n, other._x0 + other._n) - x0, self._l1 + other._l1
+        s, w = self._sized(other, n, l1)
+        return _packed(self._on(x0, y0, s, w) + other._on(x0, y0, s, w), x0, y0, n, s, l1, w)
 
     def __neg__(self) -> "XYLaurent":
-        return XYLaurent({k: -v for k, v in self.terms.items()})
+        return _packed(-self._x, self._x0, self._y0, self._n, self._s, self._l1, self._w)
 
     def __sub__(self, other: "XYLaurent") -> "XYLaurent":
         return self + (-other)
 
     def __mul__(self, other: "XYLaurent") -> "XYLaurent":
-        out: dict[tuple[int, int], int] = {}
-        for (x1, y1), c1 in self.terms.items():
-            for (x2, y2), c2 in other.terms.items():
-                k = (x1 + x2, y1 + y2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return XYLaurent(out)
+        """Both at one stride of at least n_a + n_b - 1 columns, the product's,
+        and multiplied as ints once."""
+        if not self._x or not other._x:
+            return XYLaurent()
+        n, l1 = self._n + other._n - 1, self._l1 * other._l1
+        s, w = self._sized(other, n, l1)
+        return _packed(self._on(self._x0, self._y0, s, w) * other._on(other._x0, other._y0, s, w),
+                       self._x0 + other._x0, self._y0 + other._y0, n, s, l1, w)
 
     def shift(self, dx: int, dy: int) -> "XYLaurent":
-        return XYLaurent({(x + dx, y + dy): v for (x, y), v in self.terms.items()})
+        return _packed(self._x, self._x0 + dx, self._y0 + dy, self._n, self._s, self._l1, self._w)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         bits = []
-        for (ex, ey), c in sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            mono = "*".join(
-                ([f"x^{ex}" if ex != 1 else "x"] if ex else [])
-                + ([f"y^{ey}" if ey != 1 else "y"] if ey else []))
+        for (ex, ey), c in sorted(self.terms.items(), key=lambda kv: kv[0][::-1]):
+            mono = "*".join(f"{v}^{e}" if e != 1 else v for v, e in (("x", ex), ("y", ey)) if e)
             coeff = str(abs(c)) if abs(c) != 1 or not mono else ""
-            body = "*".join(b for b in (coeff, mono) if b) or "1"
-            bits.append(("+ " if c > 0 else "- ") + body)
-        out = " ".join(bits)
+            bits.append(("+ " if c > 0 else "- ") + "*".join(b for b in (coeff, mono) if b))
+        out = " ".join(bits) or "+ 0"
         return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
     __repr__ = __str__
 
 
+def _packed(x, x0, y0, n, s, l1, w, terms=None) -> XYLaurent:
+    p = object.__new__(XYLaurent)
+    p._x, p._x0, p._y0, p._n, p._s, p._l1, p._w, p._terms = x, x0, y0, n, s, l1, w, terms
+    return p
+
+
+def _stride(n: int) -> int:
+    """A new box's stride: the power of two >= 2n, and >= 32, so that a product
+    with a narrower factor, and A (x) V(k, i)'s peeling box, keep it."""
+    return max(32, 1 << (2 * n - 1).bit_length())
+
+
+def _width(bound: int) -> int:
+    """_kronecker_width, at least 16: small characters share one width."""
+    return 16 if bound < 1 << 15 else _kronecker_width(bound)
+
+
+def _series(k: int, w: int) -> int:
+    """T_k, x^-k at digit 0: the digits 1, 0, 1, .., 1 (0 for k < 0) as bytes."""
+    one = (1).to_bytes(w // 8, "little")
+    return int.from_bytes((one + bytes(w // 8)) * k + one, "little") if k >= 0 else 0
+
+
 def sl2_character(k: int) -> XYLaurent:
     """T_k(x) = x^k + x^(k-2) + ... + x^-k (zero for k < 0)."""
-    if k < 0:
-        return XYLaurent.zero()
-    return XYLaurent({(k - 2 * i, 0): 1 for i in range(k + 1)})
+    w = _width(k + 1)
+    return _packed(_series(k, w), -k, 0, 2 * k + 1, _stride(2 * k + 1), k + 1, w) \
+        if k >= 0 else XYLaurent()
 
-
-# ---------------------------------------------------------------------------
-# character expressions
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CharacterExpr:
-    """Character / supercharacter pair with a global w = y^(2 alpha) power.
-
-    ``minus`` already includes all parity signs.
-    """
+    """Character / supercharacter pair with a global w = y^(2 alpha) power;
+    ``minus`` already includes all parity signs."""
     plus: XYLaurent
     minus: XYLaurent
     alpha_power: int = 0
@@ -161,10 +200,6 @@ class CharacterExpr:
         return f"plus: ({self.plus}){w}; minus: ({self.minus}){w}"
 
 
-# ---------------------------------------------------------------------------
-# labels and their characters
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class WeightLabel:
     """A typical-module label lambda^k_(alpha+shift) with decorations.
@@ -183,70 +218,46 @@ class WeightLabel:
 
 def make_label(k: int, shift: int, parity: int, ell: int) -> WeightLabel:
     """Canonical label with the shift folded mod ell into an epsilon power."""
-    return WeightLabel(k=k, shift=shift % ell, parity=parity % 2,
-                       eps=shift // ell, negligible=k >= ell - 1)
+    return WeightLabel(k, shift % ell, parity % 2, shift // ell, k >= ell - 1)
 
 
-def _typical_terms(heights: tuple[int, ...], ydeg: int, sign: int):
-    """The terms of X0^+- y^ydeg T_k, for each k in heights in turn.
-
-    For ex = k, k-2, ..., -k, yields (key, m) once for each of the four
-    products of x^ex y^ydeg with X0^+- = 1 +- y/x +- xy + y^2.  The plus
-    coefficient is 1 and the minus coefficient m, times sign (-1 for an odd
-    label).  A key can come more than once, e.g. from ex and ex + 2.
-    """
-    for k in heights:
-        for ex in range(k, -k - 1, -2):
-            yield (ex, ydeg), sign
-            yield (ex - 1, ydeg + 1), -sign
-            yield (ex + 1, ydeg + 1), -sign
-            yield (ex, ydeg + 2), sign
-
-
-def _label_terms(label: WeightLabel, ell: int):
-    """The terms of character_of_label(label, ell), from _typical_terms.  A
-    height k >= ell adds its partner (2ell-2-k, shift+k-ell+1), whose y-degree
-    is the same."""
-    k = label.k
-    return _typical_terms((k, 2 * (ell - 1) - k) if k >= ell else (k,),
-                          2 * label.shift + k + 2 * ell * label.eps,
-                          -1 if label.parity % 2 else 1)
-
-
-def _character(terms) -> CharacterExpr:
-    """The character whose terms are those yielded, summed by key."""
-    plus: dict[tuple[int, int], int] = {}
-    minus: dict[tuple[int, int], int] = {}
-    for key, m in terms:
-        plus[key] = plus.get(key, 0) + 1
-        minus[key] = minus.get(key, 0) + m
-    return CharacterExpr(XYLaurent(plus), XYLaurent(minus), alpha_power=1)
+def _times_x0(t: int, s: int, w: int, sign: int) -> tuple[int, int]:
+    """t times X0^+- = 1 +- y/x +- xy + y^2 at stride s and width w: t shifted
+    by 0 and 2s digits, +- t by s -+ 1; the minus part times sign."""
+    ends, mid = t + (t << w * 2 * s), (t << w * (s - 1)) + (t << w * (s + 1))
+    return ends + mid, sign * (ends - mid)
 
 
 def typical_character(k: int, shift: int, ell: int, parity: int = 0,
                       eps: int = 0) -> CharacterExpr:
     """chi^+-(V(lambda^k_(alpha+shift))) with decorations; requires 0 <= k.
 
-    Equal to (1 +- y/x)(1 +- xy) * sl2_character(k).shift(0, ydeg), expanded
-    term by term by _typical_terms."""
+    Equal to (1 +- y/x)(1 +- xy) * sl2_character(k).shift(0, ydeg)."""
     if k < 0:
         raise ValueError("height must be non-negative")
-    return _character(_typical_terms((k,), 2 * shift + k + 2 * ell * eps,
-                                     -1 if parity % 2 else 1))
+    n, s, w = 2 * k + 3, _stride(2 * k + 3), _width(4 * k + 4)
+    plus, minus = _times_x0(_series(k, w), s, w, -1 if parity % 2 else 1)
+    box = (-k - 1, 2 * shift + k + 2 * ell * eps, n, s, 4 * k + 4, w)
+    return CharacterExpr(_packed(plus << w, *box), _packed(minus << w, *box), 1)
 
 
 def character_of_label(label: WeightLabel, ell: int) -> CharacterExpr:
     """Character of a label; heights >= ell mean the reflected negligible sum."""
-    if not 0 <= label.k <= 2 * (ell - 1):
-        raise ParameterError(f"height {label.k} out of range 0..2*ell-2")
-    return _character(_label_terms(label, ell))
+    k, i = label.k, label.shift + ell * label.eps
+    if not 0 <= k <= 2 * (ell - 1):
+        raise ParameterError(f"height {k} out of range 0..2*ell-2")
+    chi = typical_character(k, i, ell, label.parity)
+    return chi + typical_character(2 * ell - 2 - k, i + k - ell + 1, ell, label.parity) \
+        if k >= ell else chi
 
 
 def closed_form_Ak(k: int, ell: int) -> CharacterExpr:
-    """chi^+-(A_k) = (y^k T_k) +- (y^(k+1) T_(k-1))."""
-    even = sl2_character(k).shift(0, k)
-    odd = sl2_character(k - 1).shift(0, k + 1)
-    return CharacterExpr(even + odd, even - odd, alpha_power=0)
+    """chi^+-(A_k) = (y^k T_k) +- (y^(k+1) T_(k-1)), with x^-k y^k at digit 0."""
+    if k < 0:
+        return CharacterExpr(XYLaurent(), XYLaurent())
+    n, s, w = 2 * k + 1, _stride(2 * k + 1), _width(2 * k + 1)
+    even, odd, box = _series(k, w), _series(k - 1, w) << w * (s + 1), (-k, k, n, s, n, w)
+    return CharacterExpr(_packed(even + odd, *box), _packed(even - odd, *box))
 
 
 def standard_module_character() -> CharacterExpr:
@@ -257,25 +268,17 @@ def standard_module_character() -> CharacterExpr:
     odd contribution of y the tensor-with-v decomposition identity would fail
     on integer shifts, so this is the only self-consistent normalization.)
     """
-    even = XYLaurent({(1, 1): 1, (-1, 1): 1})
-    odd = XYLaurent({(0, 2): 1})
-    return CharacterExpr(even + odd, even - odd, alpha_power=0)
+    return closed_form_Ak(1, 3)
 
 
 def character_of_rep(rep) -> CharacterExpr:
     """Character of an explicit weight module from its H-spectrum and parities."""
-    plus = XYLaurent.zero()
-    minus = XYLaurent.zero()
+    plus, minus = {}, {}
     for (a, b), par in zip(rep.h_eigs, rep.parities):
-        mono = XYLaurent.monomial(a, a + 2 * b)
-        plus = plus + mono
-        minus = (minus - mono) if par else (minus + mono)
-    return CharacterExpr(plus, minus, alpha_power=0)
+        plus[a, a + 2 * b] = plus.get((a, a + 2 * b), 0) + 1
+        minus[a, a + 2 * b] = minus.get((a, a + 2 * b), 0) + (-1 if par else 1)
+    return CharacterExpr(XYLaurent(plus), XYLaurent(minus), alpha_power=0)
 
-
-# ---------------------------------------------------------------------------
-# fusion with A and greedy decomposition
-# ---------------------------------------------------------------------------
 
 def fuse_A(label: WeightLabel, ell: int) -> WeightLabel:
     """Tensoring with A = A_(ell-1): (k, i) -> (ell-2-k, i+k+1) with a parity flip.
@@ -288,9 +291,8 @@ def fuse_A(label: WeightLabel, ell: int) -> WeightLabel:
     if not 0 <= label.k <= ell - 2:
         raise ParameterError(f"height {label.k} out of range 0..ell-2 (negligible input?)")
     shift = label.shift + label.k + 1
-    return WeightLabel(k=ell - 2 - label.k, shift=shift % ell,
-                       parity=(label.parity + 1) % 2,
-                       eps=label.eps + shift // ell, negligible=False)
+    return WeightLabel(ell - 2 - label.k, shift % ell, (label.parity + 1) % 2,
+                       label.eps + shift // ell, False)
 
 
 def decompose_typical(chi: CharacterExpr, ell: int) -> list[WeightLabel]:
@@ -298,49 +300,46 @@ def decompose_typical(chi: CharacterExpr, ell: int) -> list[WeightLabel]:
 
     Repeatedly reads the lexicographically highest surviving monomial of the
     plus part (by y-degree then x-degree), infers the label, and subtracts its
-    terms in place from one working copy of chi; heights >= ell are peeled as
-    their reflected negligible composites.  Raises DecompositionError with the
-    residual if the input is not a non-negative combination of such
-    characters, including when a top monomial has height above 2ell-2.
-    """
-    plus, minus = dict(chi.plus.terms), dict(chi.minus.terms)
+    character; heights >= ell are peeled as their reflected negligible
+    composites.  Raises DecompositionError with the residual if the input is
+    not a non-negative combination of such characters, including when a top
+    monomial has height above 2ell-2.
 
-    def fail(message: str):
-        return DecompositionError(message, CharacterExpr(
-            XYLaurent(plus), XYLaurent(minus), chi.alpha_power))
-
-    budget = sum(plus.values())
+    Packed in one box that holds every label under a top, the top is the plus
+    int's top digit, and a label is one subtraction from each int."""
+    top, plus, minus = 2 * (ell - 1), chi.plus, chi.minus
+    half = 1 << (plus._w - 1)
+    budget = (plus._x + half - 1) % (2 * half - 1) - half + 1   # x = sum c_t mod 2^w - 1
     if budget < 0:
-        raise fail("total dimension is negative")
+        raise DecompositionError("total dimension is negative", chi)
+    x0, y0 = min(plus._x0, minus._x0, -top - 1), min(plus._y0 - 2, minus._y0)
+    n = max(plus._x0 + plus._n, minus._x0 + minus._n, top + 2) - x0
+    bound = max(plus._l1, minus._l1) + 4 * (budget + 1)
+    s, w = plus._sized(minus, n, bound)
+    p, m, g, half = plus._on(x0, y0, s, w), minus._on(x0, y0, s, w), _series(top, w), 1 << w - 1
+
+    def fail(message: str):   # rebuilt from its terms: bound is no bound on the L1 norm
+        return DecompositionError(message, CharacterExpr(*(
+            XYLaurent(_packed(r, x0, y0, n, s, bound, w).terms) for r in (p, m)), chi.alpha_power))
+
     labels: list[WeightLabel] = []
-    steps = 0
-    while plus:
-        steps += 1
-        if steps > budget + 1:
+    while p:
+        if len(labels) > budget:
             raise fail("peeling did not terminate")
-        ey, ex = max((y, x) for x, y in plus)
-        c = plus[ex, ey]
-        h = ex
-        s2 = ey - h - 2
-        if not 0 <= h <= 2 * (ell - 1) or c < 0 or s2 % 2:
+        t = abs(p).bit_length() // w
+        ey, ex = y0 + t // s, x0 + t % s
+        c, s2 = (p >> w * t - 1) + 1 >> 1, ey - ex - 2
+        if not 0 <= ex <= top or c < 0 or s2 % 2:
             raise fail(f"monomial x^{ex} y^{ey} (coefficient {c}) is not the top of a "
                        "typical character")
-        mc = minus.get((ex, ey), 0)
-        parity = 0 if mc > -c else 1
-        lab = make_label(h, s2 // 2, parity, ell)
-        for key, m in _label_terms(lab, ell):
-            left = plus.get(key, 0) - 1
-            if left:
-                plus[key] = left
-            else:
-                del plus[key]
-            left = minus.get(key, 0) - m
-            if left:
-                minus[key] = left
-            else:
-                del minus[key]
-        labels.append(lab)
-    if minus:
+        parity = 0 if (((m >> w * t - 1) + 1 >> 1) + half & 2 * half - 1) - half > -c else 1
+        labels.append(make_label(ex, s2 // 2, parity, ell))
+        tk = g & (1 << w * (2 * ex + 1)) - 1   # T_ex, and its partner's for a negligible
+        if ex >= ell:
+            tk += (g & (1 << w * (2 * (top - ex) + 1)) - 1) << w * (2 * ex - top)
+        dp, dm = _times_x0(tk, s, w, 1 - 2 * parity)
+        p, m = p - (dp << w * (t - 2 * (s + ex))), m - (dm << w * (t - 2 * (s + ex)))
+    if m:
         raise fail("supercharacter residue is nonzero")
     labels.sort(key=lambda l: (l.k, l.shift, l.parity, l.eps))
     return labels

@@ -28,7 +28,7 @@ from relmod.checks import (
     check_relative_modularity,
     delta_minus,
 )
-from relmod.cli import main
+from relmod.cli import MAX_EMIT_ELL, main
 from relmod.datum import Degree, GradingSpec, SmallSubset, load_datum, modified_S, save_datum
 from relmod.matrices import ExactMatrix, _modulus
 from relmod.scalars import CycScalar, parse_scalar
@@ -418,20 +418,35 @@ def test_criterion_3_character_identities():
     _report(3, "characters: closed forms, v-tensor rule, A-fusion on all (k,i)")
 
 
-def test_criterion_3b_A_fusion_on_every_label_at_ell_21():
-    """Criterion 3's fusion agreement at ell = 21: A (x) V(k, i), peeled by
-    decompose_typical, keeps exactly one non-negligible summand, the fuse_A
-    image, for all 420 labels; the rank bound rests on it.  Within 60 s."""
-    ell = 21
+def _fusion_disagreements(ell: int) -> tuple[list, float]:
+    """The labels (k, i) at which A (x) V(k, i), peeled by decompose_typical,
+    does not keep exactly one non-negligible summand, the fuse_A image; and
+    the seconds the check took."""
     t0 = time.perf_counter()
     A = closed_form_Ak(ell - 1, ell)
     bad = [(k, i) for k in range(ell - 1) for i in range(ell)
            if [l for l in decompose_typical(A * typical_character(k, i, ell), ell)
                if not l.negligible] != [fuse_A(WeightLabel(k=k, shift=i), ell)]]
-    elapsed = time.perf_counter() - t0
+    return bad, time.perf_counter() - t0
+
+
+def test_criterion_3b_A_fusion_on_every_label_at_ell_21():
+    """Criterion 3's fusion agreement at ell = 21 for all 420 labels; the
+    rank bound rests on it.  Within 60 s."""
+    bad, elapsed = _fusion_disagreements(21)
     assert bad == [], bad
     assert elapsed < 60.0, f"420 labels took {elapsed:.2f}s"
     _report("3b", f"A-fusion agrees with fuse_A on all 420 labels at ell = 21 in {elapsed:.2f}s")
+
+
+def test_criterion_3c_A_fusion_on_every_label_at_the_largest_emitted_ell():
+    """Criterion 3b's agreement at ell = MAX_EMIT_ELL = 39, the largest ell
+    `sl21 emit` writes a datum for: all 1 482 labels, within 10 s."""
+    assert MAX_EMIT_ELL == 39
+    bad, elapsed = _fusion_disagreements(MAX_EMIT_ELL)
+    assert bad == [], bad
+    assert elapsed < 10.0, f"1482 labels took {elapsed:.2f}s"
+    _report("3c", f"A-fusion agrees with fuse_A on all 1482 labels at ell = 39 in {elapsed:.2f}s")
 
 
 def test_criterion_4_checks_engine_oracle_equivalence():

@@ -746,6 +746,17 @@ class TestPinnedCommands:
         conftest.assert_golden("sl21_and_closure_reports.txt", "".join(records))
 
 
+class TestPinnedCertificates:
+    # The certificates of words of 8 and 12 factors, with 33 and 232
+    # rewrites: the JSON report walks the whole tree, every shared subgoal
+    # in place.
+    def test_long_word_certificates_are_pinned(self, capsys):
+        records = [_invocation(capsys, ["closure", "certify", "--expr", "*".join(["a"] * n),
+                                        "--depth", "1000", "--format", "json"])
+                   for n in (8, 12)]
+        conftest.assert_golden("certify_words.txt", "".join(records))
+
+
 def _two_label_doc(**edits):
     """identity_datum_doc on two labels with a 2x2 identity block, then edits."""
     doc = identity_datum_doc()

@@ -272,6 +272,36 @@ class TestCertify:
         assert f.expr == expr_to_str(parse_expr(word))
         assert f.message == "derivation deeper than the recursion limit"
 
+    def test_repeated_subgoals_are_derived_once(self):
+        # a word of 40 factors repeats its subgoals exponentially often; each
+        # is derived once per certify call and shared
+        import time
+        toy = toy_closure_datum()
+        t0 = time.perf_counter()
+        c = certify(toy, "*".join(["a"] * 40), depth=1000)
+        assert time.perf_counter() - t0 < 1.0
+        assert isinstance(c, Certificate)
+        assert isinstance(certify(toy, "*".join(["a"] * 40), depth=39), Certificate)
+        f = certify(toy, "*".join(["a"] * 40), depth=38)
+        assert isinstance(f, CertifyFailure) and f.kind == "depth-exhausted"
+
+    def test_a_shared_subgoal_answers_only_at_its_height(self):
+        # b*v*a takes one rewrite; under a*a*a it comes again with one rewrite
+        # left at depth 2, where the certificate is shared, and none at depth
+        # 1, where it fails as it did before the memo
+        toy = toy_closure_datum()
+        assert certify(toy, "b*v*a + a*a*a", depth=1) == CertifyFailure(
+            "depth-exhausted", "b*v*a", "rewrite depth exhausted")
+        c = certify(toy, "b*v*a + a*a*a", depth=2)
+        first, again = c.children[0], c.children[1].children[0].children[0]
+        assert first.expr == again.expr == "b*v*a" and again is first
+
+    def test_a_nested_sum_is_not_its_flat_twin(self):
+        # both terms print as a + b + a, but the first nests a sum
+        c = certify(toy_closure_datum(), "((a + b) + a) + (a + b + a)", depth=0)
+        assert [[g.expr for g in k.children] for k in c.children] == [
+            ["a + b", "a"], ["a", "b", "a"]]
+
     def test_replay_rejects_tampered_certificate(self):
         toy = toy_closure_datum()
         c = certify(toy, "a*a", depth=4)

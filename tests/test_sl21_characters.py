@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import character_oracle as oracle
+
 from relmod.sl21 import (
     CharacterExpr,
     DecompositionError,
@@ -257,3 +259,152 @@ class TestCharacterAlgebra:
         x = XYLaurent({(1, 0): 1, (-1, 0): 1})
         for k in range(2, 8):
             assert sl2_character(k) == x * sl2_character(k - 1) - sl2_character(k - 2)
+
+
+# ---------------------------------------------------------------------------
+# the packed ring against the dict-backed oracle (tests/character_oracle.py)
+# ---------------------------------------------------------------------------
+
+# exponents on both sides of 0, coefficients small, zero and beyond 2^64
+_coeffs = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80))
+_polys = st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-4, 4)), _coeffs,
+                         max_size=12)
+
+
+def _both(terms):
+    return XYLaurent(terms), oracle.XYLaurent(terms)
+
+
+def _assert_same(packed: XYLaurent, dicts: "oracle.XYLaurent"):
+    assert packed.terms == dicts.terms
+    assert str(packed) == str(dicts) and repr(packed) == repr(dicts)
+    assert hash(packed) == hash(dicts)
+    assert packed.is_zero == dicts.is_zero
+    assert packed == XYLaurent(dicts.terms)
+
+
+class TestPackedRingAgainstOracle:
+    @given(a=_polys, b=_polys, c=_polys, dx=st.integers(-9, 9), dy=st.integers(-9, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_ring_operations_match(self, a, b, c, dx, dy):
+        (pa, oa), (pb, ob), (pc, oc) = _both(a), _both(b), _both(c)
+        for packed, dicts in [(pa, oa), (pa + pb, oa + ob), (pa - pb, oa - ob),
+                              (pa * pb, oa * ob), (-pa, -oa), (pa.shift(dx, dy), oa.shift(dx, dy)),
+                              # layouts made by products, sums and shifts, mixed
+                              ((pa * pb) + pc.shift(dx, dy), (oa * ob) + oc.shift(dx, dy)),
+                              ((pa + pb) * (pc - pa), (oa + ob) * (oc - oa)),
+                              ((pa * pb) * (pc * pc), (oa * ob) * (oc * oc)),
+                              (pa * pb - pb * pa, oa * ob - ob * oa),
+                              (pa - pa, oa - oa), (pa + (-pa), oa + (-oa))]:
+            _assert_same(packed, dicts)
+        assert (pa == pb) == (oa == ob)
+        assert (pa * pb == pc) == (oa * ob == oc)
+
+    @given(a=_polys, k=st.integers(0, 9), dy=st.integers(-5, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_characters_of_other_strides_match(self, a, k, dy):
+        pa, oa = _both(a)
+        t = sl2_character(k).shift(0, dy)
+        ot = oracle.sl2_character(k).shift(0, dy)
+        _assert_same(t, ot)
+        for packed, dicts in [(pa * t, oa * ot), (t * pa, ot * oa), (pa + t, oa + ot),
+                              (t - pa * t, ot - oa * ot)]:
+            _assert_same(packed, dicts)
+
+    def test_sums_that_cancel_are_zero(self):
+        big = 2 ** 70 + 3
+        a = XYLaurent({(-3, 2): big, (4, -1): -1, (0, 0): 7})
+        b = XYLaurent({(-3, 2): -big, (4, -1): 1, (0, 0): -7})
+        for zero in (a + b, a - a, (a * a) - (a * a), a.shift(2, -3) + b.shift(2, -3)):
+            assert zero.is_zero and zero == XYLaurent.zero() and str(zero) == "0"
+            assert zero.terms == {} and hash(zero) == hash(XYLaurent())
+        assert (a + b) + a == a and a * XYLaurent.one() == a
+        assert (a * (a + b)).is_zero
+
+
+def _outcome(decompose, chi, ell):
+    """Labels, or the error's message and residual terms."""
+    try:
+        return decompose(chi, ell)
+    except DecompositionError as exc:
+        r = exc.residual
+        return str(exc), r.plus.terms, r.minus.terms, r.alpha_power
+
+
+def _same_peel(chi, want, ell):
+    """decompose_typical on chi agrees with the oracle's on want, a character
+    of the oracle ring with the same terms."""
+    assert (chi.plus.terms, chi.minus.terms) == (want.plus.terms, want.minus.terms)
+    got = _outcome(decompose_typical, chi, ell)
+    assert got == _outcome(oracle.decompose_typical, want, ell)
+    return got
+
+
+def _corrupt(chi: CharacterExpr, plus=None, minus=None) -> tuple:
+    """chi with its terms edited, in both rings."""
+    p = dict(chi.plus.terms) if plus is None else plus
+    m = dict(chi.minus.terms) if minus is None else minus
+    return (CharacterExpr(XYLaurent(p), XYLaurent(m), chi.alpha_power),
+            CharacterExpr(oracle.XYLaurent(p), oracle.XYLaurent(m), chi.alpha_power))
+
+
+class TestDecompositionAgainstOracle:
+    @pytest.mark.parametrize("ell", [3, 5, 7, 9, 11])
+    def test_fusion_and_standard_products_match(self, ell):
+        A, oA = closed_form_Ak(ell - 1, ell), oracle.closed_form_Ak(ell - 1, ell)
+        v, ov = standard_module_character(), oracle.standard_module_character()
+        for k in range(ell - 1):
+            for i in range(ell):
+                got = _same_peel(A * typical_character(k, i, ell),
+                                 oA * oracle.typical_character(k, i, ell), ell)
+                assert isinstance(got, list)
+        for k in range(ell):
+            got = _same_peel(typical_character(k, 0, ell) * v,
+                             oracle.typical_character(k, 0, ell) * ov, ell)
+            assert isinstance(got, list)
+
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_typical_products_match(self, ell):
+        labels = [(k, i) for k in range(ell - 1) for i in range(ell)]
+        for k1, i1 in labels:
+            for k2, i2 in labels:
+                _same_peel(typical_character(k1, i1, ell) * typical_character(k2, i2, ell),
+                           oracle.typical_character(k1, i1, ell)
+                           * oracle.typical_character(k2, i2, ell), ell)
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_corrupted_characters_fail_alike(self, ell):
+        A = closed_form_Ak(ell - 1, ell)
+        messages = set()
+        for k in range(ell - 1):
+            for i in (0, ell - 1):
+                chi = A * typical_character(k, i, ell)
+                keys = sorted(chi.plus.terms, key=lambda xy: (xy[1], xy[0]))
+                cases = []
+                for key in (keys[0], keys[len(keys) // 2], keys[-1]):
+                    plus = dict(chi.plus.terms)      # a plus term dropped
+                    del plus[key]
+                    cases.append(_corrupt(chi, plus=plus))
+                    minus = dict(chi.minus.terms)    # a minus coefficient negated
+                    minus[key] = -minus[key]
+                    cases.append(_corrupt(chi, minus=minus))
+                odd = {(x, y + 1): c for (x, y), c in chi.plus.terms.items()}
+                cases.append(_corrupt(chi, plus=odd, minus={}))   # s2 odd at the top
+                minus = dict(chi.minus.terms)        # a nonzero minus residue
+                minus[keys[0][0], keys[0][1] - 3] = 1
+                cases.append(_corrupt(chi, minus=minus))
+                cases.append(_corrupt(chi, plus={key: -c for key, c in chi.plus.terms.items()}))
+                cases.append(_corrupt(chi, plus={keys[-1]: 1}, minus={keys[-1]: 1}))  # a lone top
+                for packed, dicts in cases:
+                    got = _same_peel(packed, dicts, ell)
+                    if not isinstance(got, list):
+                        messages.add(got[0])
+        high = typical_character(2 * ell - 1, 0, ell)    # a height above 2ell - 2
+        messages.add(_same_peel(high, oracle.typical_character(2 * ell - 1, 0, ell), ell)[0])
+        # two typicals and a low term that brings the dimension to 0
+        plus = (typical_character(2, 0, ell) + typical_character(1, 0, ell)).plus.terms
+        plus = {**plus, (0, -10): -20}
+        messages.add(_same_peel(*_corrupt(typical_character(2, 0, ell), plus=plus), ell)[0])
+        kinds = {"not the top" if "is not the top of a typical" in m else m for m in messages}
+        assert kinds == {"not the top", "supercharacter residue is nonzero",
+                            "total dimension is negative", "peeling did not terminate"}
